@@ -438,13 +438,8 @@ def _bench_macro_run(name: str, workers: int, iters: int, repeats: int) -> Bench
                 "snapshot_copies_avoided": sum(
                     s.snapshot_copies_avoided for s in runner.servers
                 ),
-                "events_skipped": runner.engine.events_skipped,
-                "windows_collapsed": runner.engine.windows_collapsed,
-                "calendar_sweeps": runner.engine.calendar_sweeps,
                 "server_msgs_inline": runner.server_msgs_inline,
                 "server_msgs_drained": runner.server_msgs_drained,
-                "events_elided": runner.engine.events_elided,
-                "quiet_regions": runner.engine.quiet_regions,
                 "fused_deliveries": runner.net.fused_deliveries,
                 "pending_event_hwm": runner.engine.pending_high_water,
                 "rounds_collapsed": runner.engine.rounds_collapsed,
@@ -487,8 +482,8 @@ def bench_macro_10k(scale: PerfScale) -> BenchResult:
 
     One iteration is enough — at 10k workers a single iteration already
     pushes ~10x the 128-worker macro's message count, and the quantity
-    under test is per-event engine cost (calendar queue + fast-forward),
-    not steady-state convergence.  The acceptance bar ties this to the
+    under test is per-worker simulator cost, not steady-state
+    convergence.  The acceptance bar ties this to the
     128-worker macro: < 10x its wall time despite 78x the workers.
     """
     return _bench_macro_run(

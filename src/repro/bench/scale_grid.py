@@ -5,16 +5,14 @@ overhead) only get interesting at cluster scale, so this experiment runs
 the timing-only co-simulation over a grid of cluster preset × worker
 count × sync model and reports, per cell, both the simulated outcome
 (sim-seconds per iteration, DPR load) and the simulator's own cost
-(host wall clock, events/second, fast-forward and calendar counters).
+(host wall clock, events/second, round-collapse counters).
 
 The worker axis stretches to 100 000 simulated workers at paper scale —
-three orders of magnitude past the old 128-worker macro ceiling — which
-is what the engine's calendar queue, mesoscale fast-forward, and
-protocol-quiet elision exist for (docs/PERFORMANCE.md, "Mesoscale
-fast-forward and the calendar queue" and "Protocol-quiet elision and
-parallel shard drains").  Each cell also reports what the run cost the
-host: peak RSS and the engine's pending-event high-water mark document
-what the box actually has to hold per population.
+three orders of magnitude past the old 128-worker macro ceiling; the
+result's title names the largest worker count the run actually covered.
+Each cell also reports what the run cost the host: peak RSS and the
+engine's pending-event high-water mark document what the box actually
+has to hold per population.
 
 Reading the grid: a sync model's scaling "breaks" where its
 ``sim_s_per_iter`` stops being flat in N.  BSP degrades first (the full
@@ -37,8 +35,7 @@ from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import cpu_cluster_compute, gpu_cluster_compute
 
 #: Worker counts per scale preset.  Tiny keeps the grid test-sized;
-#: quick (CI) reaches 1k workers; paper runs the full 128 → 1k → 10k
-#: sweep the mesoscale engine work targets.
+#: quick (CI) reaches 1k workers; paper runs the full 128 → 100k sweep.
 GRID_WORKERS = {
     "tiny": (8, 32),
     "quick": (128, 1_000),
@@ -50,6 +47,22 @@ GRID_PRESETS: Tuple[str, ...] = ("cpu", "gpu_p2")
 
 #: Sync-model axis: the barrier, the paper's baseline, and its headline.
 GRID_SYNCS: Tuple[str, ...] = ("bsp", "ssp3", "pssp")
+
+#: Column set of the grid table, one entry per ``_grid_arm`` row value.
+GRID_HEADERS: Tuple[str, ...] = (
+    "preset",
+    "workers",
+    "sync",
+    "wall_s",
+    "sim_s_per_iter",
+    "events",
+    "events_per_sec",
+    "rounds_collapsed",
+    "round_events_saved",
+    "pending_hwm",
+    "peak_rss_mb",
+    "dprs",
+)
 
 
 def grid_worker_counts(scale: Scale) -> Sequence[int]:
@@ -108,9 +121,6 @@ def _grid_arm(preset: str, n: int, sync_name: str, seed: int) -> ExperimentResul
         round(per_iter, 4),
         int(eng.events_processed),
         int(events_per_sec),
-        int(eng.events_skipped),
-        int(eng.events_elided),
-        int(eng.quiet_regions),
         int(eng.rounds_collapsed),
         int(eng.round_events_saved),
         int(eng.pending_high_water),
@@ -124,11 +134,6 @@ def _grid_arm(preset: str, n: int, sync_name: str, seed: int) -> ExperimentResul
         sim_s_per_iter=per_iter,
         events=float(eng.events_processed),
         events_per_sec=events_per_sec,
-        events_skipped=float(eng.events_skipped),
-        windows_collapsed=float(eng.windows_collapsed),
-        calendar_sweeps=float(eng.calendar_sweeps),
-        events_elided=float(eng.events_elided),
-        quiet_regions=float(eng.quiet_regions),
         rounds_collapsed=float(eng.rounds_collapsed),
         round_events_saved=float(eng.round_events_saved),
         fused_deliveries=float(runner.net.fused_deliveries),
@@ -149,25 +154,10 @@ def scale_grid(
     scale: Scale, seed: int = 0, pool: Optional[SweepExecutor] = None
 ) -> ExperimentResult:
     """Cluster preset × worker count × sync model scaling grid."""
+    workers = grid_worker_counts(scale)
     result = ExperimentResult(
-        "Topology x scale grid: sync-model scaling to 10k workers",
-        headers=[
-            "preset",
-            "workers",
-            "sync",
-            "wall_s",
-            "sim_s_per_iter",
-            "events",
-            "events_per_sec",
-            "events_skipped",
-            "events_elided",
-            "quiet_regions",
-            "rounds_collapsed",
-            "round_events_saved",
-            "pending_hwm",
-            "peak_rss_mb",
-            "dprs",
-        ],
+        f"Topology x scale grid: sync-model scaling to {max(workers)} workers",
+        headers=list(GRID_HEADERS),
     )
     tasks = [
         RunTask(
@@ -181,7 +171,7 @@ def scale_grid(
             key=f"scale-grid/{preset}-N{n}-{sync}",
         )
         for preset in GRID_PRESETS
-        for n in grid_worker_counts(scale)
+        for n in workers
         for sync in GRID_SYNCS
     ]
     for frag in run_sweep(tasks, pool):

@@ -36,41 +36,6 @@ Hot-path design (measured by :mod:`repro.bench.perf`):
   topologies) additionally ``gc.freeze()`` the long-lived object graph
   (processes, endpoints, parameter shards) so the collections that do
   happen stop re-traversing it; ``gc.unfreeze()`` restores it on exit.
-
-Mesoscale fast-forward and the calendar queue (see docs/PERFORMANCE.md,
-"Mesoscale fast-forward and the calendar queue"):
-
-- producers never change: every ``_heappush(eng._heap, ...)`` call site
-  (the network's analytic lane scheduler, process resumes, signal
-  fires) keeps pushing flat records onto ``Engine._heap``, whose list
-  *identity* is never reassigned.  At 10k-worker scale the heap holds
-  tens of thousands of records and every push/pop walks ~17 levels of
-  tuple comparisons — that depth, not the event count, is what grows;
-- when the ingest heap crosses ``calendar_threshold`` records, the
-  drain *sweeps* it: one ``sorted()`` pass splits the stream into a
-  **fast-forward window** (the next ``_CAL_NEAR`` events, served as a
-  presorted batch with an index instead of per-event heap pops) and a
-  far horizon distributed into **calendar buckets** keyed by
-  ``int(when / width)``, with the bucket width derived from the
-  observed span (re-derived whenever the calendar drains empty, which
-  is the resize mechanism under adversarial timestamp clustering);
-- the window is *provably non-interfering by construction*: before
-  each batch event runs, its record is compared against the live heap
-  top and the exact calendar floor (min pending bucket timestamp, kept
-  rounding-immune by tracking real event times, not bucket boundaries).
-  Any newly produced event that lands inside the window — a DPR
-  wakeup, a frontier advance, an in-flight wire event — wins the
-  comparison and runs first, so the served order is bit-identical to
-  the pure heap's ``(when, seq)`` order.  ``events_skipped`` counts
-  events served from the window (heap maintenance skipped — every
-  event still executes), ``windows_collapsed`` counts fully drained
-  windows;
-- ``calendar=False`` disables all of it and keeps the original
-  heap-only drain as the differential-testing fallback, exactly like
-  ``analytic=False`` on the network;
-- the DPOR choice hook (:meth:`set_choice_hook`) flushes the calendar
-  back into the heap and suspends sweeping: schedule exploration
-  always sees the one flat tie-group surface it was written against.
 """
 
 from __future__ import annotations
@@ -97,27 +62,9 @@ _GC_DRAIN_GEN0 = 100_000
 #: and pay nothing.
 _GC_FREEZE_PENDING = 5_000
 
-#: Ingest-heap size that triggers a calendar sweep on the default
-#: (auto-selecting) engine.  Below it the binary heap wins outright —
-#: the threshold only needs to catch the 10k-worker regime where heap
-#: depth starts to dominate per-event cost.  Each sweep is a full
-#: ``sorted()`` of the ingest heap, so a low threshold trades heap depth
-#: for sort churn: at 10k workers, 32768 drains ~15% faster than 4096
-#: (9 sweeps vs 33 for the same run).  Mesoscale runs that want the
-#: calendar earlier pass ``calendar_threshold=`` explicitly.
-_CAL_THRESHOLD = 32768
-
-#: Fast-forward window size: how many of the earliest swept events stay
-#: in the presorted batch instead of the far-horizon buckets.
-_CAL_NEAR = 512
-
-#: Target bucket count when (re)deriving the calendar width from the
-#: swept far-horizon span.
-_CAL_BUCKETS = 512
-
-#: Relative span below which bucketing is churn (all events effectively
-#: at one timestamp): the sweep keeps such clusters in the window.
-_CAL_MIN_REL_SPAN = 1e-12
+#: The full drain samples the heap size for ``pending_high_water`` once
+#: per ``_HWM_SAMPLE_MASK + 1`` served events (and at drain entry).
+_HWM_SAMPLE_MASK = 1023
 
 
 def _invoke0(fn: Callable[[], None]) -> None:
@@ -389,17 +336,7 @@ class EventHandle:
 
 
 class Engine:
-    """The event loop.  All times are simulated seconds, starting at 0.
-
-    ``calendar`` selects the event-queue backend: ``None``/``True``
-    enable the calendar queue + fast-forward window (migrated to
-    automatically once the ingest heap crosses ``calendar_threshold``
-    pending records — the default threshold only engages at 10k-worker
-    scale), ``False`` pins the original binary-heap drain, kept as the
-    differential-testing fallback.  Served event order is bit-identical
-    either way; ``tests/test_engine_calendar.py`` and
-    ``tests/test_engine_fastforward.py`` hold the equivalence proof.
-    """
+    """The event loop.  All times are simulated seconds, starting at 0."""
 
     __slots__ = (
         "now",
@@ -409,35 +346,12 @@ class Engine:
         "_daemon_pending",
         "_tombstones",
         "_choice_hook",
-        "_cal_enabled",
-        "_cal_threshold",
-        "_batch",
-        "_bi",
-        "_cal_buckets",
-        "_cal_minheap",
-        "_cal_count",
-        "_cal_width",
-        "_cal_floor",
-        "_ff_events_skipped",
-        "_ff_windows_collapsed",
-        "_cal_sweeps",
-        "_elide_enabled",
-        "_elidable",
-        "_events_elided",
-        "_quiet_regions",
         "_pending_hwm",
-        "_collapse_enabled",
         "_rounds_collapsed",
         "_round_events_saved",
     )
 
-    def __init__(
-        self,
-        calendar: Optional[bool] = None,
-        calendar_threshold: Optional[int] = None,
-        elide: Optional[bool] = None,
-        collapse: Optional[bool] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
@@ -447,45 +361,11 @@ class Engine:
         self._tombstones: Set[int] = set()
         #: Optional scheduling choice hook (see :meth:`set_choice_hook`).
         self._choice_hook: Optional[Callable[[float, List[Tuple]], int]] = None
-        self._cal_enabled = calendar is not False
-        if calendar_threshold is None:
-            calendar_threshold = _CAL_THRESHOLD
-        self._cal_threshold = max(1, calendar_threshold)
-        #: Fast-forward window: presorted ``(when, seq, fn, arg)`` records
-        #: served by index — ``_batch[_bi:]`` is the live tail.
-        self._batch: List[Tuple[float, int, Callable[[Any], None], Any]] = []
-        self._bi = 0
-        #: Far horizon: bucket key -> unsorted list of records.
-        self._cal_buckets: dict = {}
-        #: Lazy min-tracking over buckets: (real event when, key) pairs —
-        #: exact times, never bucket boundaries, so the refill trigger is
-        #: immune to ``int(when / width)`` float rounding.
-        self._cal_minheap: List[Tuple[float, int]] = []
-        self._cal_count = 0
-        self._cal_width = 0.0
-        #: Exact earliest event time across all buckets (inf when empty).
-        #: Invariant: while any bucket is non-empty, ``now < _cal_floor``.
-        self._cal_floor = float("inf")
-        self._ff_events_skipped = 0
-        self._ff_windows_collapsed = 0
-        self._cal_sweeps = 0
-        #: Protocol-quiet elision (``elide=False`` keeps the event-by-event
-        #: drain as the differential oracle, like ``calendar=False``).
-        self._elide_enabled = elide is not False
-        #: Callbacks registered via ``spawn(..., elidable=True)``: resumes
-        #: that are pure compute-phase completions — a same-timestamp run
-        #: of them is a protocol-quiet region the drain may batch-serve.
-        self._elidable: Set[Callable[[Any], None]] = set()
-        self._events_elided = 0
-        self._quiet_regions = 0
-        #: Pending-event high-water mark, sampled at queue-maintenance
-        #: points (drain entry, sweeps, refills) — not per push.
+        #: Pending-event high-water mark, sampled at drain entry and every
+        #: ``_HWM_SAMPLE_MASK + 1`` events of a full drain — not per push.
         self._pending_hwm = 0
-        #: Closed-form round fast-forward (``collapse=False`` keeps the
-        #: event-by-event protocol rounds as the differential oracle).
-        #: The round analytics live in the runner; the engine only
-        #: carries the opt-out flag and the credit counters.
-        self._collapse_enabled = collapse is not False
+        #: Closed-form round fast-forward credit counters (the round
+        #: analytics live in the runner).
         self._rounds_collapsed = 0
         self._round_events_saved = 0
 
@@ -508,186 +388,23 @@ class Engine:
         if when < self.now or seq > self._seq:
             return False
         if when > self.now:
-            # Strictly in the future: guaranteed still pending (in the
-            # ingest heap, the fast-forward window, or a calendar bucket —
-            # the drain discards tombstones wherever the record surfaces).
             self._tombstones.add(seq)
             return True
-        # Boundary: scheduled for the current timestamp, may already have
-        # run this instant — pay a (rare) liveness scan.  A current-time
-        # record can only live in the heap or the window's live tail:
-        # bucket events are strictly in the future (now < _cal_floor).
         for entry in self._heap:
             if entry[1] == seq:
                 self._tombstones.add(seq)
                 return True
-        batch = self._batch
-        for i in range(self._bi, len(batch)):
-            if batch[i][1] == seq:
-                self._tombstones.add(seq)
-                return True
         return False
-
-    # -- calendar queue + fast-forward window ---------------------------
-
-    def _sweep(self) -> None:
-        """Migrate the ingest heap into the window and the calendar.
-
-        One ``sorted()`` pass over the heap; the earliest ``_CAL_NEAR``
-        records become (or merge into) the fast-forward window, the far
-        horizon is distributed into buckets in O(1) appends per record.
-        The heap list is cleared *in place* — its identity is load-bearing
-        (``Process._make_step`` captures it; the network pushes to it).
-        """
-        heap = self._heap
-        pend = len(heap) + (len(self._batch) - self._bi) + self._cal_count
-        if pend > self._pending_hwm:
-            self._pending_hwm = pend
-        events = sorted(heap)
-        heap.clear()
-        self._cal_sweeps += 1
-        near = events[: _CAL_NEAR]
-        far = events[_CAL_NEAR:]
-        if far:
-            if self._cal_count == 0:
-                # Calendar is empty: (re)derive the bucket width from the
-                # observed span — this is the resize point under
-                # adversarial clustering (one-per-bucket vs all-same).
-                span = far[-1][0] - far[0][0]
-                horizon = far[-1][0]
-                if span > 0.0 and (horizon <= 0.0
-                                   or span / horizon > _CAL_MIN_REL_SPAN):
-                    self._cal_width = span / _CAL_BUCKETS
-                else:
-                    self._cal_width = 0.0
-            width = self._cal_width
-            if width > 0.0:
-                buckets = self._cal_buckets
-                minheap = self._cal_minheap
-                last_key = None
-                for entry in far:
-                    key = int(entry[0] / width)
-                    b = buckets.get(key)
-                    if b is None:
-                        buckets[key] = [entry]
-                    else:
-                        b.append(entry)
-                    if key != last_key:
-                        # First record of a sorted run into this key: its
-                        # time is the run's minimum — push the exact time.
-                        _heappush(minheap, (entry[0], key))
-                        last_key = key
-                self._cal_count += len(far)
-                if self._cal_floor > far[0][0]:
-                    self._cal_floor = far[0][0]
-            else:
-                # Degenerate clustering (effectively one timestamp):
-                # bucketing would be refill churn — keep it all windowed.
-                near = events
-        tail = self._batch[self._bi :]
-        if tail:
-            near = sorted(tail + near)
-        self._batch = near
-        self._bi = 0
-
-    def _refill(self) -> None:
-        """Merge the earliest calendar bucket into the window."""
-        pend = len(self._heap) + (len(self._batch) - self._bi) + self._cal_count
-        if pend > self._pending_hwm:
-            self._pending_hwm = pend
-        buckets = self._cal_buckets
-        minheap = self._cal_minheap
-        while minheap and minheap[0][1] not in buckets:
-            _heappop(minheap)  # stale: that bucket was already refilled
-        if not minheap:
-            self._cal_floor = float("inf")
-            return
-        key = _heappop(minheap)[1]
-        bucket = buckets.pop(key)
-        self._cal_count -= len(bucket)
-        bucket.sort()
-        tail = self._batch[self._bi :]
-        if tail:
-            bucket = sorted(tail + bucket)
-        self._batch = bucket
-        self._bi = 0
-        while minheap and minheap[0][1] not in buckets:
-            _heappop(minheap)
-        self._cal_floor = minheap[0][0] if minheap else float("inf")
-
-    def _flush_calendar(self) -> None:
-        """Push every windowed/bucketed record back onto the ingest heap.
-
-        Used when a choice hook is installed: schedule exploration
-        reasons over one flat tie-group surface, so the calendar
-        suspends itself rather than teaching DPOR about windows.
-        """
-        heap = self._heap
-        for entry in self._batch[self._bi :]:
-            _heappush(heap, entry)
-        self._batch = []
-        self._bi = 0
-        if self._cal_count:
-            for bucket in self._cal_buckets.values():
-                for entry in bucket:
-                    _heappush(heap, entry)
-            self._cal_buckets.clear()
-            self._cal_minheap.clear()
-            self._cal_count = 0
-        self._cal_floor = float("inf")
-
-    @property
-    def calendar_enabled(self) -> bool:
-        """Whether the calendar/fast-forward backend may engage."""
-        return self._cal_enabled
-
-    @property
-    def calendar_sweeps(self) -> int:
-        """How many times the ingest heap was swept into the calendar."""
-        return self._cal_sweeps
-
-    @property
-    def events_skipped(self) -> int:
-        """Events served from the fast-forward window: per-event heap
-        maintenance was skipped (every event still executed)."""
-        return self._ff_events_skipped
-
-    @property
-    def windows_collapsed(self) -> int:
-        """Fully drained fast-forward windows."""
-        return self._ff_windows_collapsed
-
-    @property
-    def elide_enabled(self) -> bool:
-        """Whether protocol-quiet region elision may engage."""
-        return self._elide_enabled
-
-    @property
-    def events_elided(self) -> int:
-        """Events served inside protocol-quiet regions: the clock advanced
-        once per region and all per-event merge/refill/tombstone
-        bookkeeping was skipped (every callback still executed, in the
-        exact order the event-by-event drain would have used)."""
-        return self._events_elided
-
-    @property
-    def quiet_regions(self) -> int:
-        """Protocol-quiet regions batch-served by the drain."""
-        return self._quiet_regions
 
     @property
     def pending_high_water(self) -> int:
-        """Largest pending-event population observed, sampled at
-        queue-maintenance points (drain entry, sweeps, refills)."""
-        pend = len(self._heap) + (len(self._batch) - self._bi) + self._cal_count
+        """Largest pending-event population observed, sampled at drain
+        entry, every ``_HWM_SAMPLE_MASK + 1`` events of a full drain, and
+        on read."""
+        pend = len(self._heap)
         if pend > self._pending_hwm:
             self._pending_hwm = pend
         return self._pending_hwm
-
-    @property
-    def collapse_enabled(self) -> bool:
-        """Whether closed-form round fast-forward may engage."""
-        return self._collapse_enabled
 
     @property
     def rounds_collapsed(self) -> int:
@@ -702,13 +419,14 @@ class Engine:
     def credit_collapsed_round(self, events_saved: int) -> None:
         """Account one analytically committed protocol round.
 
-        ``events_saved`` is the exact event census the oracle would have
-        scheduled and served for the round.  The clock is *not* advanced
-        here: a partial collapse de-vectorizes the first non-quiet round
-        at instants that precede the committed rounds' last event, so the
-        drain must still be allowed to start from the earlier time.  A
-        fully collapsed run (no events left) sets ``now`` to the final
-        instant itself before :meth:`run` returns on the empty queue."""
+        ``events_saved`` is the exact event census the event path would
+        have scheduled and served for the round.  The clock is *not*
+        advanced here: a partial collapse de-vectorizes the first
+        non-quiet round at instants that precede the committed rounds'
+        last event, so the drain must still be allowed to start from the
+        earlier time.  A fully collapsed run (no events left) sets ``now``
+        to the final instant itself before :meth:`run` returns on the
+        empty queue."""
         self._rounds_collapsed += 1
         self._round_events_saved += events_saved
 
@@ -785,7 +503,6 @@ class Engine:
         self,
         gen: ProcessGen,
         name: str = "",
-        elidable: bool = False,
         start_at: Optional[float] = None,
     ) -> Process:
         """Start a generator as a process; returns a joinable Process.
@@ -795,22 +512,8 @@ class Engine:
         runner uses it to re-materialize workers mid-run at their
         per-worker analytic clocks.  Spawn order still decides seq order
         at equal instants.
-
-        ``elidable=True`` declares that this process's resumes are pure
-        compute-phase completions: a same-timestamp run of resumes from
-        elidable processes is a *protocol-quiet region* the fast drain
-        may batch-serve (advancing the clock once, skipping per-event
-        queue bookkeeping).  Callback order is bit-identical either way;
-        the declaration only unlocks the cheaper serving mode.  Any
-        interleaved non-elidable event at the same instant, or a cancel
-        landing mid-region, breaks the region back to event-by-event
-        service.  Only mark processes whose resume cannot be invalidated
-        by a peer resume at the same timestamp (worker compute phases
-        qualify: their sends land strictly later or at higher seq).
         """
         proc = Process(self, gen, name=name)
-        if elidable:
-            self._elidable.add(proc._step_cb)
         proc._start(start_at)
         return proc
 
@@ -846,14 +549,9 @@ class Engine:
         This is the model checker's commutation point
         (:mod:`repro.analysis.explore`): it only affects the slow
         per-event path, never the inlined fast drain, so hookless runs
-        pay nothing.  Installing a hook flushes the calendar queue back
-        into the flat heap and suspends sweeping for as long as the hook
-        stays installed — exploration always reasons over the one flat
-        tie-group surface.
+        pay nothing.
         """
         self._choice_hook = hook
-        if hook is not None:
-            self._flush_calendar()
 
     def _step_choice(self) -> bool:
         """One event via the choice hook: collect the live tie group at
@@ -897,55 +595,21 @@ class Engine:
     def step(self) -> bool:
         """Run one event; returns False when the queue is empty."""
         if self._choice_hook is not None:
-            if self._bi < len(self._batch) or self._cal_count:
-                self._flush_calendar()
             return self._step_choice()
         heap = self._heap
         tombstones = self._tombstones
-        while True:
-            batch = self._batch
-            bi = self._bi
-            if bi < len(batch):
-                entry = batch[bi]
-                if self._cal_count and entry[0] >= self._cal_floor:
-                    self._refill()
-                    continue
-                if heap and heap[0] < entry:
-                    when, seq, fn, arg = _heappop(heap)
-                    if tombstones and seq in tombstones:
-                        tombstones.discard(seq)
-                        continue
-                else:
-                    self._bi = bi + 1
-                    when, seq, fn, arg = entry
-                    if tombstones and seq in tombstones:
-                        tombstones.discard(seq)
-                        continue
-                    self._ff_events_skipped += 1
-            elif batch:
-                self._batch = []
-                self._bi = 0
-                self._ff_windows_collapsed += 1
+        while heap:
+            when, seq, fn, arg = _heappop(heap)
+            if tombstones and seq in tombstones:
+                tombstones.discard(seq)
                 continue
-            elif heap:
-                if self._cal_count and heap[0][0] >= self._cal_floor:
-                    self._refill()
-                    continue
-                when, seq, fn, arg = _heappop(heap)
-                if tombstones and seq in tombstones:
-                    tombstones.discard(seq)
-                    continue
-            elif self._cal_count:
-                self._refill()
-                continue
-            else:
-                return False
             if when < self.now:
                 raise SimulationError("event heap corrupted: time went backwards")
             self.now = when
             self._events_processed += 1
             fn(arg)
             return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain events (optionally only up to time ``until``); returns now."""
@@ -953,8 +617,6 @@ class Engine:
             if self._choice_hook is not None:
                 # Choice-hook runs route through the per-event slow path:
                 # correctness tooling, not a perf surface.
-                if self._bi < len(self._batch) or self._cal_count:
-                    self._flush_calendar()
                 while self._step_choice():
                     pass
                 return self.now
@@ -968,197 +630,41 @@ class Engine:
             tombstones = self._tombstones
             pop = _heappop
             processed = 0
+            hwm = len(heap)
+            hwm_mask = _HWM_SAMPLE_MASK
             saved_thresholds = gc.get_threshold()
             gc.set_threshold(
                 max(saved_thresholds[0], _GC_DRAIN_GEN0), *saved_thresholds[1:]
             )
-            pend = len(heap) + (len(self._batch) - self._bi) + self._cal_count
-            if pend > self._pending_hwm:
-                self._pending_hwm = pend
-            frozen = pend >= _GC_FREEZE_PENDING
+            frozen = hwm >= _GC_FREEZE_PENDING
             if frozen:
                 gc.collect()
                 gc.freeze()
-            skipped = 0
-            collapsed = 0
-            elided = 0
-            regions = 0
-            elidable = self._elidable
-            elide_on = self._elide_enabled and bool(elidable)
             try:
-                if not self._cal_enabled:
-                    # Differential fallback (calendar=False): the original
-                    # heap-only drain, bit for bit.
-                    while heap:
-                        when, seq, fn, arg = pop(heap)
-                        if tombstones and seq in tombstones:
-                            tombstones.discard(seq)
-                            continue
-                        if when < self.now:
-                            raise SimulationError(
-                                "event heap corrupted: time went backwards"
-                            )
-                        self.now = when
-                        processed += 1
-                        fn(arg)
-                    return self.now
-                threshold = self._cal_threshold
-                while True:
-                    batch = self._batch
-                    bi = self._bi
-                    blen = len(batch)
-                    if bi >= blen:
-                        if blen:
-                            self._batch = []
-                            self._bi = 0
-                            collapsed += 1
-                        if self._cal_count and (
-                            not heap or heap[0][0] >= self._cal_floor
-                        ):
-                            self._refill()
-                            continue
-                        if not heap:
-                            break
-                        # Pre-migration regime (and between windows): a
-                        # tight heap-only loop — callbacks can only push,
-                        # never create a window, so `heap` stays the sole
-                        # event source until a sweep triggers or a
-                        # bucketed timestamp comes due.
-                        floor = self._cal_floor
-                        while heap:
-                            if len(heap) > threshold:
-                                self._sweep()
-                                break
-                            entry = heap[0]
-                            if entry[0] >= floor:
-                                self._refill()
-                                break
-                            pop(heap)
-                            when, seq, fn, arg = entry
-                            if tombstones and seq in tombstones:
-                                tombstones.discard(seq)
-                                continue
-                            if when < self.now:
-                                raise SimulationError(
-                                    "event heap corrupted: time went backwards"
-                                )
-                            self.now = when
-                            processed += 1
-                            if elide_on and fn in elidable and heap:
-                                top = heap[0]
-                                if top[0] == when and top[2] in elidable:
-                                    # Protocol-quiet region (heap regime):
-                                    # a same-timestamp run of elidable
-                                    # resumes.  Serve it without per-event
-                                    # clock/floor/sweep bookkeeping; a
-                                    # cancel (tombstones turns truthy) or
-                                    # any non-elidable event surfacing at
-                                    # this instant breaks the region back
-                                    # to event-by-event service.
-                                    fn(arg)
-                                    count = 1
-                                    while not tombstones and heap:
-                                        top = heap[0]
-                                        if top[0] != when or top[2] not in elidable:
-                                            break
-                                        pop(heap)
-                                        count += 1
-                                        top[2](top[3])
-                                    processed += count - 1
-                                    elided += count
-                                    regions += 1
-                                    continue
-                            fn(arg)
-                        continue
-                    # Window live: serve the 2-way merge of the presorted
-                    # batch and the ingest heap.  New events that land
-                    # inside the window (DPR wakeups, wire deliveries)
-                    # win the tuple comparison and run first — served
-                    # order stays bit-identical to the pure heap.
-                    entry = batch[bi]
-                    if self._cal_count and entry[0] >= self._cal_floor:
-                        self._refill()
-                        continue
-                    if heap and heap[0] < entry:
-                        when, seq, fn, arg = pop(heap)
-                        if tombstones and seq in tombstones:
-                            tombstones.discard(seq)
-                            continue
-                        if when < self.now:
-                            raise SimulationError(
-                                "event heap corrupted: time went backwards"
-                            )
-                        self.now = when
-                        processed += 1
-                        fn(arg)
-                        if len(heap) > threshold:
-                            self._sweep()
-                        continue
-                    when, seq, fn, arg = entry
+                while heap:
+                    when, seq, fn, arg = pop(heap)
                     if tombstones and seq in tombstones:
-                        self._bi = bi + 1
                         tombstones.discard(seq)
                         continue
                     if when < self.now:
                         raise SimulationError(
                             "event heap corrupted: time went backwards"
                         )
-                    if (
-                        elide_on
-                        and fn in elidable
-                        and bi + 1 < blen
-                        and batch[bi + 1][0] == when
-                        and batch[bi + 1][2] in elidable
-                    ):
-                        # Protocol-quiet region (window regime): advance
-                        # the clock once and serve the same-timestamp run
-                        # of elidable resumes with no per-event merge /
-                        # refill / clock bookkeeping.  Window seqs always
-                        # predate heap seqs (sweeps clear the heap), so a
-                        # heap entry can never win a same-instant tie —
-                        # but a re-post landing at this instant, or a
-                        # cancel (tombstones turns truthy), conservatively
-                        # breaks the region back to event-by-event
-                        # service.  ``_bi`` advances before each callback
-                        # so the tombstone boundary scan still sees the
-                        # unserved tail.
-                        self.now = when
-                        j = bi
-                        while j < blen and not tombstones:
-                            e = batch[j]
-                            if e[0] != when or e[2] not in elidable:
-                                break
-                            if heap and heap[0][0] <= when:
-                                break
-                            j = j + 1
-                            self._bi = j
-                            e[2](e[3])
-                        count = j - bi
-                        if count:
-                            processed += count
-                            skipped += count
-                            elided += count
-                            regions += 1
-                            continue
-                    self._bi = bi + 1
                     self.now = when
                     processed += 1
-                    skipped += 1
                     fn(arg)
+                    if not processed & hwm_mask and len(heap) > hwm:
+                        hwm = len(heap)
             finally:
                 self._events_processed += processed
-                self._ff_events_skipped += skipped
-                self._ff_windows_collapsed += collapsed
-                self._events_elided += elided
-                self._quiet_regions += regions
+                if hwm > self._pending_hwm:
+                    self._pending_hwm = hwm
                 gc.set_threshold(*saved_thresholds)
                 if frozen:
                     gc.unfreeze()
             return self.now
         budget = max_events if max_events is not None else float("inf")
-        while budget > 0 and (
-            self._heap or self._cal_count or self._bi < len(self._batch)
-        ):
+        while budget > 0 and self._heap:
             if until is not None and self._next_live_when() > until:
                 self.now = until
                 return self.now
@@ -1172,44 +678,18 @@ class Engine:
         """Timestamp of the next non-tombstoned event (inf if none)."""
         heap = self._heap
         tombstones = self._tombstones
-        while True:
-            batch = self._batch
-            bi = self._bi
-            bwhen = float("inf")
-            while bi < len(batch):
-                entry = batch[bi]
-                if tombstones and entry[1] in tombstones:
-                    tombstones.discard(entry[1])
-                    bi += 1
-                    continue
-                bwhen = entry[0]
-                break
-            self._bi = bi
-            hwhen = float("inf")
-            while heap:
-                top = heap[0]
-                if tombstones and top[1] in tombstones:
-                    _heappop(heap)
-                    tombstones.discard(top[1])
-                    continue
-                hwhen = top[0]
-                break
-            nxt = bwhen if bwhen <= hwhen else hwhen
-            if self._cal_count and nxt >= self._cal_floor:
-                # The calendar may hold an earlier event than either
-                # visible head — surface its min bucket and re-resolve.
-                self._refill()
+        while heap:
+            top = heap[0]
+            if tombstones and top[1] in tombstones:
+                _heappop(heap)
+                tombstones.discard(top[1])
                 continue
-            return nxt
+            return top[0]
+        return float("inf")
 
     @property
     def pending_events(self) -> int:
-        return (
-            len(self._heap)
-            + (len(self._batch) - self._bi)
-            + self._cal_count
-            - len(self._tombstones)
-        )
+        return len(self._heap) - len(self._tombstones)
 
     @property
     def events_processed(self) -> int:

@@ -20,10 +20,9 @@ ResNet-56-sized transfers while the gradients stay cheap to compute.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,60 +97,21 @@ class SimConfig:
     obs: Optional[Observability] = None
     #: Snapshot scrape period in sim seconds; None → half a base compute.
     snapshot_interval_s: Optional[float] = None
-    #: Engine calendar queue: None → auto (migrate past the pending-count
-    #: threshold), False → binary heap only (the differential-testing
-    #: slow path), True → same as auto (the calendar still only engages
-    #: past the threshold).  See docs/PERFORMANCE.md, "Mesoscale
-    #: fast-forward and the calendar queue".
-    engine_calendar: Optional[bool] = None
-    #: Pending-event count that triggers calendar migration; None → the
-    #: engine default.
-    engine_calendar_threshold: Optional[int] = None
-    #: Protocol-quiet event elision: None/True → the engine batch-serves
-    #: same-timestamp runs of worker compute-phase completions (clock
-    #: advanced once per region, no per-event queue bookkeeping), False →
-    #: event-by-event service, kept as the differential oracle exactly
-    #: like ``engine_calendar=False`` and ``server_dispatch="proc"``.
-    #: Served callback order — and thus the S001–S016 protocol event
-    #: stream and final params — is bit-identical either way.  See
-    #: docs/PERFORMANCE.md, "Protocol-quiet elision and parallel shard
-    #: drains".
-    engine_elide: Optional[bool] = None
-    #: Closed-form round fast-forward: ``None``/``True`` → when every
-    #: shard's sync condition is provably quiet for a whole protocol
-    #: round (SSP/PSSP with s > 0 and an all-pushed quorum, timing-only
-    #: run, analytic drain lanes, no causal trace / delay hook / choice
-    #: hook), the runner advances the entire round analytically — one
-    #: vectorized pass over a cohort state table instead of O(workers)
-    #: resume/deliver events per iteration.  The first round whose
-    #: straggler draw breaks inter-round isolation de-vectorizes back to
-    #: the event path with no drift.  ``False`` keeps event-by-event
-    #: protocol rounds as the differential oracle, exactly like
-    #: ``engine_calendar=False`` / ``engine_elide=False``.  Delivery
-    #: traces, protocol instant streams, final params, and worker finish
-    #: times are bit-identical either way.  See docs/PERFORMANCE.md,
-    #: "Closed-form round fast-forward and the cohort state table".
-    round_collapse: Optional[bool] = None
-    #: Server request dispatch.  ``"direct"`` (default) handles each
-    #: delivered request inside the delivery event via the endpoint sink:
-    #: no inbox round-trip, no per-request resume event — a busy server
-    #: parks arrivals and drains them FIFO when its busy window closes.
-    #: ``"proc"`` runs the classic one-generator-per-server inbox loop
-    #: and is the dispatch differential oracle.  Handle times and
-    #: per-server FIFO order are bit-identical between the two; only the
-    #: event structure differs.
+    #: Server request dispatch on the analytic wire.  ``"direct"``
+    #: (default) handles each delivered request inside the delivery event
+    #: via the endpoint sink, on a per-shard analytic drain lane: a
+    #: request landing inside the busy window is served immediately at
+    #: the cascaded virtual handle time ``max(deliver_time, lane busy
+    #: end)``, so no inbox round-trip, per-request resume or drain event
+    #: exists and request deliveries fuse into their TX-completion
+    #: events.  ``"proc"`` runs the classic one-generator-per-server inbox
+    #: loop: the schedule explorer's independence relation is stated over
+    #: it, and it is the only dispatcher on the process wire
+    #: (``fabric_concurrency`` / ``analytic=False`` clusters run it
+    #: whatever this field says, because drain lanes need cursor-scheduled
+    #: wire timing).  Handle times, wire timestamps and final params are
+    #: bit-identical between the two; only the event structure differs.
     server_dispatch: str = "direct"
-    #: Busy-server drain mode under direct dispatch.  ``"lane"``
-    #: (default): each shard runs an analytic drain lane — a parked
-    #: request's handle time is the cascade ``max(deliver_time, lane busy
-    #: end)`` computed at arrival, served immediately on the per-shard
-    #: virtual clock, so no per-message drain events exist and (on the
-    #: analytic wire) request deliveries fuse into their TX-completion
-    #: events.  ``"event"`` keeps the sequential busy-window drain (one
-    #: engine event per parked request) as the differential oracle.
-    #: Handle times, protocol event streams, and final params are
-    #: bit-identical across modes; see docs/PERFORMANCE.md.
-    server_drain: str = "lane"
     #: Per-worker observability series cap.  Below this worker count the
     #: runner keeps one ``pull_latency_seconds`` sketch series per worker
     #: (labels ``worker=<w>``); above it, all workers share a single
@@ -169,16 +129,25 @@ class SimConfig:
                 f"server_dispatch must be 'direct' or 'proc', "
                 f"got {self.server_dispatch!r}"
             )
-        if self.server_drain not in ("lane", "event"):
-            raise ValueError(
-                f"server_drain must be 'lane' or 'event', "
-                f"got {self.server_drain!r}"
-            )
         if self.worker_series_threshold < 1:
             raise ValueError(
                 f"worker_series_threshold must be >= 1, "
                 f"got {self.worker_series_threshold}"
             )
+        for name in ("base_compute_time", "wire_scale", "snapshot_interval_s"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in (
+            "server_op_overhead_s",
+            "dpr_overhead_s",
+            "header_bytes",
+            "request_bytes",
+            "eval_every",
+        ):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.task is None and self.workload is None:
             raise ValueError("need a TrainingTask and/or a Workload")
         if self.task is not None and self.task.n_workers != self.cluster.n_workers:
@@ -193,8 +162,6 @@ class SimConfig:
 
     def resolved_wire_scale(self) -> float:
         if self.wire_scale is not None:
-            if self.wire_scale <= 0:
-                raise ValueError("wire_scale must be positive")
             return self.wire_scale
         if self.task is not None and self.workload is not None:
             return self.workload.wire_bytes / self.spec.total_bytes
@@ -202,8 +169,6 @@ class SimConfig:
 
     def resolved_base_compute(self, node_flops: float) -> float:
         if self.base_compute_time is not None:
-            if self.base_compute_time <= 0:
-                raise ValueError("base_compute_time must be positive")
             return self.base_compute_time
         if self.workload is not None:
             return self.workload.train_flops_per_sample * self.batch_per_worker / node_flops
@@ -346,17 +311,34 @@ def _seq_cascade(
     return out, cursor
 
 
+def _request_delivery_order(
+    T: np.ndarray, wrank: np.ndarray, srv_claims: list
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Request delivery order of one collapsed round when deliveries
+    do not fuse (delivery hooks installed): ``(rx_end, TX rank)`` over
+    the flat ``worker * 2M + column`` request table.  Returns the
+    order and the flat RX-end (= delivery time) table it sorts."""
+    n, K = T.shape
+    M = K // 2
+    keyflat = (wrank[:, None] * K + np.arange(K)[None, :]).ravel()
+    txrank = np.empty(n * K, dtype=np.int64)
+    txrank[np.lexsort((keyflat, T.ravel()))] = np.arange(n * K)
+    rx_flat = np.empty(n * K)
+    for m in range(M):
+        o, rx_ends, _serve = srv_claims[m]
+        sel = o >= n
+        wkr = np.where(sel, o - n, o)
+        col = np.where(sel, M + m, m)
+        rx_flat[wkr * K + col] = rx_ends
+    return np.lexsort((txrank, rx_flat)), rx_flat
+
+
 class FluentPSSimRunner:
     """Run one FluentPS training job on the simulated cluster."""
 
     def __init__(self, config: SimConfig):
         self.cfg = config
-        self.engine = Engine(
-            calendar=config.engine_calendar,
-            calendar_threshold=config.engine_calendar_threshold,
-            elide=config.engine_elide,
-            collapse=config.round_collapse,
-        )
+        self.engine = Engine()
         self.net: Network = config.cluster.make_network(self.engine)
         self.obs = config.obs or current_observability()
         # Observability implies a full span capture for trace export,
@@ -387,9 +369,9 @@ class FluentPSSimRunner:
                 params=shard_vectors[j] if training else None,
                 # Per-shard drain-lane clock: equals ``engine.now`` inside
                 # real handle events, and the cascaded virtual handle time
-                # when the analytic lane serves a parked request — so
-                # waited times and protocol instants are bit-identical
-                # across drain modes.
+                # when the analytic lane serves a request that landed in
+                # the busy window — so waited times and protocol instants
+                # are bit-identical to the inbox loop's.
                 clock=lambda j=j: self._srv_now[j],
                 rng=derive_rng(config.seed, "server", j),
                 obs=self.obs,
@@ -440,24 +422,18 @@ class FluentPSSimRunner:
         self.eval_by_time = SeriesRecord("eval", x_label="time_s", y_label="metric")
         self.eval_by_iteration = SeriesRecord("eval", x_label="iteration", y_label="metric")
         self._finish_times: List[float] = [0.0] * n
-        # Direct-dispatch state (also read by the proc loop): per-server
-        # busy-window close time, parked arrivals, and whether a drain
-        # event is already on the calendar for that server.
-        self._direct = config.server_dispatch == "direct"
-        # Analytic drain lanes need cursor-scheduled (analytic) wire
-        # timing; the process-path wire falls back to the event drain.
-        self._lane = (
-            self._direct and config.server_drain == "lane" and self.net.analytic
-        )
+        # One busy-server path per wire: analytic drain lanes need
+        # cursor-scheduled (analytic) wire timing, so the process wire
+        # (``fabric_concurrency``) runs the inbox loop.
+        self._direct = config.server_dispatch == "direct" and self.net.analytic
         self._srv_names = [f"server{j}" for j in range(m)]
+        # Per-server busy-window close time (also read by the proc loop).
         self._srv_busy = [0.0] * m
         # Per-shard virtual clock: the handle time of the request this
         # shard is currently serving (== engine.now inside real handle
         # events).  ShardServer.clock reads it, so DPR waits and protocol
-        # instants see identical times in lane and event drain modes.
+        # instants see identical times under both dispatchers.
         self._srv_now = [0.0] * m
-        self._srv_queue: List[Deque[Message]] = [deque() for _ in range(m)]
-        self._srv_drain_pending = [False] * m
         # Hot-path memos: node-id strings, per-shard wire sizes, and (when
         # causal tracing is off) one prebound pull responder per server —
         # all pure functions of the config, resolved once instead of per
@@ -473,8 +449,8 @@ class FluentPSSimRunner:
         self._responders = [
             partial(self._send_reply, j) for j in range(m)
         ]
-        #: Dispatch counters (perf detail): requests handled inline in
-        #: the delivery event vs. parked behind a busy server and drained.
+        #: Dispatch counters (perf detail): requests handled at their
+        #: delivery time vs. cascaded behind a busy shard lane.
         self.server_msgs_inline = 0
         self.server_msgs_drained = 0
 
@@ -497,12 +473,12 @@ class FluentPSSimRunner:
     # -- server side ----------------------------------------------------------
 
     def _server_proc(self, m: int):
-        """Classic inbox loop (``server_dispatch="proc"``): one generator
-        per server, resumed once per request plus once per busy window.
-        The dispatch differential oracle — both paths share
+        """Classic inbox loop (``server_dispatch="proc"``, and every
+        process-wire cluster): one generator per server, resumed once per
+        request plus once per busy window.  Both dispatchers share
         :meth:`_handle_server_msg`, so handle times and per-server FIFO
         order match the direct dispatcher bit-for-bit; only the event
-        structure (inbox resume + timeout vs. inline + drain) differs."""
+        structure (inbox resume + timeout vs. inline lane) differs."""
         ep = self.net.endpoint(self.cfg.cluster.server_id(m))
         while True:
             msg: Message = yield ep.inbox.get()
@@ -512,41 +488,19 @@ class FluentPSSimRunner:
 
     def _dispatch_server(self, m: int, msg: Message) -> None:
         """Endpoint sink (``server_dispatch="direct"``): handle the
-        request inside the delivery event while the server is free;
-        otherwise the drain mode decides.  ``"lane"``: serve it *now* at
-        the cascaded virtual handle time ``max(deliver_time, lane busy
+        request inside the delivery event on the shard's analytic drain
+        lane, at the virtual handle time ``max(deliver_time, lane busy
         end)`` — arrival order equals handle order per shard, so the
         cascade reproduces the busy-window FIFO with zero extra events.
-        ``"event"``: park it and drain FIFO when the busy window closes
-        (one engine event per parked request, the differential oracle).
-        Handle times are bit-identical across modes and to the proc
-        loop."""
+        Handle times are bit-identical to the proc loop."""
         now = msg.deliver_time
         busy = self._srv_busy[m]
-        if self._lane:
-            if now >= busy:
-                self.server_msgs_inline += 1
-                self._handle_server_msg(m, msg, now)
-            else:
-                self.server_msgs_drained += 1
-                self._handle_server_msg(m, msg, busy)
-            return
-        if now >= busy and not self._srv_queue[m]:
+        if now >= busy:
             self.server_msgs_inline += 1
             self._handle_server_msg(m, msg, now)
         else:
-            self._srv_queue[m].append(msg)
-            if not self._srv_drain_pending[m]:
-                self._srv_drain_pending[m] = True
-                self.engine._schedule(busy, self._drain_server, m)
-
-    def _drain_server(self, m: int) -> None:
-        self._srv_drain_pending[m] = False
-        self.server_msgs_drained += 1
-        self._handle_server_msg(m, self._srv_queue[m].popleft(), self.engine.now)
-        if self._srv_queue[m]:
-            self._srv_drain_pending[m] = True
-            self.engine._schedule(self._srv_busy[m], self._drain_server, m)
+            self.server_msgs_drained += 1
+            self._handle_server_msg(m, msg, busy)
 
     def _handle_server_msg(self, m: int, msg: Message, now: float) -> float:
         server = self.servers[m]
@@ -775,7 +729,7 @@ class FluentPSSimRunner:
         (every pull immediate, one frontier advance per round, no DPRs,
         no PSSP coin flips).  Anything outside that — real gradients,
         quorums below n, BSP's s=0 soft barrier, DSPS's self-mutating
-        staleness, event-mode drains, DPOR choice/delay hooks, causal
+        staleness, the inbox loop, DPOR choice/delay hooks, causal
         tracing, span capture without obs — keeps the per-event path,
         which stays bit-identical by construction.
         """
@@ -785,9 +739,7 @@ class FluentPSSimRunner:
             # SpecSync) subclass this runner with their own protocols;
             # the cohort closed form models only the stock one.
             return False
-        if not self.engine.collapse_enabled:
-            return False
-        if not self._lane or not self.net.analytic:
+        if not self._direct:
             return False
         if cfg.task is not None:
             return False
@@ -1075,24 +1027,23 @@ class FluentPSSimRunner:
                                 w, r, {r: dur_l[w], r + 1: dur_next[w]}
                             ),
                             name=names[w],
-                            elidable=True,
                             start_at=float(c[w]),
                         )
                     return False
 
             # -- commit round r -------------------------------------------
+            delivery = _request_delivery_order(T, wrank, srv_claims) if hooks else None
             if observed:
                 self._observed_round_commit(
-                    r, c, e, f, order_w, fire_order, T, wrank, pull_rxend,
-                    srv_claims, rtx_s, rr_s, rrx, perm, pull_serve, names,
+                    r, c, e, f, order_w, fire_order, T, wrank, srv_claims,
+                    delivery, rtx_s, rr_s, rrx, perm, pull_serve, names,
                 )
             else:
                 for m in range(M):
                     self.servers[m].handle_quiet_round(r, x_early[m])
                 if hooks:
                     self._emit_collapsed_hooks(
-                        r, e, T, wrank, pull_rxend, srv_claims, rtx_s, rr_s,
-                        rrx, perm, pull_serve,
+                        r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
                     )
                 for idx in order_w:
                     w = int(idx)
@@ -1134,8 +1085,8 @@ class FluentPSSimRunner:
             dur_l = dur_next
 
     def _observed_round_commit(
-        self, r, c, e, f, order_w, fire_order, T, wrank, pull_rxend,
-        srv_claims, rtx_s, rr_s, rrx, perm, pull_serve, names,
+        self, r, c, e, f, order_w, fire_order, T, wrank, srv_claims,
+        delivery, rtx_s, rr_s, rrx, perm, pull_serve, names,
     ) -> None:
         """Replay one certified-quiet round through the real protocol
         handlers so the S001–S016 instant stream is byte-identical to the
@@ -1156,7 +1107,6 @@ class FluentPSSimRunner:
         record_span = self.trace.record_span
         servers = self.servers
         srv_names = self._srv_names
-        hooks = self.net._delivery_hooks
         for idx in order_w:
             w = int(idx)
             record_span(names[w], SpanKind.COMPUTE, float(c[w]), float(e[w]), r)
@@ -1167,20 +1117,11 @@ class FluentPSSimRunner:
             wkr = np.where(sel, o - n, o)
             col = np.where(sel, M + m, m)
             serve_flat[wkr * K + col] = serve
-        keyflat = (wrank[:, None] * K + np.arange(K)[None, :]).ravel()
-        if not hooks:
+        if delivery is None:
+            keyflat = (wrank[:, None] * K + np.arange(K)[None, :]).ravel()
             gro = np.lexsort((keyflat, T.ravel()))
         else:
-            txrank = np.empty(n * K, dtype=np.int64)
-            txrank[np.lexsort((keyflat, T.ravel()))] = np.arange(n * K)
-            rx_flat = np.empty(n * K)
-            for m in range(M):
-                o, rx_ends, _serve = srv_claims[m]
-                sel = o >= n
-                wkr = np.where(sel, o - n, o)
-                col = np.where(sel, M + m, m)
-                rx_flat[wkr * K + col] = rx_ends
-            gro = np.lexsort((txrank, rx_flat))
+            gro = delivery[0]
         for idx in gro:
             i = int(idx)
             w, k = divmod(i, K)
@@ -1203,10 +1144,9 @@ class FluentPSSimRunner:
             self._srv_busy[m] = end
             if cost > 0:
                 record_span(srv_names[m], SpanKind.SERVER_APPLY, st, end)
-        if hooks:
+        if delivery is not None:
             self._emit_collapsed_hooks(
-                r, e, T, wrank, pull_rxend, srv_claims, rtx_s, rr_s, rrx,
-                perm, pull_serve,
+                r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
             )
         sketches = self._pull_sketches
         for idx in fire_order:
@@ -1216,8 +1156,7 @@ class FluentPSSimRunner:
                 sketches[w].observe(float(f[w]) - float(e[w]))
 
     def _emit_collapsed_hooks(
-        self, r, e, T, wrank, pull_rxend, srv_claims, rtx_s, rr_s, rrx,
-        perm, pull_serve,
+        self, r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
     ) -> None:
         """Feed delivery hooks one collapsed round's wire traffic.
 
@@ -1229,7 +1168,6 @@ class FluentPSSimRunner:
         reproduced — trace comparisons sort on the stable wire fields
         (see tests/test_round_collapse.py)."""
         cfg = self.cfg
-        n = cfg.cluster.n_workers
         M = cfg.cluster.n_servers
         K = 2 * M
         hooks = self.net._delivery_hooks
@@ -1237,17 +1175,8 @@ class FluentPSSimRunner:
         req_bytes = cfg.request_bytes
         wkr_ids = self._wkr_node_ids
         srv_ids = self._srv_node_ids
-        keyflat = (wrank[:, None] * K + np.arange(K)[None, :]).ravel()
-        txrank = np.empty(n * K, dtype=np.int64)
-        txrank[np.lexsort((keyflat, T.ravel()))] = np.arange(n * K)
-        rx_flat = np.empty(n * K)
-        for m in range(M):
-            o, rx_ends, _serve = srv_claims[m]
-            sel = o >= n
-            wkr = np.where(sel, o - n, o)
-            col = np.where(sel, M + m, m)
-            rx_flat[wkr * K + col] = rx_ends
-        for idx in np.lexsort((txrank, rx_flat)):
+        order, rx_flat = delivery
+        for idx in order:
             i = int(idx)
             w, k = divmod(i, K)
             pull = k >= M
@@ -1292,25 +1221,20 @@ class FluentPSSimRunner:
             for m in range(self.cfg.cluster.n_servers):
                 ep = self.net.endpoint(self.cfg.cluster.server_id(m))
                 ep.sink = partial(self._dispatch_server, m)
-            if self._lane:
-                # Analytic drain lanes time themselves off
-                # ``msg.deliver_time``, so signal-free request deliveries
-                # can fold into their TX-completion events.
-                self.net.fuse_delivery = True
+            # Analytic drain lanes time themselves off
+            # ``msg.deliver_time``, so signal-free request deliveries can
+            # fold into their TX-completion events.
+            self.net.fuse_delivery = True
         # Closed-form round fast-forward: when every shard is provably
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the
-        # round where) it de-vectorizes.  Otherwise the classic path:
-        # worker compute phases are the homogeneous event population at
-        # scale; marking them elidable lets the engine batch-serve
-        # protocol-quiet same-instant runs (BSP barrier releases, the t=0
-        # start wave) without changing served order.
+        # round where) it de-vectorizes.  Otherwise the event path.
         collapsed_all = False
         if self._collapse_eligible():
             collapsed_all = self._collapse_rounds()
         else:
             for w in range(self.cfg.cluster.n_workers):
-                self.engine.spawn(self._worker_proc(w), name=f"worker{w}", elidable=True)
+                self.engine.spawn(self._worker_proc(w), name=f"worker{w}")
         snapshotter = None
         if self.obs.enabled:
             snapshotter = ServerSnapshotter(

@@ -85,15 +85,15 @@ class TestSuite:
             else:
                 assert bench["value"] > 0.0
 
-    def test_macro_detail_reports_memory_and_elision(self):
+    def test_macro_detail_reports_memory_and_fast_paths(self):
         from repro.bench.perf import bench_macro_100k
 
         result = bench_macro_100k(TINY)
         for key in (
             "peak_rss_mb",
             "pending_event_hwm",
-            "events_elided",
-            "quiet_regions",
+            "rounds_collapsed",
+            "round_events_saved",
             "fused_deliveries",
         ):
             assert key in result.detail, key

@@ -79,6 +79,30 @@ class TestScheduling:
         assert seen == [("outer", 1.0), ("inner", 2.5)]
 
 
+    def test_pending_high_water_sees_growth_inside_the_drain(self):
+        """The queue holds one event at ``run()`` entry and grows to
+        ~5000 mid-drain: the stride-sampled mark must report the grown
+        population, not the entry one."""
+        eng = Engine()
+
+        def burst():
+            for i in range(5_000):
+                eng.call_in(1.0 + i, lambda: None)
+
+        eng.call_in(1.0, burst)
+        assert eng.pending_high_water == 1
+        eng.run()
+        assert eng.pending_events == 0
+        assert 3_900 <= eng.pending_high_water <= 5_000
+
+    def test_removed_engine_options_raise(self):
+        """Stale callers of the deleted queue/elision knobs fail loudly."""
+        with pytest.raises(TypeError):
+            Engine(calendar=False)
+        with pytest.raises(TypeError):
+            Engine().spawn(iter(()), elidable=True)
+
+
 class TestSignal:
     def test_fire_resumes_waiters_with_payload(self):
         eng = Engine()
@@ -431,6 +455,19 @@ class TestCancellation:
         assert eng.pending_events == 0
         assert eng.events_processed == 2
 
+    def test_pending_events_accounting_across_bounded_runs(self):
+        eng = Engine()
+        handles = [eng.schedule(float(i + 1), lambda: None) for i in range(2_000)]
+        for h in handles[::10]:
+            h.cancel()
+        live = 2_000 - len(handles[::10])
+        assert eng.pending_events == live
+        eng.run(max_events=300)
+        assert eng.pending_events == live - 300
+        eng.run()
+        assert eng.pending_events == 0
+        assert eng.events_processed == live
+
     def test_cancelled_event_skipped_with_until(self):
         eng = Engine()
         seen = []
@@ -504,65 +541,47 @@ class TestTieOrderUnderCancellation:
         assert seen == expected
 
     @given(
-        n_fill=st.integers(min_value=520, max_value=580),
-        k=st.integers(min_value=0, max_value=580),
-        n_tie=st.integers(min_value=3, max_value=6),
-        cancel_mask=st.lists(st.booleans(), min_size=3, max_size=6),
-        n_repost=st.integers(min_value=1, max_value=3),
-        repost_live=st.booleans(),
+        n=st.integers(min_value=2, max_value=24),
+        action_at=st.integers(min_value=0, max_value=23),
+        action_name=st.sampled_from(["cancel_tie", "cancel_future", "repost"]),
+        use_hook=st.booleans(),
     )
-    @settings(max_examples=20, deadline=None)
-    def test_fast_forward_never_skips_repost_at_window_boundary(
-        self, n_fill, k, n_tie, cancel_mask, n_repost, repost_live
+    @settings(max_examples=40, deadline=None)
+    def test_mid_drain_cancel_and_repost_keep_tie_order(
+        self, n, action_at, action_name, use_hook
     ):
-        """Extension of the tie-order property to the fast-forward engine.
+        """A callback inside a same-instant tie group cancels a peer that
+        has not run yet (the O(n) boundary scan), cancels a future event,
+        or re-posts at the current instant: survivors keep schedule order
+        and the re-post runs after every original member of the group."""
+        action_at %= n
+        eng = Engine()
+        if use_hook:
+            eng.set_choice_hook(lambda when, group: 0)
+        seen = []
+        handles = {}
 
-        A tombstoned-then-reposted event at the *same timestamp* must run
-        even when that timestamp straddles the mesoscale window boundary
-        (the first ``_CAL_NEAR`` events go into the presorted window, the
-        rest into calendar buckets; a live re-post lands in the raw heap
-        and must merge back in).  ``n_fill`` exceeds the window size so
-        the boundary falls inside the filler run, and ``k`` sweeps the
-        tie group's timestamp across it.  The oracle is the plain binary
-        heap: both engines must observe the identical event sequence.
-        """
-        k = min(k, n_fill)
-        tie_t = 10.0 + 0.01 * k  # collides with filler k: a boundary tie
-
-        def build(eng, seen):
-            for i in range(n_fill):
-                eng.call_at(10.0 + 0.01 * i, seen.append, ("fill", i))
-            handles = [
-                eng.schedule(tie_t, seen.append, ("tie", i)) for i in range(n_tie)
-            ]
-            mask = (cancel_mask * n_tie)[:n_tie]
-            for h, dead in zip(handles, mask):
-                if dead:
-                    h.cancel()
-            repost = [
-                (tie_t, seen.append, ("repost", j)) for j in range(n_repost)
-            ]
-            if repost_live:
-                # Re-post from *inside* the run, just before the tie time:
-                # by then the sweep has windowed/bucketed the originals.
-                eng.call_at(
-                    tie_t - 0.005,
-                    lambda: [eng.call_at(*args) for args in repost],
-                )
+        def member(i):
+            seen.append((eng.now, i))
+            if i != action_at:
+                return
+            if action_name == "cancel_tie":
+                assert handles[n - 1].cancel() == (action_at != n - 1)
+            elif action_name == "cancel_future":
+                assert handles["future"].cancel()
             else:
-                for args in repost:
-                    eng.call_at(*args)
+                eng.schedule(0.0, seen.append, (eng.now, "repost"))
 
-        fast = Engine(calendar_threshold=16)
-        slow = Engine(calendar=False)
-        seen_fast, seen_slow = [], []
-        build(fast, seen_fast)
-        build(slow, seen_slow)
-        fast.run()
-        slow.run()
-        assert seen_fast == seen_slow
-        assert fast.calendar_sweeps >= 1  # the fast path actually engaged
-        reposts = [x for x in seen_fast if x[0] == "repost"]
-        assert reposts == [("repost", j) for j in range(n_repost)]
-        assert fast.now == slow.now
-        assert fast.events_processed == slow.events_processed
+        for i in range(n):
+            handles[i] = eng.schedule(1.0, member, i)
+        handles["future"] = eng.schedule(50.0, seen.append, (50.0, "future"))
+        eng.run()
+        expected = [(1.0, i) for i in range(n)]
+        if action_name == "cancel_tie" and action_at != n - 1:
+            expected.pop()
+        if action_name == "repost":
+            expected.append((1.0, "repost"))
+        if action_name != "cancel_future":
+            expected.append((50.0, "future"))
+        assert seen == expected
+        assert eng.pending_events == 0

@@ -10,11 +10,14 @@ forces real simulation, so the content-addressed run cache cannot mask
 a regression by replaying stale fragments.
 """
 
+import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.bench.__main__ import main as bench_main
+from repro.bench.scale_grid import GRID_HEADERS
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -41,3 +44,16 @@ def test_fig6_fig7_results_byte_identical(tmp_path):
         produced = (tmp_path / name).read_bytes()
         committed = (RESULTS / name).read_bytes()
         assert produced == committed, f"{name} changed — determinism broken"
+
+
+def test_scale_grid_artifact_matches_what_it_ran():
+    """The committed scale-grid result is filed under the worker count it
+    actually reached and carries the column set the code emits today."""
+    paths = sorted(RESULTS.glob("topology_x_scale_grid-*.json"))
+    assert len(paths) == 1, paths
+    doc = json.loads(paths[0].read_text())
+    titled = re.search(r"scaling to (\d+) workers$", doc["experiment"])
+    assert titled, doc["experiment"]
+    assert doc["headers"] == list(GRID_HEADERS)
+    workers = doc["headers"].index("workers")
+    assert int(titled.group(1)) == max(row[workers] for row in doc["rows"])

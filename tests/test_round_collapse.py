@@ -3,11 +3,11 @@
 The round collapse (docs/PERFORMANCE.md, "Closed-form round fast-forward
 and the cohort state table") must be *bit-identical* to the event path
 it replaces: same delivery traces, same protocol instant streams, same
-metrics, same finish times — in every engine regime (calendar vs heap,
-elision on vs off) and in both vector mode (no observability) and
+metrics, same finish times — in both vector mode (no observability) and
 handler mode (observability without a causal trace).  Every test here
-runs the same configuration twice — fast path vs ``round_collapse=False``
-oracle — and compares exhaustively.
+runs the same configuration twice — the stock runner vs
+:class:`tests.sim_helpers.EventPathRunner`, which never collapses — and
+compares exhaustively.
 """
 
 import json
@@ -23,6 +23,8 @@ from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
 from repro.sim.stragglers import ComputeModel, DeterministicCompute, cpu_cluster_compute
+
+from tests.sim_helpers import EventPathRunner, instant_stream
 
 
 class _InjectedStraggler(ComputeModel):
@@ -51,12 +53,8 @@ def _wire_trace_key(msg):
 
 
 def _run(cfg_kwargs, collapse, obs=None, hooks=True):
-    cfg = SimConfig(
-        **cfg_kwargs,
-        round_collapse=collapse,
-        obs=obs if obs is not None else NULL_OBS,
-    )
-    runner = FluentPSSimRunner(cfg)
+    cfg = SimConfig(**cfg_kwargs, obs=obs if obs is not None else NULL_OBS)
+    runner = (FluentPSSimRunner if collapse else EventPathRunner)(cfg)
     rec = []
     if hooks:
         runner.net.on_delivery(lambda m: rec.append(_wire_trace_key(m)))
@@ -92,7 +90,7 @@ def _assert_differential(cfg_kwargs, obs_factory=None, hooks=True):
     """Fast path vs oracle: bit-identical results, exact event census."""
     obs_a = obs_factory() if obs_factory else None
     obs_b = obs_factory() if obs_factory else None
-    ra, resa, ta = _run(cfg_kwargs, None, obs=obs_a, hooks=hooks)
+    ra, resa, ta = _run(cfg_kwargs, True, obs=obs_a, hooks=hooks)
     rb, resb, tb = _run(cfg_kwargs, False, obs=obs_b, hooks=hooks)
     assert rb.engine.rounds_collapsed == 0
     assert _fingerprint(ra, resa, ta) == _fingerprint(rb, resb, tb)
@@ -103,23 +101,13 @@ def _assert_differential(cfg_kwargs, obs_factory=None, hooks=True):
         == ra.engine.round_events_saved
     )
     if obs_a is not None:
-        assert _instant_stream(obs_a) == _instant_stream(obs_b)
+        assert instant_stream(obs_a.last_run.instants) == instant_stream(
+            obs_b.last_run.instants
+        )
     return ra, rb
 
 
-def _instant_stream(obs):
-    # uid is a process-global server incarnation counter — it differs
-    # between any two runner constructions in one process by design, so
-    # it is the one argument stripped before comparing streams.
-    return json.dumps(
-        [
-            [i.name, i.t, i.actor, {k: v for k, v in sorted(i.args.items()) if k != "uid"}]
-            for i in obs.last_run.instants
-        ]
-    )
-
-
-def _cell(preset, sync_name, compute_name, calendar, elide, n=12, m=3, iters=4, seed=7):
+def _cell(preset, sync_name, compute_name, n=12, m=3, iters=4, seed=7):
     cluster = cpu_cluster(n, n_servers=m) if preset == "cpu" else gpu_cluster_p2(n, m)
     sync = {"ssp3": ssp(3), "pssp": pssp(2, 0.5), "bsp": bsp()}[sync_name]
     compute = {
@@ -133,8 +121,6 @@ def _cell(preset, sync_name, compute_name, calendar, elide, n=12, m=3, iters=4, 
         workload=alexnet_cifar_workload(),
         compute_model=compute,
         seed=seed,
-        engine_calendar=calendar,
-        engine_elide=elide,
     )
 
 
@@ -145,26 +131,22 @@ class TestVectorModeDifferential:
         preset=st.sampled_from(["cpu", "gpu_p2"]),
         sync_name=st.sampled_from(["ssp3", "pssp"]),
         compute_name=st.sampled_from(["det", "lognorm"]),
-        calendar=st.booleans(),
-        elide=st.booleans(),
         hooks=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=16, deadline=None)
-    def test_bit_identical_vs_oracle(
-        self, preset, sync_name, compute_name, calendar, elide, hooks, seed
-    ):
-        kwargs = _cell(preset, sync_name, compute_name, calendar, elide, seed=seed)
+    def test_bit_identical_vs_oracle(self, preset, sync_name, compute_name, hooks, seed):
+        kwargs = _cell(preset, sync_name, compute_name, seed=seed)
         _assert_differential(kwargs, hooks=hooks)
 
     def test_collapse_engages_on_homogeneous_cohort(self):
-        kwargs = _cell("cpu", "ssp3", "lognorm", None, None, n=20, m=4, iters=6)
+        kwargs = _cell("cpu", "ssp3", "lognorm", n=20, m=4, iters=6)
         ra, _rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed > 0
         assert ra.engine.round_events_saved > 0
 
     def test_full_collapse_leaves_no_events(self):
-        kwargs = _cell("cpu", "ssp3", "det", None, None, iters=3)
+        kwargs = _cell("cpu", "ssp3", "det", iters=3)
         kwargs["base_compute_time"] = 5.0  # comm spread << compute: isolated
         ra, rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 3
@@ -177,7 +159,7 @@ class TestDevectorization:
         """One straggler draw mid-run de-vectorizes back to the event
         path: earlier rounds stay collapsed, the straggler's round and
         everything after run event-by-event, and nothing drifts."""
-        kwargs = _cell("cpu", "ssp3", "det", None, None, n=10, m=3, iters=6)
+        kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=6)
         kwargs["base_compute_time"] = 5.0
         kwargs["compute_model"] = _InjectedStraggler(worker=3, iteration=2)
         ra, _rb = _assert_differential(kwargs)
@@ -185,7 +167,7 @@ class TestDevectorization:
         assert ra.engine.events_processed > 0  # the de-vectorized tail
 
     def test_straggler_in_round_zero_collapses_nothing(self):
-        kwargs = _cell("cpu", "ssp3", "det", None, None, n=10, m=3, iters=3)
+        kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=3)
         kwargs["base_compute_time"] = 5.0
         kwargs["compute_model"] = _InjectedStraggler(worker=0, iteration=0)
         ra, _rb = _assert_differential(kwargs)
@@ -199,19 +181,19 @@ class TestHandlerModeDifferential:
     servers themselves."""
 
     @pytest.mark.parametrize("sync_name", ["ssp3", "pssp"])
-    @pytest.mark.parametrize("calendar", [None, False])
-    def test_instant_streams_identical(self, sync_name, calendar):
-        kwargs = _cell("cpu", sync_name, "lognorm", calendar, None, n=14, m=3, iters=5)
+    @pytest.mark.parametrize("hooks", [True, False])
+    def test_instant_streams_identical(self, sync_name, hooks):
+        kwargs = _cell("cpu", sync_name, "lognorm", n=14, m=3, iters=5)
         obs_factory = lambda: Observability(  # noqa: E731
             MetricsRegistry("collapse-test"), causal=False
         )
-        ra, _rb = _assert_differential(kwargs, obs_factory=obs_factory)
+        ra, _rb = _assert_differential(kwargs, obs_factory=obs_factory, hooks=hooks)
         assert ra.engine.rounds_collapsed > 0
 
     def test_spans_identical(self):
-        kwargs = _cell("cpu", "ssp3", "lognorm", None, None, n=14, m=3, iters=5)
+        kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
         runs = []
-        for collapse in (None, False):
+        for collapse in (True, False):
             obs = Observability(MetricsRegistry("span-test"), causal=False)
             runner, _res, _t = _run(kwargs, collapse, obs=obs, hooks=False)
             runs.append(
@@ -228,14 +210,14 @@ class TestEligibilityGates:
         # The ambient pytest fixture installs an Observability whose
         # captures carry a causal trace; collapse must stand down (the
         # vectorized commit cannot reproduce per-message causal spans).
-        cfg = SimConfig(**_cell("cpu", "ssp3", "det", None, None))
+        cfg = SimConfig(**_cell("cpu", "ssp3", "det"))
         runner = FluentPSSimRunner(cfg)
         runner.run()
         assert runner.causal is not None
         assert runner.engine.rounds_collapsed == 0
 
     def test_bsp_is_ineligible(self):
-        kwargs = _cell("cpu", "bsp", "det", None, None)
+        kwargs = _cell("cpu", "bsp", "det")
         kwargs["base_compute_time"] = 5.0
         ra, _rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 0
@@ -246,20 +228,22 @@ class TestEligibilityGates:
         # stock protocol, so subclasses must keep the event path.
         from repro.baselines.pslite import PSLiteSimRunner
 
-        kwargs = _cell("cpu", "ssp3", "det", None, None)
+        kwargs = _cell("cpu", "ssp3", "det")
         kwargs["base_compute_time"] = 5.0
         cfg = SimConfig(**kwargs, obs=NULL_OBS)
         runner = PSLiteSimRunner(cfg)
         runner.run()
         assert runner.engine.rounds_collapsed == 0
 
-    def test_oracle_flag_disables_engine_credit(self):
-        kwargs = _cell("cpu", "ssp3", "det", None, None, iters=2)
+    def test_process_wire_is_ineligible(self):
+        # Drain lanes need analytic wire timing: a fabric-capped cluster
+        # runs the inbox loop, which the cohort closed form does not model.
+        kwargs = _cell("cpu", "ssp3", "det", iters=2)
         kwargs["base_compute_time"] = 5.0
-        runner, _res, _t = _run(kwargs, False)
-        assert not runner.engine.collapse_enabled or runner.engine.rounds_collapsed == 0
-        assert runner.engine.rounds_collapsed == 0
-        assert runner.engine.round_events_saved == 0
+        kwargs["cluster"].fabric_concurrency = 1
+        ra, _rb = _assert_differential(kwargs)
+        assert ra.engine.rounds_collapsed == 0
+        assert ra.engine.round_events_saved == 0
 
 
 class TestSeqCascade:

@@ -1,17 +1,22 @@
-"""Differential tests: direct server dispatch vs the inbox-loop oracle.
+"""Differential tests: direct server dispatch vs the inbox loop.
 
 ``server_dispatch="direct"`` hands each delivered request to the server
-inside the delivery event via the endpoint sink — no inbox round-trip
-and no per-request resume + timeout events.  The contract is exact
-semantic equivalence with the classic one-generator-per-server inbox
-loop (``server_dispatch="proc"``): a request's handle time is
-``max(deliver_time, previous handle end)`` and per-server order is the
-delivery FIFO, bit-identical across the two dispatchers — only the
-event structure differs.  These tests run entire co-simulated training
-runs on every cluster preset × sync model × compute model cell and
-compare full delivery traces and trained parameters, force a congested
-server through the busy-window drain path, and pin the interaction with
-the calendar-queue engine backend.
+inside the delivery event via the endpoint sink, on a per-shard analytic
+drain lane — no inbox round-trip and no per-request resume + timeout
+events.  The contract is exact semantic equivalence with the classic
+one-generator-per-server inbox loop (``server_dispatch="proc"``): a
+request's handle time is ``max(deliver_time, previous handle end)`` and
+per-server order is the delivery FIFO, bit-identical across the two
+dispatchers — only the event structure differs.  These tests run entire
+co-simulated training runs on every cluster preset × sync model ×
+compute model cell and compare full delivery traces and trained
+parameters, force a congested server through the busy-lane cascade, and
+pin the one-path-per-wire rule: a process-wire cluster runs the inbox
+loop whatever the config says.
+
+Also covers :func:`repro.core.server.flush_applies_across` — the
+cross-shard vectorized apply flush the runner uses — against each
+shard's own ``_flush_applies``, bit for bit.
 """
 
 import json
@@ -21,18 +26,22 @@ import pytest
 
 from repro.bench.workloads import blobs_task
 from repro.core.models import ssp
-from repro.core.server import ExecutionMode
+from repro.core.server import ExecutionMode, ShardServer, flush_applies_across
 from repro.ml.models_zoo import alexnet_cifar_workload
+from repro.obs import MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import DeterministicCompute, LogNormalCompute
 
-from tests.test_engine_fastforward import _preset_configs
+from tests.sim_helpers import instant_stream, preset_configs
 
 
-def _run_dispatch(cfg_kwargs, dispatch, **extra):
-    """One full run with a delivery trace, on the chosen dispatcher."""
-    cfg = SimConfig(server_dispatch=dispatch, **extra, **cfg_kwargs)
+def _run_dispatch(cfg_kwargs, dispatch=None, **extra):
+    """One full run with a delivery trace, on the chosen dispatcher
+    (``None`` leaves ``server_dispatch`` at its default)."""
+    if dispatch is not None:
+        extra["server_dispatch"] = dispatch
+    cfg = SimConfig(**extra, **cfg_kwargs)
     runner = FluentPSSimRunner(cfg)
     trace = []
     runner.net.on_delivery(
@@ -44,10 +53,20 @@ def _run_dispatch(cfg_kwargs, dispatch, **extra):
     return trace, result, runner
 
 
+def _wire_sorted(trace):
+    """Msg-id-free multiset view of a delivery trace, as JSON bytes.
+
+    Once requests land inside a busy window the lane issues replies
+    immediately at cascaded handle times and the inbox loop after a
+    wakeup, so msg-id allocation order may legally differ while every
+    wire timestamp stays bit-identical."""
+    return json.dumps(sorted(t[1:] for t in trace))
+
+
 class TestPresetDifferential:
     """Entire co-simulated runs on each preset: byte-identical traces."""
 
-    @pytest.mark.parametrize("cfg_kwargs", _preset_configs())
+    @pytest.mark.parametrize("cfg_kwargs", preset_configs())
     def test_run_traces_identical(self, cfg_kwargs):
         d_trace, d_result, d_runner = _run_dispatch(cfg_kwargs, "direct")
         p_trace, p_result, p_runner = _run_dispatch(cfg_kwargs, "proc")
@@ -67,11 +86,13 @@ class TestPresetDifferential:
         assert p_runner.server_msgs_inline == p_runner.server_msgs_drained == 0
         assert d_runner.engine.events_processed < p_runner.engine.events_processed
 
-    def test_training_run_params_identical(self):
+    @pytest.mark.parametrize("op_overhead_s", [20e-6, 0.02])
+    def test_training_run_params_identical(self, op_overhead_s):
         """A real (non-timing-only) run under the soft barrier: DPR
-        costs stretch the busy windows and the final parameters must
-        still be bit-equal.  The task is built fresh per run — training
-        mutates it in place."""
+        costs stretch the busy lanes (the wide overhead parks requests
+        behind them too) and the final parameters must still be
+        bit-equal.  The task is built fresh per run — training mutates
+        it in place."""
 
         def kwargs():
             return dict(
@@ -82,6 +103,7 @@ class TestPresetDifferential:
                 execution=ExecutionMode.SOFT_BARRIER,
                 compute_model=LogNormalCompute(0.2),
                 seed=11,
+                server_op_overhead_s=op_overhead_s,
             )
 
         _, d_result, _ = _run_dispatch(kwargs(), "direct")
@@ -91,8 +113,9 @@ class TestPresetDifferential:
         assert d_result.duration == p_result.duration
 
 
-class TestBusyWindowDrain:
-    """Congested servers: arrivals inside the busy window park and drain."""
+class TestBusyLane:
+    """A server op cost far wider than the incast spacing: every burst
+    after the first request lands inside the shard's busy window."""
 
     def _kwargs(self):
         return dict(
@@ -103,36 +126,95 @@ class TestBusyWindowDrain:
             batch_per_worker=64,
             compute_model=DeterministicCompute(),
             seed=5,
-            # A busy window far wider than the inter-arrival spacing:
-            # every incast burst after the first request parks.
             server_op_overhead_s=0.05,
         )
 
-    def test_drain_path_matches_proc(self):
-        # The event drain is the sequential oracle here: lane mode issues
-        # replies from cascaded handle times (identical timestamps, but a
-        # different msg-id allocation order once requests park), and its
-        # own differential suite lives in tests/test_server_drain.py.
-        d_trace, d_result, d_runner = _run_dispatch(
-            self._kwargs(), "direct", server_drain="event"
-        )
+    def test_cascaded_requests_retire_at_inbox_loop_times(self):
+        l_trace, l_result, l_runner = _run_dispatch(self._kwargs(), "direct")
         p_trace, p_result, _ = _run_dispatch(self._kwargs(), "proc")
-        assert d_runner.server_msgs_drained > 0  # the drain path actually ran
-        assert json.dumps(d_trace) == json.dumps(p_trace)
-        assert d_result.duration == p_result.duration
+        assert l_runner.server_msgs_drained > 0  # the cascade actually ran
+        assert _wire_sorted(l_trace) == _wire_sorted(p_trace)
+        assert l_result.duration == p_result.duration
+        assert l_result.total_comm_time == p_result.total_comm_time
 
-    def test_drain_path_under_calendar_engine(self):
-        """Drain events are scheduled mid-run and must merge correctly
-        with the calendar window (a near-zero threshold forces sweeps
-        even at 6-worker scale)."""
-        d_trace, d_result, d_runner = _run_dispatch(
-            self._kwargs(), "direct", server_drain="event", engine_calendar_threshold=4
+
+class TestProcessWire:
+    """One busy-server path per wire: drain lanes need analytic wire
+    timing, so a ``fabric_concurrency`` cluster runs the inbox loop."""
+
+    # Explicit Observability below; the ambient conftest bundle would
+    # double-report the same stream.
+    pytestmark = pytest.mark.no_sanitize
+
+    def _run(self, **extra):
+        cluster = cpu_cluster(4, n_servers=2)
+        cluster.fabric_concurrency = 1
+        obs = Observability(MetricsRegistry("process-wire"))
+        trace, result, runner = _run_dispatch(
+            dict(
+                cluster=cluster,
+                max_iter=4,
+                sync=ssp(2),
+                workload=alexnet_cifar_workload(),
+                compute_model=LogNormalCompute(0.3),
+                seed=13,
+                obs=obs,
+            ),
+            **extra,
         )
-        p_trace, p_result, _ = _run_dispatch(self._kwargs(), "proc", engine_calendar=False)
-        assert d_runner.engine.calendar_sweeps > 0
-        assert d_runner.server_msgs_drained > 0
+        return trace, result, runner, obs
+
+    def test_default_config_runs_the_inbox_loop(self):
+        d_trace, d_result, d_runner, d_obs = self._run()
+        p_trace, p_result, p_runner, p_obs = self._run(server_dispatch="proc")
+        assert d_runner.net.analytic is False
+        assert d_runner.server_msgs_inline == d_runner.server_msgs_drained == 0
+        assert d_runner.engine.events_processed == p_runner.engine.events_processed
         assert json.dumps(d_trace) == json.dumps(p_trace)
-        assert d_result.duration == p_result.duration
+        assert d_trace
+        assert instant_stream(d_obs.instants) == instant_stream(p_obs.instants)
+        assert d_result.worker_finish_times == p_result.worker_finish_times
+
+
+class TestCrossShardFlush:
+    """flush_applies_across == per-shard _flush_applies, bit for bit."""
+
+    def _fleet(self, shapes, seed=0):
+        """Shard servers with synthetic deferred gradients; ``shapes`` is
+        a list of (n_pending_rows, param_length) per shard."""
+        rng = np.random.default_rng(seed)
+        servers = []
+        for shard, (k, length) in enumerate(shapes):
+            s = ShardServer(
+                shard_id=shard,
+                n_workers=4,
+                model=ssp(3),
+                params=rng.standard_normal(length),
+            )
+            s._pending_grads = [rng.standard_normal(length) for _ in range(k)]
+            servers.append(s)
+        return servers
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(3, 64)] * 4,  # homogeneous: the vectorized group path
+            [(3, 64), (3, 64), (2, 64), (3, 32)],  # mixed groups + fallbacks
+            [(1, 16), (0, 16), (5, 16)],  # single-row and empty shards
+            [(4, 128)],  # lone member falls back
+        ],
+    )
+    def test_bit_identical_to_per_shard_flush(self, shapes):
+        grouped = self._fleet(shapes, seed=7)
+        solo = self._fleet(shapes, seed=7)
+        flush_applies_across(grouped)
+        for s in solo:
+            s._flush_applies()
+        for g, s in zip(grouped, solo):
+            assert np.array_equal(g.params, s.params)
+            assert g._pending_grads == [] == s._pending_grads
+            assert g._last_significance == s._last_significance
+            assert g.apply_flushes == s.apply_flushes
 
 
 class TestConfigAndHousekeeping:
@@ -163,3 +245,27 @@ class TestConfigAndHousekeeping:
         _, _, runner = _run_dispatch(cfg_kwargs, dispatch)
         for ep in runner.net.endpoints.values():
             assert len(ep.inbox) == 0, f"{ep.node_id} pinned {len(ep.inbox)} messages"
+
+    @pytest.mark.no_sanitize  # explicit Observability below
+    def test_snapshot_gauges_record_dispatch_and_engine_health(self):
+        obs = Observability(MetricsRegistry("gauges"))
+        cfg_kwargs = dict(
+            cluster=cpu_cluster(4, n_servers=2),
+            max_iter=4,
+            sync=ssp(3),
+            workload=alexnet_cifar_workload(),
+            compute_model=DeterministicCompute(),
+            seed=3,
+            obs=obs,
+        )
+        _, _, runner = _run_dispatch(cfg_kwargs)
+        reg = obs.registry
+        # finalize() lands the post-drain totals in the last sample.
+        assert (
+            reg.gauge("engine_pending_event_hwm").value()
+            == runner.engine.pending_high_water
+            > 0
+        )
+        assert reg.gauge("ps_dispatch_inline").value() == runner.server_msgs_inline > 0
+        assert reg.gauge("ps_dispatch_drained").value() == runner.server_msgs_drained
+        assert reg.gauge("net_fused_deliveries").value() == runner.net.fused_deliveries

@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.analysis import sanitize_observability
 from repro.bench.workloads import blobs_task
 from repro.core.models import asp, bsp, drop_stragglers, pssp, ssp
 from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
-from repro.sim.runner import SimConfig, run_fluentps
-from repro.sim.stragglers import DeterministicCompute, ExponentialTailCompute
+from repro.obs import MetricsRegistry, Observability
+from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
+from repro.sim.stragglers import (
+    DeterministicCompute,
+    ExponentialTailCompute,
+    cpu_cluster_compute,
+)
 
 
 def timing_config(n=4, servers=2, iters=10, sync=None, **kw):
@@ -46,8 +52,6 @@ class TestConfig:
     def test_wire_scale_explicit(self):
         cfg = timing_config(wire_scale=3.0)
         assert cfg.resolved_wire_scale() == 3.0
-        with pytest.raises(ValueError):
-            timing_config(wire_scale=-1.0).resolved_wire_scale()
 
     def test_base_compute_from_workload(self):
         cfg = timing_config()
@@ -58,6 +62,42 @@ class TestConfig:
     def test_invalid_iters(self):
         with pytest.raises(ValueError):
             timing_config(iters=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_compute_time", 0.0),
+            ("base_compute_time", -1.0),
+            ("wire_scale", 0.0),
+            ("wire_scale", -1.0),
+            ("snapshot_interval_s", 0.0),
+            ("server_op_overhead_s", -20e-6),
+            ("dpr_overhead_s", -1e-3),
+            ("header_bytes", -1),
+            ("request_bytes", -1),
+            ("eval_every", -1),
+            ("server_op_overhead_s", float("nan")),
+        ],
+    )
+    def test_invalid_numbers_fail_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            timing_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"engine_calendar": False},
+            {"engine_calendar_threshold": 4},
+            {"engine_elide": False},
+            {"round_collapse": False},
+            {"server_drain": "event"},
+        ],
+    )
+    def test_removed_mode_fields_raise(self, removed):
+        """Stale callers of the deleted oracle knobs fail loudly rather
+        than silently running a different path."""
+        with pytest.raises(TypeError):
+            timing_config(**removed)
 
 
 class TestTimingRuns:
@@ -211,3 +251,31 @@ class TestWorkerSeriesCap:
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="worker_series_threshold"):
             timing_config(worker_series_threshold=0)
+
+
+class TestMesoscaleSanitized:
+    """A 1k-worker-scale event-path point through the protocol sanitizer."""
+
+    # Explicit Observability below; the ambient conftest bundle would
+    # double-report the same stream.
+    pytestmark = pytest.mark.no_sanitize
+
+    def test_1k_worker_trace_is_clean(self):
+        n = 1_000
+        obs = Observability(MetricsRegistry("meso"))
+        runner = FluentPSSimRunner(
+            SimConfig(
+                cluster=cpu_cluster(n, n_servers=8),
+                max_iter=1,
+                sync=ssp(3),
+                workload=alexnet_cifar_workload(),
+                compute_model=cpu_cluster_compute(n),
+                seed=3,
+                obs=obs,
+            )
+        )
+        runner.run()
+        assert runner.engine.events_processed > 0  # causal obs: no collapse
+        report = sanitize_observability(obs)
+        assert report.ok, report.describe()
+        assert report.n_events > 0
