@@ -27,11 +27,13 @@ Run them with ``python -m repro.analysis``; the pytest plugin
 
 from repro.analysis.events import (
     PROTOCOL_EVENT_NAMES,
+    EventBlock,
     ProtocolEvent,
     events_from_instants,
     events_from_run,
     events_from_trace_doc,
     events_from_trace_file,
+    iter_event_stream,
     iter_events_from_instants,
 )
 from repro.analysis.explore import (
@@ -62,6 +64,7 @@ __all__ = [
     "PRESETS",
     "PROTOCOL_EVENT_NAMES",
     "ChoiceTrace",
+    "EventBlock",
     "ExploreConfig",
     "ExploreReport",
     "LintIssue",
@@ -79,6 +82,7 @@ __all__ = [
     "events_from_trace_doc",
     "events_from_trace_file",
     "explore",
+    "iter_event_stream",
     "iter_events_from_instants",
     "lint_file",
     "lint_paths",

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
+from repro.obs.export import InstantBlock
+
 #: Instant names that participate in the protocol replay.
 PROTOCOL_EVENT_NAMES = frozenset(
     {
@@ -88,6 +90,53 @@ class ProtocolEvent:
         return " ".join(bits)
 
 
+@dataclass(frozen=True)
+class EventBlock:
+    """A columnar run of protocol events: one
+    :class:`~repro.obs.export.InstantBlock` of an instant log plus the
+    stream ``index`` of its first row.  The sanitizer proves it from the
+    columns; :meth:`events` materialises the same events row by row."""
+
+    index: int
+    block: InstantBlock
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def tail(self, n: int) -> "EventBlock":
+        """The last ``n`` events as a block."""
+        tail = self.block.tail(n)
+        return EventBlock(self.index + len(self.block) - len(tail), tail)
+
+    def events(self) -> Iterator[ProtocolEvent]:
+        """The block's events, indexed as in the row stream."""
+        for index, fields in enumerate(self.block.fields(), self.index):
+            yield ProtocolEvent(index, *fields)
+
+
+def iter_event_stream(instants: Iterable) -> Iterator[Union[ProtocolEvent, EventBlock]]:
+    """Stream-normalize a live instant log, columnar blocks left whole.
+
+    Every block row is a protocol event, so stream indices count block
+    rows exactly as :func:`iter_events_from_instants` counts them one by
+    one.  Anything without ``segments()`` is read as plain rows."""
+    segments = getattr(instants, "segments", None)
+    index = 0
+    for inst in segments() if segments is not None else instants:
+        if isinstance(inst, InstantBlock):
+            yield EventBlock(index, inst)
+            index += len(inst)
+        elif inst.name in PROTOCOL_EVENT_NAMES:
+            yield ProtocolEvent(
+                index=index,
+                name=inst.name,
+                t=float(inst.t),
+                actor=inst.actor,
+                args=dict(inst.args),
+            )
+            index += 1
+
+
 def iter_events_from_instants(instants: Iterable) -> Iterator[ProtocolEvent]:
     """Stream-normalize a live instant log (``repro.obs`` Instants).
 
@@ -96,18 +145,11 @@ def iter_events_from_instants(instants: Iterable) -> Iterator[ProtocolEvent]:
     (100k-scale runs) is replayed in chunks without ever materializing
     the multi-million-event stream.
     """
-    index = 0
-    for inst in instants:
-        if inst.name not in PROTOCOL_EVENT_NAMES:
-            continue
-        yield ProtocolEvent(
-            index=index,
-            name=inst.name,
-            t=float(inst.t),
-            actor=inst.actor,
-            args=dict(inst.args),
-        )
-        index += 1
+    for item in iter_event_stream(instants):
+        if isinstance(item, EventBlock):
+            yield from item.events()
+        else:
+            yield item
 
 
 def events_from_instants(instants: Iterable) -> List[ProtocolEvent]:

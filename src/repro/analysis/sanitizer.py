@@ -32,11 +32,22 @@ context events.
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.analysis.events import ProtocolEvent, iter_events_from_instants
+import numpy as np
+
+from repro.analysis.events import EventBlock, ProtocolEvent, iter_events_from_instants
+from repro.obs.export import (
+    FRONTIER_ADVANCE,
+    PULL_ANSWER,
+    PULL_REQUEST,
+    PUSH,
+    ShardConstants,
+)
 
 
 @dataclass(frozen=True)
@@ -80,20 +91,39 @@ class VectorClock:
     Component ``w`` is the last iteration worker ``w`` pushed (−1 before
     any push).  A pull for progress ``p`` happens-after the requester's
     push of ``p``; the frontier ``V_train`` happens-after enough workers'
-    clocks reached ``V_train − 1``.
+    clocks reached ``V_train − 1``.  The components live in one int64
+    buffer: the row replay reads and writes them one at a time, the
+    vector proof of a columnar block through a numpy :meth:`view` of the
+    same memory — no conversion either way.
     """
 
-    def __init__(self) -> None:
-        self._c: Dict[int, int] = {}
+    def __init__(self, progress: Iterable[int] = ()) -> None:
+        self._c = array("q", [int(p) for p in progress])
 
-    def get(self, worker: int) -> int:
-        return self._c.get(worker, -1)
+    def get(self, worker: Optional[int]) -> int:
+        try:
+            if worker >= 0:
+                return self._c[worker]
+        except (IndexError, TypeError):  # unset component / no worker id
+            pass
+        return -1
 
-    def set(self, worker: int, value: int) -> None:
-        self._c[worker] = value
+    def set(self, worker: Optional[int], value: int) -> None:
+        c = self._c
+        if worker is None or worker < 0:  # foreign streams: no such component
+            return
+        if worker >= len(c):
+            c.extend([-1] * (worker + 1 - len(c)))
+        c[worker] = value
 
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self._c)
+    def view(self, size: int) -> np.ndarray:
+        """The first ``size`` components as a live, writable array (−1
+        where unset).  Drop it before the next :meth:`set`: the buffer
+        cannot grow while a view is exported."""
+        c = self._c
+        if len(c) < size:
+            c.extend([-1] * (size - len(c)))
+        return np.frombuffer(c, dtype=np.int64)[:size]
 
 
 #: Event window length kept for violation context.
@@ -150,9 +180,7 @@ class ShardChecker:
             self.v_train = v
         progress = ev.arg("worker_progress")
         if progress is not None:
-            self.push_clock = VectorClock()
-            for w, p in enumerate(progress):
-                self.push_clock.set(w, int(p))
+            self.push_clock = VectorClock(progress)
         count = ev.arg("count")
         if count is not None:
             self.count = {int(k): int(n) for k, n in dict(count).items()}
@@ -383,9 +411,7 @@ class ShardChecker:
         self.count = {
             int(k): int(v) for k, v in dict(ev.arg("count") or {}).items()
         }
-        self.push_clock = VectorClock()
-        for w, p in enumerate(ev.arg("worker_progress") or []):
-            self.push_clock.set(w, int(p))
+        self.push_clock = VectorClock(ev.arg("worker_progress") or [])
         self.pull_clock = VectorClock()
         self.outstanding.clear()
         self.buffered.clear()
@@ -394,6 +420,100 @@ class ShardChecker:
         # cache invalidation on restore).
         self.snap_by_version.clear()
         self.version_by_snap.clear()
+
+    # -- columnar blocks ----------------------------------------------------
+
+    def prove_rows(self, rows: np.ndarray, sc: ShardConstants) -> Optional[tuple]:
+        """Vector proof that ``rows`` — this shard's rows of one columnar
+        block, in stream order — replay without a violation.
+
+        Returns the state advance for :meth:`commit_rows`, or ``None``
+        when any predicate fails *or the rows are not of the shape the
+        predicates cover* (a worker pushing or pulling twice, two
+        frontier advances, a request not directly followed by its
+        answer, replay state left over from DPRs).  ``None`` only means
+        "not proven": the caller then replays the rows one by one, so
+        every verdict, message and context window comes from ``_on_*``.
+        Nothing is mutated here.
+        """
+        n = self.n_workers
+        if n is None or self.outstanding or self.buffered or self.pssp_passes:
+            return None
+        code, worker, progress = rows["code"], rows["worker"], rows["progress"]
+        v_train, missing = rows["v_train"], rows["missing"]
+        is_push, is_adv = code == PUSH, code == FRONTIER_ADVANCE
+        is_req, is_ans = code == PULL_REQUEST, code == PULL_ANSWER
+        if not (is_push | is_adv | is_req | is_ans).all():
+            return None
+        end = rows.shape[0]
+        acting = worker[~is_adv]
+        if acting.shape[0] and not 0 <= acting.min() <= acting.max() < n:
+            return None
+        push_clock, pull_clock = self.push_clock.view(n), self.pull_clock.view(n)
+        # S001: each worker pushes at most once, the iteration after its last.
+        at_push = np.nonzero(is_push)[0]
+        w_push, p_push = worker[at_push], progress[at_push]
+        push_at = np.full(n, end)
+        push_at[w_push] = at_push
+        if np.count_nonzero(push_at < end) != at_push.shape[0]:
+            return None
+        if not np.array_equal(p_push, push_clock[w_push] + 1):
+            return None
+        # S002/S003: at most one advance, by exactly 1, quorum-supported.
+        at_adv = np.nonzero(is_adv)[0]
+        if at_adv.shape[0] > 1:
+            return None
+        adv = end
+        if at_adv.shape[0]:
+            adv = int(at_adv[0])
+            if v_train[adv] != self.v_train + 1:
+                return None
+            if self.quorum is not None:
+                support = self.count.get(self.v_train, 0) + np.count_nonzero(
+                    p_push[at_push < adv] == self.v_train
+                )
+                if support < self.quorum:
+                    return None
+        # S007/S011/S012: every request is answered by the very next row.
+        if is_ans[0] or is_req[-1] or not np.array_equal(is_req[:-1], is_ans[1:]):
+            return None
+        at_req = np.nonzero(is_req)[0]
+        at_ans = at_req + 1
+        w_pull, p_pull = worker[at_req], progress[at_req]
+        if not np.array_equal(w_pull, worker[at_ans]):
+            return None
+        if not np.array_equal(p_pull, progress[at_ans]):
+            return None
+        if np.count_nonzero(np.bincount(w_pull, minlength=n) > 1):
+            return None
+        # S006: pulled progress is pushed by then; S014: pulls do not regress.
+        if (p_pull > push_clock[w_pull] + (push_at[w_pull] < at_req)).any():
+            return None
+        if (p_pull < pull_clock[w_pull]).any():
+            return None
+        # S008/S009: answers report the replayed frontier and its missing count.
+        frontier = self.v_train + (at_ans > adv)
+        if not np.array_equal(v_train[at_ans], frontier):
+            return None
+        m_ans = missing[at_ans]
+        if not np.array_equal(m_ans, np.maximum(0, p_pull + 1 - frontier)):
+            return None
+        # S004: missing <= s (block answers are never coin passes or releases,
+        # and carry no snapshot tag: S005/S015/S016 have nothing to check).
+        s_bound = sc.s
+        if sc.kind != "custom" and s_bound is not None and not math.isinf(s_bound):
+            if (m_ans >= s_bound + 1).any():
+                return None
+        return w_push, p_push, at_adv.shape[0], w_pull, p_pull
+
+    def commit_rows(self, proof: tuple) -> None:
+        """Advance the replay state past rows :meth:`prove_rows` proved."""
+        w_push, p_push, n_adv, w_pull, p_pull = proof
+        self.push_clock.view(self.n_workers)[w_push] = p_push
+        self.pull_clock.view(self.n_workers)[w_pull] = p_pull
+        for value, times in zip(*np.unique(p_push, return_counts=True)):
+            self.count[int(value)] = self.count.get(int(value), 0) + int(times)
+        self.v_train += n_adv
 
     # -- end of stream ----------------------------------------------------
 
@@ -489,6 +609,43 @@ class ProtocolSanitizer:
             checker = self.checkers[uid] = ShardChecker(uid, self)
         checker.feed(ev)
 
+    def _prove_block(self, block) -> Optional[List[Tuple[ShardChecker, tuple]]]:
+        """One vector proof per shard with rows in ``block``, or ``None``
+        as soon as one shard's rows are not proven."""
+        shard = block.rows["shard"]
+        order = np.argsort(shard, kind="stable")
+        bounds = np.searchsorted(shard[order], np.arange(len(block.shards) + 1))
+        if bounds[-1] - bounds[0] != shard.shape[0]:
+            return None  # a row outside the constants table
+        proofs = []
+        for j, sc in enumerate(block.shards):
+            lo, hi = int(bounds[j]), int(bounds[j + 1])
+            if lo == hi:
+                continue
+            checker = self.checkers.get(sc.uid)
+            if checker is None:
+                return None
+            proof = checker.prove_rows(block.rows[order[lo:hi]], sc)
+            if proof is None:
+                return None
+            proofs.append((checker, proof))
+        return proofs
+
+    def feed_block(self, eb: EventBlock) -> None:
+        """Check one columnar block: a vector proof per shard, and only
+        when every shard's rows are proven is any checker advanced.
+        Otherwise nothing has been touched and the block's rows are fed
+        through :meth:`feed`, the one place verdicts come from."""
+        proofs = self._prove_block(eb.block)
+        if proofs is None:
+            for ev in eb.events():
+                self.feed(ev)
+            return
+        for checker, proof in proofs:
+            checker.commit_rows(proof)
+        self._n_events += len(eb)
+        self._window.extend(eb.tail(self._window.maxlen).events())
+
     def finish(self) -> None:
         last = self._window[-1] if self._window else None
         for checker in self.checkers.values():
@@ -503,11 +660,12 @@ class ProtocolSanitizer:
 
 
 def sanitize_events(
-    events: Iterable[ProtocolEvent],
+    events: Iterable[Union[ProtocolEvent, EventBlock]],
     complete: bool = True,
     raise_on_violation: bool = False,
 ) -> SanitizerReport:
-    """Replay ``events`` through the checker.
+    """Replay ``events`` through the checker (columnar
+    :class:`~repro.analysis.events.EventBlock` items by vector proof).
 
     ``complete=False`` skips the end-of-stream liveness checks (starved
     DPRs, lost wakeups) — use it for streams captured mid-run or from
@@ -515,7 +673,10 @@ def sanitize_events(
     """
     san = ProtocolSanitizer()
     for ev in events:
-        san.feed(ev)
+        if type(ev) is EventBlock:
+            san.feed_block(ev)
+        else:
+            san.feed(ev)
     if complete:
         san.finish()
     report = san.report()
@@ -529,7 +690,11 @@ def sanitize_run(capture, raise_on_violation: bool = False) -> SanitizerReport:
     the run's trace spans and causal DAG, when captured).
 
     The instant stream is replayed lazily, so a disk-spilled instant log
-    from a 100k-scale run is checked in chunks at O(spill-cap) memory."""
+    from a 100k-scale run is checked chunk by chunk.  The columnar
+    blocks of collapsed rounds are materialised and replayed row by row
+    here — the oracle; ``sanitize_events(iter_event_stream(log))``
+    proves them in vector passes instead (docs/ANALYSIS.md says why that
+    is not yet this function's path)."""
     report = sanitize_events(
         iter_events_from_instants(capture.instants),
         complete=getattr(capture, "complete", False),

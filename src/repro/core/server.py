@@ -46,6 +46,7 @@ from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel
 from repro.core.pssp import gradient_significance
 from repro.obs import NULL_OBS, Observability, exponential_buckets
+from repro.obs.export import ShardConstants
 
 
 class ProtocolError(RuntimeError):
@@ -372,13 +373,15 @@ class ShardServer:
 
     # -- protocol event stream (consumed by repro.analysis) -----------------
 
-    def _emit_config(self) -> None:
+    def emit_config(self) -> None:
         """Emit a ``server_config`` instant before this incarnation's first
         protocol event in each capture (lazily: servers may be built before
         a run capture begins, and one server may span several captures —
         e.g. two driver runs — so the config re-leads every stream).  The
         event carries a snapshot of the protocol state so the sanitizer can
-        bootstrap its replay for streams that start mid-life."""
+        bootstrap its replay for streams that start mid-life.  The request
+        handlers call this themselves; the round collapse calls it where
+        the shard's first request of a columnar block would have."""
         if not self._obs_on:
             return
         log = self.obs.instants
@@ -396,6 +399,15 @@ class ShardServer:
             v_train=self.v_train,
             worker_progress=list(self.worker_progress),
             count={str(k): int(v) for k, v in self.count.items()},
+        )
+
+    def block_constants(self) -> ShardConstants:
+        """What this shard's rows of a columnar instant block share — the
+        constant arguments its ``record_protocol`` sites pass per event."""
+        return ShardConstants(
+            actor=self.actor, uid=self.uid, shard=self.shard_id,
+            kind=pull_condition_kind(self.pull_con),
+            s=_staleness_arg(self.pull_con.staleness()),
         )
 
     def install_conditions(
@@ -435,11 +447,10 @@ class ShardServer:
             # Config (with its state snapshot) must precede the push's own
             # mutations so a replay bootstrapped from it sees this push as
             # new work.
-            self._emit_config()
-            self.obs.instants.record(
-                "push", self.clock(), actor=self.actor,
-                uid=self.uid, shard=self.shard_id, worker=worker,
-                progress=progress, v_train=self.v_train,
+            self.emit_config()
+            self.obs.instants.record_protocol(
+                "push", self.clock(), self.actor,
+                self.uid, self.shard_id, worker, progress, self.v_train,
             )
         self.worker_progress[worker] = progress
         if progress > self._fastest:
@@ -502,9 +513,9 @@ class ShardServer:
             if self._obs_on:
                 self._c_advances.inc()
                 self._g_frontier.set(self.v_train)
-                self.obs.instants.record(
-                    "frontier_advance", self.clock(), actor=self.actor,
-                    uid=self.uid, v_train=self.v_train, shard=self.shard_id,
+                self.obs.instants.record_protocol(
+                    "frontier_advance", self.clock(), self.actor,
+                    self.uid, self.v_train, self.shard_id,
                 )
             for req in self.callbacks.pop(flushed_key, []):
                 if self.execution is ExecutionMode.LAZY:
@@ -554,11 +565,10 @@ class ShardServer:
             )
         self.last_pull_progress[worker] = progress
         if self._obs_on:
-            self._emit_config()
-            self.obs.instants.record(
-                "pull_request", self.clock(), actor=self.actor,
-                uid=self.uid, shard=self.shard_id, worker=worker,
-                progress=progress, v_train=self.v_train,
+            self.emit_config()
+            self.obs.instants.record_protocol(
+                "pull_request", self.clock(), self.actor,
+                self.uid, self.shard_id, worker, progress, self.v_train,
             )
         # The threshold is read *before* evaluation (DSPS adjusts it as an
         # evaluation side effect) but only observability consumes it.
@@ -675,19 +685,16 @@ class ShardServer:
                     waited=waited, missing=missing, shard=self.shard_id,
                     released_by=self._releasing_worker,
                 )
-            self.obs.instants.record(
-                "pull_answer", self.clock(), actor=self.actor,
-                uid=self.uid, shard=self.shard_id, worker=req.worker,
-                progress=req.progress, v_train=self.v_train, missing=missing,
-                released=released, coin=coin,
-                kind=pull_condition_kind(self.pull_con),
-                s=_staleness_arg(s_at_eval), waited=waited,
-                version=self.version,
-                # Storage tag of the shared COW copy this reply carries
-                # (None when there is nothing to share) — lets the
+            self.obs.instants.record_protocol(
+                "pull_answer", self.clock(), self.actor,
+                self.uid, self.shard_id, req.worker, req.progress, self.v_train,
+                missing, released, coin, pull_condition_kind(self.pull_con),
+                _staleness_arg(s_at_eval), waited, self.version,
+                # ``snap``: storage tag of the shared COW copy this reply
+                # carries (None when there is nothing to share) — lets the
                 # sanitizer assert same-version replies share storage and
                 # post-push replies do not (S016).
-                snap=self._snap_id if params is not None and self.snapshot_params else None,
+                self._snap_id if params is not None and self.snapshot_params else None,
             )
         req.respond(reply)
 
@@ -731,13 +738,14 @@ class ShardServer:
         this.  ``early_pulls`` is how many pulls that order served before
         this shard's N-th push (those see one missing iteration, the rest
         zero).  Only legal for timing-only shards (no parameters, no
-        gradients) with no buffered DPRs and observability disabled; the
-        obs-on replay goes through the real ``handle_push``/``handle_pull``
-        instead so the instant stream stays byte-identical.
+        gradients) with no buffered DPRs.  With observability on, the
+        metrics the per-request handlers would have updated are updated
+        here in bulk, exactly; the round's protocol instants are the
+        caller's to emit (one columnar block, in its global serve order).
         """
-        if self._params is not None or self.callbacks or self._obs_on:
+        if self._params is not None or self.callbacks:
             raise ProtocolError("quiet-round commit requires a timing-only, "
-                                "DPR-free, unobserved shard")
+                                "DPR-free shard")
         n = self.n_workers
         for w in range(n):
             if self.worker_progress[w] != progress - 1:
@@ -762,6 +770,18 @@ class ShardServer:
             self._coin_con = con
             self._coin_on = hasattr(con, "coin_flips")
         self.metrics.record_quiet_round(n, early_pulls)
+        if self._obs_on:
+            self._c_pushes.inc(n)
+            self._c_pulls.inc(n)
+            self._c_advances.inc()
+            self._g_frontier.set(self.v_train)
+            # Every quiet-round pull is immediate: waited exactly 0.0.
+            self._h_wait.observe(0.0, n)
+            self._q_wait.observe(0.0, n)
+            if early_pulls:
+                self._h_staleness.observe(1, early_pulls)
+            if n - early_pulls:
+                self._h_staleness.observe(0, n - early_pulls)
 
     # -- Checkpoint restore (the only non-push/pull state transition) -------
 
@@ -811,7 +831,7 @@ class ShardServer:
         self.last_significance = float(shard_state["last_significance"])
         self.callbacks.clear()
         if self._obs_on:
-            self._emit_config()
+            self.emit_config()
             self.obs.instants.record(
                 "server_restore", self.clock(), actor=self.actor,
                 uid=self.uid, shard=self.shard_id, v_train=self.v_train,

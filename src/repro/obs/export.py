@@ -20,12 +20,19 @@ microseconds, hence ``_US``.
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
+import operator
 import os
+import pickle
 import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.obs.causal import CAUSAL_EXPORT_KEY, causal_to_dicts
 
@@ -34,8 +41,6 @@ _US = 1e6  # seconds -> trace-format microseconds
 #: Environment override for :class:`InstantLog`'s in-memory cap.
 INSTANT_SPILL_CAP_ENV = "REPRO_INSTANT_SPILL_CAP"
 DEFAULT_INSTANT_SPILL_CAP = 200_000
-
-_SPILL_READ_CHUNK = 1 << 20  # bytes per disk read while replaying
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,81 +53,248 @@ class Instant:
     args: Dict[str, object] = field(default_factory=dict)
 
 
+#: The per-instant argument order of the protocol instants a shard
+#: server emits on its hot path.  This is the one definition: the
+#: ``ShardServer`` record sites go through :meth:`InstantLog.record_protocol`
+#: and a columnar :class:`InstantBlock` materialises its rows by zipping
+#: the same tuples, so both produce the same ``args`` dict — same keys,
+#: same insertion order — for the same event.
+PROTOCOL_INSTANT_ARGS: Dict[str, Tuple[str, ...]] = {
+    "push": ("uid", "shard", "worker", "progress", "v_train"),
+    "frontier_advance": ("uid", "v_train", "shard"),
+    "pull_request": ("uid", "shard", "worker", "progress", "v_train"),
+    "pull_answer": (
+        "uid", "shard", "worker", "progress", "v_train", "missing",
+        "released", "coin", "kind", "s", "waited", "version", "snap",
+    ),
+}
+
+#: Block row ``code`` -> instant name.
+BLOCK_NAMES: Tuple[str, ...] = tuple(PROTOCOL_INSTANT_ARGS)
+PUSH, FRONTIER_ADVANCE, PULL_REQUEST, PULL_ANSWER = range(len(BLOCK_NAMES))
+
+#: One row of an :class:`InstantBlock`: one protocol instant.  ``shard``
+#: indexes the block's per-shard constants table; ``worker`` is -1 on a
+#: ``frontier_advance`` row; ``version``/``missing`` are only meaningful
+#: on ``pull_answer`` rows (0 elsewhere).
+BLOCK_DTYPE = np.dtype(
+    [
+        ("code", "i1"),
+        ("shard", "i4"),
+        ("worker", "i4"),
+        ("progress", "i4"),
+        ("v_train", "i4"),
+        ("missing", "i4"),
+        ("version", "i8"),
+        ("t", "f8"),
+    ]
+)
+
+
+@dataclass(frozen=True, slots=True)
+class ShardConstants:
+    """What every instant of one shard server shares (stored once per
+    log, not once per row): its actor track, incarnation ``uid``, shard
+    id, and the pull condition's ``kind`` and JSON-safe staleness ``s``
+    (``None`` = unbounded) that its quiet-round answers report."""
+
+    actor: str
+    uid: int
+    shard: int
+    kind: str
+    s: Optional[float]
+
+
+class InstantBlock:
+    """A run of protocol instants held as columns (:data:`BLOCK_DTYPE`).
+
+    The round collapse appends one per committed round instead of
+    ``3nM + M`` :class:`Instant` objects.  Iterating materialises the
+    rows lazily, through the same argument table the servers' record
+    sites use, so a row consumer cannot tell a block from the rows the
+    event path would have recorded; the sanitizer's vector proof reads
+    the columns directly
+    (:meth:`repro.analysis.sanitizer.ProtocolSanitizer.feed_block`).
+    """
+
+    __slots__ = ("rows", "shards")
+
+    def __init__(self, rows: np.ndarray, shards: Sequence[ShardConstants]):
+        self.rows = rows
+        self.shards = shards
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def tail(self, n: int) -> "InstantBlock":
+        """The last ``n`` rows as a block (a view)."""
+        return InstantBlock(self.rows[max(0, len(self) - n):], self.shards)
+
+    def __iter__(self) -> Iterator[Instant]:
+        return itertools.starmap(Instant, self.fields())
+
+    def fields(self) -> Iterator[Tuple[str, float, str, Dict[str, object]]]:
+        """Each row as the ``(name, t, actor, args)`` of its instant."""
+        rows = self.rows
+        shards = self.shards
+        for code, j, worker, progress, v_train, missing, version, t in zip(
+            *(rows[name].tolist() for name in BLOCK_DTYPE.names)
+        ):
+            sc = shards[j]
+            if code == FRONTIER_ADVANCE:
+                values = (sc.uid, v_train, sc.shard)
+            elif code == PULL_ANSWER:
+                # A quiet-round answer is immediate (never released, no
+                # coin, waited exactly 0.0) from a timing-only shard
+                # (no parameter copy to tag).
+                values = (
+                    sc.uid, sc.shard, worker, progress, v_train, missing,
+                    False, False, sc.kind, sc.s, 0.0, version, None,
+                )
+            else:
+                values = (sc.uid, sc.shard, worker, progress, v_train)
+            name = BLOCK_NAMES[code]
+            yield name, t, sc.actor, dict(zip(PROTOCOL_INSTANT_ARGS[name], values))
+
+
+def _resolve_spill_cap(spill_cap: Optional[object]) -> int:
+    source = "spill_cap"
+    if spill_cap is None:
+        source = INSTANT_SPILL_CAP_ENV
+        spill_cap = os.environ.get(source)
+        if spill_cap is None:
+            return DEFAULT_INSTANT_SPILL_CAP
+    try:
+        cap = int(spill_cap) if isinstance(spill_cap, str) else operator.index(spill_cap)
+    except (TypeError, ValueError):
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{source} must be a positive integer, got {spill_cap!r}")
+    return cap
+
+
 class InstantLog:
     """Accumulates instant events for one run, spilling to disk at scale.
 
-    Up to ``spill_cap`` instants are buffered in memory (the common
-    case: every small/medium run).  Past the cap the buffer is appended
-    to an anonymous JSONL temp file and cleared, so a 100k-worker run's
-    multi-million-event protocol stream costs O(cap) resident memory
-    instead of O(events).  Iteration replays the spilled prefix from
-    disk in fixed-size chunks (via ``os.pread``, so nested or repeated
-    iterations never disturb the append position) followed by the
-    in-memory tail — consumers like the protocol sanitizer stream it
-    without ever materializing the full log.
+    The log is a sequence of *segments*: :class:`Instant` rows from
+    ``record()`` and columnar :class:`InstantBlock` runs from
+    ``append_block()``.  Up to ``spill_cap`` events are buffered in
+    memory (the common case: every small/medium run).  Once the cap is
+    reached the buffered segments are appended to an anonymous temp
+    file and dropped — a block as one raw ``.npy`` array, a run of rows
+    as one pickled list — so a 100k-worker run's multi-million-event
+    protocol stream costs O(cap) resident memory instead of O(events)
+    (a block larger than the cap spills at once, whole).  Iteration
+    replays the spilled prefix chunk by chunk (via ``os.pread``, so
+    nested or repeated iterations never disturb the append position)
+    followed by the in-memory tail; :meth:`segments` does the same
+    without materialising blocks, which is how the protocol sanitizer's
+    vector proof streams a log.
 
-    Instant ``args`` must stay JSON-serializable (they already must be
-    for trace export); non-finite floats round-trip via Python's
-    ``Infinity``/``NaN`` JSON extension.  ``spill_cap`` defaults from
-    ``REPRO_INSTANT_SPILL_CAP`` when unset.
+    ``len()`` and :attr:`spilled_events` count events, not segments.
+    ``spill_cap`` defaults from ``REPRO_INSTANT_SPILL_CAP`` when unset;
+    either must be a positive integer.  The temp file is closed by
+    :meth:`close` or when the log is dropped.
     """
 
     def __init__(self, spill_cap: Optional[int] = None) -> None:
-        if spill_cap is None:
-            spill_cap = int(
-                os.environ.get(INSTANT_SPILL_CAP_ENV, DEFAULT_INSTANT_SPILL_CAP)
-            )
-        self.spill_cap = max(1, int(spill_cap))
-        self.events: List[Instant] = []
+        self.spill_cap = _resolve_spill_cap(spill_cap)
+        self._tail: List[Union[Instant, InstantBlock]] = []
+        self._tail_events = 0
         self._spill_file = None
         self._spill_bytes = 0
+        #: (offset, nbytes, shards): one spilled chunk each; ``shards``
+        #: is the block's constants table, ``None`` for a run of rows.
+        self._chunks: List[Tuple[int, int, Optional[Sequence[ShardConstants]]]] = []
         self._n_spilled = 0
 
     def __len__(self) -> int:
-        return self._n_spilled + len(self.events)
+        return self._n_spilled + self._tail_events
 
     @property
     def spilled_events(self) -> int:
         """How many instants live on disk rather than in memory."""
         return self._n_spilled
 
-    def _spill(self) -> None:
-        if self._spill_file is None:
-            self._spill_file = tempfile.TemporaryFile(mode="w+b")
-        lines = [
-            json.dumps([e.name, e.t, e.actor, e.args]).encode("utf-8")
-            for e in self.events
-        ]
-        payload = b"\n".join(lines) + b"\n"
-        self._spill_file.write(payload)
-        self._spill_bytes += len(payload)
-        self._n_spilled += len(self.events)
-        self.events.clear()
-
-    def __iter__(self):
+    def close(self) -> None:
+        """Close the spill file (the spilled prefix is gone with it)."""
         if self._spill_file is not None:
+            self._spill_file.close()
+
+    def _spill(self) -> None:
+        f = self._spill_file
+        if f is None:
+            f = self._spill_file = tempfile.TemporaryFile(mode="w+b")
+            weakref.finalize(self, f.close)
+        rows: List[Tuple[str, float, str, Dict[str, object]]] = []
+
+        def end_chunk(shards: Optional[Sequence[ShardConstants]]) -> None:
+            end = f.tell()
+            self._chunks.append((self._spill_bytes, end - self._spill_bytes, shards))
+            self._spill_bytes = end
+
+        def flush_rows() -> None:
+            if rows:
+                pickle.dump(rows, f, pickle.HIGHEST_PROTOCOL)
+                end_chunk(None)
+                rows.clear()
+
+        for seg in self._tail:
+            if isinstance(seg, InstantBlock):
+                flush_rows()
+                np.save(f, seg.rows, allow_pickle=False)
+                end_chunk(seg.shards)
+            else:
+                rows.append((seg.name, seg.t, seg.actor, seg.args))
+        flush_rows()
+        self._n_spilled += self._tail_events
+        self._tail.clear()
+        self._tail_events = 0
+
+    def segments(self) -> Iterator[Union[Instant, InstantBlock]]:
+        """The log in order, blocks left columnar."""
+        if self._chunks:
             self._spill_file.flush()
             fd = self._spill_file.fileno()
-            end = self._spill_bytes
-            offset = 0
-            leftover = b""
-            while offset < end:
-                chunk = os.pread(fd, min(_SPILL_READ_CHUNK, end - offset), offset)
-                if not chunk:
-                    break
-                offset += len(chunk)
-                data = leftover + chunk
-                complete, _, leftover = data.rpartition(b"\n")
-                if complete:
-                    for line in complete.split(b"\n"):
-                        name, t, actor, args = json.loads(line)
-                        yield Instant(name, float(t), actor, args)
-        yield from self.events
+            # Only bytes this log wrote are ever unpickled.
+            for offset, nbytes, shards in self._chunks:
+                data = os.pread(fd, nbytes, offset)
+                if shards is None:
+                    for row in pickle.loads(data):
+                        yield Instant(*row)
+                else:
+                    yield InstantBlock(np.load(io.BytesIO(data), allow_pickle=False), shards)
+        yield from self._tail
+
+    def __iter__(self) -> Iterator[Instant]:
+        for seg in self.segments():
+            if isinstance(seg, InstantBlock):
+                yield from seg
+            else:
+                yield seg
 
     def record(self, name: str, t: float, actor: str = "", **args: object) -> None:
-        self.events.append(Instant(name, float(t), actor, args))
-        if len(self.events) >= self.spill_cap:
+        self._tail.append(Instant(name, float(t), actor, args))
+        self._tail_events += 1
+        if self._tail_events >= self.spill_cap:
             self._spill()
+
+    def record_protocol(self, name: str, t: float, actor: str, *values: object) -> None:
+        """``record()`` for a :data:`PROTOCOL_INSTANT_ARGS` instant: its
+        argument values, positionally, in table order."""
+        args = dict(zip(PROTOCOL_INSTANT_ARGS[name], values))
+        self._tail.append(Instant(name, float(t), actor, args))
+        self._tail_events += 1
+        if self._tail_events >= self.spill_cap:
+            self._spill()
+
+    def append_block(self, rows: np.ndarray, shards: Sequence[ShardConstants]) -> None:
+        """Append ``rows`` (:data:`BLOCK_DTYPE`) as one columnar segment."""
+        if rows.shape[0]:
+            self._tail.append(InstantBlock(rows, shards))
+            self._tail_events += rows.shape[0]
+            if self._tail_events >= self.spill_cap:
+                self._spill()
 
     def by_name(self, name: str) -> List[Instant]:
         return [e for e in self if e.name == name]
@@ -131,7 +303,17 @@ class InstantLog:
 class NullInstantLog(InstantLog):
     """No-op instant log for the disabled backend."""
 
+    def __init__(self) -> None:
+        # The disabled backend never buffers: nothing to configure.
+        super().__init__(DEFAULT_INSTANT_SPILL_CAP)
+
     def record(self, name: str, t: float, actor: str = "", **args: object) -> None:
+        pass
+
+    def record_protocol(self, name: str, t: float, actor: str, *values: object) -> None:
+        pass
+
+    def append_block(self, rows: np.ndarray, shards: Sequence[ShardConstants]) -> None:
         pass
 
 

@@ -60,21 +60,23 @@ class QuantileSketch:
 
     # -- ingest -----------------------------------------------------------
 
-    def add(self, value: float) -> None:
-        """Record one observation (must be >= 0)."""
+    def add(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (must be >= 0)."""
         value = float(value)
         if value < 0.0 or value != value:  # rejects negatives and NaN
             raise ValueError(f"sketch values must be finite and >= 0, got {value}")
-        self.count += 1
+        if count < 1:
+            raise ValueError(f"sketch observation count must be >= 1, got {count}")
+        self.count += count
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
         if value <= 0.0:
-            self.zero_count += 1
+            self.zero_count += count
             return
         idx = math.ceil(math.log(value) / self._log_gamma)
-        self.counts[idx] = self.counts.get(idx, 0) + 1
+        self.counts[idx] = self.counts.get(idx, 0) + count
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (exact; order-independent)."""

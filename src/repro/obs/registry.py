@@ -34,6 +34,8 @@ import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.obs.quantiles import QuantileSketch, merge_all
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -88,8 +90,8 @@ class _Bound:
     def set(self, value: float) -> None:
         self._metric._set(self._key, value)
 
-    def observe(self, value: float) -> None:
-        self._metric._observe(self._key, value)
+    def observe(self, value: float, count: int = 1) -> None:
+        self._metric._observe(self._key, value, count)
 
 
 class Counter(_Metric):
@@ -240,19 +242,30 @@ class Histogram(_Metric):
         self.buckets = bounds
         self._states: Dict[LabelKey, _HistState] = {}
 
-    def observe(self, value: float, **labels: object) -> None:
-        self._observe(_label_key(labels), value)
+    def observe(self, value: float, count: int = 1, **labels: object) -> None:
+        """Record ``value`` ``count`` times — exactly: ``sum`` is the same
+        float ``count`` scalar calls would leave behind."""
+        self._observe(_label_key(labels), value, count)
 
-    def _observe(self, key: LabelKey, value: float) -> None:
+    def _observe(self, key: LabelKey, value: float, count: int = 1) -> None:
+        if count < 1:
+            raise ValueError(f"histogram {self.name!r} observe count must be >= 1, got {count}")
         value = float(value)
         idx = bisect.bisect_left(self.buckets, value)
         with self._lock:
             state = self._states.get(key)
             if state is None:
                 state = self._states[key] = _HistState(len(self.buckets))
-            state.counts[idx] += 1
-            state.count += 1
-            state.sum += value
+            state.counts[idx] += count
+            state.count += count
+            if count == 1:
+                state.sum += value
+            else:
+                # accumulate is strictly sequential: the float sequence
+                # of ``count`` scalar ``+=``, seeded with the running sum.
+                seeded = np.full(count + 1, value)
+                seeded[0] = state.sum
+                state.sum = float(np.add.accumulate(seeded)[-1])
             state.max = max(state.max, value)
 
     def count(self, **labels: object) -> int:
@@ -347,15 +360,17 @@ class Sketch(_Metric):
         QuantileSketch(self.relative_accuracy)
         self._states: Dict[LabelKey, QuantileSketch] = {}
 
-    def observe(self, value: float, **labels: object) -> None:
-        self._observe(_label_key(labels), value)
+    def observe(self, value: float, count: int = 1, **labels: object) -> None:
+        """Record ``value`` ``count`` times (bucket counts are integers,
+        so the weighted form is exact)."""
+        self._observe(_label_key(labels), value, count)
 
-    def _observe(self, key: LabelKey, value: float) -> None:
+    def _observe(self, key: LabelKey, value: float, count: int = 1) -> None:
         with self._lock:
             state = self._states.get(key)
             if state is None:
                 state = self._states[key] = QuantileSketch(self.relative_accuracy)
-            state.add(value)
+            state.add(value, count)
 
     def count(self, **labels: object) -> int:
         state = self._states.get(_label_key(labels))
@@ -497,7 +512,7 @@ class _NullBound:
     def set(self, value: float) -> None:
         pass
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
 
@@ -522,7 +537,7 @@ class _NullMetric:
     def set(self, value: float, **labels: object) -> None:
         pass
 
-    def observe(self, value: float, **labels: object) -> None:
+    def observe(self, value: float, count: int = 1, **labels: object) -> None:
         pass
 
     def value(self, **labels: object) -> float:

@@ -42,9 +42,16 @@ from repro.core.server import (
 from repro.ml.models_zoo import Workload
 from repro.ml.training import TrainingTask
 from repro.obs import Observability, current_observability
+from repro.obs.export import (
+    BLOCK_DTYPE,
+    FRONTIER_ADVANCE,
+    PULL_ANSWER,
+    PULL_REQUEST,
+    PUSH,
+)
 from repro.obs.snapshot import ServerSnapshotter
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import Engine, SimulationError, Timeout
+from repro.sim.engine import Engine, Timeout
 from repro.sim.network import Message, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import SpanKind, TraceRecorder
@@ -238,12 +245,6 @@ class _PendingPull:
         self.last_cause = -1
 
 
-def _discard_reply(reply: PullReply) -> None:
-    """Pull responder for analytically committed rounds: the wire reply
-    is synthesized in closed form, so the server-side callback has
-    nothing left to do (the real responder only sends the message)."""
-
-
 def _seq_cascade(
     arrivals: np.ndarray, holds: np.ndarray, cursor: float
 ) -> Tuple[np.ndarray, float]:
@@ -331,6 +332,45 @@ def _request_delivery_order(
         col = np.where(sel, M + m, m)
         rx_flat[wkr * K + col] = rx_ends
     return np.lexsort((txrank, rx_flat)), rx_flat
+
+
+#: Requests per columnar instant block: a collapsed round with more is
+#: emitted as a run of blocks, so no row-length temporary outgrows a few
+#: MB whatever the cohort size.
+_BLOCK_HANDLES = 1 << 16
+
+
+def _round_rows(r, is_pull, advances, shard, worker, v_train, version, serve) -> np.ndarray:
+    """The :data:`~repro.obs.export.BLOCK_DTYPE` rows of a run of
+    quiet-round requests, given per request (in handle order) whether
+    it is a pull, whether it is its shard's n-th push, its shard,
+    worker, the frontier and update counter it sees, and its serve time.
+
+    A push is one ``push`` row, plus a ``frontier_advance`` row (the
+    frontier + 1) when it is its shard's n-th; a pull is a
+    ``pull_request`` and a ``pull_answer`` row."""
+    per_handle = 1 + (is_pull | advances)
+    second = np.ones(int(per_handle.sum()), dtype=bool)
+    second[np.cumsum(per_handle) - per_handle] = False
+    pull = np.repeat(is_pull, per_handle)
+    advance = second & ~pull
+    answer = second & pull
+    v_train = np.repeat(v_train, per_handle)
+    rows = np.empty(second.shape[0], dtype=BLOCK_DTYPE)
+    rows["code"] = np.where(
+        second,
+        np.where(pull, PULL_ANSWER, FRONTIER_ADVANCE),
+        np.where(pull, PULL_REQUEST, PUSH),
+    )
+    rows["shard"] = np.repeat(shard, per_handle)
+    rows["worker"] = np.repeat(worker, per_handle)
+    rows["worker"][advance] = -1
+    rows["progress"] = r
+    rows["v_train"] = v_train + advance
+    rows["missing"] = np.where(answer, np.maximum(0, r + 1 - v_train), 0)
+    rows["version"] = np.where(answer, np.repeat(version, per_handle), 0)
+    rows["t"] = np.repeat(serve, per_handle)
+    return rows
 
 
 class FluentPSSimRunner:
@@ -453,6 +493,11 @@ class FluentPSSimRunner:
         #: delivery time vs. cascaded behind a busy shard lane.
         self.server_msgs_inline = 0
         self.server_msgs_drained = 0
+        #: Why this run left the closed-form round collapse: empty while
+        #: (and if) every round commits analytically, else ``{"reason":
+        #: ...}`` from :meth:`_collapse_eligible`, or ``{"reason":
+        #: "overlap", "round": k}`` when round ``k`` de-vectorized mid-run.
+        self.collapse_fallback: Dict[str, object] = {}
 
     @staticmethod
     def _normalize_models(
@@ -720,8 +765,9 @@ class FluentPSSimRunner:
 
     # -- closed-form round fast-forward ------------------------------------------------
 
-    def _collapse_eligible(self) -> bool:
-        """True when whole protocol rounds can be committed analytically.
+    def _collapse_eligible(self) -> Optional[str]:
+        """Why whole protocol rounds cannot be committed analytically —
+        the first failing reason — or ``None`` when they can.
 
         The closed form models exactly one behavior: timing-only workers
         that push then pull every shard each iteration over analytic
@@ -731,41 +777,59 @@ class FluentPSSimRunner:
         quorums below n, BSP's s=0 soft barrier, DSPS's self-mutating
         staleness, the inbox loop, DPOR choice/delay hooks, causal
         tracing, span capture without obs — keeps the per-event path,
-        which stays bit-identical by construction.
+        which stays bit-identical by construction.  The reason lands in
+        :attr:`collapse_fallback`.
         """
         cfg = self.cfg
         if type(self) is not FluentPSSimRunner:
             # Baseline runners (PS-Lite's scheduler-gated workers,
             # SpecSync) subclass this runner with their own protocols;
             # the cohort closed form models only the stock one.
-            return False
+            return "subclass"
         if not self._direct:
-            return False
+            return "proc_dispatch"
         if cfg.task is not None:
-            return False
-        if self.causal is not None or self.engine._choice_hook is not None:
-            return False
+            return "task"
+        if self.causal is not None:
+            return "causal_obs"
+        if self.engine._choice_hook is not None:
+            return "choice_hook"
         if self.net.delay_hook is not None:
-            return False
+            return "delay_hook"
         if self.trace.keep_spans and not self.obs.enabled:
-            # The vector commit folds spans into totals; a kept span
-            # *list* can only be reproduced by the obs handler replay.
-            return False
+            # The vector commit appends spans round by round: per-actor
+            # order matches the event path, the global list order does
+            # not.  Observed runs accept that (exports group by actor);
+            # a bare keep_spans run keeps the event path's list.
+            return "kept_spans"
         n = cfg.cluster.n_workers
         for s in self.servers:
             pc = s.pull_con
             # DSPS adapts ``s`` inside ``__call__`` — never provably quiet.
             if type(pc) is DSPSPull or not isinstance(pc, (SSPPull, PSSPPull)):
-                return False
+                return "pull_condition"
             if not pc.s > 0:  # BSP (s=0) blocks pulls until the frontier moves
-                return False
+                return "bsp"
             if s.push_con.quorum(n) != n:
-                return False
+                return "quorum"
             if s.callbacks or s.v_train != 0:
-                return False
+                return "pending_state"
             if any(p != -1 for p in s.worker_progress):
-                return False
-        return True
+                return "pending_state"
+        return None
+
+    def _record_fallback(self, reason: str, round_index: Optional[int] = None) -> None:
+        """Note why this run (or its rounds from ``round_index`` on) took
+        the event path: :attr:`collapse_fallback` always, and the
+        ``collapse_fallback_total{reason=...}`` counter when obs is on."""
+        self.collapse_fallback = {"reason": reason}
+        if round_index is not None:
+            self.collapse_fallback["round"] = round_index
+        if self.obs.enabled:
+            self.obs.registry.counter(
+                "collapse_fallback_total",
+                "runs that left the closed-form round collapse, by reason",
+            ).inc(reason=reason)
 
     def _collapse_rounds(self) -> bool:
         """Advance whole protocol rounds in closed form.
@@ -794,6 +858,8 @@ class FluentPSSimRunner:
         eng = self.engine
         record_span = self.trace.record_span
         observed = self.obs.enabled
+        sketches = self._pull_sketches
+        block_shards = [s.block_constants() for s in self.servers] if observed else []
         n = cfg.cluster.n_workers
         M = cfg.cluster.n_servers
         K = 2 * M
@@ -1020,6 +1086,7 @@ class FluentPSSimRunner:
                     # de-vectorizes here, durations pre-drawn so the RNG
                     # streams stay aligned with the pure event path.
                     _flush()
+                    self._record_fallback("overlap", r)
                     for pos in np.argsort(rank, kind="stable"):
                         w = int(pos)
                         eng.spawn(
@@ -1033,28 +1100,30 @@ class FluentPSSimRunner:
 
             # -- commit round r -------------------------------------------
             delivery = _request_delivery_order(T, wrank, srv_claims) if hooks else None
+            for idx in order_w:
+                w = int(idx)
+                record_span(names[w], SpanKind.COMPUTE, float(c[w]), float(e[w]), r)
             if observed:
-                self._observed_round_commit(
-                    r, c, e, f, order_w, fire_order, T, wrank, srv_claims,
-                    delivery, rtx_s, rr_s, rrx, perm, pull_serve, names,
+                # Before the shards commit: the block (and in round 0 the
+                # config snapshots) must see each shard's pre-round state.
+                self._emit_round_block(r, T, order_w, srv_claims, delivery, block_shards)
+            for m in range(M):
+                self.servers[m].handle_quiet_round(r, x_early[m])
+                if observed and cost > 0:
+                    serve = srv_claims[m][2]
+                    self.trace.record_spans(
+                        self._srv_names[m], SpanKind.SERVER_APPLY, serve, serve + cost
+                    )
+            if hooks:
+                self._emit_collapsed_hooks(
+                    r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
                 )
-            else:
-                for m in range(M):
-                    self.servers[m].handle_quiet_round(r, x_early[m])
-                if hooks:
-                    self._emit_collapsed_hooks(
-                        r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
-                    )
-                for idx in order_w:
-                    w = int(idx)
-                    record_span(
-                        names[w], SpanKind.COMPUTE, float(c[w]), float(e[w]), r
-                    )
-                for idx in fire_order:
-                    w = int(idx)
-                    record_span(
-                        names[w], SpanKind.PULL, float(e[w]), float(f[w]), r
-                    )
+            for idx in fire_order:
+                w = int(idx)
+                t_sync, t_done = float(e[w]), float(f[w])
+                record_span(names[w], SpanKind.PULL, t_sync, t_done, r)
+                if sketches is not None:
+                    sketches[w].observe(t_done - t_sync)
             wtx_free = new_wtx_free
             wrx_free = f
             wrx_busy = new_wrx_busy
@@ -1084,76 +1153,77 @@ class FluentPSSimRunner:
             rank[fire_order] = arange_n
             dur_l = dur_next
 
-    def _observed_round_commit(
-        self, r, c, e, f, order_w, fire_order, T, wrank, srv_claims,
-        delivery, rtx_s, rr_s, rrx, perm, pull_serve, names,
-    ) -> None:
-        """Replay one certified-quiet round through the real protocol
-        handlers so the S001–S016 instant stream is byte-identical to the
-        event path: COMPUTE spans in resume order, pushes/pulls via
-        ``handle_push``/``handle_pull`` in global handle order (TX order
-        when request deliveries fuse, delivery order otherwise) with the
-        per-shard virtual clock set to each request's serve time, then
-        delivery-hook synthesis, then PULL spans and latency-sketch
-        observations in fire order.  Only the global span-*list* order
-        differs from the event path (per-actor subsequences are
-        identical); every protocol instant carries the same name, time,
-        actor, and args in the same order."""
-        cfg = self.cfg
-        n = cfg.cluster.n_workers
-        M = cfg.cluster.n_servers
+    def _emit_round_block(self, r, T, order_w, srv_claims, delivery, shards) -> None:
+        """Append one certified-quiet round's protocol instants to the
+        instant log in columnar form.
+
+        The rows are the instants ``handle_push``/``handle_pull`` would
+        record if called in global handle order (TX order when request
+        deliveries fuse, delivery order otherwise) with each shard's
+        clock at the request's serve time — see :func:`_round_rows`.
+        A round is one block up to :data:`_BLOCK_HANDLES` requests and a
+        run of blocks beyond (at 100k workers one block would be ~90 MB
+        of rows plus as much again in temporaries).  In round 0 the run
+        is also cut where each shard's first request lands, so its
+        ``server_config`` instant leads its stream as on the event path.
+        ``shards`` is the servers' ``block_constants()``.
+        """
+        n = self.cfg.cluster.n_workers
+        M = self.cfg.cluster.n_servers
         K = 2 * M
-        cost = cfg.server_op_overhead_s
-        record_span = self.trace.record_span
         servers = self.servers
-        srv_names = self._srv_names
-        for idx in order_w:
-            w = int(idx)
-            record_span(names[w], SpanKind.COMPUTE, float(c[w]), float(e[w]), r)
+        # Per-handle tables over the flat ``worker * 2M + column`` index.
         serve_flat = np.empty(n * K)
+        vtrain_flat = np.empty(n * K, dtype=np.int32)
+        version_flat = np.empty(n * K, dtype=np.int64)
+        advances_flat = np.zeros(n * K, dtype=bool)
+        pos = np.arange(2 * n)
         for m in range(M):
             o, _rx, serve = srv_claims[m]
-            sel = o >= n
-            wkr = np.where(sel, o - n, o)
-            col = np.where(sel, M + m, m)
-            serve_flat[wkr * K + col] = serve
+            is_pull = o >= n
+            flat = np.where(is_pull, (o - n) * K + M + m, o * K + m)
+            last_push = int(np.nonzero(~is_pull)[0][-1])
+            serve_flat[flat] = serve
+            # The n-th push still reports the pre-advance frontier.
+            vtrain_flat[flat] = r + (pos > last_push)
+            version_flat[flat] = servers[m].version + np.cumsum(~is_pull)
+            advances_flat[flat[last_push]] = True
         if delivery is None:
-            keyflat = (wrank[:, None] * K + np.arange(K)[None, :]).ravel()
-            gro = np.lexsort((keyflat, T.ravel()))
+            # Global TX order: (tx_end, resume rank, column).  With the
+            # workers laid out in resume order the tie-break is the flat
+            # index itself, so one stable sort does it.
+            by_rank = np.argsort(T[order_w].ravel(), kind="stable")
+            gro = order_w[by_rank // K] * K + by_rank % K
         else:
             gro = delivery[0]
-        for idx in gro:
-            i = int(idx)
-            w, k = divmod(i, K)
-            pull = k >= M
-            m = k - M if pull else k
-            st = float(serve_flat[i])
-            self._srv_now[m] = st
-            server = servers[m]
-            dprs0 = server.metrics.dprs
-            if pull:
-                server.handle_pull(w, r, respond=_discard_reply)
-            else:
-                server.handle_push(w, r, grad=None)
-            if server.metrics.dprs != dprs0:
-                raise SimulationError(
-                    f"collapsed round {r}: shard {m} buffered a DPR in a "
-                    "round certified quiet"
-                )
-            end = st + cost
-            self._srv_busy[m] = end
-            if cost > 0:
-                record_span(srv_names[m], SpanKind.SERVER_APPLY, st, end)
-        if delivery is not None:
-            self._emit_collapsed_hooks(
-                r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
+        col = (gro % K).astype(np.int32)
+        is_pull = col >= M
+        shard = np.where(is_pull, col - M, col)
+        worker = (gro // K).astype(np.int32)
+        advances = advances_flat[gro]
+        v_train = vtrain_flat[gro]
+        version = version_flat[gro]
+        serve = serve_flat[gro]
+        cuts = set(range(0, n * K, _BLOCK_HANDLES))
+        config_at: Dict[int, int] = {}
+        if r == 0:
+            first_shard, first_at = np.unique(shard, return_index=True)
+            config_at = dict(zip(first_at.tolist(), first_shard.tolist()))
+            cuts.update(config_at)
+        cuts = sorted(cuts)
+        log = self.obs.instants
+        for a, b in zip(cuts, cuts[1:] + [n * K]):
+            if a in config_at:
+                m = config_at[a]
+                self._srv_now[m] = float(serve[a])
+                servers[m].emit_config()
+            log.append_block(
+                _round_rows(
+                    r, is_pull[a:b], advances[a:b], shard[a:b], worker[a:b],
+                    v_train[a:b], version[a:b], serve[a:b],
+                ),
+                shards,
             )
-        sketches = self._pull_sketches
-        for idx in fire_order:
-            w = int(idx)
-            record_span(names[w], SpanKind.PULL, float(e[w]), float(f[w]), r)
-            if sketches is not None:
-                sketches[w].observe(float(f[w]) - float(e[w]))
 
     def _emit_collapsed_hooks(
         self, r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
@@ -1230,9 +1300,11 @@ class FluentPSSimRunner:
         # analytically and only spawns worker processes if (and from the
         # round where) it de-vectorizes.  Otherwise the event path.
         collapsed_all = False
-        if self._collapse_eligible():
+        reason = self._collapse_eligible()
+        if reason is None:
             collapsed_all = self._collapse_rounds()
         else:
+            self._record_fallback(reason)
             for w in range(self.cfg.cluster.n_workers):
                 self.engine.spawn(self._worker_proc(w), name=f"worker{w}")
         snapshotter = None

@@ -13,6 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 
 class SpanKind(enum.Enum):
     """What a span's time was spent on (Fig-6 categories)."""
@@ -82,6 +84,44 @@ class TraceRecorder:
         self._totals[(actor, kind)] += t1 - t0
         self._span_counts[(actor, kind)] += 1
         self.end_time = max(self.end_time, t1)
+
+    def record_spans(
+        self,
+        actor: str,
+        kind: SpanKind,
+        t0: np.ndarray,
+        t1: np.ndarray,
+        iteration: int = -1,
+    ) -> None:
+        """Record the spans ``[t0[i], t1[i]]`` of ``kind`` for ``actor``.
+
+        Exactly what ``record_span`` called once per element, in array
+        order, leaves behind — the total is accumulated sequentially, so
+        it is the same float — except that an inverted span beyond the
+        jitter tolerance raises before anything is recorded."""
+        t0 = np.asarray(t0, dtype=np.float64)
+        t1 = np.asarray(t1, dtype=np.float64)
+        if t0.shape[0] == 0:
+            return
+        inverted = t1 < t0
+        if inverted.any():
+            bad = inverted & (t0 - t1 > self.NEGATIVE_EPS * np.maximum(1.0, np.abs(t0)))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"span ends before it starts: [{t0[i]}, {t1[i]}]")
+            t1 = np.where(inverted, t0, t1)  # clock jitter: clip to empty spans
+        if self.keep_spans:
+            self.spans.extend(
+                Span(actor, kind, a, b, iteration)
+                for a, b in zip(t0.tolist(), t1.tolist())
+            )
+        key = (actor, kind)
+        seeded = np.empty(t0.shape[0] + 1)
+        seeded[0] = self._totals[key]
+        seeded[1:] = t1 - t0
+        self._totals[key] = float(np.add.accumulate(seeded)[-1])
+        self._span_counts[key] += t0.shape[0]
+        self.end_time = max(self.end_time, float(t1.max()))
 
     def incr(self, counter: str, by: float = 1.0) -> None:
         """Increment a named counter."""

@@ -99,6 +99,19 @@ class TestSuite:
             assert key in result.detail, key
         assert result.detail["peak_rss_mb"] > 0  # ru_maxrss works on Linux
 
+    def test_sanitized_macro_reports_its_cost_over_the_raw_twin(self):
+        from repro.bench.perf import bench_macro_100k_sanitized
+
+        detail = bench_macro_100k_sanitized(TINY).detail
+        assert detail["checked_over_raw"] == pytest.approx(
+            (detail["run_wall_s"] + detail["sanitize_wall_s"]) / detail["raw_wall_s"]
+        )
+        assert detail["proved_over_raw"] == pytest.approx(
+            (detail["run_wall_s"] + detail["prove_wall_s"]) / detail["raw_wall_s"]
+        )
+        assert detail["collapse_fallback"] == 0.0  # one round: always collapses
+        assert detail["instants"] == detail["events_checked"] > 0
+
     def test_render_mentions_every_benchmark(self):
         doc = run_suite(TINY)
         text = render(doc)
@@ -204,6 +217,17 @@ class TestRegressionGate:
         skipped = "\n".join(notes)
         assert "network_messages_per_sec" in skipped
         assert "macro_fig7_wall_s" in skipped
+
+
+    @pytest.mark.parametrize("scale", ["quick", "full"])
+    def test_proved_over_raw_has_an_absolute_ceiling(self, scale):
+        def doc(ratio):
+            sanitized = {"value": 1.0, "unit": "s", "detail": {"proved_over_raw": ratio}}
+            return _doc(1.0, scale=scale, macro_100k_sanitized_wall_s=sanitized)
+
+        failures = check_regression(doc(5.5), doc(30.0), 0.30)
+        assert len(failures) == 1 and "proved_over_raw 5.50" in failures[0]
+        assert check_regression(doc(4.9), doc(2.0), 0.30) == []
 
 
 class TestHistoryRoll:

@@ -141,6 +141,25 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.1, 1e-4 / 3, 7.3e5])
+    @pytest.mark.parametrize("count", [1, 2, 1000])
+    def test_count_weighted_observe_equals_scalar_calls(self, value, count):
+        """Bit-equal, not approx: 0.1 added 1000 times is not 100.0."""
+        one_by_one = MetricsRegistry("a").histogram("lat")
+        weighted = MetricsRegistry("b").histogram("lat")
+        for h in (one_by_one, weighted):
+            h.labels(shard=0).observe(0.3)  # a non-trivial running sum to seed
+        for _ in range(count):
+            one_by_one.labels(shard=0).observe(value)
+        weighted.labels(shard=0).observe(value, count)
+        assert weighted.to_dict() == one_by_one.to_dict()
+        assert weighted.sum(shard=0) == one_by_one.sum(shard=0)
+
+    def test_count_weighted_observe_rejects_empty_batches(self):
+        h = MetricsRegistry("t").histogram("lat")
+        with pytest.raises(ValueError):
+            h.observe(1.0, 0)
+
     def test_non_increasing_buckets_rejected(self):
         reg = MetricsRegistry("t")
         with pytest.raises(ValueError):

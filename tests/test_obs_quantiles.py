@@ -120,6 +120,19 @@ class TestRegistrySketch:
         assert merged.count == 2
         assert 1.0 <= merged.quantile(0.0) <= merged.quantile(1.0) <= 3.0
 
+    @pytest.mark.parametrize("value", [0.0, 1e-6, 0.37, 12.5])
+    def test_count_weighted_observe_equals_scalar_calls(self, value):
+        one_by_one = MetricsRegistry("a").sketch("lat")
+        weighted = MetricsRegistry("b").sketch("lat")
+        for s in (one_by_one, weighted):
+            s.labels(shard=1).observe(0.2)
+        for _ in range(500):
+            one_by_one.labels(shard=1).observe(value)
+        weighted.labels(shard=1).observe(value, 500)
+        assert weighted.to_dict() == one_by_one.to_dict()
+        with pytest.raises(ValueError):
+            weighted.observe(value, 0)
+
     def test_sketch_survives_metrics_doc_round_trip(self):
         reg = MetricsRegistry("t")
         s = reg.sketch("lat")

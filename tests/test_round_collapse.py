@@ -3,8 +3,9 @@
 The round collapse (docs/PERFORMANCE.md, "Closed-form round fast-forward
 and the cohort state table") must be *bit-identical* to the event path
 it replaces: same delivery traces, same protocol instant streams, same
-metrics, same finish times — in both vector mode (no observability) and
-handler mode (observability without a causal trace).  Every test here
+metrics, same finish times — with no observability, and with
+observability minus the causal trace, where each committed round lands
+in the instant log as one columnar block.  Every test here
 runs the same configuration twice — the stock runner vs
 :class:`tests.sim_helpers.EventPathRunner`, which never collapses — and
 compares exhaustively.
@@ -17,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.models import bsp, pssp, ssp
+from repro.core.conditions import QuorumPush, SSPPull
+from repro.core.models import SyncModel, bsp, dsps, pssp, ssp
 from repro.ml.models_zoo import alexnet_cifar_workload
-from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.analysis import ProtocolSanitizer, iter_event_stream, sanitize_events, sanitize_run
+from repro.obs import NULL_OBS, Instant, MetricsRegistry, Observability
+from repro.obs.export import InstantBlock
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
 from repro.sim.stragglers import ComputeModel, DeterministicCompute, cpu_cluster_compute
@@ -174,21 +178,95 @@ class TestDevectorization:
         assert ra.engine.rounds_collapsed == 0
 
 
-class TestHandlerModeDifferential:
-    """Observability without a causal trace: the collapse replays real
-    server handlers in the analytic handle order, so protocol instants
-    (S001-S016 replay), spans, and metrics all still come from the
-    servers themselves."""
+def _columnar_obs():
+    return Observability(MetricsRegistry("collapse-test"), causal=False)
+
+
+def _prove_run(capture):
+    """The capture's protocol stream with its blocks proven in vector
+    passes (``sanitize_run`` replays them row by row)."""
+    return sanitize_events(iter_event_stream(capture.instants), complete=capture.complete)
+
+
+class TestColumnarInstantsDifferential:
+    """Observability without a causal trace: the collapse commits a round
+    exactly as it does unobserved and appends its protocol instants as
+    one columnar block; rows materialised from the blocks, spans and
+    metrics must equal what the event path's handlers record."""
 
     @pytest.mark.parametrize("sync_name", ["ssp3", "pssp"])
     @pytest.mark.parametrize("hooks", [True, False])
     def test_instant_streams_identical(self, sync_name, hooks):
         kwargs = _cell("cpu", sync_name, "lognorm", n=14, m=3, iters=5)
-        obs_factory = lambda: Observability(  # noqa: E731
-            MetricsRegistry("collapse-test"), causal=False
-        )
-        ra, _rb = _assert_differential(kwargs, obs_factory=obs_factory, hooks=hooks)
+        ra, _rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=hooks)
         assert ra.engine.rounds_collapsed > 0
+        assert any(
+            isinstance(seg, InstantBlock) for seg in ra.obs.last_run.instants.segments()
+        )
+
+    # One round of this cell is 3*14*3 + 3 = 129 instants: every cap
+    # below spills, the smallest ones a block at a time.
+    @pytest.mark.no_sanitize
+    @pytest.mark.parametrize("cap", [1, 50, 129, 300])
+    def test_spill_caps_down_to_less_than_one_block(self, cap, monkeypatch):
+        monkeypatch.setenv("REPRO_INSTANT_SPILL_CAP", str(cap))
+        kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=False)
+        log = ra.obs.last_run.instants
+        assert log.spilled_events > 0
+        assert len(log) == len(rb.obs.last_run.instants) == sum(1 for _ in log)
+        for report in (_prove_run(ra.obs.last_run), sanitize_run(ra.obs.last_run)):
+            assert report.ok, report.violations
+            assert report.n_events == sanitize_run(rb.obs.last_run).n_events
+
+    @pytest.mark.parametrize("handles", [1, 7, 84])
+    def test_a_round_cut_into_several_blocks(self, handles, monkeypatch):
+        """Past ``_BLOCK_HANDLES`` requests a round is a run of blocks
+        (84 = one round of this cell exactly): same rows, same verdict."""
+        monkeypatch.setattr("repro.sim.runner._BLOCK_HANDLES", handles)
+        kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=False)
+        blocks = [
+            seg for seg in ra.obs.last_run.instants.segments()
+            if isinstance(seg, InstantBlock)
+        ]
+        assert len(blocks) >= ra.engine.rounds_collapsed * (84 // handles)
+        fed = []
+        monkeypatch.setattr(
+            ProtocolSanitizer, "feed", lambda self, ev, feed=ProtocolSanitizer.feed: (
+                fed.append(ev.name), feed(self, ev))
+        )
+        report = _prove_run(ra.obs.last_run)
+        assert report.ok, report.violations
+        # Every block of the collapsed rounds was proven, none replayed ...
+        assert len(fed) == report.n_events - sum(len(b) for b in blocks)
+        # ... and sanitize_run replays every one of their rows.
+        del fed[:]
+        assert sanitize_run(ra.obs.last_run).n_events == report.n_events == len(fed)
+        assert report.n_events == sanitize_run(rb.obs.last_run).n_events
+
+    def test_metrics_identical(self):
+        kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=False)
+        assert ra.engine.rounds_collapsed > 0
+        da, db = (r.obs.registry.to_dict()["metrics"] for r in (ra, rb))
+        # Everything the servers and workers count per request.  Gauge
+        # *series* are scrape-timed and follow the engine clock, which a
+        # collapsed round does not advance; their last values must agree.
+        compared = 0
+        for name, metric in db.items():
+            if name == "collapse_fallback_total":
+                continue  # the oracle never collapses: reasons differ
+            if metric["kind"] in ("counter", "histogram", "sketch"):
+                assert json.dumps(da[name], sort_keys=True) == json.dumps(
+                    metric, sort_keys=True
+                ), name
+                compared += 1
+            elif name == "ps_frontier" or name.startswith("sync_"):
+                assert da[name]["values"] == metric["values"], name
+                compared += 1
+        assert compared >= 10
+        assert set(da) == set(db)
 
     def test_spans_identical(self):
         kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
@@ -204,6 +282,27 @@ class TestHandlerModeDifferential:
             )
         assert runs[0] == runs[1]
 
+    def test_midrun_devectorization_hands_blocks_over_to_rows(self):
+        """Rounds 0-1 commit as blocks, the straggler's round and the
+        rest run through the handlers: one log holds blocks then rows,
+        and the sanitizer's replay state carries across the seam."""
+        kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=6)
+        kwargs["base_compute_time"] = 5.0
+        kwargs["compute_model"] = _InjectedStraggler(worker=3, iteration=2)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
+        assert 0 < ra.engine.rounds_collapsed < 6
+        kinds = [type(seg) for seg in ra.obs.last_run.instants.segments()]
+        last_block = max(i for i, k in enumerate(kinds) if k is InstantBlock)
+        assert Instant in kinds[last_block + 1 :]
+        assert InstantBlock not in kinds[last_block + 1 :]
+        for report in (_prove_run(ra.obs.last_run), sanitize_run(ra.obs.last_run)):
+            assert report.ok, report.violations
+            assert report.n_events == sanitize_run(rb.obs.last_run).n_events
+        assert ra.collapse_fallback == {
+            "reason": "overlap", "round": ra.engine.rounds_collapsed,
+        }
+        assert ra.obs.registry.get("collapse_fallback_total").value(reason="overlap") == 1.0
+
 
 class TestEligibilityGates:
     def test_causal_observability_gates_collapse_off(self):
@@ -215,12 +314,15 @@ class TestEligibilityGates:
         runner.run()
         assert runner.causal is not None
         assert runner.engine.rounds_collapsed == 0
+        assert runner.collapse_fallback == {"reason": "causal_obs"}
 
     def test_bsp_is_ineligible(self):
         kwargs = _cell("cpu", "bsp", "det")
         kwargs["base_compute_time"] = 5.0
-        ra, _rb = _assert_differential(kwargs)
+        ra, rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 0
+        assert ra.collapse_fallback == {"reason": "bsp"}
+        assert rb.collapse_fallback == {"reason": "subclass"}
 
     def test_subclassed_runners_are_ineligible(self):
         # PS-Lite overrides the worker protocol (scheduler-gated grants)
@@ -234,6 +336,7 @@ class TestEligibilityGates:
         runner = PSLiteSimRunner(cfg)
         runner.run()
         assert runner.engine.rounds_collapsed == 0
+        assert runner.collapse_fallback == {"reason": "subclass"}
 
     def test_process_wire_is_ineligible(self):
         # Drain lanes need analytic wire timing: a fabric-capped cluster
@@ -244,6 +347,39 @@ class TestEligibilityGates:
         ra, _rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 0
         assert ra.engine.round_events_saved == 0
+        assert ra.collapse_fallback == {"reason": "proc_dispatch"}
+
+    @pytest.mark.parametrize(
+        "reason, change",
+        [
+            (
+                "quorum",
+                dict(
+                    sync=SyncModel(
+                        "ssp3-quorum9", lambda: SSPPull(3), lambda: QuorumPush(9), staleness=3
+                    )
+                ),
+            ),
+            ("pull_condition", dict(sync=dsps())),
+            ("kept_spans", dict(keep_spans=True)),
+        ],
+    )
+    def test_first_failing_reason_is_reported(self, reason, change):
+        kwargs = {**_cell("cpu", "ssp3", "det", iters=2), **change}
+        runner = FluentPSSimRunner(SimConfig(**kwargs, obs=NULL_OBS))
+        runner.run()
+        assert runner.engine.rounds_collapsed == 0
+        assert runner.collapse_fallback == {"reason": reason}
+
+    def test_full_collapse_reports_no_fallback(self):
+        kwargs = _cell("cpu", "ssp3", "det", iters=3)
+        kwargs["base_compute_time"] = 5.0
+        obs = _columnar_obs()
+        runner = FluentPSSimRunner(SimConfig(**kwargs, obs=obs))
+        runner.run()
+        assert runner.engine.rounds_collapsed == 3
+        assert runner.collapse_fallback == {}
+        assert "collapse_fallback_total" not in obs.registry.names()
 
 
 class TestSeqCascade:

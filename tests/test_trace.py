@@ -1,5 +1,6 @@
 """Tests for the span/counter trace recorder."""
 
+import numpy as np
 import pytest
 
 from repro.sim.trace import COMM_KINDS, Span, SpanKind, TraceRecorder
@@ -77,6 +78,51 @@ class TestSpans:
 
     def test_span_duration(self):
         assert Span("w", SpanKind.PULL, 1.0, 3.5).duration == pytest.approx(2.5)
+
+
+class TestBatchSpans:
+    """``record_spans`` against one ``record_span`` call per element."""
+
+    @staticmethod
+    def _state(tr):
+        return (dict(tr._totals), dict(tr._span_counts), tr.end_time, list(tr.spans))
+
+    @pytest.mark.parametrize("keep_spans", [True, False])
+    def test_equals_per_span_calls(self, keep_spans):
+        rng = np.random.default_rng(3)
+        t0 = np.cumsum(rng.uniform(0.0, 3.0, size=400)) + 1e5
+        t1 = t0 + rng.uniform(0.0, 1e-3, size=400)  # totals that round
+        one_by_one = TraceRecorder(keep_spans=keep_spans)
+        batched = TraceRecorder(keep_spans=keep_spans)
+        for tr in (one_by_one, batched):
+            tr.record_span("server0", SpanKind.SERVER_APPLY, 0.25, 0.75)
+            tr.record_span("worker0", SpanKind.COMPUTE, 0.0, 9e5, 0)
+        for a, b in zip(t0.tolist(), t1.tolist()):
+            one_by_one.record_span("server0", SpanKind.SERVER_APPLY, a, b)
+        batched.record_spans("server0", SpanKind.SERVER_APPLY, t0, t1)
+        assert self._state(batched) == self._state(one_by_one)
+        assert len(batched.spans) == (402 if keep_spans else 0)
+
+    def test_negative_jitter_is_clipped_like_record_span(self):
+        t0 = np.array([1.0, 2.0, 3.0])
+        t1 = np.array([1.5, 2.0 - 1e-12, 3.25])
+        one_by_one, batched = TraceRecorder(), TraceRecorder()
+        for a, b in zip(t0.tolist(), t1.tolist()):
+            one_by_one.record_span("s", SpanKind.SERVER_APPLY, a, b, 4)
+        batched.record_spans("s", SpanKind.SERVER_APPLY, t0, t1, 4)
+        assert self._state(batched) == self._state(one_by_one)
+        assert batched.spans[1].duration == 0.0
+
+    def test_real_inversion_raises_and_records_nothing(self):
+        tr = TraceRecorder()
+        with pytest.raises(ValueError, match="ends before it starts"):
+            tr.record_spans("s", SpanKind.SERVER_APPLY, np.array([1.0, 5.0]), np.array([2.0, 4.0]))
+        assert tr.spans == [] and tr.count("s", SpanKind.SERVER_APPLY) == 0
+
+    def test_empty_batch_is_a_no_op(self):
+        tr = TraceRecorder()
+        tr.record_spans("s", SpanKind.SERVER_APPLY, np.empty(0), np.empty(0))
+        assert tr.actors() == [] and tr.end_time == 0.0
 
 
 class TestLeanMode:
