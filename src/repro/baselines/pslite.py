@@ -35,7 +35,6 @@ from repro.sim.runner import (
     FluentPSSimRunner,
     SimConfig,
     SimRunResult,
-    _PendingPull,
     _PullMsg,
     _PushMsg,
 )
@@ -166,20 +165,18 @@ class PSLiteSimRunner(FluentPSSimRunner):
             yield grant
             if self.engine.now > t_wait:
                 self.trace.record_span(name, SpanKind.BLOCKED, t_wait, self.engine.now, i)
-            # Phase 3: pull all shards.
+            # Phase 3: pull all shards.  The gather is exclusive: the one
+            # other message a worker ever receives, its grant, has landed
+            # (it is what opened this phase) and the next one needs the
+            # next report, which follows this pull.
             t_pull = self.engine.now
-            pending = _PendingPull(
-                self.engine,
-                cfg.cluster.n_servers,
-                self.spec.total_elements if cfg.task is not None else None,
-            )
-            self._pending[(w, i)] = pending
+            pending = self._open_pull(w)
             for m in range(cfg.cluster.n_servers):
                 self.net.send(
                     node, cfg.cluster.server_id(m), cfg.request_bytes,
                     payload=_PullMsg(w, i), tag="pull",
                 )
-            yield pending.signal
+            yield pending.gather
             self.trace.record_span(name, SpanKind.PULL, t_pull, self.engine.now, i)
             if params is not None:
                 params = pending.flat

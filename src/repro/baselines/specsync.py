@@ -37,7 +37,6 @@ from repro.sim.runner import (
     FluentPSSimRunner,
     SimConfig,
     SimRunResult,
-    _PendingPull,
     _PullMsg,
     _PushMsg,
 )
@@ -149,7 +148,7 @@ class SpecSyncRunner(FluentPSSimRunner):
                     self._abort_flags[w] = False
                     continue
                 t_refresh = self.engine.now
-                refreshed = yield from self._pull(w, i - 1, node, refresh=True)
+                refreshed = yield from self._pull(w, i - 1, node)
                 self.trace.record_span(name, SpanKind.PULL, t_refresh, self.engine.now, i)
                 if params is not None and refreshed.flat is not None:
                     params = refreshed.flat
@@ -182,47 +181,25 @@ class SpecSyncRunner(FluentPSSimRunner):
                     self.eval_by_iteration.append(i + 1, value)
         self._finish_times[w] = self.engine.now
 
-    def _pull(self, w: int, progress: int, node: str, refresh: bool = False):
-        """Pull all shards; resets the worker's freshness/abort state."""
+    def _pull(self, w: int, progress: int, node: str):
+        """Pull all shards; resets the worker's freshness/abort state.
+
+        The reply gather is *not* exclusive: the scheduler's abort
+        messages reach a worker's RX lane whenever the threshold trips,
+        mid-pull included, so every reply is an ordinary delivery."""
         cfg = self.cfg
-        pending = _PendingPull(
-            self.engine,
-            cfg.cluster.n_servers,
-            self.spec.total_elements if cfg.task is not None else None,
-        )
-        key = (w, progress if not refresh else -(progress + 2))
-        self._pending[key] = pending
+        pending = self._open_pull(w, exclusive=False)
         # ASP servers answer using the worker's *last pushed* progress;
         # refresh pulls reuse it (allowed: progress <= last push).
-        req_progress = max(progress, 0) if not refresh else max(progress, 0)
         for m in range(cfg.cluster.n_servers):
             self.net.send(
                 node, cfg.cluster.server_id(m), cfg.request_bytes,
-                payload=_PullMsg(w, req_progress), tag="pull",
+                payload=_PullMsg(w, max(progress, 0)), tag="pull",
             )
-        yield pending.signal
+        yield pending.gather
         self._fresh_counts[w] = 0
         self._abort_flags[w] = False
         return pending
-
-    def _on_reply_delivered(self, msg: Message) -> None:
-        # Replies key on (worker, progress); refresh pulls use a disjoint
-        # negative key space, so route by whichever pending entry matches.
-        payload = msg.payload
-        reply = payload.reply
-        for key in ((reply.worker, reply.progress), (reply.worker, -(reply.progress + 2))):
-            if key in self._pending:
-                pending = self._pending[key]
-                break
-        else:  # pragma: no cover - protocol violation
-            raise KeyError(f"no pending pull for reply {reply.worker}/{reply.progress}")
-        if pending.flat is not None and reply.params is not None:
-            self.layout.gather_into(pending.flat, payload.server, reply.params)
-        pending.max_missing = max(pending.max_missing, reply.missing)
-        pending.remaining -= 1
-        if pending.remaining == 0:
-            del self._pending[key]
-            pending.signal.fire(pending)
 
     def run(self) -> SimRunResult:
         self.engine.spawn(self._scheduler_proc(), name="specsync-scheduler")

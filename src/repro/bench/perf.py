@@ -403,6 +403,10 @@ def bench_null_telemetry(scale: PerfScale, engine_rate: float) -> BenchResult:
 # ---------------------------------------------------------------------------
 
 
+#: Shard servers in every macro run (M in the 2M+2 event census).
+_MACRO_SERVERS = 8
+
+
 def _bench_macro_run(name: str, workers: int, iters: int, repeats: int) -> BenchResult:
     """Best-of-N wall clock of one Fig-7-shaped timing-only co-simulation
     at ``workers`` × ``iters`` (fresh runner each run, like the micro
@@ -416,7 +420,7 @@ def _bench_macro_run(name: str, workers: int, iters: int, repeats: int) -> Bench
     counters: Dict[str, float] = {}
     for _ in range(max(1, repeats)):
         cfg = SimConfig(
-            cluster=cpu_cluster(workers, n_servers=8),
+            cluster=cpu_cluster(workers, n_servers=_MACRO_SERVERS),
             max_iter=iters,
             sync=ssp(3),
             workload=alexnet_cifar_workload(),
@@ -445,6 +449,8 @@ def _bench_macro_run(name: str, workers: int, iters: int, repeats: int) -> Bench
                 "rounds_collapsed": runner.engine.rounds_collapsed,
                 "round_events_saved": runner.engine.round_events_saved,
             }
+    # The events the run *represents*: processed plus analytically saved.
+    represented = events + counters.get("round_events_saved", 0.0)
     return BenchResult(
         name,
         wall,
@@ -452,16 +458,18 @@ def _bench_macro_run(name: str, workers: int, iters: int, repeats: int) -> Bench
         {
             "workers": workers,
             "iterations": iters,
+            "servers": _MACRO_SERVERS,
             "events": events,
             "events_per_sec": events / max(wall, 1e-9),
             # Scale-independent throughput proxy that stays meaningful
             # when the closed-form round fast-forward leaves few (or
-            # zero) events to process: the events the run *represents*
-            # per wall second, processed plus analytically saved.
-            "effective_events_per_sec": (
-                events + counters.get("round_events_saved", 0.0)
-            )
-            / max(wall, 1e-9),
+            # zero) events to process.
+            "effective_events_per_sec": represented / max(wall, 1e-9),
+            # The same census per unit of simulated work — a count the
+            # box cannot jitter: 2M+2 on the unobserved event path (two
+            # resumes and 2M request TX completions; the M replies ride
+            # the worker's fused gather), plus the one spawn wave.
+            "events_per_worker_iter": represented / (workers * iters),
             "sim_duration_s": result.duration,
             "messages_on_wire": result.messages_on_wire,
             "peak_rss_mb": _peak_rss_mb(),
@@ -539,7 +547,7 @@ def bench_macro_100k_sanitized(scale: PerfScale) -> BenchResult:
 
     def config(**observability) -> SimConfig:
         return SimConfig(
-            cluster=cpu_cluster(workers, n_servers=8),
+            cluster=cpu_cluster(workers, n_servers=_MACRO_SERVERS),
             max_iter=scale.macro100k_iters,
             sync=ssp(3),
             workload=alexnet_cifar_workload(),

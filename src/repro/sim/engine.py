@@ -460,9 +460,8 @@ class Engine:
         wraps: no adapter tuple is allocated and no handle is returned, so
         per-event cost stays at one heap push.  ``fn`` *must* accept exactly
         one positional argument (pack multiple values into a tuple).  The
-        network's analytic lane scheduler uses this protocol to post two
-        events per message instead of running a transfer process (it binds
-        the internal ``_schedule`` directly, which is this method minus the
+        network's analytic lane scheduler posts its per-message events on
+        this protocol (inlining ``_schedule``, this method minus the
         past-check — only safe when the timestamp is provably ``>= now``).
         """
         if when < self.now:

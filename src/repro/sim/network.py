@@ -16,7 +16,10 @@ Two scheduling paths produce identical timestamps (see
   capacity-1 FIFOs, so a transfer's timeline is a closed-form function of
   each lane's ``free_at`` cursor.  ``send`` advances the TX cursor and
   posts one event at TX completion; that event claims the RX cursor and
-  posts the delivery event.  Two heap events per message, no process.
+  posts the delivery event.  At most two heap events per message, no
+  process: a delivery nothing observes folds into the TX-completion
+  event, and a transfer into a fused :class:`Gather` posts none — its
+  last send schedules the private RX lane in closed form.
 - **Process fallback**: a generator per message that acquires the lane
   ``Resource`` objects explicitly.  Required when ``fabric_concurrency``
   caps simultaneous transfers (the cursors cannot express a shared cap);
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.sim.engine import Engine, Resource, Signal, Store
+from repro.sim.engine import Engine, Resource, Signal, SimulationError, Store, Waitable
 
 _SIGNAL_NEW = Signal.__new__
 
@@ -90,6 +93,7 @@ class Endpoint:
         "rx",
         "inbox",
         "sink",
+        "gather",
         "bytes_sent",
         "bytes_received",
         "messages_sent",
@@ -108,11 +112,14 @@ class Endpoint:
         self.rx = Resource(engine, capacity=1, name=f"{node_id}.rx")
         self.inbox = Store(engine, name=f"{node_id}.inbox")
         #: Direct-dispatch hook: when set, delivered messages are handed
-        #: to ``sink(msg)`` synchronously inside the delivery event
-        #: instead of being appended to :attr:`inbox` — no Store/Signal
-        #: round-trip, no resume event.  The consumer owns its own FIFO
-        #: discipline (see the runner's busy-window dispatcher).
+        #: to ``sink(msg)`` synchronously instead of being appended to
+        #: :attr:`inbox` — no Store/Signal round-trip, no resume event.
+        #: The consumer owns its own FIFO discipline and must time itself
+        #: off ``msg.deliver_time``: an unobserved signal-free delivery
+        #: runs the sink early, inside the TX-completion event.
         self.sink: Optional[Callable[["Message"], None]] = None
+        #: The exclusive :class:`Gather` that last claimed the RX lane.
+        self.gather: Optional["Gather"] = None
         self.bytes_sent = 0
         self.bytes_received = 0
         self.messages_sent = 0
@@ -144,6 +151,40 @@ class Endpoint:
         return self.rx_busy_s / now if now > 0 else 0.0
 
 
+@dataclass(slots=True, eq=False)
+class Gather(Waitable):
+    """``count`` transfers converging on one endpoint's RX lane, then one
+    completion.  The receiver opens it (:meth:`Network.gather`), senders
+    :meth:`Network.send` *to* it (no payload: it only counts), and the
+    receiver yields on it, resuming when the last transfer has drained.
+
+    Once a transfer's TX cursor is advanced only the RX lane orders
+    anything, so when that lane is private (``exclusive``: the protocol
+    author's declaration, enforced by :class:`Network`) and nothing
+    observes the analytic wire the gather is *fused*: no per-transfer
+    events, the last send schedules the lane in closed form.  Otherwise
+    it counts ordinary per-message deliveries (the differential oracle).
+    """
+
+    dst: Endpoint
+    remaining: int  #: transfers not yet drained (fused: not yet sent)
+    _legs: Optional[List[tuple]]  #: fused mode: (tx_end, send seq, size) per transfer sent
+    done_at: float = 0.0  #: completion instant, valid once ``remaining`` is 0
+    cause_id: int = -1  #: receive-side causal span of the last transfer to land
+    _waiter: Optional[Callable[[Any], None]] = None
+
+    def _subscribe(self, engine: Engine, callback: Callable[[Any], None]) -> None:
+        if self.remaining:
+            self._waiter = callback
+        else:
+            engine._schedule(max(engine.now, self.done_at), callback, self)
+
+    def _complete(self, engine: Engine, when: float) -> None:
+        self.done_at = when
+        if self._waiter is not None:
+            engine._schedule(when, self._waiter, self)
+
+
 class Network:
     """Point-to-point fabric connecting registered endpoints."""
 
@@ -158,7 +199,6 @@ class Network:
         "messages_in_flight",
         "fast_path_transfers",
         "fallback_transfers",
-        "fuse_delivery",
         "fused_deliveries",
         "causal",
         "delay_hook",
@@ -208,15 +248,11 @@ class Network:
         #: Scheduling-path counters (scraped by ``repro.obs.snapshot``).
         self.fast_path_transfers = 0
         self.fallback_transfers = 0
-        #: Fused delivery (set by the runner's analytic drain lanes): a
-        #: signal-free send to a sink endpoint folds its delivery into the
-        #: TX-completion event — ``msg.deliver_time`` carries the exact
-        #: RX-drain instant, the sink runs with that virtual clock, and
-        #: the per-message delivery event disappears.  Only engaged when
-        #: nothing can observe real-time delivery (no signal, no delivery
-        #: hooks); timings are bit-identical because the RX cursor math is
-        #: unchanged and sinks time themselves off ``deliver_time``.
-        self.fuse_delivery = False
+        #: Deliveries that posted no event of their own: a signal-free
+        #: send to a sink endpoint that nothing observes in real time (no
+        #: delivery or choice hook) delivers inside its TX-completion
+        #: event, ``msg.deliver_time`` carrying the exact RX-drain instant;
+        #: a transfer into a fused :class:`Gather` posts no event at all.
         self.fused_deliveries = 0
         #: Causal span sink (a :class:`repro.obs.causal.CausalTrace`);
         #: ``None`` keeps the wire paths recording-free.  Recording only
@@ -240,7 +276,7 @@ class Network:
         #: holds, so nothing lands in the past (:meth:`Engine.post` is the
         #: checked public spelling of the same protocol).
         self._tx_done_cb = self._fast_tx_done
-        self._deliver_cb = self._fast_deliver
+        self._deliver_cb = self._deliver
 
     def add_node(self, node_id: str, nic: NicSpec) -> Endpoint:
         if node_id in self.endpoints:
@@ -259,6 +295,31 @@ class Network:
         """Register a hook called (in sim time) whenever a message lands."""
         self._delivery_hooks.append(hook)
 
+    def gather(self, dst, count: int, exclusive: bool = False) -> Gather:
+        """Open a :class:`Gather` of ``count`` transfers into ``dst`` (Endpoint
+        or node id): fused when ``exclusive`` and the analytic wire is unobserved."""
+        if count < 1:
+            raise ValueError(f"a gather needs at least one transfer, got {count}")
+        dst_ep = self.endpoint(dst) if dst.__class__ is str else dst
+        self._check_private(dst_ep, self.engine.now)
+        fused = (
+            exclusive
+            and self.analytic
+            and not self._delivery_hooks
+            and self.delay_hook is None
+            and self.causal is None
+            and self.engine._choice_hook is None
+        )
+        opened = Gather(dst_ep, count, [] if fused else None)
+        dst_ep.gather = opened if exclusive else None
+        return opened
+
+    def _check_private(self, ep: Endpoint, now: float) -> None:
+        """Raise if ``ep``'s RX lane still belongs to an exclusive gather."""
+        held = ep.gather
+        if held is not None and (held.remaining or now < held.done_at):
+            raise SimulationError(f"{ep.node_id}: RX lane is private to an open exclusive gather")
+
     def send(
         self,
         src: str,
@@ -270,7 +331,6 @@ class Network:
         cause: int = -1,
         notify: bool = True,
         at: float = -1.0,
-        on_deliver: Optional[Callable[[Message], None]] = None,
     ) -> Optional[Signal]:
         """Start a transfer; returns a Signal fired with the Message upon
         delivery.  The message is also appended to the destination inbox
@@ -284,10 +344,10 @@ class Network:
         ``at`` (>= ``engine.now``) sends from a virtual instant instead of
         the engine clock — the runner's analytic drain lanes use it so a
         reply issued from a cascaded handle time serializes exactly when
-        the event-driven drain would have sent it.  ``on_deliver`` runs a
-        plain callback inline inside the delivery event instead of firing
-        a Signal — one event and one allocation cheaper per message than
-        subscribing; it supersedes ``notify`` and the call returns None."""
+        the event-driven drain would have sent it (analytic wire only: a
+        transfer process cannot start in the future).  ``dst`` may be an
+        open :class:`Gather`: the transfer counts toward it instead of an
+        inbox or signal, and the call returns ``None``."""
         if size_bytes < 0:
             raise ValueError(f"negative message size: {size_bytes}")
         # ``src``/``dst`` may be Endpoint objects instead of node ids: at
@@ -295,18 +355,20 @@ class Network:
         # lookups per send are cache misses; hot callers (the runner)
         # memoize their endpoints and skip the registry entirely.
         if src.__class__ is str:
-            try:
-                src_ep = self.endpoints[src]
-            except KeyError as missing:
-                raise KeyError(f"unknown node {missing.args[0]!r}") from None
+            src_ep = self.endpoint(src)
         else:
             src_ep = src
             src = src_ep.node_id
+        done = None
         if dst.__class__ is str:
-            try:
-                dst_ep = self.endpoints[dst]
-            except KeyError as missing:
-                raise KeyError(f"unknown node {missing.args[0]!r}") from None
+            dst_ep = self.endpoint(dst)
+        elif dst.__class__ is Gather:
+            done = dst
+            dst_ep = done.dst
+            dst = dst_ep.node_id
+            deliver_to_inbox = notify = False
+            if not done.remaining:
+                raise ValueError(f"gather into {dst} is already complete")
         else:
             dst_ep = dst
             dst = dst_ep.node_id
@@ -315,7 +377,16 @@ class Network:
         if at >= 0.0:
             if at < now:
                 raise ValueError(f"cannot send from the past: {at} < {now}")
+            if at > now and not self.analytic:
+                raise ValueError(f"the process wire sends at engine.now={now}, not at={at}")
             now = at
+        # One identity test on the hot path: it differs only for a plain
+        # send into a privately held lane, or a non-exclusive gather.
+        if dst_ep.gather is not done:
+            self._check_private(dst_ep, now)
+        if done is not None and done._legs is not None:
+            self._join_fused(done, src_ep, size_bytes, now)
+            return None
         # Manual slot fills mirror Message.__init__ / Signal.__init__ (keep
         # in sync): skipping the constructor frames saves ~100 ns per
         # message, which is real money at incast rates.  The signal's
@@ -334,17 +405,13 @@ class Network:
         msg.cause_id = cause
         self.bytes_in_flight += size_bytes
         self.messages_in_flight += 1
-        if on_deliver is not None:
-            done = on_deliver
-        elif notify:
+        if notify:
             done = _SIGNAL_NEW(Signal)
             done._engine = engine
             done._fired = False
             done._payload = None
             done._waiters = None
             done.name = "deliver"
-        else:
-            done = None
         if self.analytic:
             # Analytic fast path: the TX lane is a capacity-1 FIFO, so
             # this transfer starts serializing the instant the lane frees.
@@ -368,31 +435,67 @@ class Network:
             tx_end = (tx_free if tx_free > now else now) + tx_hold
             src_ep.tx_free_at = tx_end
             engine._seq = seq = engine._seq + 1
-            _heappush(
-                engine._heap,
-                (
-                    tx_end,
-                    seq,
-                    self._tx_done_cb,
-                    (
-                        msg,
-                        src_ep,
-                        dst_ep,
-                        done,
-                        deliver_to_inbox,
-                        tx_hold,
-                        rx_hold,
-                        tx_end + self.latency_s,
-                    ),
-                ),
-            )
+            arrival = tx_end + self.latency_s
+            packed = (msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival)
+            _heappush(engine._heap, (tx_end, seq, self._tx_done_cb, packed))
         else:
             self.fallback_transfers += 1
             self.engine.spawn(
                 self._transfer(msg, src_ep, dst_ep, done, deliver_to_inbox),
                 name="xfer",
             )
-        return done
+        return done if notify else None
+
+    def _join_fused(self, g: Gather, src_ep: Endpoint, size_bytes: int, now: float) -> None:
+        """One transfer into a fused gather: no message, no event.  The TX
+        side advances as a plain send at ``now`` advances it (one msg id
+        and one seq consumed: later messages keep their ids and tie ranks);
+        the last transfer replays the RX claims the per-message TX-completion
+        events would make — ``(tx_end, send seq)`` order, same float ops, same
+        ``rx_busy_s`` accumulation — and posts the waiter at the final ``rx_free``."""
+        self._next_msg_id += 1
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        tx_hold = src_ep.serialize_time(size_bytes)
+        tx_free = src_ep.tx_free_at
+        src_ep.tx_free_at = tx_end = (tx_free if tx_free > now else now) + tx_hold
+        src_ep.tx_busy_s += tx_hold
+        src_ep.bytes_sent += size_bytes
+        src_ep.messages_sent += 1
+        legs = g._legs
+        legs.append((tx_end, seq, size_bytes))
+        g.remaining -= 1
+        if g.remaining:
+            return
+        legs.sort()
+        dst_ep = g.dst
+        latency = self.latency_s
+        rx_free = dst_ep.rx_free_at
+        rx_busy = dst_ep.rx_busy_s
+        nbytes = 0
+        for tx_end, _seq, size in legs:
+            rx_hold = dst_ep.serialize_time(size)
+            arrival = tx_end + latency
+            rx_free = (rx_free if rx_free > arrival else arrival) + rx_hold
+            rx_busy += rx_hold
+            nbytes += size
+        dst_ep.rx_free_at = rx_free
+        dst_ep.rx_busy_s = rx_busy
+        dst_ep.bytes_received += nbytes
+        dst_ep.messages_received += len(legs)
+        self.total_bytes += nbytes
+        self.total_messages += len(legs)
+        self.fast_path_transfers += len(legs)
+        self.fused_deliveries += len(legs)
+        g._complete(engine, rx_free)
+
+    @staticmethod
+    def _record_wire(causal, msg, tx_start: float, arrival: float, rx_end: float) -> None:
+        """One transfer's three causal spans; ``msg.cause_id`` becomes the rx span."""
+        tag = msg.tag
+        q = causal.record(msg.cause_id, msg.src, "tx_queue", msg.send_time, tx_start, tag=tag)
+        w = causal.record(q, f"{msg.src}->{msg.dst}", "wire", tx_start, arrival, tag=tag)
+        msg.cause_id = causal.record(w, msg.dst, "rx", arrival, rx_end, tag=tag)
 
     def _fast_tx_done(self, packed) -> None:
         """TX lane released (fast path): book TX stats, claim the RX lane.
@@ -428,17 +531,10 @@ class Network:
             tx_start = self.engine.now - tx_hold
             if tx_start < msg.send_time:
                 tx_start = msg.send_time
-            q = causal.record(
-                msg.cause_id, msg.src, "tx_queue", msg.send_time, tx_start, tag=msg.tag
-            )
-            w = causal.record(
-                q, f"{msg.src}->{msg.dst}", "wire", tx_start, arrival, tag=msg.tag
-            )
-            msg.cause_id = causal.record(w, msg.dst, "rx", arrival, rx_end, tag=msg.tag)
+            self._record_wire(causal, msg, tx_start, arrival, rx_end)
         engine = self.engine
         if (
             done is None
-            and self.fuse_delivery
             and deliver_to_inbox
             and dst_ep.sink is not None
             and not self._delivery_hooks
@@ -446,11 +542,9 @@ class Network:
         ):
             # Fused delivery: nothing observes this message in real time
             # (no signal, no hooks, sink consumer), so fold the delivery
-            # bookkeeping into this TX event.  ``deliver_time`` carries
-            # the exact RX-drain instant the delivery event would have
-            # fired at; the sink (the runner's analytic drain lane) times
-            # the handle off it, so the timeline is bit-identical — only
-            # the per-message delivery event disappears.
+            # bookkeeping into this TX event.  The sink (the runner's
+            # analytic drain lane) times the handle off ``deliver_time``,
+            # so the timeline is bit-identical — only the event is gone.
             self.fused_deliveries += 1
             size = msg.size_bytes
             dst_ep.rx_busy_s += rx_hold
@@ -464,16 +558,15 @@ class Network:
             dst_ep.sink(msg)
             return
         # The packed tuple is reused verbatim for the delivery event (one
-        # fewer allocation per message); _fast_deliver ignores the TX slots.
+        # fewer allocation per message); _deliver ignores the TX slots.
         engine._seq = seq = engine._seq + 1
         _heappush(engine._heap, (rx_end, seq, self._deliver_cb, packed))
 
-    def _fast_deliver(self, packed) -> None:
-        """RX drain finished (fast path): book RX stats and deliver.
+    def _deliver(self, packed) -> None:
+        """RX drain finished (either wire): book RX stats and deliver.
 
-        The delivery tail is inlined (kept in sync with :meth:`_deliver`,
-        which the process fallback uses), including the uncontended
-        ``Store.put`` append: per-message calls matter at incast rates.
+        ``Store.put`` (its uncontended append) and ``Signal.fire`` are
+        inlined: per-message calls matter at incast rates.
         """
         msg, _src_ep, dst_ep, done, deliver_to_inbox, _tx_hold, rx_hold, _arrival = packed
         size = msg.size_bytes
@@ -502,10 +595,13 @@ class Network:
                 hook(msg)
         # Inlined Signal.fire (keep in sync): `done` is created unfired by
         # send() and fired exactly once, here (None for notify=False sends;
-        # a plain callable for on_deliver sends, invoked inline instead).
+        # the Gather the transfer counts toward for gather sends).
         if done is not None:
-            if done.__class__ is not Signal:
-                done(msg)
+            if done.__class__ is Gather:
+                done.cause_id = msg.cause_id
+                done.remaining -= 1
+                if not done.remaining:
+                    done._complete(engine, engine.now)
                 return
             done._fired = True
             done._payload = msg
@@ -524,15 +620,13 @@ class Network:
         # Bare-number yields are the engine's zero-allocation timeout path;
         # uncontended acquires reuse the resource's shared grant signal.
         causal = self.causal
-        tx_start = arrival = 0.0
         try:
             # Sender-side serialization (FIFO on the TX lane).
             yield src_ep.tx.acquire()
             if self._fabric is not None:
                 yield self._fabric.acquire()
             tx_hold = src_ep.serialize_time(msg.size_bytes)
-            if causal is not None:
-                tx_start = self.engine.now
+            tx_start = self.engine.now
             yield tx_hold
             src_ep.tx.release()
             src_ep.tx_busy_s += tx_hold
@@ -540,8 +634,7 @@ class Network:
             src_ep.messages_sent += 1
             # Propagation.
             yield self.latency_s
-            if causal is not None:
-                arrival = self.engine.now
+            arrival = self.engine.now
             # Receiver-side drain (incast point).
             yield dst_ep.rx.acquire()
             rx_hold = dst_ep.serialize_time(msg.size_bytes)
@@ -558,48 +651,19 @@ class Network:
             dst_ep.rx.release()
             if self._fabric is not None:
                 self._fabric.release()
-            dst_ep.rx_busy_s += rx_hold
-        finally:
+        except BaseException:
             # A cancelled (GeneratorExit) or failing transfer must still
             # take its bytes off the wire, or the in-flight gauges drift
             # upward forever and the snapshot report lies.
             self.bytes_in_flight -= msg.size_bytes
             self.messages_in_flight -= 1
+            raise
         if causal is not None:
             # Same three spans as the fast path, from observed resume
             # times — the fallback contends on Resource lanes, so here RX
             # queueing shows up between ``arrival`` and the final drain.
-            q = causal.record(
-                msg.cause_id, msg.src, "tx_queue", msg.send_time, tx_start, tag=msg.tag
-            )
-            w = causal.record(
-                q, f"{msg.src}->{msg.dst}", "wire", tx_start, arrival, tag=msg.tag
-            )
-            msg.cause_id = causal.record(
-                w, msg.dst, "rx", arrival, self.engine.now, tag=msg.tag
-            )
-        self._deliver(msg, dst_ep, done, deliver_to_inbox)
-
-    def _deliver(self, msg, dst_ep, done, deliver_to_inbox) -> None:
-        """Delivery tail for the process fallback (the fast path inlines
-        the same sequence in :meth:`_fast_deliver` — keep them in sync)."""
-        dst_ep.bytes_received += msg.size_bytes
-        dst_ep.messages_received += 1
-        self.total_bytes += msg.size_bytes
-        self.total_messages += 1
-        msg.deliver_time = self.engine.now
-        if deliver_to_inbox:
-            if dst_ep.sink is not None:
-                dst_ep.sink(msg)
-            else:
-                dst_ep.inbox.put(msg)
-        for hook in self._delivery_hooks:
-            hook(msg)
-        if done is not None:
-            if done.__class__ is not Signal:
-                done(msg)
-            else:
-                done.fire(msg)
+            self._record_wire(causal, msg, tx_start, arrival, self.engine.now)
+        self._deliver((msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival))
 
     def transfer_time_estimate(self, src: str, dst: str, size_bytes: int) -> float:
         """Uncontended end-to-end transfer time (analytic, for sizing).

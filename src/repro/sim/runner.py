@@ -52,7 +52,7 @@ from repro.obs.export import (
 from repro.obs.snapshot import ServerSnapshotter
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Engine, Timeout
-from repro.sim.network import Message, Network
+from repro.sim.network import Gather, Message, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import SpanKind, TraceRecorder
 from repro.utils.records import SeriesRecord
@@ -227,22 +227,11 @@ class _PullMsg:
 
 
 @dataclass(slots=True)
-class _ReplyMsg:
-    server: int
-    reply: PullReply
-
-
 class _PendingPull:
-    __slots__ = ("flat", "remaining", "signal", "max_missing", "last_cause")
+    """One worker's outstanding sPull round."""
 
-    def __init__(self, engine: Engine, n_servers: int, n_elements: Optional[int]):
-        self.flat = np.empty(n_elements) if n_elements is not None else None
-        self.remaining = n_servers
-        self.signal = engine.signal("pull-complete")
-        self.max_missing = 0
-        #: Causal span id of the last reply to land (-1 when tracing is
-        #: off) — the cause that actually released the worker's sync wait.
-        self.last_cause = -1
+    gather: Gather  #: the reply gather the worker waits on
+    flat: Optional[np.ndarray]  #: co-simulation: where shard snapshots assemble
 
 
 def _seq_cascade(
@@ -452,7 +441,8 @@ class FluentPSSimRunner:
                 models=[mod.name for mod in models],
                 execution=config.execution.value,
             )
-        self._pending: Dict[Tuple[int, int], _PendingPull] = {}
+        #: Each worker's latest sPull round (a worker has one at a time).
+        self._pending: Dict[int, _PendingPull] = {}
         self._filters: List[PushFilter] = [
             config.push_filter_factory() if config.push_filter_factory else NoFilter()
             for _ in range(n)
@@ -524,7 +514,7 @@ class FluentPSSimRunner:
         :meth:`_handle_server_msg`, so handle times and per-server FIFO
         order match the direct dispatcher bit-for-bit; only the event
         structure (inbox resume + timeout vs. inline lane) differs."""
-        ep = self.net.endpoint(self.cfg.cluster.server_id(m))
+        ep = self._srv_eps[m]
         while True:
             msg: Message = yield ep.inbox.get()
             cost = self._handle_server_msg(m, msg, self.engine.now)
@@ -611,42 +601,31 @@ class FluentPSSimRunner:
                 worker=reply.worker, iteration=reply.progress, shard=server,
                 tag="dpr", blocked_on=self._current_push_worker,
             )
+        pending = self._pending[reply.worker]
+        if pending.flat is not None and reply.params is not None:
+            # Snapshots are immutable: copy at the (virtual) send instant,
+            # so no in-flight reply pins one.
+            self.layout.gather_into(pending.flat, server, reply.params)
+        # A reply issued from a cascaded lane handle serializes at the
+        # virtual handle time (``at``), not the earlier engine clock.
         self.net.send(
             self._srv_eps[server],
-            self._wkr_eps[reply.worker],
+            pending.gather,
             self._shard_bytes[server],
-            payload=_ReplyMsg(server, reply),
             tag="reply",
             cause=cause,
-            # Workers consume replies via this subscription, never the
-            # inbox (the waiter event also keeps the worker-resume seq
-            # allocation where the golden schedules expect it; an inline
-            # sink moves it and reorders same-instant ties).  Skipping
-            # the inbox append keeps 10k-worker runs from pinning every
-            # reply Message (and its COW snapshot) alive in an unread
-            # queue.
-            deliver_to_inbox=False,
-            # Replies issued from a cascaded lane handle must serialize
-            # at the virtual handle time, not the (earlier) engine clock.
             at=self._srv_now[server],
-            # Inline delivery callback: skips the Signal allocation and
-            # the subscriber resume event per reply (the gather happens
-            # inside the delivery event itself).
-            on_deliver=self._on_reply_delivered,
         )
 
-    def _on_reply_delivered(self, msg: Message) -> None:
-        payload: _ReplyMsg = msg.payload
-        reply = payload.reply
-        pending = self._pending[(reply.worker, reply.progress)]
-        if pending.flat is not None and reply.params is not None:
-            self.layout.gather_into(pending.flat, payload.server, reply.params)
-        pending.max_missing = max(pending.max_missing, reply.missing)
-        pending.last_cause = msg.cause_id
-        pending.remaining -= 1
-        if pending.remaining == 0:
-            del self._pending[(reply.worker, reply.progress)]
-            pending.signal.fire(pending)
+    def _open_pull(self, w: int, exclusive: bool = True) -> _PendingPull:
+        """Open worker ``w``'s reply gather, one transfer per shard.
+        ``exclusive``: nothing else reaches ``w``'s RX lane meanwhile — the
+        stock protocol sends a worker nothing but its own M replies."""
+        pending = self._pending[w] = _PendingPull(
+            self.net.gather(self._wkr_eps[w], self.cfg.cluster.n_servers, exclusive),
+            np.empty(self.spec.total_elements) if self.cfg.task is not None else None,
+        )
+        return pending
 
     # -- worker side ---------------------------------------------------------------
 
@@ -720,12 +699,7 @@ class FluentPSSimRunner:
             # sPull from every shard server, then wait (lines 5-6).  The
             # push/pull messages share the worker's FIFO TX lane, so each
             # server sees this iteration's push before its pull.
-            pending = _PendingPull(
-                engine,
-                n_servers,
-                self.spec.total_elements if cfg.task is not None else None,
-            )
-            self._pending[(w, i)] = pending
+            pending = self._open_pull(w)
             for m in range(n_servers):
                 send(
                     node,
@@ -736,12 +710,13 @@ class FluentPSSimRunner:
                     cause=cause,
                     notify=False,
                 )
-            yield pending.signal
+            yield pending.gather
             record_span(name, SpanKind.PULL, t_sync, engine.now, i)
             if causal is not None:
                 # Terminal span of the iteration's DAG: parented on the
                 # last reply to land (the cause that released the wait).
-                parent = pending.last_cause if pending.last_cause >= 0 else cause
+                last = pending.gather.cause_id
+                parent = last if last >= 0 else cause
                 causal.record(
                     parent, name, "sync_wait", t_sync, engine.now,
                     worker=w, iteration=i,
@@ -916,10 +891,10 @@ class FluentPSSimRunner:
         rounds = 0
         inline_total = 0
         drained_total = 0
-        # Event census per worker per round: 2 resume events, 2M request
-        # TX completions, M reply TX completions, M reply deliveries —
-        # plus 2M request deliveries when they do not fuse.
-        saved_per_round = n * (2 + (4 if fused else 6) * M)
+        # Event census per worker per round: 2 resume events and 2M request
+        # TX completions (the M replies ride the worker's fused gather) —
+        # plus, under delivery hooks, 2M request deliveries and 2M reply events.
+        saved_per_round = n * (2 + (2 if fused else 6) * M)
         sum_push = sum(push_bytes)
 
         def _flush() -> None:
@@ -953,7 +928,7 @@ class FluentPSSimRunner:
             net.fast_path_transfers += nmsg
             net._next_msg_id += nmsg
             if fused:
-                net.fused_deliveries += rounds * K * n
+                net.fused_deliveries += nmsg
             self.server_msgs_inline += inline_total
             self.server_msgs_drained += drained_total
 
@@ -1067,10 +1042,12 @@ class FluentPSSimRunner:
                 rrx[:, j] = cur
                 new_wrx_busy = new_wrx_busy + hold_s[:, j]
             f = cur
-            # The sync wait releases inside the last reply's delivery
-            # event; resume seqs are allocated there, so next round's
-            # resume rank is this fire order.
-            fire_order = np.lexsort((rr_s[:, -1], rtx_s[:, -1], f))
+            # Next round's resume rank is the order the waiters' seqs are
+            # allocated in: where the fused gather closes (the handle of the
+            # worker's last pull), or in the last reply's delivery under hooks.
+            fire_order = np.lexsort(
+                (wrank, T[:, -1], f) if fused else (rr_s[:, -1], rtx_s[:, -1], f)
+            )
 
             # -- inter-round isolation check ------------------------------
             last_round = r + 1 >= cfg.max_iter
@@ -1289,12 +1266,10 @@ class FluentPSSimRunner:
                 self.engine.spawn(self._server_proc(m), name=f"server{m}")
         else:
             for m in range(self.cfg.cluster.n_servers):
-                ep = self.net.endpoint(self.cfg.cluster.server_id(m))
-                ep.sink = partial(self._dispatch_server, m)
-            # Analytic drain lanes time themselves off
-            # ``msg.deliver_time``, so signal-free request deliveries can
-            # fold into their TX-completion events.
-            self.net.fuse_delivery = True
+                # The lane times itself off ``msg.deliver_time``, so
+                # signal-free request deliveries fold into their
+                # TX-completion events (see ``Endpoint.sink``).
+                self._srv_eps[m].sink = partial(self._dispatch_server, m)
         # Closed-form round fast-forward: when every shard is provably
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the
@@ -1332,9 +1307,10 @@ class FluentPSSimRunner:
             # Final snapshot so the last partial period is never dropped
             # (a no-op when the periodic scrape already landed at end time).
             snapshotter.finalize(self.engine.now)
-        if self._pending:
+        unanswered = sum(1 for p in self._pending.values() if p.gather.remaining)
+        if unanswered:
             raise RuntimeError(
-                f"simulation drained with {len(self._pending)} unanswered pulls "
+                f"simulation drained with {unanswered} unanswered pulls "
                 "(synchronization deadlock)"
             )
         if self._capture is not None:

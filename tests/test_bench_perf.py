@@ -99,6 +99,21 @@ class TestSuite:
             assert key in result.detail, key
         assert result.detail["peak_rss_mb"] > 0  # ru_maxrss works on Linux
 
+    @pytest.mark.no_sanitize  # the ambient causal trace un-fuses the replies
+    def test_macro_detail_reports_the_event_census(self):
+        """``events_per_worker_iter`` is a count, not a rate: 2M+2 per
+        worker-iteration on the unobserved event path (the M replies ride
+        the fused gather) plus the one spawn wave, processed or credited."""
+        from repro.bench.perf import bench_macro, bench_macro_100k
+
+        for bench in (bench_macro, bench_macro_100k):
+            detail = bench(TINY).detail
+            census = 2 * detail["servers"] + 2 + 1 / detail["iterations"]
+            assert detail["events_per_worker_iter"] == pytest.approx(census, abs=1e-12)
+            assert detail["events_per_worker_iter"] * detail["workers"] * detail[
+                "iterations"
+            ] == pytest.approx(detail["events"] + detail["round_events_saved"])
+
     def test_sanitized_macro_reports_its_cost_over_the_raw_twin(self):
         from repro.bench.perf import bench_macro_100k_sanitized
 

@@ -156,6 +156,27 @@ class TestFabric:
         with pytest.raises(ValueError):
             Network(Engine(), latency_s=-1.0)
 
+    def test_future_send_instant_is_rejected_on_the_process_wire(self):
+        """``at`` is a virtual send instant for the analytic cursors; a
+        transfer process starts at ``engine.now``, so a later ``at`` would
+        stamp ``send_time`` with an instant the transfer never honoured."""
+        for eng, net in (make_net(bw=100.0, fabric=1), make_net(bw=100.0)):
+            eng.run(until=1.0)
+            if net.analytic:
+                net.analytic = False  # the other way onto the process wire
+            with pytest.raises(ValueError, match="process wire"):
+                net.send("a", "b", 100, at=2.5)
+            assert net.messages_in_flight == 0 and net.fallback_transfers == 0
+            box = []
+            net.send("a", "b", 100, at=1.0).subscribe(box.append)  # at == now is fine
+            eng.run()
+            assert box[0].send_time == 1.0 and box[0].deliver_time == pytest.approx(3.0)
+        eng, net = make_net(bw=100.0)
+        box = []
+        net.send("a", "b", 100, at=2.5).subscribe(box.append)  # analytic wire: allowed
+        eng.run()
+        assert box[0].send_time == 2.5 and box[0].deliver_time == pytest.approx(4.5)
+
 
 class TestAccounting:
     def test_bytes_in_flight_returns_to_zero(self):

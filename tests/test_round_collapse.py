@@ -149,13 +149,24 @@ class TestVectorModeDifferential:
         assert ra.engine.rounds_collapsed > 0
         assert ra.engine.round_events_saved > 0
 
-    def test_full_collapse_leaves_no_events(self):
+    def _fully_collapsed(self, hooks):
         kwargs = _cell("cpu", "ssp3", "det", iters=3)
         kwargs["base_compute_time"] = 5.0  # comm spread << compute: isolated
-        ra, rb = _assert_differential(kwargs)
+        ra, rb = _assert_differential(kwargs, hooks=hooks)
         assert ra.engine.rounds_collapsed == 3
         assert ra.engine.events_processed == 0
         assert rb.engine.events_processed == ra.engine.round_events_saved
+        return ra.engine.round_events_saved
+
+    def test_full_collapse_leaves_no_events(self):
+        # Under delivery hooks every message is two events: per
+        # worker-round 2 resumes + 2 x 3M, and one spawn wave (n=12, M=3).
+        assert self._fully_collapsed(hooks=True) == 3 * 12 * (2 + 6 * 3) + 12
+
+    def test_full_collapse_census_without_hooks(self):
+        # Unobserved: 2 resumes + 2M request TX completions; the M
+        # replies ride the worker's fused gather and post nothing.
+        assert self._fully_collapsed(hooks=False) == 3 * 12 * (2 + 2 * 3) + 12
 
 
 class TestDevectorization:
