@@ -12,19 +12,28 @@ schedules.
 
 Independence relation (dynamic partial-order reduction)
 -------------------------------------------------------
-Two tied events *conflict* (their order can matter) only when they race
-for the same per-node FIFO:
+The runner dispatches directly: a request is *handled inside its ``rx``
+event* (the delivery event hands the message to the shard's sink), so the
+order of ``rx`` events at one destination **is** that server's handling
+order — and with it coin-flip consumption, DPR buffering and update
+application order.  Two tied events *conflict* (their order can matter)
+only when they race for the same per-node FIFO:
 
-- ``tx`` events (TX-lane completion, fast path) to the **same
-  destination** conflict: whichever runs first claims the destination's
-  RX cursor first, which decides delivery order — and server handling
-  order, coin-flip consumption, and update application order downstream.
-- ``rx``/``deliver`` events at the same destination conflict for the
-  same reason (in practice positive per-lane holds keep them from tying).
+- ``rx`` events at the **same destination** conflict: whichever runs
+  first is handled (server) or counted (worker gather) first.
+- ``tx`` events (TX-lane completion) to the same destination conflict
+  only under a delay perturbation: whichever runs first claims the
+  destination's RX cursor first, which on the zero-hold exploration
+  cluster is observable only once a delay advances that cursor.
 - Everything else — events on different nodes, wire events for different
-  destinations, local compute/overhead resumes — commutes: swapping them
-  yields the same per-destination delivery order, i.e. the same
-  Mazurkiewicz trace.
+  destinations, local compute resumes, a worker's resume after its reply
+  gather closes (it touches only that worker's state) — commutes:
+  swapping them yields the same per-destination delivery order, i.e. the
+  same Mazurkiewicz trace.
+
+The relation is complete for this event structure: exhaustive search
+reaches exactly the closed-form number of per-destination delivery
+orders, one run per schedule (``tests/test_analysis_explore.py``).
 
 The explorer branches only on conflicting alternatives inside each tie
 group; commuting alternatives are counted as *pruned*.  Every explored
@@ -169,16 +178,25 @@ class ExploreConfig:
 # -- event labels and the independence relation ---------------------------
 
 
+#: The wire's two per-message callbacks (``Network``), by function name.
+_WIRE_KINDS = {"_fast_tx_done": "tx", "_deliver": "rx"}
+
+
 def _label(entry: Tuple) -> Tuple:
     """Stable identity of one heap entry for decisions and replay checks.
 
     Wire events carry the message coordinates; everything else is local
     (``(local, fn, seq)`` — unique, hence independent of everything).
+    A wire callback this module does not know raises: classifying it by
+    default would silently change what the search branches on.
     """
     fn, arg = entry[2], entry[3]
     if type(arg) is tuple and arg and arg[0].__class__ is Message:
         msg = arg[0]
-        kind = "tx" if getattr(fn, "__name__", "") == "_fast_tx_done" else "rx"
+        name = getattr(fn, "__name__", "?")
+        kind = _WIRE_KINDS.get(name)
+        if kind is None:
+            raise ValueError(f"unknown wire callback {name!r}; have {sorted(_WIRE_KINDS)}")
         return (kind, msg.tag, msg.src, msg.dst, msg.msg_id)
     if arg.__class__ is Message:
         return ("deliver", arg.tag, arg.src, arg.dst, arg.msg_id)
@@ -189,19 +207,18 @@ def _conflict_key(label: Tuple, tx_conflicts: bool = False) -> Optional[Tuple]:
     """Events conflict iff their keys are equal (None = conflicts with
     nothing): wire events racing for the same destination FIFO.
 
-    On the zero-hold exploration cluster a ``tx`` event's RX-cursor claim
-    is a no-op (``rx_end == arrival`` regardless of claim order), so tx
-    ties commute — unless a delay perturbation is active, which advances
-    the cursor and makes claim order observable again
-    (``tx_conflicts=True``).
+    An ``rx`` event handles its request (or counts its reply) inside the
+    event, so ``rx`` order at a destination is handling order.  On the
+    zero-hold exploration cluster a ``tx`` event's RX-cursor claim is a
+    no-op (``rx_end == arrival`` regardless of claim order), so tx ties
+    commute — unless a delay perturbation is active, which advances the
+    cursor and makes claim order observable again (``tx_conflicts=True``).
     """
     kind = label[0]
     if kind == "rx" or (kind == "tx" and tx_conflicts):
         return (kind, label[3])  # (kind, dst)
-    # ``local`` events and post-delivery resumes commute: inbox
-    # consumption order equals append order however they interleave, and
-    # the worker's reply bookkeeping (disjoint-shard gather, max, a
-    # countdown) is commutative.
+    # ``local`` events commute: a compute resume, or a worker's resume
+    # after its reply gather closed, touches only that worker's state.
     return None
 
 
@@ -356,14 +373,6 @@ def _sim_config(cfg: ExploreConfig):
         # group its deliveries arrived in (ordering freedom, no skew).
         server_op_overhead_s=0.0,
         dpr_overhead_s=0.0,
-        # The independence relation in ``_conflict_key`` is stated over
-        # the inbox-loop event structure (an ``rx`` event only appends;
-        # handling runs in a later resume event).  The direct dispatcher
-        # folds handling into the ``rx`` event itself, which changes
-        # what a tie flip reorders — so exploration always drives the
-        # proc oracle.  Direct-vs-proc equivalence on natural schedules
-        # is covered by the dispatch differential tests instead.
-        server_dispatch="proc",
         # Keep periodic scrapes far out of the protocol's tie groups.
         snapshot_interval_s=10.0,
     )
@@ -439,7 +448,9 @@ class ChoiceTrace:
     ``choices[i]`` is the index taken at decision ``i`` (trailing FIFO
     defaults are stripped); ``chosen_labels`` pins each chosen event's
     identity so replay detects drift against a changed codebase instead
-    of silently checking a different schedule.
+    of silently checking a different schedule.  Version 1 traces were
+    recorded over the one-generator-per-server inbox loop, whose tie
+    groups differ; they are refused by version, not replayed.
     """
 
     config: Dict[str, Any]
@@ -447,7 +458,7 @@ class ChoiceTrace:
     chosen_labels: List[List[Any]] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
     found_after_runs: int = 0
-    version: int = 1
+    version: int = 2
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -455,8 +466,10 @@ class ChoiceTrace:
     @classmethod
     def from_json(cls, text: str) -> "ChoiceTrace":
         doc = json.loads(text)
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported choice-trace version {doc.get('version')!r}")
+        if doc.get("version") != cls.version:
+            raise ValueError(
+                f"unsupported choice-trace version {doc.get('version')!r} (need {cls.version})"
+            )
         return cls(
             config=doc["config"],
             choices=[int(c) for c in doc["choices"]],

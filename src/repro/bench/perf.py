@@ -239,7 +239,6 @@ def bench_network(scale: PerfScale) -> BenchResult:
         dt = time.perf_counter() - t0
         assert sink.messages_received == scale.net_senders * scale.net_msgs
         counters["fast_path_transfers"] = net.fast_path_transfers
-        counters["fallback_transfers"] = net.fallback_transfers
         return float(net.total_messages), dt
 
     rate, secs = _best(run_once, scale.repeats)
@@ -437,7 +436,6 @@ def _bench_macro_run(name: str, workers: int, iters: int, repeats: int) -> Bench
             result = run_result
             counters = {
                 "fast_path_transfers": runner.net.fast_path_transfers,
-                "fallback_transfers": runner.net.fallback_transfers,
                 "snapshot_copies": sum(s.snapshot_copies for s in runner.servers),
                 "snapshot_copies_avoided": sum(
                     s.snapshot_copies_avoided for s in runner.servers

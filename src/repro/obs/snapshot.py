@@ -10,9 +10,9 @@ time, the live quantities the paper's mechanisms act on:
   pull — the input signals any dynamic policy (DSPS/DSSP-style) needs;
 - network pressure: bytes in flight plus per-node TX/RX NIC utilization
   (the incast bottleneck of §II-B, now visible as a series);
-- fast-path health: how many transfers took the analytic lane scheduler
-  vs the process fallback, and how many per-pull parameter copies the
-  server's copy-on-write snapshot cache avoided (see
+- fast-path health: how many transfers the analytic lane scheduler
+  carried and how many of their deliveries fused, and how many per-pull
+  parameter copies the server's copy-on-write snapshot cache avoided (see
   ``docs/PERFORMANCE.md``, "The wire fast path and snapshot sharing").
 
 Everything lands in gauge series keyed by ``shard``/``node`` labels, so
@@ -82,9 +82,6 @@ class ServerSnapshotter:
         self._g_fast = registry.gauge(
             "net_fast_path_transfers", "transfers scheduled by the analytic lane scheduler"
         )
-        self._g_fallback = registry.gauge(
-            "net_fallback_transfers", "transfers run through the process fallback"
-        )
         # Pre-bound label handles: scrape() runs every sampling interval
         # for every shard and node, so the kwargs->sorted-key label
         # formatting is paid once here instead of per sample.
@@ -126,7 +123,6 @@ class ServerSnapshotter:
         self._b_inflight = self._g_inflight.labels()
         self._b_net_bytes = self._g_net_bytes.labels()
         self._b_fast = self._g_fast.labels()
-        self._b_fallback = self._g_fallback.labels()
         self._b_pending_hwm = self._g_pending_hwm.labels()
         self._b_rounds_collapsed = self._g_rounds_collapsed.labels()
         self._b_round_saved = self._g_round_saved.labels()
@@ -178,7 +174,6 @@ class ServerSnapshotter:
             self._b_inflight.set(self.network.bytes_in_flight)
             self._b_net_bytes.set(self.network.total_bytes)
             self._b_fast.set(self.network.fast_path_transfers)
-            self._b_fallback.set(self.network.fallback_transfers)
             self._b_fused.set(self.network.fused_deliveries)
             for ep, b_tx, b_rx in self._per_node:
                 b_tx.set(ep.tx_utilization(now))

@@ -10,7 +10,7 @@ the quantity that determines where communication starts to dominate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.sim.engine import Engine
 from repro.sim.network import Network, NicSpec
@@ -34,13 +34,12 @@ class NodeSpec:
 
 @dataclass
 class ClusterSpec:
-    """A training cluster: worker nodes, server nodes, fabric parameters."""
+    """A training cluster: worker nodes, server nodes, fabric latency."""
 
     name: str
     workers: List[NodeSpec]
     servers: List[NodeSpec]
     latency_s: float = 100e-6
-    fabric_concurrency: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.workers:
@@ -64,11 +63,7 @@ class ClusterSpec:
 
     def make_network(self, engine: Engine) -> Network:
         """Instantiate the fabric and register every node."""
-        net = Network(
-            engine,
-            latency_s=self.latency_s,
-            fabric_concurrency=self.fabric_concurrency,
-        )
+        net = Network(engine, latency_s=self.latency_s)
         for node in self.workers + self.servers:
             net.add_node(node.name, node.nic)
         return net

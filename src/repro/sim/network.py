@@ -9,22 +9,16 @@ time dominate at scale (paper §II-B, Figure 6).
 
 All sizes are bytes, all rates bytes/second, all times seconds.
 
-Two scheduling paths produce identical timestamps (see
-``docs/PERFORMANCE.md``, "The wire fast path"):
-
-- **Analytic lane scheduler** (default): both NIC lanes are plain
-  capacity-1 FIFOs, so a transfer's timeline is a closed-form function of
-  each lane's ``free_at`` cursor.  ``send`` advances the TX cursor and
-  posts one event at TX completion; that event claims the RX cursor and
-  posts the delivery event.  At most two heap events per message, no
-  process: a delivery nothing observes folds into the TX-completion
-  event, and a transfer into a fused :class:`Gather` posts none — its
-  last send schedules the private RX lane in closed form.
-- **Process fallback**: a generator per message that acquires the lane
-  ``Resource`` objects explicitly.  Required when ``fabric_concurrency``
-  caps simultaneous transfers (the cursors cannot express a shared cap);
-  also selectable via ``Network(..., analytic=False)`` for differential
-  testing.
+One wire, scheduled analytically (see ``docs/PERFORMANCE.md``, "The wire
+fast path"): both NIC lanes are plain capacity-1 FIFOs, so a transfer's
+timeline is a closed-form function of each lane's ``free_at`` cursor.
+``send`` advances the TX cursor and posts one event at TX completion;
+that event claims the RX cursor and posts the delivery event.  At most
+two heap events per message, no process: a delivery nothing observes
+folds into the TX-completion event, and a transfer into a fused
+:class:`Gather` posts none — its last send schedules the private RX lane
+in closed form.  The textbook one-process-per-message description these
+cursors must reproduce bit for bit lives in ``tests/reference_sim.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from dataclasses import dataclass
 from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.sim.engine import Engine, Resource, Signal, SimulationError, Store, Waitable
+from repro.sim.engine import Engine, Signal, SimulationError, Store, Waitable
 
 _SIGNAL_NEW = Signal.__new__
 
@@ -84,13 +78,11 @@ _MESSAGE_NEW = Message.__new__
 
 
 class Endpoint:
-    """A node's attachment point: NIC lanes plus a FIFO inbox."""
+    """A node's attachment point: NIC lane cursors plus a FIFO inbox."""
 
     __slots__ = (
         "node_id",
         "nic",
-        "tx",
-        "rx",
         "inbox",
         "sink",
         "gather",
@@ -108,8 +100,6 @@ class Endpoint:
     def __init__(self, engine: Engine, node_id: str, nic: NicSpec):
         self.node_id = node_id
         self.nic = nic
-        self.tx = Resource(engine, capacity=1, name=f"{node_id}.tx")
-        self.rx = Resource(engine, capacity=1, name=f"{node_id}.rx")
         self.inbox = Store(engine, name=f"{node_id}.inbox")
         #: Direct-dispatch hook: when set, delivered messages are handed
         #: to ``sink(msg)`` synchronously instead of being appended to
@@ -126,9 +116,7 @@ class Endpoint:
         self.messages_received = 0
         self.tx_busy_s = 0.0  # cumulative time the TX lane spent serializing
         self.rx_busy_s = 0.0  # cumulative time the RX lane spent draining
-        #: Analytic lane cursors: earliest time each FIFO lane is free.
-        #: Only the analytic fast path reads/advances these; the process
-        #: fallback serializes on the ``Resource`` lanes above instead.
+        #: Lane cursors: earliest time each capacity-1 FIFO lane is free.
         self.tx_free_at = 0.0
         self.rx_free_at = 0.0
         #: Serialize-time memo: PS traffic repeats a handful of message
@@ -161,7 +149,7 @@ class Gather(Waitable):
     Once a transfer's TX cursor is advanced only the RX lane orders
     anything, so when that lane is private (``exclusive``: the protocol
     author's declaration, enforced by :class:`Network`) and nothing
-    observes the analytic wire the gather is *fused*: no per-transfer
+    observes the wire the gather is *fused*: no per-transfer
     events, the last send schedules the lane in closed form.  Otherwise
     it counts ordinary per-message deliveries (the differential oracle).
     """
@@ -192,62 +180,34 @@ class Network:
         "engine",
         "latency_s",
         "endpoints",
-        "analytic",
         "total_bytes",
         "total_messages",
         "bytes_in_flight",
         "messages_in_flight",
         "fast_path_transfers",
-        "fallback_transfers",
         "fused_deliveries",
         "causal",
         "delay_hook",
         "_next_msg_id",
-        "_fabric",
         "_delivery_hooks",
         "_tx_done_cb",
         "_deliver_cb",
     )
 
-    def __init__(
-        self,
-        engine: Engine,
-        latency_s: float = 50e-6,
-        fabric_concurrency: Optional[int] = None,
-        analytic: Optional[bool] = None,
-    ):
-        """``fabric_concurrency`` optionally caps simultaneous transfers,
-        modelling an oversubscribed aggregate fabric.
-
-        ``analytic`` selects the scheduling path: ``None`` (default) picks
-        the analytic lane scheduler exactly when no fabric cap is set;
-        ``False`` forces the process fallback (differential testing);
-        ``True`` with a fabric cap is an error — lane cursors cannot model
-        a shared concurrency limit.
-        """
+    def __init__(self, engine: Engine, latency_s: float = 50e-6):
         if latency_s < 0:
             raise ValueError(f"latency must be >= 0, got {latency_s}")
-        if analytic and fabric_concurrency is not None:
-            raise ValueError("analytic lane scheduling cannot model fabric_concurrency")
         self.engine = engine
         self.latency_s = latency_s
         self.endpoints: Dict[str, Endpoint] = {}
         self._next_msg_id = 0  # per-Network: id streams reset per run
-        self._fabric: Optional[Resource] = (
-            Resource(engine, capacity=fabric_concurrency, name="fabric")
-            if fabric_concurrency is not None
-            else None
-        )
-        #: Mutable per-send switch: flip to ``False`` before sending to
-        #: route traffic through the process fallback on an existing net.
-        self.analytic = (fabric_concurrency is None) if analytic is None else bool(analytic)
         self.total_bytes = 0
         self.total_messages = 0
         self.bytes_in_flight = 0  # sent but not yet delivered
         self.messages_in_flight = 0
-        #: Scheduling-path counters (scraped by ``repro.obs.snapshot``).
+        #: Transfers scheduled on the lane cursors — every send (scraped by
+        #: ``repro.obs.snapshot``).
         self.fast_path_transfers = 0
-        self.fallback_transfers = 0
         #: Deliveries that posted no event of their own: a signal-free
         #: send to a sink endpoint that nothing observes in real time (no
         #: delivery or choice hook) delivers inside its TX-completion
@@ -255,23 +215,23 @@ class Network:
         #: a transfer into a fused :class:`Gather` posts no event at all.
         self.fused_deliveries = 0
         #: Causal span sink (a :class:`repro.obs.causal.CausalTrace`);
-        #: ``None`` keeps the wire paths recording-free.  Recording only
+        #: ``None`` keeps the wire recording-free.  Recording only
         #: *reads* the already-fixed timeline, so timestamps are
         #: bit-identical with tracing on or off.
         self.causal = None
         #: Optional bounded delivery perturbation: ``delay_hook(msg)``
         #: returns extra seconds of RX-side hold for that message.  The
-        #: extra time extends the receiver's RX cursor (fast path) or the
-        #: drain yield (fallback), so per-(src, dst) FIFO ordering — the
-        #: push-before-pull contract the runner relies on — is preserved;
-        #: only cross-sender arrival interleavings change.  Used by the
-        #: schedule explorer (:mod:`repro.analysis.explore`).
+        #: extra time extends the receiver's RX cursor, so per-(src, dst)
+        #: FIFO ordering — the push-before-pull contract the runner relies
+        #: on — is preserved; only cross-sender arrival interleavings
+        #: change.  Used by the schedule explorer
+        #: (:mod:`repro.analysis.explore`).
         self.delay_hook: Optional[Callable[[Message], float]] = None
         self._delivery_hooks: List[Callable[[Message], None]] = []
         #: Hot-path bindings: one attribute load instead of a descriptor
-        #: walk per event.  The fast path pushes ``(when, seq, fn, arg)``
+        #: walk per event.  ``send`` pushes ``(when, seq, fn, arg)``
         #: entries straight onto the engine heap (the body of
-        #: ``Engine._schedule``, inlined) — safe because every analytic
+        #: ``Engine._schedule``, inlined) — safe because every wire
         #: timestamp is ``max(now, cursor) + hold`` with non-negative
         #: holds, so nothing lands in the past (:meth:`Engine.post` is the
         #: checked public spelling of the same protocol).
@@ -297,14 +257,13 @@ class Network:
 
     def gather(self, dst, count: int, exclusive: bool = False) -> Gather:
         """Open a :class:`Gather` of ``count`` transfers into ``dst`` (Endpoint
-        or node id): fused when ``exclusive`` and the analytic wire is unobserved."""
+        or node id): fused when ``exclusive`` and the wire is unobserved."""
         if count < 1:
             raise ValueError(f"a gather needs at least one transfer, got {count}")
         dst_ep = self.endpoint(dst) if dst.__class__ is str else dst
         self._check_private(dst_ep, self.engine.now)
         fused = (
             exclusive
-            and self.analytic
             and not self._delivery_hooks
             and self.delay_hook is None
             and self.causal is None
@@ -344,8 +303,7 @@ class Network:
         ``at`` (>= ``engine.now``) sends from a virtual instant instead of
         the engine clock — the runner's analytic drain lanes use it so a
         reply issued from a cascaded handle time serializes exactly when
-        the event-driven drain would have sent it (analytic wire only: a
-        transfer process cannot start in the future).  ``dst`` may be an
+        an inbox loop waking at that time would have sent it.  ``dst`` may be an
         open :class:`Gather`: the transfer counts toward it instead of an
         inbox or signal, and the call returns ``None``."""
         if size_bytes < 0:
@@ -377,8 +335,6 @@ class Network:
         if at >= 0.0:
             if at < now:
                 raise ValueError(f"cannot send from the past: {at} < {now}")
-            if at > now and not self.analytic:
-                raise ValueError(f"the process wire sends at engine.now={now}, not at={at}")
             now = at
         # One identity test on the hot path: it differs only for a plain
         # send into a privately held lane, or a non-exclusive gather.
@@ -412,38 +368,31 @@ class Network:
             done._payload = None
             done._waiters = None
             done.name = "deliver"
-        if self.analytic:
-            # Analytic fast path: the TX lane is a capacity-1 FIFO, so
-            # this transfer starts serializing the instant the lane frees.
-            # max(now, free_at) + hold is the same float addition the
-            # process path performs via resume timestamps, so the cursors
-            # reproduce its timeline bit for bit.  rx_hold and arrival are
-            # precomputed here (both are pure functions of size and tx_end)
-            # so the TX-completion event does no lookups of its own; the
-            # serialize-time memo is inlined (same dict as
-            # :meth:`Endpoint.serialize_time`) to skip two calls per send.
-            self.fast_path_transfers += 1
-            ser = src_ep._ser_times
-            tx_hold = ser.get(size_bytes)
-            if tx_hold is None:
-                tx_hold = ser[size_bytes] = src_ep.nic.serialize_time(size_bytes)
-            ser = dst_ep._ser_times
-            rx_hold = ser.get(size_bytes)
-            if rx_hold is None:
-                rx_hold = ser[size_bytes] = dst_ep.nic.serialize_time(size_bytes)
-            tx_free = src_ep.tx_free_at
-            tx_end = (tx_free if tx_free > now else now) + tx_hold
-            src_ep.tx_free_at = tx_end
-            engine._seq = seq = engine._seq + 1
-            arrival = tx_end + self.latency_s
-            packed = (msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival)
-            _heappush(engine._heap, (tx_end, seq, self._tx_done_cb, packed))
-        else:
-            self.fallback_transfers += 1
-            self.engine.spawn(
-                self._transfer(msg, src_ep, dst_ep, done, deliver_to_inbox),
-                name="xfer",
-            )
+        # The TX lane is a capacity-1 FIFO, so this transfer starts
+        # serializing the instant the lane frees.  max(now, free_at) + hold
+        # is the same float addition a lane-acquiring process performs via
+        # its resume timestamps, so the cursors reproduce the reference
+        # timeline bit for bit.  rx_hold and arrival are precomputed here
+        # (both are pure functions of size and tx_end) so the TX-completion
+        # event does no lookups of its own; the serialize-time memo is
+        # inlined (same dict as :meth:`Endpoint.serialize_time`) to skip
+        # two calls per send.
+        self.fast_path_transfers += 1
+        ser = src_ep._ser_times
+        tx_hold = ser.get(size_bytes)
+        if tx_hold is None:
+            tx_hold = ser[size_bytes] = src_ep.nic.serialize_time(size_bytes)
+        ser = dst_ep._ser_times
+        rx_hold = ser.get(size_bytes)
+        if rx_hold is None:
+            rx_hold = ser[size_bytes] = dst_ep.nic.serialize_time(size_bytes)
+        tx_free = src_ep.tx_free_at
+        tx_end = (tx_free if tx_free > now else now) + tx_hold
+        src_ep.tx_free_at = tx_end
+        engine._seq = seq = engine._seq + 1
+        arrival = tx_end + self.latency_s
+        packed = (msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival)
+        _heappush(engine._heap, (tx_end, seq, self._tx_done_cb, packed))
         return done if notify else None
 
     def _join_fused(self, g: Gather, src_ep: Endpoint, size_bytes: int, now: float) -> None:
@@ -498,15 +447,15 @@ class Network:
         msg.cause_id = causal.record(w, msg.dst, "rx", arrival, rx_end, tag=tag)
 
     def _fast_tx_done(self, packed) -> None:
-        """TX lane released (fast path): book TX stats, claim the RX lane.
+        """TX lane released: book TX stats, claim the RX lane.
 
         Runs at the transfer's TX-completion instant.  Propagation latency
         is a network-wide constant, so arrival order equals TX-completion
         event order — claiming the RX cursor here reproduces the FIFO
-        arrival order the process path gets from ``Resource`` queueing.
+        arrival order a queue of lane-acquiring processes would see.
         (``arrival`` was precomputed at send time as ``tx_end + latency``;
         the heap hands back ``tx_end`` bit-exact, so it equals the
-        ``engine.now + latency`` the process path computes here.)
+        ``engine.now + latency`` such a process would compute here.)
         """
         msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival = packed
         src_ep.tx_busy_s += tx_hold
@@ -563,7 +512,7 @@ class Network:
         _heappush(engine._heap, (rx_end, seq, self._deliver_cb, packed))
 
     def _deliver(self, packed) -> None:
-        """RX drain finished (either wire): book RX stats and deliver.
+        """RX drain finished: book RX stats and deliver.
 
         ``Store.put`` (its uncontended append) and ``Signal.fire`` are
         inlined: per-message calls matter at incast rates.
@@ -616,64 +565,14 @@ class Network:
                     _heappush(heap, (now, seq, cb, msg))
                 engine._seq = seq
 
-    def _transfer(self, msg, src_ep, dst_ep, done, deliver_to_inbox):
-        # Bare-number yields are the engine's zero-allocation timeout path;
-        # uncontended acquires reuse the resource's shared grant signal.
-        causal = self.causal
-        try:
-            # Sender-side serialization (FIFO on the TX lane).
-            yield src_ep.tx.acquire()
-            if self._fabric is not None:
-                yield self._fabric.acquire()
-            tx_hold = src_ep.serialize_time(msg.size_bytes)
-            tx_start = self.engine.now
-            yield tx_hold
-            src_ep.tx.release()
-            src_ep.tx_busy_s += tx_hold
-            src_ep.bytes_sent += msg.size_bytes
-            src_ep.messages_sent += 1
-            # Propagation.
-            yield self.latency_s
-            arrival = self.engine.now
-            # Receiver-side drain (incast point).
-            yield dst_ep.rx.acquire()
-            rx_hold = dst_ep.serialize_time(msg.size_bytes)
-            delay_hook = self.delay_hook
-            if delay_hook is not None:
-                extra = delay_hook(msg)
-                if extra < 0:
-                    raise ValueError(f"delay_hook returned negative delay {extra}")
-                # Extend the lane hold (not just the delivery) so the
-                # cursor semantics match the fast path exactly.
-                yield rx_hold + extra
-            else:
-                yield rx_hold
-            dst_ep.rx.release()
-            if self._fabric is not None:
-                self._fabric.release()
-        except BaseException:
-            # A cancelled (GeneratorExit) or failing transfer must still
-            # take its bytes off the wire, or the in-flight gauges drift
-            # upward forever and the snapshot report lies.
-            self.bytes_in_flight -= msg.size_bytes
-            self.messages_in_flight -= 1
-            raise
-        if causal is not None:
-            # Same three spans as the fast path, from observed resume
-            # times — the fallback contends on Resource lanes, so here RX
-            # queueing shows up between ``arrival`` and the final drain.
-            self._record_wire(causal, msg, tx_start, arrival, self.engine.now)
-        self._deliver((msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival))
-
     def transfer_time_estimate(self, src: str, dst: str, size_bytes: int) -> float:
         """Uncontended end-to-end transfer time (analytic, for sizing).
 
         Contract: this is the *uncontended* bound — it assumes the TX and
-        RX lanes are idle and, when ``fabric_concurrency`` is set, that a
-        fabric slot is free.  It equals the delivered latency exactly for
+        RX lanes are idle.  It equals the delivered latency exactly for
         a lone transfer on an idle network (asserted by
-        ``tests/test_network.py``) and is a lower bound whenever lanes or
-        the fabric are contended; it never models queueing delay.
+        ``tests/test_network.py``) and is a lower bound whenever a lane
+        is contended; it never models queueing delay.
         """
         src_ep = self.endpoint(src)
         dst_ep = self.endpoint(dst)

@@ -51,7 +51,7 @@ from repro.obs.export import (
 )
 from repro.obs.snapshot import ServerSnapshotter
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import Engine, Timeout
+from repro.sim.engine import Engine
 from repro.sim.network import Gather, Message, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import SpanKind, TraceRecorder
@@ -104,21 +104,6 @@ class SimConfig:
     obs: Optional[Observability] = None
     #: Snapshot scrape period in sim seconds; None → half a base compute.
     snapshot_interval_s: Optional[float] = None
-    #: Server request dispatch on the analytic wire.  ``"direct"``
-    #: (default) handles each delivered request inside the delivery event
-    #: via the endpoint sink, on a per-shard analytic drain lane: a
-    #: request landing inside the busy window is served immediately at
-    #: the cascaded virtual handle time ``max(deliver_time, lane busy
-    #: end)``, so no inbox round-trip, per-request resume or drain event
-    #: exists and request deliveries fuse into their TX-completion
-    #: events.  ``"proc"`` runs the classic one-generator-per-server inbox
-    #: loop: the schedule explorer's independence relation is stated over
-    #: it, and it is the only dispatcher on the process wire
-    #: (``fabric_concurrency`` / ``analytic=False`` clusters run it
-    #: whatever this field says, because drain lanes need cursor-scheduled
-    #: wire timing).  Handle times, wire timestamps and final params are
-    #: bit-identical between the two; only the event structure differs.
-    server_dispatch: str = "direct"
     #: Per-worker observability series cap.  Below this worker count the
     #: runner keeps one ``pull_latency_seconds`` sketch series per worker
     #: (labels ``worker=<w>``); above it, all workers share a single
@@ -129,13 +114,10 @@ class SimConfig:
     worker_series_threshold: int = 4096
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.server_dispatch not in ("direct", "proc"):
-            raise ValueError(
-                f"server_dispatch must be 'direct' or 'proc', "
-                f"got {self.server_dispatch!r}"
-            )
+        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
+        if not self.batch_per_worker >= 1:
+            raise ValueError(f"batch_per_worker must be >= 1, got {self.batch_per_worker!r}")
         if self.worker_series_threshold < 1:
             raise ValueError(
                 f"worker_series_threshold must be >= 1, "
@@ -398,9 +380,9 @@ class FluentPSSimRunner:
                 params=shard_vectors[j] if training else None,
                 # Per-shard drain-lane clock: equals ``engine.now`` inside
                 # real handle events, and the cascaded virtual handle time
-                # when the analytic lane serves a request that landed in
-                # the busy window — so waited times and protocol instants
-                # are bit-identical to the inbox loop's.
+                # when the lane serves a request that landed in the busy
+                # window — so waited times and protocol instants are the
+                # ones an inbox loop would produce.
                 clock=lambda j=j: self._srv_now[j],
                 rng=derive_rng(config.seed, "server", j),
                 obs=self.obs,
@@ -452,17 +434,13 @@ class FluentPSSimRunner:
         self.eval_by_time = SeriesRecord("eval", x_label="time_s", y_label="metric")
         self.eval_by_iteration = SeriesRecord("eval", x_label="iteration", y_label="metric")
         self._finish_times: List[float] = [0.0] * n
-        # One busy-server path per wire: analytic drain lanes need
-        # cursor-scheduled (analytic) wire timing, so the process wire
-        # (``fabric_concurrency``) runs the inbox loop.
-        self._direct = config.server_dispatch == "direct" and self.net.analytic
         self._srv_names = [f"server{j}" for j in range(m)]
-        # Per-server busy-window close time (also read by the proc loop).
+        # Per-server busy-window close time.
         self._srv_busy = [0.0] * m
         # Per-shard virtual clock: the handle time of the request this
         # shard is currently serving (== engine.now inside real handle
         # events).  ShardServer.clock reads it, so DPR waits and protocol
-        # instants see identical times under both dispatchers.
+        # instants carry handle times, not delivery-event times.
         self._srv_now = [0.0] * m
         # Hot-path memos: node-id strings, per-shard wire sizes, and (when
         # causal tracing is off) one prebound pull responder per server —
@@ -507,27 +485,13 @@ class FluentPSSimRunner:
 
     # -- server side ----------------------------------------------------------
 
-    def _server_proc(self, m: int):
-        """Classic inbox loop (``server_dispatch="proc"``, and every
-        process-wire cluster): one generator per server, resumed once per
-        request plus once per busy window.  Both dispatchers share
-        :meth:`_handle_server_msg`, so handle times and per-server FIFO
-        order match the direct dispatcher bit-for-bit; only the event
-        structure (inbox resume + timeout vs. inline lane) differs."""
-        ep = self._srv_eps[m]
-        while True:
-            msg: Message = yield ep.inbox.get()
-            cost = self._handle_server_msg(m, msg, self.engine.now)
-            if cost > 0:
-                yield Timeout(cost)
-
     def _dispatch_server(self, m: int, msg: Message) -> None:
-        """Endpoint sink (``server_dispatch="direct"``): handle the
-        request inside the delivery event on the shard's analytic drain
-        lane, at the virtual handle time ``max(deliver_time, lane busy
-        end)`` — arrival order equals handle order per shard, so the
-        cascade reproduces the busy-window FIFO with zero extra events.
-        Handle times are bit-identical to the proc loop."""
+        """Endpoint sink: handle the request inside the delivery event on
+        the shard's analytic drain lane, at the virtual handle time
+        ``max(deliver_time, lane busy end)`` — arrival order equals handle
+        order per shard, so the cascade reproduces an inbox loop's
+        busy-window FIFO with zero extra events (the loop itself is
+        ``tests/reference_sim.py``)."""
         now = msg.deliver_time
         busy = self._srv_busy[m]
         if now >= busy:
@@ -537,7 +501,7 @@ class FluentPSSimRunner:
             self.server_msgs_drained += 1
             self._handle_server_msg(m, msg, busy)
 
-    def _handle_server_msg(self, m: int, msg: Message, now: float) -> float:
+    def _handle_server_msg(self, m: int, msg: Message, now: float) -> None:
         server = self.servers[m]
         causal = self.causal
         actor = self._srv_names[m]
@@ -587,7 +551,6 @@ class FluentPSSimRunner:
                     tip, actor, "server_apply", now, end,
                     shard=m, tag=msg.tag,
                 )
-        return cost
 
     def _send_reply(self, server: int, reply: PullReply, cause: int = -1) -> None:
         causal = self.causal
@@ -750,8 +713,8 @@ class FluentPSSimRunner:
         (every pull immediate, one frontier advance per round, no DPRs,
         no PSSP coin flips).  Anything outside that — real gradients,
         quorums below n, BSP's s=0 soft barrier, DSPS's self-mutating
-        staleness, the inbox loop, DPOR choice/delay hooks, causal
-        tracing, span capture without obs — keeps the per-event path,
+        staleness, DPOR choice/delay hooks, causal tracing, span capture
+        without obs — keeps the per-event path,
         which stays bit-identical by construction.  The reason lands in
         :attr:`collapse_fallback`.
         """
@@ -761,8 +724,6 @@ class FluentPSSimRunner:
             # SpecSync) subclass this runner with their own protocols;
             # the cohort closed form models only the stock one.
             return "subclass"
-        if not self._direct:
-            return "proc_dispatch"
         if cfg.task is not None:
             return "task"
         if self.causal is not None:
@@ -1261,15 +1222,11 @@ class FluentPSSimRunner:
 
     def run(self) -> SimRunResult:
         """Execute the co-simulation to completion and aggregate results."""
-        if not self._direct:
-            for m in range(self.cfg.cluster.n_servers):
-                self.engine.spawn(self._server_proc(m), name=f"server{m}")
-        else:
-            for m in range(self.cfg.cluster.n_servers):
-                # The lane times itself off ``msg.deliver_time``, so
-                # signal-free request deliveries fold into their
-                # TX-completion events (see ``Endpoint.sink``).
-                self._srv_eps[m].sink = partial(self._dispatch_server, m)
+        for m in range(self.cfg.cluster.n_servers):
+            # The lane times itself off ``msg.deliver_time``, so
+            # signal-free request deliveries fold into their
+            # TX-completion events (see ``Endpoint.sink``).
+            self._srv_eps[m].sink = partial(self._dispatch_server, m)
         # Closed-form round fast-forward: when every shard is provably
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the

@@ -4,11 +4,16 @@ import json
 
 import pytest
 
+from repro.bench.workloads import blobs_task
 from repro.core.models import bsp, pssp, ssp
+from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
+from repro.obs import NULL_OBS
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
-from repro.sim.runner import FluentPSSimRunner
-from repro.sim.stragglers import DeterministicCompute, LogNormalCompute
+from repro.sim.runner import FluentPSSimRunner, SimConfig
+from repro.sim.stragglers import ComputeModel, DeterministicCompute, LogNormalCompute
+
+from tests.reference_sim import ReferenceSim
 
 
 class EventPathRunner(FluentPSSimRunner):
@@ -18,6 +23,17 @@ class EventPathRunner(FluentPSSimRunner):
 
     def _collapse_eligible(self) -> str:
         return "subclass"
+
+
+class OneStraggler(ComputeModel):
+    """Deterministic compute with a single slow draw at (worker 3, iter 2):
+    with a wide base compute, the round that de-vectorises a collapse."""
+
+    def sample(self, worker, iteration, base_time, rng):
+        return base_time * (6.0 if (worker, iteration) == (3, 2) else 1.0)
+
+    def mean_factor(self) -> float:
+        return 1.0
 
 
 def instant_stream(instants):
@@ -63,3 +79,121 @@ def preset_configs():
                     )
                 )
     return cells
+
+
+def busy_lane_cell():
+    """A server op cost far wider than the incast spacing: every burst
+    after the first request lands inside the shard's busy window."""
+    return dict(
+        cluster=cpu_cluster(6, n_servers=2),
+        max_iter=4,
+        sync=ssp(2),
+        workload=alexnet_cifar_workload(),
+        batch_per_worker=64,
+        compute_model=DeterministicCompute(),
+        seed=5,
+        server_op_overhead_s=0.05,
+    )
+
+
+def real_gradient_cell(**extra):
+    """A real (non-timing-only) run under the soft barrier, as a config
+    factory: training mutates the task in place, so each run builds its
+    own — sharing one would compare run 2 against run 1's trained state."""
+    return lambda: dict(
+        cluster=cpu_cluster(3, n_servers=2),
+        max_iter=8,
+        sync=ssp(2),
+        task=blobs_task(3, n_train=120, n_test=60),
+        execution=ExecutionMode.SOFT_BARRIER,
+        compute_model=LogNormalCompute(0.2),
+        seed=11,
+        **extra,
+    )
+
+
+# -- production vs the reference simulator ---------------------------------------
+
+
+def wire_row(msg):
+    """A delivered message as the reference's trace row."""
+    return (msg.src, msg.dst, msg.tag, msg.size_bytes, msg.send_time, msg.deliver_time)
+
+
+def endpoint_counters(net):
+    """Per-endpoint busy/byte/message counters, shaped as the reference's."""
+    return {
+        name: (ep.tx_busy_s, ep.rx_busy_s, ep.bytes_sent, ep.bytes_received,
+               ep.messages_sent, ep.messages_received)
+        for name, ep in net.endpoints.items()
+    }
+
+
+def assert_same_wire(trace, ref_trace):
+    """The wire half of the comparison rule: the same multiset of sends
+    ``(src, dst, tag, size, send_time)`` and, per destination, the same
+    ``(size, deliver_time)`` sequence.  Exact floats, never a tolerance.
+    Full per-message identity is not required: which of two equal-size
+    messages from different senders, finishing serialization at the same
+    instant, drains first depends on event seq allocation upstream."""
+    assert sorted(row[:5] for row in trace) == sorted(row[:5] for row in ref_trace)
+
+    def per_destination(rows):
+        landed = {}
+        for _src, dst, _tag, size, _sent, delivered in rows:
+            landed.setdefault(dst, []).append((size, delivered))
+        return landed
+
+    assert per_destination(trace) == per_destination(ref_trace)
+
+
+def server_metrics(servers):
+    """Per-shard metric summaries with staleness histograms, comparable across runs."""
+    return [
+        {**s.metrics.summary(), "staleness": sorted(s.metrics.staleness_hist.items())}
+        for s in servers
+    ]
+
+
+def _shard_instants(obs, shard):
+    return instant_stream(i for i in obs.last_run.instants if i.actor == f"server{shard}")
+
+
+def assert_matches_reference(
+    cfg_kwargs, hooked=False, runner_cls=FluentPSSimRunner, make_obs=lambda: NULL_OBS
+):
+    """Run production — as shipped, or under a delivery hook (one event
+    per message) — and :class:`ReferenceSim` on the same configuration and
+    compare by the rule: the wire (:func:`assert_same_wire`, hooked runs
+    only — an unhooked run has no trace), finish times, endpoint counters,
+    server metrics with staleness histograms, final params, the eval
+    series, and under observability each shard's protocol instant stream.
+
+    ``obs`` is always explicit: the ambient pytest sanitizer is causal and
+    would silently route production off every fused path.  ``cfg_kwargs``
+    may be a factory (a training task is stateful: one per run).  Returns
+    ``(runner, result, reference run)`` for cell-specific assertions."""
+    make_kwargs = cfg_kwargs if callable(cfg_kwargs) else lambda: cfg_kwargs
+    obs, ref_obs = make_obs(), make_obs()
+    runner = runner_cls(SimConfig(**make_kwargs(), obs=obs))
+    trace = []
+    if hooked:
+        runner.net.on_delivery(lambda msg: trace.append(wire_row(msg)))
+    result = runner.run()
+    ref = ReferenceSim(SimConfig(**make_kwargs(), obs=ref_obs)).run()
+    assert ref.trace, "the reference produced no traffic"
+    if hooked:
+        assert_same_wire(trace, ref.trace)
+    assert runner._finish_times == ref.finish_times
+    assert endpoint_counters(runner.net) == ref.endpoints
+    assert server_metrics(runner.servers) == server_metrics(ref.servers)
+    if ref.final_params is None:
+        assert result.final_params is None
+    else:
+        assert result.final_params.tobytes() == ref.final_params.tobytes()
+    evals = list(zip(result.eval_by_time.x, result.eval_by_iteration.x, result.eval_by_time.y))
+    assert evals == ref.evals
+    if obs.enabled:
+        for shard in range(len(ref.servers)):
+            assert _shard_instants(obs, shard) == _shard_instants(ref_obs, shard), shard
+    return runner, result, ref

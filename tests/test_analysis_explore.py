@@ -11,12 +11,14 @@ from repro.analysis.explore import (
     ExploreConfig,
     _conflict_key,
     _fifo_ok,
+    _label,
     _minimize,
     _run_schedule,
     _strip_defaults,
     explore,
     replay_trace,
 )
+from repro.sim.network import Message, Network
 
 pytestmark = pytest.mark.no_sanitize  # explorer sanitizes its own runs
 
@@ -39,27 +41,59 @@ class TestExploreClean:
         assert 0.0 < report.pruning_ratio < 1.0
         assert "DPOR pruning" in report.describe()
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize(
+        "shape, count",
+        [
+            ((2, 1, 1), 6),  # C(4,2): two push-then-pull pairs into one server
+            ((2, 1, 2), 36),  # 6 per iteration, independent
+            ((2, 2, 1), 144),  # 6 per server, times each worker's 2 reply orders
+            ((3, 1, 1), 90),  # 6! / (2!)^3
+        ],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_exhaustive_search_reaches_the_closed_form_count(self, preset, shape, count):
+        # Soundness and optimality at once: with the frontier exhausted the
+        # search has seen every per-destination delivery order (the
+        # closed-form number) and ran each exactly once.
+        workers, servers, iters = shape
+        report = explore(
+            ExploreConfig(
+                preset=preset, n_workers=workers, n_servers=servers, max_iter=iters,
+                max_schedules=10 * count,
+            )
+        )
+        assert report.ok, report.describe()
+        assert report.frontier_exhausted
+        assert report.runs == report.inequivalent == count
+
     def test_equivalent_prefixes_share_signature_and_params(self):
-        # Flipping a non-conflicting tie must land on the same
-        # Mazurkiewicz trace: identical delivery signature, identical
-        # final parameter bytes (the independence relation, checked).
+        # The independence relation, checked: flip every alternative the
+        # explorer prunes as commuting.  A flip followed by FIFO renumbers
+        # later sends, so it need not land on the base trace — but
+        # whichever trace it lands on, every schedule with that delivery
+        # signature must have that signature's final parameter bytes
+        # (X001's property).
         cfg = ExploreConfig(preset="ssp", max_iter=2)
         base = _run_schedule(cfg, [])
         assert base.error is None and base.report.ok
-        flipped = None
+        digest_of = {base.signature: base.params_digest}
+        flips = on_base = 0
         for i, d in enumerate(base.decisions):
             chosen_key = _conflict_key(d.labels[d.chosen])
             for j in range(1, len(d.labels)):
                 key = _conflict_key(d.labels[j])
-                if (key is None or key != chosen_key) and _fifo_ok(d.labels, j):
-                    prefix = [dd.chosen for dd in base.decisions[:i]] + [j]
-                    flipped = _run_schedule(cfg, prefix)
-                    break
-            if flipped is not None:
-                break
-        assert flipped is not None, "no commuting alternative found in any tie"
-        assert flipped.signature == base.signature
-        assert flipped.params_digest == base.params_digest
+                if (key is not None and key == chosen_key) or not _fifo_ok(d.labels, j):
+                    continue  # conflicting (branched on), or outside the wire contract
+                flipped = _run_schedule(cfg, [dd.chosen for dd in base.decisions[:i]] + [j])
+                assert flipped.error is None and flipped.report.ok
+                flips += 1
+                on_base += flipped.signature == base.signature
+                assert digest_of.setdefault(flipped.signature, flipped.params_digest) == (
+                    flipped.params_digest
+                ), (i, j)
+        assert flips > 0, "no pruned alternative in any tie"
+        assert on_base > 0, "no flip of a pruned alternative landed on the base trace"
 
 
 class TestMutationPipeline:
@@ -109,6 +143,25 @@ class TestMutationPipeline:
     def test_unknown_trace_version_rejected(self):
         with pytest.raises(ValueError):
             ChoiceTrace.from_json(json.dumps({"version": 99, "choices": []}))
+
+    def test_inbox_loop_era_trace_refused_by_version(self):
+        # A version-1 trace pins tie groups of the deleted inbox loop:
+        # refuse it up front rather than report label drift mid-replay.
+        doc = json.loads(ChoiceTrace(config={}, choices=[]).to_json())
+        assert doc["version"] == 2
+        with pytest.raises(ValueError, match="version 1"):
+            ChoiceTrace.from_json(json.dumps({**doc, "version": 1}))
+
+    def test_unknown_wire_callback_raises(self):
+        def _retransmit(packed):
+            pass
+
+        msg = Message(src="worker0", dst="server0", size_bytes=8, tag="push", msg_id=3)
+        assert _label((0.0, 1, Network._deliver, (msg,))) == (
+            "rx", "push", "worker0", "server0", 3,
+        )
+        with pytest.raises(ValueError, match="_retransmit"):
+            _label((0.0, 1, _retransmit, (msg,)))
 
     def test_mutation_registry_and_validation(self):
         assert "weak-staleness" in MUTATIONS

@@ -6,9 +6,9 @@ from repro.sim.engine import Engine
 from repro.sim.network import Network, NicSpec
 
 
-def make_net(latency=0.0, bw=100.0, overhead=0.0, fabric=None):
+def make_net(latency=0.0, bw=100.0, overhead=0.0):
     eng = Engine()
-    net = Network(eng, latency_s=latency, fabric_concurrency=fabric)
+    net = Network(eng, latency_s=latency)
     nic = NicSpec(bandwidth_Bps=bw, overhead_s=overhead)
     net.add_node("a", nic)
     net.add_node("b", nic)
@@ -141,39 +141,20 @@ class TestAccounting:
 
 
 class TestFabric:
-    def test_fabric_concurrency_cap(self):
-        eng, net = make_net(bw=100.0, fabric=1)
-        done = []
-        net.send("a", "c", 100).subscribe(lambda m: done.append(eng.now))
-        net.send("b", "c", 100).subscribe(lambda m: done.append(eng.now))
-        eng.run()
-        # With one fabric slot the second transfer cannot even start tx
-        # until the first fully completes.
-        assert done[0] == pytest.approx(2.0)
-        assert done[1] == pytest.approx(4.0)
-
     def test_invalid_latency(self):
         with pytest.raises(ValueError):
             Network(Engine(), latency_s=-1.0)
 
-    def test_future_send_instant_is_rejected_on_the_process_wire(self):
-        """``at`` is a virtual send instant for the analytic cursors; a
-        transfer process starts at ``engine.now``, so a later ``at`` would
-        stamp ``send_time`` with an instant the transfer never honoured."""
-        for eng, net in (make_net(bw=100.0, fabric=1), make_net(bw=100.0)):
-            eng.run(until=1.0)
-            if net.analytic:
-                net.analytic = False  # the other way onto the process wire
-            with pytest.raises(ValueError, match="process wire"):
-                net.send("a", "b", 100, at=2.5)
-            assert net.messages_in_flight == 0 and net.fallback_transfers == 0
-            box = []
-            net.send("a", "b", 100, at=1.0).subscribe(box.append)  # at == now is fine
-            eng.run()
-            assert box[0].send_time == 1.0 and box[0].deliver_time == pytest.approx(3.0)
+    def test_future_send_instant(self):
+        """``at`` sends from a virtual instant at or after the engine
+        clock: the lane cursors serialize from it, ``send_time`` carries it."""
         eng, net = make_net(bw=100.0)
+        eng.run(until=1.0)
+        with pytest.raises(ValueError, match="past"):
+            net.send("a", "b", 100, at=0.5)
+        assert net.messages_in_flight == 0
         box = []
-        net.send("a", "b", 100, at=2.5).subscribe(box.append)  # analytic wire: allowed
+        net.send("a", "b", 100, at=2.5).subscribe(box.append)
         eng.run()
         assert box[0].send_time == 2.5 and box[0].deliver_time == pytest.approx(4.5)
 

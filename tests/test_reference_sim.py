@@ -1,0 +1,147 @@
+"""Production vs the reference simulator (tests/reference_sim.py).
+
+Every fast path — round collapse, analytic wire, drain lanes, fused
+deliveries and gathers, batched applies — is compared here with the one
+textbook description, by the rule in
+:func:`tests.sim_helpers.assert_matches_reference`.  Each cell runs
+production twice: as shipped (``obs=NULL_OBS``, nothing observing, every
+fused path engaged) and under a delivery hook (one event per message, a
+full wire trace).  ``obs`` is always explicit: the ambient pytest
+sanitizer is causal and would route production off every fused path.
+"""
+
+import pytest
+
+from repro.core.conditions import QuorumPush, SSPPull
+from repro.core.models import SyncModel, asp, bsp, dsps, pssp, ssp
+from repro.core.server import ExecutionMode
+from repro.ml.models_zoo import alexnet_cifar_workload
+from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.sim.cluster import cpu_cluster
+from repro.sim.network import NicSpec
+from repro.sim.runner import SimConfig
+from repro.sim.stragglers import DeterministicCompute, LogNormalCompute, cpu_cluster_compute
+
+from tests.reference_sim import ReferenceSim, reference_wire
+from tests.sim_helpers import (
+    OneStraggler,
+    assert_matches_reference,
+    busy_lane_cell,
+    preset_configs,
+    real_gradient_cell,
+)
+
+HOOKED = pytest.mark.parametrize("hooked", [False, True], ids=["shipped", "hooked"])
+
+
+def _tie_heavy_cells():
+    """Identical workers and repeated sizes: same-instant sends, queued
+    lanes and float ties everywhere, at two cluster shapes."""
+    workload = alexnet_cifar_workload()
+    cells = []
+    for n, m in [(24, 3), (64, 8)]:
+        for sname, sync in [
+            ("ssp1", ssp(1)), ("ssp3", ssp(3)), ("pssp", pssp(2, 0.5)),
+            ("bsp", bsp()), ("asp", asp()), ("dsps", dsps()),
+        ]:
+            for cname, compute in [
+                ("det", DeterministicCompute()),
+                ("ln0", LogNormalCompute(0.0)),
+                ("stragglers", cpu_cluster_compute(n)),
+            ]:
+                for execution in (ExecutionMode.LAZY, ExecutionMode.SOFT_BARRIER):
+                    cells.append(
+                        pytest.param(
+                            dict(
+                                cluster=cpu_cluster(n, n_servers=m),
+                                max_iter=3,
+                                sync=sync,
+                                execution=execution,
+                                workload=workload,
+                                compute_model=compute,
+                                seed=3,
+                            ),
+                            id=f"{n}x{m}-{sname}-{cname}-{execution.value}",
+                        )
+                    )
+    return cells
+
+
+@HOOKED
+class TestAgainstReference:
+    @pytest.mark.parametrize("cfg_kwargs", preset_configs())
+    def test_presets(self, cfg_kwargs, hooked):
+        assert_matches_reference(cfg_kwargs, hooked)
+
+    @pytest.mark.parametrize("cfg_kwargs", _tie_heavy_cells())
+    def test_tie_heavy_grid(self, cfg_kwargs, hooked):
+        assert_matches_reference(cfg_kwargs, hooked)
+
+    def test_busy_lane(self, hooked):
+        """Requests park behind the shard's busy window and retire at its end."""
+        runner, _result, _ref = assert_matches_reference(busy_lane_cell(), hooked)
+        assert runner.server_msgs_drained > 0
+
+    @pytest.mark.parametrize("op_overhead_s", [20e-6, 0.02])
+    def test_real_gradients_with_eval(self, op_overhead_s, hooked):
+        """Soft barrier: DPR costs stretch the busy lanes (the wide
+        overhead parks requests behind them too); params and the eval
+        series must still be bit-equal."""
+        _runner, result, _ref = assert_matches_reference(
+            real_gradient_cell(eval_every=2, server_op_overhead_s=op_overhead_s), hooked
+        )
+        assert len(result.eval_by_time) == 4
+
+    def test_midrun_devectorisation(self, hooked):
+        runner, _result, _ref = assert_matches_reference(
+            dict(
+                cluster=cpu_cluster(10, n_servers=3),
+                max_iter=6,
+                sync=ssp(3),
+                workload=alexnet_cifar_workload(),
+                compute_model=OneStraggler(),
+                base_compute_time=5.0,
+                seed=7,
+            ),
+            hooked,
+        )
+        assert 0 < runner.engine.rounds_collapsed < 6
+        assert runner.engine.events_processed > 0
+
+    @pytest.mark.no_sanitize  # explicit Observability below
+    def test_observed_shard_instant_streams(self, hooked):
+        runner, _result, _ref = assert_matches_reference(
+            dict(
+                cluster=cpu_cluster(8, n_servers=3),
+                max_iter=5,
+                sync=pssp(1, 0.3),
+                execution=ExecutionMode.SOFT_BARRIER,
+                workload=alexnet_cifar_workload(),
+                compute_model=cpu_cluster_compute(8),
+                seed=9,
+            ),
+            hooked,
+            make_obs=lambda: Observability(MetricsRegistry("reference"), causal=False),
+        )
+        assert runner.causal is None
+
+
+class TestReferenceItself:
+    def test_lone_transfer_is_tx_plus_latency_plus_rx(self):
+        nics = {
+            "a": NicSpec(bandwidth_Bps=1e8, overhead_s=15e-6),
+            "b": NicSpec(bandwidth_Bps=2e8, overhead_s=25e-6),
+        }
+        trace, counters = reference_wire([(0.5, "a", "b", 4096)], 75e-6, nics)
+        tx, rx = nics["a"].serialize_time(4096), nics["b"].serialize_time(4096)
+        assert trace == [("a", "b", "", 4096, 0.5, 0.5 + tx + 75e-6 + rx)]
+        assert counters == {"a": (tx, 0.0, 4096, 0, 1, 0), "b": (0.0, rx, 0, 4096, 0, 1)}
+
+    def test_deadlock_is_reported(self):
+        never = SyncModel("never", lambda: SSPPull(0), lambda: QuorumPush(99), staleness=0)
+        cfg = SimConfig(
+            cluster=cpu_cluster(2, n_servers=1), max_iter=2, sync=never,
+            workload=alexnet_cifar_workload(), obs=NULL_OBS,
+        )
+        with pytest.raises(RuntimeError, match="unanswered"):
+            ReferenceSim(cfg).run()

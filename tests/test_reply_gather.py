@@ -30,13 +30,19 @@ from repro.sim.engine import Engine, SimulationError
 from repro.sim.network import Network, NicSpec
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import (
-    ComputeModel,
     DeterministicCompute,
     HeterogeneousCompute,
     LogNormalCompute,
 )
 
-from tests.sim_helpers import EventPathRunner, instant_stream, preset_configs
+from tests.sim_helpers import (
+    EventPathRunner,
+    OneStraggler,
+    assert_matches_reference,
+    instant_stream,
+    preset_configs,
+    server_metrics,
+)
 
 
 def _endpoint_stats(net):
@@ -240,12 +246,9 @@ def _fingerprint(runner, result):
             "duration": result.duration,
             "endpoints": _endpoint_stats(net),
             "net": [net.total_messages, net.total_bytes, net.fast_path_transfers,
-                    net.fallback_transfers, net._next_msg_id],
+                    net._next_msg_id],
             "spans": sorted((a, k.value, v) for (a, k), v in runner.trace._totals.items()),
-            "metrics": [
-                {**s.metrics.summary(), "staleness": sorted(s.metrics.staleness_hist.items())}
-                for s in getattr(runner, "servers", [])
-            ],
+            "metrics": server_metrics(getattr(runner, "servers", [])),
             "params": None
             if result.final_params is None
             else result.final_params.tobytes().hex(),
@@ -305,16 +308,6 @@ def _tie_cells():
     return cells
 
 
-class _OneStraggler(ComputeModel):
-    """Deterministic compute with a single slow draw at (worker 3, iter 2)."""
-
-    def sample(self, worker, iteration, base_time, rng):
-        return base_time * (6.0 if (worker, iteration) == (3, 2) else 1.0)
-
-    def mean_factor(self) -> float:
-        return 1.0
-
-
 class TestRunnerLevel:
     @pytest.mark.parametrize("cfg_kwargs", preset_configs())
     def test_presets(self, cfg_kwargs):
@@ -353,7 +346,7 @@ class TestRunnerLevel:
                 max_iter=6,
                 sync=ssp(3),
                 workload=alexnet_cifar_workload(),
-                compute_model=_OneStraggler(),
+                compute_model=OneStraggler(),
                 base_compute_time=5.0,
                 seed=7,
             ),
@@ -364,17 +357,20 @@ class TestRunnerLevel:
 
     @pytest.mark.parametrize("sync", [ssp(2), bsp()], ids=["ssp2", "bsp"])
     def test_proc_dispatch(self, sync):
-        _assert_fused_equals_hooked(
+        """Fused gathers over drain lanes vs the reference, whose servers
+        are inbox-loop processes and whose replies are counted one by one."""
+        fused, _result, ref = assert_matches_reference(
             dict(
                 cluster=gpu_cluster_p2(6, n_servers=2),
                 max_iter=5,
                 sync=sync,
                 workload=alexnet_cifar_workload(),
                 compute_model=LogNormalCompute(0.3),
-                server_dispatch="proc",
                 seed=2,
-            )
+            ),
+            runner_cls=EventPathRunner,
         )
+        assert fused.net.fused_deliveries == len(ref.trace)  # requests and replies
 
 
 # -- (iii) the baseline runners --------------------------------------------------

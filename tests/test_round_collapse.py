@@ -28,7 +28,7 @@ from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
 from repro.sim.stragglers import ComputeModel, DeterministicCompute, cpu_cluster_compute
 
-from tests.sim_helpers import EventPathRunner, instant_stream
+from tests.sim_helpers import EventPathRunner, instant_stream, server_metrics, wire_row
 
 
 class _InjectedStraggler(ComputeModel):
@@ -49,19 +49,14 @@ class _InjectedStraggler(ComputeModel):
         return 1.0
 
 
-def _wire_trace_key(msg):
-    # Stable wire fields only: collapsed-round hook messages carry
-    # synthesized ids (msg_id/cause_id = -1), so identity must rest on
-    # src/dst/tag/size and the two analytic times.
-    return (msg.src, msg.dst, msg.tag, msg.size_bytes, msg.send_time, msg.deliver_time)
-
-
 def _run(cfg_kwargs, collapse, obs=None, hooks=True):
     cfg = SimConfig(**cfg_kwargs, obs=obs if obs is not None else NULL_OBS)
     runner = (FluentPSSimRunner if collapse else EventPathRunner)(cfg)
     rec = []
     if hooks:
-        runner.net.on_delivery(lambda m: rec.append(_wire_trace_key(m)))
+        # Stable wire fields only: collapsed-round hook messages carry
+        # synthesized ids (msg_id/cause_id = -1).
+        runner.net.on_delivery(lambda m: rec.append(wire_row(m)))
     result = runner.run()
     return runner, result, sorted(rec)
 
@@ -73,13 +68,7 @@ def _fingerprint(runner, result, rec):
             "trace": rec,
             "duration": result.duration,
             "finish": runner._finish_times,
-            "metrics": [
-                {
-                    **s.metrics.summary(),
-                    "staleness": sorted(s.metrics.staleness_hist.items()),
-                }
-                for s in runner.servers
-            ],
+            "metrics": server_metrics(runner.servers),
             "net": [runner.net.total_messages, runner.net.total_bytes],
             "dispatch": [runner.server_msgs_inline, runner.server_msgs_drained],
             "spans": sorted(
@@ -348,17 +337,6 @@ class TestEligibilityGates:
         runner.run()
         assert runner.engine.rounds_collapsed == 0
         assert runner.collapse_fallback == {"reason": "subclass"}
-
-    def test_process_wire_is_ineligible(self):
-        # Drain lanes need analytic wire timing: a fabric-capped cluster
-        # runs the inbox loop, which the cohort closed form does not model.
-        kwargs = _cell("cpu", "ssp3", "det", iters=2)
-        kwargs["base_compute_time"] = 5.0
-        kwargs["cluster"].fabric_concurrency = 1
-        ra, _rb = _assert_differential(kwargs)
-        assert ra.engine.rounds_collapsed == 0
-        assert ra.engine.round_events_saved == 0
-        assert ra.collapse_fallback == {"reason": "proc_dispatch"}
 
     @pytest.mark.parametrize(
         "reason, change",

@@ -1,5 +1,7 @@
 """Tests for the discrete-event co-simulation runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import sanitize_observability
@@ -7,7 +9,9 @@ from repro.bench.workloads import blobs_task
 from repro.core.models import asp, bsp, drop_stragglers, pssp, ssp
 from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
-from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
+from repro.sim.cluster import ClusterSpec, cpu_cluster, gpu_cluster_p2
+from repro.sim.engine import Engine
+from repro.sim.network import Network
 from repro.obs import MetricsRegistry, Observability
 from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
 from repro.sim.stragglers import (
@@ -77,11 +81,16 @@ class TestConfig:
             ("request_bytes", -1),
             ("eval_every", -1),
             ("server_op_overhead_s", float("nan")),
+            # Negative compute times: the run died of a corrupted event heap.
+            ("batch_per_worker", -1),
+            ("batch_per_worker", 0),
+            # Three rounds on the collapse path, TypeError on the event path.
+            ("max_iter", 2.5),
         ],
     )
     def test_invalid_numbers_fail_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
-            timing_config(**{field: value})
+            replace(timing_config(), **{field: value})
 
     @pytest.mark.parametrize(
         "removed",
@@ -91,6 +100,7 @@ class TestConfig:
             {"engine_elide": False},
             {"round_collapse": False},
             {"server_drain": "event"},
+            {"server_dispatch": "proc"},
         ],
     )
     def test_removed_mode_fields_raise(self, removed):
@@ -98,6 +108,15 @@ class TestConfig:
         than silently running a different path."""
         with pytest.raises(TypeError):
             timing_config(**removed)
+
+    def test_removed_wire_switches_raise(self):
+        with pytest.raises(TypeError):
+            Network(Engine(), analytic=False)
+        with pytest.raises(TypeError):
+            Network(Engine(), fabric_concurrency=2)
+        cluster = gpu_cluster_p2(2)
+        with pytest.raises(TypeError):
+            ClusterSpec("c", cluster.workers, cluster.servers, fabric_concurrency=2)
 
 
 class TestTimingRuns:
