@@ -24,7 +24,7 @@ def timelines() -> None:
                                         jitter_sigma=0.02)
     common = dict(
         cluster=gpu_cluster_p2(3, 4), max_iter=6, sync=bsp(), workload=wl,
-        batch_per_worker=256, compute_model=compute, seed=0, keep_spans=True,
+        batch_per_worker=256, compute_model=compute, seed=0, span_capture=True,
     )
     non = run_pslite(SimConfig(**common))
     ovl = run_fluentps(SimConfig(**common, slicer=ElasticSlicer()))

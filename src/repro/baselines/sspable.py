@@ -136,7 +136,7 @@ class SSPTableRunner:
         self.table_cfg = config
         self.engine = Engine()
         self.net = self.cfg.cluster.make_network(self.engine)
-        self.trace = TraceRecorder(keep_spans=self.cfg.keep_spans)
+        self.trace = TraceRecorder(keep_spans=bool(self.cfg.span_capture))
         self.spec = self.cfg.spec
         slicer = self.cfg.slicer or ElasticSlicer()
         self.layout = ShardLayout(self.spec, slicer.slice(self.spec, self.cfg.cluster.n_servers))

@@ -169,7 +169,7 @@ def fig5_timeline(scale: Scale, seed: int = 0) -> ExperimentResult:
         batch_per_worker=256,
         compute_model=compute,
         seed=seed,
-        keep_spans=True,
+        span_capture=True,
     )
     r_non = run_pslite(SimConfig(**common))
     r_ovl = run_fluentps(SimConfig(**common, slicer=ElasticSlicer()))

@@ -252,7 +252,12 @@ class Network:
             raise KeyError(f"unknown node {node_id!r}") from None
 
     def on_delivery(self, hook: Callable[[Message], None]) -> None:
-        """Register a hook called (in sim time) whenever a message lands."""
+        """Register a hook called (in sim time) whenever a message lands.
+
+        A hook observes every message as a real :class:`Message`, in its
+        own delivery event: installing one switches off every fused path
+        for the run — the runner's round collapse (``delivery_hook``
+        fallback), fused deliveries and fused gathers."""
         self._delivery_hooks.append(hook)
 
     def gather(self, dst, count: int, exclusive: bool = False) -> Gather:
@@ -372,8 +377,10 @@ class Network:
         # serializing the instant the lane frees.  max(now, free_at) + hold
         # is the same float addition a lane-acquiring process performs via
         # its resume timestamps, so the cursors reproduce the reference
-        # timeline bit for bit.  rx_hold and arrival are precomputed here
-        # (both are pure functions of size and tx_end) so the TX-completion
+        # timeline bit for bit — the one lane rule, spelled for n = 1 (the
+        # runner's ``_seq_cascade`` is its n > 1 spelling, which the round
+        # collapse applies to a cohort).  rx_hold and arrival are precomputed
+        # here (both are pure functions of size and tx_end) so the TX-completion
         # event does no lookups of its own; the serialize-time memo is
         # inlined (same dict as :meth:`Endpoint.serialize_time`) to skip
         # two calls per send.

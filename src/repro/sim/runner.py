@@ -20,7 +20,8 @@ ResNet-56-sized transfers while the gradients stay cheap to compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,15 +77,13 @@ class SimConfig:
     wire_scale: Optional[float] = None  # None → auto from workload/task sizes
     seed: int = 0
     eval_every: int = 0
-    keep_spans: bool = False
-    #: Span-list capture override.  ``None`` → legacy behavior: spans are
-    #: kept when ``keep_spans`` asks for them or observability is enabled
-    #: (trace export needs the list).  ``False`` → never keep the span
-    #: list even under observability: span *totals* (comm/compute time)
-    #: still accumulate exactly, but per-span objects are dropped — at
-    #: 100k workers the list alone costs hundreds of MB, and a
-    #: sanitize-focused run only needs the protocol instant stream.
-    #: ``True`` → always keep (same as ``keep_spans=True``).
+    #: Span-list capture.  ``None`` → spans are kept when observability
+    #: is enabled (trace export needs the list).  ``False`` → never keep
+    #: the span list even under observability: span *totals*
+    #: (comm/compute time) still accumulate exactly, but per-span objects
+    #: are dropped — at 100k workers the list alone costs hundreds of MB,
+    #: and a sanitize-focused run only needs the protocol instant stream.
+    #: ``True`` → always keep.
     span_capture: Optional[bool] = None
     header_bytes: int = 256
     request_bytes: int = 128
@@ -104,39 +103,22 @@ class SimConfig:
     obs: Optional[Observability] = None
     #: Snapshot scrape period in sim seconds; None → half a base compute.
     snapshot_interval_s: Optional[float] = None
-    #: Per-worker observability series cap.  Below this worker count the
-    #: runner keeps one ``pull_latency_seconds`` sketch series per worker
-    #: (labels ``worker=<w>``); above it, all workers share a single
-    #: aggregate series (``worker="all"``) so the metrics registry stays
-    #: bounded at mesoscale — at 100k workers per-worker label sets would
-    #: dominate run memory.  Sketches merge exactly, so the aggregate is
-    #: byte-identical to merging the per-worker series after the fact.
-    worker_series_threshold: int = 4096
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
-        if not self.batch_per_worker >= 1:
-            raise ValueError(f"batch_per_worker must be >= 1, got {self.batch_per_worker!r}")
-        if self.worker_series_threshold < 1:
-            raise ValueError(
-                f"worker_series_threshold must be >= 1, "
-                f"got {self.worker_series_threshold}"
-            )
+        # ``bool`` passes ``isinstance(..., int)``: max_iter=True is not "one".
+        least = dict(max_iter=1, batch_per_worker=1, header_bytes=0, request_bytes=0, eval_every=0)
+        for name, minimum in least.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
         for name in ("base_compute_time", "wire_scale", "snapshot_interval_s"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        for name in (
-            "server_op_overhead_s",
-            "dpr_overhead_s",
-            "header_bytes",
-            "request_bytes",
-            "eval_every",
-        ):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("server_op_overhead_s", "dpr_overhead_s"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
         if self.task is None and self.workload is None:
             raise ValueError("need a TrainingTask and/or a Workload")
         if self.task is not None and self.task.n_workers != self.cluster.n_workers:
@@ -222,8 +204,9 @@ def _seq_cascade(
     """Exact capacity-1 FIFO-lane cascade over a sorted arrival stream.
 
     Computes ``end_i = max(cursor_i, a_i) + h_i`` with
-    ``cursor_{i+1} = end_i`` — the same float sequence the event path
-    produces one message at a time — using one seeded
+    ``cursor_{i+1} = end_i`` — the one lane rule, spelled for n > 1 (the
+    wire and ``_dispatch_server`` spell it inline for n = 1, one message
+    at a time, same floats) — using one seeded
     ``np.add.accumulate`` per *saturated segment* (a maximal stretch
     where each arrival lands before the previous transfer ends).  The
     accumulate is strictly sequential, and the running cursor is seeded
@@ -283,27 +266,171 @@ def _seq_cascade(
     return out, cursor
 
 
-def _request_delivery_order(
-    T: np.ndarray, wrank: np.ndarray, srv_claims: list
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Request delivery order of one collapsed round when deliveries
-    do not fuse (delivery hooks installed): ``(rx_end, TX rank)`` over
-    the flat ``worker * 2M + column`` request table.  Returns the
-    order and the flat RX-end (= delivery time) table it sorts."""
-    n, K = T.shape
-    M = K // 2
-    keyflat = (wrank[:, None] * K + np.arange(K)[None, :]).ravel()
-    txrank = np.empty(n * K, dtype=np.int64)
-    txrank[np.lexsort((keyflat, T.ravel()))] = np.arange(n * K)
-    rx_flat = np.empty(n * K)
-    for m in range(M):
-        o, rx_ends, _serve = srv_claims[m]
-        sel = o >= n
-        wkr = np.where(sel, o - n, o)
-        col = np.where(sel, M + m, m)
-        rx_flat[wkr * K + col] = rx_ends
-    return np.lexsort((txrank, rx_flat)), rx_flat
+@dataclass(slots=True)
+class _Lanes:
+    """Every capacity-1 FIFO lane a stock round touches, as the collapse
+    carries it from round to round: the run's constants (latency, op
+    cost, per-message holds) and the state a round advances (cursors,
+    busy sums, serve-lane busy ends).  Worker fields are arrays over
+    workers, server fields lists over shards."""
 
+    latency: float
+    op_cost: float  #: serve-lane hold per request
+    #: (n, M + 1): a worker's hold of shard ``m``'s bytes — its push on the
+    #: TX lane, its reply on the RX lane — and, last, of a pull request.
+    w_holds: np.ndarray
+    s_push_hold: List[float]  #: server RX hold of a push = TX hold of a reply
+    s_pull_hold: List[float]  #: server RX hold of a pull request
+    wtx_free: np.ndarray
+    wrx_free: np.ndarray
+    wtx_busy: np.ndarray
+    wrx_busy: np.ndarray
+    stx_free: List[float]
+    srx_free: List[float]
+    stx_busy: List[float]
+    srx_busy: List[float]
+    serve_busy: List[float]  #: when each shard's serve lane frees
+
+
+@dataclass(slots=True)
+class _RoundSchedule:
+    """One protocol round as a value: what :func:`quiet_round` returns.
+    A request is ``worker * 2M + column`` (column ``m`` is the push to
+    shard ``m``, ``M + m`` the pull).  The ``(M, 2n)`` tables hold each
+    shard's requests in its RX-claim (= handle) order, ``claims`` saying
+    which; scattering them by ``claims`` is left to whoever needs it."""
+
+    ready: np.ndarray  #: per worker: compute done, its 2M requests sent
+    order: np.ndarray  #: workers in resume order ``(ready, rank)``
+    tx_end: np.ndarray  #: (n, 2M) request TX completions, ``[worker, column]``
+    claims: np.ndarray  #: (M, 2n) the requests of each shard, in claim order
+    rx_end: np.ndarray  #: (M, 2n) request deliveries (server RX drain ends)
+    handle: np.ndarray  #: (M, 2n) serve instants; a pull's reply is sent at its handle
+    applied: np.ndarray  #: (M, 2n) pushes of this round the shard has applied, this one included
+    early: List[int]  #: per shard: pulls handled before its n-th push
+    inline: int  #: requests handled at delivery; the rest waited out a busy serve lane
+    reply_tx_end: np.ndarray  #: (n, M) ``[worker, shard]``
+    reply_order: np.ndarray  #: (n, M) the shards in the order their replies drain at the worker
+    reply_rx_end: np.ndarray  #: (n, M) reply deliveries, in ``reply_order``
+    done: np.ndarray  #: per worker: its last reply drained
+    closes: np.ndarray  #: workers in the order their reply gathers close
+    rank: np.ndarray  #: next round's resume rank (position in ``closes``)
+    lanes: _Lanes  #: the lane state after the round
+
+
+def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSchedule:
+    """One stock protocol round in closed form (Algorithm 1 lines 4-6).
+
+    Worker ``w`` sends M pushes then M pulls at ``ready[w]`` (workers
+    ready at the same instant resume in ``rank`` order), every shard
+    answers every pull at its handle, and the round ends when each
+    worker's M replies have drained: worker TX cascade -> per-shard RX
+    claim and serve lane -> reply TX cascade -> the worker's private RX
+    lane.  Every lane obeys the one rule of :func:`_seq_cascade`, so each
+    float is the one the event path and ``tests/reference_sim.py``
+    produce, provided nothing else touches the lanes meanwhile — the
+    caller's isolation test.  Pure: ``lanes`` is read, the state after
+    the round is a new object inside the schedule.
+    """
+    n, M = lanes.w_holds.shape[0], len(lanes.s_push_hold)
+    K = 2 * M
+    latency = lanes.latency
+    arange_n = np.arange(n)
+    order = np.lexsort((rank, ready))
+    wrank = np.empty(n, dtype=np.int64)
+    wrank[order] = arange_n
+    wtx_free = np.maximum(lanes.wtx_free, ready)
+    wtx_busy = lanes.wtx_busy
+    tx_end = np.empty((n, K))
+    for k in range(K):
+        hold = lanes.w_holds[:, min(k, M)]
+        wtx_free = wtx_free + hold
+        tx_end[:, k] = wtx_free
+        wtx_busy = wtx_busy + hold
+
+    # -- per shard: RX claims, serve lane, reply TX cascade ----------------
+    # RX cursors are claimed at TX-completion events, so a shard's claim
+    # order is the global TX order (tx_end, send seq) restricted to it.
+    rx_end = np.empty((M, 2 * n))
+    handle = np.empty((M, 2 * n))
+    applied = np.empty((M, 2 * n), dtype=np.int64)
+    claims = np.empty((M, 2 * n), dtype=np.int64)
+    reply_tx_end = np.empty((n, M))
+    early: List[int] = []
+    column0 = np.concatenate((arange_n * K, arange_n * K + M))  # push | pull to shard 0
+    key0 = np.concatenate((wrank * K, wrank * K + M))  # the same, by resume rank
+    inline = 0
+    stx_free, srx_free, stx_busy, srx_busy, serve_busy = ([0.0] * M for _ in range(5))
+    op_costs = np.full(2 * n, lanes.op_cost)
+    for m in range(M):
+        t2 = np.concatenate((tx_end[:, m], tx_end[:, M + m]))
+        k2 = key0 + m
+        o = np.lexsort((k2, t2))
+        is_pull = o >= n
+        claims[m] = column0[o] + m
+        holds = np.where(is_pull, lanes.s_pull_hold[m], lanes.s_push_hold[m])
+        rx, srx_free[m] = _seq_cascade(t2[o] + latency, holds, lanes.srx_free[m])
+        srx_busy[m] = float(
+            np.add.accumulate(np.concatenate(((lanes.srx_busy[m],), holds)))[-1]
+        )
+        busy_ends, serve_busy[m] = _seq_cascade(rx, op_costs, lanes.serve_busy[m])
+        busy_prev = np.concatenate(((lanes.serve_busy[m],), busy_ends[:-1]))
+        handle[m] = serve = np.maximum(busy_prev, rx)
+        inline += int(np.count_nonzero(rx >= busy_prev))
+        applied[m] = pushes = np.cumsum(~is_pull)
+        # Pulls served before this shard's n-th push see the pre-advance
+        # frontier: one missing iteration.
+        early.append(int(np.searchsorted(pushes, n)) + 1 - n)
+        rx_end[m] = rx
+        # Replies leave in pull-handle order, each sent at its handle.
+        reply_holds = np.full(n, lanes.s_push_hold[m])
+        ends, stx_free[m] = _seq_cascade(serve[is_pull], reply_holds, lanes.stx_free[m])
+        stx_busy[m] = float(
+            np.add.accumulate(np.concatenate(((lanes.stx_busy[m],), reply_holds)))[-1]
+        )
+        reply_tx_end[o[is_pull] - n, m] = ends
+
+    # -- each worker's private RX lane --------------------------------------
+    # Claimed at reply TX completions, i.e. in (reply tx_end, reply send
+    # seq) order; replies are sent in global pull handle order, which is
+    # the pulls' global TX order.  Stable two-pass row sort.
+    keyp = key0[n:, None] + np.arange(M)
+    go = np.lexsort((keyp.ravel(), tx_end[:, M:].ravel()))
+    send_seq = np.empty(n * M, dtype=np.int64)
+    send_seq[go] = np.arange(n * M)
+    o1 = np.argsort(send_seq.reshape(n, M), axis=1, kind="stable")
+    o2 = np.argsort(np.take_along_axis(reply_tx_end, o1, axis=1), axis=1, kind="stable")
+    perm = np.take_along_axis(o1, o2, axis=1)
+    tx_s = np.take_along_axis(reply_tx_end, perm, axis=1)
+    hold_s = np.take_along_axis(lanes.w_holds, perm, axis=1)
+    reply_rx_end = np.empty((n, M))
+    cur = lanes.wrx_free
+    wrx_busy = lanes.wrx_busy
+    for j in range(M):
+        cur = np.maximum(cur, tx_s[:, j] + latency) + hold_s[:, j]
+        reply_rx_end[:, j] = cur
+        wrx_busy = wrx_busy + hold_s[:, j]
+    # A gather closes — and its waiter's resume seq, next round's rank, is
+    # allocated — at the handle of the worker's last pull.
+    closes = np.lexsort((wrank, tx_end[:, -1], cur))
+    next_rank = np.empty(n, dtype=np.int64)
+    next_rank[closes] = arange_n
+    after = replace(
+        lanes, wtx_free=wtx_free, wrx_free=cur, wtx_busy=wtx_busy, wrx_busy=wrx_busy,
+        stx_free=stx_free, srx_free=srx_free, stx_busy=stx_busy, srx_busy=srx_busy,
+        serve_busy=serve_busy,
+    )
+    return _RoundSchedule(
+        ready, order, tx_end, claims, rx_end, handle, applied, early, inline,
+        reply_tx_end, perm, reply_rx_end, cur, closes, next_rank, after,
+    )
+
+
+#: Above this many workers the ``pull_latency_seconds`` sketch keeps one
+#: aggregate ``worker="all"`` series instead of one label set per worker:
+#: at 100k workers per-worker label sets would dominate run memory, and
+#: sketches merge exactly, so only the per-worker split is lost.
+WORKER_SERIES_THRESHOLD = 4096
 
 #: Requests per columnar instant block: a collapsed round with more is
 #: emitted as a run of blocks, so no row-length temporary outgrows a few
@@ -354,11 +481,7 @@ class FluentPSSimRunner:
         self.obs = config.obs or current_observability()
         # Observability implies a full span capture for trace export,
         # unless span_capture=False opts out (sanitize-focused runs).
-        keep = (
-            config.span_capture
-            if config.span_capture is not None
-            else (config.keep_spans or self.obs.enabled)
-        )
+        keep = self.obs.enabled if config.span_capture is None else config.span_capture
         self.trace = TraceRecorder(keep_spans=keep)
         self.spec = config.spec
         slicer = config.slicer or ElasticSlicer()
@@ -406,11 +529,7 @@ class FluentPSSimRunner:
                 "pull_latency_seconds",
                 "sync-wait seconds per sPull round (mergeable sketch)",
             )
-            if n > config.worker_series_threshold:
-                # Mesoscale: one shared aggregate series instead of one
-                # label set per worker keeps the registry bounded (the
-                # sketch merge is exact, so nothing is lost but the
-                # per-worker split — see SimConfig.worker_series_threshold).
+            if n > WORKER_SERIES_THRESHOLD:
                 agg = pull_sketch.labels(worker="all")
                 self._pull_sketches = [agg] * n
             else:
@@ -442,17 +561,14 @@ class FluentPSSimRunner:
         # events).  ShardServer.clock reads it, so DPR waits and protocol
         # instants carry handle times, not delivery-event times.
         self._srv_now = [0.0] * m
-        # Hot-path memos: node-id strings, per-shard wire sizes, and (when
+        # Hot-path memos: endpoints, per-shard wire sizes, and (when
         # causal tracing is off) one prebound pull responder per server —
         # all pure functions of the config, resolved once instead of per
-        # request at incast rates.
-        self._srv_node_ids = [config.cluster.server_id(j) for j in range(m)]
-        self._wkr_node_ids = [config.cluster.worker_id(w) for w in range(n)]
-        # Endpoint objects resolved once: Network.send accepts them in
-        # place of node ids, skipping two registry lookups per message
+        # request at incast rates.  Network.send accepts Endpoint objects
+        # in place of node ids, skipping two registry lookups per message
         # (cache misses once the registry holds 100k entries).
-        self._srv_eps = [self.net.endpoints[i] for i in self._srv_node_ids]
-        self._wkr_eps = [self.net.endpoints[i] for i in self._wkr_node_ids]
+        self._srv_eps = [self.net.endpoints[config.cluster.server_id(j)] for j in range(m)]
+        self._wkr_eps = [self.net.endpoints[config.cluster.worker_id(w)] for w in range(n)]
         self._shard_bytes = [self._payload_bytes(j) for j in range(m)]
         self._responders = [
             partial(self._send_reply, j) for j in range(m)
@@ -713,8 +829,8 @@ class FluentPSSimRunner:
         (every pull immediate, one frontier advance per round, no DPRs,
         no PSSP coin flips).  Anything outside that — real gradients,
         quorums below n, BSP's s=0 soft barrier, DSPS's self-mutating
-        staleness, DPOR choice/delay hooks, causal tracing, span capture
-        without obs — keeps the per-event path,
+        staleness, DPOR choice/delay hooks, delivery hooks, causal tracing,
+        span capture without obs — keeps the per-event path,
         which stays bit-identical by construction.  The reason lands in
         :attr:`collapse_fallback`.
         """
@@ -732,11 +848,14 @@ class FluentPSSimRunner:
             return "choice_hook"
         if self.net.delay_hook is not None:
             return "delay_hook"
+        if self.net._delivery_hooks:
+            # A hook observes every message as a real ``Message``.
+            return "delivery_hook"
         if self.trace.keep_spans and not self.obs.enabled:
             # The vector commit appends spans round by round: per-actor
             # order matches the event path, the global list order does
             # not.  Observed runs accept that (exports group by actor);
-            # a bare keep_spans run keeps the event path's list.
+            # a bare span_capture=True run keeps the event path's list.
             return "kept_spans"
         n = cfg.cluster.n_workers
         for s in self.servers:
@@ -767,15 +886,39 @@ class FluentPSSimRunner:
                 "runs that left the closed-form round collapse, by reason",
             ).inc(reason=reason)
 
+    def _cohort_lanes(self) -> _Lanes:
+        """The endpoints' and serve lanes' current state as the table
+        :func:`quiet_round` advances."""
+        cfg = self.cfg
+        # Serialization holds are pure functions of (NIC, size): one
+        # row per distinct NIC spec covers the whole cohort.
+        sizes = self._shard_bytes + [cfg.request_bytes]
+        weps, seps = self._wkr_eps, self._srv_eps
+        holds = {nic: [nic.serialize_time(s) for s in sizes] for nic in {ep.nic for ep in weps}}
+        return _Lanes(
+            latency=self.net.latency_s,
+            op_cost=cfg.server_op_overhead_s,
+            w_holds=np.array([holds[ep.nic] for ep in weps]),
+            s_push_hold=[ep.nic.serialize_time(b) for ep, b in zip(seps, self._shard_bytes)],
+            s_pull_hold=[ep.nic.serialize_time(cfg.request_bytes) for ep in seps],
+            wtx_free=np.array([ep.tx_free_at for ep in weps]),
+            wrx_free=np.array([ep.rx_free_at for ep in weps]),
+            wtx_busy=np.array([ep.tx_busy_s for ep in weps]),
+            wrx_busy=np.array([ep.rx_busy_s for ep in weps]),
+            stx_free=[ep.tx_free_at for ep in seps],
+            srx_free=[ep.rx_free_at for ep in seps],
+            stx_busy=[ep.tx_busy_s for ep in seps],
+            srx_busy=[ep.rx_busy_s for ep in seps],
+            serve_busy=list(self._srv_busy),
+        )
+
     def _collapse_rounds(self) -> bool:
         """Advance whole protocol rounds in closed form.
 
-        One vectorized pass per round over the cohort state table
-        (per-worker clocks, NIC lane cursors, busy accumulators, resume
-        ranks) reproduces the exact float recurrences the event path
-        would execute: resume order, worker TX cascades, per-server RX
-        claim/serve cascades, reply TX/RX cascades, and the next round's
-        resume ranks.  A round commits only when the next round is
+        Per round: draw the cohort's compute durations, let
+        :func:`quiet_round` schedule the round from the lane table, and
+        commit it — spans, sketches, the shards' ``handle_quiet_round``,
+        the instant block, the event census — only when the next round is
         provably isolated (its earliest send lands strictly after this
         round's last reply), so serve orders and staleness splits cannot
         shift; the first round that fails the check — a straggler draw
@@ -798,225 +941,64 @@ class FluentPSSimRunner:
         block_shards = [s.block_constants() for s in self.servers] if observed else []
         n = cfg.cluster.n_workers
         M = cfg.cluster.n_servers
-        K = 2 * M
-        latency = net.latency_s
         cost = cfg.server_op_overhead_s
-        hooks = net._delivery_hooks
-        fused = not hooks
         sample = self.compute_model.sample
         rngs = self._compute_rngs
         push_bytes = self._shard_bytes
         req_bytes = cfg.request_bytes
-        base_l = [
-            cfg.resolved_base_compute(node.flops) for node in cfg.cluster.workers
-        ]
+        base_l = [cfg.resolved_base_compute(node.flops) for node in cfg.cluster.workers]
         names = [f"worker{w}" for w in range(n)]
-
-        # Serialization holds are pure functions of (NIC, size): one
-        # vector per distinct NIC spec covers the whole cohort.
-        sizes = list(push_bytes) + [req_bytes]
-        nic_memo: Dict[Tuple[float, float], np.ndarray] = {}
-        wh = np.empty((n, M + 1))
-        for w, ep in enumerate(self._wkr_eps):
-            nic_key = (ep.nic.bandwidth_Bps, ep.nic.overhead_s)
-            hv = nic_memo.get(nic_key)
-            if hv is None:
-                hv = nic_memo[nic_key] = np.array(
-                    [ep.nic.serialize_time(s) for s in sizes]
-                )
-            wh[w] = hv
-        wtx_holds = np.empty((n, K))
-        wtx_holds[:, :M] = wh[:, :M]
-        wtx_holds[:, M:] = wh[:, M:]  # pull-request hold, broadcast M wide
-        wrx_holds = np.ascontiguousarray(wh[:, :M])  # replies carry shard bytes
-        s_push_hold = [
-            self._srv_eps[m].nic.serialize_time(push_bytes[m]) for m in range(M)
-        ]
-        s_pull_hold = [
-            self._srv_eps[m].nic.serialize_time(req_bytes) for m in range(M)
-        ]
-        s_reply_hold = s_push_hold  # same NIC, same payload size
-
-        # Cohort state table: endpoint cursors and busy accumulators,
-        # loaded once and written back only for committed rounds.
-        wtx_free = np.array([ep.tx_free_at for ep in self._wkr_eps])
-        wrx_free = np.array([ep.rx_free_at for ep in self._wkr_eps])
-        wtx_busy = np.array([ep.tx_busy_s for ep in self._wkr_eps])
-        wrx_busy = np.array([ep.rx_busy_s for ep in self._wkr_eps])
-        stx_free = [ep.tx_free_at for ep in self._srv_eps]
-        srx_free = [ep.rx_free_at for ep in self._srv_eps]
-        stx_busy = [ep.tx_busy_s for ep in self._srv_eps]
-        srx_busy = [ep.rx_busy_s for ep in self._srv_eps]
-        sbusy = list(self._srv_busy)
-        snow = list(self._srv_now)
-        rounds = 0
-        inline_total = 0
-        drained_total = 0
+        # Loaded once, written back only for committed rounds.
+        lanes = self._cohort_lanes()
         # Event census per worker per round: 2 resume events and 2M request
-        # TX completions (the M replies ride the worker's fused gather) —
-        # plus, under delivery hooks, 2M request deliveries and 2M reply events.
-        saved_per_round = n * (2 + (2 if fused else 6) * M)
+        # TX completions (the M replies ride the worker's fused gather).
+        saved_per_round = n * (2 + 2 * M)
         sum_push = sum(push_bytes)
 
         def _flush() -> None:
-            # Write the committed-round cursor/counter state back to the
-            # live endpoints, network totals, and dispatch counters.
+            # Write the cursor/counter state of the ``r`` committed rounds
+            # back to the live endpoints and network totals.
             # Must run before any de-vectorized worker spawns so their
             # sends observe the post-collapse cursors.
             for w, ep in enumerate(self._wkr_eps):
-                ep.tx_free_at = float(wtx_free[w])
-                ep.rx_free_at = float(wrx_free[w])
-                ep.tx_busy_s = float(wtx_busy[w])
-                ep.rx_busy_s = float(wrx_busy[w])
-                ep.bytes_sent += rounds * (sum_push + M * req_bytes)
-                ep.messages_sent += rounds * K
-                ep.bytes_received += rounds * sum_push
-                ep.messages_received += rounds * M
+                ep.tx_free_at = float(lanes.wtx_free[w])
+                ep.rx_free_at = float(lanes.wrx_free[w])
+                ep.tx_busy_s = float(lanes.wtx_busy[w])
+                ep.rx_busy_s = float(lanes.wrx_busy[w])
+                ep.bytes_sent += r * (sum_push + M * req_bytes)
+                ep.messages_sent += r * 2 * M
+                ep.bytes_received += r * sum_push
+                ep.messages_received += r * M
             for m, ep in enumerate(self._srv_eps):
-                ep.tx_free_at = stx_free[m]
-                ep.rx_free_at = srx_free[m]
-                ep.tx_busy_s = stx_busy[m]
-                ep.rx_busy_s = srx_busy[m]
-                ep.bytes_sent += rounds * n * push_bytes[m]
-                ep.messages_sent += rounds * n
-                ep.bytes_received += rounds * n * (push_bytes[m] + req_bytes)
-                ep.messages_received += rounds * 2 * n
-                self._srv_busy[m] = sbusy[m]
-                self._srv_now[m] = snow[m]
-            nmsg = rounds * 3 * M * n
+                ep.tx_free_at = lanes.stx_free[m]
+                ep.rx_free_at = lanes.srx_free[m]
+                ep.tx_busy_s = lanes.stx_busy[m]
+                ep.rx_busy_s = lanes.srx_busy[m]
+                ep.bytes_sent += r * n * push_bytes[m]
+                ep.messages_sent += r * n
+                ep.bytes_received += r * n * (push_bytes[m] + req_bytes)
+                ep.messages_received += r * 2 * n
+                self._srv_busy[m] = lanes.serve_busy[m]
+            nmsg = r * 3 * M * n
             net.total_messages += nmsg
-            net.total_bytes += rounds * n * (2 * sum_push + M * req_bytes)
+            net.total_bytes += r * n * (2 * sum_push + M * req_bytes)
             net.fast_path_transfers += nmsg
             net._next_msg_id += nmsg
-            if fused:
-                net.fused_deliveries += nmsg
-            self.server_msgs_inline += inline_total
-            self.server_msgs_drained += drained_total
+            net.fused_deliveries += nmsg
 
         r = 0
         c = np.zeros(n)
         rank = np.arange(n)
         dur_l = [sample(w, 0, base_l[w], rngs[w]) for w in range(n)]
-        arange_n = np.arange(n)
-        cost2n = np.full(2 * n, cost)
         while True:
-            # -- resume order and the worker TX cascade -------------------
-            e = c + np.asarray(dur_l)
-            order_w = np.lexsort((rank, e))
-            wrank = np.empty(n, dtype=np.int64)
-            wrank[order_w] = arange_n
-            cur = np.maximum(wtx_free, e)
-            T = np.empty((n, K))
-            for k in range(K):
-                cur = cur + wtx_holds[:, k]
-                T[:, k] = cur
-            new_wtx_free = cur
-
-            # -- per-server request claim, RX lane, serve cascade ---------
-            # RX cursors are claimed at TX-completion events, so per-server
-            # claim order is the global TX order (tx_end, send seq)
-            # restricted to that server — in both fused and unfused
-            # regimes (unfused delivery order is (rx_end, tx rank), whose
-            # per-server restriction is the same claim order).
-            pull_serve = np.empty((n, M))
-            pull_rxend = np.empty((n, M))
-            x_early = [0] * M
-            new_srx_free = [0.0] * M
-            new_srx_busy = [0.0] * M
-            new_sbusy = [0.0] * M
-            new_snow = [0.0] * M
-            inline_round = 0
-            srv_claims: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-            for m in range(M):
-                t2 = np.concatenate((T[:, m], T[:, M + m]))
-                k2 = np.concatenate((wrank * K + m, wrank * K + M + m))
-                o = np.lexsort((k2, t2))
-                at = t2[o] + latency
-                is_pull = o >= n
-                h2 = np.where(is_pull, s_pull_hold[m], s_push_hold[m])
-                rx_ends, new_srx_free[m] = _seq_cascade(at, h2, srx_free[m])
-                new_srx_busy[m] = float(
-                    np.add.accumulate(np.concatenate(((srx_busy[m],), h2)))[-1]
-                )
-                busy_ends, new_sbusy[m] = _seq_cascade(rx_ends, cost2n, sbusy[m])
-                busy_prev = np.empty(2 * n)
-                busy_prev[0] = sbusy[m]
-                busy_prev[1:] = busy_ends[:-1]
-                serve = np.maximum(busy_prev, rx_ends)
-                new_snow[m] = float(serve[-1])
-                inline_round += int(np.count_nonzero(rx_ends >= busy_prev))
-                # Pulls served before this shard's last push see the
-                # pre-advance frontier: one missing iteration.
-                last_push = int(np.nonzero(~is_pull)[0][-1])
-                x_early[m] = int(np.count_nonzero(is_pull[:last_push]))
-                pw = o[is_pull] - n
-                pull_serve[pw, m] = serve[is_pull]
-                pull_rxend[pw, m] = rx_ends[is_pull]
-                srv_claims.append((o, rx_ends, serve))
-
-            # -- global reply send seq = global pull handle order ---------
-            keyp = wrank[:, None] * K + (np.arange(M) + M)[None, :]
-            go = np.lexsort((keyp.ravel(), T[:, M:].ravel()))
-            ptx_rank = np.empty(n * M, dtype=np.int64)
-            ptx_rank[go] = np.arange(n * M)
-            if fused:
-                reply_rank = ptx_rank.reshape(n, M)
-            else:
-                go2 = np.lexsort((ptx_rank, pull_rxend.ravel()))
-                rr = np.empty(n * M, dtype=np.int64)
-                rr[go2] = np.arange(n * M)
-                reply_rank = rr.reshape(n, M)
-
-            # -- per-server reply TX cascade (send order = claim order) ---
-            rtx = np.empty((n, M))
-            new_stx_free = [0.0] * M
-            new_stx_busy = [0.0] * M
-            for m in range(M):
-                o, _rx, serve = srv_claims[m]
-                sel = o >= n
-                holds_m = np.full(n, s_reply_hold[m])
-                ends, new_stx_free[m] = _seq_cascade(
-                    serve[sel], holds_m, stx_free[m]
-                )
-                new_stx_busy[m] = float(
-                    np.add.accumulate(
-                        np.concatenate(((stx_busy[m],), holds_m))
-                    )[-1]
-                )
-                rtx[o[sel] - n, m] = ends
-
-            # -- per-worker reply RX claim order and cascade --------------
-            # A worker's RX cursor is claimed at reply TX completions:
-            # order by (reply tx_end, reply send seq), stable two-pass.
-            o1 = np.argsort(reply_rank, axis=1, kind="stable")
-            rtx_s = np.take_along_axis(rtx, o1, axis=1)
-            o2 = np.argsort(rtx_s, axis=1, kind="stable")
-            perm = np.take_along_axis(o1, o2, axis=1)
-            rtx_s = np.take_along_axis(rtx_s, o2, axis=1)
-            rr_s = np.take_along_axis(reply_rank, perm, axis=1)
-            hold_s = np.take_along_axis(wrx_holds, perm, axis=1)
-            rrx = np.empty((n, M))
-            cur = wrx_free
-            new_wrx_busy = wrx_busy
-            for j in range(M):
-                cur = np.maximum(cur, rtx_s[:, j] + latency) + hold_s[:, j]
-                rrx[:, j] = cur
-                new_wrx_busy = new_wrx_busy + hold_s[:, j]
-            f = cur
-            # Next round's resume rank is the order the waiters' seqs are
-            # allocated in: where the fused gather closes (the handle of the
-            # worker's last pull), or in the last reply's delivery under hooks.
-            fire_order = np.lexsort(
-                (wrank, T[:, -1], f) if fused else (rr_s[:, -1], rtx_s[:, -1], f)
-            )
+            sched = quiet_round(lanes, c + np.asarray(dur_l), rank)
+            f = sched.done
 
             # -- inter-round isolation check ------------------------------
             last_round = r + 1 >= cfg.max_iter
             dur_next: List[float] = []
             if not last_round:
-                dur_next = [
-                    sample(w, r + 1, base_l[w], rngs[w]) for w in range(n)
-                ]
+                dur_next = [sample(w, r + 1, base_l[w], rngs[w]) for w in range(n)]
                 if not float(np.min(f + np.asarray(dur_next))) > float(np.max(f)):
                     # Round r+1's earliest send would overlap round r's
                     # tail (serve orders and reply times could shift), so
@@ -1028,77 +1010,59 @@ class FluentPSSimRunner:
                     for pos in np.argsort(rank, kind="stable"):
                         w = int(pos)
                         eng.spawn(
-                            self._worker_proc(
-                                w, r, {r: dur_l[w], r + 1: dur_next[w]}
-                            ),
+                            self._worker_proc(w, r, {r: dur_l[w], r + 1: dur_next[w]}),
                             name=names[w],
                             start_at=float(c[w]),
                         )
                     return False
 
             # -- commit round r -------------------------------------------
-            delivery = _request_delivery_order(T, wrank, srv_claims) if hooks else None
-            for idx in order_w:
+            for idx in sched.order:
                 w = int(idx)
-                record_span(names[w], SpanKind.COMPUTE, float(c[w]), float(e[w]), r)
+                record_span(names[w], SpanKind.COMPUTE, float(c[w]), float(sched.ready[w]), r)
             if observed:
                 # Before the shards commit: the block (and in round 0 the
                 # config snapshots) must see each shard's pre-round state.
-                self._emit_round_block(r, T, order_w, srv_claims, delivery, block_shards)
+                self._emit_round_block(r, sched, block_shards)
             for m in range(M):
-                self.servers[m].handle_quiet_round(r, x_early[m])
+                self.servers[m].handle_quiet_round(r, sched.early[m])
+                self._srv_now[m] = float(sched.handle[m, -1])
                 if observed and cost > 0:
-                    serve = srv_claims[m][2]
+                    serve = sched.handle[m]
                     self.trace.record_spans(
                         self._srv_names[m], SpanKind.SERVER_APPLY, serve, serve + cost
                     )
-            if hooks:
-                self._emit_collapsed_hooks(
-                    r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
-                )
-            for idx in fire_order:
+            for idx in sched.closes:
                 w = int(idx)
-                t_sync, t_done = float(e[w]), float(f[w])
+                t_sync, t_done = float(sched.ready[w]), float(f[w])
                 record_span(names[w], SpanKind.PULL, t_sync, t_done, r)
                 if sketches is not None:
                     sketches[w].observe(t_done - t_sync)
-            wtx_free = new_wtx_free
-            wrx_free = f
-            wrx_busy = new_wrx_busy
-            for k in range(K):
-                wtx_busy = wtx_busy + wtx_holds[:, k]
-            srx_free = new_srx_free
-            srx_busy = new_srx_busy
-            stx_free = new_stx_free
-            stx_busy = new_stx_busy
-            sbusy = new_sbusy
-            snow = new_snow
-            inline_total += inline_round
-            drained_total += 2 * n * M - inline_round
+            lanes = sched.lanes
+            self.server_msgs_inline += sched.inline
+            self.server_msgs_drained += 2 * n * M - sched.inline
             # The initial spawn-step wave is only truly saved when the
             # whole run collapses — a de-vectorization re-spawns one step
             # event per worker, cancelling the round-0 saving.
             eng.credit_collapsed_round(saved_per_round + (n if last_round else 0))
-            rounds += 1
+            r += 1
             if last_round:
                 _flush()
                 eng.now = float(np.max(f))
                 self._finish_times = [float(x) for x in f]
                 return True
-            r += 1
-            c = f
-            rank = np.empty(n, dtype=np.int64)
-            rank[fire_order] = arange_n
-            dur_l = dur_next
+            c, rank, dur_l = f, sched.rank, dur_next
+            del sched  # or two rounds' tables are alive while the next is computed
 
-    def _emit_round_block(self, r, T, order_w, srv_claims, delivery, shards) -> None:
+    def _emit_round_block(self, r: int, sched: _RoundSchedule, shards) -> None:
         """Append one certified-quiet round's protocol instants to the
         instant log in columnar form.
 
         The rows are the instants ``handle_push``/``handle_pull`` would
-        record if called in global handle order (TX order when request
-        deliveries fuse, delivery order otherwise) with each shard's
-        clock at the request's serve time — see :func:`_round_rows`.
+        record if called in global handle order — the requests' global TX
+        order, as their deliveries fuse into their TX completions — with
+        each shard's clock at the request's serve time — see
+        :func:`_round_rows`.
         A round is one block up to :data:`_BLOCK_HANDLES` requests and a
         run of blocks beyond (at 100k workers one block would be ~90 MB
         of rows plus as much again in temporaries).  In round 0 the run
@@ -1106,42 +1070,31 @@ class FluentPSSimRunner:
         ``server_config`` instant leads its stream as on the event path.
         ``shards`` is the servers' ``block_constants()``.
         """
-        n = self.cfg.cluster.n_workers
-        M = self.cfg.cluster.n_servers
-        K = 2 * M
+        n, K = sched.tx_end.shape
+        M = K // 2
         servers = self.servers
-        # Per-handle tables over the flat ``worker * 2M + column`` index.
-        serve_flat = np.empty(n * K)
-        vtrain_flat = np.empty(n * K, dtype=np.int32)
-        version_flat = np.empty(n * K, dtype=np.int64)
-        advances_flat = np.zeros(n * K, dtype=bool)
-        pos = np.arange(2 * n)
-        for m in range(M):
-            o, _rx, serve = srv_claims[m]
-            is_pull = o >= n
-            flat = np.where(is_pull, (o - n) * K + M + m, o * K + m)
-            last_push = int(np.nonzero(~is_pull)[0][-1])
-            serve_flat[flat] = serve
-            # The n-th push still reports the pre-advance frontier.
-            vtrain_flat[flat] = r + (pos > last_push)
-            version_flat[flat] = servers[m].version + np.cumsum(~is_pull)
-            advances_flat[flat[last_push]] = True
-        if delivery is None:
-            # Global TX order: (tx_end, resume rank, column).  With the
-            # workers laid out in resume order the tie-break is the flat
-            # index itself, so one stable sort does it.
-            by_rank = np.argsort(T[order_w].ravel(), kind="stable")
-            gro = order_w[by_rank // K] * K + by_rank % K
-        else:
-            gro = delivery[0]
+        # Global TX order: (tx_end, resume rank, column).  With the
+        # workers laid out in resume order the tie-break is the flat
+        # index itself, so one stable sort does it.
+        order_w = sched.order
+        by_rank = np.argsort(sched.tx_end[order_w].ravel(), kind="stable")
+        gro = order_w[by_rank // K] * K + by_rank % K
         col = (gro % K).astype(np.int32)
         is_pull = col >= M
         shard = np.where(is_pull, col - M, col)
         worker = (gro // K).astype(np.int32)
-        advances = advances_flat[gro]
-        v_train = vtrain_flat[gro]
-        version = version_flat[gro]
-        serve = serve_flat[gro]
+        # Where each request sits in the schedule's claim-order tables.
+        at = np.empty(n * K, dtype=np.int64)
+        at[sched.claims.ravel()] = np.arange(n * K)
+        at = at[gro]
+        applied = sched.applied.ravel()[at]
+        # After its n-th push a shard has only pulls left, and they see
+        # the advanced frontier; the n-th push itself still reports r.
+        full = applied == n
+        advances = ~is_pull & full
+        v_train = r + (is_pull & full)
+        version = np.array([s.version for s in servers])[shard] + applied
+        serve = sched.handle.ravel()[at]
         cuts = set(range(0, n * K, _BLOCK_HANDLES))
         config_at: Dict[int, int] = {}
         if r == 0:
@@ -1162,61 +1115,6 @@ class FluentPSSimRunner:
                 ),
                 shards,
             )
-
-    def _emit_collapsed_hooks(
-        self, r, e, delivery, rtx_s, rr_s, rrx, perm, pull_serve,
-    ) -> None:
-        """Feed delivery hooks one collapsed round's wire traffic.
-
-        Hooks observe one synthesized :class:`Message` per transfer with
-        the exact (src, dst, size, tag, send_time, deliver_time) the
-        event path produces.  Requests are emitted in delivery order,
-        then replies in delivery order; cross-class interleaving, msg/
-        cause ids (-1 here), and reply payloads (None here) are not
-        reproduced — trace comparisons sort on the stable wire fields
-        (see tests/test_round_collapse.py)."""
-        cfg = self.cfg
-        M = cfg.cluster.n_servers
-        K = 2 * M
-        hooks = self.net._delivery_hooks
-        push_bytes = self._shard_bytes
-        req_bytes = cfg.request_bytes
-        wkr_ids = self._wkr_node_ids
-        srv_ids = self._srv_node_ids
-        order, rx_flat = delivery
-        for idx in order:
-            i = int(idx)
-            w, k = divmod(i, K)
-            pull = k >= M
-            m = k - M if pull else k
-            msg = Message(
-                src=wkr_ids[w],
-                dst=srv_ids[m],
-                size_bytes=req_bytes if pull else push_bytes[m],
-                tag="pull" if pull else "push",
-                payload=_PullMsg(w, r) if pull else _PushMsg(w, r, None),
-                send_time=float(e[w]),
-                deliver_time=float(rx_flat[i]),
-            )
-            for hook in hooks:
-                hook(msg)
-        ps_sorted = np.take_along_axis(pull_serve, perm, axis=1).ravel()
-        perm_flat = perm.ravel()
-        rrx_flat = rrx.ravel()
-        for idx in np.lexsort((rr_s.ravel(), rtx_s.ravel(), rrx_flat)):
-            i = int(idx)
-            w = i // M
-            m = int(perm_flat[i])
-            msg = Message(
-                src=srv_ids[m],
-                dst=wkr_ids[w],
-                size_bytes=push_bytes[m],
-                tag="reply",
-                send_time=float(ps_sorted[i]),
-                deliver_time=float(rrx_flat[i]),
-            )
-            for hook in hooks:
-                hook(msg)
 
     # -- run ---------------------------------------------------------------------------
 

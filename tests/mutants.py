@@ -1,0 +1,62 @@
+"""Semantic mutants of the closed-form round (first rows of ROADMAP 7's
+kill matrix).
+
+Each mutant is a named function that takes pytest's ``monkeypatch`` and
+plants one protocol-level bug in :mod:`repro.sim.runner` for the length
+of a test — test code only, nothing under ``src/`` imports this module.
+Three rewrite one line of :func:`~repro.sim.runner.quiet_round`'s
+source (the site must occur exactly once, so an edit that moves it
+fails here, loudly, instead of leaving a mutant that mutates nothing);
+one wraps ``_seq_cascade``.  ``tests/test_round_schedule.py`` pins which
+check kills which.
+"""
+
+import inspect
+
+from repro.sim import runner
+
+
+def _rewrite_quiet_round(monkeypatch, site: str, bug: str) -> None:
+    source = inspect.getsource(runner.quiet_round)
+    assert source.count(site) == 1, f"mutation site moved: {site!r}"
+    scope = {}
+    exec(compile(source.replace(site, bug), "<mutant quiet_round>", "exec"), vars(runner), scope)
+    monkeypatch.setattr(runner, "quiet_round", scope["quiet_round"])
+
+
+def serve_ignores_busy_lane(monkeypatch) -> None:
+    """A request is handled at its delivery, busy serve lane or not."""
+    _rewrite_quiet_round(monkeypatch, "serve = np.maximum(busy_prev, rx)", "serve = rx")
+
+
+def reply_rx_claimed_in_shard_order(monkeypatch) -> None:
+    """A worker's RX lane drains its replies in shard order, not in the
+    order they finish serializing (``_join_fused`` without ``legs.sort()``)."""
+    _rewrite_quiet_round(
+        monkeypatch,
+        "perm = np.take_along_axis(o1, o2, axis=1)",
+        "perm = np.tile(np.arange(M), (n, 1))",
+    )
+
+
+def claim_order_by_worker_index(monkeypatch) -> None:
+    """A shard's RX lane is claimed pushes-then-pulls by worker index,
+    whatever the requests' ``(tx_end, resume rank)``."""
+    _rewrite_quiet_round(monkeypatch, "o = np.lexsort((k2, t2))", "o = np.arange(2 * n)")
+
+
+def cascade_forgets_cursor(monkeypatch) -> None:
+    """Every lane cascade starts idle: the cursor a lane carries into the
+    round is dropped."""
+    cascade = runner._seq_cascade
+    monkeypatch.setattr(
+        runner, "_seq_cascade", lambda arrivals, holds, cursor: cascade(arrivals, holds, 0.0)
+    )
+
+
+MUTANTS = (
+    serve_ignores_busy_lane,
+    reply_rx_claimed_in_shard_order,
+    claim_order_by_worker_index,
+    cascade_forgets_cursor,
+)

@@ -77,7 +77,7 @@ class TestPSLite:
         """Under BSP the grant cannot be issued before every worker
         reported the iteration: blocked spans must exist when compute
         times vary."""
-        cfg = pslite_config(n=4, iters=6, keep_spans=True,
+        cfg = pslite_config(n=4, iters=6, span_capture=True,
                             compute_model=ExponentialTailCompute(0.4, 3.0))
         r = run_pslite(cfg)
         from repro.sim.trace import SpanKind

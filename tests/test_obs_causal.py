@@ -25,14 +25,14 @@ from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.trace import SpanKind
 
 
-def _config(n=3, staleness=1, max_iter=5, seed=1, obs=None, keep_spans=False):
+def _config(n=3, staleness=1, max_iter=5, seed=1, obs=None, span_capture=None):
     kwargs = dict(
         cluster=cpu_cluster(n, n_servers=2),
         max_iter=max_iter,
         sync=ssp(staleness),
         workload=alexnet_cifar_workload(),
         seed=seed,
-        keep_spans=keep_spans,
+        span_capture=span_capture,
     )
     if obs is not None:
         kwargs["obs"] = obs
@@ -126,7 +126,7 @@ class TestTimelineUnchanged:
         def run(obs):
             runner = FluentPSSimRunner(
                 _config(n=4, staleness=2, max_iter=6, seed=3, obs=obs,
-                        keep_spans=True)
+                        span_capture=True)
             )
             deliveries = []
             runner.net.on_delivery(

@@ -6,8 +6,13 @@ textbook description, by the rule in
 :func:`tests.sim_helpers.assert_matches_reference`.  Each cell runs
 production twice: as shipped (``obs=NULL_OBS``, nothing observing, every
 fused path engaged) and under a delivery hook (one event per message, a
-full wire trace).  ``obs`` is always explicit: the ambient pytest
-sanitizer is causal and would route production off every fused path.
+full wire trace, no collapse).  Which cells reach the collapse as
+shipped: ``cpu-ssp3``/``cpu-pssp`` of the presets, the mid-run
+de-vectorisation, and every cell of the isolated grid (the tie-heavy
+grid de-vectorises at round 0); the collapse's wire is checked message
+by message in ``tests/test_round_schedule.py``.  ``obs`` is always
+explicit: the ambient pytest sanitizer is causal and would route
+production off every fused path.
 """
 
 import pytest
@@ -34,9 +39,11 @@ from tests.sim_helpers import (
 HOOKED = pytest.mark.parametrize("hooked", [False, True], ids=["shipped", "hooked"])
 
 
-def _tie_heavy_cells():
+def _tie_heavy_cells(isolated=False):
     """Identical workers and repeated sizes: same-instant sends, queued
-    lanes and float ties everywhere, at two cluster shapes."""
+    lanes and float ties everywhere, at two cluster shapes.  ``isolated``:
+    the cells the collapse is eligible for, with a compute time far wider
+    than a round's communication — every round commits in closed form."""
     workload = alexnet_cifar_workload()
     cells = []
     for n, m in [(24, 3), (64, 8)]:
@@ -49,6 +56,8 @@ def _tie_heavy_cells():
                 ("ln0", LogNormalCompute(0.0)),
                 ("stragglers", cpu_cluster_compute(n)),
             ]:
+                if isolated and (sname in ("bsp", "dsps") or cname == "stragglers"):
+                    continue
                 for execution in (ExecutionMode.LAZY, ExecutionMode.SOFT_BARRIER):
                     cells.append(
                         pytest.param(
@@ -60,6 +69,7 @@ def _tie_heavy_cells():
                                 workload=workload,
                                 compute_model=compute,
                                 seed=3,
+                                **({"base_compute_time": 30.0} if isolated else {}),
                             ),
                             id=f"{n}x{m}-{sname}-{cname}-{execution.value}",
                         )
@@ -105,7 +115,12 @@ class TestAgainstReference:
             ),
             hooked,
         )
-        assert 0 < runner.engine.rounds_collapsed < 6
+        if hooked:
+            assert runner.collapse_fallback == {"reason": "delivery_hook"}
+            assert runner.engine.rounds_collapsed == 0
+        else:
+            assert runner.collapse_fallback == {"reason": "overlap", "round": 2}
+            assert runner.engine.rounds_collapsed == 2
         assert runner.engine.events_processed > 0
 
     @pytest.mark.no_sanitize  # explicit Observability below
@@ -124,6 +139,23 @@ class TestAgainstReference:
             make_obs=lambda: Observability(MetricsRegistry("reference"), causal=False),
         )
         assert runner.causal is None
+
+
+class TestCollapsedAgainstReference:
+    @pytest.mark.no_sanitize  # explicit Observability below
+    @pytest.mark.parametrize(
+        "make_obs",
+        [lambda: NULL_OBS, lambda: Observability(MetricsRegistry("reference"), causal=False)],
+        ids=["shipped", "observed"],
+    )
+    @pytest.mark.parametrize("cfg_kwargs", _tie_heavy_cells(isolated=True))
+    def test_isolated_grid(self, cfg_kwargs, make_obs):
+        """Every round commits in closed form, with and without a
+        (non-causal) observer taking the rounds as columnar blocks."""
+        runner, _result, _ref = assert_matches_reference(cfg_kwargs, make_obs=make_obs)
+        assert runner.collapse_fallback == {}
+        assert runner.engine.rounds_collapsed == 3
+        assert runner.engine.events_processed == 0
 
 
 class TestReferenceItself:

@@ -2,18 +2,19 @@
 
 The round collapse (docs/PERFORMANCE.md, "Closed-form round fast-forward
 and the cohort state table") must be *bit-identical* to the event path
-it replaces: same delivery traces, same protocol instant streams, same
-metrics, same finish times — with no observability, and with
+it replaces: same protocol instant streams, same metrics, same finish
+times, same event census — with no observability, and with
 observability minus the causal trace, where each committed round lands
-in the instant log as one columnar block.  Every test here
-runs the same configuration twice — the stock runner vs
-:class:`tests.sim_helpers.EventPathRunner`, which never collapses — and
-compares exhaustively.
+in the instant log as one columnar block.  Every cell here goes through
+:func:`tests.sim_helpers.assert_matches_reference` (the oracle for
+results) and then runs :class:`tests.sim_helpers.EventPathRunner`, which
+never collapses, for what the reference cannot produce: the exact event
+census, span totals and the inline/drained split.  The collapse's wire,
+message by message, is ``tests/test_round_schedule.py``.
 """
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +26,15 @@ from repro.analysis import ProtocolSanitizer, iter_event_stream, sanitize_events
 from repro.obs import NULL_OBS, Instant, MetricsRegistry, Observability
 from repro.obs.export import InstantBlock
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
-from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
+from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import ComputeModel, DeterministicCompute, cpu_cluster_compute
 
-from tests.sim_helpers import EventPathRunner, instant_stream, server_metrics, wire_row
+from tests.sim_helpers import (
+    EventPathRunner,
+    assert_matches_reference,
+    instant_stream,
+    server_metrics,
+)
 
 
 class _InjectedStraggler(ComputeModel):
@@ -49,23 +55,15 @@ class _InjectedStraggler(ComputeModel):
         return 1.0
 
 
-def _run(cfg_kwargs, collapse, obs=None, hooks=True):
-    cfg = SimConfig(**cfg_kwargs, obs=obs if obs is not None else NULL_OBS)
-    runner = (FluentPSSimRunner if collapse else EventPathRunner)(cfg)
-    rec = []
-    if hooks:
-        # Stable wire fields only: collapsed-round hook messages carry
-        # synthesized ids (msg_id/cause_id = -1).
-        runner.net.on_delivery(lambda m: rec.append(wire_row(m)))
-    result = runner.run()
-    return runner, result, sorted(rec)
+def _run(cfg_kwargs, collapse, obs=NULL_OBS):
+    runner = (FluentPSSimRunner if collapse else EventPathRunner)(SimConfig(**cfg_kwargs, obs=obs))
+    return runner, runner.run()
 
 
-def _fingerprint(runner, result, rec):
-    """Everything the oracle comparison cares about, as one JSON string."""
+def _fingerprint(runner, result):
+    """Everything the event-path comparison cares about, as one JSON string."""
     return json.dumps(
         {
-            "trace": rec,
             "duration": result.duration,
             "finish": runner._finish_times,
             "metrics": server_metrics(runner.servers),
@@ -79,23 +77,22 @@ def _fingerprint(runner, result, rec):
     )
 
 
-def _assert_differential(cfg_kwargs, obs_factory=None, hooks=True):
-    """Fast path vs oracle: bit-identical results, exact event census."""
-    obs_a = obs_factory() if obs_factory else None
-    obs_b = obs_factory() if obs_factory else None
-    ra, resa, ta = _run(cfg_kwargs, True, obs=obs_a, hooks=hooks)
-    rb, resb, tb = _run(cfg_kwargs, False, obs=obs_b, hooks=hooks)
+def _assert_differential(cfg_kwargs, obs_factory=lambda: NULL_OBS):
+    """The stock run equals the reference, and the event path on what
+    the reference does not model; the event census is exact."""
+    ra, resa, _ref = assert_matches_reference(cfg_kwargs, make_obs=obs_factory)
+    rb, resb = _run(cfg_kwargs, False, obs_factory())
     assert rb.engine.rounds_collapsed == 0
-    assert _fingerprint(ra, resa, ta) == _fingerprint(rb, resb, tb)
+    assert _fingerprint(ra, resa) == _fingerprint(rb, resb)
     # The saved-event census is exact: fast-path events + credited
-    # savings reproduce the oracle's event count to the event.
+    # savings reproduce the event path's event count to the event.
     assert (
         rb.engine.events_processed - ra.engine.events_processed
         == ra.engine.round_events_saved
     )
-    if obs_a is not None:
-        assert instant_stream(obs_a.last_run.instants) == instant_stream(
-            obs_b.last_run.instants
+    if ra.obs.enabled:
+        assert instant_stream(ra.obs.last_run.instants) == instant_stream(
+            rb.obs.last_run.instants
         )
     return ra, rb
 
@@ -124,13 +121,11 @@ class TestVectorModeDifferential:
         preset=st.sampled_from(["cpu", "gpu_p2"]),
         sync_name=st.sampled_from(["ssp3", "pssp"]),
         compute_name=st.sampled_from(["det", "lognorm"]),
-        hooks=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=16, deadline=None)
-    def test_bit_identical_vs_oracle(self, preset, sync_name, compute_name, hooks, seed):
-        kwargs = _cell(preset, sync_name, compute_name, seed=seed)
-        _assert_differential(kwargs, hooks=hooks)
+    def test_bit_identical_vs_oracle(self, preset, sync_name, compute_name, seed):
+        _assert_differential(_cell(preset, sync_name, compute_name, seed=seed))
 
     def test_collapse_engages_on_homogeneous_cohort(self):
         kwargs = _cell("cpu", "ssp3", "lognorm", n=20, m=4, iters=6)
@@ -138,24 +133,17 @@ class TestVectorModeDifferential:
         assert ra.engine.rounds_collapsed > 0
         assert ra.engine.round_events_saved > 0
 
-    def _fully_collapsed(self, hooks):
+    def test_full_collapse_census_without_hooks(self):
         kwargs = _cell("cpu", "ssp3", "det", iters=3)
         kwargs["base_compute_time"] = 5.0  # comm spread << compute: isolated
-        ra, rb = _assert_differential(kwargs, hooks=hooks)
+        ra, rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 3
         assert ra.engine.events_processed == 0
+        # Per worker-round 2 resumes + 2M request TX completions (the M
+        # replies ride the worker's fused gather and post nothing), and
+        # one spawn wave (n=12, M=3).
         assert rb.engine.events_processed == ra.engine.round_events_saved
-        return ra.engine.round_events_saved
-
-    def test_full_collapse_leaves_no_events(self):
-        # Under delivery hooks every message is two events: per
-        # worker-round 2 resumes + 2 x 3M, and one spawn wave (n=12, M=3).
-        assert self._fully_collapsed(hooks=True) == 3 * 12 * (2 + 6 * 3) + 12
-
-    def test_full_collapse_census_without_hooks(self):
-        # Unobserved: 2 resumes + 2M request TX completions; the M
-        # replies ride the worker's fused gather and post nothing.
-        assert self._fully_collapsed(hooks=False) == 3 * 12 * (2 + 2 * 3) + 12
+        assert ra.engine.round_events_saved == 3 * 12 * (2 + 2 * 3) + 12
 
 
 class TestDevectorization:
@@ -194,11 +182,13 @@ class TestColumnarInstantsDifferential:
     one columnar block; rows materialised from the blocks, spans and
     metrics must equal what the event path's handlers record."""
 
-    @pytest.mark.parametrize("sync_name", ["ssp3", "pssp"])
-    @pytest.mark.parametrize("hooks", [True, False])
-    def test_instant_streams_identical(self, sync_name, hooks):
+    # Ids from when each cell also ran under a delivery hook ("True-...").
+    @pytest.mark.parametrize(
+        "sync_name", [pytest.param(name, id=f"False-{name}") for name in ("ssp3", "pssp")]
+    )
+    def test_instant_streams_identical(self, sync_name):
         kwargs = _cell("cpu", sync_name, "lognorm", n=14, m=3, iters=5)
-        ra, _rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=hooks)
+        ra, _rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
         assert ra.engine.rounds_collapsed > 0
         assert any(
             isinstance(seg, InstantBlock) for seg in ra.obs.last_run.instants.segments()
@@ -211,7 +201,7 @@ class TestColumnarInstantsDifferential:
     def test_spill_caps_down_to_less_than_one_block(self, cap, monkeypatch):
         monkeypatch.setenv("REPRO_INSTANT_SPILL_CAP", str(cap))
         kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
-        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=False)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
         log = ra.obs.last_run.instants
         assert log.spilled_events > 0
         assert len(log) == len(rb.obs.last_run.instants) == sum(1 for _ in log)
@@ -225,7 +215,7 @@ class TestColumnarInstantsDifferential:
         (84 = one round of this cell exactly): same rows, same verdict."""
         monkeypatch.setattr("repro.sim.runner._BLOCK_HANDLES", handles)
         kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
-        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=False)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
         blocks = [
             seg for seg in ra.obs.last_run.instants.segments()
             if isinstance(seg, InstantBlock)
@@ -247,7 +237,7 @@ class TestColumnarInstantsDifferential:
 
     def test_metrics_identical(self):
         kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
-        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs, hooks=False)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
         assert ra.engine.rounds_collapsed > 0
         da, db = (r.obs.registry.to_dict()["metrics"] for r in (ra, rb))
         # Everything the servers and workers count per request.  Gauge
@@ -273,7 +263,7 @@ class TestColumnarInstantsDifferential:
         runs = []
         for collapse in (True, False):
             obs = Observability(MetricsRegistry("span-test"), causal=False)
-            runner, _res, _t = _run(kwargs, collapse, obs=obs, hooks=False)
+            runner, _res = _run(kwargs, collapse, obs)
             runs.append(
                 sorted(
                     (s.actor, s.kind.value, s.t0, s.t1, s.iteration)
@@ -316,6 +306,23 @@ class TestEligibilityGates:
         assert runner.engine.rounds_collapsed == 0
         assert runner.collapse_fallback == {"reason": "causal_obs"}
 
+    def test_delivery_hook_gates_collapse_off(self):
+        """A hook observes every message as a real ``Message``: the run
+        takes the event path, and says so."""
+        kwargs = _cell("cpu", "ssp3", "det", iters=3)
+        kwargs["base_compute_time"] = 5.0
+        obs = _columnar_obs()
+        runner = FluentPSSimRunner(SimConfig(**kwargs, obs=obs))
+        seen = []
+        runner.net.on_delivery(seen.append)
+        runner.run()
+        assert runner.engine.rounds_collapsed == 0
+        assert runner.collapse_fallback == {"reason": "delivery_hook"}
+        assert obs.registry.get("collapse_fallback_total").value(reason="delivery_hook") == 1.0
+        assert len(seen) == 3 * 12 * 3 * 3  # 3 messages per (worker, shard, iteration)
+        assert min(m.msg_id for m in seen) >= 0
+        assert runner.net.fused_deliveries == 0
+
     def test_bsp_is_ineligible(self):
         kwargs = _cell("cpu", "bsp", "det")
         kwargs["base_compute_time"] = 5.0
@@ -350,7 +357,7 @@ class TestEligibilityGates:
                 ),
             ),
             ("pull_condition", dict(sync=dsps())),
-            ("kept_spans", dict(keep_spans=True)),
+            ("kept_spans", dict(span_capture=True)),
         ],
     )
     def test_first_failing_reason_is_reported(self, reason, change):
@@ -369,29 +376,3 @@ class TestEligibilityGates:
         assert runner.engine.rounds_collapsed == 3
         assert runner.collapse_fallback == {}
         assert "collapse_fallback_total" not in obs.registry.names()
-
-
-class TestSeqCascade:
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=100.0),
-                st.floats(min_value=0.0, max_value=10.0),
-            ),
-            min_size=1,
-            max_size=300,
-        ),
-        cursor=st.floats(min_value=0.0, max_value=50.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bit_exact_vs_scalar_recurrence(self, data, cursor):
-        arrivals = np.sort(np.array([a for a, _h in data]))
-        holds = np.array([h for _a, h in data])
-        ends, final = _seq_cascade(arrivals, holds, cursor)
-        c = cursor
-        for i in range(len(data)):
-            if arrivals[i] > c:
-                c = arrivals[i]
-            c = c + holds[i]
-            assert ends[i] == c  # bit-identical, not approx
-        assert final == c

@@ -1,0 +1,325 @@
+"""The closed-form round, message by message, against the reference.
+
+:func:`repro.sim.runner.quiet_round` returns a round's schedule as a
+value; here each schedule the collapse driver commits is turned into
+wire rows ``(src, dst, tag, size, send_time, deliver_time)`` — requests
+sent at ``ready[w]``, replies at their pull's ``handle`` — and compared
+with the textbook trace (``tests/reference_sim.py``) by
+:func:`tests.sim_helpers.assert_same_wire`: exact floats.  The grid is
+the *isolated* one (compute far wider than a round's communication), on
+the cells that collapse at all; ``tests/mutants.py`` plants bugs this
+module must catch.
+"""
+
+import copy
+import dataclasses
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.models import asp, pssp, ssp
+from repro.core.server import ExecutionMode
+from repro.ml.models_zoo import alexnet_cifar_workload
+from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.sim import runner as runner_mod
+from repro.sim.cluster import cpu_cluster
+from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
+from repro.sim.stragglers import DeterministicCompute, LogNormalCompute, cpu_cluster_compute
+
+from tests.mutants import MUTANTS
+from tests.reference_sim import ReferenceSim, reference_wire
+from tests.sim_helpers import assert_matches_reference, assert_same_wire
+
+ITERS = 4
+
+
+def isolated_cell(n, m, sync, compute, execution=ExecutionMode.LAZY, op_cost=20e-6):
+    return dict(
+        cluster=cpu_cluster(n, n_servers=m),
+        max_iter=ITERS,
+        sync=sync,
+        execution=execution,
+        workload=alexnet_cifar_workload(),
+        compute_model=compute,
+        base_compute_time=30.0,
+        server_op_overhead_s=op_cost,
+        seed=5,
+    )
+
+
+def _isolated_grid():
+    """The cells of the isolated grid (3 shapes x 4 sync models x 4
+    compute models x 2 execution modes x 2 op costs = 192) that commit at
+    least one round: all ``ITERS`` under identical workers, a prefix —
+    until a draw overlaps the next round and the run de-vectorises — under
+    unequal ones, at the shapes where round 0 is still isolated.  The
+    other 48 cells never collapse: ``test_reference_sim``'s domain."""
+    shapes = [(24, 3), (64, 8), (200, 5)]
+    cells = []
+    for cname, make_compute, collapsing in [
+        ("det", lambda n: DeterministicCompute(), shapes),
+        ("ln0", lambda n: LogNormalCompute(0.0), shapes),
+        ("stragglers", cpu_cluster_compute, shapes[:2]),
+        ("ln0.2", lambda n: LogNormalCompute(0.2), shapes[:1]),
+    ]:
+        for n, m in collapsing:
+            for sname, sync in [
+                ("ssp1", ssp(1)), ("ssp3", ssp(3)), ("pssp", pssp(2, 0.5)), ("asp", asp()),
+            ]:
+                for execution in (ExecutionMode.LAZY, ExecutionMode.SOFT_BARRIER):
+                    for op_cost in (20e-6, 0.002):
+                        cells.append(
+                            pytest.param(
+                                isolated_cell(n, m, sync, make_compute(n), execution, op_cost),
+                                cname in ("det", "ln0"),
+                                id=f"{n}x{m}-{sname}-{cname}-{execution.value}-{op_cost}",
+                            )
+                        )
+    assert len(cells) == 144
+    return cells
+
+
+def _node_ids(runner):
+    return [ep.node_id for ep in runner._wkr_eps], [ep.node_id for ep in runner._srv_eps]
+
+
+def wire_rows(runner, sched):
+    """One schedule as the reference's trace rows, in send order (a
+    worker's 2M requests leave together, in column order)."""
+    n, K = sched.tx_end.shape
+    M = K // 2
+    workers, servers = _node_ids(runner)
+    shard_bytes, request_bytes = runner._shard_bytes, runner.cfg.request_bytes
+    landed = np.empty((n, M))  # reply deliveries by [worker, shard]
+    np.put_along_axis(landed, sched.reply_order, sched.reply_rx_end, axis=1)
+    landed = landed.tolist()
+    keyed = []  # ((send time, column), row)
+    for m in range(M):
+        for i, delivered, handled in zip(
+            sched.claims[m].tolist(), sched.rx_end[m].tolist(), sched.handle[m].tolist()
+        ):
+            w, k = divmod(i, K)
+            assert k in (m, M + m)
+            sent = float(sched.ready[w])
+            if k < M:
+                row = (workers[w], servers[m], "push", shard_bytes[m], sent, delivered)
+            else:
+                row = (workers[w], servers[m], "pull", request_bytes, sent, delivered)
+                reply = (servers[m], workers[w], "reply", shard_bytes[m], handled, landed[w][m])
+                keyed.append(((handled, 0), reply))
+            keyed.append(((sent, k), row))
+    return [row for _key, row in sorted(keyed, key=lambda pair: pair[0])]
+
+
+def committed_schedules(runner):
+    """Run ``runner``, keeping the schedule of every round it committed."""
+    made = []
+    schedule = runner_mod.quiet_round  # the shipped function, or a mutant
+
+    def recording(lanes, ready, rank):
+        made.append(schedule(lanes, ready, rank))
+        return made[-1]
+
+    with mock.patch.object(runner_mod, "quiet_round", recording):
+        runner.run()
+    return made[: runner.engine.rounds_collapsed]
+
+
+def check_collapsed_wire(cfg_kwargs):
+    """The rows of the committed rounds are the first ``rounds_collapsed``
+    messages of every ``(src, dst, tag)`` stream of the reference."""
+    runner = FluentPSSimRunner(SimConfig(**cfg_kwargs, obs=NULL_OBS))
+    rows = [row for sched in committed_schedules(runner) for row in wire_rows(runner, sched)]
+    rows.sort(key=lambda row: row[5])  # the trace is in delivery order
+    rounds = runner.engine.rounds_collapsed
+    assert rounds > 0, runner.collapse_fallback
+    seen = {}
+    head = []
+    for row in ReferenceSim(SimConfig(**cfg_kwargs, obs=NULL_OBS)).run().trace:
+        seen[row[:3]] = nth = seen.get(row[:3], 0) + 1
+        if nth <= rounds:
+            head.append(row)
+    assert len(rows) == len(head) == rounds * len(seen)
+    assert_same_wire(rows, head)
+    return runner
+
+
+def check_round_from_busy_lanes():
+    """One round entered with non-zero lane cursors, busy sums and serve
+    lanes still busy — the state a de-vectorised-then-resumed or restored
+    run would hand over — against the bare reference wire."""
+    n, M = 7, 3
+    warm_bytes = 3_000_000
+    kwargs = isolated_cell(n, M, ssp(3), DeterministicCompute())
+    runner = FluentPSSimRunner(SimConfig(**kwargs, obs=NULL_OBS))
+    net = runner.net
+    workers, servers = _node_ids(runner)
+    # Earlier traffic, on the production wire: every lane ends up with a
+    # cursor in the future of the round's first sends.
+    warm = [(0.0, w, s, warm_bytes) for w in workers for s in servers]
+    warm += [(0.0, s, w, warm_bytes) for _ in range(2) for s in servers for w in workers]
+    for _t, src, dst, size in warm:
+        net.send(src, dst, size, deliver_to_inbox=False, notify=False)
+    runner.engine.run()
+    tx_hold = net.endpoints[workers[0]].nic.serialize_time(warm_bytes)
+    lanes = runner._cohort_lanes()
+    # Each serve lane frees while this round's requests are arriving.
+    lanes.serve_busy = [free + (m + 2) * tx_hold for m, free in enumerate(lanes.srx_free)]
+    # Some workers become ready while their own TX lane still drains.
+    ready = tx_hold * (0.5 + 0.6 * np.arange(n)[::-1])
+    assert min(ready) < min(lanes.wtx_free) < max(ready) < min(lanes.srx_free + lanes.stx_free)
+    sched = runner_mod.quiet_round(lanes, ready, np.arange(n))  # shipped, or a mutant
+
+    rows = wire_rows(runner, sched)
+    nics = {name: ep.nic for name, ep in net.endpoints.items()}
+    trace, counters = reference_wire(
+        warm + [(sent, src, dst, size) for src, dst, _tag, size, sent, _at in rows],
+        net.latency_s, nics,
+    )
+    rows = sorted((row[:2] + ("",) + row[3:] for row in rows), key=lambda row: row[5])
+    assert_same_wire(rows, [row for row in trace if row[3] != warm_bytes])
+    after = sched.lanes
+    for w, name in enumerate(workers):
+        assert counters[name][:2] == (after.wtx_busy[w], after.wrx_busy[w])
+    for m, name in enumerate(servers):
+        assert counters[name][:2] == (after.stx_busy[m], after.srx_busy[m])
+    # The serve lane is not on the wire: the textbook inbox loop, inline.
+    K = 2 * M
+    inline = 0
+    for m in range(M):
+        busy = lanes.serve_busy[m]
+        for delivered, handled in zip(sched.rx_end[m], sched.handle[m]):
+            inline += delivered >= busy
+            assert handled == max(delivered, busy)
+            busy = handled + lanes.op_cost
+        assert after.serve_busy[m] == busy
+        assert sorted(sched.claims[m] % K) == sorted([m, M + m] * n)
+    assert 0 < sched.inline == inline < 2 * n * M  # both sides of the busy lane taken
+
+
+class TestScheduleAgainstReference:
+    @pytest.mark.parametrize("cfg_kwargs, fully", _isolated_grid())
+    def test_isolated_grid(self, cfg_kwargs, fully):
+        runner = check_collapsed_wire(cfg_kwargs)
+        assert (runner.engine.rounds_collapsed == ITERS) == fully
+
+    def test_round_from_busy_lanes(self):
+        check_round_from_busy_lanes()
+
+
+def _same(a, b):
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.no_sanitize  # explicit Observability below
+def test_quiet_round_is_pure():
+    """Same inputs, same schedule — on the same lane table twice and on a
+    copy — and nothing but the returned value changes: not the inputs,
+    not the engine, the network, the shards or the metrics registry."""
+    obs = Observability(MetricsRegistry("pure"), causal=False)
+    kwargs = isolated_cell(9, 4, pssp(2, 0.5), DeterministicCompute())
+    runner = FluentPSSimRunner(SimConfig(**kwargs, obs=obs))
+    lanes = runner._cohort_lanes()
+    rng = np.random.default_rng(0)
+    ready, rank = 30.0 + rng.random(9), rng.permutation(9)
+    pristine = copy.deepcopy((lanes, ready, rank))
+    metrics_before = obs.registry.to_dict()
+    instants_before = len(obs.instants)
+
+    quiet_round = runner_mod.quiet_round
+    first = quiet_round(lanes, ready, rank)
+    assert _same(first, quiet_round(lanes, ready, rank))
+    assert _same(first, quiet_round(*copy.deepcopy(pristine)))
+    assert _same([lanes, ready, rank], list(pristine))
+    assert first.lanes is not lanes and not _same(first.lanes, lanes)
+
+    engine, net = runner.engine, runner.net
+    assert (engine.now, engine.events_processed, engine.rounds_collapsed) == (0.0, 0, 0)
+    assert not engine._heap
+    assert (net.total_messages, net.fast_path_transfers, net._next_msg_id) == (0, 0, 0)
+    assert all(ep.tx_free_at == ep.rx_free_at == 0.0 for ep in net.endpoints.values())
+    assert all(s.v_train == 0 and s.metrics.pushes == s.metrics.pulls == 0 for s in runner.servers)
+    assert obs.registry.to_dict() == metrics_before
+    assert len(obs.instants) == instants_before
+
+
+#: A few cells of the grid (a busy serve lane, ties, unequal draws) for the
+#: kill matrix below — every cell of it is also a case of ``test_isolated_grid``.
+_KILL_CELLS = [
+    isolated_cell(24, 3, ssp(3), LogNormalCompute(0.2)),
+    isolated_cell(24, 3, pssp(2, 0.5), DeterministicCompute(), op_cost=0.002),
+    isolated_cell(64, 8, ssp(1), LogNormalCompute(0.0), ExecutionMode.SOFT_BARRIER),
+]
+
+#: Which check kills which mutant: the grid cells' wire, the round from
+#: busy lanes, and ``assert_matches_reference`` on the run as shipped — the
+#: check that existed before the schedule was a value.  A row ending in
+#: ``False`` is a bug only the direct test sees.
+_KILL_MATRIX = {
+    "serve_ignores_busy_lane": (True, True, True),
+    "reply_rx_claimed_in_shard_order": (True, True, True),
+    "claim_order_by_worker_index": (True, True, True),
+    "cascade_forgets_cursor": (False, True, False),
+}
+
+
+def _kills(check, cases):
+    for case in cases:
+        try:
+            check(*case)
+        except AssertionError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.__name__)
+def test_kill_matrix(mutant, monkeypatch):
+    mutant(monkeypatch)
+    cells = [(kwargs,) for kwargs in _KILL_CELLS]
+    row = (
+        _kills(check_collapsed_wire, cells),
+        _kills(check_round_from_busy_lanes, [()]),
+        _kills(assert_matches_reference, cells),
+    )
+    assert row == _KILL_MATRIX[mutant.__name__]
+    assert row[0] or row[1], "survives the direct test"
+
+
+def test_some_mutant_dies_by_the_direct_test_alone():
+    assert set(_KILL_MATRIX) == {mutant.__name__ for mutant in MUTANTS}
+    assert any(not shipped for _grid, _busy, shipped in _KILL_MATRIX.values())
+
+
+class TestSeqCascade:
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=100.0),
+                st.floats(min_value=0.0, max_value=10.0),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        cursor=st.floats(min_value=0.0, max_value=50.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_exact_vs_scalar_recurrence(self, data, cursor):
+        arrivals = np.sort(np.array([a for a, _h in data]))
+        holds = np.array([h for _a, h in data])
+        ends, final = _seq_cascade(arrivals, holds, cursor)
+        c = cursor
+        for i in range(len(data)):
+            if arrivals[i] > c:
+                c = arrivals[i]
+            c = c + holds[i]
+            assert ends[i] == c  # bit-identical, not approx
+        assert final == c

@@ -86,6 +86,19 @@ class TestConfig:
             ("batch_per_worker", 0),
             # Three rounds on the collapse path, TypeError on the event path.
             ("max_iter", 2.5),
+            # Accepted, then meant something else: one iteration; fractional
+            # bytes on the wire; evaluation at the last iteration only; an
+            # infinite run duration.
+            ("max_iter", True),
+            ("header_bytes", 1.5),
+            ("request_bytes", 1.5),
+            ("eval_every", 1.5),
+            ("batch_per_worker", 1.5),
+            ("base_compute_time", float("inf")),
+            ("wire_scale", float("inf")),
+            ("snapshot_interval_s", float("inf")),
+            ("server_op_overhead_s", float("inf")),
+            ("dpr_overhead_s", float("inf")),
         ],
     )
     def test_invalid_numbers_fail_at_construction(self, field, value):
@@ -101,6 +114,7 @@ class TestConfig:
             {"round_collapse": False},
             {"server_drain": "event"},
             {"server_dispatch": "proc"},
+            {"keep_spans": True},  # span_capture=True
         ],
     )
     def test_removed_mode_fields_raise(self, removed):
@@ -236,28 +250,25 @@ class TestOverheads:
 class TestWorkerSeriesCap:
     """Per-worker sketch series collapse to one aggregate at mesoscale."""
 
-    def _run(self, n, threshold):
+    def _run(self, n, threshold, monkeypatch):
         from repro.obs import MetricsRegistry, Observability
 
+        monkeypatch.setattr("repro.sim.runner.WORKER_SERIES_THRESHOLD", threshold)
         obs = Observability(MetricsRegistry("cap"))
-        run_fluentps(
-            timing_config(
-                n=n, iters=3, obs=obs, worker_series_threshold=threshold
-            )
-        )
+        run_fluentps(timing_config(n=n, iters=3, obs=obs))
         return obs.registry.sketch(
             "pull_latency_seconds",
             "sync-wait seconds per sPull round (mergeable sketch)",
         )
 
-    def test_below_threshold_keeps_per_worker_series(self):
-        sketch = self._run(n=6, threshold=6)
+    def test_below_threshold_keeps_per_worker_series(self, monkeypatch):
+        sketch = self._run(6, 6, monkeypatch)
         assert len(sketch.label_sets()) == 6
         for w in range(6):
             assert sketch.count(worker=w) == 3
 
-    def test_above_threshold_registry_stays_bounded(self):
-        sketch = self._run(n=6, threshold=4)
+    def test_above_threshold_registry_stays_bounded(self, monkeypatch):
+        sketch = self._run(6, 4, monkeypatch)
         # One aggregate series regardless of worker count: the registry
         # no longer grows with N.
         assert len(sketch.label_sets()) == 1
@@ -268,7 +279,9 @@ class TestWorkerSeriesCap:
         assert merged is not None and merged.count == 6 * 3
 
     def test_threshold_validated(self):
-        with pytest.raises(ValueError, match="worker_series_threshold"):
+        """No caller ever set it: the threshold is a module constant, and
+        a config that still passes one is refused."""
+        with pytest.raises(TypeError, match="worker_series_threshold"):
             timing_config(worker_series_threshold=0)
 
 
