@@ -747,12 +747,12 @@ class ShardServer:
             raise ProtocolError("quiet-round commit requires a timing-only, "
                                 "DPR-free shard")
         n = self.n_workers
-        for w in range(n):
-            if self.worker_progress[w] != progress - 1:
-                raise ProtocolError(
-                    f"worker {w} at {self.worker_progress[w]} cannot batch-push "
-                    f"{progress} (pushes must be sequential)"
-                )
+        if not self._fastest == self._slowest == progress - 1:  # max and min of worker_progress
+            w = next(w for w in range(n) if self.worker_progress[w] != progress - 1)
+            raise ProtocolError(
+                f"worker {w} at {self.worker_progress[w]} cannot batch-push "
+                f"{progress} (pushes must be sequential)"
+            )
         self.worker_progress[:] = [progress] * n
         self.last_pull_progress[:] = [progress] * n
         self._fastest = progress

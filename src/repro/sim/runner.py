@@ -198,72 +198,65 @@ class _PendingPull:
     flat: Optional[np.ndarray]  #: co-simulation: where shard snapshots assemble
 
 
+def _lane_rule(arrivals: np.ndarray, holds: np.ndarray, cursor: float) -> Tuple[np.ndarray, float]:
+    """The capacity-1 FIFO lane rule, one request at a time, as its definition."""
+    ends = []
+    for arrival, hold in zip(arrivals.tolist(), holds.tolist()):
+        cursor = (arrival if arrival > cursor else cursor) + hold
+        ends.append(cursor)
+    return np.array(ends), cursor
+
+
 def _seq_cascade(
     arrivals: np.ndarray, holds: np.ndarray, cursor: float
 ) -> Tuple[np.ndarray, float]:
-    """Exact capacity-1 FIFO-lane cascade over a sorted arrival stream.
+    """:func:`_lane_rule` over a sorted arrival stream, bit for bit, in a
+    fixed number of vector passes per chain-length class; returns ``(ends,
+    final_cursor)``.  (The wire and ``_dispatch_server`` spell the rule
+    inline for n = 1, same floats.)
 
-    Computes ``end_i = max(cursor_i, a_i) + h_i`` with
-    ``cursor_{i+1} = end_i`` — the one lane rule, spelled for n > 1 (the
-    wire and ``_dispatch_server`` spell it inline for n = 1, one message
-    at a time, same floats) — using one seeded
-    ``np.add.accumulate`` per *saturated segment* (a maximal stretch
-    where each arrival lands before the previous transfer ends).  The
-    accumulate is strictly sequential, and the running cursor is seeded
-    *inside* the accumulated array, so every end time is bit-identical
-    to the scalar recurrence.  Returns ``(ends, final_cursor)``.
-
-    Idle-dominated stretches (every arrival after the previous end,
-    e.g. a serve lane whose per-request cost is far below the arrival
-    spacing) commit as whole runs of ``a_i + h_i`` between precomputed
-    saturation triggers; saturated stretches accumulate in growing
-    chunks.  Both regimes are O(n) vector work overall.
+    *Guess* which requests find the lane idle — by the max-plus scan
+    ``end_i = H_i + max(cursor, max_{j<=i}(a_j - H_{j-1}))``, ``H`` the
+    running sum of holds, those that raise the running maximum; its sums
+    associate differently from the rule's, so it only segments the stream.
+    *Fold* each segment (an idle request and the saturated chain behind
+    it) as the rule does, ``((a + h) + h') + ...``: one add for its first
+    request, a sequential ``np.add.accumulate`` along the rows of a
+    zero-padded table for the chains.  *Verify* the guess against ``a_i >
+    end_{i-1}`` on the folded ends: equal masks, exact ties aside (both
+    branches give one float there), prove by induction on ``i`` that every
+    request was folded on the rule's branch; otherwise — an arrival within
+    rounding of the previous end — the rule itself runs.
     """
     n_items = arrivals.shape[0]
-    out = np.empty(n_items)
-    # Idle items (arrival after the previous end) close in one add:
-    # end_i = a_i + h_i, the exact float the seeded accumulate would
-    # produce from seed a_i.  trig[i] marks where item i+1 lands before
-    # item i's *idle* end — the only places a saturated chain can start
-    # inside an idle run — so a whole run can be committed per step.
-    idle_end = arrivals + holds
-    trig_idx = np.nonzero(arrivals[1:] <= idle_end[:-1])[0]
-    i = 0
-    while i < n_items:
-        if arrivals[i] > cursor:
-            k = int(np.searchsorted(trig_idx, i))
-            j = int(trig_idx[k]) if k < trig_idx.shape[0] else n_items - 1
-            out[i : j + 1] = idle_end[i : j + 1]
-            cursor = float(idle_end[j])
-            i = j + 1
-            continue
-        # Saturated start: seeded sequential accumulate in growing
-        # chunks (chunking a left-fold with a carried float seed is the
-        # same add sequence, so ends stay bit-exact), stopping at the
-        # first arrival that lands after its predecessor's end.
-        seed = cursor
-        pos = i
-        width = 32
-        while True:
-            hi = min(n_items, pos + width)
-            seg = np.add.accumulate(np.concatenate(((seed,), holds[pos:hi])))[1:]
-            prev = np.concatenate(((seed,), seg[:-1]))
-            viol = np.nonzero(arrivals[pos:hi] > prev)[0]
-            if viol.size:
-                j = pos + int(viol[0])
-                out[pos:j] = seg[: j - pos]
-                cursor = float(seg[j - pos - 1]) if j > pos else seed
-                i = j
-                break
-            out[pos:hi] = seg
-            seed = float(seg[-1])
-            if hi == n_items:
-                cursor = seed
-                i = n_items
-                break
-            pos = hi
-            width *= 8
-    return out, cursor
+    if n_items == 0:
+        return np.empty(0), cursor
+    before = np.cumsum(holds) - holds  # H_{i-1}
+    peak = np.maximum.accumulate(np.concatenate(((cursor,), arrivals - before)))
+    idle = peak[1:] > peak[:-1]
+    idle[0] = True  # the first request opens a segment either way: no guess
+    ends = arrivals + holds
+    ends[0] = max(cursor, arrivals[0]) + holds[0]
+    starts = np.flatnonzero(idle)
+    lengths = np.diff(starts, append=n_items)
+    chains = lengths > 1
+    starts, lengths = starts[chains], lengths[chains]
+    while starts.shape[0]:
+        fits = lengths <= 4 * lengths.min()  # one length class: padding stays under 4x
+        first, length = starts[fits], lengths[fits]
+        starts, lengths = starts[~fits], lengths[~fits]
+        cols = np.arange(int(length.max()))
+        live = cols < length[:, None]
+        at = (first[:, None] + cols)[live]
+        table = np.zeros(live.shape)
+        table[live] = holds[at]
+        table[:, 0] = ends[first]
+        ends[at] = np.add.accumulate(table, axis=1)[live]
+    wrong = (arrivals[1:] > ends[:-1]) != idle[1:]
+    wrong &= arrivals[1:] != ends[:-1]
+    if wrong.any():
+        return _lane_rule(arrivals, holds, cursor)
+    return ends, float(ends[-1])
 
 
 @dataclass(slots=True)
@@ -362,6 +355,7 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
     inline = 0
     stx_free, srx_free, stx_busy, srx_busy, serve_busy = ([0.0] * M for _ in range(5))
     op_costs = np.full(2 * n, lanes.op_cost)
+    reply_holds = np.empty(n)
     for m in range(M):
         t2 = np.concatenate((tx_end[:, m], tx_end[:, M + m]))
         k2 = key0 + m
@@ -383,7 +377,7 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
         early.append(int(np.searchsorted(pushes, n)) + 1 - n)
         rx_end[m] = rx
         # Replies leave in pull-handle order, each sent at its handle.
-        reply_holds = np.full(n, lanes.s_push_hold[m])
+        reply_holds.fill(lanes.s_push_hold[m])
         ends, stx_free[m] = _seq_cascade(serve[is_pull], reply_holds, lanes.stx_free[m])
         stx_busy[m] = float(
             np.add.accumulate(np.concatenate(((lanes.stx_busy[m],), reply_holds)))[-1]
@@ -869,7 +863,7 @@ class FluentPSSimRunner:
                 return "quorum"
             if s.callbacks or s.v_train != 0:
                 return "pending_state"
-            if any(p != -1 for p in s.worker_progress):
+            if max(s.worker_progress) != -1:  # no push yet: every entry is -1
                 return "pending_state"
         return None
 
@@ -960,11 +954,9 @@ class FluentPSSimRunner:
             # back to the live endpoints and network totals.
             # Must run before any de-vectorized worker spawns so their
             # sends observe the post-collapse cursors.
-            for w, ep in enumerate(self._wkr_eps):
-                ep.tx_free_at = float(lanes.wtx_free[w])
-                ep.rx_free_at = float(lanes.wrx_free[w])
-                ep.tx_busy_s = float(lanes.wtx_busy[w])
-                ep.rx_busy_s = float(lanes.wrx_busy[w])
+            cursors = (lanes.wtx_free, lanes.wrx_free, lanes.wtx_busy, lanes.wrx_busy)
+            for ep, row in zip(self._wkr_eps, zip(*(column.tolist() for column in cursors))):
+                ep.tx_free_at, ep.rx_free_at, ep.tx_busy_s, ep.rx_busy_s = row
                 ep.bytes_sent += r * (sum_push + M * req_bytes)
                 ep.messages_sent += r * 2 * M
                 ep.bytes_received += r * sum_push
@@ -1007,12 +999,12 @@ class FluentPSSimRunner:
                     # streams stay aligned with the pure event path.
                     _flush()
                     self._record_fallback("overlap", r)
-                    for pos in np.argsort(rank, kind="stable"):
-                        w = int(pos)
+                    clock = c.tolist()
+                    for w in np.argsort(rank, kind="stable").tolist():
                         eng.spawn(
                             self._worker_proc(w, r, {r: dur_l[w], r + 1: dur_next[w]}),
                             name=names[w],
-                            start_at=float(c[w]),
+                            start_at=clock[w],
                         )
                     return False
 
@@ -1034,10 +1026,11 @@ class FluentPSSimRunner:
                     )
             for idx in sched.closes:
                 w = int(idx)
-                t_sync, t_done = float(sched.ready[w]), float(f[w])
-                record_span(names[w], SpanKind.PULL, t_sync, t_done, r)
-                if sketches is not None:
-                    sketches[w].observe(t_done - t_sync)
+                record_span(names[w], SpanKind.PULL, float(sched.ready[w]), float(f[w]), r)
+            if sketches is not None:
+                waits = (f - sched.ready)[sched.closes].tolist()
+                for w, waited in zip(sched.closes.tolist(), waits):
+                    sketches[w].observe(waited)
             lanes = sched.lanes
             self.server_msgs_inline += sched.inline
             self.server_msgs_drained += 2 * n * M - sched.inline
@@ -1049,7 +1042,7 @@ class FluentPSSimRunner:
             if last_round:
                 _flush()
                 eng.now = float(np.max(f))
-                self._finish_times = [float(x) for x in f]
+                self._finish_times = f.tolist()
                 return True
             c, rank, dur_l = f, sched.rank, dur_next
             del sched  # or two rounds' tables are alive while the next is computed

@@ -4,10 +4,10 @@ kill matrix).
 Each mutant is a named function that takes pytest's ``monkeypatch`` and
 plants one protocol-level bug in :mod:`repro.sim.runner` for the length
 of a test — test code only, nothing under ``src/`` imports this module.
-Three rewrite one line of :func:`~repro.sim.runner.quiet_round`'s
-source (the site must occur exactly once, so an edit that moves it
-fails here, loudly, instead of leaving a mutant that mutates nothing);
-one wraps ``_seq_cascade``.  ``tests/test_round_schedule.py`` pins which
+All but one rewrite one line of a function's source (the site must
+occur exactly once, so an edit that moves it fails here, loudly, instead
+of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
+wraps ``_seq_cascade``.  ``tests/test_round_schedule.py`` pins which
 check kills which.
 """
 
@@ -16,12 +16,17 @@ import inspect
 from repro.sim import runner
 
 
-def _rewrite_quiet_round(monkeypatch, site: str, bug: str) -> None:
-    source = inspect.getsource(runner.quiet_round)
+def _rewrite(monkeypatch, name: str, site: str, bug: str) -> None:
+    """Replace ``runner.<name>`` by its source with ``site`` rewritten to ``bug``."""
+    source = inspect.getsource(getattr(runner, name))
     assert source.count(site) == 1, f"mutation site moved: {site!r}"
     scope = {}
-    exec(compile(source.replace(site, bug), "<mutant quiet_round>", "exec"), vars(runner), scope)
-    monkeypatch.setattr(runner, "quiet_round", scope["quiet_round"])
+    exec(compile(source.replace(site, bug), f"<mutant {name}>", "exec"), vars(runner), scope)
+    monkeypatch.setattr(runner, name, scope[name])
+
+
+def _rewrite_quiet_round(monkeypatch, site: str, bug: str) -> None:
+    _rewrite(monkeypatch, "quiet_round", site, bug)
 
 
 def serve_ignores_busy_lane(monkeypatch) -> None:
@@ -54,6 +59,14 @@ def cascade_forgets_cursor(monkeypatch) -> None:
     )
 
 
+def cascade_trusts_guess(monkeypatch) -> None:
+    """The cascade's verification step is skipped: a stream segmented by
+    the approximate scan is returned unproven.  No wire check of the kill
+    matrix can see it; ``test_pinned_near_tie_runs_the_rule`` does."""
+    _rewrite(monkeypatch, "_seq_cascade", "if wrong.any():", "if False:")
+
+
+#: The mutants of one round's schedule, for the kill matrix.
 MUTANTS = (
     serve_ignores_busy_lane,
     reply_rx_claimed_in_shard_order,

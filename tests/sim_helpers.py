@@ -1,6 +1,7 @@
 """Shared helpers for the co-simulation differential suites."""
 
 import json
+import sys
 
 import pytest
 
@@ -34,6 +35,26 @@ class OneStraggler(ComputeModel):
 
     def mean_factor(self) -> float:
         return 1.0
+
+
+def python_calls(fn, skip=()):
+    """How many Python-level function calls ``fn()`` makes (C calls are not
+    counted), not counting calls of functions named in ``skip``: a count
+    that repeats exactly, unlike a timing."""
+    count = 0
+
+    def profiler(frame, event, _arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_name not in skip:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
 
 
 def instant_stream(instants):

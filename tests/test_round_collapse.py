@@ -28,6 +28,7 @@ from repro.obs.export import InstantBlock
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import ComputeModel, DeterministicCompute, cpu_cluster_compute
+from repro.sim.trace import SpanKind
 
 from tests.sim_helpers import (
     EventPathRunner,
@@ -72,6 +73,16 @@ def _fingerprint(runner, result):
             "spans": sorted(
                 (a, k.value, v) for (a, k), v in runner.trace._totals.items()
             ),
+            # ``total_by_kind`` sums a kind's totals in key order: the order
+            # the keys were created in is part of the result, kind by kind.
+            "span_keys": [
+                [a for (a, k) in runner.trace._totals if k is kind] for kind in SpanKind
+            ],
+            "span_counts": sorted(
+                (a, k.value, c) for (a, k), c in runner.trace._span_counts.items()
+            ),
+            "trace_end": runner.trace.end_time,
+            "totals": [result.total_compute_time, result.total_comm_time],
         },
         sort_keys=True,
     )

@@ -29,9 +29,9 @@ from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
 from repro.sim.stragglers import DeterministicCompute, LogNormalCompute, cpu_cluster_compute
 
-from tests.mutants import MUTANTS
+from tests.mutants import MUTANTS, cascade_trusts_guess
 from tests.reference_sim import ReferenceSim, reference_wire
-from tests.sim_helpers import assert_matches_reference, assert_same_wire
+from tests.sim_helpers import assert_matches_reference, assert_same_wire, python_calls
 
 ITERS = 4
 
@@ -299,6 +299,73 @@ def test_some_mutant_dies_by_the_direct_test_alone():
     assert any(not shipped for _grid, _busy, shipped in _KILL_MATRIX.values())
 
 
+def lane_by_the_rule(arrivals, holds, cursor):
+    """The capacity-1 lane recurrence in plain Python floats: this file's
+    own spelling, the oracle of every cascade test below."""
+    ends = []
+    for a, h in zip(arrivals.tolist(), holds.tolist()):
+        cursor = max(cursor, a) + h
+        ends.append(cursor)
+    return ends, cursor
+
+
+def assert_cascade_is_the_rule(arrivals, holds, cursor):
+    """``ends`` and the final cursor, bit for bit — never approx."""
+    arrivals, holds = np.asarray(arrivals, dtype=float), np.asarray(holds, dtype=float)
+    ends, final = runner_mod._seq_cascade(arrivals, holds, cursor)  # shipped, or a mutant
+    want, want_final = lane_by_the_rule(arrivals, holds, cursor)
+    assert ends.tolist() == want
+    assert final == want_final
+    assert ends.dtype == np.float64 and ends.shape == arrivals.shape
+
+
+def rule_runs(arrivals, holds, cursor):
+    """How often one cascade fell back to ``_lane_rule`` (0 or 1) — counted
+    here, by wrapping it: production keeps no counter."""
+    with mock.patch.object(runner_mod, "_lane_rule", wraps=runner_mod._lane_rule) as rule:
+        assert_cascade_is_the_rule(arrivals, holds, cursor)
+    return rule.call_count
+
+
+#: How an adversarial stream places its next arrival, given the previous
+#: *exact* end ``end`` and the previous arrival ``last``.
+_MOVES = {
+    "tie": lambda end, last, gap: end,
+    "ulp_late": lambda end, last, gap: np.nextafter(end, np.inf),
+    "ulp_early": lambda end, last, gap: np.nextafter(end, -np.inf),
+    "duplicate": lambda end, last, gap: last,
+    "idle": lambda end, last, gap: end + gap,
+    "saturated": lambda end, last, gap: last + (end - last) * min(gap, 1.0),
+}
+
+
+def adversarial_stream(moves, holds, gaps, cursor):
+    """Arrivals built against the lane's own exact ends: each lands on,
+    one ulp either side of, well after or well inside the previous
+    transfer — the places where an approximate segmentation goes wrong."""
+    arrivals, end, last = [], cursor, 0.0
+    for move, hold, gap in zip(moves, holds, gaps):
+        last = max(last, float(_MOVES[move](end, last, gap)))
+        arrivals.append(last)
+        end = max(end, last) + hold
+    return arrivals
+
+
+def _near_tie_stream():
+    """One stream a scan of approximate sums segments wrongly: every arrival
+    one ulp before the previous exact end (saturated by the rule), holds of 0.1."""
+    holds, cursor = [0.1] * 8, 0.3
+    moves = ["idle"] + ["ulp_early"] * 7
+    return adversarial_stream(moves, holds, [1.0] * 8, cursor), holds, cursor
+
+
+def check_near_tie_runs_the_rule():
+    assert rule_runs(*_near_tie_stream()) == 1
+
+
+_HOLD = st.one_of(st.sampled_from([0.0, 0.1, 1e-5, 3.0]), st.floats(min_value=0.0, max_value=10.0))
+
+
 class TestSeqCascade:
     @given(
         data=st.lists(
@@ -306,20 +373,70 @@ class TestSeqCascade:
                 st.floats(min_value=0.0, max_value=100.0),
                 st.floats(min_value=0.0, max_value=10.0),
             ),
-            min_size=1,
+            min_size=0,
             max_size=300,
         ),
         cursor=st.floats(min_value=0.0, max_value=50.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_exact_vs_scalar_recurrence(self, data, cursor):
-        arrivals = np.sort(np.array([a for a, _h in data]))
-        holds = np.array([h for _a, h in data])
-        ends, final = _seq_cascade(arrivals, holds, cursor)
-        c = cursor
-        for i in range(len(data)):
-            if arrivals[i] > c:
-                c = arrivals[i]
-            c = c + holds[i]
-            assert ends[i] == c  # bit-identical, not approx
-        assert final == c
+        arrivals = np.sort(np.array([a for a, _h in data], dtype=float))
+        assert_cascade_is_the_rule(arrivals, [h for _a, h in data], cursor)
+
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(sorted(_MOVES)), _HOLD, st.floats(0.0, 2.0)), max_size=200
+        ),
+        cursor=st.sampled_from([0.0, 0.3, 7.0, 1e6]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_adversarial_streams(self, steps, cursor):
+        moves, holds, gaps = (list(column) for column in zip(*steps)) if steps else ([], [], [])
+        assert_cascade_is_the_rule(adversarial_stream(moves, holds, gaps, cursor), holds, cursor)
+
+    @pytest.mark.parametrize(
+        "arrivals, holds, cursor",
+        [
+            pytest.param([], [], 4.5, id="empty"),
+            pytest.param([2.0], [0.5], 0.0, id="single-idle"),
+            pytest.param([2.0], [0.5], 9.0, id="single-behind-a-busy-cursor"),
+            pytest.param(np.linspace(0.0, 1.0, 5000), np.full(5000, 0.1), 0.0, id="one-long-chain"),
+            pytest.param(np.repeat(np.arange(2500.0), 2), np.tile([0.6, 0.1], 2500), 0.0,
+                         id="strict-idle-saturated-alternation"),
+            pytest.param(np.arange(300.0), np.full(300, 0.25), 1e4, id="cursor-past-the-arrivals"),
+            pytest.param(np.repeat([1.0, 1.0, 5.0], 40), np.zeros(120), 0.0,
+                         id="zero-holds-duplicates"),
+            pytest.param(np.repeat(np.arange(40.0), 3), np.tile([0.0, 0.4, 0.0], 40), 0.5,
+                         id="some-zero-holds-duplicates"),
+            pytest.param(np.cumsum(np.tile([9.0] + [0.01] * 6 + [9.0] + [0.01] * 40, 30)),
+                         np.full(1440, 0.3), 0.0, id="chains-of-two-length-classes"),
+        ],
+    )
+    def test_pinned_shapes(self, arrivals, holds, cursor):
+        assert rule_runs(arrivals, holds, cursor) == 0
+
+    def test_pinned_near_tie_runs_the_rule(self):
+        """A wrong guess is caught and costs one scalar pass — the output
+        is the rule's either way; exact ties need no fallback."""
+        check_near_tie_runs_the_rule()
+        holds, cursor = [0.1] * 8, 0.3
+        on_the_end = adversarial_stream(["idle"] + ["tie"] * 7, holds, [1.0] * 8, cursor)
+        assert rule_runs(on_the_end, holds, cursor) == 0
+
+    def test_no_python_per_segment(self):
+        """A cascade of 10 000 strictly alternating requests (5 000
+        segments) makes as many Python-level calls as one of 100."""
+        def calls(n_items):
+            arrivals = np.repeat(np.arange(n_items / 2), 2)
+            holds = np.tile([0.6, 0.1], n_items // 2)
+            return python_calls(lambda: _seq_cascade(arrivals, holds, 0.0))
+
+        small, big = calls(100), calls(10_000)
+        assert 0 < small and abs(big - small) <= 4, (small, big)
+
+
+def test_cascade_trusts_guess_dies_by_the_pinned_near_tie(monkeypatch):
+    check_near_tie_runs_the_rule()
+    cascade_trusts_guess(monkeypatch)
+    with pytest.raises(AssertionError):
+        check_near_tie_runs_the_rule()

@@ -530,3 +530,55 @@ class TestBatchedApply:
         # Pushes resume from the restored per-worker progress.
         srv.handle_push(1, 3)
         assert srv._slowest == 3
+
+
+class TestQuietRoundPrecondition:
+    """``handle_quiet_round(k)`` needs every worker at ``k - 1`` and says
+    so from the incremental trackers; it walks ``worker_progress`` only to
+    name the offender."""
+
+    def test_commits_when_every_worker_is_one_behind(self):
+        srv = make_server(model=ssp(3), n=4)
+        srv.handle_quiet_round(0, early_pulls=1)
+        srv.handle_quiet_round(1, early_pulls=0)
+        assert srv.worker_progress == srv.last_pull_progress == [1] * 4
+        assert (srv.v_train, srv.version, srv._fastest, srv._slowest) == (2, 8, 1, 1)
+        assert srv._n_at_slowest == 4
+
+    def test_one_worker_ahead(self):
+        srv = make_server(model=ssp(3), n=4)
+        srv.handle_quiet_round(0, early_pulls=0)
+        srv.handle_push(2, 1)
+        with pytest.raises(ProtocolError, match=r"worker 2 at 1 cannot batch-push 1 .*sequential"):
+            srv.handle_quiet_round(1, early_pulls=0)
+
+    def test_one_worker_behind(self):
+        srv = make_server(model=ssp(3), n=4)
+        srv.handle_quiet_round(0, early_pulls=0)
+        for w in (0, 1, 3):
+            srv.handle_push(w, 1)
+        with pytest.raises(ProtocolError, match=r"worker 2 at 0 cannot batch-push 2 .*sequential"):
+            srv.handle_quiet_round(2, early_pulls=0)
+        with pytest.raises(ProtocolError, match="worker 0 at 1 cannot batch-push 1"):
+            srv.handle_quiet_round(1, early_pulls=0)
+
+    def test_a_round_cannot_be_committed_twice_or_skipped(self):
+        srv = make_server(model=ssp(3), n=3)
+        srv.handle_quiet_round(0, early_pulls=0)
+        for progress in (0, 2):
+            with pytest.raises(ProtocolError, match="sequential"):
+                srv.handle_quiet_round(progress, early_pulls=0)
+
+    def test_after_a_restore(self):
+        srv = make_server(model=ssp(10), n=3)
+        state = dict(v_train=3, version=11, count={}, last_significance=0.0)
+        srv.handle_restore({**state, "worker_progress": [4, 2, 4]})
+        with pytest.raises(ProtocolError, match="worker 0 at 4 cannot batch-push 3"):
+            srv.handle_quiet_round(3, early_pulls=0)
+        with pytest.raises(ProtocolError, match="worker 1 at 2 cannot batch-push 5"):
+            srv.handle_quiet_round(5, early_pulls=0)
+        srv.handle_restore({**state, "worker_progress": [4, 4, 4]})
+        with pytest.raises(ProtocolError, match="sequential"):
+            srv.handle_quiet_round(0, early_pulls=0)
+        srv.handle_quiet_round(5, early_pulls=0)
+        assert srv.worker_progress == [5, 5, 5] and srv.v_train == 6
