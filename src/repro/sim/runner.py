@@ -55,7 +55,7 @@ from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Engine
 from repro.sim.network import Gather, Message, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
-from repro.sim.trace import SpanKind, TraceRecorder
+from repro.sim.trace import CohortSpans, SpanKind, TraceRecorder
 from repro.utils.records import SeriesRecord
 from repro.utils.rng import derive_rng
 
@@ -929,7 +929,6 @@ class FluentPSSimRunner:
         cfg = self.cfg
         net = self.net
         eng = self.engine
-        record_span = self.trace.record_span
         observed = self.obs.enabled
         sketches = self._pull_sketches
         block_shards = [s.block_constants() for s in self.servers] if observed else []
@@ -942,6 +941,9 @@ class FluentPSSimRunner:
         req_bytes = cfg.request_bytes
         base_l = [cfg.resolved_base_compute(node.flops) for node in cfg.cluster.workers]
         names = [f"worker{w}" for w in range(n)]
+        # Per-worker span totals of the committed rounds, as cohort arrays.
+        compute_spans = CohortSpans(self.trace, names, SpanKind.COMPUTE)
+        pull_spans = CohortSpans(self.trace, names, SpanKind.PULL)
         # Loaded once, written back only for committed rounds.
         lanes = self._cohort_lanes()
         # Event census per worker per round: 2 resume events and 2M request
@@ -951,9 +953,12 @@ class FluentPSSimRunner:
 
         def _flush() -> None:
             # Write the cursor/counter state of the ``r`` committed rounds
-            # back to the live endpoints and network totals.
+            # back to the live endpoints and network totals, and their
+            # span totals to the trace.
             # Must run before any de-vectorized worker spawns so their
             # sends observe the post-collapse cursors.
+            compute_spans.credit()
+            pull_spans.credit()
             cursors = (lanes.wtx_free, lanes.wrx_free, lanes.wtx_busy, lanes.wrx_busy)
             for ep, row in zip(self._wkr_eps, zip(*(column.tolist() for column in cursors))):
                 ep.tx_free_at, ep.rx_free_at, ep.tx_busy_s, ep.rx_busy_s = row
@@ -1009,9 +1014,7 @@ class FluentPSSimRunner:
                     return False
 
             # -- commit round r -------------------------------------------
-            for idx in sched.order:
-                w = int(idx)
-                record_span(names[w], SpanKind.COMPUTE, float(c[w]), float(sched.ready[w]), r)
+            compute_spans.add(sched.order, c, sched.ready, r)
             if observed:
                 # Before the shards commit: the block (and in round 0 the
                 # config snapshots) must see each shard's pre-round state.
@@ -1024,9 +1027,7 @@ class FluentPSSimRunner:
                     self.trace.record_spans(
                         self._srv_names[m], SpanKind.SERVER_APPLY, serve, serve + cost
                     )
-            for idx in sched.closes:
-                w = int(idx)
-                record_span(names[w], SpanKind.PULL, float(sched.ready[w]), float(f[w]), r)
+            pull_spans.add(sched.closes, sched.ready, f, r)
             if sketches is not None:
                 waits = (f - sched.ready)[sched.closes].tolist()
                 for w, waited in zip(sched.closes.tolist(), waits):

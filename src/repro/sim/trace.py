@@ -99,17 +99,9 @@ class TraceRecorder:
         order, leaves behind — the total is accumulated sequentially, so
         it is the same float — except that an inverted span beyond the
         jitter tolerance raises before anything is recorded."""
-        t0 = np.asarray(t0, dtype=np.float64)
-        t1 = np.asarray(t1, dtype=np.float64)
+        t0, t1 = self._checked(t0, t1)
         if t0.shape[0] == 0:
             return
-        inverted = t1 < t0
-        if inverted.any():
-            bad = inverted & (t0 - t1 > self.NEGATIVE_EPS * np.maximum(1.0, np.abs(t0)))
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"span ends before it starts: [{t0[i]}, {t1[i]}]")
-            t1 = np.where(inverted, t0, t1)  # clock jitter: clip to empty spans
         if self.keep_spans:
             self.spans.extend(
                 Span(actor, kind, a, b, iteration)
@@ -122,6 +114,24 @@ class TraceRecorder:
         self._totals[key] = float(np.add.accumulate(seeded)[-1])
         self._span_counts[key] += t0.shape[0]
         self.end_time = max(self.end_time, float(t1.max()))
+
+    def _checked(self, t0, t1) -> Tuple[np.ndarray, np.ndarray]:
+        """``t0`` and ``t1`` as float arrays of one shape, by
+        ``record_span``'s rule: an inverted span within the jitter
+        tolerance is clipped to empty, one beyond it raises — as do
+        starts and ends of different shapes, which NumPy would broadcast."""
+        t0 = np.asarray(t0, dtype=np.float64)
+        t1 = np.asarray(t1, dtype=np.float64)
+        if t0.shape != t1.shape:
+            raise ValueError(f"span starts and ends differ in shape: {t0.shape} vs {t1.shape}")
+        inverted = t1 < t0
+        if inverted.any():
+            bad = inverted & (t0 - t1 > self.NEGATIVE_EPS * np.maximum(1.0, np.abs(t0)))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"span ends before it starts: [{t0[i]}, {t1[i]}]")
+            t1 = np.where(inverted, t0, t1)  # clock jitter: clip to empty spans
+        return t0, t1
 
     def incr(self, counter: str, by: float = 1.0) -> None:
         """Increment a named counter."""
@@ -212,3 +222,55 @@ class TraceRecorder:
         header = " " * (label_w + 1) + "0" + f"{t_max:.3g}s".rjust(width - 1)
         legend = "legend: #=compute  >=push  <=pull  .=blocked/barrier  *=apply"
         return "\n".join([header] + rows + [legend])
+
+
+class CohortSpans:
+    """One kind's spans of a cohort that records a span per actor per
+    round, with the per-actor totals kept as one array.
+
+    What ``record_span`` called per actor per round leaves in ``trace``,
+    reached in two steps: :meth:`add` folds a round into ``totals`` — one
+    elementwise ``+=`` from what the recorder held at construction, so
+    each element is that actor's own left-to-right float sum — and
+    :meth:`credit`, once, assigns the totals, adds the round count and
+    raises ``end_time``, creating keys in the first round's order
+    (``total_by_kind`` sums in key order).  Under ``keep_spans`` the
+    ``Span`` objects are appended by :meth:`add`, round by round.
+    """
+
+    def __init__(self, trace: TraceRecorder, actors: List[str], kind: SpanKind):
+        self.trace = trace
+        self.actors = actors
+        self.kind = kind
+        self.totals = np.array([trace.total(actor, kind) for actor in actors])
+        self.rounds = 0
+        self.end = 0.0
+        self.first_order = np.empty(0, dtype=np.int64)
+
+    def add(self, order: np.ndarray, t0: np.ndarray, t1: np.ndarray, iteration: int = -1) -> None:
+        """One round: ``[t0[i], t1[i]]`` for ``actors[i]``, recorded in
+        ``order`` (a permutation of the actors' indices)."""
+        t0, t1 = self.trace._checked(t0, t1)
+        if t0.shape != self.totals.shape:
+            raise ValueError(f"{self.totals.shape[0]} actors, spans of shape {t0.shape}")
+        if self.rounds == 0:
+            self.first_order = order
+        if self.trace.keep_spans:
+            actors, kind = self.actors, self.kind
+            starts, ends = t0.tolist(), t1.tolist()
+            self.trace.spans.extend(
+                Span(actors[i], kind, starts[i], ends[i], iteration) for i in order.tolist()
+            )
+        self.totals += t1 - t0
+        self.rounds += 1
+        self.end = max(self.end, float(t1.max()))
+
+    def credit(self) -> None:
+        """Hand the rounds added so far to the recorder (nothing, and no
+        key, when there are none: ``first_order`` is empty).  Call once."""
+        trace, totals = self.trace, self.totals.tolist()
+        for i in self.first_order.tolist():
+            key = (self.actors[i], self.kind)
+            trace._totals[key] = totals[i]
+            trace._span_counts[key] += self.rounds
+        trace.end_time = max(trace.end_time, self.end)

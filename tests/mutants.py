@@ -2,8 +2,10 @@
 kill matrix).
 
 Each mutant is a named function that takes pytest's ``monkeypatch`` and
-plants one protocol-level bug in :mod:`repro.sim.runner` for the length
-of a test — test code only, nothing under ``src/`` imports this module.
+plants one protocol-level bug in :mod:`repro.sim.runner` (one in
+:mod:`repro.sim.trace`, where the collapse's span totals are recorded)
+for the length of a test — test code only, nothing under ``src/``
+imports this module.
 All but one rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
@@ -12,21 +14,26 @@ check kills which.
 """
 
 import inspect
+import textwrap
 
 from repro.sim import runner
+from repro.sim.trace import CohortSpans
 
 
-def _rewrite(monkeypatch, name: str, site: str, bug: str) -> None:
-    """Replace ``runner.<name>`` by its source with ``site`` rewritten to ``bug``."""
-    source = inspect.getsource(getattr(runner, name))
+def _rewrite(monkeypatch, owner, name: str, site: str, bug: str) -> None:
+    """Replace ``owner.<name>`` — a module's function or a class's method —
+    by its source with ``site`` rewritten to ``bug``."""
+    function = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(site) == 1, f"mutation site moved: {site!r}"
     scope = {}
-    exec(compile(source.replace(site, bug), f"<mutant {name}>", "exec"), vars(runner), scope)
-    monkeypatch.setattr(runner, name, scope[name])
+    code = compile(source.replace(site, bug), f"<mutant {name}>", "exec")
+    exec(code, function.__globals__, scope)
+    monkeypatch.setattr(owner, name, scope[name])
 
 
 def _rewrite_quiet_round(monkeypatch, site: str, bug: str) -> None:
-    _rewrite(monkeypatch, "quiet_round", site, bug)
+    _rewrite(monkeypatch, runner, "quiet_round", site, bug)
 
 
 def serve_ignores_busy_lane(monkeypatch) -> None:
@@ -63,7 +70,21 @@ def cascade_trusts_guess(monkeypatch) -> None:
     """The cascade's verification step is skipped: a stream segmented by
     the approximate scan is returned unproven.  No wire check of the kill
     matrix can see it; ``test_pinned_near_tie_runs_the_rule`` does."""
-    _rewrite(monkeypatch, "_seq_cascade", "if wrong.any():", "if False:")
+    _rewrite(monkeypatch, runner, "_seq_cascade", "if wrong.any():", "if False:")
+
+
+def span_totals_in_worker_order(monkeypatch) -> None:
+    """The collapse credits its span totals in worker-index order, not in
+    round 0's resume / gather-close order: ``_totals`` holds the same
+    floats under keys the event path would have created in another order.
+    Not a wire bug either; the event-path fingerprint sees it."""
+    _rewrite(
+        monkeypatch,
+        CohortSpans,
+        "credit",
+        "for i in self.first_order.tolist():",
+        "for i in range(len(self.actors)):",
+    )
 
 
 #: The mutants of one round's schedule, for the kill matrix.

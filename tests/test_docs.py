@@ -62,3 +62,14 @@ class TestDesignAndExperiments:
         for used in re.findall(r"--only ([\w\- ]+)", text):
             for ident in used.split():
                 assert ident in EXPERIMENTS, ident
+
+
+class TestChanges:
+    def test_entries_from_pr_23_on_stay_a_paragraph(self):
+        """ROADMAP item 8: an entry says what landed; its evidence lives in
+        docs/PERFORMANCE.md or the JSON it came from."""
+        lines = list(re.finditer(r"^PR (\d+):.*$", (ROOT / "CHANGES.md").read_text(), re.MULTILINE))
+        assert lines
+        for line in lines:
+            if int(line.group(1)) >= 23:
+                assert len(line.group(0)) < 1500, f"CHANGES.md: PR {line.group(1)} is too long"

@@ -27,13 +27,19 @@ from repro.obs import NULL_OBS, Instant, MetricsRegistry, Observability
 from repro.obs.export import InstantBlock
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig
-from repro.sim.stragglers import ComputeModel, DeterministicCompute, cpu_cluster_compute
+from repro.sim.stragglers import (
+    ComputeModel,
+    DeterministicCompute,
+    LogNormalCompute,
+    cpu_cluster_compute,
+)
 from repro.sim.trace import SpanKind
 
 from tests.sim_helpers import (
     EventPathRunner,
     assert_matches_reference,
     instant_stream,
+    python_calls,
     server_metrics,
 )
 
@@ -175,6 +181,29 @@ class TestDevectorization:
         kwargs["compute_model"] = _InjectedStraggler(worker=0, iteration=0)
         ra, _rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 0
+
+
+def test_a_committed_round_pays_python_per_worker_only_for_the_draw():
+    """Python-level calls per *additional* committed round (runs of 2 and
+    of 5 rounds, so set-up and the flush cancel) grow from 500 to 2000
+    workers by the 1500 extra ``sample`` draws and nothing else — a span,
+    a progress entry or a lane segment per worker would each add 1500 or
+    more.  The slack is a cascade's length classes varying with the draw."""
+
+    def per_round(n):
+        def calls(iters):
+            kwargs = _cell("cpu", "ssp3", "det", n=n, m=4, iters=iters)
+            kwargs["compute_model"] = LogNormalCompute(0.01)
+            kwargs["base_compute_time"] = 1e5  # isolated at either size
+            runner = FluentPSSimRunner(SimConfig(**kwargs, obs=NULL_OBS))
+            count = python_calls(runner.run)
+            assert runner.engine.rounds_collapsed == iters, runner.collapse_fallback
+            return count
+
+        return (calls(5) - calls(2)) / 3
+
+    small, big = per_round(500), per_round(2000)
+    assert 0 < big - small <= (2000 - 500) + 20, (small, big)
 
 
 def _columnar_obs():

@@ -13,6 +13,7 @@ module must catch.
 
 import copy
 import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -29,9 +30,10 @@ from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
 from repro.sim.stragglers import DeterministicCompute, LogNormalCompute, cpu_cluster_compute
 
-from tests.mutants import MUTANTS, cascade_trusts_guess
+from tests.mutants import MUTANTS, cascade_trusts_guess, span_totals_in_worker_order
 from tests.reference_sim import ReferenceSim, reference_wire
 from tests.sim_helpers import assert_matches_reference, assert_same_wire, python_calls
+from tests.test_round_collapse import _fingerprint, _run
 
 ITERS = 4
 
@@ -440,3 +442,23 @@ def test_cascade_trusts_guess_dies_by_the_pinned_near_tie(monkeypatch):
     cascade_trusts_guess(monkeypatch)
     with pytest.raises(AssertionError):
         check_near_tie_runs_the_rule()
+
+
+def test_span_totals_in_worker_order_dies_by_the_event_path_key_order(monkeypatch):
+    """Span totals are not on the wire either.  The killer is
+    ``test_round_collapse``'s fingerprint against ``EventPathRunner``: the
+    order a kind's ``_totals`` keys were created in (and with it, at most,
+    ``total_by_kind``'s sum) — nothing else in the fingerprint moves."""
+    cell = _KILL_CELLS[0]  # unequal draws: round 0 resumes out of worker order
+
+    def fingerprints():
+        runs = [_run(cell, collapse) for collapse in (True, False)]
+        assert runs[0][0].engine.rounds_collapsed > 0
+        return [json.loads(_fingerprint(runner, result)) for runner, result in runs]
+
+    fast, slow = fingerprints()
+    assert fast == slow
+    span_totals_in_worker_order(monkeypatch)
+    fast, slow = fingerprints()
+    assert fast["span_keys"] != slow["span_keys"]
+    assert {key for key in slow if fast[key] != slow[key]} <= {"span_keys", "totals"}

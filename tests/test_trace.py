@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.trace import COMM_KINDS, Span, SpanKind, TraceRecorder
+from repro.sim.trace import COMM_KINDS, CohortSpans, Span, SpanKind, TraceRecorder
 
 
 class TestSpans:
@@ -123,6 +123,152 @@ class TestBatchSpans:
         tr = TraceRecorder()
         tr.record_spans("s", SpanKind.SERVER_APPLY, np.empty(0), np.empty(0))
         assert tr.actors() == [] and tr.end_time == 0.0
+
+    def test_mismatched_shapes_raise_instead_of_broadcasting(self):
+        tr = TraceRecorder()
+        with pytest.raises(ValueError, match="differ in shape"):
+            tr.record_spans("s", SpanKind.SERVER_APPLY, np.array([1.0, 2.0, 3.0]), np.array([4.0]))
+        assert tr.spans == [] and tr.count("s", SpanKind.SERVER_APPLY) == 0
+
+
+def _state(tr):
+    """What a recorder holds, key order of both dicts kind by kind
+    (``total_by_kind`` sums a kind's totals in that order)."""
+    return (
+        [[(a, v) for (a, k), v in tr._totals.items() if k is kind] for kind in SpanKind],
+        [[(a, c) for (a, k), c in tr._span_counts.items() if k is kind] for kind in SpanKind],
+        tr.end_time,
+        list(tr.spans),
+    )
+
+
+def _cohort_rounds(seed, n, k):
+    """``k`` rounds of a cohort of ``n`` as the collapse driver sees them:
+    ``(resume order, clock, ready, gather-close order, done)`` — clocks far
+    from zero and short waits, so the per-actor totals round."""
+    rng = np.random.default_rng(seed)
+    clock = np.zeros(n)
+    rounds = []
+    for _ in range(k):
+        ready = clock + 1e5 * rng.lognormal(0.0, 0.01, size=n)
+        done = ready + rng.uniform(0.0, 1e-2, size=n)
+        rounds.append((np.argsort(ready), clock, ready, np.argsort(done), done))
+        clock = done
+    return rounds
+
+
+def _one_by_one(tr, actors, rounds, first=0):
+    for r, (order, clock, ready, closes, done) in enumerate(rounds, start=first):
+        for i in order.tolist():
+            tr.record_span(actors[i], SpanKind.COMPUTE, float(clock[i]), float(ready[i]), r)
+        for i in closes.tolist():
+            tr.record_span(actors[i], SpanKind.PULL, float(ready[i]), float(done[i]), r)
+
+
+def _as_cohort(tr, actors, rounds):
+    compute = CohortSpans(tr, actors, SpanKind.COMPUTE)
+    pull = CohortSpans(tr, actors, SpanKind.PULL)
+    for r, (order, clock, ready, closes, done) in enumerate(rounds):
+        compute.add(order, clock, ready, r)
+        pull.add(closes, ready, done, r)
+    compute.credit()
+    pull.credit()
+
+
+class TestCohortSpans:
+    """``CohortSpans`` against one ``record_span`` per actor per round."""
+
+    ACTORS = [f"worker{i}" for i in range(41)]
+
+    @pytest.mark.parametrize("keep_spans", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_span_calls(self, keep_spans, seed):
+        rounds = _cohort_rounds(seed, len(self.ACTORS), 7)
+        one_by_one, cohort = TraceRecorder(keep_spans), TraceRecorder(keep_spans)
+        _one_by_one(one_by_one, self.ACTORS, rounds)
+        _as_cohort(cohort, self.ACTORS, rounds)
+        assert _state(cohort) == _state(one_by_one)
+        assert len(cohort.spans) == (2 * 7 * 41 if keep_spans else 0)
+        assert list(cohort._totals)[:41] != [(a, SpanKind.COMPUTE) for a in self.ACTORS]
+        for total in (TraceRecorder.compute_time, TraceRecorder.comm_time):
+            assert total(cohort) == total(one_by_one)
+            assert total(cohort, self.ACTORS) == total(one_by_one, self.ACTORS)
+
+    def test_nothing_reaches_the_totals_before_the_credit(self):
+        tr = TraceRecorder()
+        spans = CohortSpans(tr, self.ACTORS, SpanKind.COMPUTE)
+        order, clock, ready, _closes, _done = _cohort_rounds(0, 41, 1)[0]
+        spans.add(order, clock, ready, 0)
+        assert tr._totals == {} and tr._span_counts == {} and tr.end_time == 0.0
+        assert [s.actor for s in tr.spans] == [self.ACTORS[i] for i in order.tolist()]
+
+    def test_after_earlier_spans_on_the_same_keys(self):
+        """The fold starts from what the recorder holds: ``(p + d0) + d1``,
+        not ``p + (d0 + d1)``; keys that exist keep their place."""
+        rounds = _cohort_rounds(5, 41, 6)
+        one_by_one, cohort = TraceRecorder(), TraceRecorder()
+        for tr in (one_by_one, cohort):
+            for i in (7, 3, 40):
+                tr.record_span(self.ACTORS[i], SpanKind.PULL, 0.1, 0.1 + 1e-3 * (i + 1) / 3)
+                tr.record_span(self.ACTORS[i], SpanKind.COMPUTE, 0.3, 2e5 / 3)
+            tr.record_span("server0", SpanKind.SERVER_APPLY, 0.0, 9e9)
+        _one_by_one(one_by_one, self.ACTORS, rounds)
+        _as_cohort(cohort, self.ACTORS, rounds)
+        assert _state(cohort) == _state(one_by_one)
+        assert cohort.count(self.ACTORS[3], SpanKind.PULL) == 7
+        assert cohort.end_time == 9e9
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_credit_after_devectorisation_at_round_k(self, k):
+        """``k`` rounds as a cohort, the credit, then the rest span by span
+        — the event path after a hand-over — is all of them span by span."""
+        rounds = _cohort_rounds(11, 41, 6)
+        one_by_one, handed_over = TraceRecorder(), TraceRecorder()
+        _one_by_one(one_by_one, self.ACTORS, rounds)
+        _as_cohort(handed_over, self.ACTORS, rounds[:k])
+        if k == 0:
+            assert handed_over._totals == {} and handed_over._span_counts == {}
+            assert handed_over.end_time == 0.0 and handed_over.spans == []
+        _one_by_one(handed_over, self.ACTORS, rounds[k:], first=k)
+        assert _state(handed_over) == _state(one_by_one)
+
+    def test_jitter_inversion_is_clipped_like_record_span(self):
+        rounds = _cohort_rounds(2, 41, 3)
+        order, clock, ready, closes, done = rounds[1]
+        done = done.copy()
+        done[[4, 17]] = ready[[4, 17]] * (1.0 - 1e-12)
+        rounds[1] = (order, clock, ready, closes, done)
+        rounds[2] = (rounds[2][0], done) + rounds[2][2:]
+        one_by_one, cohort = TraceRecorder(), TraceRecorder()
+        _one_by_one(one_by_one, self.ACTORS, rounds)
+        _as_cohort(cohort, self.ACTORS, rounds)
+        assert _state(cohort) == _state(one_by_one)
+        clipped = [s for s in cohort.spans if s.kind is SpanKind.PULL and s.duration == 0.0]
+        assert sorted(s.actor for s in clipped) == ["worker17", "worker4"]
+
+    def test_real_inversion_raises_record_spans_message_and_adds_nothing(self):
+        order, clock, ready, _closes, _done = _cohort_rounds(3, 41, 1)[0]
+        ready = ready.copy()
+        ready[9] = clock[9] - 0.5
+        tr = TraceRecorder()
+        with pytest.raises(ValueError) as scalar:
+            tr.record_span("worker9", SpanKind.COMPUTE, float(clock[9]), float(ready[9]))
+        spans = CohortSpans(tr, self.ACTORS, SpanKind.COMPUTE)
+        with pytest.raises(ValueError) as cohort:
+            spans.add(order, clock, ready, 0)
+        assert str(cohort.value) == str(scalar.value)
+        assert tr.spans == [] and spans.rounds == 0 and not spans.totals.any()
+        spans.credit()
+        assert tr._totals == {}
+
+    def test_mismatched_shapes_raise(self):
+        order, clock, ready, _closes, _done = _cohort_rounds(3, 41, 1)[0]
+        spans = CohortSpans(TraceRecorder(), self.ACTORS, SpanKind.COMPUTE)
+        with pytest.raises(ValueError, match="differ in shape"):
+            spans.add(order, clock, ready[:1], 0)
+        with pytest.raises(ValueError, match="41 actors"):
+            spans.add(order[:40], clock[:40], ready[:40], 0)
+        assert spans.rounds == 0 and spans.trace.spans == []
 
 
 class TestLeanMode:
