@@ -26,18 +26,11 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.core.driver import StepContext
 from repro.core.keyspace import RangeKeySlicer
 from repro.core.models import SyncModel, asp
-from repro.sim.engine import Signal, Timeout
+from repro.sim.engine import Signal
 from repro.sim.network import Message, NicSpec
-from repro.sim.runner import (
-    FluentPSSimRunner,
-    SimConfig,
-    SimRunResult,
-    _PullMsg,
-    _PushMsg,
-)
+from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
 
 SCHEDULER_NODE = "scheduler"
@@ -75,8 +68,12 @@ class PSLiteSimRunner(FluentPSSimRunner):
             slicer=config.slicer or RangeKeySlicer(),
         )
         super().__init__(config)
-        # The scheduler is its own node on the fabric.
-        self.net.add_node(SCHEDULER_NODE, NicSpec(bandwidth_Bps=1.25e9, overhead_s=30e-6))
+        # The scheduler is its own node on the fabric; its sink is the
+        # whole scheduler (a report is handled inside its delivery event).
+        self._sched_ep = self.net.add_node(
+            SCHEDULER_NODE, NicSpec(bandwidth_Bps=1.25e9, overhead_s=30e-6)
+        )
+        self._sched_ep.sink = self._on_report
         self._sched_count: Dict[int, int] = defaultdict(int)
         self._sched_frontier = 0
         self._sched_waiting: List[_ReportMsg] = []
@@ -90,29 +87,27 @@ class PSLiteSimRunner(FluentPSSimRunner):
             return True
         return progress < self._sched_frontier + s
 
-    def _scheduler_proc(self):
-        ep = self.net.endpoint(SCHEDULER_NODE)
+    def _on_report(self, msg: Message) -> None:
         n = self.cfg.cluster.n_workers
-        while True:
-            msg: Message = yield ep.inbox.get()
-            report: _ReportMsg = msg.payload
-            self._sched_count[report.progress] += 1
-            while self._sched_count[self._sched_frontier] >= n:
-                self._sched_frontier += 1
-            self._sched_waiting.append(report)
-            still_waiting = []
-            for r in self._sched_waiting:
-                if self._grantable(r.progress):
-                    self.net.send(
-                        SCHEDULER_NODE,
-                        self.cfg.cluster.worker_id(r.worker),
-                        self.cfg.request_bytes,
-                        payload=_GrantMsg(r.worker, r.progress),
-                        tag="grant",
-                    ).subscribe(self._on_grant_delivered)
-                else:
-                    still_waiting.append(r)
-            self._sched_waiting = still_waiting
+        self._sched_count[msg.payload.progress] += 1
+        while self._sched_count[self._sched_frontier] >= n:
+            self._sched_frontier += 1
+        self._sched_waiting.append(msg.payload)
+        still_waiting = []
+        for r in self._sched_waiting:
+            if self._grantable(r.progress):
+                self.net.send(
+                    self._sched_ep,
+                    self._wkr_eps[r.worker],
+                    self.cfg.request_bytes,
+                    payload=_GrantMsg(r.worker, r.progress),
+                    tag="grant",
+                    cause=msg.cause_id,
+                    at=msg.deliver_time,
+                ).subscribe(self._on_grant_delivered)
+            else:
+                still_waiting.append(r)
+        self._sched_waiting = still_waiting
 
     def _on_grant_delivered(self, msg: Message) -> None:
         grant: _GrantMsg = msg.payload
@@ -121,75 +116,42 @@ class PSLiteSimRunner(FluentPSSimRunner):
     # -- worker (non-overlap protocol, Figure 5a) ------------------------------
 
     def _worker_proc(self, w: int):
-        cfg = self.cfg
-        node = cfg.cluster.worker_id(w)
-        name = f"worker{w}"
-        base = cfg.resolved_base_compute(cfg.cluster.workers[w].flops)
-        params = cfg.task.init_params.copy() if cfg.task is not None else None
-        for i in range(cfg.max_iter):
-            dur = self.compute_model.sample(w, i, base, self._compute_rngs[w])
-            t0 = self.engine.now
-            yield Timeout(dur)
-            self.trace.record_span(name, SpanKind.COMPUTE, t0, self.engine.now, i)
-            if cfg.task is not None:
-                update = cfg.task.step_fn(
-                    StepContext(worker=w, iteration=i, params=params, rng=self._step_rngs[w])
-                )
-                shards = self.layout.scatter(update)
-            else:
-                shards = [None] * cfg.cluster.n_servers
+        """What Figure 5a adds to the stock worker: the push phase is
+        waited out, then a report/grant round-trip gates the pull phase."""
+        engine, trace = self.engine, self.trace
+        row = self._worker_row(w)
+        for i in range(self.cfg.max_iter):
+            row.i = i
+            t0 = engine.now
+            yield self._draw(row)
+            self._book_compute(row, t0)
+            self._local_step(row)
             # Phase 1: push to every shard and WAIT until every shard is
             # updated (non-overlap: the pull phase may not begin earlier).
-            t_push = self.engine.now
-            push_sigs = [
-                self.net.send(
-                    node,
-                    cfg.cluster.server_id(m),
-                    self._payload_bytes(m),
-                    payload=_PushMsg(w, i, shards[m]),
-                    tag="push",
-                )
-                for m in range(cfg.cluster.n_servers)
-            ]
-            yield self.engine.all_of(push_sigs)
-            self.trace.record_span(name, SpanKind.PUSH, t_push, self.engine.now, i)
+            t_push = engine.now
+            yield engine.all_of(self._push_all(row, notify=True))
+            trace.record_span(row.name, SpanKind.PUSH, t_push, engine.now, i)
             # Phase 2: report progress to the scheduler and wait for the
             # grant (the dotted line in Figure 5a).
-            t_wait = self.engine.now
-            grant = self.engine.signal(f"grant:{w}:{i}")
-            self._grant_signals[w] = grant
+            t_wait = engine.now
+            grant = self._grant_signals[w] = engine.signal(f"grant:{w}:{i}")
             self.net.send(
-                node, SCHEDULER_NODE, cfg.request_bytes,
-                payload=_ReportMsg(w, i), tag="report",
+                row.ep, self._sched_ep, self.cfg.request_bytes,
+                payload=_ReportMsg(w, i), tag="report", cause=row.cause,
             )
             yield grant
-            if self.engine.now > t_wait:
-                self.trace.record_span(name, SpanKind.BLOCKED, t_wait, self.engine.now, i)
+            if engine.now > t_wait:
+                trace.record_span(row.name, SpanKind.BLOCKED, t_wait, engine.now, i)
             # Phase 3: pull all shards.  The gather is exclusive: the one
             # other message a worker ever receives, its grant, has landed
             # (it is what opened this phase) and the next one needs the
             # next report, which follows this pull.
-            t_pull = self.engine.now
-            pending = self._open_pull(w)
-            for m in range(cfg.cluster.n_servers):
-                self.net.send(
-                    node, cfg.cluster.server_id(m), cfg.request_bytes,
-                    payload=_PullMsg(w, i), tag="pull",
-                )
+            t_pull = engine.now
+            pending = self._send_pulls(row, i)
             yield pending.gather
-            self.trace.record_span(name, SpanKind.PULL, t_pull, self.engine.now, i)
-            if params is not None:
-                params = pending.flat
-            if w == 0 and cfg.task is not None and cfg.eval_every > 0:
-                if (i + 1) % cfg.eval_every == 0 or i + 1 == cfg.max_iter:
-                    value = cfg.task.eval_fn(self._global_params())
-                    self.eval_by_time.append(self.engine.now, value)
-                    self.eval_by_iteration.append(i + 1, value)
-        self._finish_times[w] = self.engine.now
-
-    def run(self) -> SimRunResult:
-        self.engine.spawn(self._scheduler_proc(), name="scheduler")
-        return super().run()
+            self._book_sync(row, t_pull, pending)
+            self._end_iteration(row, pending)
+        self._finish_times[w] = engine.now
 
 
 def run_pslite(config: SimConfig) -> SimRunResult:

@@ -29,17 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.driver import StepContext
 from repro.core.models import SyncModel, asp
-from repro.sim.engine import Timeout
 from repro.sim.network import Message, NicSpec
-from repro.sim.runner import (
-    FluentPSSimRunner,
-    SimConfig,
-    SimRunResult,
-    _PullMsg,
-    _PushMsg,
-)
+from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
 
 SCHEDULER_NODE = "specsync-scheduler"
@@ -49,11 +41,6 @@ SCHEDULER_NODE = "specsync-scheduler"
 class _NotifyMsg:
     worker: int
     progress: int
-
-
-@dataclass
-class _AbortMsg:
-    worker: int
 
 
 @dataclass
@@ -82,7 +69,10 @@ class SpecSyncRunner(FluentPSSimRunner):
             raise ValueError("SpecSync uses one global model (servers run ASP)")
         self.spec_cfg = config
         super().__init__(replace(config.sim, sync=asp()))
-        self.net.add_node(SCHEDULER_NODE, NicSpec(bandwidth_Bps=1.25e9, overhead_s=30e-6))
+        self._sched_ep = self.net.add_node(
+            SCHEDULER_NODE, NicSpec(bandwidth_Bps=1.25e9, overhead_s=30e-6)
+        )
+        self._sched_ep.sink = self._on_notify
         n = self.cfg.cluster.n_workers
         self._fresh_counts = [0] * n  # other workers' pushes since last pull
         self._abort_flags = [False] * n
@@ -91,119 +81,87 @@ class SpecSyncRunner(FluentPSSimRunner):
 
     # -- scheduler: one notification per push (the bottleneck) ------------
 
-    def _scheduler_proc(self):
-        ep = self.net.endpoint(SCHEDULER_NODE)
-        n = self.cfg.cluster.n_workers
+    def _on_notify(self, msg: Message) -> None:
+        """The scheduler, as its endpoint's sink."""
         threshold = self.spec_cfg.abort_threshold
-        while True:
-            msg: Message = yield ep.inbox.get()
-            note: _NotifyMsg = msg.payload
-            for w in range(n):
-                if w == note.worker:
-                    continue
-                self._fresh_counts[w] += 1
-                if self._fresh_counts[w] >= threshold and not self._abort_flags[w]:
-                    self._abort_flags[w] = True
-                    self.net.send(
-                        SCHEDULER_NODE,
-                        self.cfg.cluster.worker_id(w),
-                        self.cfg.request_bytes,
-                        payload=_AbortMsg(w),
-                        tag="abort",
-                        deliver_to_inbox=False,
-                    )
+        for w in range(self.cfg.cluster.n_workers):
+            if w == msg.payload.worker:
+                continue
+            self._fresh_counts[w] += 1
+            if self._fresh_counts[w] >= threshold and not self._abort_flags[w]:
+                self._abort_flags[w] = True
+                self.net.send(
+                    self._sched_ep, self._wkr_eps[w], self.cfg.request_bytes,
+                    tag="abort", cause=msg.cause_id, notify=False, at=msg.deliver_time,
+                )
 
     # -- worker: sliced, abortable compute ----------------------------------
 
     def _worker_proc(self, w: int):
-        cfg = self.cfg
-        node = cfg.cluster.worker_id(w)
-        name = f"worker{w}"
-        base = cfg.resolved_base_compute(cfg.cluster.workers[w].flops)
-        params = cfg.task.init_params.copy() if cfg.task is not None else None
+        """What §V-B adds to the stock worker: compute in abortable
+        slices, a notification per push, and pulls on a shared RX lane."""
+        engine = self.engine
+        row = self._worker_row(w)
         slices = self.spec_cfg.abort_check_slices
-        for i in range(cfg.max_iter):
+        for i in range(self.cfg.max_iter):
+            row.i = i
             # Compute in slices; an abort discards progress and re-pulls.
             while True:
-                dur = self.compute_model.sample(w, i, base, self._compute_rngs[w])
-                t0 = self.engine.now
-                aborted = False
+                dur = self._draw(row)
+                t0 = engine.now
                 for _slice in range(slices):
-                    yield Timeout(dur / slices)
+                    yield dur / slices
                     if self._abort_flags[w]:
-                        aborted = True
                         break
-                if not aborted:
-                    self.trace.record_span(name, SpanKind.COMPUTE, t0, self.engine.now, i)
+                else:
+                    self._book_compute(row, t0)
                     break
                 # Abort: wasted work + refresh pull, then recompute.
                 self.aborts += 1
-                self.wasted_compute += self.engine.now - t0
+                self.wasted_compute += engine.now - t0
                 self.trace.record_span(
-                    name, SpanKind.OTHER, t0, self.engine.now, i, note="aborted"
+                    row.name, SpanKind.OTHER, t0, engine.now, i, note="aborted"
                 )
                 if i == 0:
                     # Nothing pushed yet: no legal pull; just restart.
-                    self._fresh_counts[w] = 0
-                    self._abort_flags[w] = False
+                    self._pulled(w)
                     continue
-                t_refresh = self.engine.now
-                refreshed = yield from self._pull(w, i - 1, node)
-                self.trace.record_span(name, SpanKind.PULL, t_refresh, self.engine.now, i)
-                if params is not None and refreshed.flat is not None:
-                    params = refreshed.flat
-            if cfg.task is not None:
-                update = cfg.task.step_fn(
-                    StepContext(worker=w, iteration=i, params=params, rng=self._step_rngs[w])
-                )
-                shards = self.layout.scatter(update)
-            else:
-                shards = [None] * cfg.cluster.n_servers
-            t_sync = self.engine.now
-            for m in range(cfg.cluster.n_servers):
-                self.net.send(
-                    node, cfg.cluster.server_id(m), self._payload_bytes(m),
-                    payload=_PushMsg(w, i, shards[m]), tag="push",
-                )
+                # ASP servers answer at the worker's *last pushed*
+                # progress, which a refresh pull reuses.
+                t_refresh = engine.now
+                refreshed = self._send_pulls(row, i - 1, exclusive=False)
+                yield refreshed.gather
+                self._pulled(w)
+                self._book_sync(row, t_refresh, refreshed)
+                if row.params is not None:
+                    row.params = refreshed.flat
+            self._local_step(row)
+            t_sync = engine.now
+            # Signalled: a push is applied at its deliver time (signal-free
+            # it would fuse into its TX completion and show up early in
+            # worker 0's evaluations).
+            self._push_all(row, notify=True)
             # Notify the central scheduler (SpecSync's per-push message).
             self.net.send(
-                node, SCHEDULER_NODE, cfg.request_bytes,
-                payload=_NotifyMsg(w, i), tag="notify",
+                row.ep, self._sched_ep, self.cfg.request_bytes,
+                payload=_NotifyMsg(w, i), tag="notify", cause=row.cause,
             )
-            pending = yield from self._pull(w, i, node)
-            self.trace.record_span(name, SpanKind.PULL, t_sync, self.engine.now, i)
-            if params is not None:
-                params = pending.flat
-            if w == 0 and cfg.task is not None and cfg.eval_every > 0:
-                if (i + 1) % cfg.eval_every == 0 or i + 1 == cfg.max_iter:
-                    value = cfg.task.eval_fn(self._global_params())
-                    self.eval_by_time.append(self.engine.now, value)
-                    self.eval_by_iteration.append(i + 1, value)
-        self._finish_times[w] = self.engine.now
+            # The reply gather is *not* exclusive: the scheduler's abort
+            # messages reach a worker's RX lane whenever the threshold
+            # trips, mid-pull included, so every reply is an ordinary
+            # delivery.
+            pending = self._send_pulls(row, i, exclusive=False)
+            yield pending.gather
+            self._pulled(w)
+            self._book_sync(row, t_sync, pending)
+            self._end_iteration(row, pending)
+        self._finish_times[w] = engine.now
 
-    def _pull(self, w: int, progress: int, node: str):
-        """Pull all shards; resets the worker's freshness/abort state.
-
-        The reply gather is *not* exclusive: the scheduler's abort
-        messages reach a worker's RX lane whenever the threshold trips,
-        mid-pull included, so every reply is an ordinary delivery."""
-        cfg = self.cfg
-        pending = self._open_pull(w, exclusive=False)
-        # ASP servers answer using the worker's *last pushed* progress;
-        # refresh pulls reuse it (allowed: progress <= last push).
-        for m in range(cfg.cluster.n_servers):
-            self.net.send(
-                node, cfg.cluster.server_id(m), cfg.request_bytes,
-                payload=_PullMsg(w, max(progress, 0)), tag="pull",
-            )
-        yield pending.gather
+    def _pulled(self, w: int) -> None:
+        """A pull completed (or there is nothing to pull yet): the worker
+        is fresh again."""
         self._fresh_counts[w] = 0
         self._abort_flags[w] = False
-        return pending
-
-    def run(self) -> SimRunResult:
-        self.engine.spawn(self._scheduler_proc(), name="specsync-scheduler")
-        return super().run()
 
 
 def run_specsync(config: SpecSyncConfig) -> SimRunResult:

@@ -16,9 +16,8 @@ Hot-path design (measured by :mod:`repro.bench.perf`):
   closure or argument tuple (every internal resume callback takes
   exactly one payload argument), and ordering never compares past
   ``seq`` (unique), so the heap stays on C-level tuple comparison;
-- cancellation is tombstone-based: :meth:`Engine.schedule` returns a
-  ``__slots__`` :class:`EventHandle`; cancelling marks the seq dead and
-  the drain loop discards it on pop — the heap is never rebuilt;
+- a scheduled event cannot be retracted: the heap only ever grows by
+  pushes and shrinks by pops, so no drain tests an entry for liveness;
 - :class:`Process` resumption type-dispatches on the yielded waitable:
   the overwhelmingly common ``yield Timeout(...)`` and ``yield Signal``
   cases schedule directly on the heap, skipping the generic
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 ProcessGen = Generator["Waitable", Any, Any]
 
@@ -245,7 +244,7 @@ class Process(Waitable):
     def _make_step(self) -> Callable[[Any], None]:
         send = self._gen.send
         eng = self._engine
-        heap = eng._heap  # never reassigned (tombstones avoid heap rebuilds)
+        heap = eng._heap  # never reassigned
         push = _heappush
 
         def step(value: Any) -> None:
@@ -306,35 +305,6 @@ class Process(Waitable):
         self._join_signal()._subscribe(engine, callback)
 
 
-class EventHandle:
-    """A cancellable scheduled event (returned by :meth:`Engine.schedule`).
-
-    ``cancel()`` tombstones the event: the heap entry stays in place and
-    the drain loop discards it when popped — O(1) cancellation with no
-    heap rebuild.
-    """
-
-    __slots__ = ("_engine", "seq", "when", "_cancelled")
-
-    def __init__(self, engine: "Engine", seq: int, when: float):
-        self._engine = engine
-        self.seq = seq
-        self.when = when
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> bool:
-        """Cancel the event; returns False if it already ran or was
-        already cancelled (cancellation is idempotent)."""
-        if self._cancelled:
-            return False
-        self._cancelled = True
-        return self._engine._tombstone(self.seq, self.when)
-
-
 class Engine:
     """The event loop.  All times are simulated seconds, starting at 0."""
 
@@ -344,7 +314,6 @@ class Engine:
         "_seq",
         "_events_processed",
         "_daemon_pending",
-        "_tombstones",
         "_choice_hook",
         "_pending_hwm",
         "_rounds_collapsed",
@@ -357,8 +326,6 @@ class Engine:
         self._seq = 0
         self._events_processed = 0
         self._daemon_pending = 0  # scheduled call_every ticks (see below)
-        #: Tombstoned seqs: cancelled events awaiting discard-on-pop.
-        self._tombstones: Set[int] = set()
         #: Optional scheduling choice hook (see :meth:`set_choice_hook`).
         self._choice_hook: Optional[Callable[[float, List[Tuple]], int]] = None
         #: Pending-event high-water mark, sampled at drain entry and every
@@ -371,30 +338,10 @@ class Engine:
 
     # -- raw callback scheduling --------------------------------------
 
-    def _schedule(self, when: float, fn: Callable[[Any], None], arg: Any) -> int:
-        """Hot-path scheduling (one-arg callback protocol, no validation);
-        returns the event seq."""
+    def _schedule(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Hot-path scheduling (one-arg callback protocol, no validation)."""
         self._seq = seq = self._seq + 1
         _heappush(self._heap, (when, seq, fn, arg))
-        return seq
-
-    def _tombstone(self, seq: int, when: float) -> bool:
-        """Mark a scheduled seq dead; returns False if it already ran
-        (events in the past are gone from the heap, so adding a tombstone
-        for them would leave it stale forever).  An event scheduled for
-        the *current* timestamp may or may not have run yet, so that rare
-        boundary pays an O(n) liveness scan; future events are always
-        still in the heap and tombstone in O(1)."""
-        if when < self.now or seq > self._seq:
-            return False
-        if when > self.now:
-            self._tombstones.add(seq)
-            return True
-        for entry in self._heap:
-            if entry[1] == seq:
-                self._tombstones.add(seq)
-                return True
-        return False
 
     @property
     def pending_high_water(self) -> int:
@@ -457,25 +404,16 @@ class Engine:
         one-argument callback protocol.
 
         This is the public spelling of the hot path that :meth:`call_at`
-        wraps: no adapter tuple is allocated and no handle is returned, so
-        per-event cost stays at one heap push.  ``fn`` *must* accept exactly
-        one positional argument (pack multiple values into a tuple).  The
-        network's analytic lane scheduler posts its per-message events on
-        this protocol (inlining ``_schedule``, this method minus the
+        wraps: no adapter tuple is allocated, so per-event cost stays at
+        one heap push.  ``fn`` *must* accept exactly one positional
+        argument (pack multiple values into a tuple).  The network's
+        analytic lane scheduler posts its per-message events on this
+        protocol (inlining ``_schedule``, this method minus the
         past-check — only safe when the timestamp is provably ``>= now``).
         """
         if when < self.now:
             raise SimulationError(f"cannot schedule into the past: {when} < {self.now}")
         self._schedule(when, fn, arg)
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        """Like :meth:`call_in`, but returns a cancellable handle whose
-        ``cancel()`` tombstones the pending event in O(1)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        when = self.now + delay
-        cb, arg = self._pack(fn, args)
-        return EventHandle(self, self._schedule(when, cb, arg), when)
 
     def call_every(self, interval: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` every ``interval`` seconds as a *daemon*: the tick
@@ -553,24 +491,13 @@ class Engine:
         self._choice_hook = hook
 
     def _step_choice(self) -> bool:
-        """One event via the choice hook: collect the live tie group at
-        the next timestamp, let the hook pick, push the rest back."""
+        """One event via the choice hook: collect the tie group at the
+        next timestamp, let the hook pick, push the rest back."""
         heap = self._heap
-        tombstones = self._tombstones
         group: List[Tuple[float, int, Callable[[Any], None], Any]] = []
-        # Pop every live entry tied at the next timestamp (seq order).
-        while heap:
-            entry = _heappop(heap)
-            if tombstones and entry[1] in tombstones:
-                tombstones.discard(entry[1])
-                continue
-            if not group:
-                group.append(entry)
-            elif entry[0] <= group[0][0]:
-                group.append(entry)
-            else:
-                _heappush(heap, entry)
-                break
+        # Pop every entry tied at the next timestamp (seq order).
+        while heap and (not group or heap[0][0] <= group[0][0]):
+            group.append(_heappop(heap))
         if not group:
             return False
         choice = 0
@@ -595,20 +522,15 @@ class Engine:
         """Run one event; returns False when the queue is empty."""
         if self._choice_hook is not None:
             return self._step_choice()
-        heap = self._heap
-        tombstones = self._tombstones
-        while heap:
-            when, seq, fn, arg = _heappop(heap)
-            if tombstones and seq in tombstones:
-                tombstones.discard(seq)
-                continue
-            if when < self.now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self.now = when
-            self._events_processed += 1
-            fn(arg)
-            return True
-        return False
+        if not self._heap:
+            return False
+        when, _seq, fn, arg = _heappop(self._heap)
+        if when < self.now:
+            raise SimulationError("event heap corrupted: time went backwards")
+        self.now = when
+        self._events_processed += 1
+        fn(arg)
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain events (optionally only up to time ``until``); returns now."""
@@ -626,7 +548,6 @@ class Engine:
             # starting at 10k-worker-scale pending counts also freeze the
             # long-lived object graph for the duration.
             heap = self._heap
-            tombstones = self._tombstones
             pop = _heappop
             processed = 0
             hwm = len(heap)
@@ -641,10 +562,7 @@ class Engine:
                 gc.freeze()
             try:
                 while heap:
-                    when, seq, fn, arg = pop(heap)
-                    if tombstones and seq in tombstones:
-                        tombstones.discard(seq)
-                        continue
+                    when, _seq, fn, arg = pop(heap)
                     if when < self.now:
                         raise SimulationError(
                             "event heap corrupted: time went backwards"
@@ -664,7 +582,7 @@ class Engine:
             return self.now
         budget = max_events if max_events is not None else float("inf")
         while budget > 0 and self._heap:
-            if until is not None and self._next_live_when() > until:
+            if until is not None and self._heap[0][0] > until:
                 self.now = until
                 return self.now
             if self.step():
@@ -673,22 +591,9 @@ class Engine:
             self.now = until
         return self.now
 
-    def _next_live_when(self) -> float:
-        """Timestamp of the next non-tombstoned event (inf if none)."""
-        heap = self._heap
-        tombstones = self._tombstones
-        while heap:
-            top = heap[0]
-            if tombstones and top[1] in tombstones:
-                _heappop(heap)
-                tombstones.discard(top[1])
-                continue
-            return top[0]
-        return float("inf")
-
     @property
     def pending_events(self) -> int:
-        return len(self._heap) - len(self._tombstones)
+        return len(self._heap)
 
     @property
     def events_processed(self) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.sim.engine import Engine, Signal, SimulationError, Store, Waitable
+from repro.sim.engine import Engine, Signal, SimulationError, Waitable
 
 _SIGNAL_NEW = Signal.__new__
 
@@ -78,14 +78,15 @@ _MESSAGE_NEW = Message.__new__
 
 
 class Endpoint:
-    """A node's attachment point: NIC lane cursors plus a FIFO inbox."""
+    """A node's attachment point: NIC lane cursors, counters and the
+    consumer of what lands here."""
 
     __slots__ = (
         "node_id",
         "nic",
-        "inbox",
         "sink",
         "gather",
+        "unfused",
         "bytes_sent",
         "bytes_received",
         "messages_sent",
@@ -97,19 +98,22 @@ class Endpoint:
         "_ser_times",
     )
 
-    def __init__(self, engine: Engine, node_id: str, nic: NicSpec):
+    def __init__(self, node_id: str, nic: NicSpec):
         self.node_id = node_id
         self.nic = nic
-        self.inbox = Store(engine, name=f"{node_id}.inbox")
-        #: Direct-dispatch hook: when set, delivered messages are handed
-        #: to ``sink(msg)`` synchronously instead of being appended to
-        #: :attr:`inbox` — no Store/Signal round-trip, no resume event.
+        #: The endpoint's consumer: delivered messages are handed to
+        #: ``sink(msg)`` synchronously, in ``deliver_time`` order; with no
+        #: sink a delivery reaches only its signal and the delivery hooks.
         #: The consumer owns its own FIFO discipline and must time itself
         #: off ``msg.deliver_time``: an unobserved signal-free delivery
         #: runs the sink early, inside the TX-completion event.
         self.sink: Optional[Callable[["Message"], None]] = None
         #: The exclusive :class:`Gather` that last claimed the RX lane.
         self.gather: Optional["Gather"] = None
+        #: Deliveries into this endpoint still waiting for their own
+        #: event: while there is one, a later delivery may not fuse into
+        #: its TX completion, or the sink would see it first.
+        self.unfused = 0
         self.bytes_sent = 0
         self.bytes_received = 0
         self.messages_sent = 0
@@ -241,7 +245,7 @@ class Network:
     def add_node(self, node_id: str, nic: NicSpec) -> Endpoint:
         if node_id in self.endpoints:
             raise ValueError(f"duplicate node id {node_id!r}")
-        ep = Endpoint(self.engine, node_id, nic)
+        ep = Endpoint(node_id, nic)
         self.endpoints[node_id] = ep
         return ep
 
@@ -291,26 +295,25 @@ class Network:
         size_bytes: int,
         payload: Any = None,
         tag: str = "",
-        deliver_to_inbox: bool = True,
         cause: int = -1,
         notify: bool = True,
         at: float = -1.0,
     ) -> Optional[Signal]:
         """Start a transfer; returns a Signal fired with the Message upon
-        delivery.  The message is also appended to the destination inbox
-        (unless ``deliver_to_inbox=False`` for pure timing probes).
-        ``cause`` is the sender's causal span id (ignored unless a causal
-        trace is attached via :attr:`causal`).  ``notify=False`` skips the
-        delivery signal entirely and returns ``None`` — for callers that
-        never subscribe (the runner's push/pull requests), saving one
-        signal allocation per message at incast rates.  Timing is
-        identical either way: the signal only ever *observes* delivery.
-        ``at`` (>= ``engine.now``) sends from a virtual instant instead of
-        the engine clock — the runner's analytic drain lanes use it so a
-        reply issued from a cascaded handle time serializes exactly when
-        an inbox loop waking at that time would have sent it.  ``dst`` may be an
-        open :class:`Gather`: the transfer counts toward it instead of an
-        inbox or signal, and the call returns ``None``."""
+        delivery.  The message is also handed to the destination's
+        :attr:`Endpoint.sink`, when it has one.  ``cause`` is the sender's
+        causal span id (ignored unless a causal trace is attached via
+        :attr:`causal`).  ``notify=False`` skips the delivery signal
+        entirely and returns ``None`` — for callers that never subscribe
+        (the runner's push/pull requests), saving one signal allocation per
+        message at incast rates.  Timing is identical either way: the
+        signal only ever *observes* delivery.  ``at`` (>= ``engine.now``)
+        sends from a virtual instant instead of the engine clock — the
+        runner's analytic drain lanes use it so a reply issued from a
+        cascaded handle time serializes exactly when a server process
+        waking at that time would have sent it.  ``dst`` may be an open
+        :class:`Gather`: the transfer counts toward it instead of a sink or
+        signal, and the call returns ``None``."""
         if size_bytes < 0:
             raise ValueError(f"negative message size: {size_bytes}")
         # ``src``/``dst`` may be Endpoint objects instead of node ids: at
@@ -329,7 +332,7 @@ class Network:
             done = dst
             dst_ep = done.dst
             dst = dst_ep.node_id
-            deliver_to_inbox = notify = False
+            notify = False
             if not done.remaining:
                 raise ValueError(f"gather into {dst} is already complete")
         else:
@@ -398,7 +401,7 @@ class Network:
         src_ep.tx_free_at = tx_end
         engine._seq = seq = engine._seq + 1
         arrival = tx_end + self.latency_s
-        packed = (msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival)
+        packed = (msg, src_ep, dst_ep, done, tx_hold, rx_hold, arrival)
         _heappush(engine._heap, (tx_end, seq, self._tx_done_cb, packed))
         return done if notify else None
 
@@ -464,7 +467,7 @@ class Network:
         the heap hands back ``tx_end`` bit-exact, so it equals the
         ``engine.now + latency`` such a process would compute here.)
         """
-        msg, src_ep, dst_ep, done, deliver_to_inbox, tx_hold, rx_hold, arrival = packed
+        msg, src_ep, dst_ep, done, tx_hold, rx_hold, arrival = packed
         src_ep.tx_busy_s += tx_hold
         src_ep.bytes_sent += msg.size_bytes
         src_ep.messages_sent += 1
@@ -491,16 +494,18 @@ class Network:
         engine = self.engine
         if (
             done is None
-            and deliver_to_inbox
             and dst_ep.sink is not None
+            and not dst_ep.unfused
             and not self._delivery_hooks
             and engine._choice_hook is None
         ):
             # Fused delivery: nothing observes this message in real time
-            # (no signal, no hooks, sink consumer), so fold the delivery
-            # bookkeeping into this TX event.  The sink (the runner's
-            # analytic drain lane) times the handle off ``deliver_time``,
-            # so the timeline is bit-identical — only the event is gone.
+            # (no signal, no hooks, sink consumer) and no earlier delivery
+            # to this sink is still waiting for its event, so fold the
+            # delivery bookkeeping into this TX event.  The sink (the
+            # runner's analytic drain lane) times the handle off
+            # ``deliver_time``, so the timeline is bit-identical — only
+            # the event is gone.
             self.fused_deliveries += 1
             size = msg.size_bytes
             dst_ep.rx_busy_s += rx_hold
@@ -515,17 +520,16 @@ class Network:
             return
         # The packed tuple is reused verbatim for the delivery event (one
         # fewer allocation per message); _deliver ignores the TX slots.
+        dst_ep.unfused += 1
         engine._seq = seq = engine._seq + 1
         _heappush(engine._heap, (rx_end, seq, self._deliver_cb, packed))
 
     def _deliver(self, packed) -> None:
-        """RX drain finished: book RX stats and deliver.
-
-        ``Store.put`` (its uncontended append) and ``Signal.fire`` are
-        inlined: per-message calls matter at incast rates.
-        """
-        msg, _src_ep, dst_ep, done, deliver_to_inbox, _tx_hold, rx_hold, _arrival = packed
+        """RX drain finished: book RX stats and deliver (``Signal.fire``
+        is inlined: per-message calls matter at incast rates)."""
+        msg, _src_ep, dst_ep, done, _tx_hold, rx_hold, _arrival = packed
         size = msg.size_bytes
+        dst_ep.unfused -= 1
         dst_ep.rx_busy_s += rx_hold
         self.bytes_in_flight -= size
         self.messages_in_flight -= 1
@@ -535,16 +539,9 @@ class Network:
         self.total_messages += 1
         engine = self.engine
         msg.deliver_time = engine.now
-        if deliver_to_inbox:
-            sink = dst_ep.sink
-            if sink is not None:
-                sink(msg)
-            else:
-                inbox = dst_ep.inbox
-                if inbox._getters:
-                    inbox.put(msg)
-                else:
-                    inbox._items.append(msg)
+        sink = dst_ep.sink
+        if sink is not None and done.__class__ is not Gather:
+            sink(msg)
         hooks = self._delivery_hooks
         if hooks:
             for hook in hooks:

@@ -52,8 +52,8 @@ from repro.obs.export import (
 )
 from repro.obs.snapshot import ServerSnapshotter
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import Engine
-from repro.sim.network import Gather, Message, Network
+from repro.sim.engine import Engine, Signal
+from repro.sim.network import Endpoint, Gather, Message, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import CohortSpans, SpanKind, TraceRecorder
 from repro.utils.records import SeriesRecord
@@ -196,6 +196,25 @@ class _PendingPull:
 
     gather: Gather  #: the reply gather the worker waits on
     flat: Optional[np.ndarray]  #: co-simulation: where shard snapshots assemble
+
+
+@dataclass(slots=True)
+class _Worker:
+    """One event-path worker as a state row: what Algorithm 1's worker
+    carries from phase to phase.  The runner's plain ``_draw`` ...
+    ``_end_iteration`` helpers advance it; a ``_worker_proc`` — the stock
+    one or a baseline's — only says in which order, and where it waits."""
+
+    w: int
+    name: str
+    ep: Endpoint
+    base: float  #: base compute seconds per iteration on this node
+    params: Optional[np.ndarray]  #: what the next step reads (SSPtable: the cache)
+    i: int = 0  #: iteration
+    cause: int = -1  #: causal span of this iteration's compute
+    #: This iteration's update, per shard (timing-only: always ``None``s).
+    shards: Sequence[Optional[np.ndarray]] = ()
+    wire_factor: float = 1.0  #: push bytes after the filter, relative to dense
 
 
 def _lane_rule(arrivals: np.ndarray, holds: np.ndarray, cursor: float) -> Tuple[np.ndarray, float]:
@@ -485,27 +504,10 @@ class FluentPSSimRunner:
 
         n, m = config.cluster.n_workers, config.cluster.n_servers
         models = self._normalize_models(config.sync, m)
-        training = config.task is not None
-        if training:
+        shard_vectors: Sequence[Optional[np.ndarray]] = [None] * m
+        if config.task is not None:
             shard_vectors = self.layout.scatter(config.task.init_params.astype(np.float64))
-        self.servers: List[ShardServer] = [
-            ShardServer(
-                shard_id=j,
-                n_workers=n,
-                model=models[j],
-                execution=config.execution,
-                params=shard_vectors[j] if training else None,
-                # Per-shard drain-lane clock: equals ``engine.now`` inside
-                # real handle events, and the cascaded virtual handle time
-                # when the lane serves a request that landed in the busy
-                # window — so waited times and protocol instants are the
-                # ones an inbox loop would produce.
-                clock=lambda j=j: self._srv_now[j],
-                rng=derive_rng(config.seed, "server", j),
-                obs=self.obs,
-            )
-            for j in range(m)
-        ]
+        self.servers = self._make_servers(models, shard_vectors)
         self._capture = None
         self.causal = None
         self._pull_sketches = None
@@ -564,6 +566,7 @@ class FluentPSSimRunner:
         self._srv_eps = [self.net.endpoints[config.cluster.server_id(j)] for j in range(m)]
         self._wkr_eps = [self.net.endpoints[config.cluster.worker_id(w)] for w in range(n)]
         self._shard_bytes = [self._payload_bytes(j) for j in range(m)]
+        self._no_shards = (None,) * m  # what a timing-only push carries, shared by every row
         self._responders = [
             partial(self._send_reply, j) for j in range(m)
         ]
@@ -576,6 +579,28 @@ class FluentPSSimRunner:
         #: ...}`` from :meth:`_collapse_eligible`, or ``{"reason":
         #: "overlap", "round": k}`` when round ``k`` de-vectorized mid-run.
         self.collapse_fallback: Dict[str, object] = {}
+
+    def _make_servers(self, models: List[SyncModel], shard_vectors) -> List[ShardServer]:
+        """One server per shard (a baseline with its own server overrides)."""
+        cfg = self.cfg
+        return [
+            ShardServer(
+                shard_id=j,
+                n_workers=cfg.cluster.n_workers,
+                model=model,
+                execution=cfg.execution,
+                params=shard_vectors[j],
+                # Per-shard drain-lane clock: equals ``engine.now`` inside
+                # real handle events, and the cascaded virtual handle time
+                # when the lane serves a request that landed in the busy
+                # window — so waited times and protocol instants are the
+                # ones a server process would produce.
+                clock=lambda j=j: self._srv_now[j],
+                rng=derive_rng(cfg.seed, "server", j),
+                obs=self.obs,
+            )
+            for j, model in enumerate(models)
+        ]
 
     @staticmethod
     def _normalize_models(
@@ -701,6 +726,112 @@ class FluentPSSimRunner:
         return pending
 
     # -- worker side ---------------------------------------------------------------
+    # Algorithm 1's worker, once: plain helpers over a ``_Worker`` row.  A
+    # worker process calls them in its protocol's order and yields between
+    # them where that protocol waits; they never yield themselves.
+
+    def _worker_row(self, w: int) -> _Worker:
+        cfg = self.cfg
+        return _Worker(
+            w, f"worker{w}", self._wkr_eps[w],
+            cfg.resolved_base_compute(cfg.cluster.workers[w].flops),
+            cfg.task.init_params.copy() if cfg.task is not None else None,
+            shards=self._no_shards,
+        )
+
+    def _draw(self, row: _Worker) -> float:
+        """This iteration's compute seconds, from the worker's own stream."""
+        return self.compute_model.sample(row.w, row.i, row.base, self._compute_rngs[row.w])
+
+    def _book_compute(self, row: _Worker, t0: float) -> None:
+        """The compute that began at ``t0`` ends now: its span, and the
+        root of the iteration's causal DAG."""
+        now = self.engine.now
+        self.trace.record_span(row.name, SpanKind.COMPUTE, t0, now, row.i)
+        if self.causal is not None:
+            row.cause = self.causal.record(
+                -1, row.name, "compute", t0, now, worker=row.w, iteration=row.i
+            )
+
+    def _local_step(self, row: _Worker) -> Optional[np.ndarray]:
+        """``step_fn`` on the row's parameters -> push filter -> scatter;
+        returns the update that goes on the wire (timing-only: none)."""
+        task = self.cfg.task
+        if task is None:
+            return None
+        update = task.step_fn(
+            StepContext(
+                worker=row.w, iteration=row.i, params=row.params, rng=self._step_rngs[row.w]
+            )
+        )
+        filtered = self._filters[row.w].apply(update, row.params, row.i)
+        row.wire_factor = filtered.wire_bytes_factor
+        row.shards = self.layout.scatter(filtered.update)
+        return filtered.update
+
+    def _push_all(self, row: _Worker, notify: bool = False) -> List[Optional[Signal]]:
+        """sPush this iteration's update to every shard (Algorithm 1 line
+        4); the delivery signals when ``notify``.  Nothing in the stock
+        protocol subscribes, so its pushes ride the signal-free path."""
+        send = self.net.send
+        w, i, node, cause, shards = row.w, row.i, row.ep, row.cause, row.shards
+        sizes = self._shard_bytes  # exact when nothing was filtered out
+        if row.wire_factor != 1.0:
+            floor = self.cfg.header_bytes
+            sizes = [
+                max(floor, int(self._payload_bytes(m) * row.wire_factor))
+                for m in range(len(sizes))
+            ]
+        return [
+            send(
+                node, dst, sizes[m], payload=_PushMsg(w, i, shards[m]),
+                tag="push", cause=cause, notify=notify,
+            )
+            for m, dst in enumerate(self._srv_eps)
+        ]
+
+    def _send_pulls(self, row: _Worker, progress: int, exclusive: bool = True) -> _PendingPull:
+        """sPull every shard at ``progress`` (line 5) into a fresh reply
+        gather.  Requests share the worker's FIFO TX lane with its pushes,
+        so each server sees an iteration's push before its pull."""
+        pending = self._open_pull(row.w, exclusive)
+        send = self.net.send
+        w, node, cause, size = row.w, row.ep, row.cause, self.cfg.request_bytes
+        for dst in self._srv_eps:
+            send(
+                node, dst, size, payload=_PullMsg(w, progress),
+                tag="pull", cause=cause, notify=False,
+            )
+        return pending
+
+    def _book_sync(self, row: _Worker, t_sync: float, pending: _PendingPull) -> None:
+        """The wait that began at ``t_sync`` ends now, ``pending`` drained
+        (line 6): PULL span, the DAG's terminal ``sync_wait``, the sketch."""
+        now = self.engine.now
+        self.trace.record_span(row.name, SpanKind.PULL, t_sync, now, row.i)
+        if self.causal is not None:
+            # Parented on the last reply to land (the cause that released
+            # the wait).
+            last = pending.gather.cause_id
+            self.causal.record(
+                last if last >= 0 else row.cause, row.name, "sync_wait", t_sync, now,
+                worker=row.w, iteration=row.i,
+            )
+        if self._pull_sketches is not None:
+            self._pull_sketches[row.w].observe(now - t_sync)
+
+    def _end_iteration(self, row: _Worker, pulled: Optional[_PendingPull]) -> None:
+        """Hand the pulled parameters over to the next step (``None``: the
+        row keeps its own) and run worker 0's eval cadence."""
+        cfg = self.cfg
+        if pulled is not None and row.params is not None:
+            row.params = pulled.flat
+        if row.w == 0 and cfg.task is not None and cfg.eval_every > 0:
+            done = row.i + 1
+            if done % cfg.eval_every == 0 or done == cfg.max_iter:
+                value = cfg.task.eval_fn(self._global_params())
+                self.eval_by_time.append(self.engine.now, value)
+                self.eval_by_iteration.append(done, value)
 
     def _worker_proc(
         self,
@@ -708,101 +839,28 @@ class FluentPSSimRunner:
         start_iter: int = 0,
         presampled: Optional[Dict[int, float]] = None,
     ):
-        """One worker's event-path life.  ``start_iter``/``presampled``
-        re-materialize a worker mid-run after a partial round collapse:
-        the process resumes at iteration ``start_iter`` (spawned with
-        ``start_at=`` its analytic clock) and uses the compute durations
-        the collapse driver already drew from its RNG stream, so the RNG
-        state and every downstream timestamp match the pure event path
-        bit for bit."""
-        cfg = self.cfg
+        """One stock worker's event-path life: one generator frame, two
+        waits per iteration.  ``start_iter``/``presampled`` re-materialize
+        a worker mid-run after a partial round collapse: the process
+        resumes at iteration ``start_iter`` (spawned with ``start_at=`` its
+        analytic clock) and uses the compute durations the collapse driver
+        already drew from its RNG stream, so the RNG state and every
+        downstream timestamp match the pure event path bit for bit."""
         engine = self.engine
-        send = self.net.send
-        node = self._wkr_eps[w]
-        srv_ids = self._srv_eps
-        n_servers = cfg.cluster.n_servers
-        push_bytes = self._shard_bytes  # exact when wire_factor == 1.0
-        request_bytes = cfg.request_bytes
-        header_bytes = cfg.header_bytes
-        record_span = self.trace.record_span
-        compute_rng = self._compute_rngs[w]
-        sample = self.compute_model.sample
-        name = f"worker{w}"
-        base = cfg.resolved_base_compute(cfg.cluster.workers[w].flops)
-        params = cfg.task.init_params.copy() if cfg.task is not None else None
-        causal = self.causal
-        sketch = self._pull_sketches[w] if self._pull_sketches is not None else None
-        for i in range(start_iter, cfg.max_iter):
+        row = self._worker_row(w)
+        for i in range(start_iter, self.cfg.max_iter):
+            row.i = i
             pre = None if presampled is None else presampled.get(i)
-            dur = sample(w, i, base, compute_rng) if pre is None else pre
             t0 = engine.now
-            yield dur  # zero-allocation spelling of Timeout(dur)
-            record_span(name, SpanKind.COMPUTE, t0, engine.now, i)
-            cause = -1
-            if causal is not None:
-                cause = causal.record(
-                    -1, name, "compute", t0, engine.now, worker=w, iteration=i
-                )
-            wire_factor = 1.0
-            if cfg.task is not None:
-                update = cfg.task.step_fn(
-                    StepContext(worker=w, iteration=i, params=params, rng=self._step_rngs[w])
-                )
-                filtered = self._filters[w].apply(update, params, i)
-                wire_factor = filtered.wire_bytes_factor
-                shards = self.layout.scatter(filtered.update)
-            else:
-                shards = [None] * n_servers
-            # sPush to every shard server (async — Algorithm 1 line 4).
-            # Neither pushes nor pulls subscribe to the delivery signal,
-            # so both ride the signal-free send path (notify=False).
+            yield self._draw(row) if pre is None else pre  # a bare delay: Timeout(dur)
+            self._book_compute(row, t0)
+            self._local_step(row)
             t_sync = engine.now
-            for m in range(n_servers):
-                send(
-                    node,
-                    srv_ids[m],
-                    push_bytes[m]
-                    if wire_factor == 1.0
-                    else max(header_bytes, int(self._payload_bytes(m) * wire_factor)),
-                    payload=_PushMsg(w, i, shards[m]),
-                    tag="push",
-                    cause=cause,
-                    notify=False,
-                )
-            # sPull from every shard server, then wait (lines 5-6).  The
-            # push/pull messages share the worker's FIFO TX lane, so each
-            # server sees this iteration's push before its pull.
-            pending = self._open_pull(w)
-            for m in range(n_servers):
-                send(
-                    node,
-                    srv_ids[m],
-                    request_bytes,
-                    payload=_PullMsg(w, i),
-                    tag="pull",
-                    cause=cause,
-                    notify=False,
-                )
+            self._push_all(row)
+            pending = self._send_pulls(row, i)
             yield pending.gather
-            record_span(name, SpanKind.PULL, t_sync, engine.now, i)
-            if causal is not None:
-                # Terminal span of the iteration's DAG: parented on the
-                # last reply to land (the cause that released the wait).
-                last = pending.gather.cause_id
-                parent = last if last >= 0 else cause
-                causal.record(
-                    parent, name, "sync_wait", t_sync, engine.now,
-                    worker=w, iteration=i,
-                )
-            if sketch is not None:
-                sketch.observe(engine.now - t_sync)
-            if params is not None:
-                params = pending.flat
-            if w == 0 and cfg.task is not None and cfg.eval_every > 0:
-                if (i + 1) % cfg.eval_every == 0 or i + 1 == cfg.max_iter:
-                    value = cfg.task.eval_fn(self._global_params())
-                    self.eval_by_time.append(engine.now, value)
-                    self.eval_by_iteration.append(i + 1, value)
+            self._book_sync(row, t_sync, pending)
+            self._end_iteration(row, pending)
         self._finish_times[w] = engine.now
 
     def _global_params(self) -> np.ndarray:

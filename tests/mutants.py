@@ -3,8 +3,9 @@ kill matrix).
 
 Each mutant is a named function that takes pytest's ``monkeypatch`` and
 plants one protocol-level bug in :mod:`repro.sim.runner` (one in
-:mod:`repro.sim.trace`, where the collapse's span totals are recorded)
-for the length of a test — test code only, nothing under ``src/``
+:mod:`repro.sim.trace`, where the collapse's span totals are recorded,
+one in :mod:`repro.sim.network`'s delivery fusing) for the length of a
+test — test code only, nothing under ``src/``
 imports this module.
 All but one rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
@@ -17,6 +18,7 @@ import inspect
 import textwrap
 
 from repro.sim import runner
+from repro.sim.network import Network
 from repro.sim.trace import CohortSpans
 
 
@@ -85,6 +87,15 @@ def span_totals_in_worker_order(monkeypatch) -> None:
         "for i in self.first_order.tolist():",
         "for i in range(len(self.actors)):",
     )
+
+
+def fused_overtakes_unfused(monkeypatch) -> None:
+    """A signal-free delivery fuses into its TX completion although an
+    earlier delivery to the same sink still waits for its own event: the
+    sink is called out of ``deliver_time`` order.  Networks built after the
+    patch (``_tx_done_cb`` is bound at construction).  Killer:
+    ``test_network_fastpath.py::TestSinkOrder``."""
+    _rewrite(monkeypatch, Network, "_fast_tx_done", "and not dst_ep.unfused", "and True")
 
 
 #: The mutants of one round's schedule, for the kill matrix.

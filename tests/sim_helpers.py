@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from repro.baselines.pslite import PSLiteSimRunner
+from repro.baselines.specsync import SpecSyncConfig, SpecSyncRunner
+from repro.baselines.sspable import SSPTableConfig, SSPTableRunner
 from repro.bench.workloads import blobs_task
 from repro.core.models import bsp, pssp, ssp
 from repro.core.server import ExecutionMode
@@ -24,6 +27,20 @@ class EventPathRunner(FluentPSSimRunner):
 
     def _collapse_eligible(self) -> str:
         return "subclass"
+
+
+def make_runner(kind, sim, abort_threshold=3, staleness=2):
+    """One of the four event-path runners over ``sim``: ``"stock"`` (on
+    the event path whatever the config), ``"pslite"``, ``"specsync"`` or
+    ``"ssptable"``."""
+    if kind == "stock":
+        return EventPathRunner(sim)
+    if kind == "pslite":
+        return PSLiteSimRunner(sim)
+    if kind == "specsync":
+        return SpecSyncRunner(SpecSyncConfig(sim=sim, abort_threshold=abort_threshold))
+    assert kind == "ssptable", kind
+    return SSPTableRunner(SSPTableConfig(sim=sim, staleness=staleness))
 
 
 class OneStraggler(ComputeModel):

@@ -1,8 +1,15 @@
 """Tests for the PS-Lite and SSPtable baseline systems."""
 
+import ast
+import gc
+import types
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.analysis import sanitize_run
 from repro.baselines.pslite import PSLiteSimRunner, run_pslite
 from repro.baselines.sspable import (
     SSPTableConfig,
@@ -11,12 +18,21 @@ from repro.baselines.sspable import (
     run_ssptable,
 )
 from repro.bench.workloads import blobs_task
+from repro.core.filters import TopKFilter
 from repro.core.keyspace import ElasticSlicer
 from repro.core.models import asp, bsp, ssp
+from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
+from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import SimConfig, run_fluentps
-from repro.sim.stragglers import DeterministicCompute, ExponentialTailCompute
+from repro.sim.stragglers import (
+    DeterministicCompute,
+    ExponentialTailCompute,
+    HeterogeneousCompute,
+)
+
+from tests.sim_helpers import make_runner
 
 
 def pslite_config(n=4, servers=4, iters=8, sync=None, **kw):
@@ -161,3 +177,113 @@ class TestSSPTableRunner:
         cfg = self._cfg(2)
         with pytest.raises(ValueError):
             SSPTableConfig(sim=cfg.sim, staleness=-1)
+
+
+# -- one worker program, one dispatch mechanism -------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _training_sim(n=6, **kw):
+    base = dict(
+        cluster=cpu_cluster(n, n_servers=2), max_iter=12, sync=ssp(2),
+        task=blobs_task(n, n_train=120, n_test=40, seed=1), seed=4,
+        base_compute_time=0.4, compute_model=HeterogeneousCompute(n, spread=0.4),
+    )
+    base.update(kw)
+    return SimConfig(**base)
+
+
+BASELINES = ["pslite", "specsync", "ssptable"]
+
+
+class TestOneWorkerProgram:
+    def test_algorithm_1s_worker_is_written_once(self):
+        """Under ``repro/sim`` + ``repro/baselines``: one ``StepContext(``,
+        one ``.eval_fn(`` and one event-path compute draw (``_draw``); the
+        collapse driver's cohort draws are the one named exception."""
+        calls, draws = Counter(), Counter()
+        for path in sorted((SRC / "sim").glob("*.py")) + sorted((SRC / "baselines").glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        callee = node.func
+                        if isinstance(callee, ast.Name) and callee.id == "StepContext":
+                            calls["StepContext("] += 1
+                        if isinstance(callee, ast.Attribute) and callee.attr == "eval_fn":
+                            calls[".eval_fn("] += 1
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == "sample"
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "compute_model"
+                    ):
+                        draws[fn.name] += 1
+        assert calls == {"StepContext(": 1, ".eval_fn(": 1}
+        assert draws == {"_draw": 1, "_collapse_rounds": 1}
+
+    @pytest.mark.parametrize("kind", ["stock"] + BASELINES)
+    def test_a_worker_is_one_generator_frame(self, kind):
+        """Mid-run, 50 workers are 50 live generators and nothing else of
+        ``repro/sim`` + ``repro/baselines`` is one: no phase is a sub-generator, no scheduler or
+        server is a process (the stock worker's frame is what the e2e
+        benchmark's RSS bound rests on)."""
+        def make():
+            return make_runner(
+                kind,
+                SimConfig(
+                    cluster=cpu_cluster(50, n_servers=2), max_iter=6, sync=ssp(2),
+                    workload=alexnet_cifar_workload(), seed=3, obs=NULL_OBS,
+                    compute_model=ExponentialTailCompute(0.3, 3.0),
+                ),
+            )
+
+        first_done = min(make().run().worker_finish_times)
+        runner, live = make(), []
+
+        def probe():
+            live.extend(
+                obj.gi_code.co_name for obj in gc.get_objects()
+                if isinstance(obj, types.GeneratorType) and obj.gi_frame is not None
+                and Path(obj.gi_code.co_filename).parent in (SRC / "sim", SRC / "baselines")
+            )
+
+        runner.engine.call_at(first_done / 2, probe)
+        runner.run()
+        assert live == ["_worker_proc"] * 50
+
+    @pytest.mark.parametrize("kind", BASELINES)
+    def test_push_filter_is_applied(self, kind):
+        dense = make_runner(kind, _training_sim()).run()
+        sparse = make_runner(
+            kind, _training_sim(push_filter_factory=lambda: TopKFilter(0.05))
+        ).run()
+        assert sparse.bytes_on_wire < dense.bytes_on_wire
+
+    @pytest.mark.no_sanitize  # explicit Observability below
+    @pytest.mark.parametrize("kind", BASELINES)
+    def test_worker_side_observability(self, kind):
+        """The shared helpers record what the stock worker records: the
+        causal ``compute`` / ``sync_wait`` spans and the pull sketch; and
+        ``span_capture=None`` follows observability."""
+        obs = Observability(MetricsRegistry(kind))
+        runner = make_runner(kind, _training_sim(obs=obs))
+        runner.run()
+        assert runner.trace.keep_spans
+        by_category = Counter(
+            span.category for span in obs.last_run.causal.spans if span.actor.startswith("worker")
+        )
+        assert by_category["compute"] == 6 * 12
+        assert by_category["sync_wait"] > 0
+        sketch = obs.registry.get("pull_latency_seconds").merged()
+        assert sketch.count == by_category["sync_wait"]
+        assert sanitize_run(obs.last_run).ok
+        assert not make_runner(kind, _training_sim(obs=NULL_OBS)).trace.keep_spans
+
+    def test_ssptable_refuses_what_it_cannot_honour(self):
+        with pytest.raises(ValueError, match="execution"):
+            SSPTableRunner(SSPTableConfig(sim=_training_sim(execution=ExecutionMode.SOFT_BARRIER)))
+        with pytest.raises(ValueError, match="sync"):
+            SSPTableRunner(SSPTableConfig(sim=_training_sim(sync=[ssp(2), ssp(2)])))

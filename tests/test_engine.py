@@ -420,168 +420,89 @@ class TestCallEvery:
 
 
 class TestCancellation:
-    def test_cancel_prevents_execution(self):
-        eng = Engine()
-        seen = []
-        handle = eng.schedule(1.0, seen.append, "cancelled")
-        eng.schedule(2.0, seen.append, "kept")
-        assert handle.cancel()
-        eng.run()
-        assert seen == ["kept"]
-
-    def test_cancel_is_idempotent(self):
-        eng = Engine()
-        handle = eng.schedule(1.0, lambda: None)
-        assert handle.cancel()
-        assert not handle.cancel()
-        assert handle.cancelled
-
-    def test_cancel_after_run_returns_false(self):
-        eng = Engine()
-        seen = []
-        handle = eng.schedule(1.0, seen.append, "ran")
-        eng.run()
-        assert seen == ["ran"]
-        assert not handle.cancel()
-
-    def test_pending_events_excludes_tombstones(self):
-        eng = Engine()
-        handles = [eng.schedule(float(i + 1), lambda: None) for i in range(4)]
-        assert eng.pending_events == 4
-        handles[1].cancel()
-        handles[2].cancel()
-        assert eng.pending_events == 2
-        eng.run()
-        assert eng.pending_events == 0
-        assert eng.events_processed == 2
+    """The class name predates the deletion: a scheduled event cannot be
+    retracted (``Engine.schedule``/``EventHandle`` and the tombstone set are
+    gone — docs/PERFORMANCE.md, "Fast-path ledger").  What is left is the
+    accounting the tombstones used to complicate."""
 
     def test_pending_events_accounting_across_bounded_runs(self):
         eng = Engine()
-        handles = [eng.schedule(float(i + 1), lambda: None) for i in range(2_000)]
-        for h in handles[::10]:
-            h.cancel()
-        live = 2_000 - len(handles[::10])
-        assert eng.pending_events == live
+        for i in range(2_000):
+            eng.call_in(float(i + 1), lambda: None)
+        assert eng.pending_events == 2_000
         eng.run(max_events=300)
-        assert eng.pending_events == live - 300
+        assert eng.pending_events == 1_700
+        eng.run(until=1_000.5)
+        assert eng.pending_events == 1_000
         eng.run()
         assert eng.pending_events == 0
-        assert eng.events_processed == live
-
-    def test_cancelled_event_skipped_with_until(self):
-        eng = Engine()
-        seen = []
-        handle = eng.schedule(1.0, seen.append, "dead")
-        eng.schedule(3.0, seen.append, "alive")
-        handle.cancel()
-        eng.run(until=2.0)
-        assert seen == []
-        assert eng.now == pytest.approx(2.0)
-        eng.run()
-        assert seen == ["alive"]
+        assert eng.events_processed == 2_000
 
     def test_schedule_multi_arg_callback(self):
         eng = Engine()
         seen = []
-        eng.schedule(0.5, lambda a, b: seen.append((a, b)), 1, 2)
+        eng.call_at(0.5, lambda a, b: seen.append((a, b)), 1, 2)
         eng.call_in(0.5, lambda a, b, c: seen.append((a, b, c)), 3, 4, 5)
         eng.run()
         assert seen == [(1, 2), (3, 4, 5)]
 
 
 class TestTieOrderUnderCancellation:
-    """Tombstone cancellation must never reorder surviving same-time events.
+    """Same-time events run in scheduling order, re-posts included.
 
     Satellite property for the schedule explorer: its FIFO-default choice
     hook assumes tie groups present candidates in seq (schedule) order
-    even after cancel + re-post churn at the same timestamp.
+    even after re-post churn at the same timestamp.  (The class name
+    predates the deletion of tombstone cancellation.)
     """
 
     @given(
         n=st.integers(min_value=3, max_value=8),
-        cancel_mask=st.lists(st.booleans(), min_size=3, max_size=8),
         n_repost=st.integers(min_value=0, max_value=4),
         use_hook=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_survivors_run_in_schedule_order(self, n, cancel_mask, n_repost, use_hook):
+    def test_survivors_run_in_schedule_order(self, n, n_repost, use_hook):
         eng = Engine()
         if use_hook:
             # A hook that always takes the default must be a no-op.
             eng.set_choice_hook(lambda when, group: 0)
         seen = []
-        handles = [eng.schedule(1.0, seen.append, i) for i in range(n)]
-        mask = (cancel_mask * n)[:n]
-        for h, dead in zip(handles, mask):
-            if dead:
-                h.cancel()
-        # Re-post at the *same* timestamp after cancelling: the new events
-        # take fresh seqs, so they run after every original survivor.
+        for i in range(n):
+            eng.call_in(1.0, seen.append, i)
+        eng.run(until=0.5)
+        # Posted later for the *same* timestamp: fresh seqs, so they run
+        # after every original member.
         for j in range(n_repost):
-            eng.schedule(1.0, seen.append, n + j)
+            eng.call_at(1.0, seen.append, n + j)
         eng.run()
-        survivors = [i for i, dead in enumerate(mask) if not dead]
-        assert seen == survivors + [n + j for j in range(n_repost)]
-
-    @given(
-        cancel_idx=st.integers(min_value=0, max_value=5),
-        use_hook=st.booleans(),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_cancel_then_repost_same_slot(self, cancel_idx, use_hook):
-        eng = Engine()
-        if use_hook:
-            eng.set_choice_hook(lambda when, group: 0)
-        seen = []
-        handles = [eng.schedule(2.0, seen.append, i) for i in range(6)]
-        handles[cancel_idx].cancel()
-        eng.schedule(2.0, seen.append, "repost")
-        eng.run()
-        expected = [i for i in range(6) if i != cancel_idx] + ["repost"]
-        assert seen == expected
+        assert seen == list(range(n + n_repost))
 
     @given(
         n=st.integers(min_value=2, max_value=24),
         action_at=st.integers(min_value=0, max_value=23),
-        action_name=st.sampled_from(["cancel_tie", "cancel_future", "repost"]),
         use_hook=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_mid_drain_cancel_and_repost_keep_tie_order(
-        self, n, action_at, action_name, use_hook
-    ):
-        """A callback inside a same-instant tie group cancels a peer that
-        has not run yet (the O(n) boundary scan), cancels a future event,
-        or re-posts at the current instant: survivors keep schedule order
-        and the re-post runs after every original member of the group."""
+    def test_mid_drain_cancel_and_repost_keep_tie_order(self, n, action_at, use_hook):
+        """A callback inside a same-instant tie group re-posts at the
+        current instant: the group keeps schedule order and the re-post
+        runs after every original member.  (Its cancel arms went with
+        tombstone cancellation; the test id is unchanged.)"""
         action_at %= n
         eng = Engine()
         if use_hook:
             eng.set_choice_hook(lambda when, group: 0)
         seen = []
-        handles = {}
 
         def member(i):
             seen.append((eng.now, i))
-            if i != action_at:
-                return
-            if action_name == "cancel_tie":
-                assert handles[n - 1].cancel() == (action_at != n - 1)
-            elif action_name == "cancel_future":
-                assert handles["future"].cancel()
-            else:
-                eng.schedule(0.0, seen.append, (eng.now, "repost"))
+            if i == action_at:
+                eng.call_in(0.0, seen.append, (eng.now, "repost"))
 
         for i in range(n):
-            handles[i] = eng.schedule(1.0, member, i)
-        handles["future"] = eng.schedule(50.0, seen.append, (50.0, "future"))
+            eng.call_in(1.0, member, i)
+        eng.call_in(50.0, seen.append, (50.0, "future"))
         eng.run()
-        expected = [(1.0, i) for i in range(n)]
-        if action_name == "cancel_tie" and action_at != n - 1:
-            expected.pop()
-        if action_name == "repost":
-            expected.append((1.0, "repost"))
-        if action_name != "cancel_future":
-            expected.append((50.0, "future"))
-        assert seen == expected
+        assert seen == [(1.0, i) for i in range(n)] + [(1.0, "repost"), (50.0, "future")]
         assert eng.pending_events == 0

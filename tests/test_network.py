@@ -76,22 +76,17 @@ class TestTransfer:
         eng.run()
         assert order == ["0", "1", "2", "3", "4"]
 
-    def test_inbox_delivery(self):
+    def test_sink_delivery(self):
+        """An endpoint's consumer is its sink; without one a delivery
+        reaches only its signal and the hooks (nothing is stored)."""
         eng, net = make_net()
-        net.send("a", "b", 10, payload={"k": 1})
-        eng.run()
-        inbox = net.endpoint("b").inbox
-        assert len(inbox) == 1
         got = []
-        inbox.get().subscribe(got.append)
+        net.endpoint("b").sink = got.append
+        net.send("a", "b", 10, payload={"k": 1})
+        net.send("a", "c", 10, payload={"k": 2})
         eng.run()
-        assert got[0].payload == {"k": 1}
-
-    def test_no_inbox_delivery_flag(self):
-        eng, net = make_net()
-        net.send("a", "b", 10, deliver_to_inbox=False)
-        eng.run()
-        assert len(net.endpoint("b").inbox) == 0
+        assert [m.payload for m in got] == [{"k": 1}]
+        assert got[0].deliver_time == pytest.approx(0.2)
 
     def test_negative_size_rejected(self):
         eng, net = make_net()

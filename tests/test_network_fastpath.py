@@ -15,6 +15,7 @@ import pytest
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.network import Network, NicSpec
 
+from tests.mutants import fused_overtakes_unfused
 from tests.reference_sim import reference_wire
 from tests.sim_helpers import (
     assert_matches_reference,
@@ -100,6 +101,55 @@ class TestMicroDifferential:
         _, _, net = _run_schedule([(0.0, "a", "b", 1024)] * 4, 1e-5, nics)
         assert net.bytes_in_flight == 0
         assert net.messages_in_flight == 0
+
+
+def _worker_and_sink():
+    """Nodes ``w`` and ``s``; what reaches ``s`` is appended to ``seen``."""
+    eng = Engine()
+    net = Network(eng, latency_s=50e-6)
+    for node in ("w", "s"):
+        net.add_node(node, NicSpec(bandwidth_Bps=1.25e9, overhead_s=30e-6))
+    seen = []
+    net.endpoint("s").sink = seen.append
+    return eng, net, seen
+
+
+def check_sink_sees_deliver_order():
+    """A signalled 1 MB push, then a signal-free 128 B pull behind it on
+    the same TX lane: the pull's TX completes 27 us before the push has
+    drained into the server, and it still may not reach the sink first."""
+    eng, net, seen = _worker_and_sink()
+    net.send("w", "s", 1_000_000, tag="push", notify=True)
+    net.send("w", "s", 128, tag="pull", notify=False)
+    eng.run()
+    assert [msg.tag for msg in seen] == ["push", "pull"]
+    assert seen[0].deliver_time < seen[1].deliver_time
+    return net
+
+
+class TestSinkOrder:
+    """A sink is called in ``deliver_time`` order whatever mix of fused
+    and unfused deliveries reaches it."""
+
+    def test_signal_free_send_does_not_overtake_a_signalled_one(self):
+        net = check_sink_sees_deliver_order()
+        assert net.fused_deliveries == 0 and net.endpoint("s").unfused == 0
+
+    def test_fusing_resumes_once_the_lane_is_clear(self):
+        eng, net, seen = _worker_and_sink()
+        net.send("w", "s", 4096, tag="a", notify=True)
+        eng.run()
+        for tag in "bc":
+            net.send("w", "s", 4096, tag=tag, notify=False)
+        eng.run()
+        assert [msg.tag for msg in seen] == ["a", "b", "c"]
+        assert seen == sorted(seen, key=lambda msg: msg.deliver_time)
+        assert net.fused_deliveries == 2
+
+    def test_fused_overtakes_unfused_dies_here(self, monkeypatch):
+        fused_overtakes_unfused(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_sink_sees_deliver_order()
 
 
 class TestPresetDifferential:

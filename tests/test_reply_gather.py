@@ -110,7 +110,7 @@ def _replay(latency, rx_preload, legs, mode):
             eng.spawn(waiter())
         for _w, server, size, t, lead in mine:
             def fire(server=server, dst=dst, size=size, at=t + lead, landed=landed):
-                sig = net.send(server, dst, size, tag="reply", deliver_to_inbox=False, at=at)
+                sig = net.send(server, dst, size, tag="reply", at=at)
                 if landed is not None:
                     sig.subscribe(landed)
 
@@ -412,12 +412,22 @@ class TestBaselineRunners:
         sim = _baseline_sim(n, sync=asp(), max_iter=20, workload=alexnet_cifar_workload())
         return SpecSyncRunner(SpecSyncConfig(sim=sim, abort_threshold=2))
 
-    def test_specsync_with_aborts_landing_mid_pull(self):
+    def test_specsync_with_aborts_landing_mid_pull(self, monkeypatch):
+        fused_replies = []
+        join = Network._join_fused
+        monkeypatch.setattr(
+            Network, "_join_fused",
+            lambda net, *leg: fused_replies.append(leg) or join(net, *leg),
+        )
         (fused, rf), (hooked, rh) = _pair(self._specsync)
         assert fused.aborts > 0  # the scheduler did reach workers' RX lanes
         assert (fused.aborts, fused.wasted_compute) == (hooked.aborts, hooked.wasted_compute)
         assert _fingerprint(fused, rf) == _fingerprint(hooked, rh)
-        assert fused.net.fused_deliveries == 0  # declared non-exclusive
+        # Declared non-exclusive: no *reply* was fused.  What did fuse are
+        # signal-free pull requests that found no signalled push still in
+        # flight to their server (``Endpoint.unfused``).
+        assert not fused_replies
+        assert 0 < fused.net.fused_deliveries < fused.net.total_messages // 3
 
     def test_specsync_declared_exclusive_trips_the_guard(self):
         runner = self._specsync()

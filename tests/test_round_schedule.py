@@ -164,7 +164,7 @@ def check_round_from_busy_lanes():
     warm = [(0.0, w, s, warm_bytes) for w in workers for s in servers]
     warm += [(0.0, s, w, warm_bytes) for _ in range(2) for s in servers for w in workers]
     for _t, src, dst, size in warm:
-        net.send(src, dst, size, deliver_to_inbox=False, notify=False)
+        net.send(src, dst, size, notify=False)
     runner.engine.run()
     tx_hold = net.endpoints[workers[0]].nic.serialize_time(warm_bytes)
     lanes = runner._cohort_lanes()

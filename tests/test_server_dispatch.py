@@ -17,23 +17,44 @@ cross-shard vectorized apply flush the runner uses — against each
 shard's own ``_flush_applies``, bit for bit.
 """
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
+from repro.bench.workloads import blobs_task
 from repro.core.models import ssp
 from repro.core.server import ShardServer, flush_applies_across
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.obs import MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster
+from repro.sim.network import Message
 from repro.sim.runner import FluentPSSimRunner, SimConfig
-from repro.sim.stragglers import DeterministicCompute
+from repro.sim.stragglers import DeterministicCompute, HeterogeneousCompute
 
 from tests.sim_helpers import (
     assert_matches_reference,
     busy_lane_cell,
+    make_runner,
     preset_configs,
     real_gradient_cell,
 )
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through ``gc.get_referents``,
+    modules, classes and code aside."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(
+                ref, (type, types.ModuleType, types.FunctionType, types.CodeType)
+            ):
+                seen.add(id(ref))
+                stack.append(ref)
 
 
 class TestPresetDifferential:
@@ -122,25 +143,29 @@ class TestConfigAndHousekeeping:
                 server_dispatch="inline",
             )
 
-    @pytest.mark.parametrize("dispatch", ["direct"])  # one value: the test id predates the deletion
+    @pytest.mark.parametrize("dispatch", ["direct", "pslite", "specsync", "ssptable"])
     def test_no_messages_pinned_in_inboxes(self, dispatch):
-        """No delivered message is left rotting in an unread inbox
-        (replies skip the append; the sink consumes server requests) — at
-        10k workers a pinned reply keeps its COW parameter snapshot alive
-        too."""
-        runner = FluentPSSimRunner(
-            SimConfig(
-                cluster=cpu_cluster(4, n_servers=2),
-                max_iter=3,
-                sync=ssp(2),
-                workload=alexnet_cifar_workload(),
-                compute_model=DeterministicCompute(),
-                seed=2,
-            )
+        """After a run no delivered ``Message`` is reachable from any
+        endpoint — which, through its sink, is from anywhere in the
+        runner: there is no inbox for a grant, an abort or a read reply
+        to rot in (the test id predates the inbox's deletion; ``direct``
+        is the stock runner).  At 10k workers a pinned reply kept its
+        parameter snapshot alive too."""
+        sim = SimConfig(
+            cluster=cpu_cluster(8, n_servers=2),
+            max_iter=20,
+            sync=ssp(2),
+            task=blobs_task(8, n_train=160, n_test=40, seed=3),
+            base_compute_time=0.4,
+            compute_model=HeterogeneousCompute(8, spread=0.4),
+            seed=2,
         )
+        kind = "stock" if dispatch == "direct" else dispatch
+        runner = make_runner(kind, sim, abort_threshold=2)
         runner.run()
         for ep in runner.net.endpoints.values():
-            assert len(ep.inbox) == 0, f"{ep.node_id} pinned {len(ep.inbox)} messages"
+            pinned = [obj for obj in _reachable(ep) if isinstance(obj, Message)]
+            assert not pinned, f"{ep.node_id} pins {len(pinned)} messages, e.g. {pinned[0]}"
 
     @pytest.mark.no_sanitize  # explicit Observability below
     def test_snapshot_gauges_record_dispatch_and_engine_health(self):
