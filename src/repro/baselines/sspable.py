@@ -166,9 +166,6 @@ class SSPTableRunner(FluentPSSimRunner):
             tag="reply", cause=cause, at=self._srv_now[server],
         )
 
-    def _global_params(self) -> np.ndarray:
-        return self.layout.gather([srv.params for srv in self.servers])
-
     # -- worker side ---------------------------------------------------------
 
     def _worker_proc(self, w: int):

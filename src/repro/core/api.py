@@ -30,7 +30,7 @@ from repro.core.conditions import PredicatePull, PredicatePush, PullCondition, P
 from repro.core.keyspace import ElasticSlicer, ModelSpec, Slicer
 from repro.core.layout import ShardLayout
 from repro.core.metrics import SyncMetrics
-from repro.core.models import SyncModel
+from repro.core.models import SyncModel, per_server
 from repro.core.scheduler import Scheduler
 from repro.core.server import ApplyInfo, ExecutionMode, PullReply, ShardServer, default_apply
 from repro.obs import Observability, current_observability
@@ -63,7 +63,6 @@ class ParameterServerSystem:
         slicer: Optional[Slicer] = None,
         apply_fn: Callable[[np.ndarray, np.ndarray, ApplyInfo], None] = default_apply,
         seed: int = 0,
-        snapshot_params: bool = True,
         obs: Optional[Observability] = None,
     ):
         if init_params.shape != (model.total_elements,):
@@ -82,7 +81,6 @@ class ParameterServerSystem:
         self._sync_model = sync_model
         self._apply_fn = apply_fn
         self._seed = seed
-        self._snapshot_params = snapshot_params
         self.obs = obs or current_observability()
         self._epoch = 0  # bumped by resize; keeps server RNG streams fresh
         self._retired_metrics: List[SyncMetrics] = []
@@ -92,7 +90,7 @@ class ParameterServerSystem:
         self._pending_pulls: Dict[int, _PendingPull] = {}
 
     def _build_servers(self, flat_params: np.ndarray) -> None:
-        models = self._normalize_models(self._sync_model, self.n_servers)
+        models = per_server(self._sync_model, self.n_servers)
         shard_vectors = self.layout.scatter(flat_params)
         self.servers = [
             ShardServer(
@@ -104,24 +102,10 @@ class ParameterServerSystem:
                 apply_fn=self._apply_fn,
                 clock=self._read_clock,
                 rng=derive_rng(self._seed, "server", self._epoch, m),
-                snapshot_params=self._snapshot_params,
                 obs=self.obs,
             )
             for m in range(self.n_servers)
         ]
-
-    @staticmethod
-    def _normalize_models(
-        sync_model: Union[SyncModel, Sequence[SyncModel]], n_servers: int
-    ) -> List[SyncModel]:
-        if isinstance(sync_model, SyncModel):
-            return [sync_model] * n_servers
-        models = list(sync_model)
-        if len(models) != n_servers:
-            raise ValueError(
-                f"need one sync model per server: got {len(models)} for {n_servers} servers"
-            )
-        return models
 
     # -- clock wiring (runners drive simulated/real time) -------------------
 

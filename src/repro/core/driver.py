@@ -16,6 +16,7 @@ the parameters obtained in the previous pull, ``sPush``, then wait on
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -43,6 +44,22 @@ class StepContext:
 #: Computes a local update from (possibly stale) parameters.  For plain
 #: SGD return ``-lr * grad``; the server applies ``w += update / N``.
 StepFn = Callable[[StepContext], np.ndarray]
+
+
+def check_number(
+    name: str, value: object, least: float = 0, *, integer: bool = False, strict: bool = False
+) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
+    ``>= least`` (``> least`` when ``strict``).  ``integer`` also refuses
+    anything but an ``int``, ``bool`` included: ``max_iter=True`` is not
+    "one".  The one check behind ``SimConfig`` and both worker drivers."""
+    if integer and (isinstance(value, bool) or not isinstance(value, int)):
+        ok = False
+    else:
+        ok = (least < value if strict else least <= value) and value < math.inf
+    if not ok:
+        kind = "an int" if integer else "finite and"
+        raise ValueError(f"{name} must be {kind} {'>' if strict else '>='} {least}, got {value!r}")
 
 
 @dataclass
@@ -93,12 +110,10 @@ class VirtualClockDriver:
         :meth:`~repro.core.api.ParameterServerSystem.restore`): workers
         push iterations ``start_iteration .. start_iteration+max_iter-1``.
         """
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        if start_iteration < 0:
-            raise ValueError(f"start_iteration must be >= 0, got {start_iteration}")
-        if base_compute_time <= 0:
-            raise ValueError("base_compute_time must be positive")
+        check_number("max_iter", max_iter, 1, integer=True)
+        check_number("start_iteration", start_iteration, integer=True)
+        check_number("eval_every", eval_every, integer=True)
+        check_number("base_compute_time", base_compute_time, strict=True)
         self.system = system
         self.step_fn = step_fn
         self.max_iter = max_iter

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.conditions import (
     AllPushedPush,
@@ -40,6 +40,19 @@ class SyncModel:
 
     def describe(self) -> str:
         return f"{self.name}: pull=[{self.make_pull().describe()}] push=[{self.make_push().describe()}]"
+
+
+def per_server(sync: Union[SyncModel, Sequence[SyncModel]], n_servers: int) -> List[SyncModel]:
+    """One model per server: a single model is shared by every server, a
+    sequence must name exactly one per server (Figure 2)."""
+    if isinstance(sync, SyncModel):
+        return [sync] * n_servers
+    models = list(sync)
+    if len(models) != n_servers:
+        raise ValueError(
+            f"need one sync model per server: got {len(models)} for {n_servers} servers"
+        )
+    return models
 
 
 def bsp() -> SyncModel:

@@ -153,7 +153,6 @@ class ShardServer:
         snapshot_params: bool = True,
         metrics: Optional[SyncMetrics] = None,
         obs: Optional[Observability] = None,
-        batch_apply: Optional[bool] = None,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -161,7 +160,8 @@ class ShardServer:
         self.n_workers = n_workers
         self.model = model
         self.execution = execution
-        self._params = params
+        #: The live shard array (``None``: a timing-only shard).
+        self.params = params
         self.apply_fn = apply_fn
         self.clock = clock or (lambda: 0.0)
         self.rng = rng or np.random.default_rng(0)
@@ -226,7 +226,8 @@ class ShardServer:
         self.callbacks: Dict[int, List[_BufferedPull]] = defaultdict(list)
         self.worker_progress: List[int] = [-1] * n_workers  # last pushed iteration
         self.last_pull_progress: List[int] = [-1] * n_workers  # last accepted pull
-        self._last_significance = 0.0
+        #: Significance of the latest applied gradient (PSSP dynamic-c input).
+        self.last_significance = 0.0
         # Incremental fastest/slowest over ``worker_progress``: at 10k
         # workers the per-view ``max(wp)``/``min(wp)`` scans dominate the
         # macro run.  ``_fastest`` is a monotone max; ``_slowest`` tracks
@@ -235,18 +236,6 @@ class ShardServer:
         self._fastest = -1
         self._slowest = -1
         self._n_at_slowest = n_workers
-        # Batched gradient application: same-version pushes accumulate here
-        # and are reduced in one vectorized pass at the next observation
-        # point (snapshot/params/significance read, restore, ineligible
-        # push).  Deferral is bit-identical to per-push ``default_apply``
-        # (row-wise in-order adds of ``g / N``) and is only enabled when no
-        # installed condition can observe per-push significance — see
-        # ``_batch_eligible``.
-        self._batch_apply_opt = batch_apply
-        self._pending_grads: List[np.ndarray] = []
-        self.batched_applies = 0  # pushes whose apply was deferred
-        self.apply_flushes = 0  # vectorized reductions performed
-        self._batch_on = self._batch_eligible()
         #: Worker whose push is currently being applied; DPR releases
         #: happen inside ``handle_push`` -> ``_try_advance``, so this names
         #: the straggler that each released pull was waiting on (-1 when
@@ -284,92 +273,13 @@ class ShardServer:
         v.v_train = self.v_train
         v.fastest = self._fastest
         v.slowest = self._slowest
-        v.significance = self._last_significance
+        v.significance = self.last_significance
         v.rng = self.rng
         return v
 
     @property
-    def params(self) -> Optional[np.ndarray]:
-        """The live shard array, with any deferred applies flushed first."""
-        self._flush_applies()
-        return self._params
-
-    @params.setter
-    def params(self, value: Optional[np.ndarray]) -> None:
-        self._flush_applies()
-        self._params = value
-
-    @property
-    def last_significance(self) -> float:
-        """Significance of the latest applied gradient (PSSP dynamic-c
-        input), with any deferred applies flushed first."""
-        self._flush_applies()
-        return self._last_significance
-
-    @last_significance.setter
-    def last_significance(self, value: float) -> None:
-        self._flush_applies()
-        self._last_significance = value
-
-    @property
     def buffered_pulls(self) -> int:
         return sum(len(v) for v in self.callbacks.values())
-
-    # -- batched gradient application ---------------------------------------
-
-    def _batch_eligible(self) -> bool:
-        """Whether same-version pushes may defer their apply.
-
-        Deferral changes *when* ``params`` and ``last_significance`` are
-        materialized, never their values, so it is allowed only when no
-        installed condition can observe the intermediate states: the apply
-        must be the stock ``w += g/N`` rule, the push condition must be a
-        structural quorum (``quorum() is not None``), and the pull
-        condition must not consume per-push significance — SSP/DSPS never
-        do; PSSP only with a constant-c probability model.  Constructing
-        with ``batch_apply=True`` overrides the condition checks (caller
-        asserts their custom conditions ignore significance);
-        ``batch_apply=False`` disables deferral outright.
-        """
-        if self._batch_apply_opt is False:
-            return False
-        if self.apply_fn is not default_apply:
-            return False
-        if self._batch_apply_opt is True:
-            return True
-        if push_condition_quorum(self.push_con, self.n_workers) is None:
-            return False
-        kind = pull_condition_kind(self.pull_con)
-        if kind in ("ssp", "dsps"):
-            return True
-        return kind == "pssp" and pull_condition_pssp_c(self.pull_con) is not None
-
-    def _flush_applies(self) -> None:
-        """Apply all deferred gradients in push order, one reduction.
-
-        Bit-identical to the eager path: each row of the stacked batch is
-        divided by N and added to ``params`` in arrival order (IEEE-754
-        elementwise ops are independent per element, so ``stack /= N``
-        equals per-grad ``g / N``), and the final significance is computed
-        from the last gradient against the fully-applied params — exactly
-        the value the last eager push would have left behind.
-        """
-        pending = self._pending_grads
-        if not pending:
-            return
-        self._pending_grads = []
-        params = self._params
-        if len(pending) == 1:
-            params += pending[0] / self.n_workers
-        else:
-            stack = np.stack(pending)
-            stack /= self.n_workers
-            for row in stack:
-                params += row
-        self.apply_flushes += 1
-        self._last_significance = gradient_significance(
-            float(np.linalg.norm(pending[-1])), float(np.linalg.norm(params))
-        )
 
     # -- protocol event stream (consumed by repro.analysis) -----------------
 
@@ -418,12 +328,10 @@ class ShardServer:
         """Install new pull/push conditions (the SetcondPull/SetcondPush
         backends); re-arms the config event so the sanitizer sees the new
         protocol parameters from the next handled request on."""
-        self._flush_applies()
         if pull is not None:
             self.pull_con = pull
         if push is not None:
             self.push_con = push
-        self._batch_on = self._batch_eligible()
         self._config_log = None
 
     # -- Algorithm 1: PushHandler ------------------------------------------
@@ -462,25 +370,19 @@ class ShardServer:
                 self._slowest = min(wp)
                 self._n_at_slowest = wp.count(self._slowest)
 
-        if grad is not None and self._params is not None:
-            if grad.shape != self._params.shape:
+        if grad is not None and self.params is not None:
+            if grad.shape != self.params.shape:
                 raise ProtocolError(
-                    f"gradient shape {grad.shape} != shard shape {self._params.shape}"
+                    f"gradient shape {grad.shape} != shard shape {self.params.shape}"
                 )
-            if self._batch_on and significance is None and self.apply_fn is default_apply:
-                self._pending_grads.append(grad)
-                self.batched_applies += 1
-            else:
-                self._flush_applies()
-                info = ApplyInfo(worker, progress, self.v_train, self.n_workers)
-                self.apply_fn(self._params, grad, info)
-                if significance is None:
-                    significance = gradient_significance(
-                        float(np.linalg.norm(grad)), float(np.linalg.norm(self._params))
-                    )
+            info = ApplyInfo(worker, progress, self.v_train, self.n_workers)
+            self.apply_fn(self.params, grad, info)
+            if significance is None:
+                significance = gradient_significance(
+                    float(np.linalg.norm(grad)), float(np.linalg.norm(self.params))
+                )
         if significance is not None:
-            self._flush_applies()
-            self._last_significance = float(significance)
+            self.last_significance = float(significance)
         self.version += 1
         self._snap_cache = None  # COW invalidation: state changed
         self.count[progress] += 1
@@ -709,14 +611,13 @@ class ShardServer:
         With ``snapshot_params=False`` the live array is returned as
         before (trusted callers, zero copies).
         """
-        self._flush_applies()
-        if self._params is None:
+        if self.params is None:
             return None
         if not self.snapshot_params:
-            return self._params
+            return self.params
         snap = self._snap_cache
         if snap is None or self._snap_version != self.version:
-            snap = self._params.copy()
+            snap = self.params.copy()
             snap.flags.writeable = False
             self._snap_cache = snap
             self._snap_version = self.version
@@ -743,7 +644,7 @@ class ShardServer:
         here in bulk, exactly; the round's protocol instants are the
         caller's to emit (one columnar block, in its global serve order).
         """
-        if self._params is not None or self.callbacks:
+        if self.params is not None or self.callbacks:
             raise ProtocolError("quiet-round commit requires a timing-only, "
                                 "DPR-free shard")
         n = self.n_workers
@@ -803,15 +704,14 @@ class ShardServer:
                 f"shard {self.shard_id}: restore with {self.buffered_pulls} "
                 "buffered DPRs (restore requires quiescence)"
             )
-        self._flush_applies()
         worker_progress = [int(p) for p in shard_state["worker_progress"]]
         if len(worker_progress) != self.n_workers:
             raise ProtocolError(
                 f"checkpoint has {len(worker_progress)} workers, "
                 f"server has {self.n_workers}"
             )
-        if params is not None and self._params is not None:
-            self._params[...] = params
+        if params is not None and self.params is not None:
+            self.params[...] = params
         self.v_train = int(shard_state["v_train"])
         self.version = int(shard_state["version"])
         # COW invalidation: a restore can reinstate the *same* version
@@ -851,47 +751,3 @@ class ShardServer:
             f"execution={self.execution.value} v_train={self.v_train} "
             f"buffered={self.buffered_pulls}"
         )
-
-
-def flush_applies_across(servers: List["ShardServer"]) -> None:
-    """Flush deferred batched applies for a fleet of shard servers, with
-    one vectorized numpy pass *across shards* per pending row.
-
-    Per-shard flushes (:meth:`ShardServer._flush_applies`) pay one numpy
-    dispatch per gradient row per shard.  When several shards hold the
-    same number of pending rows at the same length (the common case under
-    an even slicer), this stacks them into an ``(m, k, L)`` batch, scales
-    once, and adds row ``i`` of every shard in one ``(m, L)`` operation —
-    per-shard, per-element addition order is unchanged, so the results
-    are bit-identical to calling ``_flush_applies`` on each server.
-    Shards that don't fit a group (odd shapes, single pending row, lone
-    member) fall back to their own flush.
-    """
-    groups: Dict[Tuple[int, int, int], List["ShardServer"]] = {}
-    for s in servers:
-        pending = s._pending_grads
-        if not pending:
-            continue
-        if s._params is None or len(pending) == 1:
-            s._flush_applies()
-            continue
-        key = (len(pending), s._params.shape[0], s.n_workers)
-        groups.setdefault(key, []).append(s)
-    for (k, _length, n), grp in groups.items():
-        if len(grp) == 1:
-            grp[0]._flush_applies()
-            continue
-        rows = np.stack([s._pending_grads for s in grp])  # (m, k, L)
-        rows /= n  # elementwise: equals each shard's own ``stack /= N``
-        stacked = np.stack([s._params for s in grp])  # (m, L)
-        for i in range(k):
-            stacked += rows[:, i, :]
-        for j, s in enumerate(grp):
-            pending = s._pending_grads
-            s._pending_grads = []
-            params = s._params
-            params[...] = stacked[j]
-            s.apply_flushes += 1
-            s._last_significance = gradient_significance(
-                float(np.linalg.norm(pending[-1])), float(np.linalg.norm(params))
-            )

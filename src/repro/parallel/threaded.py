@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # instrumentation is duck-typed; no runtime import
     from repro.analysis.races import RaceTracker
 
 from repro.core.api import ParameterServerSystem, PullResult
-from repro.core.driver import StepContext
+from repro.core.driver import StepContext, check_number
 from repro.core.metrics import SyncMetrics
 from repro.obs import Observability, current_observability, exponential_buckets
 from repro.utils.rng import derive_rng
@@ -72,12 +72,9 @@ class ThreadedRunner:
         obs: Optional[Observability] = None,
         race_tracker: Optional["RaceTracker"] = None,
     ):
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        if timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if join_grace_s < 0:
-            raise ValueError(f"join_grace_s must be >= 0, got {join_grace_s}")
+        check_number("max_iter", max_iter, 1, integer=True)
+        check_number("timeout_s", timeout_s, strict=True)
+        check_number("join_grace_s", join_grace_s)
         self.system = system
         self.step_fn = step_fn
         self.max_iter = max_iter

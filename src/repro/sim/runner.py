@@ -20,7 +20,6 @@ ResNet-56-sized transfers while the gradients stay cheap to compute.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -28,18 +27,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.conditions import DSPSPull, PSSPPull, SSPPull
-from repro.core.driver import StepContext
+from repro.core.driver import StepContext, check_number
 from repro.core.filters import NoFilter, PushFilter
 from repro.core.keyspace import ElasticSlicer, ModelSpec, Slicer
 from repro.core.layout import ShardLayout
 from repro.core.metrics import SyncMetrics
-from repro.core.models import SyncModel
-from repro.core.server import (
-    ExecutionMode,
-    PullReply,
-    ShardServer,
-    flush_applies_across,
-)
+from repro.core.models import SyncModel, per_server
+from repro.core.server import ExecutionMode, PullReply, ShardServer
 from repro.ml.models_zoo import Workload
 from repro.ml.training import TrainingTask
 from repro.obs import Observability, current_observability
@@ -105,20 +99,15 @@ class SimConfig:
     snapshot_interval_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # ``bool`` passes ``isinstance(..., int)``: max_iter=True is not "one".
         least = dict(max_iter=1, batch_per_worker=1, header_bytes=0, request_bytes=0, eval_every=0)
         for name, minimum in least.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+            check_number(name, getattr(self, name), minimum, integer=True)
         for name in ("base_compute_time", "wire_scale", "snapshot_interval_s"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if value is not None:
+                check_number(name, value, strict=True)
         for name in ("server_op_overhead_s", "dpr_overhead_s"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+            check_number(name, getattr(self, name))
         if self.task is None and self.workload is None:
             raise ValueError("need a TrainingTask and/or a Workload")
         if self.task is not None and self.task.n_workers != self.cluster.n_workers:
@@ -503,7 +492,7 @@ class FluentPSSimRunner:
         self.compute_model = config.compute_model or LogNormalCompute(0.2)
 
         n, m = config.cluster.n_workers, config.cluster.n_servers
-        models = self._normalize_models(config.sync, m)
+        models = per_server(config.sync, m)
         shard_vectors: Sequence[Optional[np.ndarray]] = [None] * m
         if config.task is not None:
             shard_vectors = self.layout.scatter(config.task.init_params.astype(np.float64))
@@ -601,17 +590,6 @@ class FluentPSSimRunner:
             )
             for j, model in enumerate(models)
         ]
-
-    @staticmethod
-    def _normalize_models(
-        sync: Union[SyncModel, Sequence[SyncModel]], m: int
-    ) -> List[SyncModel]:
-        if isinstance(sync, SyncModel):
-            return [sync] * m
-        models = list(sync)
-        if len(models) != m:
-            raise ValueError(f"need one sync model per server, got {len(models)} for {m}")
-        return models
 
     # -- sizing ---------------------------------------------------------------
 
@@ -864,9 +842,6 @@ class FluentPSSimRunner:
         self._finish_times[w] = engine.now
 
     def _global_params(self) -> np.ndarray:
-        # One vectorized apply pass across shards before gathering (falls
-        # back to per-shard flushes for odd shapes; bit-identical).
-        flush_applies_across(self.servers)
         return self.layout.gather([s.params for s in self.servers])
 
     # -- closed-form round fast-forward ------------------------------------------------

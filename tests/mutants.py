@@ -4,19 +4,25 @@ kill matrix).
 Each mutant is a named function that takes pytest's ``monkeypatch`` and
 plants one protocol-level bug in :mod:`repro.sim.runner` (one in
 :mod:`repro.sim.trace`, where the collapse's span totals are recorded,
-one in :mod:`repro.sim.network`'s delivery fusing) for the length of a
+one in :mod:`repro.sim.network`'s delivery fusing, one in
+:class:`repro.core.server.ShardServer`'s push apply) for the length of a
 test — test code only, nothing under ``src/``
 imports this module.
-All but one rewrite one line of a function's source (the site must
+All but two rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
-wraps ``_seq_cascade``.  ``tests/test_round_schedule.py`` pins which
-check kills which.
+wraps ``_seq_cascade`` and ``significance_before_apply`` wraps
+``handle_push``.  ``tests/test_round_schedule.py`` pins which check kills
+which for the round's mutants; the others name their killer.
 """
 
 import inspect
 import textwrap
 
+import numpy as np
+
+from repro.core.pssp import gradient_significance
+from repro.core.server import ShardServer
 from repro.sim import runner
 from repro.sim.network import Network
 from repro.sim.trace import CohortSpans
@@ -96,6 +102,22 @@ def fused_overtakes_unfused(monkeypatch) -> None:
     patch (``_tx_done_cb`` is bound at construction).  Killer:
     ``test_network_fastpath.py::TestSinkOrder``."""
     _rewrite(monkeypatch, Network, "_fast_tx_done", "and not dst_ep.unfused", "and True")
+
+
+def significance_before_apply(monkeypatch) -> None:
+    """A push's significance is read against the shard's parameters
+    *before* its own apply (and handed in as if explicit), not after.
+    Killer: ``test_server.py::TestPushSemantics::test_each_push_is_applied_when_handled``."""
+    handle_push = ShardServer.handle_push
+
+    def mutant(self, worker, progress, grad=None, significance=None):
+        if grad is not None and self.params is not None and significance is None:
+            significance = gradient_significance(
+                float(np.linalg.norm(grad)), float(np.linalg.norm(self.params))
+            )
+        handle_push(self, worker, progress, grad, significance)
+
+    monkeypatch.setattr(ShardServer, "handle_push", mutant)
 
 
 #: The mutants of one round's schedule, for the kill matrix.

@@ -38,6 +38,11 @@ class TestConstruction:
     def test_describe(self, tiny_spec):
         assert "2 workers x 2 servers" in make_system(tiny_spec).describe()
 
+    def test_removed_snapshot_params_option_raises(self, tiny_spec):
+        """Replies always carry the shard's copy-on-write snapshot."""
+        with pytest.raises(TypeError, match="snapshot_params"):
+            make_system(tiny_spec, snapshot_params=False)
+
 
 class TestPushPull:
     def test_mean_update_applied(self, tiny_spec):

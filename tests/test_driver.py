@@ -76,6 +76,31 @@ class TestCompletion:
         with pytest.raises(ValueError):
             VirtualClockDriver(system, make_step(), max_iter=1, base_compute_time=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Ran three iterations and reported iterations=2.5.
+            ("max_iter", 2.5),
+            # Ran one iteration.
+            ("max_iter", True),
+            # Returned duration nan / inf.
+            ("base_compute_time", float("nan")),
+            ("base_compute_time", float("inf")),
+            # Accepted: -1 never evaluated, 1.5 evaluated every third iteration.
+            ("eval_every", -1),
+            ("eval_every", 1.5),
+            ("start_iteration", -1),
+            ("start_iteration", 0.5),
+        ],
+    )
+    def test_invalid_numbers_fail_at_construction(self, quadratic_problem, field, value):
+        """The driver refuses what ``SimConfig`` refuses, with the field
+        named (one shared check)."""
+        spec, target, make_step = quadratic_problem
+        system = ParameterServerSystem(spec, np.zeros(spec.total_elements), 2, 1, ssp(1))
+        with pytest.raises(ValueError, match=field):
+            VirtualClockDriver(system, make_step(), **{"max_iter": 1, field: value})
+
 
 class TestTimingSemantics:
     def test_bsp_duration_tracks_sum_of_maxima(self, quadratic_problem):

@@ -68,6 +68,24 @@ def test_invalid_iters(quadratic_problem):
         ThreadedRunner(system, make_step(), max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # A float range() raised TypeError inside every worker thread.
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("timeout_s", float("nan")),
+        ("timeout_s", float("inf")),
+        ("join_grace_s", float("nan")),
+    ],
+)
+def test_invalid_numbers_fail_at_construction(quadratic_problem, field, value):
+    spec, target, make_step = quadratic_problem
+    system = ParameterServerSystem(spec, np.zeros(spec.total_elements), 2, 1, ssp(1))
+    with pytest.raises(ValueError, match=field):
+        ThreadedRunner(system, make_step(), **{"max_iter": 1, field: value})
+
+
 class TestInstrumentation:
     def test_wall_clock_histograms_per_worker(self, quadratic_problem):
         from repro.obs import MetricsRegistry, Observability

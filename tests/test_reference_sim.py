@@ -1,7 +1,7 @@
 """Production vs the reference simulator (tests/reference_sim.py).
 
 Every fast path — round collapse, analytic wire, drain lanes, fused
-deliveries and gathers, batched applies — is compared here with the one
+deliveries and gathers — is compared here with the one
 textbook description, by the rule in
 :func:`tests.sim_helpers.assert_matches_reference`.  Each cell runs
 production twice: as shipped (``obs=NULL_OBS``, nothing observing, every

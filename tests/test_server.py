@@ -11,6 +11,9 @@ from repro.core.server import (
     PullReply,
     ShardServer,
 )
+from repro.core.pssp import gradient_significance
+
+from tests.mutants import significance_before_apply
 
 
 def make_server(model=None, execution=ExecutionMode.LAZY, n=3, params=None, **kw):
@@ -95,6 +98,45 @@ class TestPushSemantics:
         assert srv.last_significance == pytest.approx(
             np.linalg.norm(np.full(4, 0.2)) / np.linalg.norm(np.full(4, 2.2)), rel=1e-3
         )
+
+    def test_each_push_is_applied_when_handled(self):
+        """Every push leaves ``w + g/N`` behind at once, and the
+        significance it records is read against the parameters *after*
+        its own apply — exact floats, push by push."""
+        check_push_applied_when_handled()
+
+    def test_significance_before_apply_dies_here(self, monkeypatch):
+        significance_before_apply(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_push_applied_when_handled()
+
+    def test_explicit_significance_wins(self):
+        srv = make_server(model=ssp(2), n=2, params=np.zeros(4))
+        srv.handle_push(0, 0, grad=np.ones(4))
+        srv.handle_push(1, 0, grad=np.ones(4), significance=0.75)
+        assert srv.last_significance == 0.75
+        np.testing.assert_array_equal(srv.params, np.ones(4))
+        srv.handle_push(0, 1, significance=0.5)  # a gradient-less push may carry one
+        assert srv.last_significance == 0.5
+
+    def test_removed_batch_apply_option_raises(self):
+        with pytest.raises(TypeError, match="batch_apply"):
+            make_server(params=np.zeros(2), batch_apply=False)
+
+
+def check_push_applied_when_handled():
+    rng = np.random.default_rng(0)
+    srv = make_server(model=pssp(2, 0.5), n=3, params=rng.normal(size=8))
+    expected = srv.params.copy()
+    for it in range(4):
+        for w in range(3):
+            g = rng.normal(size=8)
+            srv.handle_push(w, it, grad=g.copy())
+            expected += g / 3
+            assert srv.params.tobytes() == expected.tobytes()
+            assert srv.last_significance == gradient_significance(
+                float(np.linalg.norm(g)), float(np.linalg.norm(expected))
+            )
 
 
 class TestPullSemantics:
@@ -397,112 +439,8 @@ class TestMetricsAccounting:
         assert "shard 0" in srv.describe()
 
 
-def _grad_rounds(seed, iters, n, shape=(8,)):
-    rng = np.random.default_rng(seed)
-    return [[rng.normal(size=shape) for _ in range(n)] for _ in range(iters)]
-
-
-class TestBatchedApply:
-    """Deferred (vectorized) gradient application: the mesoscale push path.
-
-    Same-version pushes on significance-blind configurations may be
-    buffered and applied in one vectorized flush — but only as a change
-    of *when* the arithmetic runs, never of its results: final
-    parameters and the significance signal must be bit-identical to the
-    eager per-push path (``batch_apply=False``), and any configuration
-    that can observe intermediate state must stay eager.
-    """
-
-    def _replay(self, srv, grads):
-        for it, row in enumerate(grads):
-            for w, g in enumerate(row):
-                srv.handle_push(w, it, grad=g.copy())
-
-    def test_params_and_significance_bit_identical(self):
-        grads = _grad_rounds(0, 5, 3)
-        batched = make_server(model=ssp(2), n=3, params=np.zeros(8))
-        eager = make_server(
-            model=ssp(2), n=3, params=np.zeros(8), batch_apply=False
-        )
-        self._replay(batched, grads)
-        self._replay(eager, grads)
-        assert batched.batched_applies > 0
-        assert eager.batched_applies == 0
-        assert np.array_equal(batched.params, eager.params)
-        assert batched.last_significance == eager.last_significance
-        assert batched.apply_flushes >= 1
-
-    def test_single_pending_grad_flush_identical(self):
-        grads = _grad_rounds(3, 1, 1)
-        batched = make_server(model=ssp(2), n=1, params=np.zeros(8))
-        eager = make_server(
-            model=ssp(2), n=1, params=np.zeros(8), batch_apply=False
-        )
-        self._replay(batched, grads)
-        self._replay(eager, grads)
-        assert np.array_equal(batched.params, eager.params)
-        assert batched.last_significance == eager.last_significance
-
-    def test_snapshot_flushes_pending(self):
-        grads = _grad_rounds(1, 3, 2)
-        batched = make_server(model=ssp(3), n=2, params=np.zeros(8))
-        eager = make_server(
-            model=ssp(3), n=2, params=np.zeros(8), batch_apply=False
-        )
-        self._replay(batched, grads)
-        self._replay(eager, grads)
-        snap = batched._snapshot()
-        assert np.array_equal(snap, eager.params)
-        # COW invariants survive: same-version snapshots share storage.
-        assert batched._snapshot() is snap
-        assert not snap.flags.writeable
-
-    def test_significance_sensitive_model_stays_eager(self):
-        # dynamic_pssp's c is a callable of the significance signal: a
-        # deferred apply would change what mid-batch pulls observe.
-        grads = _grad_rounds(2, 4, 3)
-        srv = make_server(model=dynamic_pssp(2), n=3, params=np.zeros(8))
-        self._replay(srv, grads)
-        assert srv.batched_applies == 0
-        # Constant-c PSSP structurally ignores significance: defers.
-        srv2 = make_server(model=pssp(2, 0.5), n=3, params=np.zeros(8))
-        self._replay(srv2, grads)
-        assert srv2.batched_applies > 0
-
-    def test_opt_in_overrides_model_gate(self):
-        grads = _grad_rounds(4, 4, 3)
-        forced = make_server(
-            model=dynamic_pssp(2), n=3, params=np.zeros(8), batch_apply=True
-        )
-        eager = make_server(
-            model=dynamic_pssp(2), n=3, params=np.zeros(8), batch_apply=False
-        )
-        self._replay(forced, grads)
-        self._replay(eager, grads)
-        assert forced.batched_applies > 0
-        assert np.array_equal(forced.params, eager.params)
-        assert forced.last_significance == eager.last_significance
-
-    def test_custom_apply_fn_never_batched(self):
-        calls = []
-
-        def apply(params, grad, info):
-            calls.append(info.progress)
-            params += grad
-
-        srv = make_server(
-            params=np.zeros(2), apply_fn=apply, n=1, batch_apply=True
-        )
-        srv.handle_push(0, 0, grad=np.ones(2))
-        assert calls == [0]  # applied eagerly, batching declined
-        assert srv.batched_applies == 0
-
-    def test_explicit_significance_flushes_and_wins(self):
-        srv = make_server(model=ssp(2), n=2, params=np.zeros(4))
-        srv.handle_push(0, 0, grad=np.ones(4))
-        srv.handle_push(1, 0, grad=np.ones(4), significance=0.75)
-        assert srv.last_significance == 0.75
-        np.testing.assert_allclose(srv.params, np.ones(4))
+class TestProgressTrackers:
+    """The incremental fastest/slowest trackers behind every view."""
 
     def test_incremental_trackers_match_full_scan(self):
         rng = np.random.default_rng(1)
@@ -513,7 +451,7 @@ class TestBatchedApply:
             assert srv._fastest == max(srv.worker_progress)
             assert srv._slowest == min(srv.worker_progress)
 
-    def test_restore_recomputes_trackers_and_flushes(self):
+    def test_restore_recomputes_trackers(self):
         srv = make_server(model=ssp(10), n=3, params=np.zeros(4))
         for w in range(3):
             srv.handle_push(w, 0, grad=np.ones(4))

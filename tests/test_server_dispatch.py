@@ -11,27 +11,25 @@ co-simulated training runs as shipped (nothing observing: fused
 deliveries, drain lanes) on every cluster preset × sync model × compute
 model cell against the reference, and force a congested server through
 the busy-lane cascade.
-
-Also covers :func:`repro.core.server.flush_applies_across` — the
-cross-shard vectorized apply flush the runner uses — against each
-shard's own ``_flush_applies``, bit for bit.
 """
 
 import gc
 import types
 
-import numpy as np
 import pytest
 
-from repro.bench.workloads import blobs_task
-from repro.core.models import ssp
-from repro.core.server import ShardServer, flush_applies_across
+from repro.bench.workloads import blobs_task, cifar_proxy_task
+from repro.core.models import pssp, ssp
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.obs import MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster
 from repro.sim.network import Message
 from repro.sim.runner import FluentPSSimRunner, SimConfig
-from repro.sim.stragglers import DeterministicCompute, HeterogeneousCompute
+from repro.sim.stragglers import (
+    DeterministicCompute,
+    HeterogeneousCompute,
+    cpu_cluster_compute,
+)
 
 from tests.sim_helpers import (
     assert_matches_reference,
@@ -57,6 +55,22 @@ def _reachable(root):
                 stack.append(ref)
 
 
+def cosim_task_cell():
+    """32 workers x 4 servers x 20 iterations of the CIFAR-proxy MLP under
+    PSSP(3, 0.5) with straggling CPU nodes — the benchmark's
+    ``cosim_task_32w`` — plus an evaluation every 5 iterations."""
+    return dict(
+        cluster=cpu_cluster(32, n_servers=4),
+        max_iter=20,
+        sync=pssp(3, 0.5),
+        task=cifar_proxy_task(32),
+        workload=alexnet_cifar_workload(),
+        compute_model=cpu_cluster_compute(32),
+        eval_every=5,
+        seed=0,
+    )
+
+
 class TestPresetDifferential:
     """Entire co-simulated runs on each preset, as shipped."""
 
@@ -71,15 +85,22 @@ class TestPresetDifferential:
         assert result.messages_on_wire == len(ref.trace)
         assert runner.net.fused_deliveries == len(ref.trace)
 
-    @pytest.mark.parametrize("op_overhead_s", [20e-6, 0.02])
-    def test_training_run_params_identical(self, op_overhead_s):
-        """A real (non-timing-only) run under the soft barrier: DPR
-        costs stretch the busy lanes (the wide overhead parks requests
-        behind them too) and the final parameters must still be
-        bit-equal."""
-        _runner, result, _ref = assert_matches_reference(
-            real_gradient_cell(server_op_overhead_s=op_overhead_s)
-        )
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            *(pytest.param(real_gradient_cell(server_op_overhead_s=op), id=str(op))
+              for op in (20e-6, 0.02)),
+            pytest.param(cosim_task_cell, id="cosim_task_32w"),
+        ],
+    )
+    def test_training_run_params_identical(self, cell):
+        """Real (non-timing-only) runs: a small one under the soft barrier,
+        where DPR costs stretch the busy lanes (the wide overhead parks
+        requests behind them too), and one shaped as the benchmark's
+        ``cosim_task_32w``.  Final parameters and every evaluation must be
+        bit-equal to the reference's, whose shards apply each push as they
+        handle it."""
+        _runner, result, _ref = assert_matches_reference(cell)
         assert result.final_params is not None
 
 
@@ -88,47 +109,6 @@ class TestBusyLane:
         for hooked in (False, True):
             runner, _result, _ref = assert_matches_reference(busy_lane_cell(), hooked)
             assert runner.server_msgs_drained > 0  # the cascade actually ran
-
-
-class TestCrossShardFlush:
-    """flush_applies_across == per-shard _flush_applies, bit for bit."""
-
-    def _fleet(self, shapes, seed=0):
-        """Shard servers with synthetic deferred gradients; ``shapes`` is
-        a list of (n_pending_rows, param_length) per shard."""
-        rng = np.random.default_rng(seed)
-        servers = []
-        for shard, (k, length) in enumerate(shapes):
-            s = ShardServer(
-                shard_id=shard,
-                n_workers=4,
-                model=ssp(3),
-                params=rng.standard_normal(length),
-            )
-            s._pending_grads = [rng.standard_normal(length) for _ in range(k)]
-            servers.append(s)
-        return servers
-
-    @pytest.mark.parametrize(
-        "shapes",
-        [
-            [(3, 64)] * 4,  # homogeneous: the vectorized group path
-            [(3, 64), (3, 64), (2, 64), (3, 32)],  # mixed groups + fallbacks
-            [(1, 16), (0, 16), (5, 16)],  # single-row and empty shards
-            [(4, 128)],  # lone member falls back
-        ],
-    )
-    def test_bit_identical_to_per_shard_flush(self, shapes):
-        grouped = self._fleet(shapes, seed=7)
-        solo = self._fleet(shapes, seed=7)
-        flush_applies_across(grouped)
-        for s in solo:
-            s._flush_applies()
-        for g, s in zip(grouped, solo):
-            assert np.array_equal(g.params, s.params)
-            assert g._pending_grads == [] == s._pending_grads
-            assert g._last_significance == s._last_significance
-            assert g.apply_flushes == s.apply_flushes
 
 
 class TestConfigAndHousekeeping:
