@@ -4,7 +4,8 @@ Modes (default = ``--lint src --smoke``):
 
 - ``--lint PATH...`` — run the custom AST lint over the given trees;
 - ``--smoke`` — run small simulated + threaded training jobs across the
-  sync-model matrix with observability on, and sanitize every captured
+  sync-model matrix with observability on, plus one timing-only run whose
+  rounds collapse into columnar blocks, and sanitize every captured
   event stream;
 - ``--check-trace FILE...`` — sanitize dumped Perfetto trace files
   (``python -m repro.bench --trace-out`` artifacts);
@@ -105,11 +106,14 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
     """Exercise every sync model on both runners, sanitizing each run."""
     from repro.bench.workloads import blobs_task
     from repro.core.api import ParameterServerSystem
+    from repro.core.models import ssp
     from repro.core.server import ExecutionMode
+    from repro.ml.models_zoo import alexnet_cifar_workload
     from repro.obs import MetricsRegistry, Observability, observed
     from repro.parallel import ThreadedRunner
     from repro.sim.cluster import cpu_cluster
-    from repro.sim.runner import SimConfig, run_fluentps
+    from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
+    from repro.sim.stragglers import LogNormalCompute
 
     lines: List[str] = []
     rc, first = EXIT_OK, None
@@ -135,10 +139,37 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
             rc, first = EXIT_INVARIANT, first or report.violations[0].code
         total.merge(report)
 
+    # A timing-only run of the isolated regime (compute >> comm) under
+    # non-causal observability: its rounds collapse into columnar blocks,
+    # so the sanitizer's vector proof is on the path.
+    obs = Observability(MetricsRegistry("smoke"), causal=False)
+    runner = FluentPSSimRunner(
+        SimConfig(
+            cluster=cpu_cluster(120, n_servers=4),
+            max_iter=3,
+            sync=ssp(3),
+            workload=alexnet_cifar_workload(),
+            compute_model=LogNormalCompute(sigma=0.01),
+            base_compute_time=1e5,
+            seed=3,
+            obs=obs,
+        )
+    )
+    runner.run()
+    collapsed = runner.engine.rounds_collapsed
+    report = sanitize_observability(obs)
+    lines.append(
+        f"smoke sim ssp3-isolated (rounds_collapsed={collapsed}): {report.describe()}"
+    )
+    if not report.ok:
+        rc, first = EXIT_INVARIANT, first or report.violations[0].code
+    elif collapsed == 0:
+        lines.append(f"smoke sim ssp3-isolated: no round collapsed {runner.collapse_fallback}")
+        rc, first = EXIT_INVARIANT, first or "X002"
+    total.merge(report)
+
     obs = Observability(MetricsRegistry("smoke"))
     with observed(obs):
-        from repro.core.models import ssp
-
         task = blobs_task(n_workers, n_train=400, n_test=100, seed=7)
         system = ParameterServerSystem(
             task.spec, task.init_params, n_workers, n_servers, ssp(2),

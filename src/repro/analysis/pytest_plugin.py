@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.events import events_from_instants
-from repro.analysis.sanitizer import SanitizerReport, sanitize_events, sanitize_run
+from repro.analysis.sanitizer import sanitize_observability
 from repro.obs import MetricsRegistry, Observability, set_current_observability
 
 
@@ -41,15 +40,7 @@ def protocol_sanitizer(request):
         yield obs
     finally:
         set_current_observability(previous)
-    report = SanitizerReport(n_streams=0)
-    for cap in obs.runs:
-        report.merge(sanitize_run(cap))
-    if len(obs.default_instants):
-        # Events from direct server construction/use outside any run:
-        # safety checks only (unanswered pulls are fine here).
-        report.merge(
-            sanitize_events(events_from_instants(obs.default_instants), complete=False)
-        )
+    report = sanitize_observability(obs)
     if not report.ok:
         pytest.fail(
             "protocol sanitizer found violations in this test's event "

@@ -40,7 +40,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.events import EventBlock, ProtocolEvent, iter_events_from_instants
+from repro.analysis.events import EventBlock, ProtocolEvent, iter_event_stream
 from repro.obs.export import (
     FRONTIER_ADVANCE,
     PULL_ANSWER,
@@ -689,14 +689,13 @@ def sanitize_run(capture, raise_on_violation: bool = False) -> SanitizerReport:
     """Sanitize one :class:`~repro.obs.RunCapture` (protocol events plus
     the run's trace spans and causal DAG, when captured).
 
-    The instant stream is replayed lazily, so a disk-spilled instant log
+    The instant stream is read lazily, so a disk-spilled instant log
     from a 100k-scale run is checked chunk by chunk.  The columnar
-    blocks of collapsed rounds are materialised and replayed row by row
-    here — the oracle; ``sanitize_events(iter_event_stream(log))``
-    proves them in vector passes instead (docs/ANALYSIS.md says why that
-    is not yet this function's path)."""
+    blocks of collapsed rounds are proven by vector passes
+    (:meth:`ProtocolSanitizer.feed_block`); a block that is not proven
+    is replayed row by row, so every verdict comes from the row replay."""
     report = sanitize_events(
-        iter_events_from_instants(capture.instants),
+        iter_event_stream(capture.instants),
         complete=getattr(capture, "complete", False),
     )
     if getattr(capture, "trace", None) is not None:
@@ -723,7 +722,7 @@ def sanitize_observability(obs, raise_on_violation: bool = False) -> SanitizerRe
     default_log = getattr(obs, "default_instants", None)
     if default_log is not None and len(default_log):
         report.merge(
-            sanitize_events(iter_events_from_instants(default_log), complete=False)
+            sanitize_events(iter_event_stream(default_log), complete=False)
         )
     if raise_on_violation:
         report.raise_if_violations()

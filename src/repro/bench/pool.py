@@ -250,30 +250,20 @@ def _sanitized_call(
     for the runner's closed-form round fast-forward.  Callers that want
     the DAG (e.g. ``obs_dir`` artifact dumps) pass their own ``obs``.
     """
-    from repro.analysis.events import events_from_instants
-    from repro.analysis.sanitizer import SanitizerReport, sanitize_events, sanitize_run
+    from repro.analysis.sanitizer import sanitize_observability
     from repro.obs import MetricsRegistry, Observability, observed
 
     if obs is None:
         obs = Observability(MetricsRegistry("pool-sanitizer"), causal=False)
     with observed(obs):
         result = fn(**kwargs)
-    report = SanitizerReport(n_streams=0)
-    n_events = 0
-    for cap in obs.runs:
-        n_events += len(cap.instants)
-        report.merge(sanitize_run(cap))
-    if len(obs.default_instants):
-        n_events += len(obs.default_instants)
-        report.merge(
-            sanitize_events(events_from_instants(obs.default_instants), complete=False)
-        )
+    report = sanitize_observability(obs)
     if not report.ok:
         raise RuntimeError(
             "protocol sanitizer found violations in this arm's event stream:\n"
             + report.describe()
         )
-    return result, n_events
+    return result, report.n_events
 
 
 def _arm_slug(key: str) -> str:

@@ -5,9 +5,9 @@ Each mutant is a named function that takes pytest's ``monkeypatch`` and
 plants one protocol-level bug in :mod:`repro.sim.runner` (one in
 :mod:`repro.sim.trace`, where the collapse's span totals are recorded,
 one in :mod:`repro.sim.network`'s delivery fusing, one in
-:class:`repro.core.server.ShardServer`'s push apply) for the length of a
-test — test code only, nothing under ``src/``
-imports this module.
+:class:`repro.core.server.ShardServer`'s push apply, one in the protocol
+sanitizer's vector proof) for the length of a test — test code only,
+nothing under ``src/`` imports this module.
 All but two rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
@@ -21,6 +21,7 @@ import textwrap
 
 import numpy as np
 
+from repro.analysis.sanitizer import ShardChecker
 from repro.core.pssp import gradient_significance
 from repro.core.server import ShardServer
 from repro.sim import runner
@@ -102,6 +103,16 @@ def fused_overtakes_unfused(monkeypatch) -> None:
     patch (``_tx_done_cb`` is bound at construction).  Killer:
     ``test_network_fastpath.py::TestSinkOrder``."""
     _rewrite(monkeypatch, Network, "_fast_tx_done", "and not dst_ep.unfused", "and True")
+
+
+def proof_ignores_staleness_bound(monkeypatch) -> None:
+    """The sanitizer's vector proof of a columnar block skips S004: answers
+    missing more iterations than ``s`` allows are proven, so a checked run
+    passes them silently.  Killer:
+    ``test_sanitizer_blocks.py::TestStalenessBoundProof``."""
+    _rewrite(
+        monkeypatch, ShardChecker, "prove_rows", "if (m_ans >= s_bound + 1).any():", "if False:"
+    )
 
 
 def significance_before_apply(monkeypatch) -> None:

@@ -34,6 +34,13 @@ class TestLintExit:
         assert out.splitlines()[0] == "ANA001"
 
 
+class TestSmokeExit:
+    def test_smoke_is_clean_and_reaches_the_vector_proof(self, capsys):
+        assert main(["--smoke", "--smoke-iters", "3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "smoke sim ssp3-isolated (rounds_collapsed=3)" in out
+
+
 class TestTraceExit:
     def test_corrupt_trace_exits_5_with_rule_id_first(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

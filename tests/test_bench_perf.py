@@ -121,9 +121,6 @@ class TestSuite:
         assert detail["checked_over_raw"] == pytest.approx(
             (detail["run_wall_s"] + detail["sanitize_wall_s"]) / detail["raw_wall_s"]
         )
-        assert detail["proved_over_raw"] == pytest.approx(
-            (detail["run_wall_s"] + detail["prove_wall_s"]) / detail["raw_wall_s"]
-        )
         assert detail["collapse_fallback"] == 0.0  # one round: always collapses
         assert detail["instants"] == detail["events_checked"] > 0
 
@@ -235,13 +232,13 @@ class TestRegressionGate:
 
 
     @pytest.mark.parametrize("scale", ["quick", "full"])
-    def test_proved_over_raw_has_an_absolute_ceiling(self, scale):
+    def test_checked_over_raw_has_an_absolute_ceiling(self, scale):
         def doc(ratio):
-            sanitized = {"value": 1.0, "unit": "s", "detail": {"proved_over_raw": ratio}}
+            sanitized = {"value": 1.0, "unit": "s", "detail": {"checked_over_raw": ratio}}
             return _doc(1.0, scale=scale, macro_100k_sanitized_wall_s=sanitized)
 
         failures = check_regression(doc(5.5), doc(30.0), 0.30)
-        assert len(failures) == 1 and "proved_over_raw 5.50" in failures[0]
+        assert len(failures) == 1 and "checked_over_raw 5.50" in failures[0]
         assert check_regression(doc(4.9), doc(2.0), 0.30) == []
 
 

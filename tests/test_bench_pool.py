@@ -181,6 +181,19 @@ class TestSanitizeInWorkers:
         assert n_events > 0
         assert result.to_json() == figures._fig7_arm(TINY, 2, seed).to_json()
 
+    def test_events_checked_are_every_instant_logged(self):
+        """Every instant a run logs is a protocol event: the sanitizer's
+        count is the instant logs' length."""
+        from repro.obs import MetricsRegistry, Observability
+
+        obs = Observability(MetricsRegistry("pool-count"), causal=False)
+        seed = derive_task_seed("fig7", "N2", 0)
+        _, n_events = _sanitized_call(
+            figures._fig7_arm, {"scale": TINY, "n": 2, "seed": seed}, obs=obs
+        )
+        logged = sum(len(cap.instants) for cap in obs.runs) + len(obs.default_instants)
+        assert n_events == logged > 0
+
     def test_executor_sanitizes_inside_workers(self):
         seed = derive_task_seed("fig7", "N2", 0)
         task = RunTask(

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    iter_event_stream,
     iter_events_from_instants,
     sanitize_events,
     sanitize_observability,
@@ -254,9 +253,13 @@ class TestSanitizeSpilledRun:
         assert rep_spill.ok, rep_spill.violations
         assert rep_mem.ok
         assert rep_spill.n_events == rep_mem.n_events > 0
-        # The vector proof reads the same spilled blocks back from disk.
-        proved = sanitize_events(iter_event_stream(obs_spill.last_run.instants))
-        assert proved.ok and proved.n_events == rep_spill.n_events
+        # The row oracle replays the same spilled blocks, read back from
+        # disk, one row at a time.
+        cap = obs_spill.last_run
+        replayed = sanitize_events(
+            iter_events_from_instants(cap.instants), complete=cap.complete
+        )
+        assert replayed.ok and replayed.n_events == rep_spill.n_events
         assert _sim_instant_stream(obs_spill) == _sim_instant_stream(obs_mem)
         if sync.name == "asp":
             # Unbounded staleness is ``s=None`` on every answer, spilled or not.

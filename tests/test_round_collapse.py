@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 from repro.core.conditions import QuorumPush, SSPPull
 from repro.core.models import SyncModel, bsp, dsps, pssp, ssp
 from repro.ml.models_zoo import alexnet_cifar_workload
-from repro.analysis import ProtocolSanitizer, iter_event_stream, sanitize_events, sanitize_run
+from repro.analysis import (
+    ProtocolSanitizer,
+    iter_events_from_instants,
+    sanitize_events,
+    sanitize_run,
+)
 from repro.obs import NULL_OBS, Instant, MetricsRegistry, Observability
 from repro.obs.export import InstantBlock
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
@@ -210,10 +215,13 @@ def _columnar_obs():
     return Observability(MetricsRegistry("collapse-test"), causal=False)
 
 
-def _prove_run(capture):
-    """The capture's protocol stream with its blocks proven in vector
-    passes (``sanitize_run`` replays them row by row)."""
-    return sanitize_events(iter_event_stream(capture.instants), complete=capture.complete)
+def _row_oracle(capture):
+    """The capture's protocol stream with every block row materialised
+    and replayed one by one (``sanitize_run`` proves blocks in vector
+    passes)."""
+    return sanitize_events(
+        iter_events_from_instants(capture.instants), complete=capture.complete
+    )
 
 
 class TestColumnarInstantsDifferential:
@@ -245,7 +253,7 @@ class TestColumnarInstantsDifferential:
         log = ra.obs.last_run.instants
         assert log.spilled_events > 0
         assert len(log) == len(rb.obs.last_run.instants) == sum(1 for _ in log)
-        for report in (_prove_run(ra.obs.last_run), sanitize_run(ra.obs.last_run)):
+        for report in (sanitize_run(ra.obs.last_run), _row_oracle(ra.obs.last_run)):
             assert report.ok, report.violations
             assert report.n_events == sanitize_run(rb.obs.last_run).n_events
 
@@ -266,13 +274,14 @@ class TestColumnarInstantsDifferential:
             ProtocolSanitizer, "feed", lambda self, ev, feed=ProtocolSanitizer.feed: (
                 fed.append(ev.name), feed(self, ev))
         )
-        report = _prove_run(ra.obs.last_run)
+        report = sanitize_run(ra.obs.last_run)
         assert report.ok, report.violations
-        # Every block of the collapsed rounds was proven, none replayed ...
+        # sanitize_run proves every block of the collapsed rounds and
+        # feeds none of their rows ...
         assert len(fed) == report.n_events - sum(len(b) for b in blocks)
-        # ... and sanitize_run replays every one of their rows.
+        # ... and the row oracle replays every one of them.
         del fed[:]
-        assert sanitize_run(ra.obs.last_run).n_events == report.n_events == len(fed)
+        assert _row_oracle(ra.obs.last_run).n_events == report.n_events == len(fed)
         assert report.n_events == sanitize_run(rb.obs.last_run).n_events
 
     def test_metrics_identical(self):
@@ -325,7 +334,7 @@ class TestColumnarInstantsDifferential:
         last_block = max(i for i, k in enumerate(kinds) if k is InstantBlock)
         assert Instant in kinds[last_block + 1 :]
         assert InstantBlock not in kinds[last_block + 1 :]
-        for report in (_prove_run(ra.obs.last_run), sanitize_run(ra.obs.last_run)):
+        for report in (sanitize_run(ra.obs.last_run), _row_oracle(ra.obs.last_run)):
             assert report.ok, report.violations
             assert report.n_events == sanitize_run(rb.obs.last_run).n_events
         assert ra.collapse_fallback == {

@@ -9,17 +9,20 @@ replay reports.  The suite mutates single cells (and rows) of real
 blocks from a collapsed run and compares the two verdicts.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import sanitize_events
+from repro.analysis import sanitize_events, sanitize_run
 from repro.analysis.events import EventBlock, iter_event_stream
 from repro.analysis.sanitizer import ProtocolSanitizer
 from repro.core.models import asp, ssp
 from repro.ml.models_zoo import alexnet_cifar_workload
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Instant, MetricsRegistry, Observability
 from repro.obs.export import (
     FRONTIER_ADVANCE,
     PULL_ANSWER,
@@ -30,6 +33,8 @@ from repro.obs.export import (
 from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import DeterministicCompute
+
+from tests.mutants import proof_ignores_staleness_bound
 
 pytestmark = pytest.mark.no_sanitize
 
@@ -82,6 +87,17 @@ def _flatten(stream):
             yield from item.events()
         else:
             yield item
+
+
+def _capture(stream):
+    """A capture-shaped object whose instant log holds ``stream``'s
+    segments (blocks columnar, rows as instants), for ``sanitize_run``."""
+    segments = [
+        item.block if isinstance(item, EventBlock)
+        else Instant(item.name, item.t, item.actor, item.args)
+        for item in stream
+    ]
+    return SimpleNamespace(instants=segments, complete=True)
 
 
 def _verdict(report):
@@ -155,7 +171,9 @@ class TestTargetedMutations:
     LAST = BLOCKS[-1]
 
     def _codes(self, mutate):
-        report = _assert_same_verdict(_with_block(mutate, self.LAST))
+        stream = _with_block(mutate, self.LAST)
+        report = _assert_same_verdict(stream)
+        assert _verdict(sanitize_run(_capture(stream))) == _verdict(report)
         return {v.code for v in report.violations}
 
     def test_skipped_progress_is_s001(self):
@@ -222,6 +240,42 @@ class TestTargetedMutations:
             return np.insert(rows, first, moved)
 
         assert "S003" in self._codes(mutate)
+
+
+def _bound_lowered_stream():
+    """STREAM with the staleness bound of one shard lowered from 1 to 0
+    in the first block where that shard answers with ``missing == 1``."""
+    at, row = next(
+        (i, row) for i in BLOCKS for row in _rows_where(i, PULL_ANSWER)
+        if STREAM[i].block.rows["missing"][row] == 1
+    )
+    block = STREAM[at].block
+    j = int(block.rows["shard"][row])
+    shards = list(block.shards)
+    assert shards[j].s == 1
+    shards[j] = dataclasses.replace(shards[j], s=0)
+    stream = list(STREAM)
+    stream[at] = EventBlock(STREAM[at].index, InstantBlock(block.rows, shards))
+    return stream
+
+
+def check_bound_lowered_is_s004():
+    """The answers now miss more than ``s`` allows: ``sanitize_run``
+    reports S004, and only S004, exactly as the row replay does."""
+    stream = _bound_lowered_stream()
+    replayed = sanitize_events(_flatten(stream))
+    assert {v.code for v in replayed.violations} == {"S004"}
+    assert _verdict(sanitize_run(_capture(stream))) == _verdict(replayed)
+
+
+class TestStalenessBoundProof:
+    def test_a_lowered_bound_is_s004(self):
+        check_bound_lowered_is_s004()
+
+    def test_proof_ignores_staleness_bound_dies_here(self, monkeypatch):
+        proof_ignores_staleness_bound(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_bound_lowered_is_s004()
 
 
 FIELDS = ("code", "shard", "worker", "progress", "v_train", "missing", "version")
