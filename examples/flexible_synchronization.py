@@ -12,12 +12,11 @@ Run:  python examples/flexible_synchronization.py
 """
 
 
-from repro.bench.workloads import blobs_task
+from repro.bench.workloads import blobs_task, no_network_config
 from repro.core import (
     ExecutionMode,
     ParameterServerSystem,
     SSPPull,
-    VirtualClockDriver,
     asp,
     bsp,
     drop_stragglers,
@@ -26,6 +25,7 @@ from repro.core import (
     pssp,
     ssp,
 )
+from repro.sim.runner import run_fluentps
 from repro.sim.stragglers import HeterogeneousCompute
 from repro.utils.tables import format_table
 
@@ -34,19 +34,12 @@ ITERS = 250
 
 
 def run(sync, task):
-    system = ParameterServerSystem(
-        task.spec, task.init_params, N_WORKERS, 2, sync, ExecutionMode.LAZY, seed=3
-    )
-    driver = VirtualClockDriver(
-        system,
-        task.step_fn,
-        max_iter=ITERS,
-        compute_model=HeterogeneousCompute(N_WORKERS, spread=0.3),
-        seed=4,
-        eval_fn=task.eval_fn,
+    """One job on 2 shards of the simulated cluster, without a network."""
+    return run_fluentps(no_network_config(
+        N_WORKERS, sync, ITERS, n_servers=2, task=task,
+        compute_model=HeterogeneousCompute(N_WORKERS, spread=0.3), seed=4,
         eval_every=ITERS,
-    )
-    return driver.run()
+    ))
 
 
 def main() -> None:

@@ -20,7 +20,6 @@ __version__ = "1.0.0"
 from repro.core import (
     ExecutionMode,
     ParameterServerSystem,
-    VirtualClockDriver,
     asp,
     bsp,
     drop_stragglers,
@@ -35,7 +34,6 @@ __all__ = [
     "__version__",
     "ExecutionMode",
     "ParameterServerSystem",
-    "VirtualClockDriver",
     "asp",
     "bsp",
     "drop_stragglers",

@@ -338,8 +338,7 @@ class ShardChecker:
         """S016: COW snapshot discipline.
 
         ``snap`` tags the parameter copy a reply carries (absent/None for
-        servers with ``snapshot_params=False`` or param-less shards —
-        nothing to check).  Same ``version`` must mean same copy (the whole
+        param-less, timing-only shards — nothing to check).  Same ``version`` must mean same copy (the whole
         point of COW: 128 same-version pulls share 1 copy), and the same
         copy must never span versions (a post-push answer reusing a stale
         snapshot would hand workers pre-push parameters labelled with the

@@ -67,9 +67,11 @@ class _TableServer:
     def min_clock(self) -> int:
         return min(self.clocks)
 
-    # What ``repro.obs.snapshot`` scrapes off a server, in table terms
-    # (blocked reads carry no enqueue time: their age gauge stays 0).
+    # What the runner and ``repro.obs.snapshot`` read off a server, in
+    # table terms (blocked reads carry no enqueue time: their age gauge
+    # stays 0).
     v_train = min_clock
+    worker_progress = property(lambda self: [c - 1 for c in self.clocks])
     buffered_pulls = property(lambda self: len(self.blocked))
     version = property(lambda self: self.metrics.pushes)
     callbacks: dict = {}
@@ -123,9 +125,9 @@ class SSPTableRunner(FluentPSSimRunner):
         self._read_clock = [0] * self.cfg.cluster.n_workers
         self.invalidations_sent = 0
 
-    def _make_servers(self, models, shard_vectors) -> List[_TableServer]:
-        n, raw = self.cfg.cluster.n_workers, self.table_cfg.raw_additive
-        return [_TableServer(j, n, vector, raw) for j, vector in enumerate(shard_vectors)]
+    def _shard_factory(self, shard_id, n_workers, params, **_) -> _TableServer:
+        """A table server where the system would build a shard server."""
+        return _TableServer(shard_id, n_workers, params, self.table_cfg.raw_additive)
 
     # -- server side ---------------------------------------------------------
 

@@ -8,7 +8,7 @@ assert the paper's qualitative shape.
 """
 
 from repro.bench.harness import PAPER, QUICK, Scale, resolve_scale
-from repro.bench.workloads import blobs_task, cifar_proxy_task, null_step, null_task_spec
+from repro.bench.workloads import blobs_task, cifar_proxy_task, no_network_config, null_task_spec
 
 __all__ = [
     "PAPER",
@@ -17,6 +17,6 @@ __all__ = [
     "resolve_scale",
     "blobs_task",
     "cifar_proxy_task",
-    "null_step",
+    "no_network_config",
     "null_task_spec",
 ]

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.bench.harness import ExperimentResult, Scale
 from repro.bench.pool import RunTask, SweepExecutor, derive_task_seed, run_sweep
-from repro.bench.workloads import null_step, null_task_spec, workload_for
-from repro.core.api import ParameterServerSystem
-from repro.core.driver import VirtualClockDriver
+from repro.bench.workloads import no_network_config, workload_for
 from repro.core.keyspace import ElasticSlicer
 from repro.core.models import asp, bsp, drop_stragglers, pssp, ssp
-from repro.core.server import ExecutionMode
+from repro.sim.runner import run_fluentps
 from repro.sim.stragglers import (
     DeterministicCompute,
     ExponentialTailCompute,
@@ -63,19 +59,13 @@ def _straggler_arm(scale: Scale, regime: str, seed: int) -> ExperimentResult:
     """One compute-time regime, all four synchronization models."""
     frag = ExperimentResult(f"ablation-stragglers/{regime}", headers=[])
     n = 16
-    spec = null_task_spec()
     compute = STRAGGLER_REGIMES[regime](n)
     models = [("bsp", bsp()), ("ssp(3)", ssp(3)), ("pssp(3,0.3)", pssp(3, 0.3)),
               ("asp", asp())]
     for model_name, sync in models:
-        system = ParameterServerSystem(
-            spec, np.zeros(spec.total_elements), n, 1, sync,
-            ExecutionMode.LAZY, seed=seed,
-        )
-        r = VirtualClockDriver(
-            system, null_step, max_iter=scale.dpr_iters // 2,
-            compute_model=compute, seed=seed + 1,
-        ).run()
+        r = run_fluentps(no_network_config(
+            n, sync, scale.dpr_iters // 2, compute_model=compute, seed=seed + 1,
+        ))
         frag.add_row(regime, model_name, round(r.duration, 1),
                      r.metrics.dprs, round(r.metrics.mean_staleness(), 2))
         frag.record(f"{regime}_{model_name}", duration=r.duration,
@@ -422,21 +412,16 @@ def _per_shard_arm(scale: Scale, deployment: str, seed: int) -> ExperimentResult
     """One Figure-2 deployment: uniform SSP or mixed per-shard models."""
     frag = ExperimentResult(f"ablation-shards/{deployment}", headers=[])
     n, m = 12, 3
-    spec = null_task_spec(elements=96)
     if deployment == "uniform ssp(3)":
         sync = ssp(3)
     elif deployment == "mixed ssp/pssp/drop":
         sync = [ssp(3), pssp(3, 0.3), drop_stragglers(n, n_t=9)]
     else:
         raise ValueError(f"unknown deployment {deployment!r}")
-    system = ParameterServerSystem(
-        spec, np.zeros(spec.total_elements), n, m, sync,
-        ExecutionMode.LAZY, seed=seed,
-    )
-    r = VirtualClockDriver(
-        system, null_step, max_iter=scale.dpr_iters // 2,
+    r = run_fluentps(no_network_config(
+        n, sync, scale.dpr_iters // 2, n_servers=m,
         compute_model=HeterogeneousCompute(n, spread=0.3), seed=seed + 1,
-    ).run()
+    ))
     frag.add_row(deployment, round(r.duration, 1), r.metrics.dprs,
                  round(r.metrics.mean_staleness(), 2))
     frag.record(deployment, duration=r.duration, dprs=r.metrics.dprs)

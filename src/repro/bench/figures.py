@@ -20,19 +20,17 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.baselines.pslite import run_pslite
 from repro.baselines.sspable import SSPTableConfig, run_ssptable
 from repro.bench.harness import ExperimentResult, Scale
 from repro.bench.pool import RunTask, SweepExecutor, derive_task_seed, run_sweep
-from repro.bench.workloads import blobs_task, null_step, null_task_spec, workload_for
+from repro.bench.workloads import blobs_task, no_network_config, null_task_spec, workload_for
 from repro.core.api import ParameterServerSystem
-from repro.core.driver import VirtualClockDriver
 from repro.core.keyspace import DefaultSlicer, ElasticSlicer
 from repro.core.models import SyncModel, asp, bsp, make_model, pssp, ssp
 from repro.core.pssp import equivalent_ssp_threshold
-from repro.core.server import ExecutionMode, PullReply, ShardServer
+from repro.core.server import ExecutionMode, PullReply
+from repro.obs import NULL_OBS
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import SimConfig, run_fluentps
 from repro.sim.stragglers import (
@@ -111,7 +109,9 @@ def fig3_tradeoff_trace() -> ExperimentResult:
         headers=["execution", "released_after_W2_pushes", "missing_iterations"],
     )
     for execution in (ExecutionMode.SOFT_BARRIER, ExecutionMode.LAZY):
-        server = ShardServer(0, n_workers=3, model=ssp(3), execution=execution)
+        server = ParameterServerSystem(
+            null_task_spec(), None, 3, 1, ssp(3), execution, obs=NULL_OBS
+        ).servers[0]
         replies: List[PullReply] = []
         # W0 and W1 race ahead: they push/pull iterations 0..2 freely, then
         # push iteration 3 and pull for iteration 4.
@@ -394,18 +394,12 @@ def _fig9_arm(scale: Scale, label: str, c: float, execution: str, n: int,
     frag = ExperimentResult(f"fig9/{label}/{execution}", headers=[])
     mode = ExecutionMode(execution)
     compute = cpu_cluster_compute(n)
-    spec = null_task_spec()
     s_prime = int(round(equivalent_ssp_threshold(3, c)))
 
     def run_model(sync: SyncModel):
-        system = ParameterServerSystem(
-            spec, np.zeros(spec.total_elements), n, 1, sync, mode, seed=seed
-        )
-        driver = VirtualClockDriver(
-            system, null_step, max_iter=scale.dpr_iters,
-            compute_model=compute, seed=seed + 1,
-        )
-        return driver.run()
+        return run_fluentps(no_network_config(
+            n, sync, scale.dpr_iters, execution=mode, compute_model=compute, seed=seed + 1,
+        ))
 
     r_pssp = run_model(pssp(3, c))
     r_ssp = run_model(ssp(s_prime))

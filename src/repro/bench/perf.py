@@ -48,9 +48,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.driver import StepContext
+from repro.core.api import ParameterServerSystem
 from repro.core.models import ssp
-from repro.core.server import ShardServer
+from repro.core.step import StepContext
 from repro.obs import NULL_OBS, MetricsRegistry, Observability, observed
 from repro.sim.cluster import cpu_cluster
 from repro.sim.engine import Engine
@@ -262,6 +262,7 @@ def bench_network(scale: PerfScale) -> BenchResult:
 def _protocol_stream(iters: int, n_workers: int = 8):
     """A captured SSP push/pull event stream for replay benchmarking."""
     from repro.analysis import events_from_instants
+    from repro.bench.workloads import null_task_spec
 
     obs = Observability(MetricsRegistry("perf"))
     with observed(obs):
@@ -271,9 +272,9 @@ def _protocol_stream(iters: int, n_workers: int = 8):
             clock["t"] += 1e-4
             return clock["t"]
 
-        server = ShardServer(
-            shard_id=0, n_workers=n_workers, model=ssp(2), obs=obs, clock=tick
-        )
+        system = ParameterServerSystem(null_task_spec(), None, n_workers, 1, ssp(2), obs=obs)
+        system.set_clock(tick)
+        server = system.servers[0]
         replies = []
         for i in range(iters):
             for w in range(n_workers):

@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.bench.harness import ExperimentResult, Scale
 from repro.bench.pool import RunTask, SweepExecutor, derive_task_seed, run_sweep
-from repro.bench.workloads import blobs_task, null_step, null_task_spec, workload_for
-from repro.core.api import ParameterServerSystem
-from repro.core.driver import VirtualClockDriver
+from repro.bench.workloads import blobs_task, no_network_config, workload_for
 from repro.core.models import (
     SUPPORTED_MODELS,
     SyncModel,
@@ -80,17 +76,10 @@ def _table3_arm(scale: Scale, name: str, kind: str, params: dict,
     """One Table III model through the shared straggler scenario."""
     frag = ExperimentResult(f"table3/{name}", headers=[])
     n = 8
-    spec = null_task_spec()
     sync = make_model(kind, n_workers=n, **params)
-    system = ParameterServerSystem(
-        spec, np.zeros(spec.total_elements), n, 1, sync,
-        ExecutionMode.LAZY, seed=seed,
-    )
-    driver = VirtualClockDriver(
-        system, null_step, max_iter=scale.dpr_iters,
-        compute_model=cpu_cluster_compute(n), seed=seed + 1,
-    )
-    r = driver.run()
+    r = run_fluentps(no_network_config(
+        n, sync, scale.dpr_iters, compute_model=cpu_cluster_compute(n), seed=seed + 1,
+    ))
     m = r.metrics
     frag.add_row(name, m.dprs, round(m.mean_staleness(), 3),
                  m.max_staleness(), round(r.duration, 1))

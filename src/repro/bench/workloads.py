@@ -9,11 +9,8 @@ way.  The factories here produce matched (task, workload) pairs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.core.driver import StepContext
 from repro.core.keyspace import ModelSpec, TensorSpec
 from repro.ml.data import gaussian_blobs, synthetic_cifar10, synthetic_cifar100
 from repro.ml.models_zoo import (
@@ -26,6 +23,8 @@ from repro.ml.models_zoo import (
 )
 from repro.ml.optim import SGD
 from repro.ml.training import TrainingTask
+from repro.sim.cluster import no_network_cluster
+from repro.sim.runner import SimConfig
 from repro.utils.rng import derive_rng
 
 
@@ -125,9 +124,21 @@ def null_task_spec(elements: int = 8) -> ModelSpec:
     return ModelSpec.from_tensors("null", [TensorSpec("w", (elements,))])
 
 
-def null_step(ctx: StepContext) -> np.ndarray:
-    """A no-op update — used when only DPR/timing dynamics matter."""
-    return np.zeros_like(ctx.params)
+def no_network_config(
+    n_workers: int, sync, max_iter: int, *, n_servers: int = 1,
+    task: Optional[TrainingTask] = None, **options,
+) -> SimConfig:
+    """Synchronization dynamics without a network: the
+    :func:`~repro.sim.cluster.no_network_cluster`, free server handling
+    and a one-second base compute, so durations, DPRs and staleness come
+    from the compute draws and the pull conditions alone.  Timing-only
+    (param-less shards over :func:`null_task_spec`) unless ``task`` is
+    given; ``options`` are further :class:`SimConfig` fields."""
+    return SimConfig(
+        cluster=no_network_cluster(n_workers, n_servers), max_iter=max_iter, sync=sync,
+        task=task, workload=None if task is not None else Workload("null", null_task_spec(), 1.0),
+        base_compute_time=1.0, server_op_overhead_s=0.0, dpr_overhead_s=0.0, **options,
+    )
 
 
 def workload_for(name: str) -> Workload:

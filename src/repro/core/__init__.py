@@ -8,8 +8,7 @@ The paper's primary contribution.  Public surface:
   factories (Table I / Table III);
 - :class:`~repro.core.server.ShardServer` — Algorithm 1 with lazy pull
   execution and the soft barrier;
-- :class:`~repro.core.driver.VirtualClockDriver` — network-free training
-  runs with straggler-driven staleness;
+- :class:`~repro.core.step.StepContext` — what one worker step reads;
 - :mod:`~repro.core.keyspace` — default (PS-Lite) slicing and EPS.
 """
 
@@ -28,7 +27,6 @@ from repro.core.conditions import (
     SSPPull,
     SyncView,
 )
-from repro.core.driver import DriverResult, StepContext, StepFn, VirtualClockDriver
 from repro.core.filters import (
     FilterResult,
     NoFilter,
@@ -78,6 +76,7 @@ from repro.core.server import (
     ShardServer,
     default_apply,
 )
+from repro.core.step import StepContext, StepFn
 
 __all__ = [
     "ParameterServerSystem",
@@ -94,10 +93,8 @@ __all__ = [
     "QuorumPush",
     "SSPPull",
     "SyncView",
-    "DriverResult",
     "StepContext",
     "StepFn",
-    "VirtualClockDriver",
     "FilterResult",
     "NoFilter",
     "PushFilter",

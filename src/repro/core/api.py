@@ -34,6 +34,7 @@ from repro.core.models import SyncModel, per_server
 from repro.core.scheduler import Scheduler
 from repro.core.server import ApplyInfo, ExecutionMode, PullReply, ShardServer, default_apply
 from repro.obs import Observability, current_observability
+from repro.utils.checks import check_number
 from repro.utils.rng import derive_rng
 
 
@@ -55,7 +56,7 @@ class ParameterServerSystem:
     def __init__(
         self,
         model: ModelSpec,
-        init_params: np.ndarray,
+        init_params: Optional[np.ndarray],
         n_workers: int,
         n_servers: int,
         sync_model: Union[SyncModel, Sequence[SyncModel]],
@@ -64,8 +65,14 @@ class ParameterServerSystem:
         apply_fn: Callable[[np.ndarray, np.ndarray, ApplyInfo], None] = default_apply,
         seed: int = 0,
         obs: Optional[Observability] = None,
+        shard_factory: Callable[..., ShardServer] = ShardServer,
     ):
-        if init_params.shape != (model.total_elements,):
+        """``init_params=None`` builds timing-only shards: no parameters,
+        no gradients, no snapshot copies.  ``shard_factory`` is called with
+        :class:`ShardServer`'s keyword arguments, once per shard."""
+        check_number("n_workers", n_workers, 1, integer=True)
+        check_number("n_servers", n_servers, 1, integer=True)
+        if init_params is not None and init_params.shape != (model.total_elements,):
             raise ValueError(
                 f"init_params must be flat with {model.total_elements} elements, "
                 f"got shape {init_params.shape}"
@@ -80,20 +87,27 @@ class ParameterServerSystem:
         self._clock: Callable[[], float] = lambda: 0.0
         self._sync_model = sync_model
         self._apply_fn = apply_fn
+        self._shard_factory = shard_factory
         self._seed = seed
         self.obs = obs or current_observability()
         self._epoch = 0  # bumped by resize; keeps server RNG streams fresh
         self._retired_metrics: List[SyncMetrics] = []
 
         self.servers: List[ShardServer] = []
-        self._build_servers(init_params.astype(np.float64))
+        self._build_servers(init_params)
         self._pending_pulls: Dict[int, _PendingPull] = {}
 
-    def _build_servers(self, flat_params: np.ndarray) -> None:
+    def _scatter(self, flat: Optional[np.ndarray]) -> Sequence[Optional[np.ndarray]]:
+        """``flat`` as per-shard float64 copies (``None``: param-less shards)."""
+        if flat is None:
+            return [None] * self.n_servers
+        return self.layout.scatter(np.asarray(flat, dtype=np.float64))
+
+    def _build_servers(self, flat_params: Optional[np.ndarray]) -> None:
         models = per_server(self._sync_model, self.n_servers)
-        shard_vectors = self.layout.scatter(flat_params)
+        shard_vectors = self._scatter(flat_params)
         self.servers = [
-            ShardServer(
+            self._shard_factory(
                 shard_id=m,
                 n_workers=self.n_workers,
                 model=models[m],
@@ -101,16 +115,28 @@ class ParameterServerSystem:
                 params=shard_vectors[m],
                 apply_fn=self._apply_fn,
                 clock=self._read_clock,
-                rng=derive_rng(self._seed, "server", self._epoch, m),
+                rng=self._server_rng(m),
                 obs=self.obs,
             )
             for m in range(self.n_servers)
         ]
 
+    def _server_rng(self, m: int) -> np.random.Generator:
+        """Shard ``m``'s stream (PSSP coins).  A resized stage names its
+        epoch after the shard: SeedSequence zero-pads short keys, so
+        ``("server", epoch, m)`` would replay an epoch-0 shard's stream."""
+        if self._epoch == 0:
+            return derive_rng(self._seed, "server", m)
+        return derive_rng(self._seed, "server", m, "epoch", self._epoch)
+
     # -- clock wiring (runners drive simulated/real time) -------------------
 
     def set_clock(self, clock: Callable[[], float]) -> None:
+        """Drive every shard's clock from ``clock``, including shards a
+        simulated run had put on its per-shard lane clocks."""
         self._clock = clock
+        for server in self.servers:
+            server.clock = self._read_clock
 
     def _read_clock(self) -> float:
         return self._clock()
@@ -235,16 +261,17 @@ class ParameterServerSystem:
             )
         if self.total_buffered() or self._pending_pulls:
             raise RuntimeError("restore requires quiescence")
-        params = np.asarray(state["params"])
-        shard_vectors = self.layout.scatter(params.astype(np.float64))
+        shard_vectors = self._scatter(state["params"])
         for server, shard_state, vec in zip(self.servers, state["shards"], shard_vectors):
             server.handle_restore(shard_state, params=vec)
 
     # -- introspection ---------------------------------------------------------
 
-    def current_params(self) -> np.ndarray:
-        """Gather the servers' live shard vectors into one flat vector."""
-        return self.layout.gather([s.params for s in self.servers])
+    def current_params(self) -> Optional[np.ndarray]:
+        """Gather the servers' live shard vectors into one flat vector
+        (``None``: timing-only shards)."""
+        shards = [s.params for s in self.servers]
+        return None if shards[0] is None else self.layout.gather(shards)
 
     def merged_metrics(self) -> SyncMetrics:
         """All synchronization metrics, including pre-resize stages."""

@@ -150,7 +150,6 @@ class ShardServer:
         apply_fn: Callable[[np.ndarray, np.ndarray, ApplyInfo], None] = default_apply,
         clock: Optional[Callable[[], float]] = None,
         rng: Optional[np.random.Generator] = None,
-        snapshot_params: bool = True,
         metrics: Optional[SyncMetrics] = None,
         obs: Optional[Observability] = None,
     ):
@@ -165,7 +164,6 @@ class ShardServer:
         self.apply_fn = apply_fn
         self.clock = clock or (lambda: 0.0)
         self.rng = rng or np.random.default_rng(0)
-        self.snapshot_params = snapshot_params
         self.metrics = metrics or SyncMetrics()
         # Observability: bound (label-resolved) handles, and every
         # emission — including bound-handle updates — gated on one cached
@@ -593,10 +591,10 @@ class ShardServer:
                 missing, released, coin, pull_condition_kind(self.pull_con),
                 _staleness_arg(s_at_eval), waited, self.version,
                 # ``snap``: storage tag of the shared COW copy this reply
-                # carries (None when there is nothing to share) — lets the
+                # carries (None for a timing-only shard) — lets the
                 # sanitizer assert same-version replies share storage and
                 # post-push replies do not (S016).
-                self._snap_id if params is not None and self.snapshot_params else None,
+                None if params is None else self._snap_id,
             )
         req.respond(reply)
 
@@ -608,13 +606,9 @@ class ShardServer:
         storage (128 workers pulling one version cost 1 copy, not 128).
         Pushes keep mutating ``self.params`` freely — the reply copy is
         detached — and ``handle_push``/``handle_restore`` drop the cache.
-        With ``snapshot_params=False`` the live array is returned as
-        before (trusted callers, zero copies).
         """
         if self.params is None:
             return None
-        if not self.snapshot_params:
-            return self.params
         snap = self._snap_cache
         if snap is None or self._snap_version != self.version:
             snap = self.params.copy()

@@ -12,8 +12,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.driver import StepContext
 from repro.core.keyspace import ModelSpec
+from repro.core.step import StepContext
 from repro.ml.data import Dataset
 from repro.ml.loss import accuracy, softmax_cross_entropy
 from repro.ml.network import Network

@@ -33,9 +33,10 @@ if TYPE_CHECKING:  # instrumentation is duck-typed; no runtime import
     from repro.analysis.races import RaceTracker
 
 from repro.core.api import ParameterServerSystem, PullResult
-from repro.core.driver import StepContext, check_number
 from repro.core.metrics import SyncMetrics
+from repro.core.step import StepContext
 from repro.obs import Observability, current_observability, exponential_buckets
+from repro.utils.checks import check_number
 from repro.utils.rng import derive_rng
 
 #: Wall-clock histogram buckets: 10us .. ~40s.

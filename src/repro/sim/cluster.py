@@ -9,11 +9,13 @@ the quantity that determines where communication starts to dominate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
 from repro.sim.engine import Engine
 from repro.sim.network import Network, NicSpec
+from repro.utils.checks import check_number
 
 GBPS = 1e9 / 8.0  # bytes/second per Gbit/s
 
@@ -46,6 +48,7 @@ class ClusterSpec:
             raise ValueError("cluster needs at least one worker")
         if not self.servers:
             raise ValueError("cluster needs at least one server")
+        check_number("latency_s", self.latency_s)
 
     @property
     def n_workers(self) -> int:
@@ -122,4 +125,19 @@ def cpu_cluster(
         workers=_mk_nodes("worker", n_workers, cpu_flops, nic, "cpu"),
         servers=_mk_nodes("server", n_servers, cpu_flops, nic, "cpu"),
         latency_s=latency_s,
+    )
+
+
+def no_network_cluster(n_workers: int, n_servers: int = 1) -> ClusterSpec:
+    """Synchronization dynamics without a network: zero latency, infinite
+    bandwidth and no per-message overhead, so every message lands the
+    instant it is sent.  With ``SimConfig(server_op_overhead_s=0,
+    dpr_overhead_s=0)`` a run's clock is its compute draws and pull
+    conditions alone (:func:`repro.bench.workloads.no_network_config`)."""
+    nic = NicSpec(bandwidth_Bps=math.inf, overhead_s=0.0)
+    return ClusterSpec(
+        name=f"no-network-{n_workers}w{n_servers}s",
+        workers=_mk_nodes("worker", n_workers, 1.0, nic, "cpu"),
+        servers=_mk_nodes("server", n_servers, 1.0, nic, "cpu"),
+        latency_s=0.0,
     )

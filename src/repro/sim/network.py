@@ -28,22 +28,23 @@ from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import Engine, Signal, SimulationError, Waitable
+from repro.utils.checks import check_number
 
 _SIGNAL_NEW = Signal.__new__
 
 
 @dataclass(frozen=True)
 class NicSpec:
-    """Per-node network interface: full-duplex bandwidth + fixed overhead."""
+    """Per-node network interface: full-duplex bandwidth + fixed overhead.
+    ``bandwidth_Bps=inf`` serializes in zero time (the no-network preset)."""
 
     bandwidth_Bps: float
     overhead_s: float = 20e-6  # per-message software/serialization overhead
 
     def __post_init__(self) -> None:
-        if self.bandwidth_Bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_Bps}")
-        if self.overhead_s < 0:
-            raise ValueError(f"overhead must be >= 0, got {self.overhead_s}")
+        if not self.bandwidth_Bps > 0:  # NaN too
+            raise ValueError(f"bandwidth_Bps must be > 0, got {self.bandwidth_Bps!r}")
+        check_number("overhead_s", self.overhead_s)
 
     def serialize_time(self, size_bytes: int) -> float:
         return self.overhead_s + size_bytes / self.bandwidth_Bps
@@ -199,8 +200,7 @@ class Network:
     )
 
     def __init__(self, engine: Engine, latency_s: float = 50e-6):
-        if latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {latency_s}")
+        check_number("latency_s", latency_s)
         self.engine = engine
         self.latency_s = latency_s
         self.endpoints: Dict[str, Endpoint] = {}

@@ -26,14 +26,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.api import ParameterServerSystem
 from repro.core.conditions import DSPSPull, PSSPPull, SSPPull
-from repro.core.driver import StepContext, check_number
 from repro.core.filters import NoFilter, PushFilter
-from repro.core.keyspace import ElasticSlicer, ModelSpec, Slicer
-from repro.core.layout import ShardLayout
+from repro.core.keyspace import ModelSpec, Slicer
 from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel, per_server
 from repro.core.server import ExecutionMode, PullReply, ShardServer
+from repro.core.step import StepContext
 from repro.ml.models_zoo import Workload
 from repro.ml.training import TrainingTask
 from repro.obs import Observability, current_observability
@@ -50,6 +50,7 @@ from repro.sim.engine import Engine, Signal
 from repro.sim.network import Endpoint, Gather, Message, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import CohortSpans, SpanKind, TraceRecorder
+from repro.utils.checks import check_number
 from repro.utils.records import SeriesRecord
 from repro.utils.rng import derive_rng
 
@@ -476,7 +477,16 @@ def _round_rows(r, is_pull, advances, shard, worker, v_train, version, serve) ->
 class FluentPSSimRunner:
     """Run one FluentPS training job on the simulated cluster."""
 
-    def __init__(self, config: SimConfig):
+    #: Builds each shard of the run's :class:`ParameterServerSystem` (a
+    #: baseline with its own server overrides).
+    _shard_factory = ShardServer
+
+    def __init__(self, config: SimConfig, system: Optional[ParameterServerSystem] = None):
+        """``system``: continue training on an existing system (e.g. after
+        its ``restore`` or ``resize``) instead of a fresh one built from
+        ``config``, whose sync, execution and slicer then go unused.  Each
+        worker resumes at its shards' ``worker_progress + 1`` and runs
+        ``max_iter`` more iterations."""
         self.cfg = config
         self.engine = Engine()
         self.net: Network = config.cluster.make_network(self.engine)
@@ -486,17 +496,35 @@ class FluentPSSimRunner:
         keep = self.obs.enabled if config.span_capture is None else config.span_capture
         self.trace = TraceRecorder(keep_spans=keep)
         self.spec = config.spec
-        slicer = config.slicer or ElasticSlicer()
-        self.layout = ShardLayout(self.spec, slicer.slice(self.spec, config.cluster.n_servers))
         self.wire_scale = config.resolved_wire_scale()
         self.compute_model = config.compute_model or LogNormalCompute(0.2)
 
         n, m = config.cluster.n_workers, config.cluster.n_servers
-        models = per_server(config.sync, m)
-        shard_vectors: Sequence[Optional[np.ndarray]] = [None] * m
-        if config.task is not None:
-            shard_vectors = self.layout.scatter(config.task.init_params.astype(np.float64))
-        self.servers = self._make_servers(models, shard_vectors)
+        if system is None:
+            system = ParameterServerSystem(
+                self.spec, None if config.task is None else config.task.init_params, n, m,
+                config.sync, config.execution, config.slicer, seed=config.seed, obs=self.obs,
+                shard_factory=self._shard_factory,
+            )
+        elif (system.n_workers, system.n_servers) != (n, m):
+            raise ValueError(
+                f"system has {system.n_workers} workers x {system.n_servers} servers, "
+                f"cluster has {n} x {m}"
+            )
+        self.system = system
+        self.layout = system.layout
+        self.servers = system.servers
+        #: Each worker's first iteration: one past its shards' record, so 0
+        #: on a fresh system.
+        self._first = [p + 1 for p in self.servers[0].worker_progress]
+        self._start_params = system.current_params()  # every worker's first step reads a copy
+        for j, server in enumerate(self.servers):
+            # Per-shard drain-lane clock: equals ``engine.now`` inside real
+            # handle events, and the cascaded virtual handle time when the
+            # lane serves a request that landed in the busy window — so
+            # waited times and protocol instants are the ones a server
+            # process would produce.
+            server.clock = lambda j=j: self._srv_now[j]
         self._capture = None
         self.causal = None
         self._pull_sketches = None
@@ -524,7 +552,7 @@ class FluentPSSimRunner:
             self.obs.instants.record(
                 "run_config", 0.0, actor="runner",
                 runner="sim", n_workers=n, n_servers=m,
-                models=[mod.name for mod in models],
+                models=[mod.name for mod in per_server(config.sync, m)],
                 execution=config.execution.value,
             )
         #: Each worker's latest sPull round (a worker has one at a time).
@@ -568,28 +596,6 @@ class FluentPSSimRunner:
         #: ...}`` from :meth:`_collapse_eligible`, or ``{"reason":
         #: "overlap", "round": k}`` when round ``k`` de-vectorized mid-run.
         self.collapse_fallback: Dict[str, object] = {}
-
-    def _make_servers(self, models: List[SyncModel], shard_vectors) -> List[ShardServer]:
-        """One server per shard (a baseline with its own server overrides)."""
-        cfg = self.cfg
-        return [
-            ShardServer(
-                shard_id=j,
-                n_workers=cfg.cluster.n_workers,
-                model=model,
-                execution=cfg.execution,
-                params=shard_vectors[j],
-                # Per-shard drain-lane clock: equals ``engine.now`` inside
-                # real handle events, and the cascaded virtual handle time
-                # when the lane serves a request that landed in the busy
-                # window — so waited times and protocol instants are the
-                # ones a server process would produce.
-                clock=lambda j=j: self._srv_now[j],
-                rng=derive_rng(cfg.seed, "server", j),
-                obs=self.obs,
-            )
-            for j, model in enumerate(models)
-        ]
 
     # -- sizing ---------------------------------------------------------------
 
@@ -713,7 +719,7 @@ class FluentPSSimRunner:
         return _Worker(
             w, f"worker{w}", self._wkr_eps[w],
             cfg.resolved_base_compute(cfg.cluster.workers[w].flops),
-            cfg.task.init_params.copy() if cfg.task is not None else None,
+            None if self._start_params is None else self._start_params.copy(),
             shards=self._no_shards,
         )
 
@@ -806,15 +812,15 @@ class FluentPSSimRunner:
             row.params = pulled.flat
         if row.w == 0 and cfg.task is not None and cfg.eval_every > 0:
             done = row.i + 1
-            if done % cfg.eval_every == 0 or done == cfg.max_iter:
-                value = cfg.task.eval_fn(self._global_params())
+            if done % cfg.eval_every == 0 or done == self._first[0] + cfg.max_iter:
+                value = cfg.task.eval_fn(self.system.current_params())
                 self.eval_by_time.append(self.engine.now, value)
                 self.eval_by_iteration.append(done, value)
 
     def _worker_proc(
         self,
         w: int,
-        start_iter: int = 0,
+        start_iter: Optional[int] = None,
         presampled: Optional[Dict[int, float]] = None,
     ):
         """One stock worker's event-path life: one generator frame, two
@@ -826,7 +832,8 @@ class FluentPSSimRunner:
         downstream timestamp match the pure event path bit for bit."""
         engine = self.engine
         row = self._worker_row(w)
-        for i in range(start_iter, self.cfg.max_iter):
+        first = self._first[w]
+        for i in range(first if start_iter is None else start_iter, first + self.cfg.max_iter):
             row.i = i
             pre = None if presampled is None else presampled.get(i)
             t0 = engine.now
@@ -840,9 +847,6 @@ class FluentPSSimRunner:
             self._book_sync(row, t_sync, pending)
             self._end_iteration(row, pending)
         self._finish_times[w] = engine.now
-
-    def _global_params(self) -> np.ndarray:
-        return self.layout.gather([s.params for s in self.servers])
 
     # -- closed-form round fast-forward ------------------------------------------------
 
@@ -1200,7 +1204,7 @@ class FluentPSSimRunner:
         worker_names = [f"worker{w}" for w in range(self.cfg.cluster.n_workers)]
         total_compute = self.trace.compute_time(worker_names)
         total_wall = sum(self._finish_times)
-        metrics = SyncMetrics.merge_all(s.metrics for s in self.servers)
+        metrics = self.system.merged_metrics()
         if self.obs.enabled:
             metrics.publish(self.obs.registry)
         return SimRunResult(
@@ -1213,13 +1217,13 @@ class FluentPSSimRunner:
             total_comm_time=max(0.0, total_wall - total_compute),
             bytes_on_wire=self.net.total_bytes,
             messages_on_wire=self.net.total_messages,
-            final_params=self._global_params() if self.cfg.task is not None else None,
+            final_params=self.system.current_params(),
             eval_by_time=self.eval_by_time,
             eval_by_iteration=self.eval_by_iteration,
             worker_finish_times=list(self._finish_times),
         )
 
 
-def run_fluentps(config: SimConfig) -> SimRunResult:
-    """One-call convenience wrapper."""
-    return FluentPSSimRunner(config).run()
+def run_fluentps(config: SimConfig, system: Optional[ParameterServerSystem] = None) -> SimRunResult:
+    """One-call convenience wrapper (``system``: continue on it)."""
+    return FluentPSSimRunner(config, system).run()

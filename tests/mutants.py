@@ -6,8 +6,9 @@ plants one protocol-level bug in :mod:`repro.sim.runner` (one in
 :mod:`repro.sim.trace`, where the collapse's span totals are recorded,
 one in :mod:`repro.sim.network`'s delivery fusing, one in
 :class:`repro.core.server.ShardServer`'s push apply, one in the protocol
-sanitizer's vector proof) for the length of a test — test code only,
-nothing under ``src/`` imports this module.
+sanitizer's vector proof, one where the runner takes over a system to
+continue) for the length of a test — test code only, nothing under
+``src/`` imports this module.
 All but two rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
@@ -129,6 +130,19 @@ def significance_before_apply(monkeypatch) -> None:
         handle_push(self, worker, progress, grad, significance)
 
     monkeypatch.setattr(ShardServer, "handle_push", mutant)
+
+
+def resume_ignores_restored_progress(monkeypatch) -> None:
+    """A runner handed a restored system starts its workers at iteration
+    0, not one past the progress the checkpoint recorded.  Killer:
+    ``test_checkpoint.py::TestCheckpoint::test_continued_training_resumes_at_restored_progress``."""
+    _rewrite(
+        monkeypatch,
+        runner.FluentPSSimRunner,
+        "__init__",
+        "self._first = [p + 1 for p in self.servers[0].worker_progress]",
+        "self._first = [0] * n",
+    )
 
 
 #: The mutants of one round's schedule, for the kill matrix.

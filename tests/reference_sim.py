@@ -28,12 +28,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.driver import StepContext
 from repro.core.filters import NoFilter
 from repro.core.keyspace import ElasticSlicer
 from repro.core.layout import ShardLayout
 from repro.core.models import SyncModel
 from repro.core.server import PullReply, ShardServer
+from repro.core.step import StepContext
 from repro.obs import current_observability
 from repro.sim.engine import Engine, Resource, Signal, Store
 from repro.sim.runner import SimConfig

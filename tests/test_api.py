@@ -38,6 +38,29 @@ class TestConstruction:
     def test_describe(self, tiny_spec):
         assert "2 workers x 2 servers" in make_system(tiny_spec).describe()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_workers", True),  # built a 1-worker system
+            ("n_workers", 2.5),  # failed with a list-multiplication TypeError
+            ("n_workers", 0),
+            ("n_servers", True),
+            ("n_servers", 1.5),
+            ("n_servers", 0),
+        ],
+    )
+    def test_invalid_counts_fail_at_construction(self, tiny_spec, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_system(tiny_spec, **{field: value})
+
+    def test_timing_only_system_has_no_parameters(self, tiny_spec):
+        system = ParameterServerSystem(tiny_spec, None, 2, 2, ssp(2))
+        assert system.current_params() is None
+        replies = []
+        system.s_push(0, 0, np.zeros(tiny_spec.total_elements))
+        system.s_pull(0, 0, replies.append)
+        assert all(s.params is None and s.snapshot_copies == 0 for s in system.servers)
+
     def test_removed_snapshot_params_option_raises(self, tiny_spec):
         """Replies always carry the shard's copy-on-write snapshot."""
         with pytest.raises(TypeError, match="snapshot_params"):
@@ -154,3 +177,14 @@ class TestClock:
         system.s_push(1, 1, z)
         waited = system.merged_metrics().dpr_wait_total
         assert waited == pytest.approx(3.0 * system.n_servers)
+
+    def test_set_clock_reclaims_shards_from_a_simulated_run(self, tiny_spec):
+        """A simulated run puts each shard on its own lane clock; a later
+        substrate's ``set_clock`` drives every shard again."""
+        from repro.bench.workloads import no_network_config
+        from repro.sim.runner import run_fluentps
+
+        system = ParameterServerSystem(tiny_spec, None, 2, 2, ssp(1))
+        run_fluentps(no_network_config(2, ssp(1), 3, n_servers=2), system)
+        system.set_clock(lambda: 42.0)
+        assert [s.clock() for s in system.servers] == [42.0, 42.0]

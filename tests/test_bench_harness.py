@@ -9,12 +9,13 @@ from repro.bench.harness import PAPER, QUICK, ExperimentResult, Scale, resolve_s
 from repro.bench.workloads import (
     blobs_task,
     cifar_proxy_task,
-    null_step,
+    no_network_config,
     null_task_spec,
     resnet_proxy_task,
     workload_for,
 )
-from repro.core.driver import StepContext
+from repro.core.models import ssp
+from repro.core.step import StepContext
 from repro.utils.rng import derive_rng
 
 
@@ -85,8 +86,8 @@ class TestWorkloads:
     def test_null_workload(self):
         spec = null_task_spec(16)
         assert spec.total_elements == 16
-        out = null_step(StepContext(0, 0, np.zeros(16), derive_rng(0, "n")))
-        assert not out.any()
+        cfg = no_network_config(4, ssp(2), 3)  # timing-only: no step, no parameters
+        assert cfg.task is None and cfg.spec.total_elements == null_task_spec().total_elements
 
     def test_workload_for(self):
         assert workload_for("alexnet").spec.name == "alexnet-cifar"

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim.cluster import GBPS, ClusterSpec, NodeSpec, cpu_cluster, gpu_cluster_p2
+from repro.sim.cluster import (
+    GBPS,
+    ClusterSpec,
+    NodeSpec,
+    cpu_cluster,
+    gpu_cluster_p2,
+    no_network_cluster,
+)
 from repro.sim.engine import Engine
 from repro.sim.network import NicSpec
 
@@ -21,6 +28,14 @@ class TestClusterSpec:
             ClusterSpec("c", workers=[], servers=[node])
         with pytest.raises(ValueError):
             ClusterSpec("c", workers=[node], servers=[])
+
+    @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+    def test_bad_latency_fails_at_construction(self, latency):
+        """``make_network`` used to accept NaN / inf: NaN or inf arrival
+        times in the engine."""
+        node = NodeSpec("n", 1.0, NicSpec(bandwidth_Bps=1.0))
+        with pytest.raises(ValueError, match="latency_s"):
+            ClusterSpec("c", workers=[node], servers=[node], latency_s=latency)
 
     def test_make_network_registers_all_nodes(self):
         spec = cpu_cluster(3, n_servers=2)
@@ -48,6 +63,11 @@ class TestPresets:
         spec = gpu_cluster_p2(4, 2)
         names = [n.name for n in spec.workers + spec.servers]
         assert len(set(names)) == len(names)
+
+    def test_no_network_preset_costs_nothing(self):
+        spec = no_network_cluster(3, n_servers=2)
+        assert (spec.n_workers, spec.n_servers, spec.latency_s) == (3, 2, 0.0)
+        assert all(n.nic.serialize_time(10**9) == 0.0 for n in spec.workers + spec.servers)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ those changes touch hardest and compares the produced JSON byte-for-byte
 against ``results/``: fig6 (the incast computation/communication split)
 and fig7 (full SSP co-simulated training runs), the baselines' byte
 oracles — fig1 (SSPtable), fig5 (PS-Lite), ``ablation-specsync``,
-``ablation-network`` — and fig8, whose soft-barrier accuracy drifted at
-PR 9 and stayed stale until PR 24 with nothing watching (ROADMAP item 8).  ``--no-cache``
+``ablation-network`` — fig8, whose soft-barrier accuracy drifted and
+stayed stale for fifteen commits with nothing watching (ROADMAP item 8),
+and table3, the cheapest document of synchronization dynamics without a
+network (7 arms of 8 workers on the no-network preset).  ``--no-cache``
 forces real simulation, so the content-addressed run cache cannot mask a
 regression by replaying stale fragments.  CI regenerates *every* document
 but the scale grid, sanitized, and diffs the directory (ci.yml, "Golden
@@ -35,12 +37,13 @@ GOLDEN = {
     "fig8": "figure_8-_lazy_execution_vs_soft_barrier_-ssp_s-2-_32_workers.json",
     "ablation-specsync": "ablation-_pssp_vs_specsync_-pause_vs_abort.json",
     "ablation-network": "ablation-_network-regime_sensitivity_of_the_overlap-eps_win.json",
+    "table3": "table_iii-_model_semantics_under_one_straggler_scenario.json",
 }
 
 
 @pytest.mark.no_sanitize  # the sanitized sweep is CI's "Golden sweep" step
 def test_fig6_fig7_results_byte_identical(tmp_path):
-    """(The id predates the five documents added beside fig6/fig7.)"""
+    """(The id predates the six documents added beside fig6/fig7.)"""
     for name in GOLDEN.values():
         assert (RESULTS / name).exists(), f"committed golden file missing: {name}"
     rc = bench_main(["--only", *GOLDEN, "--no-cache", "--save-dir", str(tmp_path)])

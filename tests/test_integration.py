@@ -9,14 +9,8 @@ import pytest
 
 from repro.baselines.pslite import run_pslite
 from repro.baselines.sspable import SSPTableConfig, run_ssptable
-from repro.bench.workloads import blobs_task
-from repro.core import (
-    ExecutionMode,
-    ParameterServerSystem,
-    VirtualClockDriver,
-    pssp,
-    ssp,
-)
+from repro.bench.workloads import blobs_task, no_network_config
+from repro.core import ExecutionMode, ParameterServerSystem, pssp, ssp
 from repro.parallel import ThreadedRunner
 from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import SimConfig, run_fluentps
@@ -26,25 +20,21 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestThreeRunnersAgree:
-    """The virtual-clock driver, the co-simulation and the thread runner
-    drive the SAME server code; their synchronization accounting must be
-    structurally consistent on the same workload."""
+    """The co-simulation without and with a network, and the thread
+    runner, drive the SAME server code; their synchronization accounting
+    must be structurally consistent on the same workload."""
 
     def _task(self, n):
         return blobs_task(n, n_train=400, n_test=100, seed=11)
 
     def test_push_pull_counts_match_protocol(self):
         n, servers, iters = 4, 2, 50
-        task = self._task(n)
-        system = ParameterServerSystem(
-            task.spec, task.init_params, n, servers, ssp(2), ExecutionMode.LAZY, seed=0
-        )
-        r_driver = VirtualClockDriver(
-            system, task.step_fn, max_iter=iters,
+        r_free = run_fluentps(no_network_config(
+            n, ssp(2), iters, n_servers=servers, task=self._task(n),
             compute_model=HeterogeneousCompute(n, spread=0.3), seed=1,
-        ).run()
-        assert r_driver.metrics.pushes == n * servers * iters
-        assert r_driver.metrics.immediate_pulls + r_driver.metrics.dprs == r_driver.metrics.pulls
+        ))
+        assert r_free.metrics.pushes == n * servers * iters
+        assert r_free.metrics.immediate_pulls + r_free.metrics.dprs == r_free.metrics.pulls
 
         task2 = self._task(n)
         r_sim = run_fluentps(SimConfig(
@@ -64,14 +54,12 @@ class TestThreeRunnersAgree:
     def test_all_runners_learn(self):
         n = 4
         accs = []
-        for runner in ("driver", "sim", "threads"):
+        for runner in ("no-network", "sim", "threads"):
             task = self._task(n)
-            if runner == "driver":
-                system = ParameterServerSystem(
-                    task.spec, task.init_params, n, 2, pssp(2, 0.5),
-                    ExecutionMode.LAZY, seed=0,
-                )
-                r = VirtualClockDriver(system, task.step_fn, max_iter=150, seed=1).run()
+            if runner == "no-network":
+                r = run_fluentps(no_network_config(
+                    n, pssp(2, 0.5), 150, n_servers=2, task=task, seed=1,
+                ))
                 final = r.final_params
             elif runner == "sim":
                 r = run_fluentps(SimConfig(

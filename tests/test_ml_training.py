@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.driver import StepContext
+from repro.core.step import StepContext
 from repro.ml.data import gaussian_blobs
 from repro.ml.models_zoo import proxy_classifier
 from repro.ml.optim import SGD

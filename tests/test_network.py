@@ -29,6 +29,24 @@ class TestNicSpec:
         with pytest.raises(ValueError):
             NicSpec(bandwidth_Bps=1.0, overhead_s=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # serialize_time(100) was nan: NaN timestamps in the engine.
+            ("bandwidth_Bps", float("nan")),
+            ("overhead_s", float("nan")),
+            ("overhead_s", float("inf")),
+        ],
+    )
+    def test_non_finite_numbers_fail_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NicSpec(**{"bandwidth_Bps": 1.0, field: value})
+
+    @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+    def test_bad_latency_fails_at_construction(self, latency):
+        with pytest.raises(ValueError, match="latency_s"):
+            Network(Engine(), latency_s=latency)
+
 
 class TestTransfer:
     def test_uncontended_transfer_time(self):

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bench.workloads import blobs_task
-from repro.core import (
-    ExecutionMode,
-    ParameterServerSystem,
-    VirtualClockDriver,
-    asp,
-    ssp,
-)
+from repro.bench.workloads import blobs_task, no_network_config
+from repro.core import ExecutionMode, ParameterServerSystem, asp, ssp
 from repro.core.keyspace import ElasticSlicer
+from repro.sim.runner import run_fluentps
 
 
 def make_system(task, n_servers=4, sync=None):
@@ -19,6 +14,12 @@ def make_system(task, n_servers=4, sync=None):
         task.spec, task.init_params, 4, n_servers, sync or ssp(2),
         ExecutionMode.LAZY, slicer=ElasticSlicer(chunk_elements=64), seed=0,
     )
+
+
+def train(system, task, iters, seed):
+    """Continue training on ``system`` (no network) for ``iters`` iterations."""
+    cfg = no_network_config(4, ssp(2), iters, n_servers=system.n_servers, task=task, seed=seed)
+    return run_fluentps(cfg, system)
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ def task():
 class TestResize:
     def test_parameters_preserved(self, task):
         system = make_system(task)
-        VirtualClockDriver(system, task.step_fn, max_iter=30, seed=1).run()
+        train(system, task, 30, seed=1)
         before = system.current_params()
         system.resize(2)
         np.testing.assert_allclose(system.current_params(), before)
@@ -38,10 +39,10 @@ class TestResize:
 
     def test_training_continues_after_resize(self, task):
         system = make_system(task)
-        VirtualClockDriver(system, task.step_fn, max_iter=50, seed=1).run()
+        train(system, task, 50, seed=1)
         acc_mid = task.eval_fn(system.current_params())
         system.resize(2)
-        VirtualClockDriver(system, task.step_fn, max_iter=80, seed=2).run()
+        train(system, task, 80, seed=2)
         acc_end = task.eval_fn(system.current_params())
         assert acc_end > 0.4
         assert np.isfinite(system.current_params()).all()
@@ -57,10 +58,10 @@ class TestResize:
 
     def test_metrics_carried_across_stages(self, task):
         system = make_system(task)
-        VirtualClockDriver(system, task.step_fn, max_iter=20, seed=1).run()
+        train(system, task, 20, seed=1)
         pushes_stage1 = system.merged_metrics().pushes
         system.resize(2)
-        VirtualClockDriver(system, task.step_fn, max_iter=20, seed=2).run()
+        train(system, task, 20, seed=2)
         total = system.merged_metrics().pushes
         assert total == pushes_stage1 + 20 * 4 * 2
 
@@ -84,6 +85,18 @@ class TestResize:
     def test_invalid_count(self, task):
         with pytest.raises(ValueError):
             make_system(task).resize(0)
+
+    def test_resized_stages_draw_fresh_coin_streams(self, task):
+        """A resized stage's shard streams differ from every earlier
+        stage's, though ``SeedSequence`` zero-pads short keys: the bare
+        ``("server", epoch, m)`` key would replay an epoch-0 stream."""
+        system = make_system(task, n_servers=3)
+        seen = [s.rng.random(4).tolist() for s in system.servers]
+        for n_servers in (3, 2, 3):
+            system.resize(n_servers)
+            fresh = [s.rng.random(4).tolist() for s in system.servers]
+            assert not any(draw in seen for draw in fresh)
+            seen += fresh
 
     def test_moved_bytes_reported(self, task):
         system = make_system(task)

@@ -189,12 +189,11 @@ class TestPullSemantics:
         srv.handle_push(1, 0, grad=np.full(2, 2.0))
         np.testing.assert_array_equal(replies[0].params, np.zeros(2))
 
-    def test_no_snapshot_mode_shares_array(self):
-        srv = make_server(model=asp(), n=1, params=np.zeros(2), snapshot_params=False)
-        replies = []
-        srv.handle_push(0, 0, grad=np.zeros(2))
-        srv.handle_pull(0, 0, replies.append)
-        assert replies[0].params is srv.params
+    def test_removed_snapshot_params_option_raises(self):
+        """Replies always carry the shard's copy-on-write snapshot: the
+        live-array mode had no caller left."""
+        with pytest.raises(TypeError, match="snapshot_params"):
+            make_server(model=asp(), n=1, params=np.zeros(2), snapshot_params=False)
 
 
 class TestCopyOnWriteSnapshots:
@@ -258,13 +257,6 @@ class TestCopyOnWriteSnapshots:
         assert srv.version == version
         assert replies[1].params is not replies[0].params
         np.testing.assert_array_equal(replies[1].params, np.full(2, 7.0))
-
-    def test_no_snapshot_mode_counts_nothing(self):
-        srv = make_server(model=asp(), n=1, params=np.zeros(2), snapshot_params=False)
-        srv.handle_push(0, 0)
-        srv.handle_pull(0, 0, lambda r: None)
-        assert srv.snapshot_copies == 0
-        assert srv.snapshot_copies_avoided == 0
 
     def test_pull_regression_rejected(self):
         srv = make_server(model=ssp(5), n=2)
