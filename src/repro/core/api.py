@@ -80,7 +80,7 @@ class ParameterServerSystem:
         self.model = model
         self.n_workers = n_workers
         self.n_servers = n_servers
-        self.execution = execution
+        self.execution = ExecutionMode(execution)
         self.slicer = slicer or ElasticSlicer()
         self.scheduler = Scheduler(model, self.slicer, n_servers)
         self.layout = ShardLayout(model, self.scheduler.assignment)

@@ -132,7 +132,7 @@ class SSPPull(PullCondition):
     kind = "ssp"
 
     def __init__(self, s: float):
-        if s < 0:
+        if not s >= 0:  # NaN too; inf is ASP
             raise ValueError(f"staleness threshold must be >= 0, got {s}")
         self.s = s
 
@@ -172,7 +172,7 @@ class PSSPPull(PullCondition):
     kind = "pssp"
 
     def __init__(self, s: float, prob: ProbabilityModel):
-        if s < 0:
+        if not s >= 0:  # NaN too; inf is ASP
             raise ValueError(f"staleness threshold must be >= 0, got {s}")
         self.s = s
         self.prob = prob

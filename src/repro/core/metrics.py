@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 
 @dataclass
@@ -61,23 +63,38 @@ class SyncMetrics:
         else:
             self.probabilistic_pauses += 1
 
-    def record_quiet_round(self, n_workers: int, early_pulls: int) -> None:
+    def record_quiet_round(
+        self,
+        n_workers: int,
+        early_pulls: int,
+        iteration: int,
+        dpr_waits: Optional[np.ndarray] = None,
+    ) -> None:
         """Bulk-record one analytically committed quiet round: ``n_workers``
-        pushes, ``n_workers`` immediate pulls, one frontier advance, and
-        the staleness split the serve order implies (``early_pulls`` were
-        answered before the frontier advanced, hence one missing
-        iteration; the rest after, hence zero).  Exactly equivalent to the
-        per-request recording sequence of the event path — histogram keys
-        are only created for non-zero buckets, and ``dpr_wait_total``
-        gains nothing because every quiet-round pull waited 0.0 s."""
+        pushes and pulls, one frontier advance, and what the serve order
+        implies for the ``early_pulls`` answered before the frontier
+        advanced: one missing iteration each — or, with ``dpr_waits``
+        (a barrier), DPRs of ``iteration`` released with none missing,
+        ``dpr_waits`` their buffered seconds in release order.  Exactly
+        equivalent to the per-request recording sequence of the event
+        path — histogram keys are only created for non-zero buckets,
+        ``dpr_wait_total`` is the same left fold, and an immediate pull
+        adds 0.0 to it."""
+        dprs = 0 if dpr_waits is None else early_pulls
+        stale = early_pulls - dprs
         self.pushes += n_workers
         self.pulls += n_workers
-        self.immediate_pulls += n_workers
+        self.immediate_pulls += n_workers - dprs
         self.frontier_advances += 1
-        if early_pulls:
-            self.staleness_hist[1] += early_pulls
-        if n_workers - early_pulls:
-            self.staleness_hist[0] += n_workers - early_pulls
+        if dprs:
+            self.dprs += dprs
+            self.dpr_iterations.extend([iteration] * dprs)
+            folded = np.add.accumulate(np.concatenate(((self.dpr_wait_total,), dpr_waits)))
+            self.dpr_wait_total = float(folded[-1])
+        if stale:
+            self.staleness_hist[1] += stale
+        if n_workers - stale:
+            self.staleness_hist[0] += n_workers - stale
 
     # -- derived ----------------------------------------------------------
 

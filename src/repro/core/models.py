@@ -67,7 +67,7 @@ def asp() -> SyncModel:
 
 def ssp(s: int) -> SyncModel:
     """Stale Synchronous Parallel with staleness threshold ``s``."""
-    if s < 0:
+    if not s >= 0:  # NaN too; inf is ASP
         raise ValueError(f"staleness threshold must be >= 0, got {s}")
     return SyncModel(f"ssp(s={s})", lambda: SSPPull(s), AllPushedPush,
                      staleness=s, params={"s": s})
@@ -113,7 +113,7 @@ def pssp(s: int, c: float) -> SyncModel:
 
     c=1 reduces to SSP(s); c=0 reduces to ASP.
     """
-    if s < 0:
+    if not s >= 0:  # NaN too; inf is ASP
         raise ValueError(f"staleness threshold must be >= 0, got {s}")
     prob = ConstantProbability(c)
     return SyncModel(
@@ -128,7 +128,7 @@ def pssp(s: int, c: float) -> SyncModel:
 def dynamic_pssp(s: int, alpha: AlphaLike = 1.0) -> SyncModel:
     """Dynamic PSSP: P(s, k) = α/(1 + e^(s−k)); α constant or a
     significance-driven function (see :func:`repro.core.pssp.significance_alpha`)."""
-    if s < 0:
+    if not s >= 0:  # NaN too; inf is ASP
         raise ValueError(f"staleness threshold must be >= 0, got {s}")
     alpha_desc = "fn" if callable(alpha) else alpha
     return SyncModel(

@@ -99,6 +99,13 @@ class ExecutionMode(enum.Enum):
     LAZY = "lazy"
     SOFT_BARRIER = "soft"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise ValueError(
+            f"execution must be an ExecutionMode or one of {[m.value for m in cls]}, "
+            f"got {value!r}"
+        )
+
 
 @dataclass(slots=True)
 class PullReply:
@@ -158,7 +165,7 @@ class ShardServer:
         self.shard_id = shard_id
         self.n_workers = n_workers
         self.model = model
-        self.execution = execution
+        self.execution = ExecutionMode(execution)
         #: The live shard array (``None``: a timing-only shard).
         self.params = params
         self.apply_fn = apply_fn
@@ -623,20 +630,25 @@ class ShardServer:
 
     # -- Closed-form quiet-round commit (round collapse fast path) ----------
 
-    def handle_quiet_round(self, progress: int, early_pulls: int) -> None:
+    def handle_quiet_round(
+        self, progress: int, early_pulls: int, dpr_waits: Optional[np.ndarray] = None
+    ) -> None:
         """Commit one analytically fast-forwarded protocol round.
 
         Equivalent, state-for-state, to every worker pushing ``progress``
-        and then pulling ``progress`` in some serve order where all pulls
-        are immediate and the frontier advances exactly once — the *quiet
-        round* the runner's collapse analytics certify before calling
-        this.  ``early_pulls`` is how many pulls that order served before
-        this shard's N-th push (those see one missing iteration, the rest
-        zero).  Only legal for timing-only shards (no parameters, no
-        gradients) with no buffered DPRs.  With observability on, the
-        metrics the per-request handlers would have updated are updated
-        here in bulk, exactly; the round's protocol instants are the
-        caller's to emit (one columnar block, in its global serve order).
+        and then pulling ``progress`` in some serve order where the
+        frontier advances exactly once — the *quiet round* the runner's
+        collapse analytics certify before calling this.  ``early_pulls``
+        is how many pulls that order served before this shard's N-th push:
+        immediate with one missing iteration, or — ``dpr_waits`` given, a
+        barrier (s = 0) — DPRs released at that push with none missing,
+        ``dpr_waits`` their buffered seconds in release order.  The rest
+        are immediate with none missing.  Only legal for timing-only
+        shards (no parameters, no gradients) with no buffered DPRs.  With
+        observability on, the metrics the per-request handlers would have
+        updated are updated here in bulk, exactly; the round's protocol
+        instants are the caller's to emit (one columnar block, in its
+        global serve order).
         """
         if self.params is not None or self.callbacks:
             raise ProtocolError("quiet-round commit requires a timing-only, "
@@ -664,19 +676,26 @@ class ShardServer:
         if con is not self._coin_con:
             self._coin_con = con
             self._coin_on = hasattr(con, "coin_flips")
-        self.metrics.record_quiet_round(n, early_pulls)
+        self.metrics.record_quiet_round(n, early_pulls, progress, dpr_waits)
         if self._obs_on:
             self._c_pushes.inc(n)
             self._c_pulls.inc(n)
             self._c_advances.inc()
             self._g_frontier.set(self.v_train)
-            # Every quiet-round pull is immediate: waited exactly 0.0.
-            self._h_wait.observe(0.0, n)
-            self._q_wait.observe(0.0, n)
-            if early_pulls:
-                self._h_staleness.observe(1, early_pulls)
-            if n - early_pulls:
-                self._h_staleness.observe(0, n - early_pulls)
+            stale, immediate = early_pulls, n
+            if dpr_waits is not None:
+                stale, immediate = 0, n - early_pulls
+                self._c_dprs.inc(early_pulls)
+                for waited in dpr_waits.tolist():
+                    self._h_wait.observe(waited)
+                    self._q_wait.observe(waited)
+            # An immediate pull waited exactly 0.0.
+            self._h_wait.observe(0.0, immediate)
+            self._q_wait.observe(0.0, immediate)
+            if stale:
+                self._h_staleness.observe(1, stale)
+            if n - stale:
+                self._h_staleness.observe(0, n - stale)
 
     # -- Checkpoint restore (the only non-push/pull state transition) -------
 

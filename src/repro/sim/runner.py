@@ -20,6 +20,7 @@ ResNet-56-sized transfers while the gradients stay cheap to compute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -109,6 +110,8 @@ class SimConfig:
                 check_number(name, value, strict=True)
         for name in ("server_op_overhead_s", "dpr_overhead_s"):
             check_number(name, getattr(self, name))
+        check_number("seed", self.seed, -math.inf, integer=True)  # not truncated: 2.5 is no seed
+        self.execution = ExecutionMode(self.execution)
         if self.task is None and self.workload is None:
             raise ValueError("need a TrainingTask and/or a Workload")
         if self.task is not None and self.task.n_workers != self.cluster.n_workers:
@@ -292,6 +295,10 @@ class _Lanes:
     stx_busy: List[float]
     srx_busy: List[float]
     serve_busy: List[float]  #: when each shard's serve lane frees
+    #: Per shard: a barrier (BSP, s = 0) buffers the pulls it claims before
+    #: its n-th push; each holds the serve lane ``dpr_cost`` (op + DPR cost).
+    barrier: List[bool]
+    dpr_cost: float
 
 
 @dataclass(slots=True)
@@ -307,9 +314,13 @@ class _RoundSchedule:
     tx_end: np.ndarray  #: (n, 2M) request TX completions, ``[worker, column]``
     claims: np.ndarray  #: (M, 2n) the requests of each shard, in claim order
     rx_end: np.ndarray  #: (M, 2n) request deliveries (server RX drain ends)
-    handle: np.ndarray  #: (M, 2n) serve instants; a pull's reply is sent at its handle
+    #: (M, 2n) serve instants.  A pull's reply is sent at its handle — at a
+    #: barrier, at its n-th push's handle (the release) if that is later.
+    handle: np.ndarray
     applied: np.ndarray  #: (M, 2n) pushes of this round the shard has applied, this one included
     early: List[int]  #: per shard: pulls handled before its n-th push
+    #: Per barrier shard: its early pulls' DPR waits, in release order (else ``None``).
+    waits: List[Optional[np.ndarray]]
     inline: int  #: requests handled at delivery; the rest waited out a busy serve lane
     reply_tx_end: np.ndarray  #: (n, M) ``[worker, shard]``
     reply_order: np.ndarray  #: (n, M) the shards in the order their replies drain at the worker
@@ -320,19 +331,36 @@ class _RoundSchedule:
     lanes: _Lanes  #: the lane state after the round
 
 
+def _request_tx(lanes: _Lanes, ready: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each worker's M pushes then M pulls, sent at ``ready`` on its FIFO
+    TX lane: the ``(n, 2M)`` TX completions, the lane cursors and busy sums."""
+    M = len(lanes.s_push_hold)
+    wtx_free = np.maximum(lanes.wtx_free, ready)
+    wtx_busy = lanes.wtx_busy
+    tx_end = np.empty((ready.shape[0], 2 * M))
+    for k in range(2 * M):
+        hold = lanes.w_holds[:, min(k, M)]
+        wtx_free = wtx_free + hold
+        tx_end[:, k] = wtx_free
+        wtx_busy = wtx_busy + hold
+    return tx_end, wtx_free, wtx_busy
+
+
 def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSchedule:
     """One stock protocol round in closed form (Algorithm 1 lines 4-6).
 
     Worker ``w`` sends M pushes then M pulls at ``ready[w]`` (workers
-    ready at the same instant resume in ``rank`` order), every shard
-    answers every pull at its handle, and the round ends when each
-    worker's M replies have drained: worker TX cascade -> per-shard RX
-    claim and serve lane -> reply TX cascade -> the worker's private RX
-    lane.  Every lane obeys the one rule of :func:`_seq_cascade`, so each
-    float is the one the event path and ``tests/reference_sim.py``
-    produce, provided nothing else touches the lanes meanwhile — the
-    caller's isolation test.  Pure: ``lanes`` is read, the state after
-    the round is a new object inside the schedule.
+    ready at the same instant resume in ``rank`` order); a shard answers
+    each pull at its handle — a barrier shard buffers the pulls it claims
+    before its n-th push and releases them, in claim order, at that
+    push's handle — and the round ends when each worker's M replies have
+    drained: worker TX cascade -> per-shard RX claim and serve lane ->
+    reply TX cascade -> the worker's private RX lane.  Every lane obeys
+    the one rule of :func:`_seq_cascade`, so each float is the one the
+    event path and ``tests/reference_sim.py`` produce, provided no other
+    round's request reaches a shard meanwhile — the caller's isolation
+    test.  Pure: ``lanes`` is read, the state after the round is a new
+    object inside the schedule.
     """
     n, M = lanes.w_holds.shape[0], len(lanes.s_push_hold)
     K = 2 * M
@@ -341,14 +369,7 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
     order = np.lexsort((rank, ready))
     wrank = np.empty(n, dtype=np.int64)
     wrank[order] = arange_n
-    wtx_free = np.maximum(lanes.wtx_free, ready)
-    wtx_busy = lanes.wtx_busy
-    tx_end = np.empty((n, K))
-    for k in range(K):
-        hold = lanes.w_holds[:, min(k, M)]
-        wtx_free = wtx_free + hold
-        tx_end[:, k] = wtx_free
-        wtx_busy = wtx_busy + hold
+    tx_end, wtx_free, wtx_busy = _request_tx(lanes, ready)
 
     # -- per shard: RX claims, serve lane, reply TX cascade ----------------
     # RX cursors are claimed at TX-completion events, so a shard's claim
@@ -359,6 +380,8 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
     claims = np.empty((M, 2 * n), dtype=np.int64)
     reply_tx_end = np.empty((n, M))
     early: List[int] = []
+    waits: List[Optional[np.ndarray]] = []
+    bursts = []  # per barrier shard: its DPRs' workers and the releasing push
     column0 = np.concatenate((arange_n * K, arange_n * K + M))  # push | pull to shard 0
     key0 = np.concatenate((wrank * K, wrank * K + M))  # the same, by resume rank
     inline = 0
@@ -376,32 +399,56 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
         srx_busy[m] = float(
             np.add.accumulate(np.concatenate(((lanes.srx_busy[m],), holds)))[-1]
         )
-        busy_ends, serve_busy[m] = _seq_cascade(rx, op_costs, lanes.serve_busy[m])
+        applied[m] = pushes = np.cumsum(~is_pull)
+        # Pulls claimed before this shard's n-th push see the pre-advance
+        # frontier: one missing iteration, or at a barrier a DPR.
+        nth = int(np.searchsorted(pushes, n))
+        early.append(nth + 1 - n)
+        barrier = lanes.barrier[m]
+        serve_holds = op_costs
+        if barrier:
+            serve_holds = np.where(is_pull & (pushes < n), lanes.dpr_cost, lanes.op_cost)
+        busy_ends, serve_busy[m] = _seq_cascade(rx, serve_holds, lanes.serve_busy[m])
         busy_prev = np.concatenate(((lanes.serve_busy[m],), busy_ends[:-1]))
         handle[m] = serve = np.maximum(busy_prev, rx)
         inline += int(np.count_nonzero(rx >= busy_prev))
-        applied[m] = pushes = np.cumsum(~is_pull)
-        # Pulls served before this shard's n-th push see the pre-advance
-        # frontier: one missing iteration.
-        early.append(int(np.searchsorted(pushes, n)) + 1 - n)
         rx_end[m] = rx
-        # Replies leave in pull-handle order, each sent at its handle.
+        pulled = o[is_pull] - n  # workers, in pull-claim order
+        sent = serve[is_pull]
+        waited = None
+        if barrier:
+            # The DPRs leave together, in claim order, at the n-th push's handle.
+            release = serve[nth]
+            waited = release - sent[: early[m]]
+            sent = np.maximum(sent, release)
+            bursts.append((m, pulled[: early[m]], t2[o[nth]], k2[o[nth]]))
+        waits.append(waited)
+        # Replies leave in pull-claim order.
         reply_holds.fill(lanes.s_push_hold[m])
-        ends, stx_free[m] = _seq_cascade(serve[is_pull], reply_holds, lanes.stx_free[m])
+        ends, stx_free[m] = _seq_cascade(sent, reply_holds, lanes.stx_free[m])
         stx_busy[m] = float(
             np.add.accumulate(np.concatenate(((lanes.stx_busy[m],), reply_holds)))[-1]
         )
-        reply_tx_end[o[is_pull] - n, m] = ends
+        reply_tx_end[pulled, m] = ends
 
     # -- each worker's private RX lane --------------------------------------
     # Claimed at reply TX completions, i.e. in (reply tx_end, reply send
-    # seq) order; replies are sent in global pull handle order, which is
-    # the pulls' global TX order.  Stable two-pass row sort.
-    keyp = key0[n:, None] + np.arange(M)
-    go = np.lexsort((keyp.ravel(), tx_end[:, M:].ravel()))
+    # seq) order.  A reply is sent inside the event of the request that
+    # answers it — its pull, or a barrier's n-th push — so its seq follows
+    # that request's ``(tx_end, key)``, then its place in the burst.
+    sent_t = tx_end[:, M:]
+    sent_k = (key0[n:, None] + np.arange(M)) * n
+    if bursts:
+        sent_t = sent_t.copy()
+    for m, burst, t, k in bursts:
+        sent_t[burst, m] = t
+        sent_k[burst, m] = k * n + np.arange(burst.shape[0])
+    # Stable two-pass row sort.
+    go = np.lexsort((sent_k.ravel(), sent_t.ravel()))
     send_seq = np.empty(n * M, dtype=np.int64)
     send_seq[go] = np.arange(n * M)
-    o1 = np.argsort(send_seq.reshape(n, M), axis=1, kind="stable")
+    send_seq = send_seq.reshape(n, M)
+    o1 = np.argsort(send_seq, axis=1, kind="stable")
     o2 = np.argsort(np.take_along_axis(reply_tx_end, o1, axis=1), axis=1, kind="stable")
     perm = np.take_along_axis(o1, o2, axis=1)
     tx_s = np.take_along_axis(reply_tx_end, perm, axis=1)
@@ -414,8 +461,8 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
         reply_rx_end[:, j] = cur
         wrx_busy = wrx_busy + hold_s[:, j]
     # A gather closes — and its waiter's resume seq, next round's rank, is
-    # allocated — at the handle of the worker's last pull.
-    closes = np.lexsort((wrank, tx_end[:, -1], cur))
+    # allocated — when its last reply is sent.
+    closes = np.lexsort((send_seq.max(axis=1), cur))
     next_rank = np.empty(n, dtype=np.int64)
     next_rank[closes] = arange_n
     after = replace(
@@ -424,7 +471,7 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
         serve_busy=serve_busy,
     )
     return _RoundSchedule(
-        ready, order, tx_end, claims, rx_end, handle, applied, early, inline,
+        ready, order, tx_end, claims, rx_end, handle, applied, early, waits, inline,
         reply_tx_end, perm, reply_rx_end, cur, closes, next_rank, after,
     )
 
@@ -857,9 +904,10 @@ class FluentPSSimRunner:
         The closed form models exactly one behavior: timing-only workers
         that push then pull every shard each iteration over analytic
         drain lanes, with every shard's sync condition provably quiet
-        (every pull immediate, one frontier advance per round, no DPRs,
-        no PSSP coin flips).  Anything outside that — real gradients,
-        quorums below n, BSP's s=0 soft barrier, DSPS's self-mutating
+        (every pull immediate — or, unobserved at s = 0, buffered until
+        the shard's one frontier advance per round — and no PSSP coin
+        flips).  Anything outside that — real gradients, quorums below n,
+        observed BSP, PSSP at s = 0, DSPS's self-mutating
         staleness, DPOR choice/delay hooks, delivery hooks, causal tracing,
         span capture without obs — keeps the per-event path,
         which stays bit-identical by construction.  The reason lands in
@@ -894,7 +942,9 @@ class FluentPSSimRunner:
             # DSPS adapts ``s`` inside ``__call__`` — never provably quiet.
             if type(pc) is DSPSPull or not isinstance(pc, (SSPPull, PSSPPull)):
                 return "pull_condition"
-            if not pc.s > 0:  # BSP (s=0) blocks pulls until the frontier moves
+            if not pc.s > 0 and (self.obs.enabled or isinstance(pc, PSSPPull)):
+                # s = 0: a committed round releases BSP's DPRs, but a block
+                # has no DPR rows, and PSSP flips a coin on every pull.
                 return "bsp"
             if s.push_con.quorum(n) != n:
                 return "quorum"
@@ -941,6 +991,8 @@ class FluentPSSimRunner:
             stx_busy=[ep.tx_busy_s for ep in seps],
             srx_busy=[ep.rx_busy_s for ep in seps],
             serve_busy=list(self._srv_busy),
+            barrier=[not s.pull_con.s > 0 for s in self.servers],
+            dpr_cost=cfg.server_op_overhead_s + cfg.dpr_overhead_s,
         )
 
     def _collapse_rounds(self) -> bool:
@@ -950,14 +1002,18 @@ class FluentPSSimRunner:
         :func:`quiet_round` schedule the round from the lane table, and
         commit it — spans, sketches, the shards' ``handle_quiet_round``,
         the instant block, the event census — only when the next round is
-        provably isolated (its earliest send lands strictly after this
-        round's last reply), so serve orders and staleness splits cannot
-        shift; the first round that fails the check — a straggler draw
-        overlapping the tail — commits *nothing* and de-vectorizes the
-        cohort back to per-worker event processes at their analytic
-        clocks with their compute durations pre-drawn, keeping RNG
-        streams and all downstream timestamps aligned with the pure
-        event path bit for bit.
+        provably isolated at every shard (its first request to the shard
+        finishes TX strictly after this round's last one), so claim and
+        serve orders, staleness splits and DPR releases cannot shift: what
+        overlaps then lies on the workers' private lanes.  An observed run
+        asks more — the next round's earliest send lands strictly after
+        this round's last reply — since its instant log is one stream in
+        global handle order.  The first round that fails the check — a
+        straggler draw overlapping the tail — commits *nothing* and
+        de-vectorizes the cohort back to per-worker event processes at
+        their analytic clocks with their compute durations pre-drawn,
+        keeping RNG streams and all downstream timestamps aligned with
+        the pure event path bit for bit.
 
         Returns True when every iteration committed analytically (the
         event heap stays empty and ``engine.now`` is set directly),
@@ -1033,12 +1089,18 @@ class FluentPSSimRunner:
             dur_next: List[float] = []
             if not last_round:
                 dur_next = [sample(w, r + 1, base_l[w], rngs[w]) for w in range(n)]
-                if not float(np.min(f + np.asarray(dur_next))) > float(np.max(f)):
-                    # Round r+1's earliest send would overlap round r's
-                    # tail (serve orders and reply times could shift), so
-                    # nothing about round r is committed: the cohort
-                    # de-vectorizes here, durations pre-drawn so the RNG
-                    # streams stay aligned with the pure event path.
+                ready = f + np.asarray(dur_next)
+                if observed:
+                    quiet = float(np.min(ready)) > float(np.max(f))
+                else:
+                    first = _request_tx(sched.lanes, ready)[0][:, :M].min(axis=0)
+                    quiet = bool((first > sched.tx_end[:, M:].max(axis=0)).all())
+                if not quiet:
+                    # Round r+1 would mix with round r at a shard (claim
+                    # and serve orders could shift), so nothing about
+                    # round r is committed: the cohort de-vectorizes here,
+                    # durations pre-drawn so the RNG streams stay aligned
+                    # with the pure event path.
                     _flush()
                     self._record_fallback("overlap", r)
                     clock = c.tolist()
@@ -1057,7 +1119,7 @@ class FluentPSSimRunner:
                 # config snapshots) must see each shard's pre-round state.
                 self._emit_round_block(r, sched, block_shards)
             for m in range(M):
-                self.servers[m].handle_quiet_round(r, sched.early[m])
+                self.servers[m].handle_quiet_round(r, sched.early[m], sched.waits[m])
                 self._srv_now[m] = float(sched.handle[m, -1])
                 if observed and cost > 0:
                     serve = sched.handle[m]

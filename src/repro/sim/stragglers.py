@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.checks import check_number
+
 
 class ComputeModel(abc.ABC):
     """Samples the duration of one gradient-computation step."""
@@ -38,8 +40,7 @@ class DeterministicCompute(ComputeModel):
     """No variance: every iteration takes ``factor * base_time``."""
 
     def __init__(self, factor: float = 1.0):
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
+        check_number("factor", factor, strict=True)
         self.factor = factor
 
     def sample(self, worker, iteration, base_time, rng):
@@ -57,8 +58,7 @@ class LogNormalCompute(ComputeModel):
     """
 
     def __init__(self, sigma: float = 0.2):
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
+        check_number("sigma", sigma)
         self.sigma = sigma
 
     def sample(self, worker, iteration, base_time, rng):
@@ -79,8 +79,7 @@ class ExponentialTailCompute(ComputeModel):
     def __init__(self, p_slow: float = 0.1, tail_scale: float = 2.0, jitter_sigma: float = 0.1):
         if not 0 <= p_slow <= 1:
             raise ValueError(f"p_slow must be in [0,1], got {p_slow}")
-        if tail_scale < 0:
-            raise ValueError(f"tail_scale must be >= 0, got {tail_scale}")
+        check_number("tail_scale", tail_scale)
         self.p_slow = p_slow
         self.tail_scale = tail_scale
         self.jitter = LogNormalCompute(jitter_sigma)
@@ -99,10 +98,8 @@ class ParetoTailCompute(ComputeModel):
     """Heavy (Pareto) tail — stress case beyond the paper's clusters."""
 
     def __init__(self, alpha: float = 3.0, scale: float = 0.3):
-        if alpha <= 1:
-            raise ValueError(f"alpha must be > 1 for finite mean, got {alpha}")
-        if scale < 0:
-            raise ValueError(f"scale must be >= 0, got {scale}")
+        check_number("alpha", alpha, 1, strict=True)  # a finite mean
+        check_number("scale", scale)
         self.alpha = alpha
         self.scale = scale
 
@@ -131,8 +128,7 @@ class TransientStragglerCompute(ComputeModel):
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if slow_factor < 1:
-            raise ValueError(f"slow_factor must be >= 1, got {slow_factor}")
+        check_number("slow_factor", slow_factor, 1)
         if not 0 < duration <= period:
             raise ValueError("need 0 < duration <= period")
         self.n_workers = n_workers
@@ -178,8 +174,7 @@ class HeterogeneousCompute(ComputeModel):
                  p_slow: float = 0.0, tail_scale: float = 2.0):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if spread < 0:
-            raise ValueError(f"spread must be >= 0, got {spread}")
+        check_number("spread", spread)
         self.n_workers = n_workers
         self.spread = spread
         self.tail = ExponentialTailCompute(p_slow, tail_scale, jitter_sigma)

@@ -67,6 +67,35 @@ def claim_order_by_worker_index(monkeypatch) -> None:
     _rewrite_quiet_round(monkeypatch, "o = np.lexsort((k2, t2))", "o = np.arange(2 * n)")
 
 
+def bsp_release_at_pull_handle(monkeypatch) -> None:
+    """A barrier shard's buffered pulls are answered at their own handles,
+    not together when its n-th push releases them."""
+    _rewrite_quiet_round(monkeypatch, "sent = np.maximum(sent, release)", "sent = sent")
+
+
+def bsp_dpr_cost_dropped(monkeypatch) -> None:
+    """A buffered pull holds the serve lane for the op cost only: the DPR
+    cost ``dpr_overhead_s`` is never charged."""
+    _rewrite_quiet_round(
+        monkeypatch, "lanes.dpr_cost, lanes.op_cost)", "lanes.op_cost, lanes.op_cost)"
+    )
+
+
+def separation_checks_pushes_only(monkeypatch) -> None:
+    """The collapse's isolation test compares the next round's first
+    request to a shard with this round's last *push* to it, not its last
+    request: a round whose pulls still reach a shard after the next
+    round's first push commits anyway.  Killer:
+    ``test_round_schedule.py::test_separation_checks_pushes_only_dies_by_the_reference``."""
+    _rewrite(
+        monkeypatch,
+        runner.FluentPSSimRunner,
+        "_collapse_rounds",
+        "sched.tx_end[:, M:].max(axis=0)",
+        "sched.tx_end[:, :M].max(axis=0)",
+    )
+
+
 def cascade_forgets_cursor(monkeypatch) -> None:
     """Every lane cascade starts idle: the cursor a lane carries into the
     round is dropped."""
@@ -151,4 +180,6 @@ MUTANTS = (
     reply_rx_claimed_in_shard_order,
     claim_order_by_worker_index,
     cascade_forgets_cursor,
+    bsp_release_at_pull_handle,
+    bsp_dpr_cost_dropped,
 )

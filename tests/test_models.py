@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.conditions import DSPSPull, PSSPPull
+from repro.core.conditions import DSPSPull, PSSPPull, SSPPull
 from repro.core.models import (
     SUPPORTED_MODELS,
     asp,
@@ -16,6 +16,7 @@ from repro.core.models import (
     pssp,
     ssp,
 )
+from repro.core.pssp import ConstantProbability
 
 
 class TestFactories:
@@ -98,3 +99,32 @@ class TestMakeModel:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown synchronization model"):
             make_model("turbo")
+
+
+NAN = float("nan")
+
+
+class TestStalenessBounds:
+    """A NaN bound is refused where the model or condition is built (it
+    used to deadlock the run: no pull ever passes ``progress < v + nan``);
+    an infinite one stays legal, it is ASP."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ssp(NAN),
+            lambda: pssp(NAN, 0.5),
+            lambda: dynamic_pssp(NAN),
+            lambda: SSPPull(NAN),
+            lambda: PSSPPull(NAN, ConstantProbability(0.5)),
+            lambda: pssp(1, NAN),
+        ],
+        ids=["ssp", "pssp", "dynamic_pssp", "SSPPull", "PSSPPull", "pssp-c"],
+    )
+    def test_nan_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_infinite_bound_is_asp(self):
+        assert math.isinf(ssp(math.inf).make_pull().staleness())
+        assert SSPPull(math.inf).describe() == "ASP (always)"

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.conditions import QuorumPush, SSPPull
 from repro.core.models import SyncModel, bsp, dsps, pssp, ssp
+from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.analysis import (
     ProtocolSanitizer,
@@ -119,7 +120,8 @@ def _assert_differential(cfg_kwargs, obs_factory=lambda: NULL_OBS):
     return ra, rb
 
 
-def _cell(preset, sync_name, compute_name, n=12, m=3, iters=4, seed=7):
+def _cell(preset, sync_name, compute_name, n=12, m=3, iters=4, seed=7,
+          execution=ExecutionMode.LAZY):
     cluster = cpu_cluster(n, n_servers=m) if preset == "cpu" else gpu_cluster_p2(n, m)
     sync = {"ssp3": ssp(3), "pssp": pssp(2, 0.5), "bsp": bsp()}[sync_name]
     compute = {
@@ -130,6 +132,7 @@ def _cell(preset, sync_name, compute_name, n=12, m=3, iters=4, seed=7):
         cluster=cluster,
         max_iter=iters,
         sync=sync,
+        execution=execution,
         workload=alexnet_cifar_workload(),
         compute_model=compute,
         seed=seed,
@@ -148,6 +151,26 @@ class TestVectorModeDifferential:
     @settings(max_examples=16, deadline=None)
     def test_bit_identical_vs_oracle(self, preset, sync_name, compute_name, seed):
         _assert_differential(_cell(preset, sync_name, compute_name, seed=seed))
+
+    @pytest.mark.parametrize("execution", list(ExecutionMode), ids=lambda e: e.value)
+    @pytest.mark.parametrize("compute_name", ["det", "lognorm"])
+    @pytest.mark.parametrize("preset", ["cpu", "gpu_p2"])
+    def test_bsp_commits_every_round(self, preset, compute_name, execution):
+        """BSP's barrier lines the rounds up at every shard: each round
+        commits, its buffered pulls released in closed form, although its
+        replies overlap the next round's compute."""
+        kwargs = _cell(preset, "bsp", compute_name, execution=execution)
+        ra, _rb = _assert_differential(kwargs)
+        assert ra.engine.rounds_collapsed == 4 and ra.collapse_fallback == {}
+        assert ra.engine.events_processed == 0
+        assert sum(s.metrics.dprs for s in ra.servers) > 0
+
+    def test_one_barrier_shard_among_ssp_shards(self):
+        """Per-server models (Figure 2): only the BSP shard buffers."""
+        kwargs = {**_cell("cpu", "ssp3", "lognorm"), "sync": [bsp(), ssp(3), pssp(2, 0.5)]}
+        ra, _rb = _assert_differential(kwargs)
+        assert ra.engine.rounds_collapsed == 4
+        assert [s.metrics.dprs > 0 for s in ra.servers] == [True, False, False]
 
     def test_collapse_engages_on_homogeneous_cohort(self):
         kwargs = _cell("cpu", "ssp3", "lognorm", n=20, m=4, iters=6)
@@ -372,13 +395,18 @@ class TestEligibilityGates:
         assert min(m.msg_id for m in seen) >= 0
         assert runner.net.fused_deliveries == 0
 
-    def test_bsp_is_ineligible(self):
+    def test_observed_bsp_is_ineligible(self):
+        """A columnar block has no DPR rows: an observed BSP run keeps the
+        event path.  So does PSSP at s = 0, which flips a coin per pull."""
         kwargs = _cell("cpu", "bsp", "det")
         kwargs["base_compute_time"] = 5.0
-        ra, rb = _assert_differential(kwargs)
+        ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
         assert ra.engine.rounds_collapsed == 0
         assert ra.collapse_fallback == {"reason": "bsp"}
         assert rb.collapse_fallback == {"reason": "subclass"}
+        runner = FluentPSSimRunner(SimConfig(**{**kwargs, "sync": pssp(0, 0.5)}, obs=NULL_OBS))
+        runner.run()
+        assert runner.collapse_fallback == {"reason": "bsp"}
 
     def test_subclassed_runners_are_ineligible(self):
         # PS-Lite overrides the worker protocol (scheduler-gated grants)

@@ -3,7 +3,8 @@
 :func:`repro.sim.runner.quiet_round` returns a round's schedule as a
 value; here each schedule the collapse driver commits is turned into
 wire rows ``(src, dst, tag, size, send_time, deliver_time)`` — requests
-sent at ``ready[w]``, replies at their pull's ``handle`` — and compared
+sent at ``ready[w]``, replies at their pull's ``handle`` or a barrier's
+release — and compared
 with the textbook trace (``tests/reference_sim.py``) by
 :func:`tests.sim_helpers.assert_same_wire`: exact floats.  The grid is
 the *isolated* one (compute far wider than a round's communication), on
@@ -21,16 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.models import asp, pssp, ssp
+from repro.core.models import asp, bsp, pssp, ssp
 from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim import runner as runner_mod
-from repro.sim.cluster import cpu_cluster
+from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
 from repro.sim.stragglers import DeterministicCompute, LogNormalCompute, cpu_cluster_compute
 
-from tests.mutants import MUTANTS, cascade_trusts_guess, span_totals_in_worker_order
+from tests.mutants import (
+    MUTANTS,
+    cascade_trusts_guess,
+    separation_checks_pushes_only,
+    span_totals_in_worker_order,
+)
 from tests.reference_sim import ReferenceSim, reference_wire
 from tests.sim_helpers import assert_matches_reference, assert_same_wire, python_calls
 from tests.test_round_collapse import _fingerprint, _run
@@ -58,7 +64,9 @@ def _isolated_grid():
     least one round: all ``ITERS`` under identical workers, a prefix —
     until a draw overlaps the next round and the run de-vectorises — under
     unequal ones, at the shapes where round 0 is still isolated.  The
-    other 48 cells never collapse: ``test_reference_sim``'s domain."""
+    other 48 cells never collapse: ``test_reference_sim``'s domain.  Plus
+    BSP at those 36 (shape, compute, execution, op cost) points: its
+    barrier lines every round up, so it commits all ``ITERS``."""
     shapes = [(24, 3), (64, 8), (200, 5)]
     cells = []
     for cname, make_compute, collapsing in [
@@ -70,17 +78,47 @@ def _isolated_grid():
         for n, m in collapsing:
             for sname, sync in [
                 ("ssp1", ssp(1)), ("ssp3", ssp(3)), ("pssp", pssp(2, 0.5)), ("asp", asp()),
+                ("bsp", bsp()),
             ]:
                 for execution in (ExecutionMode.LAZY, ExecutionMode.SOFT_BARRIER):
                     for op_cost in (20e-6, 0.002):
                         cells.append(
                             pytest.param(
                                 isolated_cell(n, m, sync, make_compute(n), execution, op_cost),
-                                cname in ("det", "ln0"),
+                                cname in ("det", "ln0") or sname == "bsp",
                                 id=f"{n}x{m}-{sname}-{cname}-{execution.value}-{op_cost}",
                             )
                         )
-    assert len(cells) == 144
+    assert len(cells) == 144 + 36
+    return cells
+
+
+def _private_overlap_grid():
+    """Cells whose committed rounds overlap the next round only on the
+    workers' private lanes — a worker's next compute starts while the
+    round's last replies still drain — under stragglers and a compute
+    window as wide as a round's communication: BSP and ``ssp(0)`` commit
+    every round, SSP and PSSP their round 0.  The earlier global test
+    (the next round's first send after this round's last reply) committed
+    none of them."""
+    cells = []
+    for n, m in [(24, 3), (64, 8)]:
+        for preset in ("cpu", "gpu_p2"):
+            for sname, sync in [("bsp", bsp()), ("ssp0", ssp(0)), ("ssp1", ssp(1)),
+                                ("pssp", pssp(2, 0.5))]:
+                for execution in (ExecutionMode.LAZY, ExecutionMode.SOFT_BARRIER):
+                    cluster = cpu_cluster(n, m) if preset == "cpu" else gpu_cluster_p2(n, m)
+                    cells.append(
+                        pytest.param(
+                            dict(
+                                cluster=cluster, max_iter=ITERS, sync=sync, execution=execution,
+                                workload=alexnet_cifar_workload(),
+                                compute_model=cpu_cluster_compute(n), seed=5,
+                            ),
+                            ITERS if sname in ("bsp", "ssp0") else 1,
+                            id=f"{n}x{m}-{preset}-{sname}-{execution.value}",
+                        )
+                    )
     return cells
 
 
@@ -100,9 +138,10 @@ def wire_rows(runner, sched):
     landed = landed.tolist()
     keyed = []  # ((send time, column), row)
     for m in range(M):
-        for i, delivered, handled in zip(
-            sched.claims[m].tolist(), sched.rx_end[m].tolist(), sched.handle[m].tolist()
-        ):
+        handled = sched.handle[m].tolist()
+        # A barrier answers the pulls it buffered when its n-th push is handled.
+        release = handled[sched.applied[m].tolist().index(n)] if sched.lanes.barrier[m] else 0.0
+        for i, delivered, at in zip(sched.claims[m].tolist(), sched.rx_end[m].tolist(), handled):
             w, k = divmod(i, K)
             assert k in (m, M + m)
             sent = float(sched.ready[w])
@@ -110,14 +149,16 @@ def wire_rows(runner, sched):
                 row = (workers[w], servers[m], "push", shard_bytes[m], sent, delivered)
             else:
                 row = (workers[w], servers[m], "pull", request_bytes, sent, delivered)
-                reply = (servers[m], workers[w], "reply", shard_bytes[m], handled, landed[w][m])
-                keyed.append(((handled, 0), reply))
+                at = max(at, release)
+                reply = (servers[m], workers[w], "reply", shard_bytes[m], at, landed[w][m])
+                keyed.append(((at, 0), reply))
             keyed.append(((sent, k), row))
     return [row for _key, row in sorted(keyed, key=lambda pair: pair[0])]
 
 
-def committed_schedules(runner):
-    """Run ``runner``, keeping the schedule of every round it committed."""
+def scheduled_rounds(runner):
+    """Run ``runner``, keeping the schedule of every round the collapse
+    computed: the committed ones and, if it de-vectorised, the refused one."""
     made = []
     schedule = runner_mod.quiet_round  # the shipped function, or a mutant
 
@@ -127,25 +168,45 @@ def committed_schedules(runner):
 
     with mock.patch.object(runner_mod, "quiet_round", recording):
         runner.run()
-    return made[: runner.engine.rounds_collapsed]
+    return made
 
 
-def check_collapsed_wire(cfg_kwargs):
+def committed_schedules(runner):
+    """Run ``runner``, keeping the schedule of every round it committed."""
+    return scheduled_rounds(runner)[: runner.engine.rounds_collapsed]
+
+
+def check_collapsed_wire(cfg_kwargs, made=None):
     """The rows of the committed rounds are the first ``rounds_collapsed``
-    messages of every ``(src, dst, tag)`` stream of the reference."""
+    messages of every ``(src, dst, tag)`` stream of the reference; in a
+    run committed whole, each shard's DPR waits fold to the reference's
+    ``dpr_wait_total`` (the serve lane is not on the wire).  ``made``: a
+    list that receives every schedule the collapse computed."""
     runner = FluentPSSimRunner(SimConfig(**cfg_kwargs, obs=NULL_OBS))
-    rows = [row for sched in committed_schedules(runner) for row in wire_rows(runner, sched)]
-    rows.sort(key=lambda row: row[5])  # the trace is in delivery order
+    scheduled = scheduled_rounds(runner)
+    if made is not None:
+        made.extend(scheduled)
     rounds = runner.engine.rounds_collapsed
     assert rounds > 0, runner.collapse_fallback
+    committed = scheduled[:rounds]
+    rows = [row for sched in committed for row in wire_rows(runner, sched)]
+    rows.sort(key=lambda row: row[5])  # the trace is in delivery order
     seen = {}
     head = []
-    for row in ReferenceSim(SimConfig(**cfg_kwargs, obs=NULL_OBS)).run().trace:
+    ref = ReferenceSim(SimConfig(**cfg_kwargs, obs=NULL_OBS)).run()
+    for row in ref.trace:
         seen[row[:3]] = nth = seen.get(row[:3], 0) + 1
         if nth <= rounds:
             head.append(row)
     assert len(rows) == len(head) == rounds * len(seen)
     assert_same_wire(rows, head)
+    if rounds == cfg_kwargs["max_iter"]:
+        for m, server in enumerate(ref.servers):
+            total = 0.0
+            for sched in committed:
+                for waited in [] if sched.waits[m] is None else sched.waits[m].tolist():
+                    total += waited
+            assert total == server.metrics.dpr_wait_total, m
     return runner
 
 
@@ -211,6 +272,17 @@ class TestScheduleAgainstReference:
     def test_round_from_busy_lanes(self):
         check_round_from_busy_lanes()
 
+    @pytest.mark.parametrize("cfg_kwargs, rounds", _private_overlap_grid())
+    def test_rounds_overlapping_on_private_lanes(self, cfg_kwargs, rounds):
+        made = []
+        runner = check_collapsed_wire(cfg_kwargs, made)
+        assert runner.engine.rounds_collapsed == rounds
+        # Round 0's replies still drain at a worker when round 1's first
+        # worker is ready: only worker lanes overlap, and the global test
+        # would have committed nothing.
+        assert made[0].done.max() > made[1].ready.min()
+        assert_matches_reference(cfg_kwargs)
+
 
 def _same(a, b):
     if dataclasses.is_dataclass(a):
@@ -260,6 +332,7 @@ _KILL_CELLS = [
     isolated_cell(24, 3, ssp(3), LogNormalCompute(0.2)),
     isolated_cell(24, 3, pssp(2, 0.5), DeterministicCompute(), op_cost=0.002),
     isolated_cell(64, 8, ssp(1), LogNormalCompute(0.0), ExecutionMode.SOFT_BARRIER),
+    isolated_cell(24, 3, bsp(), LogNormalCompute(0.2)),
 ]
 
 #: Which check kills which mutant: the grid cells' wire, the round from
@@ -271,6 +344,8 @@ _KILL_MATRIX = {
     "reply_rx_claimed_in_shard_order": (True, True, True),
     "claim_order_by_worker_index": (True, True, True),
     "cascade_forgets_cursor": (False, True, False),
+    "bsp_release_at_pull_handle": (True, False, True),
+    "bsp_dpr_cost_dropped": (True, False, True),
 }
 
 
@@ -462,3 +537,23 @@ def test_span_totals_in_worker_order_dies_by_the_event_path_key_order(monkeypatc
     fast, slow = fingerprints()
     assert fast["span_keys"] != slow["span_keys"]
     assert {key for key in slow if fast[key] != slow[key]} <= {"span_keys", "totals"}
+
+
+def test_separation_checks_pushes_only_dies_by_the_reference(monkeypatch):
+    """The isolation test must cover a round's pulls, not only its pushes.
+    In this cell the shipped test refuses round 2 — a worker's round-3
+    push to shard 0 finishes TX after round 2's last push to it but
+    before its last pull — and the pushes-only test commits it, and the
+    run is no longer the reference's."""
+    cell = dict(
+        cluster=cpu_cluster(6, n_servers=3), max_iter=4, sync=ssp(1),
+        workload=alexnet_cifar_workload(), compute_model=LogNormalCompute(0.2), seed=2,
+    )
+    runner, _result, _ref = assert_matches_reference(cell)
+    shipped = runner.engine.rounds_collapsed
+    separation_checks_pushes_only(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_matches_reference(cell)
+    mutated = FluentPSSimRunner(SimConfig(**cell, obs=NULL_OBS))
+    mutated.run()
+    assert mutated.engine.rounds_collapsed > shipped

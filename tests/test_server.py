@@ -512,3 +512,43 @@ class TestQuietRoundPrecondition:
             srv.handle_quiet_round(0, early_pulls=0)
         srv.handle_quiet_round(5, early_pulls=0)
         assert srv.worker_progress == [5, 5, 5] and srv.v_train == 6
+
+
+class TestBarrierQuietRound:
+    """A barrier shard's (BSP's) quiet round against the handlers it
+    stands for: the pulls claimed before the n-th push are DPRs that push
+    releases, in claim order, with nothing missing."""
+
+    @pytest.mark.no_sanitize  # explicit Observability below
+    @pytest.mark.parametrize("execution", list(ExecutionMode), ids=lambda e: e.value)
+    def test_matches_the_handlers(self, execution):
+        from repro.obs import MetricsRegistry, Observability
+
+        n, now = 4, [0.0]
+        obs = [Observability(MetricsRegistry(f"side{k}"), causal=False) for k in range(2)]
+        handled = make_server(bsp(), execution, n=n, clock=lambda: now[0], obs=obs[0])
+        quiet = make_server(bsp(), execution, n=n, obs=obs[1])
+        replies = []
+        for r in range(3):
+            waits = []
+            for w in range(n - 1):  # each push is followed by its own pull: a DPR
+                now[0] += 0.1
+                handled.handle_push(w, r)
+                now[0] += 0.3
+                handled.handle_pull(w, r, respond=replies.append)
+                waits.append(-now[0])
+            now[0] += 0.7
+            handled.handle_push(n - 1, r)  # the n-th push releases them
+            waits = np.array(waits) + now[0]
+            handled.handle_pull(n - 1, r, respond=replies.append)
+            quiet.handle_quiet_round(r, n - 1, waits)
+            assert [reply.waited for reply in replies[-n:]] == waits.tolist() + [0.0]
+        a, b = handled.metrics, quiet.metrics
+        assert (a.summary(), dict(a.staleness_hist)) == (b.summary(), dict(b.staleness_hist))
+        assert (a.dpr_wait_total, a.dpr_iterations) == (b.dpr_wait_total, b.dpr_iterations)
+        assert a.dprs == 3 * (n - 1) and dict(a.staleness_hist) == {0: 3 * n}
+        ours, theirs = (o.registry.to_dict()["metrics"] for o in obs)
+        assert {k: v for k, v in ours.items() if k.startswith("ps_")} == {
+            k: v for k, v in theirs.items() if k.startswith("ps_")
+        }
+        assert (quiet.v_train, quiet.version, quiet.worker_progress) == (3, 3 * n, [2] * n)

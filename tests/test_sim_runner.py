@@ -7,12 +7,12 @@ import pytest
 from repro.analysis import sanitize_observability
 from repro.bench.workloads import blobs_task
 from repro.core.models import asp, bsp, drop_stragglers, pssp, ssp
-from repro.core.server import ExecutionMode
+from repro.core.server import ExecutionMode, ShardServer
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.sim.cluster import ClusterSpec, cpu_cluster, gpu_cluster_p2
 from repro.sim.engine import Engine
 from repro.sim.network import Network
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
 from repro.sim.stragglers import (
     DeterministicCompute,
@@ -99,11 +99,55 @@ class TestConfig:
             ("snapshot_interval_s", float("inf")),
             ("server_op_overhead_s", float("inf")),
             ("dpr_overhead_s", float("inf")),
+            # derive_rng truncated: seed 2.5 ran seed 2, True ran seed 1.
+            ("seed", 2.5),
+            ("seed", True),
+            ("seed", float("nan")),
         ],
     )
     def test_invalid_numbers_fail_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             replace(timing_config(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "value, mode",
+        [
+            ("lazy", ExecutionMode.LAZY),
+            ("soft", ExecutionMode.SOFT_BARRIER),
+            (ExecutionMode.SOFT_BARRIER, ExecutionMode.SOFT_BARRIER),
+        ],
+    )
+    def test_execution_by_value_is_that_mode(self, value, mode):
+        """``execution="lazy"`` used to run the soft barrier: the shards
+        tested ``execution is ExecutionMode.LAZY``."""
+        cfg = timing_config(execution=value)
+        assert cfg.execution is mode
+        assert ShardServer(0, 2, ssp(1), value).execution is mode
+
+    @pytest.mark.parametrize("value", ["eager", "LAZY", None, 1])
+    def test_unknown_execution_refused(self, value):
+        with pytest.raises(ValueError, match="execution"):
+            timing_config(execution=value)
+        with pytest.raises(ValueError, match="execution"):
+            ShardServer(0, 2, ssp(1), value)
+
+    @pytest.mark.no_sanitize  # explicit Observability below
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_execution_by_value_runs_as_the_mode(self, observed):
+        """The measured case: 16 workers x 2 shards, SSP(1), 10 iterations
+        (observed, ``"lazy"`` died of ``'str' object has no attribute 'value'``)."""
+        def dprs(execution):
+            obs = Observability(MetricsRegistry("x"), causal=False) if observed else NULL_OBS
+            cfg = SimConfig(
+                cluster=cpu_cluster(16, n_servers=2), max_iter=10, sync=ssp(1),
+                execution=execution, workload=alexnet_cifar_workload(),
+                compute_model=cpu_cluster_compute(16), seed=0, obs=obs,
+            )
+            return run_fluentps(cfg).metrics.dprs
+
+        lazy, soft = dprs(ExecutionMode.LAZY), dprs(ExecutionMode.SOFT_BARRIER)
+        assert lazy != soft
+        assert (dprs("lazy"), dprs("soft")) == (lazy, soft)
 
     @pytest.mark.parametrize(
         "removed",

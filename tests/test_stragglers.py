@@ -174,3 +174,34 @@ class TestProperties:
         m = HeterogeneousCompute(n, spread=spread, jitter_sigma=0.0)
         for w in range(n):
             assert 1.0 <= m.rate_factor(w) <= 1.0 + spread + 1e-12
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DeterministicCompute(NAN),
+        lambda: LogNormalCompute(NAN),
+        lambda: ExponentialTailCompute(0.1, NAN),
+        lambda: ExponentialTailCompute(NAN, 2.0),
+        lambda: ExponentialTailCompute(0.1, 2.0, jitter_sigma=NAN),
+        lambda: ParetoTailCompute(alpha=NAN),
+        lambda: ParetoTailCompute(3.0, scale=NAN),
+        lambda: TransientStragglerCompute(4, slow_factor=NAN),
+        lambda: HeterogeneousCompute(4, spread=NAN),
+        lambda: HeterogeneousCompute(4, jitter_sigma=NAN),
+        lambda: LogNormalCompute(float("inf")),
+    ],
+    ids=[
+        "deterministic", "lognormal", "exp-tail-scale", "exp-tail-p", "exp-tail-jitter",
+        "pareto-alpha", "pareto-scale", "transient", "heterogeneous-spread",
+        "heterogeneous-jitter", "lognormal-inf",
+    ],
+)
+def test_non_finite_parameters_fail_at_construction(build):
+    """A NaN parameter used to put NaN timestamps on the event heap, and
+    the run died later with a misleading ``ProtocolError``."""
+    with pytest.raises(ValueError):
+        build()
