@@ -34,7 +34,7 @@ from repro.core.models import SyncModel, per_server
 from repro.core.scheduler import Scheduler
 from repro.core.server import ApplyInfo, ExecutionMode, PullReply, ShardServer, default_apply
 from repro.obs import Observability, current_observability
-from repro.utils.checks import check_number
+from repro.utils.checks import check_number, check_seed
 from repro.utils.rng import derive_rng
 
 
@@ -70,8 +70,8 @@ class ParameterServerSystem:
         """``init_params=None`` builds timing-only shards: no parameters,
         no gradients, no snapshot copies.  ``shard_factory`` is called with
         :class:`ShardServer`'s keyword arguments, once per shard."""
-        check_number("n_workers", n_workers, 1, integer=True)
-        check_number("n_servers", n_servers, 1, integer=True)
+        n_workers = check_number("n_workers", n_workers, 1, integer=True)
+        n_servers = check_number("n_servers", n_servers, 1, integer=True)
         if init_params is not None and init_params.shape != (model.total_elements,):
             raise ValueError(
                 f"init_params must be flat with {model.total_elements} elements, "
@@ -88,7 +88,7 @@ class ParameterServerSystem:
         self._sync_model = sync_model
         self._apply_fn = apply_fn
         self._shard_factory = shard_factory
-        self._seed = seed
+        self._seed = check_seed(seed)
         self.obs = obs or current_observability()
         self._epoch = 0  # bumped by resize; keeps server RNG streams fresh
         self._retired_metrics: List[SyncMetrics] = []

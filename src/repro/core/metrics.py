@@ -69,15 +69,17 @@ class SyncMetrics:
         early_pulls: int,
         iteration: int,
         dpr_waits: Optional[np.ndarray] = None,
+        two_behind: int = 0,
     ) -> None:
         """Bulk-record one analytically committed quiet round: ``n_workers``
         pushes and pulls, one frontier advance, and what the serve order
         implies for the ``early_pulls`` answered before the frontier
-        advanced: one missing iteration each — or, with ``dpr_waits``
-        (a barrier), DPRs of ``iteration`` released with none missing,
-        ``dpr_waits`` their buffered seconds in release order.  Exactly
-        equivalent to the per-request recording sequence of the event
-        path — histogram keys are only created for non-zero buckets,
+        advanced: one missing iteration each (two for ``two_behind`` of
+        them, answered before the previous advance) — or, with
+        ``dpr_waits`` (a barrier), DPRs of ``iteration`` released with none
+        missing, ``dpr_waits`` their buffered seconds in release order.
+        Exactly equivalent to the per-request recording sequence of the
+        event path — histogram keys are only created for non-zero buckets,
         ``dpr_wait_total`` is the same left fold, and an immediate pull
         adds 0.0 to it."""
         dprs = 0 if dpr_waits is None else early_pulls
@@ -91,8 +93,10 @@ class SyncMetrics:
             self.dpr_iterations.extend([iteration] * dprs)
             folded = np.add.accumulate(np.concatenate(((self.dpr_wait_total,), dpr_waits)))
             self.dpr_wait_total = float(folded[-1])
-        if stale:
-            self.staleness_hist[1] += stale
+        if two_behind:
+            self.staleness_hist[2] += two_behind
+        if stale - two_behind:
+            self.staleness_hist[1] += stale - two_behind
         if n_workers - stale:
             self.staleness_hist[0] += n_workers - stale
 

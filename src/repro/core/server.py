@@ -631,7 +631,11 @@ class ShardServer:
     # -- Closed-form quiet-round commit (round collapse fast path) ----------
 
     def handle_quiet_round(
-        self, progress: int, early_pulls: int, dpr_waits: Optional[np.ndarray] = None
+        self,
+        progress: int,
+        early_pulls: int,
+        dpr_waits: Optional[np.ndarray] = None,
+        two_behind: int = 0,
     ) -> None:
         """Commit one analytically fast-forwarded protocol round.
 
@@ -643,12 +647,14 @@ class ShardServer:
         immediate with one missing iteration, or — ``dpr_waits`` given, a
         barrier (s = 0) — DPRs released at that push with none missing,
         ``dpr_waits`` their buffered seconds in release order.  The rest
-        are immediate with none missing.  Only legal for timing-only
-        shards (no parameters, no gradients) with no buffered DPRs.  With
-        observability on, the metrics the per-request handlers would have
-        updated are updated here in bulk, exactly; the round's protocol
-        instants are the caller's to emit (one columnar block, in its
-        global serve order).
+        are immediate with none missing.  ``two_behind`` of the early
+        pulls were served before the *previous* round's frontier advance
+        (the rounds overlapped): two missing iterations each.  Only legal
+        for timing-only shards (no parameters, no gradients) with no
+        buffered DPRs.  With observability on, the metrics the
+        per-request handlers would have updated are updated here in bulk,
+        exactly; the round's protocol instants are the caller's to emit
+        (one columnar block, in its global serve order).
         """
         if self.params is not None or self.callbacks:
             raise ProtocolError("quiet-round commit requires a timing-only, "
@@ -676,7 +682,7 @@ class ShardServer:
         if con is not self._coin_con:
             self._coin_con = con
             self._coin_on = hasattr(con, "coin_flips")
-        self.metrics.record_quiet_round(n, early_pulls, progress, dpr_waits)
+        self.metrics.record_quiet_round(n, early_pulls, progress, dpr_waits, two_behind)
         if self._obs_on:
             self._c_pushes.inc(n)
             self._c_pulls.inc(n)
@@ -692,8 +698,10 @@ class ShardServer:
             # An immediate pull waited exactly 0.0.
             self._h_wait.observe(0.0, immediate)
             self._q_wait.observe(0.0, immediate)
-            if stale:
-                self._h_staleness.observe(1, stale)
+            if two_behind:
+                self._h_staleness.observe(2, two_behind)
+            if stale - two_behind:
+                self._h_staleness.observe(1, stale - two_behind)
             if n - stale:
                 self._h_staleness.observe(0, n - stale)
 

@@ -36,7 +36,7 @@ from repro.core.api import ParameterServerSystem, PullResult
 from repro.core.metrics import SyncMetrics
 from repro.core.step import StepContext
 from repro.obs import Observability, current_observability, exponential_buckets
-from repro.utils.checks import check_number
+from repro.utils.checks import check_number, check_seed
 from repro.utils.rng import derive_rng
 
 #: Wall-clock histogram buckets: 10us .. ~40s.
@@ -73,13 +73,13 @@ class ThreadedRunner:
         obs: Optional[Observability] = None,
         race_tracker: Optional["RaceTracker"] = None,
     ):
-        check_number("max_iter", max_iter, 1, integer=True)
+        max_iter = check_number("max_iter", max_iter, 1, integer=True)
         check_number("timeout_s", timeout_s, strict=True)
         check_number("join_grace_s", join_grace_s)
         self.system = system
         self.step_fn = step_fn
         self.max_iter = max_iter
-        self.seed = seed
+        self.seed = check_seed(seed)
         self.timeout_s = timeout_s
         self.join_grace_s = join_grace_s
         self.obs = obs or current_observability()

@@ -20,7 +20,6 @@ ResNet-56-sized transfers while the gradients stay cheap to compute.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -51,7 +50,7 @@ from repro.sim.engine import Engine, Signal
 from repro.sim.network import Endpoint, Gather, Message, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import CohortSpans, SpanKind, TraceRecorder
-from repro.utils.checks import check_number
+from repro.utils.checks import check_number, check_seed
 from repro.utils.records import SeriesRecord
 from repro.utils.rng import derive_rng
 
@@ -103,22 +102,24 @@ class SimConfig:
     def __post_init__(self) -> None:
         least = dict(max_iter=1, batch_per_worker=1, header_bytes=0, request_bytes=0, eval_every=0)
         for name, minimum in least.items():
-            check_number(name, getattr(self, name), minimum, integer=True)
+            setattr(self, name, check_number(name, getattr(self, name), minimum, integer=True))
         for name in ("base_compute_time", "wire_scale", "snapshot_interval_s"):
             value = getattr(self, name)
             if value is not None:
                 check_number(name, value, strict=True)
         for name in ("server_op_overhead_s", "dpr_overhead_s"):
             check_number(name, getattr(self, name))
-        check_number("seed", self.seed, -math.inf, integer=True)  # not truncated: 2.5 is no seed
+        self.seed = check_seed(self.seed)
         self.execution = ExecutionMode(self.execution)
         if self.task is None and self.workload is None:
             raise ValueError("need a TrainingTask and/or a Workload")
-        if self.task is not None and self.task.n_workers != self.cluster.n_workers:
-            raise ValueError(
-                f"task built for {self.task.n_workers} workers, cluster has "
-                f"{self.cluster.n_workers}"
-            )
+        for what in ("task", "compute_model"):
+            # A per-worker model sized for another cluster would run silently.
+            sized = getattr(getattr(self, what), "n_workers", self.cluster.n_workers)
+            if sized != self.cluster.n_workers:
+                raise ValueError(
+                    f"{what} built for {sized} workers, cluster has {self.cluster.n_workers}"
+                )
 
     @property
     def spec(self) -> ModelSpec:
@@ -301,6 +302,11 @@ class _Lanes:
     dpr_cost: float
 
 
+#: Per shard, three row arrays (intruders: ids, TX ends, rank keys; what a
+#: round lent: RX ends, handles, reply TX ends).
+_ShardRows = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 @dataclass(slots=True)
 class _RoundSchedule:
     """One protocol round as a value: what :func:`quiet_round` returns.
@@ -329,6 +335,9 @@ class _RoundSchedule:
     closes: np.ndarray  #: workers in the order their reply gathers close
     rank: np.ndarray  #: next round's resume rank (position in ``closes``)
     lanes: _Lanes  #: the lane state after the round
+    #: Per shard: the ``(rx_end, handle, reply_tx_end)`` of the next round's
+    #: intruders this round served, the pulls' replies in claim order.
+    lent: _ShardRows
 
 
 def _request_tx(lanes: _Lanes, ready: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,7 +355,13 @@ def _request_tx(lanes: _Lanes, ready: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return tx_end, wtx_free, wtx_busy
 
 
-def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSchedule:
+def quiet_round(
+    lanes: _Lanes,
+    ready: np.ndarray,
+    rank: np.ndarray,
+    served: Optional[_ShardRows] = None,
+    intruders: Optional[_ShardRows] = None,
+) -> _RoundSchedule:
     """One stock protocol round in closed form (Algorithm 1 lines 4-6).
 
     Worker ``w`` sends M pushes then M pulls at ``ready[w]`` (workers
@@ -357,10 +372,17 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
     drained: worker TX cascade -> per-shard RX claim and serve lane ->
     reply TX cascade -> the worker's private RX lane.  Every lane obeys
     the one rule of :func:`_seq_cascade`, so each float is the one the
-    event path and ``tests/reference_sim.py`` produce, provided no other
-    round's request reaches a shard meanwhile — the caller's isolation
-    test.  Pure: ``lanes`` is read, the state after the round is a new
-    object inside the schedule.
+    event path and ``tests/reference_sim.py`` produce, provided the
+    next round's requests that reach a shard before this round's last
+    one there are the ``intruders`` — per shard ``(ids, tx_end, key)`` in
+    claim order, ``ids`` ``worker * 2M + column``, ``key`` the next
+    round's ``resume rank * 2M + column`` — the caller's guess-and-verify.
+    They join each shard's claim, serve and reply streams, and their
+    ``(rx_end, handle, reply_tx_end)`` come back in ``lent``.  ``served``
+    is the previous round's ``lent``: this round's requests it already
+    served, the first of each shard's claim order; only the rest cascade,
+    from ``lanes`` as that round left them.  Pure: ``lanes`` is read,
+    the state after the round is a new object inside the schedule.
     """
     n, M = lanes.w_holds.shape[0], len(lanes.s_push_hold)
     K = 2 * M
@@ -381,40 +403,51 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
     reply_tx_end = np.empty((n, M))
     early: List[int] = []
     waits: List[Optional[np.ndarray]] = []
+    lent = []
     bursts = []  # per barrier shard: its DPRs' workers and the releasing push
     column0 = np.concatenate((arange_n * K, arange_n * K + M))  # push | pull to shard 0
     key0 = np.concatenate((wrank * K, wrank * K + M))  # the same, by resume rank
     inline = 0
     stx_free, srx_free, stx_busy, srx_busy, serve_busy = ([0.0] * M for _ in range(5))
-    op_costs = np.full(2 * n, lanes.op_cost)
-    reply_holds = np.empty(n)
     for m in range(M):
         t2 = np.concatenate((tx_end[:, m], tx_end[:, M + m]))
         k2 = key0 + m
         o = np.lexsort((k2, t2))
         is_pull = o >= n
         claims[m] = column0[o] + m
-        holds = np.where(is_pull, lanes.s_pull_hold[m], lanes.s_push_hold[m])
-        rx, srx_free[m] = _seq_cascade(t2[o] + latency, holds, lanes.srx_free[m])
+        applied[m] = pushes = np.cumsum(~is_pull)
+        # The stream this call cascades: this round's requests the previous
+        # one has not served, merged in claim order with the next round's
+        # intruders (``mine`` marks this round's, when there are any).
+        done_rx, done_serve, done_reply = (np.empty(0),) * 3 if served is None else served[m]
+        ns, nd = done_rx.shape[0], done_reply.shape[0]
+        t, pull = t2[o[ns:]], is_pull[ns:]
+        mine = None
+        if intruders is not None and intruders[m][0].shape[0]:
+            ids, at, key = intruders[m]
+            merge = np.lexsort((np.concatenate((k2[o[ns:]], key)), np.concatenate((t, at))))
+            mine = merge < t.shape[0]
+            t = np.concatenate((t, at))[merge]
+            pull = np.concatenate((pull, ids % K >= M))[merge]
+        holds = np.where(pull, lanes.s_pull_hold[m], lanes.s_push_hold[m])
+        rx, srx_free[m] = _seq_cascade(t + latency, holds, lanes.srx_free[m])
         srx_busy[m] = float(
             np.add.accumulate(np.concatenate(((lanes.srx_busy[m],), holds)))[-1]
         )
-        applied[m] = pushes = np.cumsum(~is_pull)
         # Pulls claimed before this shard's n-th push see the pre-advance
         # frontier: one missing iteration, or at a barrier a DPR.
         nth = int(np.searchsorted(pushes, n))
         early.append(nth + 1 - n)
-        barrier = lanes.barrier[m]
-        serve_holds = op_costs
+        barrier = lanes.barrier[m]  # never merged: the caller refuses that
+        serve_holds = np.full(t.shape[0], lanes.op_cost)
         if barrier:
             serve_holds = np.where(is_pull & (pushes < n), lanes.dpr_cost, lanes.op_cost)
         busy_ends, serve_busy[m] = _seq_cascade(rx, serve_holds, lanes.serve_busy[m])
         busy_prev = np.concatenate(((lanes.serve_busy[m],), busy_ends[:-1]))
-        handle[m] = serve = np.maximum(busy_prev, rx)
+        serve = np.maximum(busy_prev, rx)
         inline += int(np.count_nonzero(rx >= busy_prev))
-        rx_end[m] = rx
         pulled = o[is_pull] - n  # workers, in pull-claim order
-        sent = serve[is_pull]
+        sent = serve[pull]
         waited = None
         if barrier:
             # The DPRs leave together, in claim order, at the n-th push's handle.
@@ -424,12 +457,19 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
             bursts.append((m, pulled[: early[m]], t2[o[nth]], k2[o[nth]]))
         waits.append(waited)
         # Replies leave in pull-claim order.
-        reply_holds.fill(lanes.s_push_hold[m])
+        reply_holds = np.full(sent.shape[0], lanes.s_push_hold[m])
         ends, stx_free[m] = _seq_cascade(sent, reply_holds, lanes.stx_free[m])
         stx_busy[m] = float(
             np.add.accumulate(np.concatenate(((lanes.stx_busy[m],), reply_holds)))[-1]
         )
-        reply_tx_end[pulled, m] = ends
+        if mine is None:
+            lent.append((np.empty(0),) * 3)  # not ``rx[:0]``: a view pins all of ``rx``
+        else:
+            lent.append((rx[~mine], serve[~mine], ends[~mine[pull]]))
+            rx, serve, ends = rx[mine], serve[mine], ends[mine[pull]]
+        rx_end[m, :ns], rx_end[m, ns:] = done_rx, rx
+        handle[m, :ns], handle[m, ns:] = done_serve, serve
+        reply_tx_end[pulled[:nd], m], reply_tx_end[pulled[nd:], m] = done_reply, ends
 
     # -- each worker's private RX lane --------------------------------------
     # Claimed at reply TX completions, i.e. in (reply tx_end, reply send
@@ -472,8 +512,54 @@ def quiet_round(lanes: _Lanes, ready: np.ndarray, rank: np.ndarray) -> _RoundSch
     )
     return _RoundSchedule(
         ready, order, tx_end, claims, rx_end, handle, applied, early, waits, inline,
-        reply_tx_end, perm, reply_rx_end, cur, closes, next_rank, after,
+        reply_tx_end, perm, reply_rx_end, cur, closes, next_rank, after, lent,
     )
+
+
+def _intruders(
+    sched: _RoundSchedule, ready: np.ndarray, rank: np.ndarray, floor: Optional[np.ndarray],
+    stale: Sequence[float],
+) -> Optional[Tuple[_ShardRows, List[int]]]:
+    """The next round's requests — sent at ``ready``, resuming in ``rank``
+    order — that claim a shard's RX lane before ``sched``'s last request
+    there, as :func:`quiet_round`'s ``intruders``; and per shard how many
+    of their pulls precede ``sched``'s n-th push (two iterations missing).
+    ``None`` where no merge is the event path's: an exact TX-end tie
+    between the two rounds at a shard, a request at or before ``floor``
+    (the previous round's last TX end per shard: depth-2 mixing), an
+    intruder at a barrier shard, or an intruder pull the pre-advance
+    frontier would not answer at once (the shard's s in ``stale`` <= 1)."""
+    n, K = sched.tx_end.shape
+    M = K // 2
+    tx = _request_tx(sched.lanes, ready)[0]
+    # Per shard: the next round's first TX end and this round's last (a
+    # worker's pull to a shard leaves after its push there).
+    first, last = tx[:, :M].min(axis=0), sched.tx_end[:, M:].max(axis=0)
+    if floor is not None and (first <= floor).any():
+        return None
+    none = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
+    rows, behind = [none] * M, [0] * M
+    wrank = None
+    for m in np.flatnonzero(first <= last).tolist():
+        cols = np.array([m, M + m])
+        w, j = np.nonzero(tx[:, cols] <= last[m])
+        at, col = tx[w, cols[j]], cols[j]
+        # ``at <= last``: the insertion point is a row of ``own``.
+        own = np.sort(sched.tx_end[:, cols], axis=None)
+        if sched.lanes.barrier[m] or (own[np.searchsorted(own, at)] == at).any():
+            return None
+        if wrank is None:
+            wrank = np.empty(n, dtype=np.int64)
+            wrank[np.lexsort((rank, ready))] = np.arange(n)
+        key = wrank[w] * K + col
+        p = np.lexsort((key, at))
+        w, at, col, key = w[p], at[p], col[p], key[p]
+        nth = sched.claims[m, sched.early[m] + n - 1]  # this round's n-th push
+        behind[m] = int(np.count_nonzero((col >= M) & (at < sched.tx_end.flat[nth])))
+        if behind[m] and not stale[m] > 1:
+            return None
+        rows[m] = (w * K + col, at, key)
+    return rows, behind
 
 
 #: Above this many workers the ``pull_latency_seconds`` sketch keeps one
@@ -1001,19 +1087,24 @@ class FluentPSSimRunner:
         Per round: draw the cohort's compute durations, let
         :func:`quiet_round` schedule the round from the lane table, and
         commit it — spans, sketches, the shards' ``handle_quiet_round``,
-        the instant block, the event census — only when the next round is
-        provably isolated at every shard (its first request to the shard
-        finishes TX strictly after this round's last one), so claim and
-        serve orders, staleness splits and DPR releases cannot shift: what
-        overlaps then lies on the workers' private lanes.  An observed run
-        asks more — the next round's earliest send lands strictly after
-        this round's last reply — since its instant log is one stream in
-        global handle order.  The first round that fails the check — a
-        straggler draw overlapping the tail — commits *nothing* and
-        de-vectorizes the cohort back to per-worker event processes at
-        their analytic clocks with their compute durations pre-drawn,
-        keeping RNG streams and all downstream timestamps aligned with
-        the pure event path bit for bit.
+        the instant block, the event census — once its schedule is proven
+        the event path's.  The next round's *intruders* (:func:`_intruders`:
+        its requests that finish TX before this round's last one to a
+        shard) are guessed from the round as if isolated, merged into its
+        shard streams, and re-derived from the merged round: only a fixed
+        point commits (DESIGN.md, "Overlapping rounds"), and the round
+        that lent them commits with the round that takes them as served.
+        No intruders is the isolated case: what overlaps lies on the
+        workers' private lanes.  An observed run keeps the global test —
+        the next round's earliest send lands strictly after this round's
+        last reply — since its instant log is one stream in global handle
+        order.  The first round that fails — a refused or unverified
+        merge, a straggler draw overlapping the tail — commits nothing
+        from the first round of its chain on and de-vectorizes the cohort
+        there, back to per-worker event processes at their analytic
+        clocks with their compute durations pre-drawn, keeping RNG
+        streams and all downstream timestamps aligned with the pure
+        event path bit for bit.
 
         Returns True when every iteration committed analytically (the
         event heap stays empty and ``engine.now`` is set directly),
@@ -1076,75 +1167,111 @@ class FluentPSSimRunner:
             net._next_msg_id += nmsg
             net.fused_deliveries += nmsg
 
-        r = 0
-        c = np.zeros(n)
-        rank = np.arange(n)
-        dur_l = [sample(w, 0, base_l[w], rngs[w]) for w in range(n)]
-        while True:
-            sched = quiet_round(lanes, c + np.asarray(dur_l), rank)
-            f = sched.done
-
-            # -- inter-round isolation check ------------------------------
-            last_round = r + 1 >= cfg.max_iter
-            dur_next: List[float] = []
-            if not last_round:
-                dur_next = [sample(w, r + 1, base_l[w], rngs[w]) for w in range(n)]
-                ready = f + np.asarray(dur_next)
-                if observed:
-                    quiet = float(np.min(ready)) > float(np.max(f))
-                else:
-                    first = _request_tx(sched.lanes, ready)[0][:, :M].min(axis=0)
-                    quiet = bool((first > sched.tx_end[:, M:].max(axis=0)).all())
-                if not quiet:
-                    # Round r+1 would mix with round r at a shard (claim
-                    # and serve orders could shift), so nothing about
-                    # round r is committed: the cohort de-vectorizes here,
-                    # durations pre-drawn so the RNG streams stay aligned
-                    # with the pure event path.
-                    _flush()
-                    self._record_fallback("overlap", r)
-                    clock = c.tolist()
-                    for w in np.argsort(rank, kind="stable").tolist():
-                        eng.spawn(
-                            self._worker_proc(w, r, {r: dur_l[w], r + 1: dur_next[w]}),
-                            name=names[w],
-                            start_at=clock[w],
-                        )
-                    return False
-
-            # -- commit round r -------------------------------------------
+        def _commit(c: np.ndarray, _rank, sched: _RoundSchedule, behind: List[int]) -> None:
+            # Round ``r`` into the trace, the shards and the counters.
             compute_spans.add(sched.order, c, sched.ready, r)
-            if observed:
-                # Before the shards commit: the block (and in round 0 the
-                # config snapshots) must see each shard's pre-round state.
-                self._emit_round_block(r, sched, block_shards)
             for m in range(M):
-                self.servers[m].handle_quiet_round(r, sched.early[m], sched.waits[m])
+                self.servers[m].handle_quiet_round(r, sched.early[m], sched.waits[m], behind[m])
                 self._srv_now[m] = float(sched.handle[m, -1])
                 if observed and cost > 0:
                     serve = sched.handle[m]
                     self.trace.record_spans(
                         self._srv_names[m], SpanKind.SERVER_APPLY, serve, serve + cost
                     )
+            f = sched.done
             pull_spans.add(sched.closes, sched.ready, f, r)
             if sketches is not None:
                 waits = (f - sched.ready)[sched.closes].tolist()
                 for w, waited in zip(sched.closes.tolist(), waits):
                     sketches[w].observe(waited)
-            lanes = sched.lanes
             self.server_msgs_inline += sched.inline
             self.server_msgs_drained += 2 * n * M - sched.inline
             # The initial spawn-step wave is only truly saved when the
             # whole run collapses — a de-vectorization re-spawns one step
             # event per worker, cancelling the round-0 saving.
-            eng.credit_collapsed_round(saved_per_round + (n if last_round else 0))
-            r += 1
+            eng.credit_collapsed_round(saved_per_round + (n if r + 1 == cfg.max_iter else 0))
+
+        stale = [s.pull_con.s for s in self.servers]
+        r = 0  # rounds committed; ``lanes`` is the state after them
+        c = np.zeros(n)
+        rank = np.arange(n)
+        #: Compute durations drawn for round ``r`` on, through the next one.
+        durs = [[sample(w, 0, base_l[w], rngs[w]) for w in range(n)]]
+        #: Scheduled rounds after ``r``, each lending intruders to the next:
+        #: ``(c, rank, what _commit reads, behind)``; a hand-over reads the
+        #: first one's ``c`` and ``rank``.
+        chain: List[tuple] = []
+        work, served, behind, floor = lanes, None, [0] * M, None
+        while True:
+            k = r + len(chain)  # the round scheduled now
+            ready = c + np.asarray(durs[k - r])
+            sched = quiet_round(work, ready, rank, served)
+            last_round = k + 1 >= cfg.max_iter
+            lend, mixed = None, False
+            if not last_round:
+                durs.append([sample(w, k + 1, base_l[w], rngs[w]) for w in range(n)])
+                dur_next = np.asarray(durs[-1])
+                if observed:
+                    quiet = float(np.min(sched.done + dur_next)) > float(np.max(sched.done))
+                else:
+                    # Guess the intruders from the round as if isolated,
+                    # merge them, and commit only a fixed point: the merged
+                    # round lets in the very rows, at the very TX ends.
+                    lend = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
+                    mixed = lend is not None and any(ids.shape[0] for ids, _t, _k in lend[0])
+                    if mixed:
+                        sched = quiet_round(work, ready, rank, served, lend[0])
+                        again = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
+                        if again is None or not all(
+                            np.array_equal(a, b)
+                            for guess, proof in zip(lend[0], again[0])
+                            for a, b in zip(guess, proof)
+                        ):
+                            lend = None
+                    quiet = lend is not None
+                if not quiet:
+                    # Round k+1 would mix with round k at a shard beyond
+                    # what a merge proves, so nothing from round r on is
+                    # committed: the cohort de-vectorizes at round r,
+                    # durations pre-drawn so the RNG streams stay aligned
+                    # with the pure event path.
+                    c, rank = chain[0][:2] if chain else (c, rank)
+                    _flush()
+                    self._record_fallback("overlap", r)
+                    clock = c.tolist()
+                    for w in np.argsort(rank, kind="stable").tolist():
+                        eng.spawn(
+                            self._worker_proc(w, r, {r + i: d[w] for i, d in enumerate(durs)}),
+                            name=names[w],
+                            start_at=clock[w],
+                        )
+                    return False
+            if observed:
+                # Before the shards commit: the block (and in round 0 the
+                # config snapshots) must see each shard's pre-round state.
+                self._emit_round_block(k, sched, block_shards)
+            # Only what ``_commit`` reads stays queued: O(n) per round.
+            chain.append((c, rank, sched if observed else replace(
+                sched, tx_end=None, claims=None, rx_end=None, applied=None,
+                handle=sched.handle[:, -1:].copy(), reply_tx_end=None, reply_order=None,
+                reply_rx_end=None, lent=None,
+            ), behind))
+            if not mixed:
+                # The chain ends at an isolated boundary or the last round: a
+                # round that lent intruders commits with the round it lent
+                # them to.  Popped, so no committed round outlives its commit.
+                while chain:
+                    _commit(*chain.pop(0))
+                    r += 1
+                lanes, durs = sched.lanes, durs[-1:]
             if last_round:
                 _flush()
-                eng.now = float(np.max(f))
-                self._finish_times = f.tolist()
+                eng.now = float(np.max(sched.done))
+                self._finish_times = sched.done.tolist()
                 return True
-            c, rank, dur_l = f, sched.rank, dur_next
+            c, rank, work, served = sched.done, sched.rank, sched.lanes, sched.lent
+            behind = lend[1] if mixed else [0] * M
+            floor = sched.tx_end[:, M:].max(axis=0)
             del sched  # or two rounds' tables are alive while the next is computed
 
     def _emit_round_block(self, r: int, sched: _RoundSchedule, shards) -> None:

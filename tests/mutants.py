@@ -82,17 +82,15 @@ def bsp_dpr_cost_dropped(monkeypatch) -> None:
 
 
 def separation_checks_pushes_only(monkeypatch) -> None:
-    """The collapse's isolation test compares the next round's first
-    request to a shard with this round's last *push* to it, not its last
-    request: a round whose pulls still reach a shard after the next
-    round's first push commits anyway.  Killer:
+    """The collapse's intruder test compares the next round's requests to
+    a shard with this round's *pushes* to it, not all its requests: a
+    next-round request that reaches a shard after this round's last push
+    but before its last pull is neither merged nor refused.  Killer:
     ``test_round_schedule.py::test_separation_checks_pushes_only_dies_by_the_reference``."""
     _rewrite(
-        monkeypatch,
-        runner.FluentPSSimRunner,
-        "_collapse_rounds",
-        "sched.tx_end[:, M:].max(axis=0)",
-        "sched.tx_end[:, :M].max(axis=0)",
+        monkeypatch, runner, "_intruders",
+        "last = tx[:, :M].min(axis=0), sched.tx_end[:, M:].max(axis=0)",
+        "last = tx[:, :M].min(axis=0), sched.tx_end[:, :M].max(axis=0)",
     )
 
 
@@ -183,3 +181,45 @@ MUTANTS = (
     bsp_release_at_pull_handle,
     bsp_dpr_cost_dropped,
 )
+
+
+def intruders_unverified(monkeypatch) -> None:
+    """A round merged with the next round's intruders commits on the guess
+    alone: the intruder set is not re-derived from the merged round's own
+    gathers.  Killer:
+    ``test_round_schedule.py::test_intruders_unverified_dies_by_the_reference``."""
+    _rewrite(
+        monkeypatch, runner.FluentPSSimRunner, "_collapse_rounds",
+        "again = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)",
+        "again = lend",
+    )
+
+
+def intruder_pull_missing_one(monkeypatch) -> None:
+    """Every intruder pull is recorded one iteration stale, also those a
+    shard answers before the lending round's frontier advance (two
+    missing).  Killer:
+    ``test_round_schedule.py::test_intruder_pull_missing_one_dies_by_the_reference``."""
+    _rewrite(
+        monkeypatch, runner.FluentPSSimRunner, "_collapse_rounds",
+        "behind = lend[1] if mixed else [0] * M", "behind = [0] * M",
+    )
+
+
+def cross_round_tie_accepted(monkeypatch) -> None:
+    """A next-round request whose TX end ties a request of this round at a
+    shard is merged, by rank key, as if the two were of one round.
+    Killer: ``test_round_schedule.py::test_cross_round_tie_accepted_dies_by_the_reference``."""
+    _rewrite(
+        monkeypatch, runner, "_intruders", "(own[np.searchsorted(own, at)] == at).any()", "False"
+    )
+
+
+def depth_two_mixing_accepted(monkeypatch) -> None:
+    """A request two rounds ahead that reaches a shard before a round's
+    last request there is not refused.  Killer:
+    ``test_round_collapse.py::TestDevectorization::test_depth_two_mixing_hands_over``."""
+    _rewrite(
+        monkeypatch, runner, "_intruders",
+        "if floor is not None and (first <= floor).any():", "if False:",
+    )

@@ -47,6 +47,8 @@ class TestConstruction:
             ("n_servers", True),
             ("n_servers", 1.5),
             ("n_servers", 0),
+            ("seed", 2.5),  # truncated to seed 2
+            ("seed", 2**32),  # ran seed 0
         ],
     )
     def test_invalid_counts_fail_at_construction(self, tiny_spec, field, value):

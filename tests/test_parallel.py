@@ -77,6 +77,8 @@ def test_invalid_iters(quadratic_problem):
         ("timeout_s", float("nan")),
         ("timeout_s", float("inf")),
         ("join_grace_s", float("nan")),
+        ("seed", 2.5),  # truncated to seed 2
+        ("seed", -(2**32) + 1),  # ran seed 1
     ],
 )
 def test_invalid_numbers_fail_at_construction(quadratic_problem, field, value):

@@ -41,6 +41,7 @@ from repro.sim.stragglers import (
 )
 from repro.sim.trace import SpanKind
 
+from tests.mutants import depth_two_mixing_accepted
 from tests.sim_helpers import (
     EventPathRunner,
     assert_matches_reference,
@@ -139,6 +140,15 @@ def _cell(preset, sync_name, compute_name, n=12, m=3, iters=4, seed=7,
     )
 
 
+def _mixed_cell(seed, sync=None):
+    """Comm-bound stragglers: fast workers' next requests reach a shard
+    before slow workers' current ones (13-29 of them per boundary here)."""
+    return dict(
+        cluster=cpu_cluster(24, n_servers=2), max_iter=4, sync=sync or ssp(3),
+        workload=alexnet_cifar_workload(), compute_model=cpu_cluster_compute(24), seed=seed,
+    )
+
+
 class TestVectorModeDifferential:
     """No observability: the collapse commits cohort analytics directly."""
 
@@ -190,6 +200,42 @@ class TestVectorModeDifferential:
         assert rb.engine.events_processed == ra.engine.round_events_saved
         assert ra.engine.round_events_saved == 3 * 12 * (2 + 2 * 3) + 12
 
+    # Rounds that overlap at a shard commit whole: the next round's early
+    # requests are merged into the round they overtake.
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_mixed_ssp_rounds_commit(self, seed):
+        ra, _rb = _assert_differential(_mixed_cell(seed))
+        assert ra.engine.rounds_collapsed == 4 and ra.collapse_fallback == {}
+        assert ra.engine.events_processed == 0
+        # Pulls answered before the previous round's frontier advance: the
+        # intruders of a merged round, two iterations missing.
+        assert ra.system.merged_metrics().staleness_hist[2] > 0
+
+    def test_mixed_pssp2_rounds_commit(self):
+        """PSSP(2): an intruder pull misses two iterations, under its s: no coin."""
+        ra, _rb = _assert_differential(_mixed_cell(0, pssp(2, 0.5)))
+        assert ra.engine.rounds_collapsed == 4 and ra.collapse_fallback == {}
+        assert sum(s.metrics.probabilistic_passes for s in ra.servers) == 0
+
+    def test_mixed_ssp1_refuses_an_early_intruder_pull(self):
+        """SSP(1) cannot answer a pull one round ahead before the frontier advances."""
+        ra, _rb = _assert_differential(_mixed_cell(0, ssp(1)))
+        assert ra.collapse_fallback == {"reason": "overlap", "round": 1}
+
+    def test_mixed_barrier_shard_refuses_intruders(self):
+        """Per-server BSP/SSP(3) with a compute window shorter than the
+        rest of a worker's push: a next-round request reaches the barrier
+        shard before this round's last pull there — refused, handed over."""
+        kwargs = {
+            **_cell("cpu", "ssp3", "lognorm", n=24, m=8),
+            "sync": [bsp()] + [ssp(3)] * 7,
+            "base_compute_time": 0.01,
+        }
+        ra, _rb = _assert_differential(kwargs)
+        assert ra.collapse_fallback == {"reason": "overlap", "round": 2}
+        assert ra.engine.rounds_collapsed == 2
+
 
 class TestDevectorization:
     def test_single_midrun_straggler_exits_without_drift(self):
@@ -202,6 +248,20 @@ class TestDevectorization:
         ra, _rb = _assert_differential(kwargs)
         assert 0 < ra.engine.rounds_collapsed < 6
         assert ra.engine.events_processed > 0  # the de-vectorized tail
+
+    def test_depth_two_mixing_hands_over(self, monkeypatch):
+        """A 4x straggler in round 2: round 4's requests reach a shard
+        before the straggler's round-2 ones — no single merge covers that,
+        so the cohort hands over at round 2.  Accepting it is a mutant."""
+        kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=6)
+        kwargs["base_compute_time"] = 5.0
+        kwargs["compute_model"] = _InjectedStraggler(worker=3, iteration=2, slow_factor=4.0)
+        ra, _rb = _assert_differential(kwargs)
+        assert ra.collapse_fallback == {"reason": "overlap", "round": 2}
+        assert ra.engine.rounds_collapsed == 2 and ra.engine.events_processed > 0
+        depth_two_mixing_accepted(monkeypatch)
+        with pytest.raises(AssertionError):
+            assert_matches_reference(kwargs)
 
     def test_straggler_in_round_zero_collapses_nothing(self):
         kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=3)

@@ -29,17 +29,25 @@ from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim import runner as runner_mod
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
-from repro.sim.stragglers import DeterministicCompute, LogNormalCompute, cpu_cluster_compute
+from repro.sim.stragglers import (
+    DeterministicCompute,
+    ExponentialTailCompute,
+    LogNormalCompute,
+    cpu_cluster_compute,
+)
 
 from tests.mutants import (
     MUTANTS,
     cascade_trusts_guess,
+    cross_round_tie_accepted,
+    intruder_pull_missing_one,
+    intruders_unverified,
     separation_checks_pushes_only,
     span_totals_in_worker_order,
 )
 from tests.reference_sim import ReferenceSim, reference_wire
 from tests.sim_helpers import assert_matches_reference, assert_same_wire, python_calls
-from tests.test_round_collapse import _fingerprint, _run
+from tests.test_round_collapse import _fingerprint, _mixed_cell, _run
 
 ITERS = 4
 
@@ -61,9 +69,11 @@ def isolated_cell(n, m, sync, compute, execution=ExecutionMode.LAZY, op_cost=20e
 def _isolated_grid():
     """The cells of the isolated grid (3 shapes x 4 sync models x 4
     compute models x 2 execution modes x 2 op costs = 192) that commit at
-    least one round: all ``ITERS`` under identical workers, a prefix —
-    until a draw overlaps the next round and the run de-vectorises — under
-    unequal ones, at the shapes where round 0 is still isolated.  The
+    least one round: all ``ITERS`` under identical workers, and under
+    unequal ones (at the shapes where round 0 is still isolated) too,
+    the next round's early requests merged into the round they overtake —
+    except ``ssp(1)``, whose overtaking pulls the pre-advance frontier
+    would not answer at once: a prefix, until the run de-vectorises.  The
     other 48 cells never collapse: ``test_reference_sim``'s domain.  Plus
     BSP at those 36 (shape, compute, execution, op cost) points: its
     barrier lines every round up, so it commits all ``ITERS``."""
@@ -85,7 +95,7 @@ def _isolated_grid():
                         cells.append(
                             pytest.param(
                                 isolated_cell(n, m, sync, make_compute(n), execution, op_cost),
-                                cname in ("det", "ln0") or sname == "bsp",
+                                cname in ("det", "ln0") or sname != "ssp1",
                                 id=f"{n}x{m}-{sname}-{cname}-{execution.value}-{op_cost}",
                             )
                         )
@@ -94,13 +104,13 @@ def _isolated_grid():
 
 
 def _private_overlap_grid():
-    """Cells whose committed rounds overlap the next round only on the
-    workers' private lanes — a worker's next compute starts while the
-    round's last replies still drain — under stragglers and a compute
-    window as wide as a round's communication: BSP and ``ssp(0)`` commit
-    every round, SSP and PSSP their round 0.  The earlier global test
-    (the next round's first send after this round's last reply) committed
-    none of them."""
+    """Cells whose committed rounds overlap the next round on the workers'
+    private lanes — a worker's next compute starts while the round's last
+    replies still drain — under stragglers and a compute window as wide as
+    a round's communication: BSP and ``ssp(0)`` commit every round, and so
+    does PSSP(2), its next round's early requests merged at the shards;
+    ``ssp(1)`` its round 0.  The earlier global test (the next round's
+    first send after this round's last reply) committed none of them."""
     cells = []
     for n, m in [(24, 3), (64, 8)]:
         for preset in ("cpu", "gpu_p2"):
@@ -115,7 +125,7 @@ def _private_overlap_grid():
                                 workload=alexnet_cifar_workload(),
                                 compute_model=cpu_cluster_compute(n), seed=5,
                             ),
-                            ITERS if sname in ("bsp", "ssp0") else 1,
+                            1 if sname == "ssp1" else ITERS,
                             id=f"{n}x{m}-{preset}-{sname}-{execution.value}",
                         )
                     )
@@ -158,12 +168,18 @@ def wire_rows(runner, sched):
 
 def scheduled_rounds(runner):
     """Run ``runner``, keeping the schedule of every round the collapse
-    computed: the committed ones and, if it de-vectorised, the refused one."""
+    computed: the committed ones and, if it de-vectorised, the refused one.
+    A round scheduled twice — as if isolated, then merged with the next
+    round's intruders — is kept as its last schedule."""
     made = []
     schedule = runner_mod.quiet_round  # the shipped function, or a mutant
+    calls = []
 
-    def recording(lanes, ready, rank):
-        made.append(schedule(lanes, ready, rank))
+    def recording(lanes, ready, rank, *merge):
+        if calls and calls[-1] is lanes:  # the same round again, merged
+            made.pop()
+        calls.append(lanes)
+        made.append(schedule(lanes, ready, rank, *merge))
         return made[-1]
 
     with mock.patch.object(runner_mod, "quiet_round", recording):
@@ -278,16 +294,67 @@ class TestScheduleAgainstReference:
         runner = check_collapsed_wire(cfg_kwargs, made)
         assert runner.engine.rounds_collapsed == rounds
         # Round 0's replies still drain at a worker when round 1's first
-        # worker is ready: only worker lanes overlap, and the global test
-        # would have committed nothing.
+        # worker is ready: the global test would have committed nothing.
         assert made[0].done.max() > made[1].ready.min()
         assert_matches_reference(cfg_kwargs)
+
+
+def _merged_cells():
+    """Cells whose rounds mix at a shard and commit whole, merged."""
+    cells = [pytest.param(_mixed_cell(seed), id=f"24x2-ssp3-seed{seed}") for seed in (0, 1, 7)]
+    cells.append(pytest.param(_mixed_cell(0, pssp(2, 0.5)), id="24x2-pssp2"))
+    return cells
+
+
+@pytest.mark.parametrize("cfg_kwargs", _merged_cells())
+def test_merged_rounds_against_the_reference(cfg_kwargs):
+    """A round merged with the next round's intruders, and the next round
+    that takes them as served, are each one schedule whose rows — the
+    intruders' with the rows of the round they belong to — are the
+    reference's messages."""
+    made = []
+    runner = check_collapsed_wire(cfg_kwargs, made)
+    assert runner.engine.rounds_collapsed == cfg_kwargs["max_iter"]
+    lent = [sum(rx.shape[0] for rx, _serve, _reply in sched.lent) for sched in made]
+    assert any(lent) and not lent[-1]
+
+
+def _merging_call(cfg_kwargs):
+    """The arguments of the first :func:`quiet_round` call of a run that
+    merged intruders, and the schedule it returned."""
+    calls = []
+    schedule = runner_mod.quiet_round
+
+    def recording(*args):
+        calls.append((copy.deepcopy(args), schedule(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(runner_mod, "quiet_round", recording):
+        FluentPSSimRunner(SimConfig(**cfg_kwargs, obs=NULL_OBS)).run()
+    return next((args, sched) for args, sched in calls if len(args) == 5)
+
+
+def test_a_merged_round_is_pure():
+    args, made = _merging_call(_mixed_cell(0))
+    pristine = copy.deepcopy(args)
+    assert _same(made, runner_mod.quiet_round(*args))
+    assert _same(list(args), list(pristine))
+
+
+def test_no_intruders_is_the_isolated_round():
+    """Empty ``served`` and ``intruders`` per shard: today's floats."""
+    (lanes, ready, rank, _served, _intruders), _made = _merging_call(_mixed_cell(0))
+    M = len(lanes.s_push_hold)
+    empty = (np.empty(0), np.empty(0), np.empty(0))
+    none = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
+    isolated = runner_mod.quiet_round(lanes, ready, rank)
+    assert _same(isolated, runner_mod.quiet_round(lanes, ready, rank, [empty] * M, [none] * M))
 
 
 def _same(a, b):
     if dataclasses.is_dataclass(a):
         return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    if isinstance(a, list):
+    if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
@@ -540,20 +607,108 @@ def test_span_totals_in_worker_order_dies_by_the_event_path_key_order(monkeypatc
 
 
 def test_separation_checks_pushes_only_dies_by_the_reference(monkeypatch):
-    """The isolation test must cover a round's pulls, not only its pushes.
-    In this cell the shipped test refuses round 2 — a worker's round-3
-    push to shard 0 finishes TX after round 2's last push to it but
-    before its last pull — and the pushes-only test commits it, and the
-    run is no longer the reference's."""
+    """The intruder test must cover a round's pulls, not only its pushes.
+    In this cell next-round requests reach a shard between a round's last
+    push and its last pull there: the shipped test merges them and
+    commits every round, the pushes-only test commits every round too,
+    without them, and the run is no longer the reference's."""
     cell = dict(
         cluster=cpu_cluster(6, n_servers=3), max_iter=4, sync=ssp(1),
         workload=alexnet_cifar_workload(), compute_model=LogNormalCompute(0.2), seed=2,
     )
     runner, _result, _ref = assert_matches_reference(cell)
-    shipped = runner.engine.rounds_collapsed
+    assert runner.engine.rounds_collapsed == 4
     separation_checks_pushes_only(monkeypatch)
     with pytest.raises(AssertionError):
         assert_matches_reference(cell)
     mutated = FluentPSSimRunner(SimConfig(**cell, obs=NULL_OBS))
     mutated.run()
-    assert mutated.engine.rounds_collapsed > shipped
+    assert mutated.engine.rounds_collapsed == 4
+
+
+def test_intruders_unverified_dies_by_the_reference(monkeypatch):
+    """In this cell merging a round's guessed intruders lets in other ones
+    (the merge delays the gathers that sent them): the shipped collapse
+    hands over at round 0, the unverified one commits every round, and
+    the run is no longer the reference's."""
+    cell = dict(
+        cluster=gpu_cluster_p2(12, 3), max_iter=5, sync=ssp(3),
+        workload=alexnet_cifar_workload(), compute_model=ExponentialTailCompute(0.2, 2.0),
+        seed=3,
+    )
+    runner, _result, _ref = assert_matches_reference(cell)
+    assert runner.collapse_fallback == {"reason": "overlap", "round": 0}
+    intruders_unverified(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_matches_reference(cell)
+
+
+def test_intruder_pull_missing_one_dies_by_the_reference(monkeypatch):
+    cell = _mixed_cell(0)
+    assert_matches_reference(cell)
+    intruder_pull_missing_one(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_matches_reference(cell)
+
+
+class _LateWorkerZero(DeterministicCompute):
+    """Worker 0's round-0 compute lasts ``late`` seconds; the rest ``base``."""
+
+    def __init__(self, late):
+        super().__init__()
+        self.late = late
+
+    def sample(self, worker, iteration, base_time, rng):
+        return self.late if (worker, iteration) == (0, 0) else base_time
+
+
+def _cross_round_tie_cell():
+    """Worker 0's round-0 pull to the last shard finishes TX on the very
+    float at which worker ``w``'s round-1 push to it does: ``late`` is
+    searched ulp by ulp against the lane arithmetic of ``_request_tx``."""
+    def cell(late, iters=2):
+        return dict(
+            cluster=cpu_cluster(6, n_servers=2), max_iter=iters, sync=ssp(3),
+            workload=alexnet_cifar_workload(), compute_model=_LateWorkerZero(late),
+            base_compute_time=1.0, seed=0,
+        )
+
+    M = 2
+    probe = FluentPSSimRunner(SimConfig(**cell(1e3, iters=1), obs=NULL_OBS))
+    probe.run()  # the others' round 0, worker 0 far behind
+    holds = probe._cohort_lanes().w_holds[0].tolist()  # every worker's alike
+
+    def tx_end(ready, column):
+        for k in range(column + 1):
+            ready = ready + holds[min(k, M)]
+        return ready
+
+    w = 1 + int(np.argmin(probe._finish_times[1:]))
+    target = tx_end(probe._finish_times[w] + 1.0, M - 1)
+    late = target - sum(holds[min(k, M)] for k in range(2 * M))
+    for _ in range(200):
+        end = tx_end(late, 2 * M - 1)
+        if end == target:
+            return cell(float(late))
+        late = np.nextafter(late, np.inf if end < target else -np.inf)
+    raise AssertionError("no tying float found")
+
+
+def test_cross_round_tie_accepted_dies_by_the_event_path(monkeypatch):
+    """At an exact cross-round TX-end tie the event path claims the shard
+    lane in event-sequence order, which the rank keys of two rounds do not
+    encode: the shipped collapse hands over at round 0, the mutant merges
+    by key and differs from the event path.  (The reference breaks this
+    tie the other way — ROADMAP item 13 — so the killer is the event path.)"""
+    cell = _cross_round_tie_cell()
+
+    def fingerprints():
+        runs = [_run(cell, collapse) for collapse in (True, False)]
+        return runs[0][0], [_fingerprint(runner, result) for runner, result in runs]
+
+    runner, (fast, slow) = fingerprints()
+    assert runner.collapse_fallback == {"reason": "overlap", "round": 0}
+    assert fast == slow
+    cross_round_tie_accepted(monkeypatch)
+    runner, (fast, slow) = fingerprints()
+    assert runner.engine.rounds_collapsed == 2 and fast != slow

@@ -514,6 +514,48 @@ class TestQuietRoundPrecondition:
         assert srv.worker_progress == [5, 5, 5] and srv.v_train == 6
 
 
+class TestOverlappingQuietRounds:
+    """Two quiet rounds that overlap at the shard — worker 0's round-1
+    push and pull arrive before round 0's n-th push — against the handlers
+    they stand for: committed one at a time, the overtaking pull recorded
+    two iterations behind."""
+
+    @pytest.mark.no_sanitize  # explicit Observability below
+    def test_matches_the_handlers(self):
+        from repro.obs import MetricsRegistry, Observability
+
+        n = 4
+        obs = [Observability(MetricsRegistry(f"side{k}"), causal=False) for k in range(2)]
+        handled = make_server(ssp(3), n=n, obs=obs[0])
+        quiet = make_server(ssp(3), n=n, obs=obs[1])
+        replies = []
+
+        def pull(w, r):
+            handled.handle_pull(w, r, respond=replies.append)
+
+        for w in range(n - 1):
+            handled.handle_push(w, 0)
+            pull(w, 0)  # before the n-th push: one missing
+        handled.handle_push(0, 1)
+        pull(0, 1)  # round 1, before round 0's frontier advance: two missing
+        handled.handle_push(n - 1, 0)
+        pull(n - 1, 0)
+        for w in range(1, n):
+            handled.handle_push(w, 1)
+            pull(w, 1)
+        assert [reply.missing for reply in replies] == [1, 1, 1, 2, 0, 1, 1, 0]
+        quiet.handle_quiet_round(0, n - 1)
+        quiet.handle_quiet_round(1, n - 1, two_behind=1)
+        a, b = handled.metrics, quiet.metrics
+        assert (a.summary(), dict(a.staleness_hist)) == (b.summary(), dict(b.staleness_hist))
+        assert dict(b.staleness_hist) == {0: 2, 1: 5, 2: 1}
+        ours, theirs = (o.registry.to_dict()["metrics"] for o in obs)
+        assert {k: v for k, v in ours.items() if k.startswith("ps_")} == {
+            k: v for k, v in theirs.items() if k.startswith("ps_")
+        }
+        assert (quiet.v_train, quiet.version, quiet.worker_progress) == (2, 2 * n, [1] * n)
+
+
 class TestBarrierQuietRound:
     """A barrier shard's (BSP's) quiet round against the handlers it
     stands for: the pulls claimed before the n-th push are DPRs that push

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis import sanitize_observability
@@ -17,6 +18,8 @@ from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
 from repro.sim.stragglers import (
     DeterministicCompute,
     ExponentialTailCompute,
+    HeterogeneousCompute,
+    TransientStragglerCompute,
     cpu_cluster_compute,
 )
 
@@ -103,11 +106,36 @@ class TestConfig:
             ("seed", 2.5),
             ("seed", True),
             ("seed", float("nan")),
+            # Aliased: 2**32 ran seed 0, -(2**32) + 1 ran seed 1.
+            ("seed", 2**32),
+            ("seed", -(2**32) + 1),
+            ("seed", -1),
         ],
     )
     def test_invalid_numbers_fail_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             replace(timing_config(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iter", "batch_per_worker", "seed"])
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3)])
+    def test_numpy_integers_are_accepted_as_ints(self, field, value):
+        cfg = replace(timing_config(), **{field: value})
+        assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # Worker 15 ran at rate 2.5, outside the declared [1, 1.3].
+            HeterogeneousCompute(4, spread=0.3),
+            # Workers 3-7 never straggled.
+            TransientStragglerCompute(3, slow_factor=3.0, period=4, duration=2),
+            cpu_cluster_compute(16),
+        ],
+    )
+    def test_compute_model_for_another_cluster_refused(self, model):
+        message = rf"compute_model built for {model.n_workers} workers, cluster has 8"
+        with pytest.raises(ValueError, match=message):
+            timing_config(n=8, compute_model=model)
 
     @pytest.mark.parametrize(
         "value, mode",

@@ -3,9 +3,40 @@
 import numpy as np
 import pytest
 
+from repro.utils.checks import check_number, check_seed
 from repro.utils.records import RunRecord, SeriesRecord, merge_metrics
 from repro.utils.rng import derive_rng, spawn_rngs, stable_choice
 from repro.utils.tables import format_ratio, format_table
+
+
+class TestChecks:
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), np.int32(3), 3])
+    def test_numpy_integers_are_integers(self, value):
+        """``SimConfig(max_iter=np.int64(3))`` was refused as no int."""
+        out = check_number("max_iter", value, 1, integer=True)
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 2.5, np.float64(3.0), "3"])
+    def test_booleans_and_non_integers_are_refused(self, value):
+        with pytest.raises(ValueError, match="max_iter must be an int"):
+            check_number("max_iter", value, 1, integer=True)
+
+    def test_a_number_passes_through(self):
+        assert check_number("x", 2.5) == 2.5
+
+    @pytest.mark.parametrize("value", [0, 1, 2**32 - 1, np.int64(7), np.uint32(2**32 - 1)])
+    def test_seeds_in_range(self, value):
+        out = check_seed(value)
+        assert out == value and type(out) is int
+
+    # 2**32 ran seed 0 and -(2**32) + 1 seed 1: the RNG streams key on
+    # the seed modulo 2**32.
+    @pytest.mark.parametrize(
+        "value", [2**32, -(2**32) + 1, -1, 2.5, True, np.bool_(False), float("nan"), "0", None]
+    )
+    def test_seeds_refused(self, value):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*32\)"):
+            check_seed(value)
 
 
 class TestRng:
