@@ -5,8 +5,9 @@ Modes (default = ``--lint src --smoke``):
 - ``--lint PATH...`` — run the custom AST lint over the given trees;
 - ``--smoke`` — run small simulated + threaded training jobs across the
   sync-model matrix with observability on, plus one timing-only run whose
-  rounds collapse into columnar blocks, and sanitize every captured
-  event stream;
+  rounds collapse into columnar blocks and one real-gradient run whose
+  math must be replayed after its timing run, and sanitize every
+  captured event stream;
 - ``--check-trace FILE...`` — sanitize dumped Perfetto trace files
   (``python -m repro.bench --trace-out`` artifacts);
 - ``--explore [PRESET...]`` — bounded DPOR schedule exploration (all
@@ -106,7 +107,7 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
     """Exercise every sync model on both runners, sanitizing each run."""
     from repro.bench.workloads import blobs_task
     from repro.core.api import ParameterServerSystem
-    from repro.core.models import ssp
+    from repro.core.models import pssp, ssp
     from repro.core.server import ExecutionMode
     from repro.ml.models_zoo import alexnet_cifar_workload
     from repro.obs import MetricsRegistry, Observability, observed
@@ -165,6 +166,31 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
         rc, first = EXIT_INVARIANT, first or report.violations[0].code
     elif collapsed == 0:
         lines.append(f"smoke sim ssp3-isolated: no round collapsed {runner.collapse_fallback}")
+        rc, first = EXIT_INVARIANT, first or "X002"
+    total.merge(report)
+
+    # A small real-gradient run whose timing reads no values: its math is
+    # replayed after its timing run (every reply's snapshot tag included).
+    obs = Observability(MetricsRegistry("smoke"), causal=False)
+    runner = FluentPSSimRunner(
+        SimConfig(
+            cluster=cpu_cluster(4, n_servers),
+            max_iter=6,
+            sync=pssp(2, 0.5),
+            task=blobs_task(4, n_train=400, n_test=100, seed=7),
+            eval_every=3,
+            seed=3,
+            obs=obs,
+        )
+    )
+    runner.run()
+    replayed = runner.steps_replayed
+    report = sanitize_observability(obs)
+    lines.append(f"smoke sim pssp-replay (steps_replayed={replayed}): {report.describe()}")
+    if not report.ok:
+        rc, first = EXIT_INVARIANT, first or report.violations[0].code
+    elif runner.collapse_fallback.get("reason") == "value_dependent" or replayed == 0:
+        lines.append(f"smoke sim pssp-replay: math not replayed {runner.collapse_fallback}")
         rc, first = EXIT_INVARIANT, first or "X002"
     total.merge(report)
 

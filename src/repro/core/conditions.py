@@ -93,6 +93,12 @@ class PullCondition(abc.ABC):
     #: with SSP semantics may override this to opt back in.
     kind: str = "custom"
 
+    #: Whether the decision reads a parameter-derived field of the view
+    #: (``significance``).  A condition that does makes a run's timing a
+    #: function of the gradient values, so the run steps its math inline
+    #: instead of replaying it after a timing run (:mod:`repro.core.replay`).
+    reads_values: bool = False
+
     @abc.abstractmethod
     def __call__(self, view: SyncView) -> bool: ...
 
@@ -107,6 +113,9 @@ class PullCondition(abc.ABC):
 
 class PushCondition(abc.ABC):
     """Returns True when the frontier should advance past ``view.v_train``."""
+
+    #: As :attr:`PullCondition.reads_values`.
+    reads_values: bool = False
 
     @abc.abstractmethod
     def __call__(self, view: SyncView) -> bool: ...
@@ -189,6 +198,10 @@ class PSSPPull(PullCondition):
             self.paused += 1
             return False
         return True
+
+    @property
+    def reads_values(self) -> bool:
+        return self.prob.reads_values
 
     def staleness(self) -> float:
         return self.s
@@ -311,7 +324,10 @@ class FractionPush(QuorumPush):
 
 class PredicatePull(PullCondition):
     """Adapter turning a plain ``f(view) -> bool`` into a pull condition —
-    the SetcondPull escape hatch for user-defined models."""
+    the SetcondPull escape hatch for user-defined models.  ``fn`` may read
+    any field of the view, ``significance`` included."""
+
+    reads_values = True
 
     def __init__(self, fn, staleness: float = 0.0, name: Optional[str] = None):
         self.fn = fn
@@ -330,6 +346,8 @@ class PredicatePull(PullCondition):
 
 class PredicatePush(PushCondition):
     """Adapter turning a plain ``f(view) -> bool`` into a push condition."""
+
+    reads_values = True
 
     def __init__(self, fn, name: Optional[str] = None):
         self.fn = fn

@@ -45,6 +45,11 @@ class FilterResult:
 class PushFilter(abc.ABC):
     """Transforms a worker's update before it is pushed."""
 
+    #: Whether the filtered update and its wire size depend on the update's
+    #: values: a run with such a filter times its pushes by their contents,
+    #: so it steps its math inline (:mod:`repro.core.replay`).
+    reads_values: bool = True
+
     #: bytes per sent element under sparse (index, value) encoding,
     #: relative to the 4 dense bytes — i.e. a sent element costs 8 bytes.
     SPARSE_FACTOR = 2.0
@@ -67,6 +72,8 @@ class PushFilter(abc.ABC):
 
 class NoFilter(PushFilter):
     """Identity: the dense update goes on the wire."""
+
+    reads_values = False
 
     def apply(self, update, params, iteration):
         return FilterResult(update=update, sent_fraction=1.0, wire_bytes_factor=1.0)

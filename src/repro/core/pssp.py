@@ -46,6 +46,10 @@ def gradient_significance(grad_norm: float, weight_norm: float, eps: float = 1e-
 class ProbabilityModel(abc.ABC):
     """Maps (threshold s, gap k, shard state) to a pause probability P."""
 
+    #: Whether :meth:`probability` reads the view's gradient significance
+    #: (:attr:`repro.core.conditions.PullCondition.reads_values`).
+    reads_values: bool = False
+
     @abc.abstractmethod
     def probability(self, s: float, gap: int, view: Optional[SignificanceView] = None) -> float:
         """Return P ∈ [0, 1]: probability of pausing an over-threshold pull."""
@@ -100,6 +104,10 @@ class DynamicProbability(ProbabilityModel):
         elif not callable(alpha):
             raise TypeError("alpha must be a number or a callable")
         self.alpha = alpha
+
+    @property
+    def reads_values(self) -> bool:
+        return callable(self.alpha)
 
     def _alpha_value(self, view: Optional[SignificanceView]) -> float:
         if callable(self.alpha):

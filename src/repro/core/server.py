@@ -168,6 +168,11 @@ class ShardServer:
         self.execution = ExecutionMode(execution)
         #: The live shard array (``None``: a timing-only shard).
         self.params = params
+        #: The shard array while a timing run stands in for it
+        #: (:meth:`defer_values`): ``params`` is ``None`` and no push is
+        #: applied, but snapshots are counted and tagged as the array's
+        #: would be, until :meth:`handle_replayed` hands it back.
+        self.deferred: Optional[np.ndarray] = None
         self.apply_fn = apply_fn
         self.clock = clock or (lambda: 0.0)
         self.rng = rng or np.random.default_rng(0)
@@ -598,10 +603,11 @@ class ShardServer:
                 missing, released, coin, pull_condition_kind(self.pull_con),
                 _staleness_arg(s_at_eval), waited, self.version,
                 # ``snap``: storage tag of the shared COW copy this reply
-                # carries (None for a timing-only shard) — lets the
-                # sanitizer assert same-version replies share storage and
-                # post-push replies do not (S016).
-                None if params is None else self._snap_id,
+                # carries, or a deferred shard stands in for (None for a
+                # timing-only shard) — lets the sanitizer assert
+                # same-version replies share storage and post-push replies
+                # do not (S016).
+                None if params is None and self.deferred is None else self._snap_id,
             )
         req.respond(reply)
 
@@ -612,21 +618,23 @@ class ShardServer:
         and marks the copy read-only; later same-version replies share that
         storage (128 workers pulling one version cost 1 copy, not 128).
         Pushes keep mutating ``self.params`` freely — the reply copy is
-        detached — and ``handle_push``/``handle_restore`` drop the cache.
+        detached — and every version change drops the cache.  A deferred
+        shard counts and tags the copy it stands in for, and copies nothing.
         """
-        if self.params is None:
+        if self.params is None and self.deferred is None:
             return None
-        snap = self._snap_cache
-        if snap is None or self._snap_version != self.version:
-            snap = self.params.copy()
-            snap.flags.writeable = False
+        if self._snap_version != self.version:
+            snap = None
+            if self.params is not None:
+                snap = self.params.copy()
+                snap.flags.writeable = False
             self._snap_cache = snap
             self._snap_version = self.version
             self._snap_id += 1
             self.snapshot_copies += 1
         else:
             self.snapshot_copies_avoided += 1
-        return snap
+        return self._snap_cache
 
     # -- Closed-form quiet-round commit (round collapse fast path) ----------
 
@@ -636,6 +644,7 @@ class ShardServer:
         early_pulls: int,
         dpr_waits: Optional[np.ndarray] = None,
         two_behind: int = 0,
+        snapshots: int = 0,
     ) -> None:
         """Commit one analytically fast-forwarded protocol round.
 
@@ -651,7 +660,9 @@ class ShardServer:
         pulls were served before the *previous* round's frontier advance
         (the rounds overlapped): two missing iterations each.  Only legal
         for timing-only shards (no parameters, no gradients) with no
-        buffered DPRs.  With observability on, the metrics the
+        buffered DPRs.  ``snapshots``: how many distinct versions the
+        round's replies read, the copies a deferred shard counts.  With
+        observability on, the metrics the
         per-request handlers would have updated are updated here in bulk,
         exactly; the round's protocol instants are the caller's to emit
         (one columnar block, in its global serve order).
@@ -673,6 +684,12 @@ class ShardServer:
         self._n_at_slowest = n
         self.version += n
         self._snap_cache = None
+        if snapshots:
+            # The round's last request is a pull, and it reads every push.
+            self._snap_id += snapshots
+            self.snapshot_copies += snapshots
+            self.snapshot_copies_avoided += n - snapshots
+            self._snap_version = self.version
         self.count[progress] += n
         self.v_train = progress + 1
         # The event path probes the pull condition for a coin attribute on
@@ -704,6 +721,27 @@ class ShardServer:
                 self._h_staleness.observe(1, stale - two_behind)
             if n - stale:
                 self._h_staleness.observe(0, n - stale)
+
+    # -- Schedule, then math (repro.core.replay) ----------------------------
+
+    def defer_values(self) -> None:
+        """Stand in for this shard's parameters while a timing run
+        schedules its applies: they move to :attr:`deferred` untouched."""
+        self.deferred, self.params = self.params, None
+
+    def handle_replayed(self, significance: Optional[float]) -> None:
+        """Take back the parameters a replay of this shard's apply log has
+        brought to :attr:`version`; ``significance`` is that of the last
+        push it applied (``None``: it applied none).  The shard ends as if
+        each push had been applied when it was handled, its snapshot cache
+        included."""
+        self.params, self.deferred = self.deferred, None
+        if significance is not None:
+            self.last_significance = float(significance)
+        if self._snap_version == self.version:
+            snap = self.params.copy()
+            snap.flags.writeable = False
+            self._snap_cache = snap
 
     # -- Checkpoint restore (the only non-push/pull state transition) -------
 

@@ -32,6 +32,7 @@ from repro.core.filters import NoFilter, PushFilter
 from repro.core.keyspace import ModelSpec, Slicer
 from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel, per_server
+from repro.core.replay import ScheduleLog, replay
 from repro.core.server import ExecutionMode, PullReply, ShardServer
 from repro.core.step import StepContext
 from repro.ml.models_zoo import Workload
@@ -113,6 +114,12 @@ class SimConfig:
         self.execution = ExecutionMode(self.execution)
         if self.task is None and self.workload is None:
             raise ValueError("need a TrainingTask and/or a Workload")
+        if self.task is None:
+            # Both act on the math a timing-only run does not do.
+            if self.eval_every:
+                raise ValueError(f"eval_every={self.eval_every} needs a task to evaluate")
+            if self.push_filter_factory is not None:
+                raise ValueError("push_filter_factory needs a task whose updates it filters")
         for what in ("task", "compute_model"):
             # A per-worker model sized for another cluster would run silently.
             sized = getattr(getattr(self, what), "n_workers", self.cluster.n_workers)
@@ -650,7 +657,6 @@ class FluentPSSimRunner:
         #: Each worker's first iteration: one past its shards' record, so 0
         #: on a fresh system.
         self._first = [p + 1 for p in self.servers[0].worker_progress]
-        self._start_params = system.current_params()  # every worker's first step reads a copy
         for j, server in enumerate(self.servers):
             # Per-shard drain-lane clock: equals ``engine.now`` inside real
             # handle events, and the cascaded virtual handle time when the
@@ -690,12 +696,33 @@ class FluentPSSimRunner:
             )
         #: Each worker's latest sPull round (a worker has one at a time).
         self._pending: Dict[int, _PendingPull] = {}
-        self._filters: List[PushFilter] = [
-            config.push_filter_factory() if config.push_filter_factory else NoFilter()
-            for _ in range(n)
-        ]
         self._compute_rngs = [derive_rng(config.seed, "compute", w) for w in range(n)]
-        self._step_rngs = [derive_rng(config.seed, "step", w) for w in range(n)]
+        #: The task this run steps inline, push by push: a run whose timing
+        #: reads parameter values, or a baseline's protocol.  Else ``None``,
+        #: and a task's run is a timing run that records :attr:`_log`, from
+        #: which :meth:`run` replays the math (:mod:`repro.core.replay`).
+        self._task: Optional[TrainingTask] = None
+        self._log: Optional[ScheduleLog] = None
+        if config.task is not None:
+            factory = config.push_filter_factory
+            filters = [factory() for _ in range(n)] if factory else []
+            if (
+                type(self) is not FluentPSSimRunner
+                or system.reads_values()
+                or any(f.reads_values for f in filters)
+            ):
+                self._task = config.task
+                self._filters: List[PushFilter] = filters or [NoFilter()] * n
+                self._step_rngs = [derive_rng(config.seed, "step", w) for w in range(n)]
+                self._start_params = system.current_params()  # each first step reads a copy
+            else:
+                # A filter that reads no values is the identity (NoFilter).
+                self._log = ScheduleLog.begin(self.servers, self._first, config.max_iter)
+        #: Worker 0's evaluation instants ``(time, iteration)`` on a timing
+        #: run, whose values the replay supplies.
+        self._eval_at: List[Tuple[float, int]] = []
+        #: Steps the replay took after the timing run (0: none replayed).
+        self.steps_replayed = 0
         self.eval_by_time = SeriesRecord("eval", x_label="time_s", y_label="metric")
         self.eval_by_iteration = SeriesRecord("eval", x_label="iteration", y_label="metric")
         self._finish_times: List[float] = [0.0] * n
@@ -770,6 +797,8 @@ class FluentPSSimRunner:
         dprs_before = server.metrics.dprs
         cls = payload.__class__
         if cls is _PushMsg:
+            if self._log is not None:
+                self._log.applies[m].append((payload.worker, payload.progress, server.v_train))
             self._current_push_worker = payload.worker
             server.handle_push(payload.worker, payload.progress, grad=payload.shard)
             self._current_push_worker = -1
@@ -816,7 +845,10 @@ class FluentPSSimRunner:
                 worker=reply.worker, iteration=reply.progress, shard=server,
                 tag="dpr", blocked_on=self._current_push_worker,
             )
-        pending = self._pending[reply.worker]
+        w = reply.worker
+        pending = self._pending[w]
+        if self._log is not None:
+            self._log.reads[w, reply.progress - self._first[w], server] = reply.version
         if pending.flat is not None and reply.params is not None:
             # Snapshots are immutable: copy at the (virtual) send instant,
             # so no in-flight reply pins one.
@@ -838,7 +870,7 @@ class FluentPSSimRunner:
         stock protocol sends a worker nothing but its own M replies."""
         pending = self._pending[w] = _PendingPull(
             self.net.gather(self._wkr_eps[w], self.cfg.cluster.n_servers, exclusive),
-            np.empty(self.spec.total_elements) if self.cfg.task is not None else None,
+            None if self._task is None else np.empty(self.spec.total_elements),
         )
         return pending
 
@@ -852,7 +884,7 @@ class FluentPSSimRunner:
         return _Worker(
             w, f"worker{w}", self._wkr_eps[w],
             cfg.resolved_base_compute(cfg.cluster.workers[w].flops),
-            None if self._start_params is None else self._start_params.copy(),
+            None if self._task is None else self._start_params.copy(),
             shards=self._no_shards,
         )
 
@@ -872,9 +904,12 @@ class FluentPSSimRunner:
 
     def _local_step(self, row: _Worker) -> Optional[np.ndarray]:
         """``step_fn`` on the row's parameters -> push filter -> scatter;
-        returns the update that goes on the wire (timing-only: none)."""
-        task = self.cfg.task
+        returns the update that goes on the wire (timing-only: none; a
+        timing run logs the step for the replay)."""
+        task = self._task
         if task is None:
+            if self._log is not None:
+                self._log.steps.append((row.w, row.i))
             return None
         update = task.step_fn(
             StepContext(
@@ -940,15 +975,23 @@ class FluentPSSimRunner:
     def _end_iteration(self, row: _Worker, pulled: Optional[_PendingPull]) -> None:
         """Hand the pulled parameters over to the next step (``None``: the
         row keeps its own) and run worker 0's eval cadence."""
-        cfg = self.cfg
         if pulled is not None and row.params is not None:
             row.params = pulled.flat
-        if row.w == 0 and cfg.task is not None and cfg.eval_every > 0:
-            done = row.i + 1
-            if done % cfg.eval_every == 0 or done == self._first[0] + cfg.max_iter:
-                value = cfg.task.eval_fn(self.system.current_params())
+        done = row.i + 1
+        if row.w == 0 and self._evaluates(done):
+            if self._task is None:
+                # What the evaluation reads: every shard's version now.
+                self._log.evals.append((len(self._log.steps), [s.version for s in self.servers]))
+                self._eval_at.append((self.engine.now, done))
+            else:
+                value = self._task.eval_fn(self.system.current_params())
                 self.eval_by_time.append(self.engine.now, value)
                 self.eval_by_iteration.append(done, value)
+
+    def _evaluates(self, done: int) -> bool:
+        """Whether worker 0 evaluates once it has done ``done`` iterations."""
+        every = self.cfg.eval_every
+        return every > 0 and (done % every == 0 or done == self._first[0] + self.cfg.max_iter)
 
     def _worker_proc(
         self,
@@ -992,7 +1035,7 @@ class FluentPSSimRunner:
         drain lanes, with every shard's sync condition provably quiet
         (every pull immediate — or, unobserved at s = 0, buffered until
         the shard's one frontier advance per round — and no PSSP coin
-        flips).  Anything outside that — real gradients, quorums below n,
+        flips).  Anything outside that — gradients stepped inline, quorums below n,
         observed BSP, PSSP at s = 0, DSPS's self-mutating
         staleness, DPOR choice/delay hooks, delivery hooks, causal tracing,
         span capture without obs — keeps the per-event path,
@@ -1005,8 +1048,9 @@ class FluentPSSimRunner:
             # SpecSync) subclass this runner with their own protocols;
             # the cohort closed form models only the stock one.
             return "subclass"
-        if cfg.task is not None:
-            return "task"
+        if self._task is not None:
+            # Its timing reads parameter values: the math runs inline.
+            return "value_dependent"
         if self.causal is not None:
             return "causal_obs"
         if self.engine._choice_hook is not None:
@@ -1022,6 +1066,10 @@ class FluentPSSimRunner:
             # not.  Observed runs accept that (exports group by actor);
             # a bare span_capture=True run keeps the event path's list.
             return "kept_spans"
+        if self._log is not None and self.obs.enabled:
+            # A columnar block carries no snapshot tags, which a timing
+            # run's replies read as the coupled run's (S016).
+            return "snap_tags"
         n = cfg.cluster.n_workers
         for s in self.servers:
             pc = s.pull_con
@@ -1114,6 +1162,7 @@ class FluentPSSimRunner:
         net = self.net
         eng = self.engine
         observed = self.obs.enabled
+        log = self._log
         sketches = self._pull_sketches
         block_shards = [s.block_constants() for s in self.servers] if observed else []
         n = cfg.cluster.n_workers
@@ -1168,10 +1217,14 @@ class FluentPSSimRunner:
             net.fused_deliveries += nmsg
 
         def _commit(c: np.ndarray, _rank, sched: _RoundSchedule, behind: List[int]) -> None:
-            # Round ``r`` into the trace, the shards and the counters.
+            # Round ``r`` into the trace, the schedule log, the shards and
+            # the counters.
             compute_spans.add(sched.order, c, sched.ready, r)
+            snapshots = [0] * M if log is None else self._log_round(r, sched)
             for m in range(M):
-                self.servers[m].handle_quiet_round(r, sched.early[m], sched.waits[m], behind[m])
+                self.servers[m].handle_quiet_round(
+                    r, sched.early[m], sched.waits[m], behind[m], snapshots[m]
+                )
                 self._srv_now[m] = float(sched.handle[m, -1])
                 if observed and cost > 0:
                     serve = sched.handle[m]
@@ -1207,7 +1260,7 @@ class FluentPSSimRunner:
             ready = c + np.asarray(durs[k - r])
             sched = quiet_round(work, ready, rank, served)
             last_round = k + 1 >= cfg.max_iter
-            lend, mixed = None, False
+            lend, mixed, quiet, dur_next = None, False, True, None
             if not last_round:
                 durs.append([sample(w, k + 1, base_l[w], rngs[w]) for w in range(n)])
                 dur_next = np.asarray(durs[-1])
@@ -1229,29 +1282,35 @@ class FluentPSSimRunner:
                         ):
                             lend = None
                     quiet = lend is not None
-                if not quiet:
-                    # Round k+1 would mix with round k at a shard beyond
-                    # what a merge proves, so nothing from round r on is
-                    # committed: the cohort de-vectorizes at round r,
-                    # durations pre-drawn so the RNG streams stay aligned
-                    # with the pure event path.
-                    c, rank = chain[0][:2] if chain else (c, rank)
-                    _flush()
-                    self._record_fallback("overlap", r)
-                    clock = c.tolist()
-                    for w in np.argsort(rank, kind="stable").tolist():
-                        eng.spawn(
-                            self._worker_proc(w, r, {r + i: d[w] for i, d in enumerate(durs)}),
-                            name=names[w],
-                            start_at=clock[w],
-                        )
-                    return False
+            if quiet and log is not None:
+                # A logged round commits isolated, its steps and evaluation
+                # in an order the log can state.
+                quiet = not mixed and self._round_logs_exactly(
+                    k, sched, None if last_round else sched.done + dur_next
+                )
+            if not quiet:
+                # Round k+1 would mix with round k at a shard beyond what a
+                # merge proves (or a logged round with what its log can
+                # state), so nothing from round r on is committed: the
+                # cohort de-vectorizes at round r, durations pre-drawn so
+                # the RNG streams stay aligned with the pure event path.
+                c, rank = chain[0][:2] if chain else (c, rank)
+                _flush()
+                self._record_fallback("overlap", r)
+                clock = c.tolist()
+                for w in np.argsort(rank, kind="stable").tolist():
+                    eng.spawn(
+                        self._worker_proc(w, r, {r + i: d[w] for i, d in enumerate(durs)}),
+                        name=names[w],
+                        start_at=clock[w],
+                    )
+                return False
             if observed:
                 # Before the shards commit: the block (and in round 0 the
                 # config snapshots) must see each shard's pre-round state.
                 self._emit_round_block(k, sched, block_shards)
             # Only what ``_commit`` reads stays queued: O(n) per round.
-            chain.append((c, rank, sched if observed else replace(
+            chain.append((c, rank, sched if observed or log is not None else replace(
                 sched, tx_end=None, claims=None, rx_end=None, applied=None,
                 handle=sched.handle[:, -1:].copy(), reply_tx_end=None, reply_order=None,
                 reply_rx_end=None, lent=None,
@@ -1273,6 +1332,60 @@ class FluentPSSimRunner:
             behind = lend[1] if mixed else [0] * M
             floor = sched.tx_end[:, M:].max(axis=0)
             del sched  # or two rounds' tables are alive while the next is computed
+
+    def _round_logs_exactly(
+        self, k: int, sched: _RoundSchedule, ready_next: Optional[np.ndarray]
+    ) -> bool:
+        """Whether round ``k`` (its successor's steps at ``ready_next``)
+        feeds the schedule log exactly: its steps all precede the next
+        round's, and an evaluation at its end — worker 0's resume at
+        ``done[0]`` — falls strictly between the two rounds' steps and at
+        no instant a shard handles a push (a push is handled inside its TX
+        completion, so the evaluation counts those that finished TX)."""
+        ready = sched.ready
+        if ready_next is not None and not ready_next.min() > ready.max():
+            return False
+        if not self._evaluates(k + 1):
+            return True
+        resume = sched.done[0]
+        M = len(self.servers)
+        return bool(
+            ready.max() < resume
+            and (ready_next is None or resume < ready_next.min())
+            and not (sched.tx_end[:, :M] == resume).any()
+        )
+
+    def _log_round(self, r: int, sched: _RoundSchedule) -> List[int]:
+        """Feed committed round ``r`` — isolated, on a fresh system — to the
+        schedule log, before its shards commit it: each shard's pushes in
+        handle order, the version each reply read (a barrier's buffered
+        pulls, at their release), the steps in resume order, worker 0's
+        evaluation.  Returns, per shard, how many distinct
+        versions its replies read."""
+        log = self._log
+        n, K = sched.tx_end.shape
+        M = K // 2
+        snapshots = []
+        for m, server in enumerate(self.servers):
+            ids = sched.claims[m]
+            pull = ids % K >= M
+            workers = ids // K
+            log.applies[m].extend(zip(workers[~pull].tolist(), [r] * n, [server.v_train] * n))
+            applied = sched.applied[m][pull]
+            if sched.lanes.barrier[m]:
+                applied = np.maximum(applied, n)  # released by the n-th push
+            versions = server.version + applied
+            log.reads[workers[pull], r, m] = versions
+            snapshots.append(int(np.count_nonzero(np.diff(versions))) + 1)
+        log.steps.extend(zip(sched.order.tolist(), [r] * n))
+        if self._evaluates(r + 1):
+            resume = sched.done[0]
+            log.evals.append((len(log.steps), [
+                server.version + int(np.count_nonzero(sched.tx_end[:, m] < resume))
+                for m, server in enumerate(self.servers)
+            ]))
+            self._eval_at.append((float(resume), r + 1))
+        return snapshots
 
     def _emit_round_block(self, r: int, sched: _RoundSchedule, shards) -> None:
         """Append one certified-quiet round's protocol instants to the
@@ -1349,6 +1462,9 @@ class FluentPSSimRunner:
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the
         # round where) it de-vectorizes.  Otherwise the event path.
+        if self._log is not None:
+            for server in self.servers:
+                server.defer_values()
         collapsed_all = False
         reason = self._collapse_eligible()
         if reason is None:
@@ -1388,6 +1504,13 @@ class FluentPSSimRunner:
                 f"simulation drained with {unanswered} unanswered pulls "
                 "(synchronization deadlock)"
             )
+        if self._log is not None:
+            # Schedule, then math.
+            values = replay(self.system, self.cfg.task, self._log, self.cfg.seed)
+            for (t, done), value in zip(self._eval_at, values):
+                self.eval_by_time.append(t, value)
+                self.eval_by_iteration.append(done, value)
+            self.steps_replayed = len(self._log.steps)
         if self._capture is not None:
             self._capture.complete = True
         worker_names = [f"worker{w}" for w in range(self.cfg.cluster.n_workers)]

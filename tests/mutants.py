@@ -7,13 +7,15 @@ plants one protocol-level bug in :mod:`repro.sim.runner` (one in
 one in :mod:`repro.sim.network`'s delivery fusing, one in
 :class:`repro.core.server.ShardServer`'s push apply, one in the protocol
 sanitizer's vector proof, one where the runner takes over a system to
-continue) for the length of a test — test code only, nothing under
+continue, three in the schedule log a real-gradient run's math is
+replayed from) for the length of a test — test code only, nothing under
 ``src/`` imports this module.
-All but two rewrite one line of a function's source (the site must
+All but three rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
-wraps ``_seq_cascade`` and ``significance_before_apply`` wraps
-``handle_push``.  ``tests/test_round_schedule.py`` pins which check kills
+wraps ``_seq_cascade``, ``significance_before_apply`` wraps
+``handle_push`` and ``eval_read_one_event_late`` wraps the runner's
+``_end_iteration`` and ``_handle_server_msg``.  ``tests/test_round_schedule.py`` pins which check kills
 which for the round's mutants; the others name their killer.
 """
 
@@ -223,3 +225,51 @@ def depth_two_mixing_accepted(monkeypatch) -> None:
         monkeypatch, runner, "_intruders",
         "if floor is not None and (first <= floor).any():", "if False:",
     )
+
+
+def apply_log_out_of_order(monkeypatch) -> None:
+    """A round committed in closed form logs its pushes to each shard in
+    worker order, not in the order the shard handled them: the replay
+    applies them in that order.  Killer:
+    ``test_server_dispatch.py::TestScheduleLogMutants::test_apply_log_out_of_order_dies_here``."""
+    _rewrite(
+        monkeypatch, runner.FluentPSSimRunner, "_log_round",
+        "log.applies[m].extend(zip(workers[~pull].tolist(),",
+        "log.applies[m].extend(zip(np.sort(workers[~pull]).tolist(),",
+    )
+
+
+def reply_prefix_off_by_one(monkeypatch) -> None:
+    """A reply on the event path logs the version before the one it read
+    (``PullReply.version - 1``): the replayed step misses a push.  Killer:
+    ``test_server_dispatch.py::TestScheduleLogMutants::test_reply_prefix_off_by_one_dies_here``."""
+    _rewrite(
+        monkeypatch, runner.FluentPSSimRunner, "_send_reply",
+        "server] = reply.version", "server] = reply.version - 1",
+    )
+
+
+def eval_read_one_event_late(monkeypatch) -> None:
+    """A timing run's evaluation reads the shards' versions one event late:
+    after the next request a shard handles, not at worker 0's resume.
+    Killer:
+    ``test_server_dispatch.py::TestScheduleLogMutants::test_eval_read_one_event_late_dies_here``."""
+    end_iteration = runner.FluentPSSimRunner._end_iteration
+    handle = runner.FluentPSSimRunner._handle_server_msg
+    late = []
+
+    def mark(self, row, pulled):
+        evals = None if self._log is None else len(self._log.evals)
+        end_iteration(self, row, pulled)
+        if evals is not None and len(self._log.evals) > evals:
+            late.append(self)
+
+    def reread(self, m, msg, now):
+        handle(self, m, msg, now)
+        if self in late:
+            late.remove(self)
+            steps, _versions = self._log.evals[-1]
+            self._log.evals[-1] = (steps, [s.version for s in self.servers])
+
+    monkeypatch.setattr(runner.FluentPSSimRunner, "_end_iteration", mark)
+    monkeypatch.setattr(runner.FluentPSSimRunner, "_handle_server_msg", reread)

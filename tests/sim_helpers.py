@@ -1,5 +1,6 @@
 """Shared helpers for the co-simulation differential suites."""
 
+import hashlib
 import json
 import sys
 
@@ -18,6 +19,12 @@ from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import ComputeModel, DeterministicCompute, LogNormalCompute
 
 from tests.reference_sim import ReferenceSim
+
+
+class CoupledRunner(FluentPSSimRunner):
+    """Steps a task's math inline, each push applied as its shard handles
+    it, whatever the config: a subclass keeps the coupled path (reason
+    ``subclass``).  The replay is differentially tested against it."""
 
 
 class EventPathRunner(FluentPSSimRunner):
@@ -235,3 +242,72 @@ def assert_matches_reference(
         for shard in range(len(ref.servers)):
             assert _shard_instants(obs, shard) == _shard_instants(ref_obs, shard), shard
     return runner, result, ref
+
+
+def shard_states(system):
+    """Each shard's end state as a comparable tuple: parameter bytes,
+    version, frontier, significance, snapshot accounting and cache."""
+    return [
+        (
+            None if s.params is None else s.params.tobytes(), s.version, s.v_train,
+            s.last_significance, s.snapshot_copies, s.snapshot_copies_avoided, s._snap_id,
+            s._snap_version, None if s._snap_cache is None else s._snap_cache.tobytes(),
+        )
+        for s in system.servers
+    ]
+
+
+def checkpoint_bytes(system):
+    """A :meth:`~repro.core.api.ParameterServerSystem.checkpoint` as
+    comparable bytes."""
+    return json.dumps({**system.checkpoint(), "params": system.current_params().tobytes()},
+                      default=str, sort_keys=True)
+
+
+def fingerprint_evals(task):
+    """Digest every parameter vector ``task`` evaluates, into the returned
+    list: an accuracy can hide a one-push difference, a digest cannot."""
+    digests = []
+    evaluate = task.eval_fn
+
+    def eval_fn(params):
+        digests.append(hashlib.sha256(params.tobytes()).hexdigest())
+        return evaluate(params)
+
+    task.eval_fn = eval_fn
+    return digests
+
+
+def assert_replay_matches_coupled(cfg_kwargs, make_obs=lambda: NULL_OBS, make_system=None):
+    """Run production — a task's timing run, then its replayed math — and
+    :class:`CoupledRunner` on the same configuration (and each on its own
+    ``make_system()`` when given) and compare bit for bit: finish times,
+    final params, the eval series and what each evaluation read (as
+    digests), the task's loss history, every shard's
+    end state and a checkpoint taken after the run, and under
+    observability each shard's protocol instant stream, ``snap`` tags
+    included.  ``cfg_kwargs`` is a factory (a task is stateful).
+    Returns the production runner."""
+    runs = []
+    for cls in (FluentPSSimRunner, CoupledRunner):
+        kwargs, obs = cfg_kwargs(), make_obs()
+        digests = fingerprint_evals(kwargs["task"])
+        runner = cls(SimConfig(**kwargs, obs=obs), None if make_system is None else make_system())
+        result = runner.run()
+        runs.append((runner, result, kwargs["task"], obs, digests))
+    (runner, result, task, obs, read), (coupled, c_result, c_task, c_obs, c_read) = runs
+    assert read == c_read
+    assert runner.steps_replayed == len(task.loss_history) > 0
+    assert coupled.steps_replayed == 0
+    assert result.worker_finish_times == c_result.worker_finish_times
+    assert result.final_params.tobytes() == c_result.final_params.tobytes()
+    assert list(result.eval_by_time.x) == list(c_result.eval_by_time.x)
+    assert list(result.eval_by_iteration.x) == list(c_result.eval_by_iteration.x)
+    assert list(result.eval_by_time.y) == list(c_result.eval_by_time.y)
+    assert task.loss_history == c_task.loss_history
+    assert shard_states(runner.system) == shard_states(coupled.system)
+    assert checkpoint_bytes(runner.system) == checkpoint_bytes(coupled.system)
+    if obs.enabled:
+        for shard in range(len(runner.servers)):
+            assert _shard_instants(obs, shard) == _shard_instants(c_obs, shard), shard
+    return runner

@@ -18,21 +18,33 @@ import types
 
 import pytest
 
+from repro.analysis import sanitize_observability
 from repro.bench.workloads import blobs_task, cifar_proxy_task
-from repro.core.models import pssp, ssp
+from repro.core.api import ParameterServerSystem
+from repro.core.filters import TopKFilter
+from repro.core.models import bsp, dynamic_pssp, pssp, ssp
+from repro.core.pssp import significance_alpha
+from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster
 from repro.sim.network import Message
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import (
     DeterministicCompute,
     HeterogeneousCompute,
+    LogNormalCompute,
     cpu_cluster_compute,
 )
 
+from tests.mutants import (
+    apply_log_out_of_order,
+    eval_read_one_event_late,
+    reply_prefix_off_by_one,
+)
 from tests.sim_helpers import (
     assert_matches_reference,
+    assert_replay_matches_coupled,
     busy_lane_cell,
     make_runner,
     preset_configs,
@@ -53,6 +65,83 @@ def _reachable(root):
             ):
                 seen.add(id(ref))
                 stack.append(ref)
+
+
+def isolated_task_cell():
+    """Compute >> comm with a tiny spread: every round of a real-gradient
+    run commits in closed form, so the replay reads the collapse's logs."""
+    return dict(
+        cluster=cpu_cluster(6, n_servers=2),
+        max_iter=5,
+        sync=ssp(3),
+        task=blobs_task(6, n_train=240, n_test=60, seed=4),
+        workload=alexnet_cifar_workload(),
+        compute_model=LogNormalCompute(sigma=0.01),
+        base_compute_time=1e5,
+        seed=3,
+    )
+
+
+def lockstep_eval_cell():
+    """Identical workers in lockstep, evaluating every other iteration:
+    every round commits in closed form, each evaluation in between two
+    rounds' steps."""
+    return dict(
+        cluster=cpu_cluster(5, n_servers=3),
+        max_iter=6,
+        sync=pssp(2, 0.5),
+        task=blobs_task(5, n_train=200, n_test=60, seed=6),
+        workload=alexnet_cifar_workload(),
+        compute_model=DeterministicCompute(),
+        base_compute_time=50.0,
+        eval_every=2,
+        seed=8,
+    )
+
+
+def dpr_heavy_cell():
+    """The soft barrier at s = 1 over heterogeneous workers: nearly half
+    the pulls are DPRs, re-buffered at each frontier advance, and a
+    released reply reads the version at its release."""
+    return dict(
+        cluster=cpu_cluster(4, n_servers=2),
+        max_iter=10,
+        sync=ssp(1),
+        task=blobs_task(4, n_train=160, n_test=60, seed=9),
+        execution=ExecutionMode.SOFT_BARRIER,
+        compute_model=HeterogeneousCompute(4, spread=0.8),
+        base_compute_time=0.3,
+        eval_every=3,
+        seed=12,
+    )
+
+
+def bsp_task_cell():
+    """BSP over heterogeneous workers: every round commits in closed form
+    with its pulls buffered, each reply reading the version its round's
+    last push released."""
+    return dict(
+        cluster=cpu_cluster(4, n_servers=2),
+        max_iter=6,
+        sync=bsp(),
+        task=blobs_task(4, n_train=160, n_test=60, seed=5),
+        compute_model=HeterogeneousCompute(4, spread=0.5),
+        eval_every=2,
+        seed=4,
+    )
+
+
+def significance_pssp_cell():
+    """Dynamic PSSP whose α is the gradient significance: the coins read
+    the values, so the math runs inline."""
+    return {**real_gradient_cell()(), "sync": dynamic_pssp(1, significance_alpha()),
+            "execution": ExecutionMode.LAZY, "eval_every": 4}
+
+
+def topk_filter_cell():
+    """A top-k push filter: each push's wire size is a function of its
+    values, so the math runs inline."""
+    return {**real_gradient_cell()(), "push_filter_factory": lambda: TopKFilter(0.2)}
 
 
 def cosim_task_cell():
@@ -86,22 +175,106 @@ class TestPresetDifferential:
         assert runner.net.fused_deliveries == len(ref.trace)
 
     @pytest.mark.parametrize(
-        "cell",
+        "cell, fallback",
         [
-            *(pytest.param(real_gradient_cell(server_op_overhead_s=op), id=str(op))
+            *(pytest.param(real_gradient_cell(server_op_overhead_s=op), {}, id=str(op))
               for op in (20e-6, 0.02)),
-            pytest.param(cosim_task_cell, id="cosim_task_32w"),
+            pytest.param(cosim_task_cell, {"reason": "overlap", "round": 1},
+                         id="cosim_task_32w"),
+            pytest.param(isolated_task_cell, {}, id="isolated"),
+            pytest.param(lockstep_eval_cell, {}, id="lockstep-eval"),
+            pytest.param(dpr_heavy_cell, {"reason": "overlap", "round": 1}, id="soft-dprs"),
+            pytest.param(bsp_task_cell, {}, id="bsp-barrier"),
+            pytest.param(significance_pssp_cell, {"reason": "value_dependent"},
+                         id="significance-pssp"),
+            pytest.param(topk_filter_cell, {"reason": "value_dependent"}, id="topk-filter"),
         ],
     )
-    def test_training_run_params_identical(self, cell):
-        """Real (non-timing-only) runs: a small one under the soft barrier,
+    def test_training_run_params_identical(self, cell, fallback):
+        """Real (non-timing-only) runs: small ones under the soft barrier,
         where DPR costs stretch the busy lanes (the wide overhead parks
-        requests behind them too), and one shaped as the benchmark's
-        ``cosim_task_32w``.  Final parameters and every evaluation must be
-        bit-equal to the reference's, whose shards apply each push as they
-        handle it."""
-        _runner, result, _ref = assert_matches_reference(cell)
+        requests behind them too) and re-buffered replies read versions at
+        release, one shaped as the benchmark's ``cosim_task_32w``, two
+        whose rounds all commit in closed form (one evaluating between
+        them), and two whose timing reads values.  Final parameters and
+        every evaluation must be bit-equal to the reference's, whose
+        shards apply each push as they handle it — and the run, its loss
+        history and a checkpoint after it bit-equal to the coupled run's."""
+        runner, result, _ref = assert_matches_reference(cell)
         assert result.final_params is not None
+        assert runner.collapse_fallback == fallback
+        if fallback.get("reason") == "value_dependent":
+            assert runner.steps_replayed == 0
+        else:
+            assert_replay_matches_coupled(cell)
+        if cell is dpr_heavy_cell:
+            assert result.metrics.dprs > result.metrics.pulls // 4
+
+    @pytest.mark.parametrize("cfg_kwargs", preset_configs())
+    def test_preset_cells_replay_as_coupled(self, cfg_kwargs):
+        """Every preset cell as a real-gradient run under the soft barrier,
+        evaluating after every iteration: the replay is the coupled run,
+        whichever rounds commit in closed form and whichever hand over."""
+        assert_replay_matches_coupled(lambda: {
+            **cfg_kwargs, "task": blobs_task(4, n_train=160, n_test=40, seed=2),
+            "execution": ExecutionMode.SOFT_BARRIER, "eval_every": 1,
+        })
+
+    def test_replay_continues_a_restored_system(self):
+        """``run_fluentps(cfg, system)`` after ``restore``: the replay starts
+        from the checkpoint's versions and progress, as the coupled run."""
+        first = real_gradient_cell()
+        trained = FluentPSSimRunner(SimConfig(**first(), obs=NULL_OBS))
+        trained.run()
+        state = trained.system.checkpoint()
+
+        def restored():
+            kwargs = first()
+            task = kwargs["task"]
+            system = ParameterServerSystem(
+                task.spec, task.init_params, 3, 2, kwargs["sync"], kwargs["execution"],
+                seed=kwargs["seed"],
+            )
+            system.restore(state)
+            return system
+
+        runner = assert_replay_matches_coupled(
+            lambda: {**first(), "eval_every": 3}, make_system=restored
+        )
+        assert runner._first == [8, 8, 8]
+
+    @pytest.mark.no_sanitize  # explicit Observability below
+    @pytest.mark.parametrize("cell", [real_gradient_cell(), isolated_task_cell],
+                             ids=["soft", "isolated"])
+    def test_observed_replay_streams_identical(self, cell):
+        """An observed, non-causal task run: each shard's instant stream —
+        every reply's ``snap`` tag included (S016) — is the coupled run's.
+        Its timing run keeps the event path (a block carries no tags)."""
+        make_obs = lambda: Observability(MetricsRegistry("replay"), causal=False)  # noqa: E731
+        runner = assert_replay_matches_coupled(cell, make_obs=make_obs)
+        assert runner.collapse_fallback == {"reason": "snap_tags"}
+        assert sanitize_observability(runner.obs).ok
+
+
+class TestScheduleLogMutants:
+    """The kill-matrix rows of the schedule log (``tests/mutants.py``): each
+    dies by the replay-vs-coupled differential on a cell that reaches it."""
+
+    def test_apply_log_out_of_order_dies_here(self, monkeypatch):
+        apply_log_out_of_order(monkeypatch)
+        with pytest.raises(AssertionError):
+            assert_replay_matches_coupled(isolated_task_cell)
+
+    def test_reply_prefix_off_by_one_dies_here(self, monkeypatch):
+        reply_prefix_off_by_one(monkeypatch)
+        with pytest.raises(AssertionError):
+            assert_replay_matches_coupled(dpr_heavy_cell)
+
+    def test_eval_read_one_event_late_dies_here(self, monkeypatch):
+        eval_read_one_event_late(monkeypatch)
+        # A read ahead of the schedule can reach a push not yet stepped.
+        with pytest.raises((AssertionError, RuntimeError)):
+            assert_replay_matches_coupled(dpr_heavy_cell)
 
 
 class TestBusyLane:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis import sanitize_observability
 from repro.bench.workloads import blobs_task
+from repro.core.filters import NoFilter
 from repro.core.models import asp, bsp, drop_stragglers, pssp, ssp
 from repro.core.server import ExecutionMode, ShardServer
 from repro.ml.models_zoo import alexnet_cifar_workload
@@ -110,6 +111,9 @@ class TestConfig:
             ("seed", 2**32),
             ("seed", -(2**32) + 1),
             ("seed", -1),
+            # Without a task: silently ignored, nothing to evaluate or filter.
+            ("eval_every", 5),
+            ("push_filter_factory", NoFilter),
         ],
     )
     def test_invalid_numbers_fail_at_construction(self, field, value):
