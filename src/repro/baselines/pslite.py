@@ -87,12 +87,12 @@ class PSLiteSimRunner(FluentPSSimRunner):
             return True
         return progress < self._sched_frontier + s
 
-    def _on_report(self, msg: Message) -> None:
+    def _on_report(self, report: _ReportMsg, at: float, cause: int) -> None:
         n = self.cfg.cluster.n_workers
-        self._sched_count[msg.payload.progress] += 1
+        self._sched_count[report.progress] += 1
         while self._sched_count[self._sched_frontier] >= n:
             self._sched_frontier += 1
-        self._sched_waiting.append(msg.payload)
+        self._sched_waiting.append(report)
         still_waiting = []
         for r in self._sched_waiting:
             if self._grantable(r.progress):
@@ -102,8 +102,8 @@ class PSLiteSimRunner(FluentPSSimRunner):
                     self.cfg.request_bytes,
                     payload=_GrantMsg(r.worker, r.progress),
                     tag="grant",
-                    cause=msg.cause_id,
-                    at=msg.deliver_time,
+                    cause=cause,
+                    at=at,
                 ).subscribe(self._on_grant_delivered)
             else:
                 still_waiting.append(r)
@@ -129,7 +129,7 @@ class PSLiteSimRunner(FluentPSSimRunner):
             # Phase 1: push to every shard and WAIT until every shard is
             # updated (non-overlap: the pull phase may not begin earlier).
             t_push = engine.now
-            yield engine.all_of(self._push_all(row, notify=True))
+            yield engine.all_of(self._push_all(row))
             trace.record_span(row.name, SpanKind.PUSH, t_push, engine.now, i)
             # Phase 2: report progress to the scheduler and wait for the
             # grant (the dotted line in Figure 5a).

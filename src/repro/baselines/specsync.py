@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.models import SyncModel, asp
-from repro.sim.network import Message, NicSpec
+from repro.sim.network import NicSpec
 from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
 
@@ -81,18 +81,18 @@ class SpecSyncRunner(FluentPSSimRunner):
 
     # -- scheduler: one notification per push (the bottleneck) ------------
 
-    def _on_notify(self, msg: Message) -> None:
+    def _on_notify(self, notify: _NotifyMsg, at: float, cause: int) -> None:
         """The scheduler, as its endpoint's sink."""
         threshold = self.spec_cfg.abort_threshold
         for w in range(self.cfg.cluster.n_workers):
-            if w == msg.payload.worker:
+            if w == notify.worker:
                 continue
             self._fresh_counts[w] += 1
             if self._fresh_counts[w] >= threshold and not self._abort_flags[w]:
                 self._abort_flags[w] = True
                 self.net.send(
                     self._sched_ep, self._wkr_eps[w], self.cfg.request_bytes,
-                    tag="abort", cause=msg.cause_id, notify=False, at=msg.deliver_time,
+                    tag="abort", cause=cause, notify=False, at=at,
                 )
 
     # -- worker: sliced, abortable compute ----------------------------------
@@ -140,7 +140,7 @@ class SpecSyncRunner(FluentPSSimRunner):
             # Signalled: a push is applied at its deliver time (signal-free
             # it would fuse into its TX completion and show up early in
             # worker 0's evaluations).
-            self._push_all(row, notify=True)
+            self._push_all(row)
             # Notify the central scheduler (SpecSync's per-push message).
             self.net.send(
                 row.ep, self._sched_ep, self.cfg.request_bytes,

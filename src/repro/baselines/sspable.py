@@ -32,8 +32,7 @@ import numpy as np
 from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel
 from repro.core.server import ExecutionMode
-from repro.sim.network import Message
-from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult, _PushMsg
+from repro.sim.runner import _PULL, FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
 
 
@@ -131,19 +130,17 @@ class SSPTableRunner(FluentPSSimRunner):
 
     # -- server side ---------------------------------------------------------
 
-    def _dispatch_server(self, m: int, msg: Message) -> None:
+    def _serve(self, request: tuple, at: float, cause: int) -> None:
         """Endpoint sink: the table handler, at the request's delivery."""
-        self._srv_now[m] = msg.deliver_time
-        request = msg.payload
-        if request.__class__ is _PushMsg:
+        m, worker, progress, update = request
+        self._srv_now[m] = at
+        if update is not _PULL:
             self.servers[m].handle_update(
-                request.worker, request.progress + 1, request.shard,
-                partial(self._broadcast_invalidation, m),
+                worker, progress + 1, update, partial(self._broadcast_invalidation, m)
             )
         else:  # a read: ``progress`` is the min-clock it requires
             self.servers[m].handle_read(
-                request.worker, request.progress,
-                partial(self._send_read_reply, m, request.worker, msg.cause_id),
+                worker, progress, partial(self._send_read_reply, m, worker, cause)
             )
 
     def _broadcast_invalidation(self, server: int, clock: int) -> None:
@@ -201,7 +198,7 @@ class SSPTableRunner(FluentPSSimRunner):
             # Signalled: an update is applied at its deliver time (signal-
             # free it would fuse into its TX completion and show up early
             # in worker 0's evaluations).
-            self._push_all(row, notify=True)
+            self._push_all(row)
             self.trace.record_span(row.name, SpanKind.PUSH, engine.now, engine.now, i)
             self._end_iteration(row, None)
         self._finish_times[w] = engine.now

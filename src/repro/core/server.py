@@ -118,6 +118,7 @@ class PullReply:
     missing: int  # slow-worker gradient iterations absent from params
     waited: float  # sim-seconds the request spent buffered (0 if immediate)
     params: Optional[np.ndarray] = None  # shard snapshot (co-simulation)
+    shard: int = -1  # the answering shard's id
 
 
 @dataclass(slots=True)
@@ -354,7 +355,8 @@ class ShardServer:
         significance: Optional[float] = None,
     ) -> None:
         """Apply a gradient push and advance the frontier if possible."""
-        self._check_worker(worker)
+        if not 0 <= worker < self.n_workers:
+            raise ProtocolError(f"worker id {worker} out of range [0, {self.n_workers})")
         expected = self.worker_progress[worker] + 1
         if progress != expected:
             raise ProtocolError(
@@ -416,7 +418,7 @@ class ShardServer:
         DPR) if the barrier re-forms.
         """
         while True:
-            view = self._view(progress=self.v_train, worker=-1)
+            view = self._view(self.v_train, -1)
             if not self.push_con(view):
                 break
             flushed_key = self.v_train
@@ -431,13 +433,19 @@ class ShardServer:
                 )
             for req in self.callbacks.pop(flushed_key, []):
                 if self.execution is ExecutionMode.LAZY:
-                    self._respond(req, released=True)
+                    self._respond(
+                        req.worker, req.progress, req.respond,
+                        self.clock() - req.enqueue_time, released=True,
+                    )
                     continue
                 s_now = self.pull_con.staleness() if self._obs_on else None
                 recheck = self._view(progress=req.progress, worker=req.worker)
                 ok, flipped = self._eval_pull(recheck)
                 if ok:
-                    self._respond(req, released=True, s_at_eval=s_now, coin=flipped)
+                    self._respond(
+                        req.worker, req.progress, req.respond, self.clock() - req.enqueue_time,
+                        released=True, s_at_eval=s_now, coin=flipped,
+                    )
                 else:
                     req.blocked_probabilistically = flipped
                     self.callbacks[self.v_train].append(req)
@@ -462,7 +470,8 @@ class ShardServer:
     ) -> bool:
         """Answer a pull now, or buffer it as a DPR.  Returns True when the
         response was immediate."""
-        self._check_worker(worker)
+        if not 0 <= worker < self.n_workers:
+            raise ProtocolError(f"worker id {worker} out of range [0, {self.n_workers})")
         if progress > self.worker_progress[worker]:
             raise ProtocolError(
                 f"worker {worker} pulled with progress {progress} before its "
@@ -485,17 +494,13 @@ class ShardServer:
         # The threshold is read *before* evaluation (DSPS adjusts it as an
         # evaluation side effect) but only observability consumes it.
         s_now = self.pull_con.staleness() if self._obs_on else None
-        view = self._view(progress=progress, worker=worker)
-        ok, flipped = self._eval_pull(view)
+        ok, flipped = self._eval_pull(self._view(progress, worker))
         if ok:
-            self.metrics.record_pull(immediate=True, iteration=progress)
+            self.metrics.record_pull(True, progress)
             if self._obs_on:
                 self._c_pulls.inc()
-            self._respond(
-                _BufferedPull(worker, progress, respond, enqueue_time=self.clock()),
-                s_at_eval=s_now,
-                coin=flipped,
-            )
+            # Immediate: no buffer entry, waited 0.0, not a release.
+            self._respond(worker, progress, respond, 0.0, False, s_now, flipped)
             return True
         # Delayed pull request: buffer keyed by the v_train value whose
         # advance will release it (Algorithm 1 lines 7-11).
@@ -562,28 +567,28 @@ class ShardServer:
 
     def _respond(
         self,
-        req: _BufferedPull,
+        worker: int,
+        progress: int,
+        respond: Callable[[PullReply], None],
+        waited: float,
         released: bool = False,
         s_at_eval: Optional[float] = None,
         coin: bool = False,
     ) -> None:
-        """Answer ``req`` now.  ``s_at_eval`` is the staleness threshold the
-        granting pull-condition evaluation used (DSPS adjusts it as a side
-        effect of evaluating, so reading it afterwards could be off by one);
-        ``coin`` marks answers granted by a PSSP over-threshold coin pass."""
-        waited = self.clock() - req.enqueue_time
-        missing = max(0, req.progress + 1 - self.v_train)
-        params = self._snapshot()
+        """Answer ``worker``'s pull at ``progress`` now, through ``respond``;
+        it spent ``waited`` seconds buffered (0.0: immediate, no buffer
+        entry).  ``s_at_eval`` is the staleness threshold the granting
+        pull-condition evaluation used (DSPS adjusts it as a side effect of
+        evaluating, so reading it afterwards could be off by one); ``coin``
+        marks answers granted by a PSSP over-threshold coin pass."""
+        # Positional calls and no ``max``: this runs once per answered pull.
+        v_train = self.v_train
+        missing = progress + 1 - v_train if progress >= v_train else 0
+        params = None if self.params is None and self.deferred is None else self._snapshot()
         reply = PullReply(
-            worker=req.worker,
-            progress=req.progress,
-            version=self.version,
-            v_train=self.v_train,
-            missing=missing,
-            waited=waited,
-            params=params,
+            worker, progress, self.version, v_train, missing, waited, params, self.shard_id
         )
-        self.metrics.record_response(missing=missing, waited=waited)
+        self.metrics.record_response(missing, waited)
         if self._obs_on:
             self._h_wait.observe(waited)
             self._q_wait.observe(waited)
@@ -593,13 +598,13 @@ class ShardServer:
             if released:
                 self.obs.instants.record(
                     "dpr_released", self.clock(), actor=self.actor,
-                    uid=self.uid, worker=req.worker, progress=req.progress,
+                    uid=self.uid, worker=worker, progress=progress,
                     waited=waited, missing=missing, shard=self.shard_id,
                     released_by=self._releasing_worker,
                 )
             self.obs.instants.record_protocol(
                 "pull_answer", self.clock(), self.actor,
-                self.uid, self.shard_id, req.worker, req.progress, self.v_train,
+                self.uid, self.shard_id, worker, progress, self.v_train,
                 missing, released, coin, pull_condition_kind(self.pull_con),
                 _staleness_arg(s_at_eval), waited, self.version,
                 # ``snap``: storage tag of the shared COW copy this reply
@@ -609,7 +614,7 @@ class ShardServer:
                 # do not (S016).
                 None if params is None and self.deferred is None else self._snap_id,
             )
-        req.respond(reply)
+        respond(reply)
 
     def _snapshot(self) -> Optional[np.ndarray]:
         """Parameters for a pull reply: one immutable copy per version.
@@ -619,10 +624,9 @@ class ShardServer:
         storage (128 workers pulling one version cost 1 copy, not 128).
         Pushes keep mutating ``self.params`` freely — the reply copy is
         detached — and every version change drops the cache.  A deferred
-        shard counts and tags the copy it stands in for, and copies nothing.
+        shard counts and tags the copy it stands in for, and copies nothing
+        (a timing-only shard has no snapshot: its caller asks for none).
         """
-        if self.params is None and self.deferred is None:
-            return None
         if self._snap_version != self.version:
             snap = None
             if self.params is not None:
@@ -797,10 +801,6 @@ class ShardServer:
                 worker_progress=list(self.worker_progress),
                 count={str(k): v for k, v in self.count.items()},
             )
-
-    def _check_worker(self, worker: int) -> None:
-        if not 0 <= worker < self.n_workers:
-            raise ProtocolError(f"worker id {worker} out of range [0, {self.n_workers})")
 
     # -- introspection -----------------------------------------------------
 

@@ -12,20 +12,24 @@ All sizes are bytes, all rates bytes/second, all times seconds.
 One wire, scheduled analytically (see ``docs/PERFORMANCE.md``, "The wire
 fast path"): both NIC lanes are plain capacity-1 FIFOs, so a transfer's
 timeline is a closed-form function of each lane's ``free_at`` cursor.
-``send`` advances the TX cursor and posts one event at TX completion;
-that event claims the RX cursor and posts the delivery event.  At most
-two heap events per message, no process: a delivery nothing observes
-folds into the TX-completion event, and a transfer into a fused
-:class:`Gather` posts none — its last send schedules the private RX lane
-in closed form.  The textbook one-process-per-message description these
-cursors must reproduce bit for bit lives in ``tests/reference_sim.py``.
+``post`` (``send`` is its one-transfer case) advances the TX cursor and
+posts one event at TX completion; that event claims the RX cursor and
+posts the delivery event.  At most two heap events per transfer, no
+process: a delivery nothing observes folds into the TX-completion event,
+and a transfer into a fused :class:`Gather` posts none — its last one
+schedules the private RX lane in closed form.  A :class:`Message` exists
+only where the wire is observed (a delivery, delay or choice hook, a
+causal trace or a delivery signal, present at the send); sinks are called
+as ``sink(payload, deliver_time, cause_id)``.  The textbook
+one-process-per-message description these cursors must reproduce bit for
+bit lives in ``tests/reference_sim.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush as _heappush
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.sim.engine import Engine, Signal, SimulationError, Waitable
 from repro.utils.checks import check_number
@@ -52,11 +56,12 @@ class NicSpec:
 
 @dataclass(slots=True)
 class Message:
-    """One transfer on the wire.
+    """One observed transfer on the wire (see the module docstring).
 
-    ``msg_id`` is assigned by :meth:`Network.send` from a per-``Network``
-    counter, so identically-seeded runs in one process see identical id
-    streams (a module-global counter would leak state across runs).
+    ``msg_id`` is assigned from a per-``Network`` counter that every
+    transfer advances, observed or not, so identically-seeded runs in one
+    process see identical id streams (a module-global counter would leak
+    state across runs).
 
     ``cause_id`` threads the causal trace through the wire: the sender
     sets it to the causal span that produced the message, and delivery
@@ -102,13 +107,14 @@ class Endpoint:
     def __init__(self, node_id: str, nic: NicSpec):
         self.node_id = node_id
         self.nic = nic
-        #: The endpoint's consumer: delivered messages are handed to
-        #: ``sink(msg)`` synchronously, in ``deliver_time`` order; with no
-        #: sink a delivery reaches only its signal and the delivery hooks.
-        #: The consumer owns its own FIFO discipline and must time itself
-        #: off ``msg.deliver_time``: an unobserved signal-free delivery
-        #: runs the sink early, inside the TX-completion event.
-        self.sink: Optional[Callable[["Message"], None]] = None
+        #: The endpoint's consumer: every delivery is handed to
+        #: ``sink(payload, deliver_time, cause_id)`` synchronously, in
+        #: ``deliver_time`` order; with no sink a delivery reaches only its
+        #: signal and the delivery hooks.  The consumer owns its own FIFO
+        #: discipline and must time itself off ``deliver_time``: an
+        #: unobserved signal-free delivery runs the sink early, inside the
+        #: TX-completion event.
+        self.sink: Optional[Callable[[Any, float, int], None]] = None
         #: The exclusive :class:`Gather` that last claimed the RX lane.
         self.gather: Optional["Gather"] = None
         #: Deliveries into this endpoint still waiting for their own
@@ -148,7 +154,7 @@ class Endpoint:
 class Gather(Waitable):
     """``count`` transfers converging on one endpoint's RX lane, then one
     completion.  The receiver opens it (:meth:`Network.gather`), senders
-    :meth:`Network.send` *to* it (no payload: it only counts), and the
+    :meth:`Network.join` it (no payload: it only counts), and the
     receiver yields on it, resuming when the last transfer has drained.
 
     Once a transfer's TX cursor is advanced only the RX lane orders
@@ -215,7 +221,7 @@ class Network:
         #: Deliveries that posted no event of their own: a signal-free
         #: send to a sink endpoint that nothing observes in real time (no
         #: delivery or choice hook) delivers inside its TX-completion
-        #: event, ``msg.deliver_time`` carrying the exact RX-drain instant;
+        #: event, the sink's ``deliver_time`` the exact RX-drain instant;
         #: a transfer into a fused :class:`Gather` posts no event at all.
         self.fused_deliveries = 0
         #: Causal span sink (a :class:`repro.obs.causal.CausalTrace`);
@@ -233,7 +239,7 @@ class Network:
         self.delay_hook: Optional[Callable[[Message], float]] = None
         self._delivery_hooks: List[Callable[[Message], None]] = []
         #: Hot-path bindings: one attribute load instead of a descriptor
-        #: walk per event.  ``send`` pushes ``(when, seq, fn, arg)``
+        #: walk per event.  ``_start`` pushes ``(when, seq, fn, arg)``
         #: entries straight onto the engine heap (the body of
         #: ``Engine._schedule``, inlined) — safe because every wire
         #: timestamp is ``max(now, cursor) + hold`` with non-negative
@@ -261,8 +267,15 @@ class Network:
         A hook observes every message as a real :class:`Message`, in its
         own delivery event: installing one switches off every fused path
         for the run — the runner's round collapse (``delivery_hook``
-        fallback), fused deliveries and fused gathers."""
+        fallback), fused deliveries and fused gathers.  Install it before
+        the transfers it should see are sent."""
         self._delivery_hooks.append(hook)
+
+    def _watched(self) -> bool:
+        """Whether a hook or a causal trace observes the wire in real time."""
+        return bool(self._delivery_hooks) or not (
+            self.delay_hook is None and self.causal is None and self.engine._choice_hook is None
+        )
 
     def gather(self, dst, count: int, exclusive: bool = False) -> Gather:
         """Open a :class:`Gather` of ``count`` transfers into ``dst`` (Endpoint
@@ -271,14 +284,7 @@ class Network:
             raise ValueError(f"a gather needs at least one transfer, got {count}")
         dst_ep = self.endpoint(dst) if dst.__class__ is str else dst
         self._check_private(dst_ep, self.engine.now)
-        fused = (
-            exclusive
-            and not self._delivery_hooks
-            and self.delay_hook is None
-            and self.causal is None
-            and self.engine._choice_hook is None
-        )
-        opened = Gather(dst_ep, count, [] if fused else None)
+        opened = Gather(dst_ep, count, [] if exclusive and not self._watched() else None)
         dst_ep.gather = opened if exclusive else None
         return opened
 
@@ -300,140 +306,183 @@ class Network:
         at: float = -1.0,
     ) -> Optional[Signal]:
         """Start a transfer; returns a Signal fired with the Message upon
-        delivery.  The message is also handed to the destination's
+        delivery.  The payload is also handed to the destination's
         :attr:`Endpoint.sink`, when it has one.  ``cause`` is the sender's
         causal span id (ignored unless a causal trace is attached via
         :attr:`causal`).  ``notify=False`` skips the delivery signal
-        entirely and returns ``None`` — for callers that never subscribe
-        (the runner's push/pull requests), saving one signal allocation per
-        message at incast rates.  Timing is identical either way: the
+        entirely and returns ``None``.  Timing is identical either way: the
         signal only ever *observes* delivery.  ``at`` (>= ``engine.now``)
         sends from a virtual instant instead of the engine clock — the
         runner's analytic drain lanes use it so a reply issued from a
         cascaded handle time serializes exactly when a server process
         waking at that time would have sent it.  ``dst`` may be an open
-        :class:`Gather`: the transfer counts toward it instead of a sink or
-        signal, and the call returns ``None``."""
-        if size_bytes < 0:
-            raise ValueError(f"negative message size: {size_bytes}")
+        :class:`Gather`: the transfer joins it (:meth:`join`) instead of
+        reaching a sink or signal, and the call returns ``None``.  A send
+        is :meth:`post`'s one-transfer case."""
         # ``src``/``dst`` may be Endpoint objects instead of node ids: at
         # 100k workers the endpoint registry is a large dict and the two
         # lookups per send are cache misses; hot callers (the runner)
         # memoize their endpoints and skip the registry entirely.
-        if src.__class__ is str:
-            src_ep = self.endpoint(src)
-        else:
-            src_ep = src
-            src = src_ep.node_id
+        src_ep = self.endpoint(src) if src.__class__ is str else src
+        if dst.__class__ is Gather:
+            self.join(src_ep, dst, size_bytes, tag, cause, at)
+            return None
+        dst_ep = self.endpoint(dst) if dst.__class__ is str else dst
         done = None
-        if dst.__class__ is str:
-            dst_ep = self.endpoint(dst)
-        elif dst.__class__ is Gather:
-            done = dst
-            dst_ep = done.dst
-            dst = dst_ep.node_id
-            notify = False
-            if not done.remaining:
-                raise ValueError(f"gather into {dst} is already complete")
-        else:
-            dst_ep = dst
-            dst = dst_ep.node_id
+        if notify:
+            # Manual slot fills mirror Signal.__init__ (keep in sync); the
+            # constant name avoids per-message f-string churn.
+            done = _SIGNAL_NEW(Signal)
+            done._engine = self.engine
+            done._fired = False
+            done._payload = None
+            done._waiters = None
+            done.name = "deliver"
+        self._start(src_ep, ((dst_ep, size_bytes, payload, tag),), cause, at, done)
+        return done
+
+    def post(self, src: Endpoint, transfers: Iterable[tuple], cause: int = -1) -> None:
+        """``send(src, dst, size_bytes, payload, tag, cause, notify=False)``
+        for each ``(dst, size_bytes, payload, tag)`` of ``transfers`` in
+        order (endpoints only), in one call."""
+        self._start(src, transfers, cause, -1.0, None)
+
+    def _start(self, src_ep: Endpoint, transfers, cause: int, at: float, done) -> None:
+        """The wire's lane rule, applied to each transfer in order.  ``done``
+        (a :class:`Signal`, or an unfused :class:`Gather`) observes the one
+        transfer it is given with."""
         engine = self.engine
         now = engine.now
         if at >= 0.0:
             if at < now:
                 raise ValueError(f"cannot send from the past: {at} < {now}")
             now = at
-        # One identity test on the hot path: it differs only for a plain
-        # send into a privately held lane, or a non-exclusive gather.
-        if dst_ep.gather is not done:
+        # A Message only for a transfer something watches (a signal fires
+        # with it); manual slot fills mirror Message.__init__ (keep in sync).
+        watched = (done is not None and done.__class__ is not Gather) or self._watched()
+        latency = self.latency_s
+        tx_done = self._tx_done_cb
+        heap = engine._heap
+        src_ser = src_ep._ser_times
+        # The cursors advance in locals and are written back once, also if
+        # a check refuses a transfer midway (its predecessors stand).
+        mid = first = self._next_msg_id
+        seq = engine._seq
+        tx_free = src_ep.tx_free_at
+        nbytes = 0
+        try:
+            for dst_ep, size_bytes, payload, tag in transfers:
+                if size_bytes < 0:
+                    raise ValueError(f"negative message size: {size_bytes}")
+                # One identity test on the hot path: it differs only for a
+                # send into a privately held lane, or a non-exclusive gather.
+                if dst_ep.gather is not done:
+                    self._check_private(dst_ep, now)
+                msg = None
+                if watched:
+                    msg = _MESSAGE_NEW(Message)
+                    msg.src = src_ep.node_id
+                    msg.dst = dst_ep.node_id
+                    msg.size_bytes = size_bytes
+                    msg.tag = tag
+                    msg.payload = payload
+                    msg.msg_id = mid
+                    msg.send_time = now
+                    msg.deliver_time = -1.0
+                    msg.cause_id = cause
+                # Inlined :meth:`Endpoint.serialize_time` memo; rx_hold and
+                # arrival are precomputed so the TX-completion event does no lookups.
+                tx_hold = src_ser.get(size_bytes)
+                if tx_hold is None:
+                    tx_hold = src_ser[size_bytes] = src_ep.nic.serialize_time(size_bytes)
+                ser = dst_ep._ser_times
+                rx_hold = ser.get(size_bytes)
+                if rx_hold is None:
+                    rx_hold = ser[size_bytes] = dst_ep.nic.serialize_time(size_bytes)
+                # The TX lane is a capacity-1 FIFO: max(now, free_at) + hold
+                # is the float addition a lane-acquiring process performs, so
+                # the cursors reproduce the reference timeline bit for bit —
+                # the one lane rule, spelled for n = 1 (``_seq_cascade`` in the
+                # runner is its n > 1 spelling, for the round collapse).
+                tx_free = (tx_free if tx_free > now else now) + tx_hold
+                seq += 1
+                packed = (
+                    msg, src_ep, dst_ep, done, tx_hold, rx_hold, tx_free + latency,
+                    payload, size_bytes, cause,
+                )
+                _heappush(heap, (tx_free, seq, tx_done, packed))
+                mid += 1
+                nbytes += size_bytes
+        finally:
+            self._next_msg_id = mid
+            engine._seq = seq
+            src_ep.tx_free_at = tx_free
+            self.bytes_in_flight += nbytes
+            self.messages_in_flight += mid - first
+            self.fast_path_transfers += mid - first
+
+    def join(
+        self,
+        src: Endpoint,
+        into: Gather,
+        size_bytes: int,
+        tag: str = "",
+        cause: int = -1,
+        at: float = -1.0,
+    ) -> None:
+        """One transfer from ``src`` into the open gather ``into``: what
+        ``send(src, into, size_bytes, tag=tag, cause=cause, at=at)`` does,
+        without its argument handling but with its checks.
+
+        A fused gather's transfer is no message and no event.  The TX side
+        advances as a plain send at ``at`` advances it (one msg id and one
+        seq consumed: later transfers keep their ids and tie ranks); the
+        last transfer replays the RX claims the per-transfer TX-completion
+        events would make — ``(tx_end, send seq)`` order, same float ops,
+        same ``rx_busy_s`` accumulation — and posts the waiter at the final
+        ``rx_free``."""
+        dst_ep = into.dst
+        if not into.remaining:
+            raise ValueError(f"gather into {dst_ep.node_id} is already complete")
+        legs = into._legs
+        if legs is None:
+            self._start(src, ((dst_ep, size_bytes, None, tag),), cause, at, into)
+            return
+        engine = self.engine
+        now = engine.now
+        if at >= 0.0:
+            if at < now:
+                raise ValueError(f"cannot send from the past: {at} < {now}")
+            now = at
+        if dst_ep.gather is not into:
             self._check_private(dst_ep, now)
-        if done is not None and done._legs is not None:
-            self._join_fused(done, src_ep, size_bytes, now)
-            return None
-        # Manual slot fills mirror Message.__init__ / Signal.__init__ (keep
-        # in sync): skipping the constructor frames saves ~100 ns per
-        # message, which is real money at incast rates.  The signal's
-        # constant name avoids per-message f-string churn (the Message
-        # carries src/dst/tag already).
-        msg = _MESSAGE_NEW(Message)
-        msg.src = src
-        msg.dst = dst
-        msg.size_bytes = size_bytes
-        msg.tag = tag
-        msg.payload = payload
-        msg.msg_id = mid = self._next_msg_id
-        self._next_msg_id = mid + 1
-        msg.send_time = now
-        msg.deliver_time = -1.0
-        msg.cause_id = cause
-        self.bytes_in_flight += size_bytes
-        self.messages_in_flight += 1
-        if notify:
-            done = _SIGNAL_NEW(Signal)
-            done._engine = engine
-            done._fired = False
-            done._payload = None
-            done._waiters = None
-            done.name = "deliver"
-        # The TX lane is a capacity-1 FIFO, so this transfer starts
-        # serializing the instant the lane frees.  max(now, free_at) + hold
-        # is the same float addition a lane-acquiring process performs via
-        # its resume timestamps, so the cursors reproduce the reference
-        # timeline bit for bit — the one lane rule, spelled for n = 1 (the
-        # runner's ``_seq_cascade`` is its n > 1 spelling, which the round
-        # collapse applies to a cohort).  rx_hold and arrival are precomputed
-        # here (both are pure functions of size and tx_end) so the TX-completion
-        # event does no lookups of its own; the serialize-time memo is
-        # inlined (same dict as :meth:`Endpoint.serialize_time`) to skip
-        # two calls per send.
-        self.fast_path_transfers += 1
-        ser = src_ep._ser_times
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
+        self._next_msg_id += 1
+        engine._seq = seq = engine._seq + 1
+        ser = src._ser_times
         tx_hold = ser.get(size_bytes)
         if tx_hold is None:
-            tx_hold = ser[size_bytes] = src_ep.nic.serialize_time(size_bytes)
-        ser = dst_ep._ser_times
-        rx_hold = ser.get(size_bytes)
-        if rx_hold is None:
-            rx_hold = ser[size_bytes] = dst_ep.nic.serialize_time(size_bytes)
-        tx_free = src_ep.tx_free_at
-        tx_end = (tx_free if tx_free > now else now) + tx_hold
-        src_ep.tx_free_at = tx_end
-        engine._seq = seq = engine._seq + 1
-        arrival = tx_end + self.latency_s
-        packed = (msg, src_ep, dst_ep, done, tx_hold, rx_hold, arrival)
-        _heappush(engine._heap, (tx_end, seq, self._tx_done_cb, packed))
-        return done if notify else None
-
-    def _join_fused(self, g: Gather, src_ep: Endpoint, size_bytes: int, now: float) -> None:
-        """One transfer into a fused gather: no message, no event.  The TX
-        side advances as a plain send at ``now`` advances it (one msg id
-        and one seq consumed: later messages keep their ids and tie ranks);
-        the last transfer replays the RX claims the per-message TX-completion
-        events would make — ``(tx_end, send seq)`` order, same float ops, same
-        ``rx_busy_s`` accumulation — and posts the waiter at the final ``rx_free``."""
-        self._next_msg_id += 1
-        engine = self.engine
-        engine._seq = seq = engine._seq + 1
-        tx_hold = src_ep.serialize_time(size_bytes)
-        tx_free = src_ep.tx_free_at
-        src_ep.tx_free_at = tx_end = (tx_free if tx_free > now else now) + tx_hold
-        src_ep.tx_busy_s += tx_hold
-        src_ep.bytes_sent += size_bytes
-        src_ep.messages_sent += 1
-        legs = g._legs
+            tx_hold = ser[size_bytes] = src.nic.serialize_time(size_bytes)
+        tx_free = src.tx_free_at
+        src.tx_free_at = tx_end = (tx_free if tx_free > now else now) + tx_hold
+        src.tx_busy_s += tx_hold
+        src.bytes_sent += size_bytes
+        src.messages_sent += 1
         legs.append((tx_end, seq, size_bytes))
-        g.remaining -= 1
-        if g.remaining:
+        into.remaining -= 1
+        if into.remaining:
             return
         legs.sort()
-        dst_ep = g.dst
         latency = self.latency_s
+        ser = dst_ep._ser_times
         rx_free = dst_ep.rx_free_at
         rx_busy = dst_ep.rx_busy_s
         nbytes = 0
         for tx_end, _seq, size in legs:
-            rx_hold = dst_ep.serialize_time(size)
+            rx_hold = ser.get(size)
+            if rx_hold is None:
+                rx_hold = ser[size] = dst_ep.nic.serialize_time(size)
             arrival = tx_end + latency
             rx_free = (rx_free if rx_free > arrival else arrival) + rx_hold
             rx_busy += rx_hold
@@ -446,15 +495,17 @@ class Network:
         self.total_messages += len(legs)
         self.fast_path_transfers += len(legs)
         self.fused_deliveries += len(legs)
-        g._complete(engine, rx_free)
+        into._complete(engine, rx_free)
 
     @staticmethod
-    def _record_wire(causal, msg, tx_start: float, arrival: float, rx_end: float) -> None:
-        """One transfer's three causal spans; ``msg.cause_id`` becomes the rx span."""
+    def _record_wire(causal, msg, tx_start: float, arrival: float, rx_end: float) -> int:
+        """One transfer's three causal spans; ``msg.cause_id`` becomes the
+        rx span, which is returned."""
         tag = msg.tag
         q = causal.record(msg.cause_id, msg.src, "tx_queue", msg.send_time, tx_start, tag=tag)
         w = causal.record(q, f"{msg.src}->{msg.dst}", "wire", tx_start, arrival, tag=tag)
         msg.cause_id = causal.record(w, msg.dst, "rx", arrival, rx_end, tag=tag)
+        return msg.cause_id
 
     def _fast_tx_done(self, packed) -> None:
         """TX lane released: book TX stats, claim the RX lane.
@@ -467,47 +518,46 @@ class Network:
         the heap hands back ``tx_end`` bit-exact, so it equals the
         ``engine.now + latency`` such a process would compute here.)
         """
-        msg, src_ep, dst_ep, done, tx_hold, rx_hold, arrival = packed
+        msg, src_ep, dst_ep, done, tx_hold, rx_hold, arrival, payload, size, cause = packed
         src_ep.tx_busy_s += tx_hold
-        src_ep.bytes_sent += msg.size_bytes
+        src_ep.bytes_sent += size
         src_ep.messages_sent += 1
         rx_free = dst_ep.rx_free_at
         rx_end = (rx_free if rx_free > arrival else arrival) + rx_hold
-        delay_hook = self.delay_hook
-        if delay_hook is not None:
-            extra = delay_hook(msg)
-            if extra < 0:
-                raise ValueError(f"delay_hook returned negative delay {extra}")
-            rx_end += extra
-        dst_ep.rx_free_at = rx_end
-        causal = self.causal
-        if causal is not None:
-            # Pure bookkeeping over timestamps that are already fixed
-            # (send_time, tx_end = engine.now, arrival, rx_end): the
-            # timeline is bit-identical whether or not this branch runs.
-            # Subtracting tx_hold can land one ulp before send_time for an
-            # uncontended TX lane; clamp so the queue span never inverts.
-            tx_start = self.engine.now - tx_hold
-            if tx_start < msg.send_time:
-                tx_start = msg.send_time
-            self._record_wire(causal, msg, tx_start, arrival, rx_end)
         engine = self.engine
+        if msg is not None:  # watched when sent
+            delay_hook = self.delay_hook
+            if delay_hook is not None:
+                extra = delay_hook(msg)
+                if extra < 0:
+                    raise ValueError(f"delay_hook returned negative delay {extra}")
+                rx_end += extra
+            causal = self.causal
+            if causal is not None:
+                # Bookkeeping over fixed timestamps (send_time, tx_end = now,
+                # arrival, rx_end): the timeline is bit-identical either way.
+                # now - tx_hold can land one ulp before send_time for an
+                # uncontended TX lane; clamp so the queue span never inverts.
+                tx_start = engine.now - tx_hold
+                if tx_start < msg.send_time:
+                    tx_start = msg.send_time
+                cause = self._record_wire(causal, msg, tx_start, arrival, rx_end)
+                packed = packed[:-1] + (cause,)
+        dst_ep.rx_free_at = rx_end
         if (
             done is None
             and dst_ep.sink is not None
             and not dst_ep.unfused
-            and not self._delivery_hooks
-            and engine._choice_hook is None
+            and (msg is None or not self._delivery_hooks and engine._choice_hook is None)
         ):
-            # Fused delivery: nothing observes this message in real time
+            # Fused delivery: nothing observes this transfer in real time
             # (no signal, no hooks, sink consumer) and no earlier delivery
             # to this sink is still waiting for its event, so fold the
             # delivery bookkeeping into this TX event.  The sink (the
-            # runner's analytic drain lane) times the handle off
+            # runner's analytic drain lane) times the handle off its
             # ``deliver_time``, so the timeline is bit-identical — only
             # the event is gone.
             self.fused_deliveries += 1
-            size = msg.size_bytes
             dst_ep.rx_busy_s += rx_hold
             self.bytes_in_flight -= size
             self.messages_in_flight -= 1
@@ -515,11 +565,10 @@ class Network:
             dst_ep.messages_received += 1
             self.total_bytes += size
             self.total_messages += 1
-            msg.deliver_time = rx_end
-            dst_ep.sink(msg)
+            dst_ep.sink(payload, rx_end, cause)
             return
         # The packed tuple is reused verbatim for the delivery event (one
-        # fewer allocation per message); _deliver ignores the TX slots.
+        # fewer allocation per transfer); _deliver ignores the TX slots.
         dst_ep.unfused += 1
         engine._seq = seq = engine._seq + 1
         _heappush(engine._heap, (rx_end, seq, self._deliver_cb, packed))
@@ -527,8 +576,7 @@ class Network:
     def _deliver(self, packed) -> None:
         """RX drain finished: book RX stats and deliver (``Signal.fire``
         is inlined: per-message calls matter at incast rates)."""
-        msg, _src_ep, dst_ep, done, _tx_hold, rx_hold, _arrival = packed
-        size = msg.size_bytes
+        msg, _src_ep, dst_ep, done, _tx_hold, rx_hold, _arrival, payload, size, cause = packed
         dst_ep.unfused -= 1
         dst_ep.rx_busy_s += rx_hold
         self.bytes_in_flight -= size
@@ -538,30 +586,31 @@ class Network:
         self.total_bytes += size
         self.total_messages += 1
         engine = self.engine
-        msg.deliver_time = engine.now
+        now = engine.now
+        if msg is not None:
+            msg.deliver_time = now
         sink = dst_ep.sink
         if sink is not None and done.__class__ is not Gather:
-            sink(msg)
+            sink(payload, now, cause)
         hooks = self._delivery_hooks
         if hooks:
             for hook in hooks:
                 hook(msg)
         # Inlined Signal.fire (keep in sync): `done` is created unfired by
-        # send() and fired exactly once, here (None for notify=False sends;
-        # the Gather the transfer counts toward for gather sends).
+        # send() and fired exactly once, here (None for signal-free
+        # transfers; the Gather the transfer counts toward for gather ones).
         if done is not None:
             if done.__class__ is Gather:
-                done.cause_id = msg.cause_id
+                done.cause_id = cause
                 done.remaining -= 1
                 if not done.remaining:
-                    done._complete(engine, engine.now)
+                    done._complete(engine, now)
                 return
             done._fired = True
             done._payload = msg
             waiters = done._waiters
             if waiters:
                 done._waiters = None
-                now = engine.now
                 heap = engine._heap
                 seq = engine._seq
                 for cb in waiters:

@@ -21,7 +21,6 @@ ResNet-56-sized transfers while the gradients stay cheap to compute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.obs.export import (
 from repro.obs.snapshot import ServerSnapshotter
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Engine, Signal
-from repro.sim.network import Endpoint, Gather, Message, Network
+from repro.sim.network import Endpoint, Gather, Network
 from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import CohortSpans, SpanKind, TraceRecorder
 from repro.utils.checks import check_number, check_seed
@@ -178,17 +177,10 @@ class SimRunResult:
         return self.metrics.dprs_per_100_iterations(self.iterations)
 
 
-@dataclass(slots=True)
-class _PushMsg:
-    worker: int
-    progress: int
-    shard: Optional[np.ndarray]
-
-
-@dataclass(slots=True)
-class _PullMsg:
-    worker: int
-    progress: int
+#: The update slot of a pull request: a request is the payload
+#: ``(shard, worker, progress, update)``, ``update`` this for a pull and
+#: the pushed shard (``None`` on a timing run) for a push.
+_PULL = object()
 
 
 @dataclass(slots=True)
@@ -734,19 +726,16 @@ class FluentPSSimRunner:
         # events).  ShardServer.clock reads it, so DPR waits and protocol
         # instants carry handle times, not delivery-event times.
         self._srv_now = [0.0] * m
-        # Hot-path memos: endpoints, per-shard wire sizes, and (when
-        # causal tracing is off) one prebound pull responder per server —
-        # all pure functions of the config, resolved once instead of per
-        # request at incast rates.  Network.send accepts Endpoint objects
-        # in place of node ids, skipping two registry lookups per message
-        # (cache misses once the registry holds 100k entries).
+        # Hot-path memos: endpoints and per-shard wire sizes — pure
+        # functions of the config, resolved once instead of per request at
+        # incast rates.  The wire takes Endpoint objects in place of node
+        # ids, skipping two registry lookups per message (cache misses once
+        # the registry holds 100k entries).
         self._srv_eps = [self.net.endpoints[config.cluster.server_id(j)] for j in range(m)]
         self._wkr_eps = [self.net.endpoints[config.cluster.worker_id(w)] for w in range(n)]
         self._shard_bytes = [self._payload_bytes(j) for j in range(m)]
         self._no_shards = (None,) * m  # what a timing-only push carries, shared by every row
-        self._responders = [
-            partial(self._send_reply, j) for j in range(m)
-        ]
+        self._op_cost, self._dpr_cost = config.server_op_overhead_s, config.dpr_overhead_s
         #: Dispatch counters (perf detail): requests handled at their
         #: delivery time vs. cascaded behind a busy shard lane.
         self.server_msgs_inline = 0
@@ -764,76 +753,70 @@ class FluentPSSimRunner:
 
     # -- server side ----------------------------------------------------------
 
-    def _dispatch_server(self, m: int, msg: Message) -> None:
-        """Endpoint sink: handle the request inside the delivery event on
-        the shard's analytic drain lane, at the virtual handle time
-        ``max(deliver_time, lane busy end)`` — arrival order equals handle
-        order per shard, so the cascade reproduces an inbox loop's
-        busy-window FIFO with zero extra events (the loop itself is
+    def _serve(self, request: tuple, at: float, cause: int) -> None:
+        """Every shard endpoint's sink: handle ``request`` — ``(shard,
+        worker, progress, update)``, see :data:`_PULL` — inside its
+        delivery, on the shard's analytic serve lane, at the virtual handle
+        time ``max(at, lane busy end)``.  Arrival order equals handle order
+        per shard, so the cascade reproduces an inbox loop's busy-window
+        FIFO with zero extra events (the loop itself is
         ``tests/reference_sim.py``)."""
-        now = msg.deliver_time
+        m, worker, progress, update = request
         busy = self._srv_busy[m]
-        if now >= busy:
+        if at >= busy:
             self.server_msgs_inline += 1
-            self._handle_server_msg(m, msg, now)
+            now = at
         else:
             self.server_msgs_drained += 1
-            self._handle_server_msg(m, msg, busy)
-
-    def _handle_server_msg(self, m: int, msg: Message, now: float) -> None:
-        server = self.servers[m]
-        causal = self.causal
-        actor = self._srv_names[m]
+            now = busy
         self._srv_now[m] = now
-        payload = msg.payload
-        # ``tip`` tracks the request's causal frontier through the
-        # server: delivery rx -> backlog wait -> apply/DPR wait.
-        tip = msg.cause_id
-        if causal is not None and now > msg.deliver_time:
-            tip = causal.record(
-                tip, actor, "server_queue", msg.deliver_time, now,
-                shard=m, tag=msg.tag,
-            )
-        dprs_before = server.metrics.dprs
-        cls = payload.__class__
-        if cls is _PushMsg:
-            if self._log is not None:
-                self._log.applies[m].append((payload.worker, payload.progress, server.v_train))
-            self._current_push_worker = payload.worker
-            server.handle_push(payload.worker, payload.progress, grad=payload.shard)
-            self._current_push_worker = -1
-        elif cls is _PullMsg:
+        server = self.servers[m]
+        metrics = server.metrics
+        dprs = metrics.dprs
+        causal = self.causal
+        if causal is not None:
+            # ``cause`` tracks the request's causal frontier through the
+            # server: delivery rx -> backlog wait -> apply/DPR wait.
+            tag = "pull" if update is _PULL else "push"
+            if now > at:
+                cause = causal.record(
+                    cause, self._srv_names[m], "server_queue", at, now, shard=m, tag=tag
+                )
+        if update is _PULL:
+            # Causal tracing threads the request's span id through the
+            # responder; with tracing off one bound responder serves all.
             server.handle_pull(
-                payload.worker,
-                payload.progress,
-                # Causal tracing threads the request's span id through the
-                # responder; with tracing off the prebound per-server
-                # responder avoids one closure per pull.
-                respond=self._responders[m]
-                if causal is None
-                else lambda reply, j=m, cid=tip: self._send_reply(j, reply, cid),
+                worker, progress,
+                self._send_reply if causal is None
+                else lambda reply, cid=cause: self._send_reply(reply, cid),
             )
         else:
-            raise TypeError(f"server {m}: unexpected message payload {payload!r}")
+            if self._log is not None:
+                self._log.applies[m].append((worker, progress, server.v_train))
+            self._current_push_worker = worker
+            server.handle_push(worker, progress, update)
+            self._current_push_worker = -1
         # Charge server processing time: fixed per request plus per
         # DPR event this request caused (buffer/re-check bookkeeping).
         # The busy window serializes the server; later arrivals wait
         # for it to close before they are handled.
-        cost = self.cfg.server_op_overhead_s
-        cost += (server.metrics.dprs - dprs_before) * self.cfg.dpr_overhead_s
+        cost = self._op_cost
+        dprs = metrics.dprs - dprs
+        if dprs:
+            cost += dprs * self._dpr_cost
         end = now + cost
         self._srv_busy[m] = end
         if cost > 0 and self.obs.enabled:
             # Server-side apply spans are an observability feature;
             # the plain timing path skips the per-request recording.
+            actor = self._srv_names[m]
             self.trace.record_span(actor, SpanKind.SERVER_APPLY, now, end)
             if causal is not None:
-                causal.record(
-                    tip, actor, "server_apply", now, end,
-                    shard=m, tag=msg.tag,
-                )
+                causal.record(cause, actor, "server_apply", now, end, shard=m, tag=tag)
 
-    def _send_reply(self, server: int, reply: PullReply, cause: int = -1) -> None:
+    def _send_reply(self, reply: PullReply, cause: int = -1) -> None:
+        """Every shard's pull responder: the reply joins its worker's gather."""
+        server = reply.shard
         causal = self.causal
         if causal is not None and reply.waited > 0:
             # The pull sat in the DPR buffer from enqueue until this very
@@ -855,13 +838,9 @@ class FluentPSSimRunner:
             self.layout.gather_into(pending.flat, server, reply.params)
         # A reply issued from a cascaded lane handle serializes at the
         # virtual handle time (``at``), not the earlier engine clock.
-        self.net.send(
-            self._srv_eps[server],
-            pending.gather,
-            self._shard_bytes[server],
-            tag="reply",
-            cause=cause,
-            at=self._srv_now[server],
+        self.net.join(
+            self._srv_eps[server], pending.gather, self._shard_bytes[server], "reply", cause,
+            self._srv_now[server],
         )
 
     def _open_pull(self, w: int, exclusive: bool = True) -> _PendingPull:
@@ -869,7 +848,7 @@ class FluentPSSimRunner:
         ``exclusive``: nothing else reaches ``w``'s RX lane meanwhile — the
         stock protocol sends a worker nothing but its own M replies."""
         pending = self._pending[w] = _PendingPull(
-            self.net.gather(self._wkr_eps[w], self.cfg.cluster.n_servers, exclusive),
+            self.net.gather(self._wkr_eps[w], len(self._srv_eps), exclusive),
             None if self._task is None else np.empty(self.spec.total_elements),
         )
         return pending
@@ -921,12 +900,10 @@ class FluentPSSimRunner:
         row.shards = self.layout.scatter(filtered.update)
         return filtered.update
 
-    def _push_all(self, row: _Worker, notify: bool = False) -> List[Optional[Signal]]:
-        """sPush this iteration's update to every shard (Algorithm 1 line
-        4); the delivery signals when ``notify``.  Nothing in the stock
-        protocol subscribes, so its pushes ride the signal-free path."""
-        send = self.net.send
-        w, i, node, cause, shards = row.w, row.i, row.ep, row.cause, row.shards
+    def _pushes(self, row: _Worker) -> List[tuple]:
+        """This iteration's sPush to every shard (Algorithm 1 line 4), as
+        the wire's ``(server, bytes, request, tag)`` transfers."""
+        w, i, shards = row.w, row.i, row.shards
         sizes = self._shard_bytes  # exact when nothing was filtered out
         if row.wire_factor != 1.0:
             floor = self.cfg.header_bytes
@@ -935,25 +912,26 @@ class FluentPSSimRunner:
                 for m in range(len(sizes))
             ]
         return [
-            send(
-                node, dst, sizes[m], payload=_PushMsg(w, i, shards[m]),
-                tag="push", cause=cause, notify=notify,
-            )
-            for m, dst in enumerate(self._srv_eps)
+            (dst, sizes[m], (m, w, i, shards[m]), "push") for m, dst in enumerate(self._srv_eps)
         ]
 
+    def _pulls(self, row: _Worker, progress: int) -> List[tuple]:
+        """sPull every shard at ``progress`` (line 5), as transfers."""
+        w, size = row.w, self.cfg.request_bytes
+        return [(dst, size, (m, w, progress, _PULL), "pull") for m, dst in enumerate(self._srv_eps)]
+
+    def _push_all(self, row: _Worker) -> List[Signal]:
+        """sPush to every shard, a delivery signal per push (the stock worker
+        posts its pushes signal-free, with its pulls)."""
+        send, node, cause = self.net.send, row.ep, row.cause
+        return [send(node, *push, cause) for push in self._pushes(row)]
+
     def _send_pulls(self, row: _Worker, progress: int, exclusive: bool = True) -> _PendingPull:
-        """sPull every shard at ``progress`` (line 5) into a fresh reply
-        gather.  Requests share the worker's FIFO TX lane with its pushes,
-        so each server sees an iteration's push before its pull."""
+        """sPull every shard at ``progress`` into a fresh reply gather.
+        Requests share the worker's FIFO TX lane with its pushes, so each
+        server sees an iteration's push before its pull."""
         pending = self._open_pull(row.w, exclusive)
-        send = self.net.send
-        w, node, cause, size = row.w, row.ep, row.cause, self.cfg.request_bytes
-        for dst in self._srv_eps:
-            send(
-                node, dst, size, payload=_PullMsg(w, progress),
-                tag="pull", cause=cause, notify=False,
-            )
+        self.net.post(row.ep, self._pulls(row, progress), row.cause)
         return pending
 
     def _book_sync(self, row: _Worker, t_sync: float, pending: _PendingPull) -> None:
@@ -1017,8 +995,10 @@ class FluentPSSimRunner:
             self._book_compute(row, t0)
             self._local_step(row)
             t_sync = engine.now
-            self._push_all(row)
-            pending = self._send_pulls(row, i)
+            pending = self._open_pull(w)
+            # One call posts the 2M requests, pushes first: each server
+            # sees an iteration's push before its pull.
+            self.net.post(row.ep, self._pushes(row) + self._pulls(row, i), row.cause)
             yield pending.gather
             self._book_sync(row, t_sync, pending)
             self._end_iteration(row, pending)
@@ -1453,11 +1433,12 @@ class FluentPSSimRunner:
 
     def run(self) -> SimRunResult:
         """Execute the co-simulation to completion and aggregate results."""
-        for m in range(self.cfg.cluster.n_servers):
-            # The lane times itself off ``msg.deliver_time``, so
-            # signal-free request deliveries fold into their
-            # TX-completion events (see ``Endpoint.sink``).
-            self._srv_eps[m].sink = partial(self._dispatch_server, m)
+        serve = self._serve
+        for ep in self._srv_eps:
+            # The lane times itself off the delivery time, so signal-free
+            # request deliveries fold into their TX-completion events (see
+            # ``Endpoint.sink``).
+            ep.sink = serve
         # Closed-form round fast-forward: when every shard is provably
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the

@@ -26,6 +26,9 @@ class SpanKind(enum.Enum):
     SERVER_APPLY = "server_apply"
     OTHER = "other"
 
+    # In C: ``Enum.__hash__`` is a Python call per ``(actor, kind)`` dict key.
+    __hash__ = object.__hash__
+
 
 #: Span kinds counted as "communication" in Fig-6-style breakdowns.
 COMM_KINDS = (SpanKind.PUSH, SpanKind.PULL, SpanKind.BLOCKED)

@@ -1,10 +1,11 @@
-"""Semantic mutants of the closed-form round (first rows of ROADMAP 7's
-kill matrix).
+"""Semantic mutants of the closed-form round and the event path (first
+rows of ROADMAP 7's kill matrix).
 
-Each mutant is a named function that takes pytest's ``monkeypatch`` and
-plants one protocol-level bug in :mod:`repro.sim.runner` (one in
-:mod:`repro.sim.trace`, where the collapse's span totals are recorded,
-one in :mod:`repro.sim.network`'s delivery fusing, one in
+Each of the 21 mutants is a named function that takes pytest's
+``monkeypatch`` and plants one protocol-level bug in
+:mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
+collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
+delivery fusing, one in the event path's serve lane, one in
 :class:`repro.core.server.ShardServer`'s push apply, one in the protocol
 sanitizer's vector proof, one where the runner takes over a system to
 continue, three in the schedule log a real-gradient run's math is
@@ -15,8 +16,9 @@ occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
 wraps ``_seq_cascade``, ``significance_before_apply`` wraps
 ``handle_push`` and ``eval_read_one_event_late`` wraps the runner's
-``_end_iteration`` and ``_handle_server_msg``.  ``tests/test_round_schedule.py`` pins which check kills
-which for the round's mutants; the others name their killer.
+``_end_iteration`` and its request sink ``_serve``.
+``tests/test_round_schedule.py`` pins which check kills which for the
+round's mutants; the others name their killer.
 """
 
 import inspect
@@ -133,6 +135,14 @@ def fused_overtakes_unfused(monkeypatch) -> None:
     patch (``_tx_done_cb`` is bound at construction).  Killer:
     ``test_network_fastpath.py::TestSinkOrder``."""
     _rewrite(monkeypatch, Network, "_fast_tx_done", "and not dst_ep.unfused", "and True")
+
+
+def request_serve_ignores_busy_lane(monkeypatch) -> None:
+    """On the event path a request is handled at its delivery even while
+    its shard's serve lane is still busy with an earlier one (the event
+    path's twin of ``serve_ignores_busy_lane``).  Killer:
+    ``test_server_dispatch.py::TestBusyLane::test_request_serve_ignores_busy_lane_dies_by_the_reference``."""
+    _rewrite(monkeypatch, runner.FluentPSSimRunner, "_serve", "if at >= busy:", "if True:")
 
 
 def proof_ignores_staleness_bound(monkeypatch) -> None:
@@ -255,7 +265,7 @@ def eval_read_one_event_late(monkeypatch) -> None:
     Killer:
     ``test_server_dispatch.py::TestScheduleLogMutants::test_eval_read_one_event_late_dies_here``."""
     end_iteration = runner.FluentPSSimRunner._end_iteration
-    handle = runner.FluentPSSimRunner._handle_server_msg
+    serve = runner.FluentPSSimRunner._serve
     late = []
 
     def mark(self, row, pulled):
@@ -264,12 +274,12 @@ def eval_read_one_event_late(monkeypatch) -> None:
         if evals is not None and len(self._log.evals) > evals:
             late.append(self)
 
-    def reread(self, m, msg, now):
-        handle(self, m, msg, now)
+    def reread(self, request, at, cause):
+        serve(self, request, at, cause)
         if self in late:
             late.remove(self)
             steps, _versions = self._log.evals[-1]
             self._log.evals[-1] = (steps, [s.version for s in self.servers])
 
     monkeypatch.setattr(runner.FluentPSSimRunner, "_end_iteration", mark)
-    monkeypatch.setattr(runner.FluentPSSimRunner, "_handle_server_msg", reread)
+    monkeypatch.setattr(runner.FluentPSSimRunner, "_serve", reread)

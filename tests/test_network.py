@@ -99,12 +99,12 @@ class TestTransfer:
         reaches only its signal and the hooks (nothing is stored)."""
         eng, net = make_net()
         got = []
-        net.endpoint("b").sink = got.append
+        net.endpoint("b").sink = lambda payload, at, cause: got.append((payload, at))
         net.send("a", "b", 10, payload={"k": 1})
         net.send("a", "c", 10, payload={"k": 2})
         eng.run()
-        assert [m.payload for m in got] == [{"k": 1}]
-        assert got[0].deliver_time == pytest.approx(0.2)
+        assert [payload for payload, _at in got] == [{"k": 1}]
+        assert got[0][1] == pytest.approx(0.2)
 
     def test_negative_size_rejected(self):
         eng, net = make_net()

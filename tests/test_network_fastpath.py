@@ -104,13 +104,14 @@ class TestMicroDifferential:
 
 
 def _worker_and_sink():
-    """Nodes ``w`` and ``s``; what reaches ``s`` is appended to ``seen``."""
+    """Nodes ``w`` and ``s``; what reaches ``s`` is appended to ``seen`` as
+    ``(payload, deliver_time)``."""
     eng = Engine()
     net = Network(eng, latency_s=50e-6)
     for node in ("w", "s"):
         net.add_node(node, NicSpec(bandwidth_Bps=1.25e9, overhead_s=30e-6))
     seen = []
-    net.endpoint("s").sink = seen.append
+    net.endpoint("s").sink = lambda payload, at, cause: seen.append((payload, at))
     return eng, net, seen
 
 
@@ -119,11 +120,11 @@ def check_sink_sees_deliver_order():
     the same TX lane: the pull's TX completes 27 us before the push has
     drained into the server, and it still may not reach the sink first."""
     eng, net, seen = _worker_and_sink()
-    net.send("w", "s", 1_000_000, tag="push", notify=True)
-    net.send("w", "s", 128, tag="pull", notify=False)
+    net.send("w", "s", 1_000_000, payload="push", notify=True)
+    net.send("w", "s", 128, payload="pull", notify=False)
     eng.run()
-    assert [msg.tag for msg in seen] == ["push", "pull"]
-    assert seen[0].deliver_time < seen[1].deliver_time
+    assert [payload for payload, _at in seen] == ["push", "pull"]
+    assert seen[0][1] < seen[1][1]
     return net
 
 
@@ -137,13 +138,13 @@ class TestSinkOrder:
 
     def test_fusing_resumes_once_the_lane_is_clear(self):
         eng, net, seen = _worker_and_sink()
-        net.send("w", "s", 4096, tag="a", notify=True)
+        net.send("w", "s", 4096, payload="a", notify=True)
         eng.run()
-        for tag in "bc":
-            net.send("w", "s", 4096, tag=tag, notify=False)
+        for payload in "bc":
+            net.send("w", "s", 4096, payload=payload, notify=False)
         eng.run()
-        assert [msg.tag for msg in seen] == ["a", "b", "c"]
-        assert seen == sorted(seen, key=lambda msg: msg.deliver_time)
+        assert [payload for payload, _at in seen] == ["a", "b", "c"]
+        assert seen == sorted(seen, key=lambda landed: landed[1])
         assert net.fused_deliveries == 2
 
     def test_fused_overtakes_unfused_dies_here(self, monkeypatch):

@@ -414,11 +414,14 @@ class TestBaselineRunners:
 
     def test_specsync_with_aborts_landing_mid_pull(self, monkeypatch):
         fused_replies = []
-        join = Network._join_fused
-        monkeypatch.setattr(
-            Network, "_join_fused",
-            lambda net, *leg: fused_replies.append(leg) or join(net, *leg),
-        )
+        join = Network.join
+
+        def spy(net, src, into, *leg):
+            if into._legs is not None:
+                fused_replies.append(leg)
+            join(net, src, into, *leg)
+
+        monkeypatch.setattr(Network, "join", spy)
         (fused, rf), (hooked, rh) = _pair(self._specsync)
         assert fused.aborts > 0  # the scheduler did reach workers' RX lanes
         assert (fused.aborts, fused.wasted_compute) == (hooked.aborts, hooked.wasted_compute)

@@ -41,6 +41,7 @@ from tests.mutants import (
     apply_log_out_of_order,
     eval_read_one_event_late,
     reply_prefix_off_by_one,
+    request_serve_ignores_busy_lane,
 )
 from tests.sim_helpers import (
     assert_matches_reference,
@@ -48,6 +49,7 @@ from tests.sim_helpers import (
     busy_lane_cell,
     make_runner,
     preset_configs,
+    python_calls,
     real_gradient_cell,
 )
 
@@ -282,6 +284,35 @@ class TestBusyLane:
         for hooked in (False, True):
             runner, _result, _ref = assert_matches_reference(busy_lane_cell(), hooked)
             assert runner.server_msgs_drained > 0  # the cascade actually ran
+
+    def test_request_serve_ignores_busy_lane_dies_by_the_reference(self, monkeypatch):
+        """The hooked run is on the event path, where the mutant lives."""
+        request_serve_ignores_busy_lane(monkeypatch)
+        with pytest.raises(AssertionError):
+            assert_matches_reference(busy_lane_cell(), hooked=True)
+
+
+class TestRequestChainCost:
+    def test_soft_barrier_event_path_python_call_budget(self):
+        """The quick size of the benchmark's soft-barrier regime (48
+        workers x 8 shards x 8 iterations, PSSP(1, 0.3)), all but its first
+        round on the event path: its Python-level calls are pinned with 2 %
+        headroom, so the request chain — one heap entry and one callback
+        chain, wire -> shard handler -> reply, per request — cannot grow
+        back (it made 114 704 calls when every request was a Message plus a
+        payload object, dispatched through two runner frames)."""
+        n = 48
+        runner = FluentPSSimRunner(
+            SimConfig(
+                cluster=cpu_cluster(n, n_servers=8), max_iter=8, sync=pssp(1, 0.3),
+                execution=ExecutionMode.SOFT_BARRIER, workload=alexnet_cifar_workload(),
+                compute_model=cpu_cluster_compute(n), seed=0, obs=NULL_OBS,
+            )
+        )
+        calls = python_calls(runner.run)
+        assert runner.collapse_fallback == {"reason": "overlap", "round": 1}
+        assert runner.engine.events_processed == 6096
+        assert calls <= 74_700, calls  # 73 297 on CPython 3.11
 
 
 class TestConfigAndHousekeeping:
