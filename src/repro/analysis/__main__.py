@@ -4,10 +4,11 @@ Modes (default = ``--lint src --smoke``):
 
 - ``--lint PATH...`` — run the custom AST lint over the given trees;
 - ``--smoke`` — run small simulated + threaded training jobs across the
-  sync-model matrix with observability on, plus one timing-only run whose
-  rounds collapse into columnar blocks and one real-gradient run whose
-  math must be replayed after its timing run, and sanitize every
-  captured event stream;
+  sync-model matrix with observability on, plus three timing-only runs
+  whose rounds collapse into columnar blocks (isolated, merged under
+  stragglers, BSP) and one real-gradient run whose math must be
+  replayed after its timing run, and sanitize every captured event
+  stream;
 - ``--check-trace FILE...`` — sanitize dumped Perfetto trace files
   (``python -m repro.bench --trace-out`` artifacts);
 - ``--explore [PRESET...]`` — bounded DPOR schedule exploration (all
@@ -107,14 +108,14 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
     """Exercise every sync model on both runners, sanitizing each run."""
     from repro.bench.workloads import blobs_task
     from repro.core.api import ParameterServerSystem
-    from repro.core.models import pssp, ssp
+    from repro.core.models import bsp, pssp, ssp
     from repro.core.server import ExecutionMode
     from repro.ml.models_zoo import alexnet_cifar_workload
     from repro.obs import MetricsRegistry, Observability, observed
     from repro.parallel import ThreadedRunner
     from repro.sim.cluster import cpu_cluster
     from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
-    from repro.sim.stragglers import LogNormalCompute
+    from repro.sim.stragglers import LogNormalCompute, cpu_cluster_compute
 
     lines: List[str] = []
     rc, first = EXIT_OK, None
@@ -140,34 +141,33 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
             rc, first = EXIT_INVARIANT, first or report.violations[0].code
         total.merge(report)
 
-    # A timing-only run of the isolated regime (compute >> comm) under
-    # non-causal observability: its rounds collapse into columnar blocks,
-    # so the sanitizer's vector proof is on the path.
-    obs = Observability(MetricsRegistry("smoke"), causal=False)
-    runner = FluentPSSimRunner(
-        SimConfig(
-            cluster=cpu_cluster(120, n_servers=4),
-            max_iter=3,
-            sync=ssp(3),
-            workload=alexnet_cifar_workload(),
-            compute_model=LogNormalCompute(sigma=0.01),
-            base_compute_time=1e5,
-            seed=3,
-            obs=obs,
+    # Timing-only runs under non-causal observability whose rounds
+    # collapse into columnar blocks: the isolated regime (compute >>
+    # comm: the sanitizer's vector proof), stragglers (rounds merged at
+    # the shards) and BSP (released DPRs: the row replay).
+    for label, cluster, iters, sync, compute, base in [
+        ("ssp3-isolated", cpu_cluster(120, n_servers=4), 3, ssp(3),
+         LogNormalCompute(sigma=0.01), 1e5),
+        ("ssp3-straggler", cpu_cluster(24, n_servers=2), 4, ssp(3), cpu_cluster_compute(24), None),
+        ("bsp", cpu_cluster(12, n_servers=3), 4, bsp(), cpu_cluster_compute(12), None),
+    ]:
+        obs = Observability(MetricsRegistry("smoke"), causal=False)
+        runner = FluentPSSimRunner(
+            SimConfig(
+                cluster=cluster, max_iter=iters, sync=sync, workload=alexnet_cifar_workload(),
+                compute_model=compute, base_compute_time=base, seed=3, obs=obs,
+            )
         )
-    )
-    runner.run()
-    collapsed = runner.engine.rounds_collapsed
-    report = sanitize_observability(obs)
-    lines.append(
-        f"smoke sim ssp3-isolated (rounds_collapsed={collapsed}): {report.describe()}"
-    )
-    if not report.ok:
-        rc, first = EXIT_INVARIANT, first or report.violations[0].code
-    elif collapsed == 0:
-        lines.append(f"smoke sim ssp3-isolated: no round collapsed {runner.collapse_fallback}")
-        rc, first = EXIT_INVARIANT, first or "X002"
-    total.merge(report)
+        runner.run()
+        collapsed = runner.engine.rounds_collapsed
+        report = sanitize_observability(obs)
+        lines.append(f"smoke sim {label} (rounds_collapsed={collapsed}): {report.describe()}")
+        if not report.ok:
+            rc, first = EXIT_INVARIANT, first or report.violations[0].code
+        elif collapsed == 0:
+            lines.append(f"smoke sim {label}: no round collapsed {runner.collapse_fallback}")
+            rc, first = EXIT_INVARIANT, first or "X002"
+        total.merge(report)
 
     # A small real-gradient run whose timing reads no values: its math is
     # replayed after its timing run (every reply's snapshot tag included).

@@ -430,8 +430,8 @@ class ShardChecker:
         when any predicate fails *or the rows are not of the shape the
         predicates cover* (a worker pushing or pulling twice, two
         frontier advances, a request not directly followed by its
-        answer, replay state left over from DPRs).  ``None`` only means
-        "not proven": the caller then replays the rows one by one, so
+        answer, a DPR's rows, replay state left over from DPRs).  ``None``
+        only means "not proven": the caller then replays the rows one by one, so
         every verdict, message and context window comes from ``_on_*``.
         Nothing is mutated here.
         """
@@ -442,8 +442,8 @@ class ShardChecker:
         v_train, missing = rows["v_train"], rows["missing"]
         is_push, is_adv = code == PUSH, code == FRONTIER_ADVANCE
         is_req, is_ans = code == PULL_REQUEST, code == PULL_ANSWER
-        if not (is_push | is_adv | is_req | is_ans).all():
-            return None
+        if not (is_push | is_adv | is_req | is_ans).all() or (rows["released_by"] >= 0).any():
+            return None  # DPR rows, released answers: the row replay's
         end = rows.shape[0]
         acting = worker[~is_adv]
         if acting.shape[0] and not 0 <= acting.min() <= acting.max() < n:
@@ -497,7 +497,7 @@ class ShardChecker:
         m_ans = missing[at_ans]
         if not np.array_equal(m_ans, np.maximum(0, p_pull + 1 - frontier)):
             return None
-        # S004: missing <= s (block answers are never coin passes or releases,
+        # S004: missing <= s (proven answers are never coin passes or releases,
         # and carry no snapshot tag: S005/S015/S016 have nothing to check).
         s_bound = sc.s
         if sc.kind != "custom" and s_bound is not None and not math.isinf(s_bound):
@@ -608,40 +608,32 @@ class ProtocolSanitizer:
             checker = self.checkers[uid] = ShardChecker(uid, self)
         checker.feed(ev)
 
-    def _prove_block(self, block) -> Optional[List[Tuple[ShardChecker, tuple]]]:
-        """One vector proof per shard with rows in ``block``, or ``None``
-        as soon as one shard's rows are not proven."""
+    def _prove_block(self, block) -> Optional[Tuple[ShardChecker, tuple]]:
+        """The vector proof of ``block`` — one shard's rows, as the round
+        collapse emits them — and its checker, or ``None``: rows of
+        several shards (or of none in the constants table) are not
+        proven, nor a shard's rows its checker refuses."""
         shard = block.rows["shard"]
-        order = np.argsort(shard, kind="stable")
-        bounds = np.searchsorted(shard[order], np.arange(len(block.shards) + 1))
-        if bounds[-1] - bounds[0] != shard.shape[0]:
-            return None  # a row outside the constants table
-        proofs = []
-        for j, sc in enumerate(block.shards):
-            lo, hi = int(bounds[j]), int(bounds[j + 1])
-            if lo == hi:
-                continue
-            checker = self.checkers.get(sc.uid)
-            if checker is None:
-                return None
-            proof = checker.prove_rows(block.rows[order[lo:hi]], sc)
-            if proof is None:
-                return None
-            proofs.append((checker, proof))
-        return proofs
+        j = int(shard[0]) if shard.shape[0] else -1
+        if not 0 <= j < len(block.shards) or (shard != j).any():
+            return None
+        sc = block.shards[j]
+        checker = self.checkers.get(sc.uid)
+        proof = None if checker is None else checker.prove_rows(block.rows, sc)
+        return None if proof is None else (checker, proof)
 
     def feed_block(self, eb: EventBlock) -> None:
-        """Check one columnar block: a vector proof per shard, and only
-        when every shard's rows are proven is any checker advanced.
-        Otherwise nothing has been touched and the block's rows are fed
-        through :meth:`feed`, the one place verdicts come from."""
-        proofs = self._prove_block(eb.block)
-        if proofs is None:
+        """Check one columnar block by its vector proof, which only then
+        advances the shard's checker.  Otherwise nothing has been touched
+        and the block's rows are fed through :meth:`feed`, the one place
+        verdicts come from."""
+        proven = self._prove_block(eb.block)
+        if proven is None:
             for ev in eb.events():
                 self.feed(ev)
             return
-        for checker, proof in proofs:
-            checker.commit_rows(proof)
+        checker, proof = proven
+        checker.commit_rows(proof)
         self._n_events += len(eb)
         self._window.extend(eb.tail(self._window.maxlen).events())
 

@@ -518,11 +518,10 @@ class ShardServer:
         if self._obs_on:
             self._c_pulls.inc()
             self._c_dprs.inc()
-            self.obs.instants.record(
-                "dpr_buffered", self.clock(), actor=self.actor,
-                uid=self.uid, worker=worker, progress=progress, key=key,
-                shard=self.shard_id, v_train=self.v_train,
-                s=_staleness_arg(s_now),
+            self.obs.instants.record_protocol(
+                "dpr_buffered", self.clock(), self.actor,
+                self.uid, worker, progress, key, self.shard_id, self.v_train,
+                _staleness_arg(s_now),
             )
         return False
 
@@ -596,11 +595,10 @@ class ShardServer:
             if s_at_eval is None:
                 s_at_eval = self.pull_con.staleness()
             if released:
-                self.obs.instants.record(
-                    "dpr_released", self.clock(), actor=self.actor,
-                    uid=self.uid, worker=worker, progress=progress,
-                    waited=waited, missing=missing, shard=self.shard_id,
-                    released_by=self._releasing_worker,
+                self.obs.instants.record_protocol(
+                    "dpr_released", self.clock(), self.actor,
+                    self.uid, worker, progress, waited, missing, self.shard_id,
+                    self._releasing_worker,
                 )
             self.obs.instants.record_protocol(
                 "pull_answer", self.clock(), self.actor,
@@ -669,7 +667,7 @@ class ShardServer:
         observability on, the metrics the
         per-request handlers would have updated are updated here in bulk,
         exactly; the round's protocol instants are the caller's to emit
-        (one columnar block, in its global serve order).
+        (columnar blocks, in this shard's handle order).
         """
         if self.params is not None or self.callbacks:
             raise ProtocolError("quiet-round commit requires a timing-only, "

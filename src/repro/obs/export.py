@@ -67,16 +67,21 @@ PROTOCOL_INSTANT_ARGS: Dict[str, Tuple[str, ...]] = {
         "uid", "shard", "worker", "progress", "v_train", "missing",
         "released", "coin", "kind", "s", "waited", "version", "snap",
     ),
+    "dpr_buffered": ("uid", "worker", "progress", "key", "shard", "v_train", "s"),
+    "dpr_released": ("uid", "worker", "progress", "waited", "missing", "shard", "released_by"),
 }
 
 #: Block row ``code`` -> instant name.
 BLOCK_NAMES: Tuple[str, ...] = tuple(PROTOCOL_INSTANT_ARGS)
-PUSH, FRONTIER_ADVANCE, PULL_REQUEST, PULL_ANSWER = range(len(BLOCK_NAMES))
+PUSH, FRONTIER_ADVANCE, PULL_REQUEST, PULL_ANSWER, DPR_BUFFERED, DPR_RELEASED = range(
+    len(BLOCK_NAMES)
+)
 
 #: One row of an :class:`InstantBlock`: one protocol instant.  ``shard``
 #: indexes the block's per-shard constants table; ``worker`` is -1 on a
-#: ``frontier_advance`` row; ``version``/``missing`` are only meaningful
-#: on ``pull_answer`` rows (0 elsewhere).
+#: ``frontier_advance`` row; ``version``, ``missing`` and ``waited`` are 0
+#: where the instant has no such argument, ``released_by`` -1 unless the
+#: row is a released DPR's.  A ``dpr_buffered`` row's key is its progress.
 BLOCK_DTYPE = np.dtype(
     [
         ("code", "i1"),
@@ -87,6 +92,8 @@ BLOCK_DTYPE = np.dtype(
         ("missing", "i4"),
         ("version", "i8"),
         ("t", "f8"),
+        ("waited", "f8"),
+        ("released_by", "i4"),
     ]
 )
 
@@ -108,8 +115,9 @@ class ShardConstants:
 class InstantBlock:
     """A run of protocol instants held as columns (:data:`BLOCK_DTYPE`).
 
-    The round collapse appends one per committed round instead of
-    ``3nM + M`` :class:`Instant` objects.  Iterating materialises the
+    The round collapse appends a shard's committed round as a run of
+    them, in the shard's handle order, instead of an :class:`Instant`
+    object per protocol instant.  Iterating materialises the
     rows lazily, through the same argument table the servers' record
     sites use, so a row consumer cannot tell a block from the rows the
     event path would have recorded; the sanitizer's vector proof reads
@@ -137,20 +145,24 @@ class InstantBlock:
         """Each row as the ``(name, t, actor, args)`` of its instant."""
         rows = self.rows
         shards = self.shards
-        for code, j, worker, progress, v_train, missing, version, t in zip(
+        for code, j, worker, progress, v_train, missing, version, t, waited, by in zip(
             *(rows[name].tolist() for name in BLOCK_DTYPE.names)
         ):
             sc = shards[j]
             if code == FRONTIER_ADVANCE:
                 values = (sc.uid, v_train, sc.shard)
             elif code == PULL_ANSWER:
-                # A quiet-round answer is immediate (never released, no
-                # coin, waited exactly 0.0) from a timing-only shard
-                # (no parameter copy to tag).
+                # A quiet-round answer is immediate (waited exactly 0.0)
+                # or a released DPR, never a coin pass, from a timing-only
+                # shard (no parameter copy to tag).
                 values = (
                     sc.uid, sc.shard, worker, progress, v_train, missing,
-                    False, False, sc.kind, sc.s, 0.0, version, None,
+                    by >= 0, False, sc.kind, sc.s, waited, version, None,
                 )
+            elif code == DPR_BUFFERED:
+                values = (sc.uid, worker, progress, progress, sc.shard, v_train, sc.s)
+            elif code == DPR_RELEASED:
+                values = (sc.uid, worker, progress, waited, missing, sc.shard, by)
             else:
                 values = (sc.uid, sc.shard, worker, progress, v_train)
             name = BLOCK_NAMES[code]

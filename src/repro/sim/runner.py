@@ -39,6 +39,8 @@ from repro.ml.training import TrainingTask
 from repro.obs import Observability, current_observability
 from repro.obs.export import (
     BLOCK_DTYPE,
+    DPR_BUFFERED,
+    DPR_RELEASED,
     FRONTIER_ADVANCE,
     PULL_ANSWER,
     PULL_REQUEST,
@@ -224,8 +226,8 @@ def _seq_cascade(
 ) -> Tuple[np.ndarray, float]:
     """:func:`_lane_rule` over a sorted arrival stream, bit for bit, in a
     fixed number of vector passes per chain-length class; returns ``(ends,
-    final_cursor)``.  (The wire and ``_dispatch_server`` spell the rule
-    inline for n = 1, same floats.)
+    final_cursor)``.  (The wire and ``_serve`` spell the rule inline for
+    n = 1, same floats.)
 
     *Guess* which requests find the lane idle — by the max-plus scan
     ``end_i = H_i + max(cursor, max_{j<=i}(a_j - H_{j-1}))``, ``H`` the
@@ -337,6 +339,10 @@ class _RoundSchedule:
     #: Per shard: the ``(rx_end, handle, reply_tx_end)`` of the next round's
     #: intruders this round served, the pulls' replies in claim order.
     lent: _ShardRows
+    #: Per shard, what this round's cascade served, in handle order — its
+    #: requests the previous round had not, merged with the intruders — as
+    #: ``(ids, handle, mine)``, ``mine`` marking its own (``None``: all).
+    streams: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
 
 
 def _request_tx(lanes: _Lanes, ready: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,7 +408,7 @@ def quiet_round(
     reply_tx_end = np.empty((n, M))
     early: List[int] = []
     waits: List[Optional[np.ndarray]] = []
-    lent = []
+    lent, streams = [], []
     bursts = []  # per barrier shard: its DPRs' workers and the releasing push
     column0 = np.concatenate((arange_n * K, arange_n * K + M))  # push | pull to shard 0
     key0 = np.concatenate((wrank * K, wrank * K + M))  # the same, by resume rank
@@ -421,11 +427,12 @@ def quiet_round(
         done_rx, done_serve, done_reply = (np.empty(0),) * 3 if served is None else served[m]
         ns, nd = done_rx.shape[0], done_reply.shape[0]
         t, pull = t2[o[ns:]], is_pull[ns:]
-        mine = None
+        stream, mine = claims[m, ns:], None
         if intruders is not None and intruders[m][0].shape[0]:
             ids, at, key = intruders[m]
             merge = np.lexsort((np.concatenate((k2[o[ns:]], key)), np.concatenate((t, at))))
             mine = merge < t.shape[0]
+            stream = np.concatenate((stream, ids))[merge]
             t = np.concatenate((t, at))[merge]
             pull = np.concatenate((pull, ids % K >= M))[merge]
         holds = np.where(pull, lanes.s_pull_hold[m], lanes.s_push_hold[m])
@@ -463,8 +470,10 @@ def quiet_round(
         )
         if mine is None:
             lent.append((np.empty(0),) * 3)  # not ``rx[:0]``: a view pins all of ``rx``
+            streams.append((stream, handle[m, ns:], mine))  # a view of the row set below
         else:
             lent.append((rx[~mine], serve[~mine], ends[~mine[pull]]))
+            streams.append((stream, serve, mine))
             rx, serve, ends = rx[mine], serve[mine], ends[mine[pull]]
         rx_end[m, :ns], rx_end[m, ns:] = done_rx, rx
         handle[m, :ns], handle[m, ns:] = done_serve, serve
@@ -511,7 +520,7 @@ def quiet_round(
     )
     return _RoundSchedule(
         ready, order, tx_end, claims, rx_end, handle, applied, early, waits, inline,
-        reply_tx_end, perm, reply_rx_end, cur, closes, next_rank, after, lent,
+        reply_tx_end, perm, reply_rx_end, cur, closes, next_rank, after, lent, streams,
     )
 
 
@@ -567,43 +576,65 @@ def _intruders(
 #: sketches merge exactly, so only the per-worker split is lost.
 WORKER_SERIES_THRESHOLD = 4096
 
-#: Requests per columnar instant block: a collapsed round with more is
-#: emitted as a run of blocks, so no row-length temporary outgrows a few
+#: Requests per columnar instant block: a shard's collapsed round with more
+#: is emitted as a run of blocks, so no row-length temporary outgrows a few
 #: MB whatever the cohort size.
 _BLOCK_HANDLES = 1 << 16
 
 
-def _round_rows(r, is_pull, advances, shard, worker, v_train, version, serve) -> np.ndarray:
-    """The :data:`~repro.obs.export.BLOCK_DTYPE` rows of a run of
-    quiet-round requests, given per request (in handle order) whether
-    it is a pull, whether it is its shard's n-th push, its shard,
-    worker, the frontier and update counter it sees, and its serve time.
+def _shard_rows(
+    r: int, n: int, K: int, stream: tuple, version: int, waits: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One shard's :data:`~repro.obs.export.BLOCK_DTYPE` rows of committed
+    round ``r`` — what its handlers record, given its ``stream``
+    (:attr:`_RoundSchedule.streams`) and its ``version`` before the
+    round's commit — the row each request starts at, and which requests
+    are buffered pulls.
 
-    A push is one ``push`` row, plus a ``frontier_advance`` row (the
-    frontier + 1) when it is its shard's n-th; a pull is a
-    ``pull_request`` and a ``pull_answer`` row."""
-    per_handle = 1 + (is_pull | advances)
-    second = np.ones(int(per_handle.sum()), dtype=bool)
-    second[np.cumsum(per_handle) - per_handle] = False
-    pull = np.repeat(is_pull, per_handle)
-    advance = second & ~pull
-    answer = second & pull
-    v_train = np.repeat(v_train, per_handle)
-    rows = np.empty(second.shape[0], dtype=BLOCK_DTYPE)
+    A push is a ``push`` row; round ``r``'s n-th (the stream's last of
+    that round) adds a ``frontier_advance`` row and, at a barrier
+    (``waits``: its DPRs' waits in release order), a ``dpr_released`` and
+    a ``pull_answer`` row per pull it releases, in claim order.  A pull is
+    a ``pull_request`` and a ``pull_answer`` row — ``dpr_buffered`` at a
+    barrier before its advance.  ``version``, ``v_train`` and ``missing``
+    are running counts over the stream, where the next round's intruders
+    push and pull one iteration ahead."""
+    ids, serve, mine = stream
+    index = np.arange(ids.shape[0])
+    pull, ahead = ids % K >= K // 2, index < 0 if mine is None else ~mine
+    nth = int(np.flatnonzero(~pull & ~ahead)[-1])
+    held = pull & (index < nth) & (waits is not None)
+    # Round r's pushes the previous round's stream took as intruders count too.
+    versions = version + n - np.count_nonzero(~pull & ~ahead) + np.cumsum(~pull)
+    per = 1 + pull
+    per[nth] = 2 + 2 * np.count_nonzero(held)
+    starts = np.cumsum(per) - per
+    req = np.repeat(index, per)
+    second = np.ones(req.shape[0], dtype=bool)
+    second[starts] = False
+    p, h = pull[req], held[req]
+    answer = second & p & ~h
+    progress, v_train = r + ahead[req], r + (req > nth) + (second & ~p)
+    rows = np.empty(req.shape[0], dtype=BLOCK_DTYPE)
     rows["code"] = np.where(
         second,
-        np.where(pull, PULL_ANSWER, FRONTIER_ADVANCE),
-        np.where(pull, PULL_REQUEST, PUSH),
+        np.where(p, np.where(h, DPR_BUFFERED, PULL_ANSWER), FRONTIER_ADVANCE),
+        np.where(p, PULL_REQUEST, PUSH),
     )
-    rows["shard"] = np.repeat(shard, per_handle)
-    rows["worker"] = np.repeat(worker, per_handle)
-    rows["worker"][advance] = -1
-    rows["progress"] = r
-    rows["v_train"] = v_train + advance
-    rows["missing"] = np.where(answer, np.maximum(0, r + 1 - v_train), 0)
-    rows["version"] = np.where(answer, np.repeat(version, per_handle), 0)
-    rows["t"] = np.repeat(serve, per_handle)
-    return rows
+    rows["worker"] = np.where(second & ~p, -1, ids[req] // K)
+    rows["progress"], rows["v_train"] = progress, v_train
+    rows["missing"] = np.where(answer, np.maximum(0, progress + 1 - v_train), 0)
+    rows["version"] = np.where(answer, versions[req], 0)
+    rows["t"], rows["waited"], rows["released_by"] = serve[req], 0.0, -1
+    # Behind the n-th push's advance: a (dpr_released, pull_answer) pair per
+    # pull it releases, in claim order.
+    tail = rows[starts[nth] + 2 : starts[nth] + per[nth]]
+    tail["code"][::2], tail["code"][1::2] = DPR_RELEASED, PULL_ANSWER
+    tail["worker"], tail["released_by"] = np.repeat(ids[held] // K, 2), ids[nth] // K
+    tail["version"][1::2] = versions[nth]
+    if waits is not None:
+        tail["waited"] = np.repeat(waits, 2)
+    return rows, starts, held
 
 
 class FluentPSSimRunner:
@@ -1013,13 +1044,13 @@ class FluentPSSimRunner:
         The closed form models exactly one behavior: timing-only workers
         that push then pull every shard each iteration over analytic
         drain lanes, with every shard's sync condition provably quiet
-        (every pull immediate — or, unobserved at s = 0, buffered until
-        the shard's one frontier advance per round — and no PSSP coin
-        flips).  Anything outside that — gradients stepped inline, quorums below n,
-        observed BSP, PSSP at s = 0, DSPS's self-mutating
-        staleness, DPOR choice/delay hooks, delivery hooks, causal tracing,
-        span capture without obs — keeps the per-event path,
-        which stays bit-identical by construction.  The reason lands in
+        (every pull immediate — or, at s = 0, buffered until the shard's
+        one frontier advance per round — and no PSSP coin flips).
+        Anything outside that — gradients stepped inline, quorums below
+        n, PSSP at s = 0, DSPS's self-mutating staleness, DPOR
+        choice/delay hooks, delivery hooks, causal tracing, an observed
+        timing run's snapshot tags — keeps the per-event path, which
+        stays bit-identical by construction.  The reason lands in
         :attr:`collapse_fallback`.
         """
         cfg = self.cfg
@@ -1040,12 +1071,6 @@ class FluentPSSimRunner:
         if self.net._delivery_hooks:
             # A hook observes every message as a real ``Message``.
             return "delivery_hook"
-        if self.trace.keep_spans and not self.obs.enabled:
-            # The vector commit appends spans round by round: per-actor
-            # order matches the event path, the global list order does
-            # not.  Observed runs accept that (exports group by actor);
-            # a bare span_capture=True run keeps the event path's list.
-            return "kept_spans"
         if self._log is not None and self.obs.enabled:
             # A columnar block carries no snapshot tags, which a timing
             # run's replies read as the coupled run's (S016).
@@ -1056,9 +1081,9 @@ class FluentPSSimRunner:
             # DSPS adapts ``s`` inside ``__call__`` — never provably quiet.
             if type(pc) is DSPSPull or not isinstance(pc, (SSPPull, PSSPPull)):
                 return "pull_condition"
-            if not pc.s > 0 and (self.obs.enabled or isinstance(pc, PSSPPull)):
-                # s = 0: a committed round releases BSP's DPRs, but a block
-                # has no DPR rows, and PSSP flips a coin on every pull.
+            if not pc.s > 0 and isinstance(pc, PSSPPull):
+                # s = 0: a committed round releases BSP's DPRs, but PSSP
+                # flips a coin on every pull.
                 return "bsp"
             if s.push_con.quorum(n) != n:
                 return "quorum"
@@ -1115,7 +1140,7 @@ class FluentPSSimRunner:
         Per round: draw the cohort's compute durations, let
         :func:`quiet_round` schedule the round from the lane table, and
         commit it — spans, sketches, the shards' ``handle_quiet_round``,
-        the instant block, the event census — once its schedule is proven
+        the instant blocks, the event census — once its schedule is proven
         the event path's.  The next round's *intruders* (:func:`_intruders`:
         its requests that finish TX before this round's last one to a
         shard) are guessed from the round as if isolated, merged into its
@@ -1123,10 +1148,9 @@ class FluentPSSimRunner:
         point commits (DESIGN.md, "Overlapping rounds"), and the round
         that lent them commits with the round that takes them as served.
         No intruders is the isolated case: what overlaps lies on the
-        workers' private lanes.  An observed run keeps the global test —
-        the next round's earliest send lands strictly after this round's
-        last reply — since its instant log is one stream in global handle
-        order.  The first round that fails — a refused or unverified
+        workers' private lanes.  Observed or not, the test is the same:
+        an observed round's instants are per-shard blocks in each shard's
+        handle order.  The first round that fails — a refused or unverified
         merge, a straggler draw overlapping the tail — commits nothing
         from the first round of its chain on and de-vectorizes the cohort
         there, back to per-worker event processes at their analytic
@@ -1147,7 +1171,6 @@ class FluentPSSimRunner:
         block_shards = [s.block_constants() for s in self.servers] if observed else []
         n = cfg.cluster.n_workers
         M = cfg.cluster.n_servers
-        cost = cfg.server_op_overhead_s
         sample = self.compute_model.sample
         rngs = self._compute_rngs
         push_bytes = self._shard_bytes
@@ -1197,20 +1220,19 @@ class FluentPSSimRunner:
             net.fused_deliveries += nmsg
 
         def _commit(c: np.ndarray, _rank, sched: _RoundSchedule, behind: List[int]) -> None:
-            # Round ``r`` into the trace, the schedule log, the shards and
-            # the counters.
+            # Round ``r`` into the trace, the schedule log, the instant log,
+            # the shards and the counters.
             compute_spans.add(sched.order, c, sched.ready, r)
             snapshots = [0] * M if log is None else self._log_round(r, sched)
+            if observed:
+                # Before the shards commit: the rows (and round 0's config
+                # snapshots) see each shard's pre-round state.
+                self._emit_round_blocks(r, sched, block_shards)
             for m in range(M):
                 self.servers[m].handle_quiet_round(
                     r, sched.early[m], sched.waits[m], behind[m], snapshots[m]
                 )
                 self._srv_now[m] = float(sched.handle[m, -1])
-                if observed and cost > 0:
-                    serve = sched.handle[m]
-                    self.trace.record_spans(
-                        self._srv_names[m], SpanKind.SERVER_APPLY, serve, serve + cost
-                    )
             f = sched.done
             pull_spans.add(sched.closes, sched.ready, f, r)
             if sketches is not None:
@@ -1244,24 +1266,22 @@ class FluentPSSimRunner:
             if not last_round:
                 durs.append([sample(w, k + 1, base_l[w], rngs[w]) for w in range(n)])
                 dur_next = np.asarray(durs[-1])
-                if observed:
-                    quiet = float(np.min(sched.done + dur_next)) > float(np.max(sched.done))
-                else:
-                    # Guess the intruders from the round as if isolated,
-                    # merge them, and commit only a fixed point: the merged
-                    # round lets in the very rows, at the very TX ends.
-                    lend = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
-                    mixed = lend is not None and any(ids.shape[0] for ids, _t, _k in lend[0])
-                    if mixed:
-                        sched = quiet_round(work, ready, rank, served, lend[0])
-                        again = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
-                        if again is None or not all(
-                            np.array_equal(a, b)
-                            for guess, proof in zip(lend[0], again[0])
-                            for a, b in zip(guess, proof)
-                        ):
-                            lend = None
-                    quiet = lend is not None
+                # Guess the intruders from the round as if isolated, merge
+                # them, and commit only a fixed point: the merged round
+                # lets in the very rows, at the very TX ends.
+                lend = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
+                mixed = lend is not None and any(ids.shape[0] for ids, _t, _k in lend[0])
+                if mixed:
+                    del sched  # the guess: its tables go before the merged round's come
+                    sched = quiet_round(work, ready, rank, served, lend[0])
+                    again = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
+                    if again is None or not all(
+                        np.array_equal(a, b)
+                        for guess, proof in zip(lend[0], again[0])
+                        for a, b in zip(guess, proof)
+                    ):
+                        lend = None
+                quiet = lend is not None
             if quiet and log is not None:
                 # A logged round commits isolated, its steps and evaluation
                 # in an order the log can state.
@@ -1285,15 +1305,11 @@ class FluentPSSimRunner:
                         start_at=clock[w],
                     )
                 return False
-            if observed:
-                # Before the shards commit: the block (and in round 0 the
-                # config snapshots) must see each shard's pre-round state.
-                self._emit_round_block(k, sched, block_shards)
             # Only what ``_commit`` reads stays queued: O(n) per round.
-            chain.append((c, rank, sched if observed or log is not None else replace(
+            chain.append((c, rank, sched if log is not None else replace(
                 sched, tx_end=None, claims=None, rx_end=None, applied=None,
                 handle=sched.handle[:, -1:].copy(), reply_tx_end=None, reply_order=None,
-                reply_rx_end=None, lent=None,
+                reply_rx_end=None, lent=None, streams=sched.streams if observed else None,
             ), behind))
             if not mixed:
                 # The chain ends at an isolated boundary or the last round: a
@@ -1367,66 +1383,31 @@ class FluentPSSimRunner:
             self._eval_at.append((float(resume), r + 1))
         return snapshots
 
-    def _emit_round_block(self, r: int, sched: _RoundSchedule, shards) -> None:
-        """Append one certified-quiet round's protocol instants to the
-        instant log in columnar form.
-
-        The rows are the instants ``handle_push``/``handle_pull`` would
-        record if called in global handle order — the requests' global TX
-        order, as their deliveries fuse into their TX completions — with
-        each shard's clock at the request's serve time — see
-        :func:`_round_rows`.
-        A round is one block up to :data:`_BLOCK_HANDLES` requests and a
-        run of blocks beyond (at 100k workers one block would be ~90 MB
-        of rows plus as much again in temporaries).  In round 0 the run
-        is also cut where each shard's first request lands, so its
-        ``server_config`` instant leads its stream as on the event path.
-        ``shards`` is the servers' ``block_constants()``.
-        """
-        n, K = sched.tx_end.shape
-        M = K // 2
-        servers = self.servers
-        # Global TX order: (tx_end, resume rank, column).  With the
-        # workers laid out in resume order the tie-break is the flat
-        # index itself, so one stable sort does it.
-        order_w = sched.order
-        by_rank = np.argsort(sched.tx_end[order_w].ravel(), kind="stable")
-        gro = order_w[by_rank // K] * K + by_rank % K
-        col = (gro % K).astype(np.int32)
-        is_pull = col >= M
-        shard = np.where(is_pull, col - M, col)
-        worker = (gro // K).astype(np.int32)
-        # Where each request sits in the schedule's claim-order tables.
-        at = np.empty(n * K, dtype=np.int64)
-        at[sched.claims.ravel()] = np.arange(n * K)
-        at = at[gro]
-        applied = sched.applied.ravel()[at]
-        # After its n-th push a shard has only pulls left, and they see
-        # the advanced frontier; the n-th push itself still reports r.
-        full = applied == n
-        advances = ~is_pull & full
-        v_train = r + (is_pull & full)
-        version = np.array([s.version for s in servers])[shard] + applied
-        serve = sched.handle.ravel()[at]
-        cuts = set(range(0, n * K, _BLOCK_HANDLES))
-        config_at: Dict[int, int] = {}
-        if r == 0:
-            first_shard, first_at = np.unique(shard, return_index=True)
-            config_at = dict(zip(first_at.tolist(), first_shard.tolist()))
-            cuts.update(config_at)
-        cuts = sorted(cuts)
-        log = self.obs.instants
-        for a, b in zip(cuts, cuts[1:] + [n * K]):
-            if a in config_at:
-                m = config_at[a]
-                self._srv_now[m] = float(serve[a])
-                servers[m].emit_config()
-            log.append_block(
-                _round_rows(
-                    r, is_pull[a:b], advances[a:b], shard[a:b], worker[a:b],
-                    v_train[a:b], version[a:b], serve[a:b],
-                ),
-                shards,
+    def _emit_round_blocks(self, r: int, sched: _RoundSchedule, shards) -> None:
+        """Append committed round ``r``'s protocol instants to the instant
+        log, shard by shard: each shard's stream as :func:`_shard_rows`,
+        in blocks of at most :data:`_BLOCK_HANDLES` requests, cut also at
+        the first of the next round's intruders; its ``server_config``
+        instant just before its first block; and its ``SERVER_APPLY``
+        spans in the same handle order.  The log's order contract is per
+        shard.  ``shards`` is the servers' ``block_constants()``."""
+        n, K = sched.ready.shape[0], 2 * len(sched.streams)
+        log, cost = self.obs.instants, self._op_cost
+        for m, stream in enumerate(sched.streams):
+            server, serve = self.servers[m], stream[1]
+            self._srv_now[m] = float(serve[0])
+            server.emit_config()  # a no-op after the shard's first block
+            rows, starts, held = _shard_rows(r, n, K, stream, server.version, sched.waits[m])
+            rows["shard"] = m
+            cuts = starts[_BLOCK_HANDLES::_BLOCK_HANDLES]
+            if stream[2] is not None:  # the rows before it are one round's: provable
+                cuts = np.union1d(cuts, starts[np.argmin(stream[2])])
+            for part in np.split(rows, cuts):
+                log.append_block(part, shards)
+            hold = np.where(held, cost + self._dpr_cost, cost)  # a DPR costs its handle more
+            busy = hold > 0
+            self.trace.record_spans(
+                self._srv_names[m], SpanKind.SERVER_APPLY, serve[busy], (serve + hold)[busy]
             )
 
     # -- run ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 21 mutants is a named function that takes pytest's
+Each of the 24 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
 :mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
@@ -9,7 +9,8 @@ delivery fusing, one in the event path's serve lane, one in
 :class:`repro.core.server.ShardServer`'s push apply, one in the protocol
 sanitizer's vector proof, one where the runner takes over a system to
 continue, three in the schedule log a real-gradient run's math is
-replayed from) for the length of a test — test code only, nothing under
+replayed from, three in the instant blocks of an observed collapsed
+round) for the length of a test — test code only, nothing under
 ``src/`` imports this module.
 All but three rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
@@ -57,7 +58,7 @@ def serve_ignores_busy_lane(monkeypatch) -> None:
 
 def reply_rx_claimed_in_shard_order(monkeypatch) -> None:
     """A worker's RX lane drains its replies in shard order, not in the
-    order they finish serializing (``_join_fused`` without ``legs.sort()``)."""
+    order they finish serializing (``Network.join`` without ``legs.sort()``)."""
     _rewrite_quiet_round(
         monkeypatch,
         "perm = np.take_along_axis(o1, o2, axis=1)",
@@ -283,3 +284,39 @@ def eval_read_one_event_late(monkeypatch) -> None:
 
     monkeypatch.setattr(runner.FluentPSSimRunner, "_end_iteration", mark)
     monkeypatch.setattr(runner.FluentPSSimRunner, "_serve", reread)
+
+
+def block_drops_dpr_released(monkeypatch) -> None:
+    """A barrier shard's blocks lose their ``dpr_released`` rows: the
+    answers a frontier advance releases stand alone.  No sanitizer rule
+    reads the release row.  Killer:
+    ``test_round_collapse.py::TestBlockMutants::test_block_drops_dpr_released_dies_by_the_event_path``."""
+    _rewrite(
+        monkeypatch, runner.FluentPSSimRunner, "_emit_round_blocks",
+        "log.append_block(part, shards)",
+        "log.append_block(part[part['code'] != DPR_RELEASED], shards)",
+    )
+
+
+def block_intruder_pull_missing_one(monkeypatch) -> None:
+    """A block records an intruder pull answered before the lending
+    round's frontier advance as missing one iteration, not two (the
+    shard's staleness histogram still counts two).  Killer:
+    ``test_round_collapse.py::TestBlockMutants::test_block_intruder_pull_missing_one_dies_by_the_sanitizer``."""
+    _rewrite(
+        monkeypatch, runner, "_shard_rows",
+        "np.maximum(0, progress + 1 - v_train)",
+        "np.clip(progress + 1 - v_train, 0, 1)",
+    )
+
+
+def block_rows_in_worker_order(monkeypatch) -> None:
+    """A shard's block lists its requests in worker order, not in the
+    order it claimed (and handled) them; the serve times stay in claim
+    order.  Killer:
+    ``test_round_collapse.py::TestBlockMutants::test_block_rows_in_worker_order_dies_by_the_event_path``."""
+    _rewrite(
+        monkeypatch, runner.FluentPSSimRunner, "_emit_round_blocks",
+        "for m, stream in enumerate(sched.streams):",
+        "for m, stream in enumerate((np.sort(i), t, x) for i, t, x in sched.streams):",
+    )

@@ -1,8 +1,11 @@
 """Shared helpers for the co-simulation differential suites."""
 
+import collections
+import contextlib
 import hashlib
 import json
 import sys
+from unittest import mock
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.obs import NULL_OBS
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
+from repro.sim.engine import Engine
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import ComputeModel, DeterministicCompute, LogNormalCompute
 
@@ -79,6 +83,30 @@ def python_calls(fn, skip=()):
     finally:
         sys.setprofile(previous)
     return count
+
+
+@contextlib.contextmanager
+def daemon_ticks():
+    """Count every engine's ``call_every`` ticks while the block runs, as
+    ``{engine: ticks}``: an observed run that processes events pays its
+    metric snapshotter's scrapes on top of its protocol events."""
+    ticks = collections.Counter()
+    call_every = Engine.call_every
+
+    def counting(engine, interval, fn):
+        def tick():
+            ticks[engine] += 1
+            fn()
+
+        call_every(engine, interval, tick)
+
+    with mock.patch.object(Engine, "call_every", counting):
+        yield ticks
+
+
+def protocol_events(runner, ticks):
+    """``runner``'s processed events less its snapshotter ticks (:func:`daemon_ticks`)."""
+    return runner.engine.events_processed - ticks[runner.engine]
 
 
 def instant_stream(instants):
@@ -200,7 +228,9 @@ def server_metrics(servers):
     ]
 
 
-def _shard_instants(obs, shard):
+def shard_instants(obs, shard):
+    """Shard ``shard``'s protocol instant stream, in order (the instant
+    log's order contract is per shard)."""
     return instant_stream(i for i in obs.last_run.instants if i.actor == f"server{shard}")
 
 
@@ -240,7 +270,7 @@ def assert_matches_reference(
     assert evals == ref.evals
     if obs.enabled:
         for shard in range(len(ref.servers)):
-            assert _shard_instants(obs, shard) == _shard_instants(ref_obs, shard), shard
+            assert shard_instants(obs, shard) == shard_instants(ref_obs, shard), shard
     return runner, result, ref
 
 
@@ -309,5 +339,5 @@ def assert_replay_matches_coupled(cfg_kwargs, make_obs=lambda: NULL_OBS, make_sy
     assert checkpoint_bytes(runner.system) == checkpoint_bytes(coupled.system)
     if obs.enabled:
         for shard in range(len(runner.servers)):
-            assert _shard_instants(obs, shard) == _shard_instants(c_obs, shard), shard
+            assert shard_instants(obs, shard) == shard_instants(c_obs, shard), shard
     return runner

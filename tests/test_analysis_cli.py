@@ -39,6 +39,9 @@ class TestSmokeExit:
         assert main(["--smoke", "--smoke-iters", "3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "smoke sim ssp3-isolated (rounds_collapsed=3)" in out
+        # Observed rounds merged at the shards, and BSP's released DPRs.
+        assert "smoke sim ssp3-straggler (rounds_collapsed=4)" in out
+        assert "smoke sim bsp (rounds_collapsed=4)" in out
 
 
 class TestTraceExit:

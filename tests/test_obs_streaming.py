@@ -25,6 +25,8 @@ from repro.obs import MetricsRegistry, Observability
 from repro.obs.export import (
     BLOCK_DTYPE,
     DEFAULT_INSTANT_SPILL_CAP,
+    DPR_BUFFERED,
+    DPR_RELEASED,
     FRONTIER_ADVANCE,
     PULL_ANSWER,
     PULL_REQUEST,
@@ -127,6 +129,8 @@ class TestInstantLogSpill:
 
 
 def _block(rows, shards):
+    """Rows given without ``(waited, released_by)`` are no DPR's: (0.0, -1)."""
+    rows = [row if len(row) == len(BLOCK_DTYPE) else row + (0.0, -1) for row in rows]
     return np.array(rows, dtype=BLOCK_DTYPE), shards
 
 
@@ -180,6 +184,33 @@ class TestBlockSpill:
         assert rows[3].actor == "server1" and rows[3].args["uid"] == 41
         assert all(type(v) in (int, float, bool, str, type(None))
                    for r in rows for v in r.args.values())
+
+    def test_dpr_rows_materialise_with_the_record_sites_arg_order(self):
+        """A barrier shard's block: a pull buffered at the frontier, then
+        released (waited 0.5 s) by worker 1's push, which advances it."""
+        log = InstantLog(spill_cap=100)
+        log.append_block(*_block([
+            (PULL_REQUEST, 0, 0, 0, 0, 0, 0, 1.5),
+            (DPR_BUFFERED, 0, 0, 0, 0, 0, 0, 1.5),
+            (PUSH, 0, 1, 0, 0, 0, 0, 2.0),
+            (FRONTIER_ADVANCE, 0, -1, 0, 1, 0, 0, 2.0),
+            (DPR_RELEASED, 0, 0, 0, 1, 0, 0, 2.0, 0.5, 1),
+            (PULL_ANSWER, 0, 0, 0, 1, 0, 2, 2.0, 0.5, 1),
+        ], _SHARDS))
+        rows = list(log)
+        assert list(rows[1].args.items()) == [
+            ("uid", 40), ("worker", 0), ("progress", 0), ("key", 0), ("shard", 0),
+            ("v_train", 0), ("s", 3.0),
+        ]
+        assert list(rows[4].args.items()) == [
+            ("uid", 40), ("worker", 0), ("progress", 0), ("waited", 0.5), ("missing", 0),
+            ("shard", 0), ("released_by", 1),
+        ]
+        assert list(rows[5].args.items()) == [
+            ("uid", 40), ("shard", 0), ("worker", 0), ("progress", 0), ("v_train", 1),
+            ("missing", 0), ("released", True), ("coin", False), ("kind", "ssp"),
+            ("s", 3.0), ("waited", 0.5), ("version", 2), ("snap", None),
+        ]
 
     @pytest.mark.parametrize("cap", [1, 2, 4, 6, 9])
     def test_spilled_equals_in_memory(self, cap):

@@ -41,13 +41,21 @@ from repro.sim.stragglers import (
 )
 from repro.sim.trace import SpanKind
 
-from tests.mutants import depth_two_mixing_accepted
+from tests.mutants import (
+    block_drops_dpr_released,
+    block_intruder_pull_missing_one,
+    block_rows_in_worker_order,
+    depth_two_mixing_accepted,
+)
 from tests.sim_helpers import (
     EventPathRunner,
     assert_matches_reference,
+    daemon_ticks,
     instant_stream,
+    protocol_events,
     python_calls,
     server_metrics,
+    shard_instants,
 )
 
 
@@ -103,21 +111,26 @@ def _fingerprint(runner, result):
 
 def _assert_differential(cfg_kwargs, obs_factory=lambda: NULL_OBS):
     """The stock run equals the reference, and the event path on what
-    the reference does not model; the event census is exact."""
-    ra, resa, _ref = assert_matches_reference(cfg_kwargs, make_obs=obs_factory)
-    rb, resb = _run(cfg_kwargs, False, obs_factory())
+    the reference does not model; the event census is exact.  Under
+    observability each shard's instant stream equals the event path's in
+    order (the log's order contract is per shard), and the whole log as
+    a multiset."""
+    with daemon_ticks() as ticks:
+        ra, resa, _ref = assert_matches_reference(cfg_kwargs, make_obs=obs_factory)
+        rb, resb = _run(cfg_kwargs, False, obs_factory())
     assert rb.engine.rounds_collapsed == 0
     assert _fingerprint(ra, resa) == _fingerprint(rb, resb)
     # The saved-event census is exact: fast-path events + credited
     # savings reproduce the event path's event count to the event.
-    assert (
-        rb.engine.events_processed - ra.engine.events_processed
-        == ra.engine.round_events_saved
-    )
+    assert protocol_events(rb, ticks) - protocol_events(ra, ticks) == ra.engine.round_events_saved
     if ra.obs.enabled:
-        assert instant_stream(ra.obs.last_run.instants) == instant_stream(
-            rb.obs.last_run.instants
-        )
+        for shard in range(len(ra.servers)):
+            assert shard_instants(ra.obs, shard) == shard_instants(rb.obs, shard), shard
+        whole_logs = [
+            sorted(map(json.dumps, json.loads(instant_stream(r.obs.last_run.instants))))
+            for r in (ra, rb)
+        ]
+        assert whole_logs[0] == whole_logs[1]
     return ra, rb
 
 
@@ -342,16 +355,17 @@ class TestColumnarInstantsDifferential:
 
     @pytest.mark.parametrize("handles", [1, 7, 84])
     def test_a_round_cut_into_several_blocks(self, handles, monkeypatch):
-        """Past ``_BLOCK_HANDLES`` requests a round is a run of blocks
-        (84 = one round of this cell exactly): same rows, same verdict."""
+        """Past ``_BLOCK_HANDLES`` requests a shard's round is a run of
+        blocks (84 = a whole round of this cell, 28 requests per shard):
+        same rows, same verdict.  Isolated rounds: every block is proven."""
         monkeypatch.setattr("repro.sim.runner._BLOCK_HANDLES", handles)
-        kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
+        kwargs = {**_cell("cpu", "ssp3", "det", n=14, m=3, iters=5), "base_compute_time": 5.0}
         ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
         blocks = [
             seg for seg in ra.obs.last_run.instants.segments()
             if isinstance(seg, InstantBlock)
         ]
-        assert len(blocks) >= ra.engine.rounds_collapsed * (84 // handles)
+        assert len(blocks) == ra.engine.rounds_collapsed * 3 * -(-28 // handles)
         fed = []
         monkeypatch.setattr(
             ProtocolSanitizer, "feed", lambda self, ev, feed=ProtocolSanitizer.feed: (
@@ -388,7 +402,9 @@ class TestColumnarInstantsDifferential:
                 assert da[name]["values"] == metric["values"], name
                 compared += 1
         assert compared >= 10
-        assert set(da) == set(db)
+        # Every round commits: only the event path counts a fallback.
+        assert ra.collapse_fallback == {}
+        assert set(da) == set(db) - {"collapse_fallback_total"}
 
     def test_spans_identical(self):
         kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
@@ -426,6 +442,87 @@ class TestColumnarInstantsDifferential:
         assert ra.obs.registry.get("collapse_fallback_total").value(reason="overlap") == 1.0
 
 
+def _parity_grid():
+    """Cells that commit every round, merge rounds, release DPRs, or hand
+    over mid-run."""
+    isolated = {**_cell("cpu", "ssp3", "det", iters=3), "base_compute_time": 5.0}
+    midrun = {**_cell("cpu", "ssp3", "det", n=10, m=3, iters=6), "base_compute_time": 5.0}
+    cells = [
+        ("isolated-ssp3", isolated),
+        ("mixed-ssp3", _mixed_cell(0)),
+        ("mixed-pssp2", _mixed_cell(0, pssp(2, 0.5))),
+        ("bsp-lazy", _cell("cpu", "bsp", "lognorm")),
+        ("bsp-soft", _cell("cpu", "bsp", "lognorm", execution=ExecutionMode.SOFT_BARRIER)),
+        ("bsp-shard-among-ssp3", {
+            **_cell("cpu", "ssp3", "lognorm", n=24, m=8),
+            "sync": [bsp()] + [ssp(3)] * 7, "base_compute_time": 0.01,
+        }),
+        ("midrun-straggler", {**midrun, "compute_model": _InjectedStraggler(3, 2)}),
+        ("depth-two", {**midrun, "compute_model": _InjectedStraggler(3, 2, slow_factor=4.0)}),
+    ]
+    return [pytest.param(kwargs, id=name) for name, kwargs in cells]
+
+
+class TestObservationParity:
+    """Observation does not choose the path: an observed run (no causal
+    trace) leaves the collapse where its unobserved twin does, processes
+    the same protocol events and finishes at the same instants; its
+    instants match the reference and the event path shard by shard, and
+    the sanitizer's proof and its row oracle both pass them."""
+
+    @pytest.mark.parametrize("cfg_kwargs", _parity_grid())
+    def test_observed_run_takes_the_raw_path(self, cfg_kwargs):
+        raw, _result = _run(cfg_kwargs, True)
+        with daemon_ticks() as ticks:
+            ra, rb = _assert_differential(cfg_kwargs, obs_factory=_columnar_obs)
+        assert ra.collapse_fallback == raw.collapse_fallback
+        assert ra.engine.rounds_collapsed == raw.engine.rounds_collapsed
+        assert ra.engine.round_events_saved == raw.engine.round_events_saved
+        assert protocol_events(ra, ticks) == raw.engine.events_processed
+        assert ra._finish_times == raw._finish_times
+        events = sanitize_run(rb.obs.last_run).n_events
+        for report in (sanitize_run(ra.obs.last_run), _row_oracle(ra.obs.last_run)):
+            assert report.ok, report.violations
+            assert report.n_events == events
+
+
+def _shard_streams(kwargs, collapse):
+    obs = _columnar_obs()
+    runner, _result = _run(kwargs, collapse, obs)
+    return runner, [shard_instants(obs, m) for m in range(len(runner.servers))]
+
+
+class TestBlockMutants:
+    """One planted bug each in an observed round's instant blocks."""
+
+    def test_block_drops_dpr_released_dies_by_the_event_path(self, monkeypatch):
+        kwargs = {**_cell("cpu", "bsp", "det"), "base_compute_time": 5.0}
+        slow = _shard_streams(kwargs, False)[1]
+        assert _shard_streams(kwargs, True)[1] == slow
+        block_drops_dpr_released(monkeypatch)
+        runner, fast = _shard_streams(kwargs, True)
+        assert runner.engine.rounds_collapsed == 4 and fast != slow
+
+    def test_block_rows_in_worker_order_dies_by_the_event_path(self, monkeypatch):
+        kwargs = _mixed_cell(0)
+        slow = _shard_streams(kwargs, False)[1]
+        assert _shard_streams(kwargs, True)[1] == slow
+        block_rows_in_worker_order(monkeypatch)
+        runner, fast = _shard_streams(kwargs, True)
+        assert runner.engine.rounds_collapsed == 4 and fast != slow
+
+    def test_block_intruder_pull_missing_one_dies_by_the_sanitizer(self, monkeypatch):
+        def codes():
+            obs = _columnar_obs()
+            runner, _result = _run(_mixed_cell(0), True, obs)
+            assert runner.engine.rounds_collapsed == 4
+            return {v.code for v in sanitize_run(obs.last_run).violations}
+
+        assert codes() == set()
+        block_intruder_pull_missing_one(monkeypatch)
+        assert "S009" in codes()
+
+
 class TestEligibilityGates:
     def test_causal_observability_gates_collapse_off(self):
         # The ambient pytest fixture installs an Observability whose
@@ -455,18 +552,39 @@ class TestEligibilityGates:
         assert min(m.msg_id for m in seen) >= 0
         assert runner.net.fused_deliveries == 0
 
-    def test_observed_bsp_is_ineligible(self):
-        """A columnar block has no DPR rows: an observed BSP run keeps the
-        event path.  So does PSSP at s = 0, which flips a coin per pull."""
+    def test_observed_bsp_commits(self):
+        """Observed BSP commits every round as unobserved BSP does: each
+        barrier shard's blocks carry its DPRs' buffered, released and
+        answer rows, which the row replay checks.  PSSP at s = 0 flips a
+        coin per pull: the event path, reason ``bsp``."""
         kwargs = _cell("cpu", "bsp", "det")
         kwargs["base_compute_time"] = 5.0
         ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
-        assert ra.engine.rounds_collapsed == 0
-        assert ra.collapse_fallback == {"reason": "bsp"}
+        assert ra.engine.rounds_collapsed == 4 and ra.collapse_fallback == {}
         assert rb.collapse_fallback == {"reason": "subclass"}
+        names = {i.name for i in ra.obs.last_run.instants}
+        assert {"dpr_buffered", "dpr_released"} <= names
+        events = sanitize_run(rb.obs.last_run).n_events
+        for report in (sanitize_run(ra.obs.last_run), _row_oracle(ra.obs.last_run)):
+            assert report.ok, report.violations
+            assert report.n_events == events
         runner = FluentPSSimRunner(SimConfig(**{**kwargs, "sync": pssp(0, 0.5)}, obs=NULL_OBS))
         runner.run()
         assert runner.collapse_fallback == {"reason": "bsp"}
+
+    def test_span_capture_without_obs_commits(self):
+        """A bare ``span_capture=True`` run keeps every span and still
+        commits in closed form, merged rounds included.  Its spans equal
+        the event path's as a set: the span checks sort by ``t0`` and the
+        timeline draws per actor, so no consumer reads the list's order."""
+        kwargs = {**_mixed_cell(0), "span_capture": True}
+        ra, rb = _assert_differential(kwargs)
+        assert ra.engine.rounds_collapsed == 4 and ra.collapse_fallback == {}
+        spans = [
+            sorted((s.actor, s.kind.value, s.t0, s.t1, s.iteration) for s in r.trace.spans)
+            for r in (ra, rb)
+        ]
+        assert spans[0] and spans[0] == spans[1]
 
     def test_subclassed_runners_are_ineligible(self):
         # PS-Lite overrides the worker protocol (scheduler-gated grants)
@@ -494,7 +612,6 @@ class TestEligibilityGates:
                 ),
             ),
             ("pull_condition", dict(sync=dsps())),
-            ("kept_spans", dict(span_capture=True)),
         ],
     )
     def test_first_failing_reason_is_reported(self, reason, change):

@@ -32,7 +32,7 @@ from repro.obs.export import (
 )
 from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
-from repro.sim.stragglers import DeterministicCompute
+from repro.sim.stragglers import DeterministicCompute, cpu_cluster_compute
 
 from tests.mutants import proof_ignores_staleness_bound
 
@@ -43,7 +43,7 @@ N_WORKERS, N_SERVERS, ITERS = 6, 2, 3
 
 def _collapsed_stream(sync=None):
     """The event stream of a fully collapsed 6x2x3 run: config rows and
-    one block per round (round 0 cut at each shard's first request)."""
+    one block per shard per round, each shard's config before its first."""
     obs = Observability(MetricsRegistry("blocks"), causal=False)
     cfg = SimConfig(
         cluster=cpu_cluster(N_WORKERS, n_servers=N_SERVERS),
@@ -65,11 +65,37 @@ STREAM = _collapsed_stream()
 BLOCKS = [i for i, item in enumerate(STREAM) if isinstance(item, EventBlock)]
 
 
-def _with_block(rows_of, at):
-    """STREAM with the block at stream position ``at`` rebuilt from
+def _merged_stream():
+    """The event stream of a 24x2x4 straggler run whose rounds commit
+    merged with the next round's intruders: a shard's stream is cut at
+    its first intruder, and the block after the cut holds two rounds."""
+    obs = Observability(MetricsRegistry("blocks"), causal=False)
+    runner = FluentPSSimRunner(
+        SimConfig(
+            cluster=cpu_cluster(24, n_servers=2), max_iter=4, sync=ssp(3),
+            workload=alexnet_cifar_workload(), compute_model=cpu_cluster_compute(24), seed=0,
+            obs=obs,
+        )
+    )
+    runner.run()
+    assert runner.engine.rounds_collapsed == 4
+    stream = list(iter_event_stream(obs.last_run.instants))
+    assert any(
+        len(set(item.block.rows["progress"].tolist())) > 1
+        for item in stream if isinstance(item, EventBlock)
+    )
+    return stream
+
+
+MERGED = _merged_stream()
+MERGED_BLOCKS = [i for i, item in enumerate(MERGED) if isinstance(item, EventBlock)]
+
+
+def _with_block(rows_of, at, stream=STREAM):
+    """``stream`` with the block at stream position ``at`` rebuilt from
     ``rows_of(copy of its rows)``, later indices shifted to match."""
     out, index = [], 0
-    for i, item in enumerate(STREAM):
+    for i, item in enumerate(stream):
         if isinstance(item, EventBlock):
             rows = rows_of(item.block.rows.copy()) if i == at else item.block.rows
             item = EventBlock(index, InstantBlock(rows, item.block.shards))
@@ -168,7 +194,7 @@ class TestCleanBlocks:
 class TestTargetedMutations:
     """One named corruption each: the code the row replay gives it."""
 
-    LAST = BLOCKS[-1]
+    LAST = BLOCKS[-1]  # shard 1's block of the last round
 
     def _codes(self, mutate):
         stream = _with_block(mutate, self.LAST)
@@ -187,9 +213,9 @@ class TestTargetedMutations:
 
     def test_pull_swapped_before_its_push_is_s006(self):
         rows = STREAM[self.LAST].block.rows
-        req = _rows_where(self.LAST, PULL_REQUEST, shard=0)[0]
+        req = _rows_where(self.LAST, PULL_REQUEST, shard=1)[0]
         push = next(
-            i for i in _rows_where(self.LAST, PUSH, shard=0)
+            i for i in _rows_where(self.LAST, PUSH, shard=1)
             if rows["worker"][i] == rows["worker"][req]
         )
 
@@ -231,8 +257,8 @@ class TestTargetedMutations:
         assert "S008" in self._codes(lambda rows: np.delete(rows, adv))
 
     def test_early_frontier_advance_is_s003(self):
-        adv = _rows_where(self.LAST, FRONTIER_ADVANCE, shard=0)[0]
-        first = _rows_where(self.LAST, PUSH, shard=0)[0]
+        adv = _rows_where(self.LAST, FRONTIER_ADVANCE, shard=1)[0]
+        first = _rows_where(self.LAST, PUSH, shard=1)[0]
 
         def mutate(rows):
             moved = rows[adv]
@@ -281,9 +307,13 @@ class TestStalenessBoundProof:
 FIELDS = ("code", "shard", "worker", "progress", "v_train", "missing", "version")
 
 
+#: ``(position, stream)`` of every block, isolated and merged.
+ANY_BLOCK = [(i, STREAM) for i in BLOCKS] + [(i, MERGED) for i in MERGED_BLOCKS]
+
+
 class TestAnyMutationMatchesRowReplay:
     @given(
-        which=st.sampled_from(BLOCKS),
+        which=st.sampled_from(ANY_BLOCK),
         field=st.sampled_from(FIELDS),
         row=st.integers(min_value=0),
         delta=st.sampled_from([-3, -2, -1, 1, 2, 3]),
@@ -300,10 +330,10 @@ class TestAnyMutationMatchesRowReplay:
             rows[field][at] = value
             return rows
 
-        _assert_same_verdict(_with_block(mutate, which))
+        _assert_same_verdict(_with_block(mutate, *which))
 
     @given(
-        which=st.sampled_from(BLOCKS),
+        which=st.sampled_from(ANY_BLOCK),
         a=st.integers(min_value=0),
         b=st.integers(min_value=0),
     )
@@ -314,10 +344,10 @@ class TestAnyMutationMatchesRowReplay:
             rows[[i, j]] = rows[[j, i]]
             return rows
 
-        _assert_same_verdict(_with_block(mutate, which))
+        _assert_same_verdict(_with_block(mutate, *which))
 
     @given(
-        which=st.sampled_from(BLOCKS),
+        which=st.sampled_from(ANY_BLOCK),
         row=st.integers(min_value=0),
         duplicate=st.booleans(),
     )
@@ -329,4 +359,19 @@ class TestAnyMutationMatchesRowReplay:
                 return np.insert(rows, at, rows[at])
             return np.delete(rows, at)
 
-        _assert_same_verdict(_with_block(mutate, which))
+        _assert_same_verdict(_with_block(mutate, *which))
+
+
+class TestMergedBlocks:
+    """Blocks of rounds merged with the next round's intruders are proven
+    whole (``TestAnyMutationMatchesRowReplay`` mutates them too)."""
+
+    def test_merged_blocks_are_proven_without_touching_a_row(self, monkeypatch):
+        fed = []
+        feed = ProtocolSanitizer.feed
+        monkeypatch.setattr(
+            ProtocolSanitizer, "feed", lambda self, ev: (fed.append(ev.name), feed(self, ev))
+        )
+        report = sanitize_events(MERGED)
+        assert report.ok
+        assert set(fed) == {"run_config", "server_config"}
