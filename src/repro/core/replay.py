@@ -116,6 +116,45 @@ class _Shard:
         return self.snaps.pop(version, self.params)
 
 
+def cohorts(workers: Sequence[int], reads: np.ndarray, pushed: np.ndarray,
+            evals: Sequence[int]) -> List[Tuple[int, int]]:
+    """Cut the steps into cohorts, ``[(start, stop), ...]`` in step order.
+
+    A cohort is a run of consecutive steps of distinct workers, with no
+    evaluation due between two of them, none of which reads a version a
+    push of an earlier member makes: ``reads[k, m]`` (the version step
+    ``k`` reads of shard ``m``) stays below ``pushed[j, m]`` (the version
+    step ``j``'s push makes there) for every earlier member ``j``.  Every
+    read of a cohort is then made by steps before it, so its members may
+    read first and step together (DESIGN.md, "Cohort steps").
+    """
+    bounds: List[Tuple[int, int]] = []
+    start, members, low = 0, set(), None
+    due = set(evals)
+    for k, (w, read, push) in enumerate(zip(workers, reads.tolist(), pushed.tolist())):
+        if k > start and (
+            w in members or k in due or any(r >= v for r, v in zip(read, low))
+        ):
+            bounds.append((start, k))
+            start, members, low = k, set(), None
+        members.add(w)
+        low = push if low is None else [min(a, b) for a, b in zip(low, push)]
+    if workers:
+        bounds.append((start, len(workers)))
+    return bounds
+
+
+def _stacks(task) -> bool:
+    """Whether ``task``'s steps may run a cohort at a time: its ``step_fn``
+    is the one-row case of its ``steps`` (both defined by one class), not
+    replaced on the instance."""
+    def owner(name):
+        return next((c for c in type(task).__mro__ if name in vars(c)), None)
+
+    return (owner("steps") is not None and owner("step_fn") is owner("steps")
+            and "step_fn" not in getattr(task, "__dict__", {}))
+
+
 def replay(system: ParameterServerSystem, task, log: ScheduleLog, seed: int) -> List[float]:
     """Do ``log``'s math with ``task`` on ``system``'s deferred shards and
     hand each its parameters back; returns worker 0's evaluations in order.
@@ -124,11 +163,15 @@ def replay(system: ParameterServerSystem, task, log: ScheduleLog, seed: int) -> 
     step, the run's start), each shard applies its log in order, and a
     snapshot is materialised only at a version some step or evaluation
     reads.  ``seed`` keys the per-worker step streams, ``(seed, "step", w)``.
+    The steps are taken a :func:`cohorts` at a time: a stock task
+    (:meth:`~repro.ml.training.TrainingTask.steps`) in one call over one
+    parameter and one update block, any other one ``step_fn`` call per step.
     """
     servers, layout = system.servers, system.layout
     first = np.array(log.first)
     workers = np.array([w for w, _ in log.steps], dtype=np.int64)
-    before = np.array([i for _, i in log.steps], dtype=np.int64) - first[workers] - 1
+    offset = np.array([i for _, i in log.steps], dtype=np.int64) - first[workers]
+    before = offset - 1
     # The versions each step reads, one row per step.
     reads = np.empty((len(log.steps), len(servers)), dtype=np.int64)
     reads[:] = log.start
@@ -139,24 +182,49 @@ def replay(system: ParameterServerSystem, task, log: ScheduleLog, seed: int) -> 
         readers = Counter(reads[:, m].tolist() + [versions[m] for _, versions in log.evals])
         shards.append(_Shard(server, log.start[m], log.applies[m], dict(readers)))
 
-    def gather(versions) -> np.ndarray:
-        flat = np.empty(layout.total_elements)
+    def gather(versions, flat=None) -> np.ndarray:
+        flat = np.empty(layout.total_elements) if flat is None else flat
         for m, shard in enumerate(shards):
             layout.gather_into(flat, m, shard.read(versions[m]))
         return flat
+
+    # The version each step's push makes at each shard (past every read
+    # when the log holds no such apply).
+    step_at = np.full(log.reads.shape[:2], -1, dtype=np.int64)
+    step_at[workers, offset] = np.arange(len(log.steps))
+    pushed = np.full(reads.shape, np.iinfo(np.int64).max, dtype=np.int64)
+    for m, applies in enumerate(log.applies):
+        if applies:
+            aw, ai, _ = np.array(applies, dtype=np.int64).T
+            k = step_at[aw, ai - first[aw]]
+            pushed[k[k >= 0], m] = log.start[m] + 1 + np.flatnonzero(k >= 0)
+    bounds = cohorts(workers.tolist(), reads, pushed, [at for at, _ in log.evals])
+    stacks, n_params = _stacks(task), layout.total_elements
+    if stacks:  # one parameter and one update block for the whole replay
+        block = np.empty((max((b - a for a, b in bounds), default=0), n_params))
+        updates = np.empty_like(block)
 
     rngs = [derive_rng(seed, "step", w) for w in range(system.n_workers)]
     values: List[float] = []
     evals = iter(log.evals)
     due = next(evals, None)
-    for k, ((w, i), versions) in enumerate(zip(log.steps, reads.tolist())):
-        while due is not None and due[0] == k:
+    versions = reads.tolist()
+    for start, stop in bounds:
+        while due is not None and due[0] <= start:
             values.append(task.eval_fn(gather(due[1])))
             due = next(evals, None)
-        update = task.step_fn(StepContext(worker=w, iteration=i, params=gather(versions),
-                                          rng=rngs[w]))
-        for shard, piece in zip(shards, layout.scatter(update)):
-            shard.grads[(w, i)] = piece
+        params = block[: stop - start] if stacks else np.empty((stop - start, n_params))
+        ctxs = [
+            StepContext(worker=w, iteration=i, params=gather(versions[k], flat), rng=rngs[w])
+            for k, (w, i), flat in zip(range(start, stop), log.steps[start:stop], params)
+        ]
+        if stacks:
+            out = task.steps(ctxs, params, out=updates[: len(ctxs)])
+        else:
+            out = [task.step_fn(ctx) for ctx in ctxs]
+        for ctx, update in zip(ctxs, out):
+            for shard, piece in zip(shards, layout.scatter(update)):
+                shard.grads[(ctx.worker, ctx.iteration)] = piece
     while due is not None:
         values.append(task.eval_fn(gather(due[1])))
         due = next(evals, None)

@@ -5,6 +5,12 @@ caching whatever the backward pass needs.  Parameters and their gradients
 live in ordered dicts keyed by a short name; :class:`repro.ml.network.Network`
 flattens them into the single parameter vector the parameter server shards.
 
+Dense, ReLU and Flatten also have a *stacked* form: stateless, over a
+leading worker axis, with each worker's parameters and gradients as views
+of one row of a ``(B, P)`` block.  Per worker slice it does the very
+operations of ``forward``/``backward`` (``np.matmul`` calls one BLAS
+product per slice), so B workers' steps stack bit for bit.
+
 All math is vectorized NumPy over batched inputs (leading batch axis),
 per the HPC guide: no Python loops over samples.
 """
@@ -34,6 +40,21 @@ class Layer(abc.ABC):
     @abc.abstractmethod
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Given dL/d(output), fill ``self.grads`` and return dL/d(input)."""
+
+    #: Whether the layer has the stacked form below.
+    stackable = False
+
+    def stacked_forward(self, params, x):
+        """``forward`` for B workers at once: ``params`` are this layer's
+        tensors as ``(B, ...)`` views, ``x`` is ``(B, batch, ...)``.  Returns
+        the output and what :meth:`stacked_backward` needs."""
+        raise NotImplementedError(f"{self.name} has no stacked form")
+
+    def stacked_backward(self, params, grads, saved, dy, need_dx: bool = True):
+        """``backward`` for B workers: writes dL/d(param) into ``grads``
+        (``(B, ...)`` views) and returns dL/d(input).  A layer with
+        parameters skips that product unless ``need_dx``."""
+        raise NotImplementedError(f"{self.name} has no stacked form")
 
     def add_param(self, key: str, value: np.ndarray) -> None:
         self.params[key] = value
@@ -77,6 +98,18 @@ class Dense(Layer):
         self.grads["b"][...] = dy.sum(axis=0)
         return dy @ self.params["W"].T
 
+    stackable = True
+
+    def stacked_forward(self, params, x):
+        W, b = params
+        return np.matmul(x, W) + b[:, None], x
+
+    def stacked_backward(self, params, grads, x, dy, need_dx=True):
+        gW, gb = grads
+        np.matmul(x.transpose(0, 2, 1), dy, out=gW)
+        dy.sum(axis=1, out=gb)
+        return np.matmul(dy, params[0].transpose(0, 2, 1)) if need_dx else None
+
 
 class ReLU(Layer):
     """Rectified linear unit."""
@@ -94,6 +127,15 @@ class ReLU(Layer):
             raise RuntimeError(f"{self.name}: backward before forward")
         return dy * self._mask
 
+    stackable = True
+
+    def stacked_forward(self, params, x):
+        mask = x > 0
+        return x * mask, mask
+
+    def stacked_backward(self, params, grads, mask, dy, need_dx=True):
+        return dy * mask
+
 
 class Flatten(Layer):
     """Collapse all non-batch axes."""
@@ -110,6 +152,14 @@ class Flatten(Layer):
         if self._shape is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         return dy.reshape(self._shape)
+
+    stackable = True
+
+    def stacked_forward(self, params, x):
+        return x.reshape(x.shape[0], x.shape[1], -1), x.shape
+
+    def stacked_backward(self, params, grads, shape, dy, need_dx=True):
+        return dy.reshape(shape)
 
 
 class Dropout(Layer):

@@ -4,6 +4,10 @@ A :class:`Network` exposes its parameters as one flat fp64 vector (and its
 gradients likewise) in a deterministic order, which is the contract the
 parameter-server layer shards.  ``set_flat`` writes *in place* into the
 layer arrays, so layer objects keep their identity across updates.
+
+A :class:`Sequential` of stackable layers (an MLP) also runs B workers'
+passes as one: its parameters and gradients are then ``(B, P)`` blocks,
+one flat vector per row, and no layer keeps state between the passes.
 """
 
 from __future__ import annotations
@@ -89,6 +93,9 @@ class Network(abc.ABC):
             cursor += arr.size
         return out
 
+    #: Whether :meth:`Sequential.stacked_forward` applies (every layer stacks).
+    stackable = False
+
 
 class Sequential(Network):
     """Layers applied in order."""
@@ -117,6 +124,43 @@ class Sequential(Network):
         for layer in reversed(self._layers):
             dy = layer.backward(dy)
         return dy
+
+    @property
+    def stackable(self) -> bool:
+        return all(layer.stackable for layer in self._layers)
+
+    def _stacked_views(self, block: np.ndarray) -> List[List[np.ndarray]]:
+        """Each layer's tensors as ``(B, ...)`` views of a C-contiguous
+        ``(B, P)`` block, in flattening order."""
+        views, cursor = [], 0
+        for layer in self._layers:
+            own = []
+            for arr in layer.params.values():
+                own.append(block[:, cursor : cursor + arr.size].reshape((len(block),) + arr.shape))
+                cursor += arr.size
+            views.append(own)
+        return views
+
+    def stacked_forward(self, block: np.ndarray, x: np.ndarray):
+        """Row ``k`` of ``block`` is worker ``k``'s flat parameters, ``x[k]``
+        its batch: returns the ``(B, batch, ...)`` outputs and the tape
+        :meth:`stacked_backward` reads."""
+        tape = []
+        for layer, params in zip(self._layers, self._stacked_views(block)):
+            x, saved = layer.stacked_forward(params, x)
+            tape.append(saved)
+        return x, tape
+
+    def stacked_backward(self, block: np.ndarray, tape, dy: np.ndarray,
+                         out: np.ndarray) -> None:
+        """Write each worker's flat gradient into its row of ``out`` (a
+        C-contiguous ``(B, P)`` block).  No input gradient is computed
+        below the first layer with parameters."""
+        layers = self._layers
+        first = next((i for i, layer in enumerate(layers) if layer.params), len(layers))
+        params, grads = self._stacked_views(block), self._stacked_views(out)
+        for i in range(len(layers) - 1, first - 1, -1):
+            dy = layers[i].stacked_backward(params[i], grads[i], tape[i], dy, i > first)
 
 
 class ResidualBlock(Layer):

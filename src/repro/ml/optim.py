@@ -60,7 +60,10 @@ class Optimizer(abc.ABC):
 
     @abc.abstractmethod
     def update(self, grad: np.ndarray, params: np.ndarray, iteration: int) -> np.ndarray:
-        """Return the update to push (server applies ``w += u/N``)."""
+        """Return the update to push (server applies ``w += u/N``).
+
+        ``grad`` and ``params`` may be rows of blocks the caller reuses
+        (:meth:`repro.ml.training.TrainingTask.steps`): keep no reference."""
 
 
 class SGD(Optimizer):
@@ -90,8 +93,10 @@ class SGD(Optimizer):
         if self.momentum:
             if self._velocity is None:
                 self._velocity = np.zeros_like(g)
-            self._velocity = self.momentum * self._velocity + g
-            g = g + self.momentum * self._velocity if self.nesterov else self._velocity
+            v = self._velocity
+            v *= self.momentum  # in place: the two roundings of momentum * v + g
+            v += g
+            g = g + self.momentum * v if self.nesterov else v
         return -resolve_lr(self.lr, iteration) * g
 
 

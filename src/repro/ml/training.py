@@ -4,18 +4,24 @@ A :class:`TrainingTask` packages a network architecture, a dataset, and an
 optimizer into the pieces a runner needs: a :class:`ModelSpec` for
 sharding, initial flat parameters, a per-worker ``StepFn`` (Algorithm 1's
 ``step(w)``), and an evaluation function.
+
+``TrainingTask.steps`` takes B workers' steps at once; ``step_fn`` is its
+one-row case.  An MLP's steps run as one stacked forward/backward over a
+``(B, P)`` parameter block (:meth:`repro.ml.network.Sequential.stacked_forward`),
+each row bit for bit the step it would take alone; any other network
+steps its workers one by one, each on a network of its own.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.keyspace import ModelSpec
 from repro.core.step import StepContext
 from repro.ml.data import Dataset
-from repro.ml.loss import accuracy, softmax_cross_entropy
+from repro.ml.loss import accuracy, softmax_cross_entropy, stacked_softmax_cross_entropy
 from repro.ml.network import Network
 from repro.ml.optim import Optimizer, SGD
 from repro.utils.rng import derive_rng
@@ -62,6 +68,11 @@ class TrainingTask:
             raise ValueError("n_workers must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if dataset.n_train < n_workers:
+            raise ValueError(
+                f"{dataset.n_train} training samples cannot give each of "
+                f"{n_workers} workers a non-empty shard"
+            )
         self.build_net = build_net
         self.dataset = dataset
         self.n_workers = n_workers
@@ -88,13 +99,15 @@ class TrainingTask:
     # -- per-worker lazy state --------------------------------------------
 
     def _worker_net(self, worker: int) -> Network:
+        """A network of the worker's own: only a network that does not stack
+        keeps state (BatchNorm statistics, a Dropout stream) per worker."""
         if worker not in self._worker_nets:
             self._worker_nets[worker] = self.build_net()
         return self._worker_nets[worker]
 
     def _worker_opt(self, worker: int) -> Optimizer:
         if worker not in self._worker_opts:
-            self._worker_opts[worker] = self.optimizer_factory(self._worker_net(worker))
+            self._worker_opts[worker] = self.optimizer_factory(self._ref_net)
         return self._worker_opts[worker]
 
     def _worker_batch_iter(self, worker: int):
@@ -110,15 +123,57 @@ class TrainingTask:
         """Algorithm 1 worker step: forward/backward on the worker's shard
         with its current (possibly stale) parameters; returns the update
         to push (server applies ``w += u/N``)."""
-        net = self._worker_net(ctx.worker)
-        net.set_flat(ctx.params)
-        xb, yb = next(self._worker_batch_iter(ctx.worker))
-        logits = net.forward(xb, train=True)
-        loss, dlogits = softmax_cross_entropy(logits, yb)
-        self.loss_history.append(loss)
-        net.backward(dlogits)
-        grad = net.get_flat_grads()
-        return self._worker_opt(ctx.worker).update(grad, ctx.params, ctx.iteration)
+        return self.steps([ctx], ctx.params[None])[0]
+
+    def steps(self, ctxs: Sequence[StepContext], block: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The steps of ``len(ctxs)`` distinct workers, row ``k`` of the
+        ``(B, P)`` ``block`` holding ``ctxs[k]``'s parameters: returns their
+        updates, row ``k`` for ``ctxs[k]``, written into ``out`` (a
+        C-contiguous ``(B, P)`` block) when given.  Each row is the update
+        ``ctxs[k]``'s step alone returns, and ``loss_history`` grows in
+        ``ctxs`` order.  Workers whose minibatches differ in shape (shards
+        one sample apart) stack in same-shape groups."""
+        if out is None:
+            out = np.empty(block.shape)
+        batches = [next(self._worker_batch_iter(ctx.worker)) for ctx in ctxs]
+        if self._ref_net.stackable:
+            losses = np.empty(len(ctxs))
+            shapes = [xb.shape for xb, _ in batches]
+            for shape in dict.fromkeys(shapes):
+                rows = [k for k, s in enumerate(shapes) if s == shape]
+                if len(rows) == len(ctxs):
+                    losses[:] = self._stacked_grads(block, batches, out)
+                else:
+                    grads = np.empty((len(rows), block.shape[1]))
+                    losses[rows] = self._stacked_grads(
+                        block[rows], [batches[k] for k in rows], grads
+                    )
+                    out[rows] = grads
+            self.loss_history.extend(losses.tolist())
+        else:
+            for k, (ctx, (xb, yb)) in enumerate(zip(ctxs, batches)):
+                net = self._worker_net(ctx.worker)
+                net.set_flat(block[k])
+                loss, dlogits = softmax_cross_entropy(net.forward(xb, train=True), yb)
+                self.loss_history.append(loss)
+                net.backward(dlogits)
+                out[k] = net.get_flat_grads()
+        for k, ctx in enumerate(ctxs):
+            out[k] = self._worker_opt(ctx.worker).update(out[k], block[k], ctx.iteration)
+        return out
+
+    def _stacked_grads(self, block: np.ndarray, batches, out: np.ndarray) -> np.ndarray:
+        """One stacked forward/backward: each row's gradient into ``out``;
+        returns the losses."""
+        net = self._ref_net
+        # np.array, not np.stack: a C-ordered copy, so Flatten needs no second one.
+        logits, tape = net.stacked_forward(block, np.array([xb for xb, _ in batches]))
+        losses, dlogits = stacked_softmax_cross_entropy(
+            logits, np.array([yb for _, yb in batches])
+        )
+        net.stacked_backward(block, tape, dlogits, out)
+        return losses
 
     def eval_fn(self, params: np.ndarray) -> float:
         """Test accuracy of the given flat parameters."""

@@ -1,7 +1,7 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 24 mutants is a named function that takes pytest's
+Each of the 26 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
 :mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
@@ -9,9 +9,9 @@ delivery fusing, one in the event path's serve lane, one in
 :class:`repro.core.server.ShardServer`'s push apply, one in the protocol
 sanitizer's vector proof, one where the runner takes over a system to
 continue, three in the schedule log a real-gradient run's math is
-replayed from, three in the instant blocks of an observed collapsed
-round) for the length of a test — test code only, nothing under
-``src/`` imports this module.
+replayed from, two in the replay's cohort rule, three in the instant
+blocks of an observed collapsed round) for the length of a test — test
+code only, nothing under ``src/`` imports this module.
 All but three rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
@@ -28,6 +28,7 @@ import textwrap
 import numpy as np
 
 from repro.analysis.sanitizer import ShardChecker
+from repro.core import replay
 from repro.core.pssp import gradient_significance
 from repro.core.server import ShardServer
 from repro.sim import runner
@@ -284,6 +285,24 @@ def eval_read_one_event_late(monkeypatch) -> None:
 
     monkeypatch.setattr(runner.FluentPSSimRunner, "_end_iteration", mark)
     monkeypatch.setattr(runner.FluentPSSimRunner, "_serve", reread)
+
+
+def replay_cohort_reads_ahead(monkeypatch) -> None:
+    """The replay's cohort rule admits a step that reads the very version a
+    push of an earlier member makes (``>`` for ``>=``): its read needs a
+    push its cohort has not stepped yet.  Killer:
+    ``test_replay.py::TestCohorts::test_a_read_of_a_members_push_cuts``."""
+    _rewrite(
+        monkeypatch, replay, "cohorts",
+        "any(r >= v for r, v in zip(read, low))", "any(r > v for r, v in zip(read, low))",
+    )
+
+
+def replay_cohort_same_worker(monkeypatch) -> None:
+    """A worker's next step joins its own cohort when it reads no version
+    the cohort pushes.  Killer:
+    ``test_replay.py::TestCohorts::test_a_worker_never_joins_its_own_cohort``."""
+    _rewrite(monkeypatch, replay, "cohorts", "w in members or k in due", "k in due")
 
 
 def block_drops_dpr_released(monkeypatch) -> None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.workloads import blobs_task
 from repro.core.step import StepContext
 from repro.ml.data import gaussian_blobs
 from repro.ml.models_zoo import proxy_classifier
@@ -44,10 +45,23 @@ class TestTrainingTask:
         assert np.isfinite(u).all()
 
     def test_worker_state_isolated(self, task):
-        task.step_fn(StepContext(0, 0, task.init_params.copy(), derive_rng(0, "a")))
-        task.step_fn(StepContext(1, 0, task.init_params.copy(), derive_rng(0, "b")))
-        assert task._worker_nets[0] is not task._worker_nets[1]
-        assert task._worker_opts[0] is not task._worker_opts[1]
+        """A worker's updates (its momentum, its minibatch stream) are the
+        same whether or not another worker's steps are interleaved with its
+        own on the same task."""
+        def worker0_updates(t, interleave):
+            params, updates = t.init_params.copy(), []
+            for i in range(4):
+                updates.append(t.step_fn(StepContext(0, i, params, derive_rng(0, "a"))))
+                if interleave:
+                    t.step_fn(StepContext(1, i, params + 0.1, derive_rng(0, "b")))
+                params = params + updates[-1]
+            return np.stack(updates)
+
+        twin = TrainingTask(task.build_net, task.dataset, 2, batch_size=16,
+                            optimizer_factory=task.optimizer_factory, seed=3)
+        alone, interleaved = worker0_updates(task, False), worker0_updates(twin, True)
+        assert len(twin.loss_history) == 2 * len(task.loss_history)
+        assert alone.tobytes() == interleaved.tobytes()
 
     def test_eval_fn_range(self, task):
         acc = task.eval_fn(task.init_params)
@@ -81,6 +95,13 @@ class TestTrainingTask:
             TrainingTask(lambda: None, ds, n_workers=0)
         with pytest.raises(ValueError):
             TrainingTask(lambda: None, ds, n_workers=1, batch_size=0)
+
+    def test_fewer_samples_than_workers_refused(self):
+        """A worker with an empty shard would train on empty minibatches
+        and record NaN losses."""
+        with pytest.raises(ValueError, match="non-empty shard"):
+            blobs_task(8, n_train=4)
+        assert blobs_task(4, n_train=4).n_workers == 4
 
 
 class TestEvaluate:

@@ -9,13 +9,16 @@ from repro.core.conditions import PredicatePull, PredicatePush
 from repro.core.filters import NoFilter, TopKFilter
 from repro.core.models import dynamic_pssp, pssp, ssp
 from repro.core.pssp import significance_alpha
+from repro.core import replay as replay_module
 from repro.core.replay import replay
 from repro.ml.models_zoo import alexnet_cifar_workload
+from repro.ml.training import TrainingTask
 from repro.obs import NULL_OBS
 from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import HeterogeneousCompute
 
+from tests.mutants import replay_cohort_reads_ahead, replay_cohort_same_worker
 from tests.sim_helpers import CoupledRunner
 
 
@@ -97,20 +100,101 @@ class TestReplay:
         with pytest.raises(RuntimeError, match="before its step"):
             replay(runner.system, runner.cfg.task, log, seed=0)
 
-    def test_the_step_streams_are_the_coupled_runs(self):
+    def test_the_step_streams_are_the_coupled_runs(self, monkeypatch):
         """A step function that draws from ``ctx.rng``: each worker's stream
-        is consumed in its own step order on both paths."""
+        is consumed in its own step order on both paths.  Replaced on the
+        instance, ``step_fn`` is not the one-row case of ``steps``: it keeps
+        one call per step."""
         def make():
             task = blobs_task(3, n_train=120, n_test=60)
             step = task.step_fn
-
-            def noisy(ctx):
-                return step(ctx) + 1e-3 * ctx.rng.normal(size=ctx.params.shape)
-
-            task.step_fn = noisy
+            task.step_fn = lambda ctx: step(ctx) + NoisyTask.noise(ctx)
             return config(task=task)
 
-        replayed = FluentPSSimRunner(make()).run()
+        self.assert_one_call_per_step(make, monkeypatch)
+
+    def test_a_subclass_step_fn_keeps_one_call_per_step(self, monkeypatch):
+        def make():
+            task = blobs_task(3, n_train=120, n_test=60)
+            task.__class__ = NoisyTask
+            return config(task=task)
+
+        self.assert_one_call_per_step(make, monkeypatch)
+
+    @staticmethod
+    def assert_one_call_per_step(make, monkeypatch):
+        sizes = count_steps_calls(monkeypatch)
+        runner = FluentPSSimRunner(make())
+        replayed = runner.run()
+        assert sizes == [1] * runner.steps_replayed and runner.steps_replayed == 18
         coupled = CoupledRunner(make()).run()
         assert replayed.final_params.tobytes() == coupled.final_params.tobytes()
         assert not np.array_equal(replayed.final_params, config().task.init_params)
+
+
+class NoisyTask(TrainingTask):
+    @staticmethod
+    def noise(ctx):
+        return 1e-3 * ctx.rng.normal(size=ctx.params.shape)
+
+    def step_fn(self, ctx):
+        return super().step_fn(ctx) + self.noise(ctx)
+
+
+def count_steps_calls(monkeypatch):
+    """The cohort size of every ``TrainingTask.steps`` call from now on."""
+    sizes = []
+    steps = TrainingTask.steps
+
+    def counted(self, ctxs, *args, **kwargs):
+        sizes.append(len(ctxs))
+        return steps(self, ctxs, *args, **kwargs)
+
+    monkeypatch.setattr(TrainingTask, "steps", counted)
+    return sizes
+
+
+class TestCohorts:
+    """The replay steps a cohort of consecutive steps at a time: distinct
+    workers, no evaluation due inside, no read of a member's push.  On the
+    logs the stock runner writes, the first and the last cut coincide (a
+    worker's next step reads its own push), so the cohort mutants are
+    killed by the rule's direct tests, not by a run."""
+
+    def test_a_stock_run_steps_in_cohorts(self, monkeypatch):
+        sizes = count_steps_calls(monkeypatch)
+        runner = FluentPSSimRunner(config())
+        replayed = runner.run()
+        assert sizes == [3, 3, 2, 2, 3, 3, 2] and runner.steps_replayed == 18
+        coupled = CoupledRunner(config()).run()
+        assert replayed.final_params.tobytes() == coupled.final_params.tobytes()
+
+    def test_an_evaluation_cuts_its_cohort(self, monkeypatch):
+        sizes = count_steps_calls(monkeypatch)
+        FluentPSSimRunner(config(eval_every=2)).run()
+        assert sizes == [3, 1, 3, 2, 3, 2, 2, 2]
+
+    def test_a_worker_never_joins_its_own_cohort(self):
+        """Killer of ``replay_cohort_same_worker``."""
+        never = np.full((3, 1), np.iinfo(np.int64).max)
+        reads = np.zeros((3, 1), np.int64)
+        assert replay_module.cohorts([0, 0, 1], reads, never, []) == [(0, 1), (1, 3)]
+
+    def test_a_read_of_a_members_push_cuts(self):
+        """Killer of ``replay_cohort_reads_ahead``: step 2 reads shard 1 at
+        version 2, the version step 0's push makes there."""
+        reads = np.array([[0, 0], [0, 0], [0, 2]])
+        pushed = np.array([[1, 2], [2, 3], [3, 4]])
+        cut = replay_module.cohorts
+        assert cut([0, 1, 2], reads, pushed, []) == [(0, 2), (2, 3)]
+        assert cut([0, 1, 2], reads - 1, pushed, []) == [(0, 3)]
+        assert cut([0, 1, 2], reads - 1, pushed, [1]) == [(0, 1), (1, 3)]
+
+    @pytest.mark.parametrize("mutant, killer", [
+        (replay_cohort_reads_ahead, "test_a_read_of_a_members_push_cuts"),
+        (replay_cohort_same_worker, "test_a_worker_never_joins_its_own_cohort"),
+    ])
+    def test_the_cohort_mutants_die(self, mutant, killer, monkeypatch):
+        mutant(monkeypatch)
+        with pytest.raises(AssertionError):
+            getattr(self, killer)()
