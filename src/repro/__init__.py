@@ -7,8 +7,9 @@ Package map:
   synchronization, lazy pull execution, PSSP, EPS slicing;
 - :mod:`repro.sim` — discrete-event cluster simulator (the hardware
   substrate) and the co-simulation runner;
-- :mod:`repro.ml` — pure-NumPy DNN library, optimizers (SGD/LARS) and
-  synthetic CIFAR-like datasets;
+- :mod:`repro.ml` — pure-NumPy MLPs (Dense/ReLU/Flatten, softmax-CE, SGD
+  with momentum), AlexNet/ResNet-56 as shape specs, and synthetic
+  CIFAR-like datasets;
 - :mod:`repro.baselines` — PS-Lite and Bösen/SSPtable comparison systems;
 - :mod:`repro.parallel` — real-thread parameter-server runner;
 - :mod:`repro.theory` — SSP/PSSP regret bounds (Theorems 1-2);

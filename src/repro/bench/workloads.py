@@ -16,16 +16,13 @@ from repro.ml.data import gaussian_blobs, synthetic_cifar10, synthetic_cifar100
 from repro.ml.models_zoo import (
     Workload,
     alexnet_cifar_workload,
-    mini_alexnet,
     proxy_classifier,
     resnet56_cifar_workload,
-    resnet_cifar,
 )
 from repro.ml.optim import SGD
 from repro.ml.training import TrainingTask
 from repro.sim.cluster import no_network_cluster
 from repro.sim.runner import SimConfig
-from repro.utils.rng import derive_rng
 
 
 def blobs_task(
@@ -63,54 +60,14 @@ def cifar_proxy_task(
     batch_size: int = 16,
     lr: float = 0.05,
     seed: int = 0,
-    conv: bool = False,
 ) -> TrainingTask:
-    """Image-classification proxy: synthetic CIFAR images, MLP or conv net.
-
-    ``conv=True`` trains :func:`repro.ml.models_zoo.mini_alexnet` (slower,
-    closer to the paper's models); the default MLP keeps high-iteration
-    benches fast.
-    """
+    """Image-classification proxy: an MLP on synthetic CIFAR images."""
     if n_classes == 100:
         ds = synthetic_cifar100(n_train=n_train, n_test=n_test, seed=seed, size=size)
     else:
         ds = synthetic_cifar10(n_train=n_train, n_test=n_test, seed=seed, size=size)
-    if conv:
-        build = lambda: mini_alexnet(
-            n_classes=ds.n_classes, rng=derive_rng(seed, "init", "conv"), size=size
-        )
-    else:
-        build = lambda: proxy_classifier(ds, hidden=(48,), seed=seed + 1)
     return TrainingTask(
-        build,
-        ds,
-        n_workers=n_workers,
-        batch_size=batch_size,
-        optimizer_factory=lambda net: SGD(lr=lr, momentum=0.9),
-        seed=seed + 2,
-    )
-
-
-def resnet_proxy_task(
-    n_workers: int,
-    n_classes: int = 10,
-    depth: int = 8,
-    n_train: int = 400,
-    n_test: int = 120,
-    size: int = 12,
-    batch_size: int = 8,
-    lr: float = 0.05,
-    seed: int = 0,
-) -> TrainingTask:
-    """A genuinely-residual trainable proxy for the ResNet-56 rows."""
-    ds = synthetic_cifar10(n_train=n_train, n_test=n_test, seed=seed, size=size)
-    if n_classes == 100:
-        ds = synthetic_cifar100(n_train=n_train, n_test=n_test, seed=seed, size=size)
-    return TrainingTask(
-        lambda: resnet_cifar(
-            depth, n_classes=ds.n_classes, rng=derive_rng(seed, "init", "resnet"),
-            width=8, use_bn=False,
-        ),
+        lambda: proxy_classifier(ds, hidden=(48,), seed=seed + 1),
         ds,
         n_workers=n_workers,
         batch_size=batch_size,

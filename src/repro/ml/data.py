@@ -157,18 +157,3 @@ def gaussian_blobs(
     x_test, y_test = sample(n_test)
     return Dataset(f"blobs{n_classes}d{dim}", x_train, y_train, x_test, y_test, n_classes)
 
-
-def two_spirals(n_train: int = 2000, n_test: int = 500, noise: float = 0.15, seed: int = 0) -> Dataset:
-    """Classic non-linearly-separable 2-class task (examples/tests)."""
-    rng = derive_rng(seed, "dataset", "spirals")
-
-    def sample(n: int) -> Tuple[np.ndarray, np.ndarray]:
-        y = rng.integers(0, 2, size=n)
-        t = rng.uniform(0.25, 3.0, size=n) * np.pi
-        sign = 2 * y - 1
-        x = np.stack([sign * t * np.cos(t), sign * t * np.sin(t)], axis=1)
-        return x / np.pi + noise * rng.normal(size=(n, 2)), y
-
-    x_train, y_train = sample(n_train)
-    x_test, y_test = sample(n_test)
-    return Dataset("two_spirals", x_train, y_train, x_test, y_test, 2)

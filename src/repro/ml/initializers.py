@@ -14,19 +14,6 @@ def he_normal(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) -> 
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def xavier_uniform(
-    shape: Tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape)

@@ -51,11 +51,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 classification accuracy."""
     return float((logits.argmax(axis=1) == labels).mean())
 
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Top-k classification accuracy."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    k = min(k, logits.shape[1])
-    topk = np.argpartition(-logits, k - 1, axis=1)[:, :k]
-    return float((topk == labels[:, None]).any(axis=1).mean())

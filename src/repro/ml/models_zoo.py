@@ -1,10 +1,10 @@
-"""Model builders: MLP proxies, mini-AlexNet, CIFAR ResNets, wire specs.
+"""Model builders: MLP proxies and the paper's networks as wire specs.
 
 Two uses, mirroring DESIGN.md's substitution table:
 
-- *trainable* networks (``mlp``, ``proxy_classifier``, ``mini_alexnet``,
-  small ``resnet_cifar``) do real gradient math in convergence runs;
-- *shape-accurate* :class:`~repro.core.keyspace.ModelSpec`\\ s for the
+- *trainable* MLPs (``mlp``, ``proxy_classifier``) do the real gradient
+  math in convergence runs;
+- *shape-accurate* :class:`~repro.core.keyspace.ModelSpec`\\ s of the
   paper's exact architectures (``alexnet_cifar_spec``,
   ``resnet_cifar_spec(56)``) size the communication in timing-only
   simulations, together with canonical FLOP counts.
@@ -13,15 +13,14 @@ Two uses, mirroring DESIGN.md's substitution table:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.keyspace import ModelSpec, TensorSpec
-from repro.ml.conv import Conv2D, GlobalAvgPool2D, MaxPool2D
 from repro.ml.data import Dataset
-from repro.ml.layers import Dense, Dropout, Flatten, ReLU
-from repro.ml.network import ResidualBlock, Sequential
+from repro.ml.layers import Dense, Flatten, Layer, ReLU
+from repro.ml.network import Sequential
 from repro.utils.rng import derive_rng
 
 
@@ -30,16 +29,13 @@ def mlp(
     hidden: Sequence[int],
     n_classes: int,
     rng: np.random.Generator,
-    dropout: float = 0.0,
 ) -> Sequential:
     """Multi-layer perceptron with ReLU activations."""
-    layers: List = []
+    layers: List[Layer] = []
     prev = in_dim
     for h in hidden:
         layers.append(Dense(prev, h, rng))
         layers.append(ReLU())
-        if dropout > 0:
-            layers.append(Dropout(dropout, rng))
         prev = h
     layers.append(Dense(prev, n_classes, rng))
     return Sequential(layers)
@@ -54,64 +50,8 @@ def proxy_classifier(
     if x.ndim > 2:
         in_dim = int(np.prod(x.shape[1:]))
         net = mlp(in_dim, hidden, dataset.n_classes, rng)
-        return Sequential([Flatten()] + list(net._layers))
+        return Sequential([Flatten()] + net.layers)
     return mlp(x.shape[1], hidden, dataset.n_classes, rng)
-
-
-def mini_alexnet(
-    n_classes: int = 10,
-    rng: Optional[np.random.Generator] = None,
-    channels: int = 3,
-    size: int = 32,
-) -> Sequential:
-    """A trainable, shrunken AlexNet-for-CIFAR (conv-pool ×2 + 2 FC)."""
-    rng = rng if rng is not None else derive_rng(0, "init", "mini_alexnet")
-    feat = size // 4  # two 2x pools
-    return Sequential(
-        [
-            Conv2D(channels, 16, 3, rng, pad=1),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(16, 32, 3, rng, pad=1),
-            ReLU(),
-            MaxPool2D(2),
-            Flatten(),
-            Dense(32 * feat * feat, 64, rng),
-            ReLU(),
-            Dense(64, n_classes, rng),
-        ]
-    )
-
-
-def resnet_cifar(
-    depth: int,
-    n_classes: int = 10,
-    rng: Optional[np.random.Generator] = None,
-    width: int = 16,
-    use_bn: bool = True,
-    channels: int = 3,
-) -> Sequential:
-    """CIFAR ResNet of He et al.: depth = 6n+2 (20, 32, 44, **56**, ...).
-
-    Three stages of n basic blocks at widths (w, 2w, 4w) with stride-2
-    transitions, global average pooling, and a linear classifier.
-    ``resnet_cifar(56)`` reproduces the paper's 0.86M-parameter model;
-    ``resnet_cifar(8)`` is the fast trainable proxy.
-    """
-    if (depth - 2) % 6 != 0 or depth < 8:
-        raise ValueError(f"CIFAR ResNet depth must be 6n+2 with n>=1, got {depth}")
-    n = (depth - 2) // 6
-    rng = rng if rng is not None else derive_rng(0, "init", f"resnet{depth}")
-    layers: List = [Conv2D(channels, width, 3, rng, pad=1), ReLU()]
-    in_ch = width
-    for stage, out_ch in enumerate((width, 2 * width, 4 * width)):
-        for block in range(n):
-            stride = 2 if (stage > 0 and block == 0) else 1
-            layers.append(ResidualBlock(in_ch, out_ch, rng, stride=stride, use_bn=use_bn))
-            in_ch = out_ch
-    layers.append(GlobalAvgPool2D())
-    layers.append(Dense(in_ch, n_classes, rng))
-    return Sequential(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +100,40 @@ def alexnet_cifar_spec(n_classes: int = 10) -> ModelSpec:
 
 
 def resnet_cifar_spec(depth: int = 56, n_classes: int = 10) -> ModelSpec:
-    """Exact tensor shapes of the CIFAR ResNet at the requested depth."""
-    net = resnet_cifar(depth, n_classes=n_classes, rng=derive_rng(0, "spec", depth))
-    return net.model_spec(f"resnet{depth}-cifar")
+    """Exact tensor shapes of the CIFAR ResNet of He et al. (paper ref
+    [1]): depth = 6n+2 (20, 32, 44, **56**, ...).
+
+    A 3x3 stem conv and ReLU, three stages of n basic blocks at widths
+    (16, 32, 64) with stride-2 transitions, global average pooling and a
+    linear classifier.  A basic block is conv-BN-conv-BN, plus a 1x1
+    projection conv-BN on the shortcut of each block that changes the
+    width.  Tensor names are ``L{i}.{layer}.{param}``, ``i`` counting every
+    layer in that order, the stem's ReLU and the pooling included.
+    ``resnet_cifar_spec(56)`` is the paper's 0.86M-parameter model.
+    """
+    if (depth - 2) % 6 != 0 or depth < 8:
+        raise ValueError(f"CIFAR ResNet depth must be 6n+2 with n>=1, got {depth}")
+
+    def conv(c_in, c_out, k):
+        return f"conv{c_in}x{c_out}k{k}", [("W", (c_out, c_in, k, k)), ("b", (c_out,))]
+
+    def bn(c):
+        return f"bn{c}", [("gamma", (c,)), ("beta", (c,))]
+
+    layers = [conv(3, 16, 3), ("relu", [])]
+    c_in = 16
+    for c_out in (16, 32, 64):
+        for _block in range((depth - 2) // 6):
+            layers += [conv(c_in, c_out, 3), bn(c_out), conv(c_out, c_out, 3), bn(c_out)]
+            if c_in != c_out:
+                layers += [conv(c_in, c_out, 1), bn(c_out)]
+            c_in = c_out
+    layers += [("gap", []), (f"dense{c_in}x{n_classes}", [("W", (c_in, n_classes)),
+                                                          ("b", (n_classes,))])]
+    return ModelSpec.from_tensors(f"resnet{depth}-cifar", [
+        TensorSpec(f"L{i}.{name}.{key}", shape)
+        for i, (name, params) in enumerate(layers) for key, shape in params
+    ])
 
 
 def alexnet_cifar_workload(n_classes: int = 10) -> Workload:

@@ -6,10 +6,9 @@ sharding, initial flat parameters, a per-worker ``StepFn`` (Algorithm 1's
 ``step(w)``), and an evaluation function.
 
 ``TrainingTask.steps`` takes B workers' steps at once; ``step_fn`` is its
-one-row case.  An MLP's steps run as one stacked forward/backward over a
+one-row case.  The steps run as one stacked forward/backward over a
 ``(B, P)`` parameter block (:meth:`repro.ml.network.Sequential.stacked_forward`),
-each row bit for bit the step it would take alone; any other network
-steps its workers one by one, each on a network of its own.
+each row bit for bit the step it would take alone.
 """
 
 from __future__ import annotations
@@ -21,31 +20,21 @@ import numpy as np
 from repro.core.keyspace import ModelSpec
 from repro.core.step import StepContext
 from repro.ml.data import Dataset
-from repro.ml.loss import accuracy, softmax_cross_entropy, stacked_softmax_cross_entropy
-from repro.ml.network import Network
+from repro.ml.loss import accuracy, stacked_softmax_cross_entropy
+from repro.ml.network import Sequential
 from repro.ml.optim import Optimizer, SGD
 from repro.utils.rng import derive_rng
 
 
-def evaluate(
-    net: Network,
-    x: np.ndarray,
-    y: np.ndarray,
-    batch_size: int = 512,
-    train_mode: bool = False,
-) -> float:
-    """Classification accuracy over a full set, batched to bound memory.
-
-    ``train_mode=True`` makes BatchNorm use batch statistics — needed when
-    evaluating a BN network whose running stats were never trained
-    centrally (each worker tracked its own)."""
+def evaluate(net: Sequential, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
+    """Classification accuracy over a full set, batched to bound memory."""
     if len(x) == 0:
         raise ValueError("cannot evaluate on an empty set")
     correct = 0.0
     for start in range(0, len(x), batch_size):
         xb = x[start : start + batch_size]
         yb = y[start : start + batch_size]
-        logits = net.forward(xb, train=train_mode)
+        logits = net.forward(xb)
         correct += accuracy(logits, yb) * len(xb)
     return correct / len(x)
 
@@ -55,14 +44,13 @@ class TrainingTask:
 
     def __init__(
         self,
-        build_net: Callable[[], Network],
+        build_net: Callable[[], Sequential],
         dataset: Dataset,
         n_workers: int,
         batch_size: int = 32,
-        optimizer_factory: Optional[Callable[[Network], Optimizer]] = None,
+        optimizer_factory: Optional[Callable[[Sequential], Optimizer]] = None,
         seed: int = 0,
         eval_subsample: Optional[int] = None,
-        eval_train_mode: bool = False,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -79,13 +67,11 @@ class TrainingTask:
         self.batch_size = batch_size
         self.optimizer_factory = optimizer_factory or (lambda net: SGD(lr=0.1))
         self.seed = seed
-        self.eval_train_mode = eval_train_mode
 
         self._ref_net = build_net()
         self.spec: ModelSpec = self._ref_net.model_spec(dataset.name)
         self.init_params: np.ndarray = self._ref_net.get_flat()
 
-        self._worker_nets: Dict[int, Network] = {}
         self._worker_opts: Dict[int, Optimizer] = {}
         self._worker_batches: Dict[int, object] = {}
         self.loss_history: List[float] = []
@@ -97,13 +83,6 @@ class TrainingTask:
         self._y_eval = dataset.y_test[idx]
 
     # -- per-worker lazy state --------------------------------------------
-
-    def _worker_net(self, worker: int) -> Network:
-        """A network of the worker's own: only a network that does not stack
-        keeps state (BatchNorm statistics, a Dropout stream) per worker."""
-        if worker not in self._worker_nets:
-            self._worker_nets[worker] = self.build_net()
-        return self._worker_nets[worker]
 
     def _worker_opt(self, worker: int) -> Optimizer:
         if worker not in self._worker_opts:
@@ -137,28 +116,19 @@ class TrainingTask:
         if out is None:
             out = np.empty(block.shape)
         batches = [next(self._worker_batch_iter(ctx.worker)) for ctx in ctxs]
-        if self._ref_net.stackable:
-            losses = np.empty(len(ctxs))
-            shapes = [xb.shape for xb, _ in batches]
-            for shape in dict.fromkeys(shapes):
-                rows = [k for k, s in enumerate(shapes) if s == shape]
-                if len(rows) == len(ctxs):
-                    losses[:] = self._stacked_grads(block, batches, out)
-                else:
-                    grads = np.empty((len(rows), block.shape[1]))
-                    losses[rows] = self._stacked_grads(
-                        block[rows], [batches[k] for k in rows], grads
-                    )
-                    out[rows] = grads
-            self.loss_history.extend(losses.tolist())
-        else:
-            for k, (ctx, (xb, yb)) in enumerate(zip(ctxs, batches)):
-                net = self._worker_net(ctx.worker)
-                net.set_flat(block[k])
-                loss, dlogits = softmax_cross_entropy(net.forward(xb, train=True), yb)
-                self.loss_history.append(loss)
-                net.backward(dlogits)
-                out[k] = net.get_flat_grads()
+        losses = np.empty(len(ctxs))
+        shapes = [xb.shape for xb, _ in batches]
+        for shape in dict.fromkeys(shapes):
+            rows = [k for k, s in enumerate(shapes) if s == shape]
+            if len(rows) == len(ctxs):
+                losses[:] = self._stacked_grads(block, batches, out)
+            else:
+                grads = np.empty((len(rows), block.shape[1]))
+                losses[rows] = self._stacked_grads(
+                    block[rows], [batches[k] for k in rows], grads
+                )
+                out[rows] = grads
+        self.loss_history.extend(losses.tolist())
         for k, ctx in enumerate(ctxs):
             out[k] = self._worker_opt(ctx.worker).update(out[k], block[k], ctx.iteration)
         return out
@@ -179,7 +149,7 @@ class TrainingTask:
         """Test accuracy of the given flat parameters."""
         net = self._ref_net
         net.set_flat(params)
-        return evaluate(net, self._x_eval, self._y_eval, train_mode=self.eval_train_mode)
+        return evaluate(net, self._x_eval, self._y_eval)
 
     def mean_recent_loss(self, window: int = 50) -> float:
         if not self.loss_history:

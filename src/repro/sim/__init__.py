@@ -4,7 +4,7 @@ This subpackage is the hardware substrate substituting for the paper's AWS
 GPU cluster and 64/128-node CPU cluster (see DESIGN.md).  It provides:
 
 - :mod:`repro.sim.engine` — deterministic event loop with generator-based
-  processes, signals, FIFO resources and stores;
+  processes and signals;
 - :mod:`repro.sim.network` — NIC/fabric model with serialization, latency
   and contention;
 - :mod:`repro.sim.cluster` — node and cluster specifications plus the two
@@ -16,7 +16,7 @@ GPU cluster and 64/128-node CPU cluster (see DESIGN.md).  It provides:
   the network model and real NumPy gradient math.
 """
 
-from repro.sim.engine import AllOf, Engine, Process, Resource, Signal, Store, Timeout
+from repro.sim.engine import AllOf, Engine, Process, Signal, Timeout
 from repro.sim.network import Message, Network, NicSpec
 from repro.sim.cluster import ClusterSpec, NodeSpec, cpu_cluster, gpu_cluster_p2
 from repro.sim.stragglers import (
@@ -33,9 +33,7 @@ __all__ = [
     "AllOf",
     "Engine",
     "Process",
-    "Resource",
     "Signal",
-    "Store",
     "Timeout",
     "Message",
     "Network",

@@ -599,99 +599,3 @@ class Engine:
     def events_processed(self) -> int:
         return self._events_processed
 
-
-class Resource:
-    """FIFO resource with integer capacity (models a NIC lane, a GPU...).
-
-    ``acquire()`` returns a :class:`Signal` the caller yields on; the
-    payload is an opaque grant token that must be passed to ``release``.
-    Uncontended acquires reuse one shared pre-fired grant signal, so the
-    fast path allocates nothing (the incast hot loop acquires and
-    releases one lane per message).
-    """
-
-    __slots__ = ("_engine", "_capacity", "_in_use", "_queue", "_granted", "name")
-
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self._engine = engine
-        self._capacity = capacity
-        self._in_use = 0
-        self._queue: List[Signal] = []
-        self.name = name
-        # Shared immediate-grant signal: fired signals are immutable, so
-        # every uncontended acquire can hand back the same one.
-        self._granted = Signal(engine, name=name + ".grant")
-        self._granted._fired = True
-        self._granted._payload = self
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    def acquire(self) -> Signal:
-        """Request the resource; yield the returned signal to wait for grant."""
-        if self._in_use < self._capacity:
-            self._in_use += 1
-            return self._granted
-        sig = Signal(self._engine, name=self.name + ".grant")
-        self._queue.append(sig)
-        return sig
-
-    def release(self) -> None:
-        """Release one grant, waking the next FIFO waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._queue:
-            nxt = self._queue.pop(0)
-            nxt.fire(self)
-        else:
-            self._in_use -= 1
-
-    def use(self, hold: float) -> ProcessGen:
-        """Process body: acquire, hold for ``hold`` seconds, release."""
-        yield self.acquire()
-        yield Timeout(hold)
-        self.release()
-
-
-class Store:
-    """Unbounded FIFO message queue with blocking ``get``."""
-
-    __slots__ = ("_engine", "_items", "_getters", "name")
-
-    def __init__(self, engine: Engine, name: str = ""):
-        self._engine = engine
-        self._items: List[Any] = []
-        self._getters: List[Signal] = []
-        self.name = name
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append an item, waking the oldest blocked getter if any."""
-        if self._getters:
-            sig = self._getters.pop(0)
-            sig.fire(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Signal:
-        """A signal fired with the next item (immediately if one is queued)."""
-        sig = Signal(self._engine, name=self.name)
-        if self._items:
-            sig._fired = True
-            sig._payload = self._items.pop(0)
-        else:
-            self._getters.append(sig)
-        return sig

@@ -1,7 +1,8 @@
 """Reference simulator: the one oracle every fast path is compared with.
 
 The textbook queueing description of the co-simulation, on the generic kit
-(:class:`Engine`, :class:`Resource`, :class:`Store`, generator processes):
+(:class:`Engine`, generator processes, and the :class:`Resource` and
+:class:`Store` defined here):
 
 - **one process per message** — acquire the sender's TX lane, hold
   ``nic.serialize_time(size)``, release, hold the propagation latency,
@@ -10,7 +11,10 @@ The textbook queueing description of the co-simulation, on the generic kit
   ``ShardServer.handle_push``/``handle_pull``, then stay busy for
   ``server_op_overhead_s + ΔDPRs · dpr_overhead_s``;
 - **one process per worker** — Algorithm 1 lines 4–6: compute, sPush every
-  shard, sPull every shard, wait for the M replies.
+  shard, sPull every shard, wait for the M replies;
+- **worker 0's evaluation** reads, per shard, the parameters after every
+  push whose TX has ended, those still on the wire or in the inbox
+  included: the read DESIGN.md states as "the evaluation read-ahead".
 
 No lane cursors, no sinks, no fused deliveries or gathers, no round
 collapse.  The engine supplies the one FIFO-at-equal-times rule, so
@@ -35,10 +39,99 @@ from repro.core.models import SyncModel
 from repro.core.server import PullReply, ShardServer
 from repro.core.step import StepContext
 from repro.obs import current_observability
-from repro.sim.engine import Engine, Resource, Signal, Store
+from repro.sim.engine import Engine, Signal, SimulationError
 from repro.sim.runner import SimConfig
 from repro.sim.stragglers import LogNormalCompute
 from repro.utils.rng import derive_rng
+
+
+class Resource:
+    """FIFO resource with integer capacity (a NIC lane here).
+
+    ``acquire()`` returns a :class:`Signal` the caller yields on; the
+    payload is an opaque grant token that must be passed to ``release``.
+    Uncontended acquires reuse one shared pre-fired grant signal.
+    """
+
+    __slots__ = ("_engine", "_capacity", "_in_use", "_queue", "_granted", "name")
+
+    def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
+        self._engine = engine
+        self._capacity = capacity
+        self._in_use = 0
+        self._queue: List[Signal] = []
+        self.name = name
+        # Shared immediate-grant signal: fired signals are immutable, so
+        # every uncontended acquire can hand back the same one.
+        self._granted = Signal(engine, name=name + ".grant")
+        self._granted._fired = True
+        self._granted._payload = self
+
+    @property
+    def capacity(self) -> int:
+        return self._capacity
+
+    @property
+    def in_use(self) -> int:
+        return self._in_use
+
+    @property
+    def queue_length(self) -> int:
+        return len(self._queue)
+
+    def acquire(self) -> Signal:
+        """Request the resource; yield the returned signal to wait for grant."""
+        if self._in_use < self._capacity:
+            self._in_use += 1
+            return self._granted
+        sig = Signal(self._engine, name=self.name + ".grant")
+        self._queue.append(sig)
+        return sig
+
+    def release(self) -> None:
+        """Release one grant, waking the next FIFO waiter if any."""
+        if self._in_use <= 0:
+            raise SimulationError(f"release of idle resource {self.name!r}")
+        if self._queue:
+            nxt = self._queue.pop(0)
+            nxt.fire(self)
+        else:
+            self._in_use -= 1
+
+
+class Store:
+    """Unbounded FIFO message queue with blocking ``get``."""
+
+    __slots__ = ("_engine", "_items", "_getters", "name")
+
+    def __init__(self, engine: Engine, name: str = ""):
+        self._engine = engine
+        self._items: List[Any] = []
+        self._getters: List[Signal] = []
+        self.name = name
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def put(self, item: Any) -> None:
+        """Append an item, waking the oldest blocked getter if any."""
+        if self._getters:
+            sig = self._getters.pop(0)
+            sig.fire(item)
+        else:
+            self._items.append(item)
+
+    def get(self) -> Signal:
+        """A signal fired with the next item (immediately if one is queued)."""
+        sig = Signal(self._engine, name=self.name)
+        if self._items:
+            sig._fired = True
+            sig._payload = self._items.pop(0)
+        else:
+            self._getters.append(sig)
+        return sig
 
 
 class _Node:
@@ -65,6 +158,8 @@ class _Wire:
         self.nodes = {name: _Node(engine, name, nic) for name, nic in nics.items()}
         #: (src, dst, tag, size, send_time, deliver_time), in delivery order.
         self.trace: List[tuple] = []
+        #: Called with ``(dst, tag)`` when a message leaves its sender's TX lane.
+        self.on_tx_end = lambda dst, tag: None
 
     def send(self, src: str, dst: str, size: int, tag: str = "", payload: Any = None) -> None:
         self.engine.spawn(
@@ -76,6 +171,7 @@ class _Wire:
         hold = src.nic.serialize_time(size)
         yield hold
         src.tx.release()
+        self.on_tx_end(dst.name, tag)
         src.tx_busy_s += hold
         src.bytes_sent += size
         src.messages_sent += 1
@@ -164,6 +260,18 @@ class ReferenceSim:
         self.pulls: Dict[int, _Pull] = {}
         self.finish_times = [0.0] * n
         self.evals: List[Tuple[float, int, float]] = []
+        #: Per shard: pushes that left their sender's TX lane, pushes handled.
+        self.pushes_sent, self.pushes_handled = [0] * m, [0] * m
+        #: Evaluations waiting for their shards: (time, iteration, pushes
+        #: per shard, the shard parameters captured so far).
+        self._due: List[Tuple[float, int, List[int], List[Optional[np.ndarray]]]] = []
+        server_index = {name: j for j, name in enumerate(self.server_ids)}
+
+        def tx_end(dst: str, tag: str) -> None:
+            if tag == "push":
+                self.pushes_sent[server_index[dst]] += 1
+
+        self.wire.on_tx_end = tx_end
 
     def _payload_bytes(self, j: int) -> int:
         cfg = self.cfg
@@ -171,6 +279,17 @@ class ReferenceSim:
 
     def _global_params(self) -> np.ndarray:
         return self.layout.gather([s.params for s in self.servers])
+
+    def _capture(self, j: int) -> None:
+        """Copy shard ``j``'s parameters into every due evaluation that reads
+        them after exactly the pushes it has handled; evaluate, in order,
+        the ones whose every shard is captured."""
+        for _t, _i, sent, shards in self._due:
+            if shards[j] is None and sent[j] == self.pushes_handled[j]:
+                shards[j] = self.servers[j].params.copy()
+        while self._due and all(p is not None for p in self._due[0][3]):
+            t, i, _sent, shards = self._due.pop(0)
+            self.evals.append((t, i, self.cfg.task.eval_fn(self.layout.gather(shards))))
 
     def _server(self, j: int):
         cfg = self.cfg
@@ -181,6 +300,8 @@ class ReferenceSim:
             dprs = server.metrics.dprs
             if kind == "push":
                 server.handle_push(w, i, grad=shard)
+                self.pushes_handled[j] += 1
+                self._capture(j)
             else:
                 server.handle_pull(w, i, respond=lambda reply, j=j: self._reply(j, reply))
             cost = cfg.server_op_overhead_s + (server.metrics.dprs - dprs) * cfg.dpr_overhead_s
@@ -231,7 +352,10 @@ class ReferenceSim:
                 params = pull.flat
             if w == 0 and task is not None and cfg.eval_every > 0:
                 if (i + 1) % cfg.eval_every == 0 or i + 1 == cfg.max_iter:
-                    self.evals.append((engine.now, i + 1, task.eval_fn(self._global_params())))
+                    self._due.append((engine.now, i + 1, list(self.pushes_sent),
+                                      [None] * len(server_ids)))
+                    for j in range(len(server_ids)):
+                        self._capture(j)
         self.finish_times[w] = engine.now
 
     def run(self) -> ReferenceRun:
@@ -243,6 +367,8 @@ class ReferenceSim:
         self.engine.run()
         if any(p.remaining for p in self.pulls.values()):
             raise RuntimeError("reference drained with unanswered pulls (deadlock)")
+        if self._due:
+            raise RuntimeError("reference drained with an evaluation of pushes never handled")
         final = self._global_params() if self.cfg.task is not None else None
         wire = self.wire
         return ReferenceRun(

@@ -242,7 +242,9 @@ def assert_matches_reference(
     compare by the rule: the wire (:func:`assert_same_wire`, hooked runs
     only — an unhooked run has no trace), finish times, endpoint counters,
     server metrics with staleness histograms, final params, the eval
-    series, and under observability each shard's protocol instant stream.
+    series and what each evaluation read (as digests,
+    :func:`fingerprint_evals`), and under observability each shard's
+    protocol instant stream.
 
     ``obs`` is always explicit: the ambient pytest sanitizer is causal and
     would silently route production off every fused path.  ``cfg_kwargs``
@@ -250,12 +252,15 @@ def assert_matches_reference(
     ``(runner, result, reference run)`` for cell-specific assertions."""
     make_kwargs = cfg_kwargs if callable(cfg_kwargs) else lambda: cfg_kwargs
     obs, ref_obs = make_obs(), make_obs()
-    runner = runner_cls(SimConfig(**make_kwargs(), obs=obs))
+    kwargs, ref_kwargs = make_kwargs(), make_kwargs()
+    read, ref_read = (fingerprint_evals(k["task"]) if k.get("task") else []
+                      for k in (kwargs, ref_kwargs))
+    runner = runner_cls(SimConfig(**kwargs, obs=obs))
     trace = []
     if hooked:
         runner.net.on_delivery(lambda msg: trace.append(wire_row(msg)))
     result = runner.run()
-    ref = ReferenceSim(SimConfig(**make_kwargs(), obs=ref_obs)).run()
+    ref = ReferenceSim(SimConfig(**ref_kwargs, obs=ref_obs)).run()
     assert ref.trace, "the reference produced no traffic"
     if hooked:
         assert_same_wire(trace, ref.trace)
@@ -268,6 +273,7 @@ def assert_matches_reference(
         assert result.final_params.tobytes() == ref.final_params.tobytes()
     evals = list(zip(result.eval_by_time.x, result.eval_by_iteration.x, result.eval_by_time.y))
     assert evals == ref.evals
+    assert read == ref_read and len(read) == len(evals)
     if obs.enabled:
         for shard in range(len(ref.servers)):
             assert shard_instants(obs, shard) == shard_instants(ref_obs, shard), shard

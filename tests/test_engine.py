@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.sim.engine import (
     AllOf,
     Engine,
-    Resource,
     SimulationError,
-    Store,
     Timeout,
 )
 
@@ -256,93 +254,6 @@ class TestProcess:
         assert got == [[]]
 
 
-class TestResource:
-    def test_fifo_serialization(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        order = []
-
-        def user(i, hold):
-            yield res.acquire()
-            yield Timeout(hold)
-            order.append((i, eng.now))
-            res.release()
-
-        for i in range(3):
-            eng.spawn(user(i, 2.0))
-        eng.run()
-        assert order == [(0, 2.0), (1, 4.0), (2, 6.0)]
-
-    def test_capacity_two_overlaps(self):
-        eng = Engine()
-        res = Resource(eng, capacity=2)
-        order = []
-
-        def user(i):
-            yield res.acquire()
-            yield Timeout(2.0)
-            order.append((i, eng.now))
-            res.release()
-
-        for i in range(4):
-            eng.spawn(user(i))
-        eng.run()
-        assert [t for _i, t in order] == [2.0, 2.0, 4.0, 4.0]
-
-    def test_release_idle_rejected(self):
-        eng = Engine()
-        res = Resource(eng)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulationError):
-            Resource(Engine(), capacity=0)
-
-    def test_queue_length_tracking(self):
-        eng = Engine()
-        res = Resource(eng)
-        res.acquire()
-        res.acquire()
-        res.acquire()
-        assert res.in_use == 1
-        assert res.queue_length == 2
-
-
-class TestStore:
-    def test_put_then_get(self):
-        eng = Engine()
-        store = Store(eng)
-        store.put("a")
-        store.put("b")
-        got = []
-        store.get().subscribe(got.append)
-        store.get().subscribe(got.append)
-        eng.run()
-        assert got == ["a", "b"]
-
-    def test_get_blocks_until_put(self):
-        eng = Engine()
-        store = Store(eng)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((eng.now, item))
-
-        eng.spawn(consumer())
-        eng.call_in(3.0, lambda: store.put("late"))
-        eng.run()
-        assert got == [(3.0, "late")]
-
-    def test_len(self):
-        eng = Engine()
-        store = Store(eng)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-
-
 class TestDeterminism:
     @given(
         delays=st.lists(
@@ -364,30 +275,6 @@ class TestDeterminism:
         assert a == b
         times = [t for t, _ in a]
         assert times == sorted(times)
-
-    @given(
-        holds=st.lists(
-            st.floats(min_value=0.01, max_value=5.0, allow_nan=False), min_size=1,
-            max_size=15,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_resource_conserves_total_hold(self, holds):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        done = []
-
-        def user(hold):
-            yield res.acquire()
-            yield Timeout(hold)
-            res.release()
-            done.append(eng.now)
-
-        for h in holds:
-            eng.spawn(user(h))
-        eng.run()
-        assert len(done) == len(holds)
-        assert done[-1] == pytest.approx(sum(holds))
 
 
 class TestCallEvery:

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.baselines.pslite import run_pslite
@@ -101,37 +100,6 @@ class TestSystemsComparison:
         # At this tiny scale all three should learn; FluentPS is not worse.
         assert accs["fluentps"] > 0.5
         assert accs["fluentps"] >= accs["ssptable"] - 0.1
-
-
-class TestLargeBatchLARS:
-    """The paper trains its large batches with LARS (§IV-A); run it
-    end-to-end through the co-simulation."""
-
-    def test_lars_trains_through_the_ps(self):
-        from repro.ml.data import gaussian_blobs
-        from repro.ml.models_zoo import proxy_classifier
-        from repro.ml.optim import LARS, warmup
-        from repro.ml.training import TrainingTask
-
-        n = 4
-        ds = gaussian_blobs(n_classes=6, dim=24, n_train=1200, n_test=300, seed=9)
-        task = TrainingTask(
-            lambda: proxy_classifier(ds, hidden=(32,), seed=1),
-            ds,
-            n_workers=n,
-            batch_size=64,  # large batch per worker — LARS's regime
-            optimizer_factory=lambda net: LARS(
-                net.tensor_slices(), lr=warmup(2.0, warmup_iters=20),
-                momentum=0.9, weight_decay=1e-4, eta=0.01,
-            ),
-            seed=2,
-        )
-        r = run_fluentps(SimConfig(
-            cluster=cpu_cluster(n, 2), max_iter=250, sync=ssp(2),
-            task=task, seed=3, base_compute_time=0.4, eval_every=250,
-        ))
-        assert np.isfinite(r.final_params).all()
-        assert r.eval_by_iteration.final() > 0.5
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.step import StepContext
 from repro.ml.data import gaussian_blobs, synthetic_cifar10
-from repro.ml.models_zoo import mini_alexnet, proxy_classifier
-from repro.ml.optim import LARS, SGD, Adam, resolve_lr
+from repro.ml.models_zoo import proxy_classifier
+from repro.ml.optim import SGD
 from repro.ml.training import TrainingTask
 from repro.utils.rng import derive_rng
 
@@ -31,13 +31,11 @@ class _FrozenSGD:
 
     def update(self, grad, params, iteration):
         s, g = self.sgd, grad
-        if s.weight_decay:
-            g = g + s.weight_decay * params
         if s.momentum:
             self.v = np.zeros_like(g) if self.v is None else self.v
             self.v = s.momentum * self.v + g
-            g = g + s.momentum * self.v if s.nesterov else self.v
-        return -resolve_lr(s.lr, iteration) * g
+            g = self.v
+        return -s.lr * g
 
 
 class PerWorkerOracle:
@@ -52,30 +50,27 @@ class PerWorkerOracle:
         task, w = self.task, ctx.worker
         if w not in self.nets:
             self.nets[w] = task.build_net()
-            opt = task.optimizer_factory(self.nets[w])
-            self.opts[w] = _FrozenSGD(opt) if isinstance(opt, SGD) else opt
+            self.opts[w] = _FrozenSGD(task.optimizer_factory(self.nets[w]))
             x, y = task.dataset.shard(w, task.n_workers)
             rng = derive_rng(task.seed, "batches", w)
             self.batches[w] = task.dataset.batches(rng, task.batch_size, x, y)
         net = self.nets[w]
         net.set_flat(ctx.params)
         xb, yb = next(self.batches[w])
-        logits = net.forward(xb, train=True)
+        logits = net.forward(xb)
         n = len(yb)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         self.loss_history.append(float(-np.log(probs[np.arange(n), yb] + 1e-12).mean()))
         probs[np.arange(n), yb] -= 1.0
         net.backward(probs / n)
-        return self.opts[w].update(net.get_flat_grads(), ctx.params, ctx.iteration)
+        grads = np.concatenate([g.ravel() for layer in net.layers for g in layer.grads.values()])
+        return self.opts[w].update(grads, ctx.params, ctx.iteration)
 
 
 OPTIMIZERS = {
     "sgd": lambda net: SGD(lr=0.1),
-    "momentum": lambda net: SGD(lr=0.1, momentum=0.9, weight_decay=1e-3),
-    "nesterov": lambda net: SGD(lr=0.05, momentum=0.9, nesterov=True),
-    "adam": lambda net: Adam(lr=1e-2),
-    "lars": lambda net: LARS(net.tensor_slices(), lr=0.5),
+    "momentum": lambda net: SGD(lr=0.1, momentum=0.9),
 }
 
 
@@ -146,16 +141,3 @@ def test_an_mlp_task_builds_no_network_per_worker():
         task.steps(ctxs, block)
     assert len(builds) == 1  # the reference network, built at construction
 
-
-def test_a_network_that_does_not_stack_steps_its_workers_one_by_one():
-    ds = synthetic_cifar10(n_train=60, n_test=10, seed=1, size=8)
-    make = lambda: TrainingTask(  # noqa: E731
-        lambda: mini_alexnet(n_classes=10, rng=derive_rng(0, "init", "conv"), size=8),
-        ds, 6, batch_size=4, optimizer_factory=OPTIMIZERS["momentum"], seed=3,
-    )
-    task, oracle = make(), PerWorkerOracle(make())
-    assert not task._ref_net.stackable
-    for ctxs, block in rounds(task, [0, 2, 5], n_rounds=2):
-        expected = np.stack([oracle.step(ctx) for ctx in ctxs])
-        assert task.steps(ctxs, block).tobytes() == expected.tobytes()
-    assert task.loss_history == oracle.loss_history

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.layers import BatchNorm, Dense, Dropout, Flatten, ReLU
-from repro.utils.rng import derive_rng
+from repro.ml.layers import Dense, Flatten, ReLU
 
 
-def numerical_grad_input(layer, x, dy, eps=1e-6, train=True):
+def numerical_grad_input(layer, x, dy, eps=1e-6):
     """Central-difference dL/dx where L = sum(forward(x) * dy)."""
     grad = np.zeros_like(x)
     flat = x.ravel()
@@ -17,15 +16,15 @@ def numerical_grad_input(layer, x, dy, eps=1e-6, train=True):
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        lp = float((layer.forward(x, train=train) * dy).sum())
+        lp = float((layer.forward(x) * dy).sum())
         flat[i] = orig - eps
-        lm = float((layer.forward(x, train=train) * dy).sum())
+        lm = float((layer.forward(x) * dy).sum())
         flat[i] = orig
         g[i] = (lp - lm) / (2 * eps)
     return grad
 
 
-def numerical_grad_param(layer, key, x, dy, eps=1e-6, train=True):
+def numerical_grad_param(layer, key, x, dy, eps=1e-6):
     param = layer.params[key]
     grad = np.zeros_like(param)
     flat = param.ravel()
@@ -33,9 +32,9 @@ def numerical_grad_param(layer, key, x, dy, eps=1e-6, train=True):
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        lp = float((layer.forward(x, train=train) * dy).sum())
+        lp = float((layer.forward(x) * dy).sum())
         flat[i] = orig - eps
-        lm = float((layer.forward(x, train=train) * dy).sum())
+        lm = float((layer.forward(x) * dy).sum())
         flat[i] = orig
         g[i] = (lp - lm) / (2 * eps)
     return grad
@@ -109,88 +108,6 @@ class TestFlatten:
         y = layer.forward(x)
         assert y.shape == (2, 60)
         np.testing.assert_array_equal(layer.backward(y), x)
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(layer.forward(x, train=False), x)
-
-    def test_train_mode_scales(self):
-        rng = derive_rng(0, "drop")
-        layer = Dropout(0.5, rng)
-        x = np.ones((200, 50))
-        y = layer.forward(x, train=True)
-        # Inverted dropout keeps the expectation.
-        assert y.mean() == pytest.approx(1.0, abs=0.05)
-        assert (y == 0).mean() == pytest.approx(0.5, abs=0.05)
-
-    def test_backward_uses_same_mask(self):
-        rng = derive_rng(0, "drop2")
-        layer = Dropout(0.3, rng)
-        x = np.ones((10, 10))
-        y = layer.forward(x, train=True)
-        dx = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal((y == 0), (dx == 0))
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-
-
-class TestBatchNorm:
-    def test_normalizes_batch(self, rng):
-        layer = BatchNorm(4)
-        x = rng.normal(loc=5.0, scale=3.0, size=(64, 4))
-        y = layer.forward(x, train=True)
-        np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-7)
-        np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
-
-    def test_running_stats_used_at_eval(self, rng):
-        layer = BatchNorm(4, momentum=0.0)  # running stats = last batch
-        x = rng.normal(loc=2.0, size=(64, 4))
-        layer.forward(x, train=True)
-        y = layer.forward(x, train=False)
-        np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-2)
-
-    def test_input_gradient_2d(self, rng):
-        layer = BatchNorm(3)
-        x = rng.normal(size=(6, 3))
-        dy = rng.normal(size=(6, 3))
-        layer.forward(x, train=True)
-        dx = layer.backward(dy)
-        np.testing.assert_allclose(dx, numerical_grad_input(layer, x, dy), atol=1e-5)
-
-    def test_input_gradient_4d(self, rng):
-        layer = BatchNorm(2)
-        x = rng.normal(size=(3, 2, 2, 2))
-        dy = rng.normal(size=(3, 2, 2, 2))
-        layer.forward(x, train=True)
-        dx = layer.backward(dy)
-        np.testing.assert_allclose(dx, numerical_grad_input(layer, x, dy), atol=1e-5)
-
-    @pytest.mark.parametrize("key", ["gamma", "beta"])
-    def test_param_gradients(self, rng, key):
-        layer = BatchNorm(3)
-        x = rng.normal(size=(6, 3))
-        dy = rng.normal(size=(6, 3))
-        layer.forward(x, train=True)
-        layer.backward(dy)
-        np.testing.assert_allclose(
-            layer.grads[key], numerical_grad_param(layer, key, x, dy), atol=1e-5
-        )
-
-    def test_invalid_shapes(self):
-        layer = BatchNorm(3)
-        with pytest.raises(ValueError):
-            layer.forward(np.zeros((2, 3, 4)))
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            BatchNorm(0)
-        with pytest.raises(ValueError):
-            BatchNorm(3, momentum=1.0)
 
 
 class TestProperties:

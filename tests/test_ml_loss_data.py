@@ -8,9 +8,8 @@ from repro.ml.data import (
     gaussian_blobs,
     synthetic_cifar10,
     synthetic_cifar100,
-    two_spirals,
 )
-from repro.ml.loss import accuracy, softmax, softmax_cross_entropy, top_k_accuracy
+from repro.ml.loss import accuracy, softmax, softmax_cross_entropy
 
 
 class TestSoftmaxCE:
@@ -66,19 +65,6 @@ class TestAccuracy:
         assert accuracy(logits, np.array([1, 0])) == 1.0
         assert accuracy(logits, np.array([0, 0])) == 0.5
 
-    def test_topk(self):
-        logits = np.array([[3.0, 2.0, 1.0, 0.0]])
-        assert top_k_accuracy(logits, np.array([2]), k=3) == 1.0
-        assert top_k_accuracy(logits, np.array([3]), k=3) == 0.0
-
-    def test_topk_clamps(self):
-        logits = np.ones((1, 2))
-        assert top_k_accuracy(logits, np.array([1]), k=10) == 1.0
-
-    def test_topk_invalid(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.ones((1, 2)), np.array([0]), k=0)
-
 
 class TestDatasets:
     @pytest.mark.parametrize(
@@ -87,7 +73,6 @@ class TestDatasets:
             (lambda: gaussian_blobs(n_classes=5, n_train=200, n_test=50), 5),
             (lambda: synthetic_cifar10(n_train=40, n_test=20, size=8), 10),
             (lambda: synthetic_cifar100(n_train=40, n_test=20, size=8), 100),
-            (lambda: two_spirals(n_train=100, n_test=40), 2),
         ],
     )
     def test_shapes_and_labels(self, factory, n_classes):
