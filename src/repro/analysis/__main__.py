@@ -108,14 +108,16 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
     """Exercise every sync model on both runners, sanitizing each run."""
     from repro.bench.workloads import blobs_task
     from repro.core.api import ParameterServerSystem
-    from repro.core.models import bsp, pssp, ssp
+    from repro.core.filters import SignificanceFilter
+    from repro.core.models import bsp, dynamic_pssp, pssp, ssp
+    from repro.core.pssp import significance_alpha
     from repro.core.server import ExecutionMode
     from repro.ml.models_zoo import alexnet_cifar_workload
     from repro.obs import MetricsRegistry, Observability, observed
     from repro.parallel import ThreadedRunner
     from repro.sim.cluster import cpu_cluster
     from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
-    from repro.sim.stragglers import LogNormalCompute, cpu_cluster_compute
+    from repro.sim.stragglers import HeterogeneousCompute, LogNormalCompute, cpu_cluster_compute
 
     lines: List[str] = []
     rc, first = EXIT_OK, None
@@ -169,30 +171,32 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
             rc, first = EXIT_INVARIANT, first or "X002"
         total.merge(report)
 
-    # A small real-gradient run whose timing reads no values: its math is
-    # replayed after its timing run (every reply's snapshot tag included).
-    obs = Observability(MetricsRegistry("smoke"), causal=False)
-    runner = FluentPSSimRunner(
-        SimConfig(
-            cluster=cpu_cluster(4, n_servers),
-            max_iter=6,
-            sync=pssp(2, 0.5),
-            task=blobs_task(4, n_train=400, n_test=100, seed=7),
-            eval_every=3,
-            seed=3,
-            obs=obs,
+    # Small real-gradient runs: their math is replayed (every reply's
+    # snapshot tag included), at the end, or — dynamic PSSP's significance
+    # coins and a significance filter — as the timing run asks for values.
+    for label, sync, push_filter, compute in [
+        ("pssp-replay", pssp(2, 0.5), None, None),
+        ("dynamic-significance", dynamic_pssp(1, significance_alpha()),
+         lambda: SignificanceFilter(0.01), HeterogeneousCompute(4, spread=0.8)),
+    ]:
+        obs = Observability(MetricsRegistry("smoke"), causal=False)
+        runner = FluentPSSimRunner(
+            SimConfig(
+                cluster=cpu_cluster(4, n_servers), max_iter=6, sync=sync,
+                task=blobs_task(4, n_train=400, n_test=100, seed=7), eval_every=3,
+                push_filter_factory=push_filter, compute_model=compute, seed=3, obs=obs,
+            )
         )
-    )
-    runner.run()
-    replayed = runner.steps_replayed
-    report = sanitize_observability(obs)
-    lines.append(f"smoke sim pssp-replay (steps_replayed={replayed}): {report.describe()}")
-    if not report.ok:
-        rc, first = EXIT_INVARIANT, first or report.violations[0].code
-    elif runner.collapse_fallback.get("reason") == "value_dependent" or replayed == 0:
-        lines.append(f"smoke sim pssp-replay: math not replayed {runner.collapse_fallback}")
-        rc, first = EXIT_INVARIANT, first or "X002"
-    total.merge(report)
+        runner.run()
+        replayed = runner.steps_replayed
+        report = sanitize_observability(obs)
+        lines.append(f"smoke sim {label} (steps_replayed={replayed}): {report.describe()}")
+        if not report.ok:
+            rc, first = EXIT_INVARIANT, first or report.violations[0].code
+        elif replayed != 4 * 6:
+            lines.append(f"smoke sim {label}: math not replayed {runner.collapse_fallback}")
+            rc, first = EXIT_INVARIANT, first or "X002"
+        total.merge(report)
 
     obs = Observability(MetricsRegistry("smoke"))
     with observed(obs):

@@ -148,9 +148,9 @@ class PSLiteSimRunner(FluentPSSimRunner):
             # next report, which follows this pull.
             t_pull = engine.now
             pending = self._send_pulls(row, i)
-            yield pending.gather
+            yield pending
             self._book_sync(row, t_pull, pending)
-            self._end_iteration(row, pending)
+            self._end_iteration(row)
         self._finish_times[w] = engine.now
 
 

@@ -130,11 +130,9 @@ class SpecSyncRunner(FluentPSSimRunner):
                 # progress, which a refresh pull reuses.
                 t_refresh = engine.now
                 refreshed = self._send_pulls(row, i - 1, exclusive=False)
-                yield refreshed.gather
+                yield refreshed
                 self._pulled(w)
                 self._book_sync(row, t_refresh, refreshed)
-                if row.params is not None:
-                    row.params = refreshed.flat
             self._local_step(row)
             t_sync = engine.now
             # Signalled: a push is applied at its deliver time (signal-free
@@ -151,10 +149,10 @@ class SpecSyncRunner(FluentPSSimRunner):
             # trips, mid-pull included, so every reply is an ordinary
             # delivery.
             pending = self._send_pulls(row, i, exclusive=False)
-            yield pending.gather
+            yield pending
             self._pulled(w)
             self._book_sync(row, t_sync, pending)
-            self._end_iteration(row, pending)
+            self._end_iteration(row)
         self._finish_times[w] = engine.now
 
     def _pulled(self, w: int) -> None:

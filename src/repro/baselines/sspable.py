@@ -31,8 +31,8 @@ import numpy as np
 
 from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel
-from repro.core.server import ExecutionMode
-from repro.sim.runner import _PULL, FluentPSSimRunner, SimConfig, SimRunResult
+from repro.core.server import ApplyInfo, ExecutionMode
+from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
 
 
@@ -57,6 +57,7 @@ class _TableServer:
         self.shard_id = shard_id
         self.n_workers = n_workers
         self.params = params
+        self.deferred: Optional[np.ndarray] = None  #: ``params`` while a replay has them
         self.raw_additive = raw_additive
         self.clocks = [0] * n_workers
         self.blocked: List[Tuple[int, int, Callable[[int], None]]] = []
@@ -76,13 +77,20 @@ class _TableServer:
     callbacks: dict = {}
     snapshot_copies = snapshot_copies_avoided = 0
 
-    def handle_update(self, worker: int, clock: int, shard: Optional[np.ndarray],
+    def apply_fn(self, params: np.ndarray, update: np.ndarray, info: ApplyInfo) -> None:
+        """The replay's apply: Bösen's ``w ← w + u``, or ``w ← w + u/N``."""
+        params += update if self.raw_additive else update / self.n_workers
+
+    def defer_values(self, catch_up=None) -> None:
+        """A timing run schedules the applies (no condition reads values)."""
+        self.deferred, self.params = self.params, None
+
+    def handle_replayed(self) -> None:
+        """Take back the params a replay brought to :attr:`version`."""
+        self.params, self.deferred = self.deferred, None
+
+    def handle_update(self, worker: int, clock: int,
                       on_clock_advance: Callable[[int], None]) -> None:
-        if shard is not None and self.params is not None:
-            if self.raw_additive:
-                self.params += shard
-            else:
-                self.params += shard / self.n_workers
         old_min = self.min_clock
         self.clocks[worker] = max(self.clocks[worker], clock)
         self.metrics.record_push()
@@ -120,6 +128,9 @@ class SSPTableRunner(FluentPSSimRunner):
             raise ValueError("execution: a blocked SSPtable read waits for the full bound")
         self.table_cfg = config
         super().__init__(config.sim)
+        if self._log is not None:
+            # A worker's own update lands in its cache as the table applies it.
+            self._log.own_scale = 1 if config.raw_additive else self.cfg.cluster.n_workers
         #: Per worker: the min-clock the read in flight will reflect.
         self._read_clock = [0] * self.cfg.cluster.n_workers
         self.invalidations_sent = 0
@@ -132,15 +143,19 @@ class SSPTableRunner(FluentPSSimRunner):
 
     def _serve(self, request: tuple, at: float, cause: int) -> None:
         """Endpoint sink: the table handler, at the request's delivery."""
-        m, worker, progress, update = request
+        m, worker, progress, pull = request
         self._srv_now[m] = at
-        if update is not _PULL:
+        if not pull:
+            if self._log is not None:
+                self._log.applies[m].append((worker, progress, 0))
             self.servers[m].handle_update(
-                worker, progress + 1, update, partial(self._broadcast_invalidation, m)
+                worker, progress + 1, partial(self._broadcast_invalidation, m)
             )
-        else:  # a read: ``progress`` is the min-clock it requires
+        else:  # a read by iteration ``progress + s``: the min-clock it requires
             self.servers[m].handle_read(
-                worker, progress, partial(self._send_read_reply, m, worker, cause)
+                worker, progress,
+                partial(self._send_read_reply, m, worker, progress + self.table_cfg.staleness,
+                        cause),
             )
 
     def _broadcast_invalidation(self, server: int, clock: int) -> None:
@@ -154,14 +169,14 @@ class SSPTableRunner(FluentPSSimRunner):
             )
         self.invalidations_sent += len(self._wkr_eps)
 
-    def _send_read_reply(self, server: int, worker: int, cause: int, clock: int) -> None:
-        pending = self._pending[worker]
-        params = self.servers[server].params
-        if pending.flat is not None and params is not None:
-            self.layout.gather_into(pending.flat, server, params)
+    def _send_read_reply(self, server: int, worker: int, i: int, cause: int, clock: int) -> None:
+        """Answer iteration ``i``'s read: the step reads the table as it is now."""
+        if self._log is not None:
+            version = self.servers[server].version
+            self._log.reads[worker, i - 1 - self._first[worker], server] = version
         self._read_clock[worker] = min(self._read_clock[worker], clock)
         self.net.send(
-            self._srv_eps[server], pending.gather, self._shard_bytes[server],
+            self._srv_eps[server], self._pending[worker], self._shard_bytes[server],
             tag="reply", cause=cause, at=self._srv_now[server],
         )
 
@@ -170,11 +185,11 @@ class SSPTableRunner(FluentPSSimRunner):
     def _worker_proc(self, w: int):
         """What SSPtable's read rule adds to the stock worker: it reads
         (on an RX lane shared with the invalidations) only when its cache
-        is older than the bound, and its own updates land in the cache."""
+        is older than the bound, and its own updates land in the cache (a
+        step without a read reads its own writes: the replay's rule)."""
         engine = self.engine
-        row = self._worker_row(w)  # row.params is the cache
+        row = self._worker_row(w)
         s = self.table_cfg.staleness
-        own_scale = 1 if self.table_cfg.raw_additive else self.cfg.cluster.n_workers
         cache_clock = 0
         for i in range(self.cfg.max_iter):
             row.i = i
@@ -183,24 +198,19 @@ class SSPTableRunner(FluentPSSimRunner):
                 t_read = engine.now
                 self._read_clock[w] = 1 << 62
                 pending = self._send_pulls(row, i - s, exclusive=False)
-                yield pending.gather
+                yield pending
                 self._book_sync(row, t_read, pending)
-                if row.params is not None:
-                    row.params = pending.flat
                 cache_clock = self._read_clock[w]
             t0 = engine.now
             yield self._draw(row)
             self._book_compute(row, t0)
-            update = self._local_step(row)
-            if update is not None:
-                # Own update immediately visible in the local cache.
-                row.params = row.params + update / own_scale
+            self._local_step(row)
             # Signalled: an update is applied at its deliver time (signal-
             # free it would fuse into its TX completion and show up early
             # in worker 0's evaluations).
             self._push_all(row)
             self.trace.record_span(row.name, SpanKind.PUSH, engine.now, engine.now, i)
-            self._end_iteration(row, None)
+            self._end_iteration(row)
         self._finish_times[w] = engine.now
 
 

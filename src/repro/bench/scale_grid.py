@@ -3,16 +3,15 @@
 The paper's claims (low-frequency sync, PSSP ≈ SSP quality at lower
 overhead) only get interesting at cluster scale, so this experiment runs
 the timing-only co-simulation over a grid of cluster preset × worker
-count × sync model and reports, per cell, both the simulated outcome
-(sim-seconds per iteration, DPR load) and the simulator's own cost
-(host wall clock, events/second, round-collapse counters).
+count × sync model and reports, per cell, the simulated outcome
+(sim-seconds per iteration, DPR load) and the simulator's work (events,
+round-collapse counters, pending-event high water).  The document holds
+only these deterministic columns; what a cell cost the host (wall clock,
+events/second, peak RSS) is printed as it finishes.
 
 The worker axis stretches to 100 000 simulated workers at paper scale —
 three orders of magnitude past the old 128-worker macro ceiling; the
 result's title names the largest worker count the run actually covered.
-Each cell also reports what the run cost the host: peak RSS and the
-engine's pending-event high-water mark document what the box actually
-has to hold per population.
 
 Reading the grid: a sync model's scaling "breaks" where its
 ``sim_s_per_iter`` stops being flat in N.  BSP degrades first (the full
@@ -53,14 +52,11 @@ GRID_HEADERS: Tuple[str, ...] = (
     "preset",
     "workers",
     "sync",
-    "wall_s",
     "sim_s_per_iter",
     "events",
-    "events_per_sec",
     "rounds_collapsed",
     "round_events_saved",
     "pending_hwm",
-    "peak_rss_mb",
     "dprs",
 )
 
@@ -88,7 +84,8 @@ def _make_cluster(preset: str, n: int) -> ClusterSpec:
 
 
 def _grid_arm(preset: str, n: int, sync_name: str, seed: int) -> ExperimentResult:
-    """One grid cell: a timing-only run at (preset, N workers, sync)."""
+    """One grid cell: a timing-only run at (preset, N workers, sync).
+    Prints the cell's host cost: wall clock, events/second, peak RSS."""
     # One iteration at mesoscale already carries ~2N messages per server;
     # smaller cells take a few iterations so per-iteration numbers are
     # not dominated by the cold first barrier.
@@ -108,42 +105,39 @@ def _grid_arm(preset: str, n: int, sync_name: str, seed: int) -> ExperimentResul
     wall = time.perf_counter() - t0
     eng = runner.engine
     key = f"scale-grid/{preset}/N{n}/{sync_name}"
-    frag = ExperimentResult(key, headers=[])
-    per_iter = res.duration / iters
-    events_per_sec = eng.events_processed / max(wall, 1e-9)
     from repro.bench.perf import _peak_rss_mb
 
+    # Process-lifetime peak, so per cell an upper bound ("the cell fit in
+    # at most this much"): exact when cells run in their own pool workers.
+    print(
+        f"{key}: wall_s={wall:.3f} events_per_sec={eng.events_processed / max(wall, 1e-9):.0f} "
+        f"peak_rss_mb={_peak_rss_mb():.1f}",
+        flush=True,
+    )
+    frag = ExperimentResult(key, headers=[])
+    per_iter = res.duration / iters
     frag.add_row(
         preset,
         n,
         sync_name,
-        round(wall, 3),
         round(per_iter, 4),
         int(eng.events_processed),
-        int(events_per_sec),
         int(eng.rounds_collapsed),
         int(eng.round_events_saved),
         int(eng.pending_high_water),
-        round(_peak_rss_mb(), 1),
         int(res.metrics.dprs),
     )
     frag.record(
         key,
-        wall_s=wall,
         sim_s=res.duration,
         sim_s_per_iter=per_iter,
         events=float(eng.events_processed),
-        events_per_sec=events_per_sec,
         rounds_collapsed=float(eng.rounds_collapsed),
         round_events_saved=float(eng.round_events_saved),
         fused_deliveries=float(runner.net.fused_deliveries),
         server_msgs_inline=float(runner.server_msgs_inline),
         server_msgs_drained=float(runner.server_msgs_drained),
         pending_event_hwm=float(eng.pending_high_water),
-        # Process-lifetime peak, so per-cell this is an upper bound
-        # ("the cell fit in at most this much") — exact when cells run
-        # in their own pool workers, monotone when run inline.
-        peak_rss_mb=_peak_rss_mb(),
         messages_on_wire=float(res.messages_on_wire),
         dprs=float(res.metrics.dprs),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.keyspace import ModelSpec, TensorSpec
-from repro.ml.data import gaussian_blobs, synthetic_cifar10, synthetic_cifar100
+from repro.ml.data import gaussian_blobs, synthetic_cifar10
 from repro.ml.models_zoo import (
     Workload,
     alexnet_cifar_workload,
@@ -46,14 +46,13 @@ def blobs_task(
         ds,
         n_workers=n_workers,
         batch_size=batch_size,
-        optimizer_factory=lambda net: SGD(lr=lr, momentum=momentum),
+        optimizer_factory=lambda: SGD(lr=lr, momentum=momentum),
         seed=seed + 2,
     )
 
 
 def cifar_proxy_task(
     n_workers: int,
-    n_classes: int = 10,
     n_train: int = 1000,
     n_test: int = 300,
     size: int = 16,
@@ -62,16 +61,13 @@ def cifar_proxy_task(
     seed: int = 0,
 ) -> TrainingTask:
     """Image-classification proxy: an MLP on synthetic CIFAR images."""
-    if n_classes == 100:
-        ds = synthetic_cifar100(n_train=n_train, n_test=n_test, seed=seed, size=size)
-    else:
-        ds = synthetic_cifar10(n_train=n_train, n_test=n_test, seed=seed, size=size)
+    ds = synthetic_cifar10(n_train=n_train, n_test=n_test, seed=seed, size=size)
     return TrainingTask(
         lambda: proxy_classifier(ds, hidden=(48,), seed=seed + 1),
         ds,
         n_workers=n_workers,
         batch_size=batch_size,
-        optimizer_factory=lambda net: SGD(lr=lr, momentum=0.9),
+        optimizer_factory=lambda: SGD(lr=lr, momentum=0.9),
         seed=seed + 2,
     )
 

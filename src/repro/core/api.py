@@ -278,11 +278,6 @@ class ParameterServerSystem:
         live = SyncMetrics.merge_all(s.metrics for s in self.servers)
         return SyncMetrics.merge_all(self._retired_metrics + [live])
 
-    def reads_values(self) -> bool:
-        """Whether any shard's pull or push condition reads a
-        parameter-derived value, making a run's timing depend on the math."""
-        return any(s.pull_con.reads_values or s.push_con.reads_values for s in self.servers)
-
     def total_buffered(self) -> int:
         return sum(s.buffered_pulls for s in self.servers)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -48,8 +48,9 @@ class SyncView:
         "count",
         "fastest",
         "slowest",
-        "significance",
+        "_significance",
         "rng",
+        "catch_up",
     )
 
     def __init__(
@@ -71,8 +72,14 @@ class SyncView:
         self.count = count
         self.fastest = fastest
         self.slowest = slowest
-        self.significance = significance
+        self._significance = significance
         self.rng = rng
+        self.catch_up: Optional[Callable[[], float]] = None  #: a deferred shard's replay
+
+    @property
+    def significance(self) -> float:
+        """|g|/|w| of the shard's last applied push (paper §III-E2)."""
+        return self._significance if self.catch_up is None else self.catch_up()
 
     @property
     def gap(self) -> int:
@@ -94,9 +101,9 @@ class PullCondition(abc.ABC):
     kind: str = "custom"
 
     #: Whether the decision reads a parameter-derived field of the view
-    #: (``significance``).  A condition that does makes a run's timing a
-    #: function of the gradient values, so the run steps its math inline
-    #: instead of replaying it after a timing run (:mod:`repro.core.replay`).
+    #: (``significance``): the run's timing is then a function of the
+    #: gradient values, and on a simulated run each such read catches the
+    #: replay up to the shard's current version (:mod:`repro.core.replay`).
     reads_values: bool = False
 
     @abc.abstractmethod
@@ -191,7 +198,8 @@ class PSSPPull(PullCondition):
     def __call__(self, view: SyncView) -> bool:
         if view.progress < view.v_train + self.s:
             return True
-        sig_view = SignificanceView(view.significance, view.gap, self.s)
+        sig = view.significance if self.prob.reads_values else 0.0  # read only if used
+        sig_view = SignificanceView(sig, view.gap, self.s)
         p = self.prob.probability(self.s, view.gap, sig_view)
         self.coin_flips += 1
         if view.rng.random() < p:

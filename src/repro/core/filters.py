@@ -46,8 +46,9 @@ class PushFilter(abc.ABC):
     """Transforms a worker's update before it is pushed."""
 
     #: Whether the filtered update and its wire size depend on the update's
-    #: values: a run with such a filter times its pushes by their contents,
-    #: so it steps its math inline (:mod:`repro.core.replay`).
+    #: values: a simulated run times each push by its contents, so its
+    #: replay runs the filter as each step is taken
+    #: (:meth:`repro.core.replay.Replay.wire_factor`); one that reads none is skipped.
     reads_values: bool = True
 
     #: bytes per sent element under sparse (index, value) encoding,

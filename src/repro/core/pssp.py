@@ -46,8 +46,9 @@ def gradient_significance(grad_norm: float, weight_norm: float, eps: float = 1e-
 class ProbabilityModel(abc.ABC):
     """Maps (threshold s, gap k, shard state) to a pause probability P."""
 
-    #: Whether :meth:`probability` reads the view's gradient significance
-    #: (:attr:`repro.core.conditions.PullCondition.reads_values`).
+    #: Whether :meth:`probability` reads the view's gradient significance:
+    #: only then does PSSP read it off the shard, a catch-up of a simulated
+    #: run's replay (:attr:`repro.core.conditions.PullCondition.reads_values`).
     reads_values: bool = False
 
     @abc.abstractmethod

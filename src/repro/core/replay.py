@@ -2,21 +2,18 @@
 replayed apply log.
 
 Staleness changes a result only through *when* each gradient is applied
-relative to the version it was computed on (Algorithm 1).  Unless a pull
-or push condition or a push filter reads parameter values (each declares
-so: ``reads_values``), a run's timing is therefore that of the same run
-timing-only.  The simulated runner (:mod:`repro.sim.runner`) runs such a
-job timing-only first, its shards standing in for their parameters
-(:meth:`~repro.core.server.ShardServer.defer_values`), and records a
-:class:`ScheduleLog`; :func:`replay` then does the math once.  Every
-float is the one a run that applies each push as its shard handles it
-produces (DESIGN.md, "Schedule, then math").
+relative to the version it was computed on (Algorithm 1).  The simulated
+runner (:mod:`repro.sim.runner`) runs every job timing-only and records a
+:class:`ScheduleLog`; a :class:`Replay` does the math, bit for bit that of
+a run applying each push as its shard handles it, catching up whenever
+the timing reads a value (DESIGN.md, "Schedule, then math").
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,28 +27,30 @@ from repro.utils.rng import derive_rng
 
 @dataclass
 class ScheduleLog:
-    """What a timing run records for :func:`replay`."""
+    """What a timing run records for its :class:`Replay`."""
 
     first: List[int]  #: each worker's first iteration
     start: List[int]  #: each shard's version when the run began
     #: Per shard: the pushes it handled, in handle order, as
     #: ``(worker, iteration, v_train at the apply)``.
     applies: List[List[Tuple[int, int, int]]]
-    #: ``reads[w, i - first[w], m]``: the version of shard ``m`` that
-    #: worker ``w``'s pull at iteration ``i`` read (``PullReply.version``).
+    #: ``reads[w, k, m]``: the version of shard ``m`` worker ``w``'s step
+    #: ``first[w] + k + 1`` reads (SpecSync's refresh rewrites it); -1: none,
+    #: it reads its own writes, its last parameters + its last update / ``own_scale``.
     reads: np.ndarray
     #: ``(worker, iteration)`` of every step, in the order they were taken.
     steps: List[Tuple[int, int]]
     #: Worker 0's evaluations: how many steps preceded each, and the version
     #: of every shard at that instant.
     evals: List[Tuple[int, List[int]]]
+    own_scale: int = 1
 
     @classmethod
     def begin(cls, servers: Sequence[ShardServer], first: List[int], iterations: int):
         """An empty log for a run of ``iterations`` per worker on ``servers``."""
         return cls(
             first, [s.version for s in servers], [[] for _ in servers],
-            np.zeros((len(first), iterations, len(servers)), dtype=np.int64), [], [],
+            np.full((len(first), iterations, len(servers)), -1, dtype=np.int64), [], [],
         )
 
 
@@ -65,14 +64,14 @@ class _Shard:
     __slots__ = ("server", "params", "version", "applies", "cursor", "grads", "readers",
                  "snaps", "last")
 
-    def __init__(self, server: ShardServer, start: int, applies, readers: Dict[int, int]):
+    def __init__(self, server: ShardServer, start: int, applies):
         self.server = server
         self.params = server.deferred
         self.version = start
         self.applies = applies
         self.cursor = 0
         self.grads: Dict[Tuple[int, int], np.ndarray] = {}  #: pushed, not yet applied
-        self.readers = readers  #: version -> reads still to serve
+        self.readers: Counter = Counter()  #: version -> reads still to serve
         self.snaps: Dict[int, np.ndarray] = {}
         self.last: Optional[np.ndarray] = None  #: the last applied push
 
@@ -84,7 +83,7 @@ class _Shard:
         apply_fn, n = server.apply_fn, server.n_workers
         at, cursor = self.version, self.cursor
         for w, i, v_train in self.applies[cursor : cursor + version - at]:
-            if at in readers and at not in snaps:
+            if readers[at] > 0 and at not in snaps:
                 snaps[at] = params.copy()
             grad = grads.pop((w, i), None)
             if grad is None:
@@ -108,11 +107,11 @@ class _Shard:
         once; a snapshot is freed after its last reader."""
         if version > self.version:
             self.reach(version)
-        left = self.readers[version] - 1
-        if left:
-            self.readers[version] = left
+        elif version < self.version and version not in self.snaps:
+            raise RuntimeError(f"shard {self.server.shard_id}: version {version} was not kept")
+        self.readers[version] -= 1
+        if self.readers[version] > 0:
             return self.snaps.get(version, self.params)
-        del self.readers[version]
         return self.snaps.pop(version, self.params)
 
 
@@ -155,91 +154,146 @@ def _stacks(task) -> bool:
             and "step_fn" not in getattr(task, "__dict__", {}))
 
 
-def replay(system: ParameterServerSystem, task, log: ScheduleLog, seed: int) -> List[float]:
-    """Do ``log``'s math with ``task`` on ``system``'s deferred shards and
-    hand each its parameters back; returns worker 0's evaluations in order.
+class Replay:
+    """``log``'s math with ``task`` on ``system``'s shards, which it defers
+    at once and hands back at :meth:`finish`.  Each shard applies its log
+    in order; a version is copied only when its shard moves past it with a
+    logged step or evaluation, or a worker's next step, still to read it.
+    ``seed`` keys the step streams, ``(seed, "step", w)``; ``filters``
+    (one per worker) run on each update, in step order, when one reads
+    values.  Steps are taken a :func:`cohorts` at a time: a stock task in
+    one ``steps`` call over one parameter block, any other one ``step_fn``
+    call per step."""
 
-    Step ``(w, i)`` reads the versions its previous pull read (its first
-    step, the run's start), each shard applies its log in order, and a
-    snapshot is materialised only at a version some step or evaluation
-    reads.  ``seed`` keys the per-worker step streams, ``(seed, "step", w)``.
-    The steps are taken a :func:`cohorts` at a time: a stock task
-    (:meth:`~repro.ml.training.TrainingTask.steps`) in one call over one
-    parameter and one update block, any other one ``step_fn`` call per step.
-    """
-    servers, layout = system.servers, system.layout
-    first = np.array(log.first)
-    workers = np.array([w for w, _ in log.steps], dtype=np.int64)
-    offset = np.array([i for _, i in log.steps], dtype=np.int64) - first[workers]
-    before = offset - 1
-    # The versions each step reads, one row per step.
-    reads = np.empty((len(log.steps), len(servers)), dtype=np.int64)
-    reads[:] = log.start
-    pulled = before >= 0
-    reads[pulled] = log.reads[workers[pulled], before[pulled]]
-    shards = []
-    for m, server in enumerate(servers):
-        readers = Counter(reads[:, m].tolist() + [versions[m] for _, versions in log.evals])
-        shards.append(_Shard(server, log.start[m], log.applies[m], dict(readers)))
+    def __init__(self, system: ParameterServerSystem, task, log: ScheduleLog, seed: int,
+                 filters: Sequence = ()):
+        self.task, self.log, self.layout = task, log, system.layout
+        self.shards = []
+        for m, server in enumerate(system.servers):
+            server.defer_values(partial(self.significance, m))
+            self.shards.append(_Shard(server, log.start[m], log.applies[m]))
+        self.rngs = [derive_rng(seed, "step", w) for w in range(system.n_workers)]
+        self.filters = filters if any(f.reads_values for f in filters) else ()
+        self.first = np.array(log.first)
+        #: The version step ``(w, i)``'s push makes at shard ``m`` (max: not yet).
+        self.made = np.full(log.reads.shape, np.iinfo(np.int64).max, dtype=np.int64)
+        self.indexed = [0] * len(self.shards)  #: applies entered into :attr:`made`
+        self.taken = np.zeros(len(log.first), dtype=np.int64)  #: steps taken, per worker
+        self.done = 0  #: steps taken
+        self.values: List[float] = []  #: worker 0's evaluations, in order
+        #: A worker's last ``(params, update)`` while its next step may read its own writes.
+        self.mine: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.factors: Dict[int, float] = {}  #: step -> its filtered push's wire factor
+        self.stacks = _stacks(task)
+        self.block = self.updates = None
 
-    def gather(versions, flat=None) -> np.ndarray:
-        flat = np.empty(layout.total_elements) if flat is None else flat
-        for m, shard in enumerate(shards):
-            layout.gather_into(flat, m, shard.read(versions[m]))
+    def significance(self, m: int) -> float:
+        """|g|/|w| of shard ``m``'s last handled push, as ``handle_push``
+        computes it on a live shard, once the replay has caught up to it."""
+        shard = self.shards[m]
+        version = shard.server.version
+        if shard.version < version:
+            self.advance(len(self.log.steps))
+            shard.reach(version)
+        if shard.last is None:
+            return shard.server.last_significance
+        return gradient_significance(float(np.linalg.norm(shard.last)),
+                                     float(np.linalg.norm(shard.params)))
+
+    def wire_factor(self, k: int) -> float:
+        """The wire factor of step ``k``'s (the last logged) filtered push."""
+        if self.filters:
+            self.advance(k + 1)
+        return self.factors.pop(k, 1.0)
+
+    def advance(self, to: int) -> None:
+        """Take the logged steps up to step ``to``, a cohort at a time, and
+        the evaluations due up to there."""
+        start, log, first, end = self.done, self.log, self.first, len(self.log.steps)
+        for m, applies in enumerate(log.applies):
+            at = self.indexed[m]
+            if at < len(applies):
+                aw, ai, _ = np.array(applies[at:], dtype=np.int64).T
+                self.made[aw, ai - first[aw], m] = log.start[m] + 1 + at + np.arange(len(aw))
+                self.indexed[m] = len(applies)
+        workers, iters = np.array(log.steps[start:end], dtype=np.int64).reshape(-1, 2).T
+        offset = iters - first[workers]
+        reads = np.where((offset > 0)[:, None], log.reads[workers, offset - 1], log.start)
+        # Readers: logged steps not taken, each worker's next step, evaluations.
+        logged = self.taken + np.bincount(workers, minlength=len(self.taken))
+        going = np.flatnonzero(logged < log.reads.shape[1])
+        nxt = logged[going]
+        ahead = np.where((nxt > 0)[:, None], log.reads[going, nxt - 1], log.start)
+        evals = [versions for _, versions in log.evals[len(self.values):]]
+        for m, shard in enumerate(self.shards):
+            shard.readers = Counter(reads[:, m].tolist() + ahead[:, m].tolist()
+                                    + [versions[m] for versions in evals])
+            for version in [v for v in shard.snaps if v not in shard.readers]:
+                del shard.snaps[version]  # a replaced read's
+        if start < to:
+            workers, offset = workers[: to - start], offset[: to - start]
+            self.taken += np.bincount(workers, minlength=len(self.taken))
+            due = [at - start for at, _ in log.evals[len(self.values):] if at < to]
+            bounds = cohorts(workers.tolist(), reads[: to - start], self.made[workers, offset], due)
+            size = max(b - a for a, b in bounds)
+            if self.stacks and (self.block is None or len(self.block) < size):
+                self.block = np.empty((size, self.layout.total_elements))
+                self.updates = np.empty_like(self.block)
+            for a, b in bounds:
+                self._evaluate(start + a)
+                self._step(start + a, start + b, reads[a:b].tolist())
+            self.done = to
+        self._evaluate(to)
+
+    def _evaluate(self, at: int) -> None:
+        """Worker 0's evaluations logged after at most ``at`` steps, in order."""
+        evals, values = self.log.evals, self.values
+        while len(values) < len(evals) and evals[len(values)][0] <= at:
+            flat = np.empty(self.layout.total_elements)
+            values.append(self.task.eval_fn(self._gather(evals[len(values)][1], flat)))
+
+    def _gather(self, versions, flat: np.ndarray) -> np.ndarray:
+        for m, shard in enumerate(self.shards):
+            self.layout.gather_into(flat, m, shard.read(versions[m]))
         return flat
 
-    # The version each step's push makes at each shard (past every read
-    # when the log holds no such apply).
-    step_at = np.full(log.reads.shape[:2], -1, dtype=np.int64)
-    step_at[workers, offset] = np.arange(len(log.steps))
-    pushed = np.full(reads.shape, np.iinfo(np.int64).max, dtype=np.int64)
-    for m, applies in enumerate(log.applies):
-        if applies:
-            aw, ai, _ = np.array(applies, dtype=np.int64).T
-            k = step_at[aw, ai - first[aw]]
-            pushed[k[k >= 0], m] = log.start[m] + 1 + np.flatnonzero(k >= 0)
-    bounds = cohorts(workers.tolist(), reads, pushed, [at for at, _ in log.evals])
-    stacks, n_params = _stacks(task), layout.total_elements
-    if stacks:  # one parameter and one update block for the whole replay
-        block = np.empty((max((b - a for a, b in bounds), default=0), n_params))
-        updates = np.empty_like(block)
-
-    rngs = [derive_rng(seed, "step", w) for w in range(system.n_workers)]
-    values: List[float] = []
-    evals = iter(log.evals)
-    due = next(evals, None)
-    versions = reads.tolist()
-    for start, stop in bounds:
-        while due is not None and due[0] <= start:
-            values.append(task.eval_fn(gather(due[1])))
-            due = next(evals, None)
-        params = block[: stop - start] if stacks else np.empty((stop - start, n_params))
-        ctxs = [
-            StepContext(worker=w, iteration=i, params=gather(versions[k], flat), rng=rngs[w])
-            for k, (w, i), flat in zip(range(start, stop), log.steps[start:stop], params)
-        ]
-        if stacks:
-            out = task.steps(ctxs, params, out=updates[: len(ctxs)])
+    def _step(self, start: int, stop: int, reads: List[List[int]]) -> None:
+        """Steps ``start`` to ``stop``, one cohort, reading ``reads``."""
+        log, layout, mine = self.log, self.layout, self.mine
+        params = (self.block[: stop - start] if self.stacks
+                  else np.empty((stop - start, layout.total_elements)))
+        ctxs = []
+        for (w, i), read, flat in zip(log.steps[start:stop], reads, params):
+            if min(read) < 0:  # no read: its own writes
+                cache, update = mine.pop(w)
+                np.add(cache, update / log.own_scale, out=flat)
+            else:
+                mine.pop(w, None)
+                self._gather(read, flat)
+            ctxs.append(StepContext(worker=w, iteration=i, params=flat, rng=self.rngs[w]))
+        if self.stacks:
+            out = self.task.steps(ctxs, params, out=self.updates[: len(ctxs)])
         else:
-            out = [task.step_fn(ctx) for ctx in ctxs]
-        for ctx, update in zip(ctxs, out):
-            for shard, piece in zip(shards, layout.scatter(update)):
-                shard.grads[(ctx.worker, ctx.iteration)] = piece
-    while due is not None:
-        values.append(task.eval_fn(gather(due[1])))
-        due = next(evals, None)
-    for shard in shards:
-        server = shard.server
-        shard.reach(shard.version + len(shard.applies) - shard.cursor)
-        if shard.version != server.version or shard.grads:
-            raise RuntimeError(
-                f"shard {server.shard_id}: the apply log reaches version {shard.version} "
-                f"with {len(shard.grads)} push(es) unapplied, the run ended at {server.version}"
-            )
-        significance = None
-        if shard.last is not None:
-            significance = gradient_significance(
-                float(np.linalg.norm(shard.last)), float(np.linalg.norm(shard.params))
-            )
-        server.handle_replayed(significance)
-    return values
+            out = [self.task.step_fn(ctx) for ctx in ctxs]
+        for k, ctx, update in zip(range(start, stop), ctxs, out):
+            w, i = ctx.worker, ctx.iteration
+            if self.filters:
+                filtered = self.filters[w].apply(update, ctx.params, i)
+                update, self.factors[k] = filtered.update, filtered.wire_bytes_factor
+            row = i - log.first[w]
+            if row + 1 < log.reads.shape[1] and (log.reads[w, row] < 0).any():
+                mine[w] = (ctx.params.copy(), update.copy())  # its next read is not logged
+            for shard, piece in zip(self.shards, layout.scatter(update)):
+                shard.grads[(w, i)] = piece
+
+    def finish(self) -> List[float]:
+        """Advance to the end of the log, hand every shard its parameters
+        back, and return worker 0's evaluations in order."""
+        self.advance(len(self.log.steps))
+        for shard in self.shards:
+            server = shard.server
+            shard.reach(server.version)
+            if shard.cursor != len(shard.applies) or shard.grads:
+                raise RuntimeError(f"shard {server.shard_id}: pushes past the run's end")
+            server.handle_replayed()
+        return self.values

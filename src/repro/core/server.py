@@ -284,7 +284,7 @@ class ShardServer:
         v.v_train = self.v_train
         v.fastest = self._fastest
         v.slowest = self._slowest
-        v.significance = self.last_significance
+        v._significance = self.last_significance
         v.rng = self.rng
         return v
 
@@ -726,20 +726,20 @@ class ShardServer:
 
     # -- Schedule, then math (repro.core.replay) ----------------------------
 
-    def defer_values(self) -> None:
-        """Stand in for this shard's parameters while a timing run
-        schedules its applies: they move to :attr:`deferred` untouched."""
+    def defer_values(self, catch_up: Optional[Callable[[], float]] = None) -> None:
+        """Stand in for this shard's parameters while a timing run schedules
+        its applies (:attr:`deferred`); a significance read asks ``catch_up``."""
         self.deferred, self.params = self.params, None
+        self._view_scratch.catch_up = catch_up
 
-    def handle_replayed(self, significance: Optional[float]) -> None:
+    def handle_replayed(self) -> None:
         """Take back the parameters a replay of this shard's apply log has
-        brought to :attr:`version`; ``significance`` is that of the last
-        push it applied (``None``: it applied none).  The shard ends as if
-        each push had been applied when it was handled, its snapshot cache
-        included."""
-        self.params, self.deferred = self.deferred, None
-        if significance is not None:
-            self.last_significance = float(significance)
+        brought to :attr:`version`, and the significance of its last push
+        (the replay's answer).  The shard ends as if each push had been
+        applied when it was handled, its snapshot cache included."""
+        view = self._view_scratch
+        self.last_significance = float(view.significance)
+        self.params, self.deferred, view.catch_up = self.deferred, None, None
         if self._snap_version == self.version:
             snap = self.params.copy()
             snap.flags.writeable = False

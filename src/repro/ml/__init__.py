@@ -10,7 +10,7 @@ Networks expose their parameters as one flat vector so they plug directly
 into :class:`repro.core.api.ParameterServerSystem`.
 """
 
-from repro.ml.data import Dataset, gaussian_blobs, synthetic_cifar10, synthetic_cifar100
+from repro.ml.data import Dataset, gaussian_blobs, synthetic_cifar10
 from repro.ml.layers import Dense, Flatten, Layer, ReLU
 from repro.ml.loss import accuracy, softmax_cross_entropy
 from repro.ml.network import Sequential
@@ -22,7 +22,6 @@ __all__ = [
     "Dataset",
     "gaussian_blobs",
     "synthetic_cifar10",
-    "synthetic_cifar100",
     "Dense",
     "Flatten",
     "Layer",

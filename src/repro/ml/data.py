@@ -120,16 +120,6 @@ def synthetic_cifar10(
     return _image_classes("cifar10", 10, n_train, n_test, seed, size=size)
 
 
-def synthetic_cifar100(
-    n_train: int = 4000, n_test: int = 1000, seed: int = 0, size: int = 32
-) -> Dataset:
-    """CIFAR-100 stand-in: 100 fine classes — a markedly harder task, as
-    in the paper (AlexNet reaches ~44% there vs ~76% on CIFAR-10)."""
-    return _image_classes(
-        "cifar100", 100, n_train, n_test, seed, size=size, noise=0.8, texture=0.4
-    )
-
-
 def gaussian_blobs(
     n_classes: int = 10,
     dim: int = 64,

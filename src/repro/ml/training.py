@@ -48,9 +48,8 @@ class TrainingTask:
         dataset: Dataset,
         n_workers: int,
         batch_size: int = 32,
-        optimizer_factory: Optional[Callable[[Sequential], Optimizer]] = None,
+        optimizer_factory: Optional[Callable[[], Optimizer]] = None,
         seed: int = 0,
-        eval_subsample: Optional[int] = None,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -65,7 +64,7 @@ class TrainingTask:
         self.dataset = dataset
         self.n_workers = n_workers
         self.batch_size = batch_size
-        self.optimizer_factory = optimizer_factory or (lambda net: SGD(lr=0.1))
+        self.optimizer_factory = optimizer_factory or (lambda: SGD(lr=0.1))
         self.seed = seed
 
         self._ref_net = build_net()
@@ -76,9 +75,7 @@ class TrainingTask:
         self._worker_batches: Dict[int, object] = {}
         self.loss_history: List[float] = []
 
-        rng = derive_rng(seed, "eval")
-        n_eval = dataset.n_test if eval_subsample is None else min(eval_subsample, dataset.n_test)
-        idx = rng.permutation(dataset.n_test)[:n_eval]
+        idx = derive_rng(seed, "eval").permutation(dataset.n_test)
         self._x_eval = dataset.x_test[idx]
         self._y_eval = dataset.y_test[idx]
 
@@ -86,7 +83,7 @@ class TrainingTask:
 
     def _worker_opt(self, worker: int) -> Optimizer:
         if worker not in self._worker_opts:
-            self._worker_opts[worker] = self.optimizer_factory(self._ref_net)
+            self._worker_opts[worker] = self.optimizer_factory()
         return self._worker_opts[worker]
 
     def _worker_batch_iter(self, worker: int):
@@ -150,9 +147,3 @@ class TrainingTask:
         net = self._ref_net
         net.set_flat(params)
         return evaluate(net, self._x_eval, self._y_eval)
-
-    def mean_recent_loss(self, window: int = 50) -> float:
-        if not self.loss_history:
-            raise ValueError("no steps taken yet")
-        recent = self.loss_history[-window:]
-        return float(np.mean(recent))

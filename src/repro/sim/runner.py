@@ -5,13 +5,14 @@ This binds the three substrates together (DESIGN.md's centerpiece):
 - worker processes compute for a sampled duration (straggler model), then
   sPush their update shards and sPull the next parameters over the
   simulated network;
-- each :class:`~repro.core.server.ShardServer` applies real NumPy updates
-  and runs its own pull/push conditions — **overlap synchronization**
-  falls out of the architecture: a shard answers its pulls the moment its
-  own condition allows, independent of the other M−1 shards (Figure 4b);
+- each :class:`~repro.core.server.ShardServer` runs its own pull/push
+  conditions — **overlap synchronization** falls out of the architecture:
+  a shard answers its pulls the moment its own condition allows,
+  independent of the other M−1 shards (Figure 4b);
 - when a :class:`~repro.ml.training.TrainingTask` is attached, gradient
-  math is real and accuracy-vs-time curves come out; without one the run
-  is timing-only against a :class:`~repro.ml.models_zoo.Workload` spec.
+  math is real (:mod:`repro.core.replay` does it from the run's schedule)
+  and accuracy-vs-time curves come out; without one the run is
+  timing-only against a :class:`~repro.ml.models_zoo.Workload` spec.
 
 ``wire_scale`` lets a small trainable proxy model carry the *paper
 model's* wire footprint: message sizes are multiplied so the network sees
@@ -27,13 +28,12 @@ import numpy as np
 
 from repro.core.api import ParameterServerSystem
 from repro.core.conditions import DSPSPull, PSSPPull, SSPPull
-from repro.core.filters import NoFilter, PushFilter
+from repro.core.filters import PushFilter
 from repro.core.keyspace import ModelSpec, Slicer
 from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel, per_server
-from repro.core.replay import ScheduleLog, replay
+from repro.core.replay import Replay, ScheduleLog
 from repro.core.server import ExecutionMode, PullReply, ShardServer
-from repro.core.step import StepContext
 from repro.ml.models_zoo import Workload
 from repro.ml.training import TrainingTask
 from repro.obs import Observability, current_observability
@@ -179,20 +179,6 @@ class SimRunResult:
         return self.metrics.dprs_per_100_iterations(self.iterations)
 
 
-#: The update slot of a pull request: a request is the payload
-#: ``(shard, worker, progress, update)``, ``update`` this for a pull and
-#: the pushed shard (``None`` on a timing run) for a push.
-_PULL = object()
-
-
-@dataclass(slots=True)
-class _PendingPull:
-    """One worker's outstanding sPull round."""
-
-    gather: Gather  #: the reply gather the worker waits on
-    flat: Optional[np.ndarray]  #: co-simulation: where shard snapshots assemble
-
-
 @dataclass(slots=True)
 class _Worker:
     """One event-path worker as a state row: what Algorithm 1's worker
@@ -204,11 +190,8 @@ class _Worker:
     name: str
     ep: Endpoint
     base: float  #: base compute seconds per iteration on this node
-    params: Optional[np.ndarray]  #: what the next step reads (SSPtable: the cache)
     i: int = 0  #: iteration
     cause: int = -1  #: causal span of this iteration's compute
-    #: This iteration's update, per shard (timing-only: always ``None``s).
-    shards: Sequence[Optional[np.ndarray]] = ()
     wire_factor: float = 1.0  #: push bytes after the filter, relative to dense
 
 
@@ -717,32 +700,16 @@ class FluentPSSimRunner:
                 models=[mod.name for mod in per_server(config.sync, m)],
                 execution=config.execution.value,
             )
-        #: Each worker's latest sPull round (a worker has one at a time).
-        self._pending: Dict[int, _PendingPull] = {}
+        #: Each worker's latest sPull round's reply gather (one at a time).
+        self._pending: Dict[int, Gather] = {}
         self._compute_rngs = [derive_rng(config.seed, "compute", w) for w in range(n)]
-        #: The task this run steps inline, push by push: a run whose timing
-        #: reads parameter values, or a baseline's protocol.  Else ``None``,
-        #: and a task's run is a timing run that records :attr:`_log`, from
-        #: which :meth:`run` replays the math (:mod:`repro.core.replay`).
-        self._task: Optional[TrainingTask] = None
-        self._log: Optional[ScheduleLog] = None
-        if config.task is not None:
-            factory = config.push_filter_factory
-            filters = [factory() for _ in range(n)] if factory else []
-            if (
-                type(self) is not FluentPSSimRunner
-                or system.reads_values()
-                or any(f.reads_values for f in filters)
-            ):
-                self._task = config.task
-                self._filters: List[PushFilter] = filters or [NoFilter()] * n
-                self._step_rngs = [derive_rng(config.seed, "step", w) for w in range(n)]
-                self._start_params = system.current_params()  # each first step reads a copy
-            else:
-                # A filter that reads no values is the identity (NoFilter).
-                self._log = ScheduleLog.begin(self.servers, self._first, config.max_iter)
-        #: Worker 0's evaluation instants ``(time, iteration)`` on a timing
-        #: run, whose values the replay supplies.
+        #: A task's run records its schedule for the replay :meth:`run` starts.
+        self._log = None if config.task is None else ScheduleLog.begin(
+            self.servers, self._first, config.max_iter
+        )
+        self._replay: Optional[Replay] = None
+        #: Worker 0's evaluation instants ``(time, iteration)``, whose
+        #: values the replay supplies.
         self._eval_at: List[Tuple[float, int]] = []
         #: Steps the replay took after the timing run (0: none replayed).
         self.steps_replayed = 0
@@ -765,7 +732,6 @@ class FluentPSSimRunner:
         self._srv_eps = [self.net.endpoints[config.cluster.server_id(j)] for j in range(m)]
         self._wkr_eps = [self.net.endpoints[config.cluster.worker_id(w)] for w in range(n)]
         self._shard_bytes = [self._payload_bytes(j) for j in range(m)]
-        self._no_shards = (None,) * m  # what a timing-only push carries, shared by every row
         self._op_cost, self._dpr_cost = config.server_op_overhead_s, config.dpr_overhead_s
         #: Dispatch counters (perf detail): requests handled at their
         #: delivery time vs. cascaded behind a busy shard lane.
@@ -786,13 +752,13 @@ class FluentPSSimRunner:
 
     def _serve(self, request: tuple, at: float, cause: int) -> None:
         """Every shard endpoint's sink: handle ``request`` — ``(shard,
-        worker, progress, update)``, see :data:`_PULL` — inside its
+        worker, progress, pull)``, a push carrying no values — inside its
         delivery, on the shard's analytic serve lane, at the virtual handle
         time ``max(at, lane busy end)``.  Arrival order equals handle order
         per shard, so the cascade reproduces an inbox loop's busy-window
         FIFO with zero extra events (the loop itself is
         ``tests/reference_sim.py``)."""
-        m, worker, progress, update = request
+        m, worker, progress, pull = request
         busy = self._srv_busy[m]
         if at >= busy:
             self.server_msgs_inline += 1
@@ -808,12 +774,12 @@ class FluentPSSimRunner:
         if causal is not None:
             # ``cause`` tracks the request's causal frontier through the
             # server: delivery rx -> backlog wait -> apply/DPR wait.
-            tag = "pull" if update is _PULL else "push"
+            tag = "pull" if pull else "push"
             if now > at:
                 cause = causal.record(
                     cause, self._srv_names[m], "server_queue", at, now, shard=m, tag=tag
                 )
-        if update is _PULL:
+        if pull:
             # Causal tracing threads the request's span id through the
             # responder; with tracing off one bound responder serves all.
             server.handle_pull(
@@ -825,7 +791,7 @@ class FluentPSSimRunner:
             if self._log is not None:
                 self._log.applies[m].append((worker, progress, server.v_train))
             self._current_push_worker = worker
-            server.handle_push(worker, progress, update)
+            server.handle_push(worker, progress)
             self._current_push_worker = -1
         # Charge server processing time: fixed per request plus per
         # DPR event this request caused (buffer/re-check bookkeeping).
@@ -860,29 +826,21 @@ class FluentPSSimRunner:
                 tag="dpr", blocked_on=self._current_push_worker,
             )
         w = reply.worker
-        pending = self._pending[w]
         if self._log is not None:
             self._log.reads[w, reply.progress - self._first[w], server] = reply.version
-        if pending.flat is not None and reply.params is not None:
-            # Snapshots are immutable: copy at the (virtual) send instant,
-            # so no in-flight reply pins one.
-            self.layout.gather_into(pending.flat, server, reply.params)
         # A reply issued from a cascaded lane handle serializes at the
         # virtual handle time (``at``), not the earlier engine clock.
         self.net.join(
-            self._srv_eps[server], pending.gather, self._shard_bytes[server], "reply", cause,
+            self._srv_eps[server], self._pending[w], self._shard_bytes[server], "reply", cause,
             self._srv_now[server],
         )
 
-    def _open_pull(self, w: int, exclusive: bool = True) -> _PendingPull:
+    def _open_pull(self, w: int, exclusive: bool = True) -> Gather:
         """Open worker ``w``'s reply gather, one transfer per shard.
         ``exclusive``: nothing else reaches ``w``'s RX lane meanwhile — the
         stock protocol sends a worker nothing but its own M replies."""
-        pending = self._pending[w] = _PendingPull(
-            self.net.gather(self._wkr_eps[w], len(self._srv_eps), exclusive),
-            None if self._task is None else np.empty(self.spec.total_elements),
-        )
-        return pending
+        gather = self._pending[w] = self.net.gather(self._wkr_eps[w], len(self._srv_eps), exclusive)
+        return gather
 
     # -- worker side ---------------------------------------------------------------
     # Algorithm 1's worker, once: plain helpers over a ``_Worker`` row.  A
@@ -890,13 +848,8 @@ class FluentPSSimRunner:
     # them where that protocol waits; they never yield themselves.
 
     def _worker_row(self, w: int) -> _Worker:
-        cfg = self.cfg
-        return _Worker(
-            w, f"worker{w}", self._wkr_eps[w],
-            cfg.resolved_base_compute(cfg.cluster.workers[w].flops),
-            None if self._task is None else self._start_params.copy(),
-            shards=self._no_shards,
-        )
+        base = self.cfg.resolved_base_compute(self.cfg.cluster.workers[w].flops)
+        return _Worker(w, f"worker{w}", self._wkr_eps[w], base)
 
     def _draw(self, row: _Worker) -> float:
         """This iteration's compute seconds, from the worker's own stream."""
@@ -912,29 +865,17 @@ class FluentPSSimRunner:
                 -1, row.name, "compute", t0, now, worker=row.w, iteration=row.i
             )
 
-    def _local_step(self, row: _Worker) -> Optional[np.ndarray]:
-        """``step_fn`` on the row's parameters -> push filter -> scatter;
-        returns the update that goes on the wire (timing-only: none; a
-        timing run logs the step for the replay)."""
-        task = self._task
-        if task is None:
-            if self._log is not None:
-                self._log.steps.append((row.w, row.i))
-            return None
-        update = task.step_fn(
-            StepContext(
-                worker=row.w, iteration=row.i, params=row.params, rng=self._step_rngs[row.w]
-            )
-        )
-        filtered = self._filters[row.w].apply(update, row.params, row.i)
-        row.wire_factor = filtered.wire_bytes_factor
-        row.shards = self.layout.scatter(filtered.update)
-        return filtered.update
+    def _local_step(self, row: _Worker) -> None:
+        """Log this iteration's step; its push's wire size is the replay's."""
+        log = self._log
+        if log is not None:
+            log.steps.append((row.w, row.i))
+            row.wire_factor = self._replay.wire_factor(len(log.steps) - 1)
 
     def _pushes(self, row: _Worker) -> List[tuple]:
         """This iteration's sPush to every shard (Algorithm 1 line 4), as
         the wire's ``(server, bytes, request, tag)`` transfers."""
-        w, i, shards = row.w, row.i, row.shards
+        w, i = row.w, row.i
         sizes = self._shard_bytes  # exact when nothing was filtered out
         if row.wire_factor != 1.0:
             floor = self.cfg.header_bytes
@@ -943,13 +884,13 @@ class FluentPSSimRunner:
                 for m in range(len(sizes))
             ]
         return [
-            (dst, sizes[m], (m, w, i, shards[m]), "push") for m, dst in enumerate(self._srv_eps)
+            (dst, sizes[m], (m, w, i, False), "push") for m, dst in enumerate(self._srv_eps)
         ]
 
     def _pulls(self, row: _Worker, progress: int) -> List[tuple]:
         """sPull every shard at ``progress`` (line 5), as transfers."""
         w, size = row.w, self.cfg.request_bytes
-        return [(dst, size, (m, w, progress, _PULL), "pull") for m, dst in enumerate(self._srv_eps)]
+        return [(dst, size, (m, w, progress, True), "pull") for m, dst in enumerate(self._srv_eps)]
 
     def _push_all(self, row: _Worker) -> List[Signal]:
         """sPush to every shard, a delivery signal per push (the stock worker
@@ -957,7 +898,7 @@ class FluentPSSimRunner:
         send, node, cause = self.net.send, row.ep, row.cause
         return [send(node, *push, cause) for push in self._pushes(row)]
 
-    def _send_pulls(self, row: _Worker, progress: int, exclusive: bool = True) -> _PendingPull:
+    def _send_pulls(self, row: _Worker, progress: int, exclusive: bool = True) -> Gather:
         """sPull every shard at ``progress`` into a fresh reply gather.
         Requests share the worker's FIFO TX lane with its pushes, so each
         server sees an iteration's push before its pull."""
@@ -965,7 +906,7 @@ class FluentPSSimRunner:
         self.net.post(row.ep, self._pulls(row, progress), row.cause)
         return pending
 
-    def _book_sync(self, row: _Worker, t_sync: float, pending: _PendingPull) -> None:
+    def _book_sync(self, row: _Worker, t_sync: float, pending: Gather) -> None:
         """The wait that began at ``t_sync`` ends now, ``pending`` drained
         (line 6): PULL span, the DAG's terminal ``sync_wait``, the sketch."""
         now = self.engine.now
@@ -973,7 +914,7 @@ class FluentPSSimRunner:
         if self.causal is not None:
             # Parented on the last reply to land (the cause that released
             # the wait).
-            last = pending.gather.cause_id
+            last = pending.cause_id
             self.causal.record(
                 last if last >= 0 else row.cause, row.name, "sync_wait", t_sync, now,
                 worker=row.w, iteration=row.i,
@@ -981,21 +922,12 @@ class FluentPSSimRunner:
         if self._pull_sketches is not None:
             self._pull_sketches[row.w].observe(now - t_sync)
 
-    def _end_iteration(self, row: _Worker, pulled: Optional[_PendingPull]) -> None:
-        """Hand the pulled parameters over to the next step (``None``: the
-        row keeps its own) and run worker 0's eval cadence."""
-        if pulled is not None and row.params is not None:
-            row.params = pulled.flat
+    def _end_iteration(self, row: _Worker) -> None:
+        """Worker 0's eval cadence: it reads every shard's version now."""
         done = row.i + 1
         if row.w == 0 and self._evaluates(done):
-            if self._task is None:
-                # What the evaluation reads: every shard's version now.
-                self._log.evals.append((len(self._log.steps), [s.version for s in self.servers]))
-                self._eval_at.append((self.engine.now, done))
-            else:
-                value = self._task.eval_fn(self.system.current_params())
-                self.eval_by_time.append(self.engine.now, value)
-                self.eval_by_iteration.append(done, value)
+            self._log.evals.append((len(self._log.steps), [s.version for s in self.servers]))
+            self._eval_at.append((self.engine.now, done))
 
     def _evaluates(self, done: int) -> bool:
         """Whether worker 0 evaluates once it has done ``done`` iterations."""
@@ -1030,9 +962,9 @@ class FluentPSSimRunner:
             # One call posts the 2M requests, pushes first: each server
             # sees an iteration's push before its pull.
             self.net.post(row.ep, self._pushes(row) + self._pulls(row, i), row.cause)
-            yield pending.gather
+            yield pending
             self._book_sync(row, t_sync, pending)
-            self._end_iteration(row, pending)
+            self._end_iteration(row)
         self._finish_times[w] = engine.now
 
     # -- closed-form round fast-forward ------------------------------------------------
@@ -1046,8 +978,9 @@ class FluentPSSimRunner:
         drain lanes, with every shard's sync condition provably quiet
         (every pull immediate — or, at s = 0, buffered until the shard's
         one frontier advance per round — and no PSSP coin flips).
-        Anything outside that — gradients stepped inline, quorums below
-        n, PSSP at s = 0, DSPS's self-mutating staleness, DPOR
+        Anything outside that — a push filter whose wire sizes follow the
+        values, quorums below n, PSSP at s = 0, DSPS's self-mutating
+        staleness, DPOR
         choice/delay hooks, delivery hooks, causal tracing, an observed
         timing run's snapshot tags — keeps the per-event path, which
         stays bit-identical by construction.  The reason lands in
@@ -1059,9 +992,8 @@ class FluentPSSimRunner:
             # SpecSync) subclass this runner with their own protocols;
             # the cohort closed form models only the stock one.
             return "subclass"
-        if self._task is not None:
-            # Its timing reads parameter values: the math runs inline.
-            return "value_dependent"
+        if self._replay is not None and self._replay.filters:
+            return "push_filter"
         if self.causal is not None:
             return "causal_obs"
         if self.engine._choice_hook is not None:
@@ -1424,9 +1356,10 @@ class FluentPSSimRunner:
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the
         # round where) it de-vectorizes.  Otherwise the event path.
-        if self._log is not None:
-            for server in self.servers:
-                server.defer_values()
+        if self._log is not None:  # schedule, then math
+            factory, n = self.cfg.push_filter_factory, self.cfg.cluster.n_workers
+            self._replay = Replay(self.system, self.cfg.task, self._log, self.cfg.seed,
+                                  [factory() for _ in range(n)] if factory else ())
         collapsed_all = False
         reason = self._collapse_eligible()
         if reason is None:
@@ -1460,19 +1393,17 @@ class FluentPSSimRunner:
             # Final snapshot so the last partial period is never dropped
             # (a no-op when the periodic scrape already landed at end time).
             snapshotter.finalize(self.engine.now)
-        unanswered = sum(1 for p in self._pending.values() if p.gather.remaining)
+        unanswered = sum(1 for p in self._pending.values() if p.remaining)
         if unanswered:
             raise RuntimeError(
                 f"simulation drained with {unanswered} unanswered pulls "
                 "(synchronization deadlock)"
             )
-        if self._log is not None:
-            # Schedule, then math.
-            values = replay(self.system, self.cfg.task, self._log, self.cfg.seed)
-            for (t, done), value in zip(self._eval_at, values):
+        if self._replay is not None:
+            for (t, done), value in zip(self._eval_at, self._replay.finish()):
                 self.eval_by_time.append(t, value)
                 self.eval_by_iteration.append(done, value)
-            self.steps_replayed = len(self._log.steps)
+            self.steps_replayed = self._replay.done
         if self._capture is not None:
             self._capture.complete = True
         worker_names = [f"worker{w}" for w in range(self.cfg.cluster.n_workers)]

@@ -1,7 +1,7 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 26 mutants is a named function that takes pytest's
+Each of the 28 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
 :mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
@@ -9,7 +9,8 @@ delivery fusing, one in the event path's serve lane, one in
 :class:`repro.core.server.ShardServer`'s push apply, one in the protocol
 sanitizer's vector proof, one where the runner takes over a system to
 continue, three in the schedule log a real-gradient run's math is
-replayed from, two in the replay's cohort rule, three in the instant
+replayed from, two in the replay's cohort rule, two in the replay's
+answer to a significance read, three in the instant
 blocks of an observed collapsed round) for the length of a test — test
 code only, nothing under ``src/`` imports this module.
 All but three rewrite one line of a function's source (the site must
@@ -270,9 +271,9 @@ def eval_read_one_event_late(monkeypatch) -> None:
     serve = runner.FluentPSSimRunner._serve
     late = []
 
-    def mark(self, row, pulled):
+    def mark(self, row):
         evals = None if self._log is None else len(self._log.evals)
-        end_iteration(self, row, pulled)
+        end_iteration(self, row)
         if evals is not None and len(self._log.evals) > evals:
             late.append(self)
 
@@ -303,6 +304,27 @@ def replay_cohort_same_worker(monkeypatch) -> None:
     the cohort pushes.  Killer:
     ``test_replay.py::TestCohorts::test_a_worker_never_joins_its_own_cohort``."""
     _rewrite(monkeypatch, replay, "cohorts", "w in members or k in due", "k in due")
+
+
+def significance_from_the_version_before(monkeypatch) -> None:
+    """A significance read on a deferred shard is answered at the version
+    before the shard's current one: the replay catches up one push short
+    and reads that push's |g|/|w|.  Killer:
+    ``test_server_dispatch.py::TestScheduleLogMutants::test_significance_from_the_version_before_dies_here``."""
+    _rewrite(
+        monkeypatch, replay.Replay, "significance",
+        "version = shard.server.version", "version = shard.server.version - 1",
+    )
+
+
+def catch_up_one_step_short(monkeypatch) -> None:
+    """A significance read's catch-up stops one step short of the logged
+    steps.  Killer:
+    ``test_server_dispatch.py::TestScheduleLogMutants::test_catch_up_one_step_short_dies_here``."""
+    _rewrite(
+        monkeypatch, replay.Replay, "significance",
+        "self.advance(len(self.log.steps))", "self.advance(len(self.log.steps) - 1)",
+    )
 
 
 def block_drops_dpr_released(monkeypatch) -> None:

@@ -20,8 +20,10 @@ No lane cursors, no sinks, no fused deliveries or gathers, no round
 collapse.  The engine supplies the one FIFO-at-equal-times rule, so
 agreement with production in tie-heavy cells is a property of the model.
 Sizing (``wire_scale``, header/request bytes, push filters) and RNG
-derivations are the production runner's; ``SimConfig`` is only the input
-type.  The comparison rule: ``tests/sim_helpers.py::assert_matches_reference``.
+derivations are the production runner's, and so is the shard construction
+(a :class:`ParameterServerSystem`, or one handed in to continue, as
+``run_fluentps(cfg, system)`` does); ``SimConfig`` is only the input type.
+The comparison rule: ``tests/sim_helpers.py::assert_matches_reference``.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.api import ParameterServerSystem
 from repro.core.filters import NoFilter
-from repro.core.keyspace import ElasticSlicer
-from repro.core.layout import ShardLayout
-from repro.core.models import SyncModel
 from repro.core.server import PullReply, ShardServer
 from repro.core.step import StepContext
 from repro.obs import current_observability
@@ -223,12 +223,15 @@ class ReferenceRun:
     servers: List[ShardServer]  #: metrics; protocol instants went to ``config.obs``
     final_params: Optional[np.ndarray]
     evals: List[Tuple[float, int, float]]  #: (sim time, iteration, metric)
+    system: ParameterServerSystem  #: the shards, for their end state and a checkpoint
 
 
 class ReferenceSim:
     """Run one FluentPS training job, message by message."""
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, system: Optional[ParameterServerSystem] = None):
+        """``system``: continue on it (each worker resumes one past its
+        shards' recorded progress) instead of a fresh one."""
         self.cfg = cfg = config
         cluster = cfg.cluster
         n, m = cluster.n_workers, cluster.n_servers
@@ -237,22 +240,17 @@ class ReferenceSim:
         self.wire = _Wire(engine, cluster.latency_s, {node.name: node.nic for node in nodes})
         self.worker_ids = [node.name for node in cluster.workers]
         self.server_ids = [node.name for node in cluster.servers]
-        self.layout = ShardLayout(cfg.spec, (cfg.slicer or ElasticSlicer()).slice(cfg.spec, m))
         self.compute = cfg.compute_model or LogNormalCompute(0.2)
         obs = cfg.obs or current_observability()
         obs.begin_run(f"reference-n{n}x{m}")  # its own capture: ``obs.last_run.instants``
-        models = [cfg.sync] * m if isinstance(cfg.sync, SyncModel) else list(cfg.sync)
-        shards = [None] * m
-        if cfg.task is not None:
-            shards = self.layout.scatter(cfg.task.init_params.astype(np.float64))
-        self.servers = [
-            ShardServer(
-                shard_id=j, n_workers=n, model=models[j], execution=cfg.execution,
-                params=shards[j], clock=lambda: engine.now,
-                rng=derive_rng(cfg.seed, "server", j), obs=obs,
+        if system is None:
+            system = ParameterServerSystem(
+                cfg.spec, None if cfg.task is None else cfg.task.init_params, n, m, cfg.sync,
+                cfg.execution, cfg.slicer, seed=cfg.seed, obs=obs,
             )
-            for j in range(m)
-        ]
+        system.set_clock(lambda: engine.now)
+        self.system, self.layout, self.servers = system, system.layout, system.servers
+        self.first = [p + 1 for p in self.servers[0].worker_progress]
         make_filter = cfg.push_filter_factory or NoFilter
         self.filters = [make_filter() for _ in range(n)]
         self.compute_rngs = [derive_rng(cfg.seed, "compute", w) for w in range(n)]
@@ -327,8 +325,9 @@ class ReferenceSim:
         task = cfg.task
         me = self.worker_ids[w]
         base = cfg.resolved_base_compute(cfg.cluster.workers[w].flops)
-        params = task.init_params.copy() if task is not None else None
-        for i in range(cfg.max_iter):
+        params = self.system.current_params()
+        first = self.first[w]
+        for i in range(first, first + cfg.max_iter):
             yield self.compute.sample(w, i, base, self.compute_rngs[w])
             factor, shards = 1.0, [None] * len(server_ids)
             if task is not None:
@@ -351,7 +350,7 @@ class ReferenceSim:
             if params is not None:
                 params = pull.flat
             if w == 0 and task is not None and cfg.eval_every > 0:
-                if (i + 1) % cfg.eval_every == 0 or i + 1 == cfg.max_iter:
+                if (i + 1) % cfg.eval_every == 0 or i + 1 == first + cfg.max_iter:
                     self._due.append((engine.now, i + 1, list(self.pushes_sent),
                                       [None] * len(server_ids)))
                     for j in range(len(server_ids)):
@@ -372,5 +371,6 @@ class ReferenceSim:
         final = self._global_params() if self.cfg.task is not None else None
         wire = self.wire
         return ReferenceRun(
-            self.finish_times, wire.trace, wire.counters(), self.servers, final, self.evals
+            self.finish_times, wire.trace, wire.counters(), self.servers, final, self.evals,
+            self.system,
         )

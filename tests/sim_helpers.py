@@ -25,12 +25,6 @@ from repro.sim.stragglers import ComputeModel, DeterministicCompute, LogNormalCo
 from tests.reference_sim import ReferenceSim
 
 
-class CoupledRunner(FluentPSSimRunner):
-    """Steps a task's math inline, each push applied as its shard handles
-    it, whatever the config: a subclass keeps the coupled path (reason
-    ``subclass``).  The replay is differentially tested against it."""
-
-
 class EventPathRunner(FluentPSSimRunner):
     """The event path whatever the config: every round runs message by
     message.  The closed-form round collapse is differentially tested
@@ -235,32 +229,37 @@ def shard_instants(obs, shard):
 
 
 def assert_matches_reference(
-    cfg_kwargs, hooked=False, runner_cls=FluentPSSimRunner, make_obs=lambda: NULL_OBS
+    cfg_kwargs, hooked=False, runner_cls=FluentPSSimRunner, make_obs=lambda: NULL_OBS,
+    make_system=None,
 ):
     """Run production — as shipped, or under a delivery hook (one event
-    per message) — and :class:`ReferenceSim` on the same configuration and
-    compare by the rule: the wire (:func:`assert_same_wire`, hooked runs
-    only — an unhooked run has no trace), finish times, endpoint counters,
-    server metrics with staleness histograms, final params, the eval
-    series and what each evaluation read (as digests,
-    :func:`fingerprint_evals`), and under observability each shard's
-    protocol instant stream.
+    per message) — and :class:`ReferenceSim` on the same configuration
+    (each on its own ``make_system()`` when given) and compare by the
+    rule: the wire (:func:`assert_same_wire`, hooked runs only — an
+    unhooked run has no trace), finish times, endpoint counters, server
+    metrics with staleness histograms, final params, the eval series and
+    what each evaluation read (as digests, :func:`fingerprint_evals`),
+    and under observability each shard's protocol instant stream.  A
+    training run must replay every step, and its task's loss history, each
+    shard's end state (:func:`shard_states`) and a checkpoint after the run
+    (:func:`checkpoint_bytes`) are the reference's too.
 
     ``obs`` is always explicit: the ambient pytest sanitizer is causal and
     would silently route production off every fused path.  ``cfg_kwargs``
     may be a factory (a training task is stateful: one per run).  Returns
     ``(runner, result, reference run)`` for cell-specific assertions."""
     make_kwargs = cfg_kwargs if callable(cfg_kwargs) else lambda: cfg_kwargs
+    make_system = make_system or (lambda: None)
     obs, ref_obs = make_obs(), make_obs()
     kwargs, ref_kwargs = make_kwargs(), make_kwargs()
     read, ref_read = (fingerprint_evals(k["task"]) if k.get("task") else []
                       for k in (kwargs, ref_kwargs))
-    runner = runner_cls(SimConfig(**kwargs, obs=obs))
+    runner = runner_cls(SimConfig(**kwargs, obs=obs), make_system())
     trace = []
     if hooked:
         runner.net.on_delivery(lambda msg: trace.append(wire_row(msg)))
     result = runner.run()
-    ref = ReferenceSim(SimConfig(**ref_kwargs, obs=ref_obs)).run()
+    ref = ReferenceSim(SimConfig(**ref_kwargs, obs=ref_obs), make_system()).run()
     assert ref.trace, "the reference produced no traffic"
     if hooked:
         assert_same_wire(trace, ref.trace)
@@ -274,6 +273,11 @@ def assert_matches_reference(
     evals = list(zip(result.eval_by_time.x, result.eval_by_iteration.x, result.eval_by_time.y))
     assert evals == ref.evals
     assert read == ref_read and len(read) == len(evals)
+    if kwargs.get("task") is not None:
+        assert runner.steps_replayed == runner.cfg.cluster.n_workers * runner.cfg.max_iter
+        assert kwargs["task"].loss_history == ref_kwargs["task"].loss_history
+        assert shard_states(runner.system) == shard_states(ref.system)
+        assert checkpoint_bytes(runner.system) == checkpoint_bytes(ref.system)
     if obs.enabled:
         for shard in range(len(ref.servers)):
             assert shard_instants(obs, shard) == shard_instants(ref_obs, shard), shard
@@ -312,38 +316,3 @@ def fingerprint_evals(task):
 
     task.eval_fn = eval_fn
     return digests
-
-
-def assert_replay_matches_coupled(cfg_kwargs, make_obs=lambda: NULL_OBS, make_system=None):
-    """Run production — a task's timing run, then its replayed math — and
-    :class:`CoupledRunner` on the same configuration (and each on its own
-    ``make_system()`` when given) and compare bit for bit: finish times,
-    final params, the eval series and what each evaluation read (as
-    digests), the task's loss history, every shard's
-    end state and a checkpoint taken after the run, and under
-    observability each shard's protocol instant stream, ``snap`` tags
-    included.  ``cfg_kwargs`` is a factory (a task is stateful).
-    Returns the production runner."""
-    runs = []
-    for cls in (FluentPSSimRunner, CoupledRunner):
-        kwargs, obs = cfg_kwargs(), make_obs()
-        digests = fingerprint_evals(kwargs["task"])
-        runner = cls(SimConfig(**kwargs, obs=obs), None if make_system is None else make_system())
-        result = runner.run()
-        runs.append((runner, result, kwargs["task"], obs, digests))
-    (runner, result, task, obs, read), (coupled, c_result, c_task, c_obs, c_read) = runs
-    assert read == c_read
-    assert runner.steps_replayed == len(task.loss_history) > 0
-    assert coupled.steps_replayed == 0
-    assert result.worker_finish_times == c_result.worker_finish_times
-    assert result.final_params.tobytes() == c_result.final_params.tobytes()
-    assert list(result.eval_by_time.x) == list(c_result.eval_by_time.x)
-    assert list(result.eval_by_iteration.x) == list(c_result.eval_by_iteration.x)
-    assert list(result.eval_by_time.y) == list(c_result.eval_by_time.y)
-    assert task.loss_history == c_task.loss_history
-    assert shard_states(runner.system) == shard_states(coupled.system)
-    assert checkpoint_bytes(runner.system) == checkpoint_bytes(coupled.system)
-    if obs.enabled:
-        for shard in range(len(runner.servers)):
-            assert shard_instants(obs, shard) == shard_instants(c_obs, shard), shard
-    return runner

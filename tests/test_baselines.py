@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import json
 import types
 from collections import Counter
 from pathlib import Path
@@ -21,7 +22,7 @@ from repro.bench.workloads import blobs_task
 from repro.core.filters import TopKFilter
 from repro.core.keyspace import ElasticSlicer
 from repro.core.models import asp, bsp, ssp
-from repro.core.server import ExecutionMode
+from repro.core.server import ApplyInfo, ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
@@ -32,6 +33,7 @@ from repro.sim.stragglers import (
     HeterogeneousCompute,
 )
 
+from tests.baseline_pins import CELLS, PINS, run_cell
 from tests.sim_helpers import make_runner
 
 
@@ -107,9 +109,9 @@ class TestTableServer:
         got = []
         srv.handle_read(0, require=1, respond=got.append)
         assert got == []
-        srv.handle_update(0, clock=1, shard=None, on_clock_advance=lambda c: None)
+        srv.handle_update(0, clock=1, on_clock_advance=lambda c: None)
         assert got == []  # min clock still 0 (worker 1)
-        srv.handle_update(1, clock=1, shard=None, on_clock_advance=lambda c: None)
+        srv.handle_update(1, clock=1, on_clock_advance=lambda c: None)
         assert got == [1]
 
     def test_immediate_read_when_fresh(self):
@@ -119,18 +121,19 @@ class TestTableServer:
         assert got == [0]
 
     def test_raw_additive_vs_averaged(self):
+        """The table's apply rule, which the replay applies its log with."""
         raw = _TableServer(0, 2, np.zeros(2), raw_additive=True)
         avg = _TableServer(0, 2, np.zeros(2), raw_additive=False)
         for srv in (raw, avg):
-            srv.handle_update(0, 1, np.ones(2), lambda c: None)
+            srv.apply_fn(srv.params, np.ones(2), ApplyInfo(0, 0, 0, 2))
         np.testing.assert_allclose(raw.params, 1.0)
         np.testing.assert_allclose(avg.params, 0.5)
 
     def test_clock_advance_callback(self):
         srv = _TableServer(0, 2, None, True)
         advances = []
-        srv.handle_update(0, 1, None, advances.append)
-        srv.handle_update(1, 1, None, advances.append)
+        srv.handle_update(0, 1, advances.append)
+        srv.handle_update(1, 1, advances.append)
         assert advances == [1]
 
 
@@ -199,11 +202,14 @@ BASELINES = ["pslite", "specsync", "ssptable"]
 
 class TestOneWorkerProgram:
     def test_algorithm_1s_worker_is_written_once(self):
-        """Under ``repro/sim`` + ``repro/baselines``: one ``StepContext(``,
-        one ``.eval_fn(`` and one event-path compute draw (``_draw``); the
-        collapse driver's cohort draws are the one named exception."""
+        """Under ``repro/sim`` + ``repro/baselines`` + the replay
+        (``repro/core/replay.py``): one ``StepContext(`` and one
+        ``.eval_fn(``, both the replay's, and one event-path compute draw
+        (``_draw``); the collapse driver's cohort draws are the one named
+        exception."""
         calls, draws = Counter(), Counter()
-        for path in sorted((SRC / "sim").glob("*.py")) + sorted((SRC / "baselines").glob("*.py")):
+        paths = sorted((SRC / "sim").glob("*.py")) + sorted((SRC / "baselines").glob("*.py"))
+        for path in paths + [SRC / "core" / "replay.py"]:
             for fn in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(fn, ast.FunctionDef):
                     continue
@@ -287,3 +293,19 @@ class TestOneWorkerProgram:
             SSPTableRunner(SSPTableConfig(sim=_training_sim(execution=ExecutionMode.SOFT_BARRIER)))
         with pytest.raises(ValueError, match="sync"):
             SSPTableRunner(SSPTableConfig(sim=_training_sim(sync=[ssp(2), ssp(2)])))
+
+
+class TestParentPins:
+    """The baselines' real-gradient runs against ``tests/baseline_pins.json``,
+    written when they stepped their math inline: each replays every step
+    and reproduces every pinned digest."""
+
+    PINNED = json.loads(PINS.read_text())
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_replayed_run_reproduces_the_pins(self, name):
+        runner, outcome = run_cell(name)
+        assert runner.steps_replayed == runner.cfg.cluster.n_workers * runner.cfg.max_iter
+        assert outcome == self.PINNED[name]
+        if name.startswith("specsync"):
+            assert outcome["aborts"] > 0

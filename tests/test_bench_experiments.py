@@ -136,7 +136,9 @@ class TestAblationFunctions:
             for n in counts:
                 for sync in GRID_SYNCS:
                     rec = r.find(f"scale-grid/{preset}/N{n}/{sync}")
-                    assert rec.metrics["wall_s"] > 0
+                    # Host costs are printed, never written: the document
+                    # is a golden one.
+                    assert {"wall_s", "events_per_sec", "peak_rss_mb"}.isdisjoint(rec.metrics)
                     assert rec.metrics["events"] > 0
                     assert rec.metrics["sim_s_per_iter"] > 0
                     # Collapse / memory columns are present in every cell
@@ -144,7 +146,6 @@ class TestAblationFunctions:
                     assert rec.metrics["rounds_collapsed"] >= 0
                     assert rec.metrics["round_events_saved"] >= 0
                     assert rec.metrics["pending_event_hwm"] > 0
-                    assert rec.metrics["peak_rss_mb"] > 0
         # Barrier pressure is visible in the grid: at the largest N, BSP
         # issues at least as many DPRs as PSSP on every topology (the
         # sim-time ordering itself is a scaling claim, only stable at

@@ -50,7 +50,7 @@ class PerWorkerOracle:
         task, w = self.task, ctx.worker
         if w not in self.nets:
             self.nets[w] = task.build_net()
-            self.opts[w] = _FrozenSGD(task.optimizer_factory(self.nets[w]))
+            self.opts[w] = _FrozenSGD(task.optimizer_factory())
             x, y = task.dataset.shard(w, task.n_workers)
             rng = derive_rng(task.seed, "batches", w)
             self.batches[w] = task.dataset.batches(rng, task.batch_size, x, y)
@@ -69,8 +69,8 @@ class PerWorkerOracle:
 
 
 OPTIMIZERS = {
-    "sgd": lambda net: SGD(lr=0.1),
-    "momentum": lambda net: SGD(lr=0.1, momentum=0.9),
+    "sgd": lambda: SGD(lr=0.1),
+    "momentum": lambda: SGD(lr=0.1, momentum=0.9),
 }
 
 

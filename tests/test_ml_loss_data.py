@@ -7,7 +7,6 @@ from repro.ml.data import (
     Dataset,
     gaussian_blobs,
     synthetic_cifar10,
-    synthetic_cifar100,
 )
 from repro.ml.loss import accuracy, softmax, softmax_cross_entropy
 
@@ -72,7 +71,6 @@ class TestDatasets:
         [
             (lambda: gaussian_blobs(n_classes=5, n_train=200, n_test=50), 5),
             (lambda: synthetic_cifar10(n_train=40, n_test=20, size=8), 10),
-            (lambda: synthetic_cifar100(n_train=40, n_test=20, size=8), 100),
         ],
     )
     def test_shapes_and_labels(self, factory, n_classes):

@@ -20,7 +20,7 @@ def task():
         ds,
         n_workers=2,
         batch_size=16,
-        optimizer_factory=lambda net: SGD(lr=0.2, momentum=0.9),
+        optimizer_factory=lambda: SGD(lr=0.2, momentum=0.9),
         seed=3,
     )
 
@@ -74,20 +74,6 @@ class TestTrainingTask:
         for i in range(120):
             params = params + task.step_fn(StepContext(0, i, params, rng))
         assert task.eval_fn(params) > acc0 + 0.1
-
-    def test_mean_recent_loss(self, task):
-        with pytest.raises(ValueError):
-            task.mean_recent_loss()
-        task.step_fn(StepContext(0, 0, task.init_params.copy(), derive_rng(0, "l")))
-        assert task.mean_recent_loss() > 0
-
-    def test_eval_subsample(self):
-        ds = gaussian_blobs(n_classes=3, dim=4, n_train=50, n_test=40, seed=1)
-        t = TrainingTask(
-            lambda: proxy_classifier(ds, hidden=(8,), seed=2), ds,
-            n_workers=1, eval_subsample=10,
-        )
-        assert len(t._x_eval) == 10
 
     def test_invalid_config(self):
         ds = gaussian_blobs(n_train=20, n_test=10)

@@ -1,4 +1,4 @@
-"""Schedule, then math: which runs replay, and what the replay keeps."""
+"""Schedule, then math: every real-gradient run replays, and what the replay keeps."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.core.filters import NoFilter, TopKFilter
 from repro.core.models import dynamic_pssp, pssp, ssp
 from repro.core.pssp import significance_alpha
 from repro.core import replay as replay_module
-from repro.core.replay import replay
+from repro.core.replay import Replay, ScheduleLog
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.ml.training import TrainingTask
 from repro.obs import NULL_OBS
@@ -19,20 +19,24 @@ from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import HeterogeneousCompute
 
 from tests.mutants import replay_cohort_reads_ahead, replay_cohort_same_worker
-from tests.sim_helpers import CoupledRunner
+from tests.reference_sim import ReferenceSim
+from tests.sim_helpers import assert_matches_reference
 
 
-def config(**extra):
-    return SimConfig(**{
+def cell(**extra):
+    return {
         "cluster": cpu_cluster(3, n_servers=2),
         "max_iter": 6,
         "sync": ssp(2),
         "task": blobs_task(3, n_train=120, n_test=60),
         "compute_model": HeterogeneousCompute(3, spread=0.5),
         "seed": 5,
-        "obs": NULL_OBS,
         **extra,
-    })
+    }
+
+
+def config(**extra):
+    return SimConfig(**cell(**extra), obs=NULL_OBS)
 
 
 class TestWhoReplays:
@@ -61,17 +65,31 @@ class TestWhoReplays:
         runner = FluentPSSimRunner(config(push_filter_factory=NoFilter))
         runner.run()
         assert runner.steps_replayed == 3 * 6
-        assert runner.collapse_fallback.get("reason") != "value_dependent"
+        assert runner.collapse_fallback["reason"] == "overlap"  # the identity refuses nothing
         assert not hasattr(runner, "_step_rngs")  # the replay owns its streams
 
-    def test_a_set_cond_pull_predicate_keeps_the_math_inline(self):
-        task = blobs_task(3, n_train=120, n_test=60)
-        system = ParameterServerSystem(task.spec, task.init_params, 3, 2, ssp(2), seed=5)
-        system.set_cond_pull(0, lambda view: view.progress < view.v_train + 2, staleness=2)
-        runner = FluentPSSimRunner(config(task=task), system)
-        runner.run()
-        assert runner.steps_replayed == 0
-        assert runner.collapse_fallback == {"reason": "value_dependent"}
+    @pytest.mark.parametrize("kind", ["pull", "push"])
+    def test_a_set_cond_predicate_replays(self, kind):
+        """A ``set_cond_pull``/``set_cond_push`` predicate that reads the
+        significance: each read catches the replay up, and the run is the
+        reference's, every step replayed."""
+        reads = []
+
+        def system():
+            task = blobs_task(3, n_train=120, n_test=60)
+            system = ParameterServerSystem(task.spec, task.init_params, 3, 2, ssp(2), seed=5)
+            if kind == "pull":
+                system.set_cond_pull(0, lambda view: reads.append(view.significance)
+                                     or view.progress < view.v_train + 2, staleness=2)
+            else:
+                system.set_cond_push(1, lambda view: view.pushed(view.v_train) >= 3
+                                     and not reads.append(view.significance))
+            return system
+
+        runner, _result, _ref = assert_matches_reference(cell, make_system=system)
+        assert runner.steps_replayed == 18 and reads
+        half = len(reads) // 2  # production's reads, then the reference's
+        assert reads[:half] == reads[half:]
 
     def test_timing_only_runs_build_no_step_streams(self):
         runner = FluentPSSimRunner(config(task=None, workload=alexnet_cifar_workload()))
@@ -84,21 +102,50 @@ class TestReplay:
         result = runner.run()
         for server in runner.servers:
             assert server.deferred is None and server.params is not None
-        coupled = CoupledRunner(config(eval_every=2)).run()
-        assert result.final_params.tobytes() == coupled.final_params.tobytes()
+        ref = ReferenceSim(config(eval_every=2)).run()
+        assert result.final_params.tobytes() == ref.final_params.tobytes()
         assert len(result.eval_by_time.x) == 3
 
     def test_a_log_that_reads_ahead_of_the_schedule_is_refused(self):
         runner = FluentPSSimRunner(config())
-        for server in runner.servers:
-            server.defer_values()
         log = runner._log
         log.steps.extend([(0, 0), (0, 1)])
         log.reads[0, 0] = [1, 1]  # the second step reads a push nobody stepped
         log.applies[0].append((1, 0, 0))
         log.applies[1].append((1, 0, 0))
         with pytest.raises(RuntimeError, match="before its step"):
-            replay(runner.system, runner.cfg.task, log, seed=0)
+            Replay(runner.system, runner.cfg.task, log, seed=0).finish()
+
+    def test_a_read_logged_after_a_catch_up_keeps_its_version(self):
+        """Worker 0's reply reads version 1 after a catch-up, and the next
+        catch-up, with no new step logged, moves the shard to version 2:
+        version 1 is kept for the step that reads it."""
+        task = blobs_task(2, n_train=40, n_test=20)
+        seen, step = [], task.step_fn
+
+        def recording(ctx):
+            update = step(ctx)
+            seen.append((ctx.params.copy(), update.copy()))
+            return update
+
+        task.step_fn = recording
+        system = ParameterServerSystem(task.spec, task.init_params, 2, 1, ssp(2), seed=0)
+        server, log = system.servers[0], ScheduleLog.begin(system.servers, [0, 0], 3)
+        replay = Replay(system, task, log, seed=0)
+        log.steps += [(0, 0), (1, 0)]
+        replay.advance(2)
+        for w, version in ((0, 1), (1, 2)):
+            server.handle_push(w, 0)
+            log.applies[0].append((w, 0, 0))
+            if w == 0:
+                log.reads[0, 0, 0] = version  # worker 0's next step reads it
+        replay.significance(0)
+        log.steps.append((0, 1))
+        replay.advance(3)
+        (init, u00), _, (read, _) = seen
+        expected = init.copy()
+        expected += u00 / 2
+        assert read.tobytes() == expected.tobytes()
 
     def test_the_step_streams_are_the_coupled_runs(self, monkeypatch):
         """A step function that draws from ``ctx.rng``: each worker's stream
@@ -127,8 +174,8 @@ class TestReplay:
         runner = FluentPSSimRunner(make())
         replayed = runner.run()
         assert sizes == [1] * runner.steps_replayed and runner.steps_replayed == 18
-        coupled = CoupledRunner(make()).run()
-        assert replayed.final_params.tobytes() == coupled.final_params.tobytes()
+        ref = ReferenceSim(make()).run()
+        assert replayed.final_params.tobytes() == ref.final_params.tobytes()
         assert not np.array_equal(replayed.final_params, config().task.init_params)
 
 
@@ -166,8 +213,8 @@ class TestCohorts:
         runner = FluentPSSimRunner(config())
         replayed = runner.run()
         assert sizes == [3, 3, 2, 2, 3, 3, 2] and runner.steps_replayed == 18
-        coupled = CoupledRunner(config()).run()
-        assert replayed.final_params.tobytes() == coupled.final_params.tobytes()
+        ref = ReferenceSim(config()).run()
+        assert replayed.final_params.tobytes() == ref.final_params.tobytes()
 
     def test_an_evaluation_cuts_its_cohort(self, monkeypatch):
         sizes = count_steps_calls(monkeypatch)

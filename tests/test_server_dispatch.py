@@ -39,13 +39,14 @@ from repro.sim.stragglers import (
 
 from tests.mutants import (
     apply_log_out_of_order,
+    catch_up_one_step_short,
     eval_read_one_event_late,
     reply_prefix_off_by_one,
     request_serve_ignores_busy_lane,
+    significance_from_the_version_before,
 )
 from tests.sim_helpers import (
     assert_matches_reference,
-    assert_replay_matches_coupled,
     busy_lane_cell,
     make_runner,
     preset_configs,
@@ -134,15 +135,29 @@ def bsp_task_cell():
 
 
 def significance_pssp_cell():
-    """Dynamic PSSP whose α is the gradient significance: the coins read
-    the values, so the math runs inline."""
+    """Dynamic PSSP whose α is the gradient significance over heterogeneous
+    workers: each of its six coins reads the values, a catch-up of the
+    replay."""
     return {**real_gradient_cell()(), "sync": dynamic_pssp(1, significance_alpha()),
-            "execution": ExecutionMode.LAZY, "eval_every": 4}
+            "execution": ExecutionMode.LAZY, "eval_every": 4,
+            "compute_model": HeterogeneousCompute(3, spread=0.8)}
+
+
+def recording_significance_cell(reads):
+    """:func:`significance_pssp_cell` whose α appends every significance it
+    reads to ``reads``."""
+    alpha = significance_alpha()
+
+    def recording(view):
+        reads.append(view.significance)
+        return alpha(view)
+
+    return {**significance_pssp_cell(), "sync": dynamic_pssp(1, recording)}
 
 
 def topk_filter_cell():
     """A top-k push filter: each push's wire size is a function of its
-    values, so the math runs inline."""
+    values, which the replay computes as each step is taken."""
     return {**real_gradient_cell()(), "push_filter_factory": lambda: TopKFilter(0.2)}
 
 
@@ -187,9 +202,9 @@ class TestPresetDifferential:
             pytest.param(lockstep_eval_cell, {}, id="lockstep-eval"),
             pytest.param(dpr_heavy_cell, {"reason": "overlap", "round": 1}, id="soft-dprs"),
             pytest.param(bsp_task_cell, {}, id="bsp-barrier"),
-            pytest.param(significance_pssp_cell, {"reason": "value_dependent"},
+            pytest.param(significance_pssp_cell, {"reason": "overlap", "round": 1},
                          id="significance-pssp"),
-            pytest.param(topk_filter_cell, {"reason": "value_dependent"}, id="topk-filter"),
+            pytest.param(topk_filter_cell, {"reason": "push_filter"}, id="topk-filter"),
         ],
     )
     def test_training_run_params_identical(self, cell, fallback):
@@ -198,33 +213,39 @@ class TestPresetDifferential:
         requests behind them too) and re-buffered replies read versions at
         release, one shaped as the benchmark's ``cosim_task_32w``, two
         whose rounds all commit in closed form (one evaluating between
-        them), and two whose timing reads values.  Final parameters and
-        every evaluation must be bit-equal to the reference's, whose
-        shards apply each push as they handle it — and the run, its loss
-        history and a checkpoint after it bit-equal to the coupled run's."""
+        them), and two whose timing reads values.  Final parameters, every
+        evaluation, the loss history, the shards' end states and a
+        checkpoint after the run must be bit-equal to the reference's,
+        whose shards apply each push as they handle it."""
         runner, result, _ref = assert_matches_reference(cell)
         assert result.final_params is not None
         assert runner.collapse_fallback == fallback
-        if fallback.get("reason") == "value_dependent":
-            assert runner.steps_replayed == 0
-        else:
-            assert_replay_matches_coupled(cell)
         if cell is dpr_heavy_cell:
             assert result.metrics.dprs > result.metrics.pulls // 4
+
+    def test_each_significance_read_is_the_references(self):
+        """Every coin's significance — a catch-up of the replay — is the
+        float the reference's shard computed at its push, not only the
+        coin's outcome."""
+        reads, ref_reads = [], []
+        cells = iter((reads, ref_reads))
+        assert_matches_reference(lambda: recording_significance_cell(next(cells)))
+        assert reads == ref_reads and len(reads) == 6
 
     @pytest.mark.parametrize("cfg_kwargs", preset_configs())
     def test_preset_cells_replay_as_coupled(self, cfg_kwargs):
         """Every preset cell as a real-gradient run under the soft barrier,
-        evaluating after every iteration: the replay is the coupled run,
-        whichever rounds commit in closed form and whichever hand over."""
-        assert_replay_matches_coupled(lambda: {
+        evaluating after every iteration: the replay is the reference's
+        coupled run, whichever rounds commit in closed form and whichever
+        hand over."""
+        assert_matches_reference(lambda: {
             **cfg_kwargs, "task": blobs_task(4, n_train=160, n_test=40, seed=2),
             "execution": ExecutionMode.SOFT_BARRIER, "eval_every": 1,
         })
 
     def test_replay_continues_a_restored_system(self):
         """``run_fluentps(cfg, system)`` after ``restore``: the replay starts
-        from the checkpoint's versions and progress, as the coupled run."""
+        from the checkpoint's versions and progress, as the reference does."""
         first = real_gradient_cell()
         trained = FluentPSSimRunner(SimConfig(**first(), obs=NULL_OBS))
         trained.run()
@@ -240,7 +261,7 @@ class TestPresetDifferential:
             system.restore(state)
             return system
 
-        runner = assert_replay_matches_coupled(
+        runner, _result, _ref = assert_matches_reference(
             lambda: {**first(), "eval_every": 3}, make_system=restored
         )
         assert runner._first == [8, 8, 8]
@@ -250,33 +271,45 @@ class TestPresetDifferential:
                              ids=["soft", "isolated"])
     def test_observed_replay_streams_identical(self, cell):
         """An observed, non-causal task run: each shard's instant stream —
-        every reply's ``snap`` tag included (S016) — is the coupled run's.
+        every reply's ``snap`` tag included (S016) — is the reference's.
         Its timing run keeps the event path (a block carries no tags)."""
         make_obs = lambda: Observability(MetricsRegistry("replay"), causal=False)  # noqa: E731
-        runner = assert_replay_matches_coupled(cell, make_obs=make_obs)
+        runner, _result, _ref = assert_matches_reference(cell, make_obs=make_obs)
         assert runner.collapse_fallback == {"reason": "snap_tags"}
         assert sanitize_observability(runner.obs).ok
 
 
 class TestScheduleLogMutants:
-    """The kill-matrix rows of the schedule log (``tests/mutants.py``): each
-    dies by the replay-vs-coupled differential on a cell that reaches it."""
+    """The kill-matrix rows of the schedule log and the replay
+    (``tests/mutants.py``): each dies by the reference differential on a
+    cell that reaches it."""
 
     def test_apply_log_out_of_order_dies_here(self, monkeypatch):
         apply_log_out_of_order(monkeypatch)
         with pytest.raises(AssertionError):
-            assert_replay_matches_coupled(isolated_task_cell)
+            assert_matches_reference(isolated_task_cell)
 
     def test_reply_prefix_off_by_one_dies_here(self, monkeypatch):
         reply_prefix_off_by_one(monkeypatch)
         with pytest.raises(AssertionError):
-            assert_replay_matches_coupled(dpr_heavy_cell)
+            assert_matches_reference(dpr_heavy_cell)
 
     def test_eval_read_one_event_late_dies_here(self, monkeypatch):
         eval_read_one_event_late(monkeypatch)
         # A read ahead of the schedule can reach a push not yet stepped.
         with pytest.raises((AssertionError, RuntimeError)):
-            assert_replay_matches_coupled(dpr_heavy_cell)
+            assert_matches_reference(dpr_heavy_cell)
+
+    def test_significance_from_the_version_before_dies_here(self, monkeypatch):
+        significance_from_the_version_before(monkeypatch)
+        with pytest.raises(AssertionError):
+            TestPresetDifferential().test_each_significance_read_is_the_references()
+
+    def test_catch_up_one_step_short_dies_here(self, monkeypatch):
+        catch_up_one_step_short(monkeypatch)
+        # The shard's pending apply then finds its step not taken.
+        with pytest.raises(RuntimeError, match="before its step"):
+            assert_matches_reference(significance_pssp_cell)
 
 
 class TestBusyLane:
