@@ -171,13 +171,15 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
             rc, first = EXIT_INVARIANT, first or "X002"
         total.merge(report)
 
-    # Small real-gradient runs: their math is replayed (every reply's
-    # snapshot tag included), at the end, or — dynamic PSSP's significance
-    # coins and a significance filter — as the timing run asks for values.
-    for label, sync, push_filter, compute in [
-        ("pssp-replay", pssp(2, 0.5), None, None),
+    # Small real-gradient runs: their math is replayed, at the end, or —
+    # dynamic PSSP's significance coins and a significance filter — as the
+    # timing run asks for values.  The first takes its raw twin's path, so
+    # it must commit a round in closed form; the filter keeps the second
+    # on the event path (``push_filter``).
+    for label, sync, push_filter, compute, collapses in [
+        ("pssp-replay", pssp(2, 0.5), None, None, True),
         ("dynamic-significance", dynamic_pssp(1, significance_alpha()),
-         lambda: SignificanceFilter(0.01), HeterogeneousCompute(4, spread=0.8)),
+         lambda: SignificanceFilter(0.01), HeterogeneousCompute(4, spread=0.8), False),
     ]:
         obs = Observability(MetricsRegistry("smoke"), causal=False)
         runner = FluentPSSimRunner(
@@ -188,13 +190,17 @@ def run_smoke(iters: int = 12, n_workers: int = 3, n_servers: int = 2) -> Sectio
             )
         )
         runner.run()
-        replayed = runner.steps_replayed
+        replayed, collapsed = runner.steps_replayed, runner.engine.rounds_collapsed
         report = sanitize_observability(obs)
-        lines.append(f"smoke sim {label} (steps_replayed={replayed}): {report.describe()}")
+        lines.append(f"smoke sim {label} (steps_replayed={replayed}, "
+                     f"rounds_collapsed={collapsed}): {report.describe()}")
         if not report.ok:
             rc, first = EXIT_INVARIANT, first or report.violations[0].code
         elif replayed != 4 * 6:
             lines.append(f"smoke sim {label}: math not replayed {runner.collapse_fallback}")
+            rc, first = EXIT_INVARIANT, first or "X002"
+        elif collapses and collapsed == 0:
+            lines.append(f"smoke sim {label}: no round collapsed {runner.collapse_fallback}")
             rc, first = EXIT_INVARIANT, first or "X002"
         total.merge(report)
 

@@ -30,7 +30,7 @@ from repro.core.keyspace import RangeKeySlicer
 from repro.core.models import SyncModel, asp
 from repro.sim.engine import Signal
 from repro.sim.network import Message, NicSpec
-from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult
+from repro.sim.runner import REQUEST_BYTES, FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
 
 SCHEDULER_NODE = "scheduler"
@@ -99,7 +99,7 @@ class PSLiteSimRunner(FluentPSSimRunner):
                 self.net.send(
                     self._sched_ep,
                     self._wkr_eps[r.worker],
-                    self.cfg.request_bytes,
+                    REQUEST_BYTES,
                     payload=_GrantMsg(r.worker, r.progress),
                     tag="grant",
                     cause=cause,
@@ -136,7 +136,7 @@ class PSLiteSimRunner(FluentPSSimRunner):
             t_wait = engine.now
             grant = self._grant_signals[w] = engine.signal(f"grant:{w}:{i}")
             self.net.send(
-                row.ep, self._sched_ep, self.cfg.request_bytes,
+                row.ep, self._sched_ep, REQUEST_BYTES,
                 payload=_ReportMsg(w, i), tag="report", cause=row.cause,
             )
             yield grant

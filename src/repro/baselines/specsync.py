@@ -31,8 +31,9 @@ from dataclasses import dataclass, replace
 
 from repro.core.models import SyncModel, asp
 from repro.sim.network import NicSpec
-from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult
+from repro.sim.runner import REQUEST_BYTES, FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
+from repro.utils.checks import check_number
 
 SCHEDULER_NODE = "specsync-scheduler"
 
@@ -55,10 +56,8 @@ class SpecSyncConfig:
     abort_check_slices: int = 8
 
     def __post_init__(self) -> None:
-        if self.abort_threshold < 1:
-            raise ValueError("abort_threshold must be >= 1")
-        if self.abort_check_slices < 1:
-            raise ValueError("abort_check_slices must be >= 1")
+        for name in ("abort_threshold", "abort_check_slices"):
+            setattr(self, name, check_number(name, getattr(self, name), 1, integer=True))
 
 
 class SpecSyncRunner(FluentPSSimRunner):
@@ -91,7 +90,7 @@ class SpecSyncRunner(FluentPSSimRunner):
             if self._fresh_counts[w] >= threshold and not self._abort_flags[w]:
                 self._abort_flags[w] = True
                 self.net.send(
-                    self._sched_ep, self._wkr_eps[w], self.cfg.request_bytes,
+                    self._sched_ep, self._wkr_eps[w], REQUEST_BYTES,
                     tag="abort", cause=cause, notify=False, at=at,
                 )
 
@@ -141,7 +140,7 @@ class SpecSyncRunner(FluentPSSimRunner):
             self._push_all(row)
             # Notify the central scheduler (SpecSync's per-push message).
             self.net.send(
-                row.ep, self._sched_ep, self.cfg.request_bytes,
+                row.ep, self._sched_ep, REQUEST_BYTES,
                 payload=_NotifyMsg(w, i), tag="notify", cause=row.cause,
             )
             # The reply gather is *not* exclusive: the scheduler's abort

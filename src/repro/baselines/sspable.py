@@ -32,8 +32,9 @@ import numpy as np
 from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel
 from repro.core.server import ApplyInfo, ExecutionMode
-from repro.sim.runner import FluentPSSimRunner, SimConfig, SimRunResult
+from repro.sim.runner import REQUEST_BYTES, FluentPSSimRunner, SimConfig, SimRunResult
 from repro.sim.trace import SpanKind
+from repro.utils.checks import check_number
 
 
 @dataclass
@@ -45,8 +46,7 @@ class SSPTableConfig:
     raw_additive: bool = True  # Bösen applies w += u; False → w += u/N
 
     def __post_init__(self) -> None:
-        if self.staleness < 0:
-            raise ValueError("staleness must be >= 0")
+        self.staleness = check_number("staleness", self.staleness, integer=True)
 
 
 class _TableServer:
@@ -57,7 +57,6 @@ class _TableServer:
         self.shard_id = shard_id
         self.n_workers = n_workers
         self.params = params
-        self.deferred: Optional[np.ndarray] = None  #: ``params`` while a replay has them
         self.raw_additive = raw_additive
         self.clocks = [0] * n_workers
         self.blocked: List[Tuple[int, int, Callable[[int], None]]] = []
@@ -75,19 +74,19 @@ class _TableServer:
     buffered_pulls = property(lambda self: len(self.blocked))
     version = property(lambda self: self.metrics.pushes)
     callbacks: dict = {}
-    snapshot_copies = snapshot_copies_avoided = 0
 
     def apply_fn(self, params: np.ndarray, update: np.ndarray, info: ApplyInfo) -> None:
         """The replay's apply: Bösen's ``w ← w + u``, or ``w ← w + u/N``."""
         params += update if self.raw_additive else update / self.n_workers
 
-    def defer_values(self, catch_up=None) -> None:
-        """A timing run schedules the applies (no condition reads values)."""
-        self.deferred, self.params = self.params, None
+    def defer_values(self, catch_up=None) -> Optional[np.ndarray]:
+        """Hand the params to a replay (no table read reads values)."""
+        params, self.params = self.params, None
+        return params
 
-    def handle_replayed(self) -> None:
+    def handle_replayed(self, params: Optional[np.ndarray]) -> None:
         """Take back the params a replay brought to :attr:`version`."""
-        self.params, self.deferred = self.deferred, None
+        self.params = params
 
     def handle_update(self, worker: int, clock: int,
                       on_clock_advance: Callable[[int], None]) -> None:
@@ -164,7 +163,7 @@ class SSPTableRunner(FluentPSSimRunner):
         entries.  N messages through one server NIC — the O(N) cost."""
         for dst in self._wkr_eps:
             self.net.send(
-                self._srv_eps[server], dst, self.cfg.request_bytes,
+                self._srv_eps[server], dst, REQUEST_BYTES,
                 tag="invalidate", notify=False, at=self._srv_now[server],
             )
         self.invalidations_sent += len(self._wkr_eps)

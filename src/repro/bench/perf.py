@@ -437,10 +437,6 @@ def _bench_macro_run(name: str, workers: int, iters: int, repeats: int) -> Bench
             result = run_result
             counters = {
                 "fast_path_transfers": runner.net.fast_path_transfers,
-                "snapshot_copies": sum(s.snapshot_copies for s in runner.servers),
-                "snapshot_copies_avoided": sum(
-                    s.snapshot_copies_avoided for s in runner.servers
-                ),
                 "server_msgs_inline": runner.server_msgs_inline,
                 "server_msgs_drained": runner.server_msgs_drained,
                 "fused_deliveries": runner.net.fused_deliveries,

@@ -74,7 +74,8 @@ class SyncView:
         self.slowest = slowest
         self._significance = significance
         self.rng = rng
-        self.catch_up: Optional[Callable[[], float]] = None  #: a deferred shard's replay
+        #: The replay holding the shard's values, asked for the significance.
+        self.catch_up: Optional[Callable[[], float]] = None
 
     @property
     def significance(self) -> float:

@@ -55,18 +55,18 @@ class ScheduleLog:
 
 
 class _Shard:
-    """One shard's deferred parameters as the replay advances them along
-    its apply log, with the snapshots some step or evaluation still reads.
-    A version is copied only when the shard moves past it with readers
-    left; a reader at the current version reads the live array (every
-    reader copies what it reads: ``gather_into``)."""
+    """One shard's parameters, taken from its server, as the replay
+    advances them along its apply log, with the snapshots some step or
+    evaluation still reads.  A version is copied only when the shard moves
+    past it with readers left; a reader at the current version reads the
+    live array (every reader copies what it reads: ``gather_into``)."""
 
     __slots__ = ("server", "params", "version", "applies", "cursor", "grads", "readers",
                  "snaps", "last")
 
-    def __init__(self, server: ShardServer, start: int, applies):
+    def __init__(self, server: ShardServer, params: np.ndarray, start: int, applies):
         self.server = server
-        self.params = server.deferred
+        self.params = params
         self.version = start
         self.applies = applies
         self.cursor = 0
@@ -155,8 +155,9 @@ def _stacks(task) -> bool:
 
 
 class Replay:
-    """``log``'s math with ``task`` on ``system``'s shards, which it defers
-    at once and hands back at :meth:`finish`.  Each shard applies its log
+    """``log``'s math with ``task`` on ``system``'s shards, whose arrays it
+    takes at once (``defer_values``) and hands back at :meth:`finish`,
+    leaving plain timing-only shards meanwhile.  Each shard applies its log
     in order; a version is copied only when its shard moves past it with a
     logged step or evaluation, or a worker's next step, still to read it.
     ``seed`` keys the step streams, ``(seed, "step", w)``; ``filters``
@@ -170,8 +171,8 @@ class Replay:
         self.task, self.log, self.layout = task, log, system.layout
         self.shards = []
         for m, server in enumerate(system.servers):
-            server.defer_values(partial(self.significance, m))
-            self.shards.append(_Shard(server, log.start[m], log.applies[m]))
+            params = server.defer_values(partial(self.significance, m))
+            self.shards.append(_Shard(server, params, log.start[m], log.applies[m]))
         self.rngs = [derive_rng(seed, "step", w) for w in range(system.n_workers)]
         self.filters = filters if any(f.reads_values for f in filters) else ()
         self.first = np.array(log.first)
@@ -295,5 +296,5 @@ class Replay:
             shard.reach(server.version)
             if shard.cursor != len(shard.applies) or shard.grads:
                 raise RuntimeError(f"shard {server.shard_id}: pushes past the run's end")
-            server.handle_replayed()
+            server.handle_replayed(shard.params)
         return self.values

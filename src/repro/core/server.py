@@ -169,11 +169,6 @@ class ShardServer:
         self.execution = ExecutionMode(execution)
         #: The live shard array (``None``: a timing-only shard).
         self.params = params
-        #: The shard array while a timing run stands in for it
-        #: (:meth:`defer_values`): ``params`` is ``None`` and no push is
-        #: applied, but snapshots are counted and tagged as the array's
-        #: would be, until :meth:`handle_replayed` hands it back.
-        self.deferred: Optional[np.ndarray] = None
         self.apply_fn = apply_fn
         self.clock = clock or (lambda: 0.0)
         self.rng = rng or np.random.default_rng(0)
@@ -583,7 +578,7 @@ class ShardServer:
         # Positional calls and no ``max``: this runs once per answered pull.
         v_train = self.v_train
         missing = progress + 1 - v_train if progress >= v_train else 0
-        params = None if self.params is None and self.deferred is None else self._snapshot()
+        params = None if self.params is None else self._snapshot()
         reply = PullReply(
             worker, progress, self.version, v_train, missing, waited, params, self.shard_id
         )
@@ -606,30 +601,26 @@ class ShardServer:
                 missing, released, coin, pull_condition_kind(self.pull_con),
                 _staleness_arg(s_at_eval), waited, self.version,
                 # ``snap``: storage tag of the shared COW copy this reply
-                # carries, or a deferred shard stands in for (None for a
-                # timing-only shard) — lets the sanitizer assert
-                # same-version replies share storage and post-push replies
-                # do not (S016).
-                None if params is None and self.deferred is None else self._snap_id,
+                # carries (None for a timing-only shard) — lets the
+                # sanitizer assert same-version replies share storage and
+                # post-push replies do not (S016).
+                None if params is None else self._snap_id,
             )
         respond(reply)
 
-    def _snapshot(self) -> Optional[np.ndarray]:
+    def _snapshot(self) -> np.ndarray:
         """Parameters for a pull reply: one immutable copy per version.
 
         The first reply at a given ``version`` copies ``self.params`` once
         and marks the copy read-only; later same-version replies share that
         storage (128 workers pulling one version cost 1 copy, not 128).
         Pushes keep mutating ``self.params`` freely — the reply copy is
-        detached — and every version change drops the cache.  A deferred
-        shard counts and tags the copy it stands in for, and copies nothing
-        (a timing-only shard has no snapshot: its caller asks for none).
+        detached — and every version change drops the cache (a timing-only
+        shard has no snapshot: its caller asks for none).
         """
         if self._snap_version != self.version:
-            snap = None
-            if self.params is not None:
-                snap = self.params.copy()
-                snap.flags.writeable = False
+            snap = self.params.copy()
+            snap.flags.writeable = False
             self._snap_cache = snap
             self._snap_version = self.version
             self._snap_id += 1
@@ -646,7 +637,6 @@ class ShardServer:
         early_pulls: int,
         dpr_waits: Optional[np.ndarray] = None,
         two_behind: int = 0,
-        snapshots: int = 0,
     ) -> None:
         """Commit one analytically fast-forwarded protocol round.
 
@@ -662,9 +652,7 @@ class ShardServer:
         pulls were served before the *previous* round's frontier advance
         (the rounds overlapped): two missing iterations each.  Only legal
         for timing-only shards (no parameters, no gradients) with no
-        buffered DPRs.  ``snapshots``: how many distinct versions the
-        round's replies read, the copies a deferred shard counts.  With
-        observability on, the metrics the
+        buffered DPRs.  With observability on, the metrics the
         per-request handlers would have updated are updated here in bulk,
         exactly; the round's protocol instants are the caller's to emit
         (columnar blocks, in this shard's handle order).
@@ -685,13 +673,6 @@ class ShardServer:
         self._slowest = progress
         self._n_at_slowest = n
         self.version += n
-        self._snap_cache = None
-        if snapshots:
-            # The round's last request is a pull, and it reads every push.
-            self._snap_id += snapshots
-            self.snapshot_copies += snapshots
-            self.snapshot_copies_avoided += n - snapshots
-            self._snap_version = self.version
         self.count[progress] += n
         self.v_train = progress + 1
         # The event path probes the pull condition for a coin attribute on
@@ -726,24 +707,23 @@ class ShardServer:
 
     # -- Schedule, then math (repro.core.replay) ----------------------------
 
-    def defer_values(self, catch_up: Optional[Callable[[], float]] = None) -> None:
-        """Stand in for this shard's parameters while a timing run schedules
-        its applies (:attr:`deferred`); a significance read asks ``catch_up``."""
-        self.deferred, self.params = self.params, None
+    def defer_values(
+        self, catch_up: Optional[Callable[[], float]] = None
+    ) -> Optional[np.ndarray]:
+        """Hand this shard's parameters to a replay of its apply log, and
+        run timing-only until :meth:`handle_replayed`; a significance read
+        asks ``catch_up`` meanwhile."""
+        params, self.params = self.params, None
         self._view_scratch.catch_up = catch_up
+        return params
 
-    def handle_replayed(self) -> None:
-        """Take back the parameters a replay of this shard's apply log has
-        brought to :attr:`version`, and the significance of its last push
-        (the replay's answer).  The shard ends as if each push had been
-        applied when it was handled, its snapshot cache included."""
+    def handle_replayed(self, params: Optional[np.ndarray]) -> None:
+        """Take back ``params``, which a replay of this shard's apply log
+        has brought to :attr:`version`, and the significance of its last
+        push (the replay's answer)."""
         view = self._view_scratch
         self.last_significance = float(view.significance)
-        self.params, self.deferred, view.catch_up = self.deferred, None, None
-        if self._snap_version == self.version:
-            snap = self.params.copy()
-            snap.flags.writeable = False
-            self._snap_cache = snap
+        self.params, view.catch_up = params, None
 
     # -- Checkpoint restore (the only non-push/pull state transition) -------
 

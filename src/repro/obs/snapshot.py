@@ -11,8 +11,7 @@ time, the live quantities the paper's mechanisms act on:
 - network pressure: bytes in flight plus per-node TX/RX NIC utilization
   (the incast bottleneck of §II-B, now visible as a series);
 - fast-path health: how many transfers the analytic lane scheduler
-  carried and how many of their deliveries fused, and how many per-pull
-  parameter copies the server's copy-on-write snapshot cache avoided (see
+  carried and how many of their deliveries fused (see
   ``docs/PERFORMANCE.md``, "The wire fast path and snapshot sharing").
 
 Everything lands in gauge series keyed by ``shard``/``node`` labels, so
@@ -63,12 +62,6 @@ class ServerSnapshotter:
         self._g_age = registry.gauge(
             "ps_buffered_pull_age_seconds", "age of the oldest buffered pull per shard"
         )
-        self._g_copies = registry.gauge(
-            "ps_snapshot_copies", "parameter copies materialized per shard (COW misses)"
-        )
-        self._g_copies_avoided = registry.gauge(
-            "ps_snapshot_copies_avoided", "pull replies served from the shared COW copy"
-        )
         self._g_inflight = registry.gauge(
             "net_bytes_in_flight", "bytes currently on the wire"
         )
@@ -93,8 +86,6 @@ class ServerSnapshotter:
                 self._g_version.labels(shard=s.shard_id),
                 self._g_dprs.labels(shard=s.shard_id),
                 self._g_age.labels(shard=s.shard_id),
-                self._g_copies.labels(shard=s.shard_id),
-                self._g_copies_avoided.labels(shard=s.shard_id),
             )
             for s in self.servers
         ]
@@ -146,23 +137,12 @@ class ServerSnapshotter:
         """Record one sample of every scraped quantity at sim time ``now``."""
         self.scrapes += 1
         self._last_scrape_t = now
-        for (
-            server,
-            b_depth,
-            b_frontier,
-            b_version,
-            b_dprs,
-            b_age,
-            b_copies,
-            b_avoided,
-        ) in self._per_server:
+        for server, b_depth, b_frontier, b_version, b_dprs, b_age in self._per_server:
             b_depth.set(server.buffered_pulls)
             b_frontier.set(server.v_train)
             b_version.set(server.version)
             b_dprs.set(server.metrics.dprs)
             b_age.set(oldest_buffered_age(server, now))
-            b_copies.set(server.snapshot_copies)
-            b_avoided.set(server.snapshot_copies_avoided)
         if self.engine is not None:
             self._b_pending_hwm.set(self.engine.pending_high_water)
             self._b_rounds_collapsed.set(self.engine.rounds_collapsed)

@@ -57,6 +57,12 @@ from repro.utils.records import SeriesRecord
 from repro.utils.rng import derive_rng
 
 
+#: Bytes every push and reply carries on top of its shard's payload.
+HEADER_BYTES = 256
+#: Bytes of an sPull request (and of a baseline's control message).
+REQUEST_BYTES = 128
+
+
 @dataclass
 class SimConfig:
     """Everything one co-simulated training run needs."""
@@ -82,8 +88,6 @@ class SimConfig:
     #: and a sanitize-focused run only needs the protocol instant stream.
     #: ``True`` → always keep.
     span_capture: Optional[bool] = None
-    header_bytes: int = 256
-    request_bytes: int = 128
     #: Server processing time per handled request (queue pop, dispatch).
     server_op_overhead_s: float = 20e-6
     #: Protocol cost per DPR event: server-side buffering/re-check work
@@ -102,7 +106,7 @@ class SimConfig:
     snapshot_interval_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        least = dict(max_iter=1, batch_per_worker=1, header_bytes=0, request_bytes=0, eval_every=0)
+        least = dict(max_iter=1, batch_per_worker=1, eval_every=0)
         for name, minimum in least.items():
             setattr(self, name, check_number(name, getattr(self, name), minimum, integer=True))
         for name in ("base_compute_time", "wire_scale", "snapshot_interval_s"):
@@ -746,7 +750,7 @@ class FluentPSSimRunner:
     # -- sizing ---------------------------------------------------------------
 
     def _payload_bytes(self, server: int) -> int:
-        return int(self.layout.shard_bytes(server) * self.wire_scale) + self.cfg.header_bytes
+        return int(self.layout.shard_bytes(server) * self.wire_scale) + HEADER_BYTES
 
     # -- server side ----------------------------------------------------------
 
@@ -878,9 +882,8 @@ class FluentPSSimRunner:
         w, i = row.w, row.i
         sizes = self._shard_bytes  # exact when nothing was filtered out
         if row.wire_factor != 1.0:
-            floor = self.cfg.header_bytes
             sizes = [
-                max(floor, int(self._payload_bytes(m) * row.wire_factor))
+                max(HEADER_BYTES, int(self._payload_bytes(m) * row.wire_factor))
                 for m in range(len(sizes))
             ]
         return [
@@ -889,7 +892,7 @@ class FluentPSSimRunner:
 
     def _pulls(self, row: _Worker, progress: int) -> List[tuple]:
         """sPull every shard at ``progress`` (line 5), as transfers."""
-        w, size = row.w, self.cfg.request_bytes
+        w, size = row.w, REQUEST_BYTES
         return [(dst, size, (m, w, progress, True), "pull") for m, dst in enumerate(self._srv_eps)]
 
     def _push_all(self, row: _Worker) -> List[Signal]:
@@ -980,11 +983,9 @@ class FluentPSSimRunner:
         one frontier advance per round — and no PSSP coin flips).
         Anything outside that — a push filter whose wire sizes follow the
         values, quorums below n, PSSP at s = 0, DSPS's self-mutating
-        staleness, DPOR
-        choice/delay hooks, delivery hooks, causal tracing, an observed
-        timing run's snapshot tags — keeps the per-event path, which
-        stays bit-identical by construction.  The reason lands in
-        :attr:`collapse_fallback`.
+        staleness, DPOR choice/delay hooks, delivery hooks, causal
+        tracing — keeps the per-event path, which stays bit-identical by
+        construction.  The reason lands in :attr:`collapse_fallback`.
         """
         cfg = self.cfg
         if type(self) is not FluentPSSimRunner:
@@ -1003,10 +1004,6 @@ class FluentPSSimRunner:
         if self.net._delivery_hooks:
             # A hook observes every message as a real ``Message``.
             return "delivery_hook"
-        if self._log is not None and self.obs.enabled:
-            # A columnar block carries no snapshot tags, which a timing
-            # run's replies read as the coupled run's (S016).
-            return "snap_tags"
         n = cfg.cluster.n_workers
         for s in self.servers:
             pc = s.pull_con
@@ -1044,7 +1041,7 @@ class FluentPSSimRunner:
         cfg = self.cfg
         # Serialization holds are pure functions of (NIC, size): one
         # row per distinct NIC spec covers the whole cohort.
-        sizes = self._shard_bytes + [cfg.request_bytes]
+        sizes = self._shard_bytes + [REQUEST_BYTES]
         weps, seps = self._wkr_eps, self._srv_eps
         holds = {nic: [nic.serialize_time(s) for s in sizes] for nic in {ep.nic for ep in weps}}
         return _Lanes(
@@ -1052,7 +1049,7 @@ class FluentPSSimRunner:
             op_cost=cfg.server_op_overhead_s,
             w_holds=np.array([holds[ep.nic] for ep in weps]),
             s_push_hold=[ep.nic.serialize_time(b) for ep, b in zip(seps, self._shard_bytes)],
-            s_pull_hold=[ep.nic.serialize_time(cfg.request_bytes) for ep in seps],
+            s_pull_hold=[ep.nic.serialize_time(REQUEST_BYTES) for ep in seps],
             wtx_free=np.array([ep.tx_free_at for ep in weps]),
             wrx_free=np.array([ep.rx_free_at for ep in weps]),
             wtx_busy=np.array([ep.tx_busy_s for ep in weps]),
@@ -1106,7 +1103,6 @@ class FluentPSSimRunner:
         sample = self.compute_model.sample
         rngs = self._compute_rngs
         push_bytes = self._shard_bytes
-        req_bytes = cfg.request_bytes
         base_l = [cfg.resolved_base_compute(node.flops) for node in cfg.cluster.workers]
         names = [f"worker{w}" for w in range(n)]
         # Per-worker span totals of the committed rounds, as cohort arrays.
@@ -1130,7 +1126,7 @@ class FluentPSSimRunner:
             cursors = (lanes.wtx_free, lanes.wrx_free, lanes.wtx_busy, lanes.wrx_busy)
             for ep, row in zip(self._wkr_eps, zip(*(column.tolist() for column in cursors))):
                 ep.tx_free_at, ep.rx_free_at, ep.tx_busy_s, ep.rx_busy_s = row
-                ep.bytes_sent += r * (sum_push + M * req_bytes)
+                ep.bytes_sent += r * (sum_push + M * REQUEST_BYTES)
                 ep.messages_sent += r * 2 * M
                 ep.bytes_received += r * sum_push
                 ep.messages_received += r * M
@@ -1141,12 +1137,12 @@ class FluentPSSimRunner:
                 ep.rx_busy_s = lanes.srx_busy[m]
                 ep.bytes_sent += r * n * push_bytes[m]
                 ep.messages_sent += r * n
-                ep.bytes_received += r * n * (push_bytes[m] + req_bytes)
+                ep.bytes_received += r * n * (push_bytes[m] + REQUEST_BYTES)
                 ep.messages_received += r * 2 * n
                 self._srv_busy[m] = lanes.serve_busy[m]
             nmsg = r * 3 * M * n
             net.total_messages += nmsg
-            net.total_bytes += r * n * (2 * sum_push + M * req_bytes)
+            net.total_bytes += r * n * (2 * sum_push + M * REQUEST_BYTES)
             net.fast_path_transfers += nmsg
             net._next_msg_id += nmsg
             net.fused_deliveries += nmsg
@@ -1155,15 +1151,14 @@ class FluentPSSimRunner:
             # Round ``r`` into the trace, the schedule log, the instant log,
             # the shards and the counters.
             compute_spans.add(sched.order, c, sched.ready, r)
-            snapshots = [0] * M if log is None else self._log_round(r, sched)
+            if log is not None:
+                self._log_round(r, sched)
             if observed:
                 # Before the shards commit: the rows (and round 0's config
                 # snapshots) see each shard's pre-round state.
                 self._emit_round_blocks(r, sched, block_shards)
             for m in range(M):
-                self.servers[m].handle_quiet_round(
-                    r, sched.early[m], sched.waits[m], behind[m], snapshots[m]
-                )
+                self.servers[m].handle_quiet_round(r, sched.early[m], sched.waits[m], behind[m])
                 self._srv_now[m] = float(sched.handle[m, -1])
             f = sched.done
             pull_spans.add(sched.closes, sched.ready, f, r)
@@ -1283,17 +1278,15 @@ class FluentPSSimRunner:
             and not (sched.tx_end[:, :M] == resume).any()
         )
 
-    def _log_round(self, r: int, sched: _RoundSchedule) -> List[int]:
+    def _log_round(self, r: int, sched: _RoundSchedule) -> None:
         """Feed committed round ``r`` — isolated, on a fresh system — to the
         schedule log, before its shards commit it: each shard's pushes in
         handle order, the version each reply read (a barrier's buffered
         pulls, at their release), the steps in resume order, worker 0's
-        evaluation.  Returns, per shard, how many distinct
-        versions its replies read."""
+        evaluation."""
         log = self._log
         n, K = sched.tx_end.shape
         M = K // 2
-        snapshots = []
         for m, server in enumerate(self.servers):
             ids = sched.claims[m]
             pull = ids % K >= M
@@ -1302,9 +1295,7 @@ class FluentPSSimRunner:
             applied = sched.applied[m][pull]
             if sched.lanes.barrier[m]:
                 applied = np.maximum(applied, n)  # released by the n-th push
-            versions = server.version + applied
-            log.reads[workers[pull], r, m] = versions
-            snapshots.append(int(np.count_nonzero(np.diff(versions))) + 1)
+            log.reads[workers[pull], r, m] = server.version + applied
         log.steps.extend(zip(sched.order.tolist(), [r] * n))
         if self._evaluates(r + 1):
             resume = sched.done[0]
@@ -1313,7 +1304,6 @@ class FluentPSSimRunner:
                 for m, server in enumerate(self.servers)
             ]))
             self._eval_at.append((float(resume), r + 1))
-        return snapshots
 
     def _emit_round_blocks(self, r: int, sched: _RoundSchedule, shards) -> None:
         """Append committed round ``r``'s protocol instants to the instant

@@ -307,7 +307,7 @@ def replay_cohort_same_worker(monkeypatch) -> None:
 
 
 def significance_from_the_version_before(monkeypatch) -> None:
-    """A significance read on a deferred shard is answered at the version
+    """A significance read on a replayed shard is answered at the version
     before the shard's current one: the replay catches up one push short
     and reads that push's |g|/|w|.  Killer:
     ``test_server_dispatch.py::TestScheduleLogMutants::test_significance_from_the_version_before_dies_here``."""

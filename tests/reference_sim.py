@@ -40,7 +40,7 @@ from repro.core.server import PullReply, ShardServer
 from repro.core.step import StepContext
 from repro.obs import current_observability
 from repro.sim.engine import Engine, Signal, SimulationError
-from repro.sim.runner import SimConfig
+from repro.sim.runner import HEADER_BYTES, REQUEST_BYTES, SimConfig
 from repro.sim.stragglers import LogNormalCompute
 from repro.utils.rng import derive_rng
 
@@ -273,7 +273,7 @@ class ReferenceSim:
 
     def _payload_bytes(self, j: int) -> int:
         cfg = self.cfg
-        return int(self.layout.shard_bytes(j) * cfg.resolved_wire_scale()) + cfg.header_bytes
+        return int(self.layout.shard_bytes(j) * cfg.resolved_wire_scale()) + HEADER_BYTES
 
     def _global_params(self) -> np.ndarray:
         return self.layout.gather([s.params for s in self.servers])
@@ -340,12 +340,12 @@ class ReferenceSim:
             for j, dst in enumerate(server_ids):  # sPush (line 4)
                 size = self._payload_bytes(j)
                 if factor != 1.0:
-                    size = max(cfg.header_bytes, int(size * factor))
+                    size = max(HEADER_BYTES, int(size * factor))
                 send(me, dst, size, "push", ("push", w, i, shards[j]))
             flat = np.empty(cfg.spec.total_elements) if task is not None else None
             pull = self.pulls[w] = _Pull(len(server_ids), Signal(engine), flat)
             for dst in server_ids:  # sPull (line 5)
-                send(me, dst, cfg.request_bytes, "pull", ("pull", w, i, None))
+                send(me, dst, REQUEST_BYTES, "pull", ("pull", w, i, None))
             yield pull.done  # line 6
             if params is not None:
                 params = pull.flat

@@ -107,11 +107,14 @@ def instant_stream(instants):
     """A protocol instant stream as JSON bytes, comparable across runs.
 
     ``uid`` is a process-global server incarnation counter — it differs
-    between any two runner constructions in one process by design, so it
-    is the one argument stripped before comparing streams."""
+    between any two runner constructions in one process by design — and
+    ``snap`` tags a live shard's reply copies, which a simulated run's
+    timing-only shards do not make (the reference's shards are live), so
+    both are stripped before comparing streams."""
     return json.dumps(
         [
-            [i.name, i.t, i.actor, {k: v for k, v in sorted(i.args.items()) if k != "uid"}]
+            [i.name, i.t, i.actor,
+             {k: v for k, v in sorted(i.args.items()) if k not in ("uid", "snap")}]
             for i in instants
         ],
         default=str,
@@ -160,6 +163,21 @@ def busy_lane_cell():
         compute_model=DeterministicCompute(),
         seed=5,
         server_op_overhead_s=0.05,
+    )
+
+
+def isolated_task_cell(n=6, m=2, iters=5):
+    """Compute >> comm with a tiny spread: every round of a real-gradient
+    run commits in closed form, so the replay reads the collapse's logs."""
+    return dict(
+        cluster=cpu_cluster(n, n_servers=m),
+        max_iter=iters,
+        sync=ssp(3),
+        task=blobs_task(n, n_train=40 * n, n_test=60, seed=4),
+        workload=alexnet_cifar_workload(),
+        compute_model=LogNormalCompute(sigma=0.01),
+        base_compute_time=1e5,
+        seed=3,
     )
 
 
@@ -286,13 +304,10 @@ def assert_matches_reference(
 
 def shard_states(system):
     """Each shard's end state as a comparable tuple: parameter bytes,
-    version, frontier, significance, snapshot accounting and cache."""
+    version, frontier and significance."""
     return [
-        (
-            None if s.params is None else s.params.tobytes(), s.version, s.v_train,
-            s.last_significance, s.snapshot_copies, s.snapshot_copies_avoided, s._snap_id,
-            s._snap_version, None if s._snap_cache is None else s._snap_cache.tobytes(),
-        )
+        (None if s.params is None else s.params.tobytes(), s.version, s.v_train,
+         s.last_significance)
         for s in system.servers
     ]
 

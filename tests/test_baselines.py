@@ -178,8 +178,11 @@ class TestSSPTableRunner:
 
     def test_invalid_staleness(self):
         cfg = self._cfg(2)
-        with pytest.raises(ValueError):
-            SSPTableConfig(sim=cfg.sim, staleness=-1)
+        # Negative, and what ran unrefused: NaN with 0 reads, 2.5 with 8,
+        # ``True`` as staleness 1.
+        for staleness in (-1, float("nan"), 2.5, True):
+            with pytest.raises(ValueError, match="staleness"):
+                SSPTableConfig(sim=cfg.sim, staleness=staleness)
 
 
 # -- one worker program, one dispatch mechanism -------------------------------------

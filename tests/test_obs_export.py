@@ -94,8 +94,6 @@ class TestSnapshotter:
                 self.v_train = 10 + shard_id
                 self.version = 20
                 self.callbacks = {}
-                self.snapshot_copies = 3
-                self.snapshot_copies_avoided = 7
                 self.metrics = type("M", (), {"dprs": 5})()
 
         reg = MetricsRegistry("t")

@@ -195,8 +195,6 @@ class _Shard:
         self.buffered_pulls = 0
         self.v_train = 0
         self.version = 0
-        self.snapshot_copies = 0
-        self.snapshot_copies_avoided = 0
         self.callbacks = {}
         self.metrics = type("M", (), {"dprs": 0})()
 

@@ -101,7 +101,7 @@ class TestReplay:
         runner = FluentPSSimRunner(config(eval_every=2))
         result = runner.run()
         for server in runner.servers:
-            assert server.deferred is None and server.params is not None
+            assert server.params is not None and server._view_scratch.catch_up is None
         ref = ReferenceSim(config(eval_every=2)).run()
         assert result.final_params.tobytes() == ref.final_params.tobytes()
         assert len(result.eval_by_time.x) == 3

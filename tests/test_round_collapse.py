@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.conditions import QuorumPush, SSPPull
 from repro.core.models import SyncModel, bsp, dsps, pssp, ssp
 from repro.core.server import ExecutionMode
+from repro.bench.workloads import blobs_task
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.analysis import (
     ProtocolSanitizer,
@@ -52,6 +53,7 @@ from tests.sim_helpers import (
     assert_matches_reference,
     daemon_ticks,
     instant_stream,
+    isolated_task_cell,
     protocol_events,
     python_calls,
     server_metrics,
@@ -78,7 +80,9 @@ class _InjectedStraggler(ComputeModel):
 
 
 def _run(cfg_kwargs, collapse, obs=NULL_OBS):
-    runner = (FluentPSSimRunner if collapse else EventPathRunner)(SimConfig(**cfg_kwargs, obs=obs))
+    """``cfg_kwargs`` may be a factory (a training task is stateful)."""
+    kwargs = cfg_kwargs() if callable(cfg_kwargs) else cfg_kwargs
+    runner = (FluentPSSimRunner if collapse else EventPathRunner)(SimConfig(**kwargs, obs=obs))
     return runner, runner.run()
 
 
@@ -442,9 +446,21 @@ class TestColumnarInstantsDifferential:
         assert ra.obs.registry.get("collapse_fallback_total").value(reason="overlap") == 1.0
 
 
+def _soft_task_cell():
+    """A real-gradient PSSP(1, 0.3) run under the soft barrier with
+    stragglers: round 0 commits, round 1 overlaps and hands over."""
+    return dict(
+        cluster=cpu_cluster(8, n_servers=2), max_iter=6, sync=pssp(1, 0.3),
+        execution=ExecutionMode.SOFT_BARRIER, task=blobs_task(8, n_train=160, n_test=40, seed=2),
+        workload=alexnet_cifar_workload(), compute_model=cpu_cluster_compute(8), seed=5,
+        eval_every=2,
+    )
+
+
 def _parity_grid():
     """Cells that commit every round, merge rounds, release DPRs, or hand
-    over mid-run."""
+    over mid-run; timing-only, and real-gradient (a timing run plus its
+    replay, factories: a task is stateful)."""
     isolated = {**_cell("cpu", "ssp3", "det", iters=3), "base_compute_time": 5.0}
     midrun = {**_cell("cpu", "ssp3", "det", n=10, m=3, iters=6), "base_compute_time": 5.0}
     cells = [
@@ -459,6 +475,8 @@ def _parity_grid():
         }),
         ("midrun-straggler", {**midrun, "compute_model": _InjectedStraggler(3, 2)}),
         ("depth-two", {**midrun, "compute_model": _InjectedStraggler(3, 2, slow_factor=4.0)}),
+        ("isolated-task", isolated_task_cell),
+        ("soft-task", _soft_task_cell),
     ]
     return [pytest.param(kwargs, id=name) for name, kwargs in cells]
 
@@ -466,13 +484,14 @@ def _parity_grid():
 class TestObservationParity:
     """Observation does not choose the path: an observed run (no causal
     trace) leaves the collapse where its unobserved twin does, processes
-    the same protocol events and finishes at the same instants; its
-    instants match the reference and the event path shard by shard, and
-    the sanitizer's proof and its row oracle both pass them."""
+    the same protocol events and finishes at the same instants, with the
+    same final parameters and evaluations; its instants match the
+    reference and the event path shard by shard, and the sanitizer's
+    proof and its row oracle both pass them."""
 
     @pytest.mark.parametrize("cfg_kwargs", _parity_grid())
     def test_observed_run_takes_the_raw_path(self, cfg_kwargs):
-        raw, _result = _run(cfg_kwargs, True)
+        raw, raw_result = _run(cfg_kwargs, True)
         with daemon_ticks() as ticks:
             ra, rb = _assert_differential(cfg_kwargs, obs_factory=_columnar_obs)
         assert ra.collapse_fallback == raw.collapse_fallback
@@ -480,6 +499,15 @@ class TestObservationParity:
         assert ra.engine.round_events_saved == raw.engine.round_events_saved
         assert protocol_events(ra, ticks) == raw.engine.events_processed
         assert ra._finish_times == raw._finish_times
+        params = ra.system.current_params()
+        if raw_result.final_params is None:
+            assert params is None
+        else:
+            assert params.tobytes() == raw_result.final_params.tobytes()
+        assert ra.steps_replayed == raw.steps_replayed
+        for series in ("eval_by_time", "eval_by_iteration"):
+            got, want = getattr(ra, series), getattr(raw, series)
+            assert (got.x, got.y) == (want.x, want.y)
         events = sanitize_run(rb.obs.last_run).n_events
         for report in (sanitize_run(ra.obs.last_run), _row_oracle(ra.obs.last_run)):
             assert report.ok, report.violations

@@ -142,7 +142,7 @@ def wire_rows(runner, sched):
     n, K = sched.tx_end.shape
     M = K // 2
     workers, servers = _node_ids(runner)
-    shard_bytes, request_bytes = runner._shard_bytes, runner.cfg.request_bytes
+    shard_bytes, request_bytes = runner._shard_bytes, runner_mod.REQUEST_BYTES
     landed = np.empty((n, M))  # reply deliveries by [worker, shard]
     np.put_along_axis(landed, sched.reply_order, sched.reply_rx_end, axis=1)
     landed = landed.tolist()

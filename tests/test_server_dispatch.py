@@ -33,7 +33,6 @@ from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import (
     DeterministicCompute,
     HeterogeneousCompute,
-    LogNormalCompute,
     cpu_cluster_compute,
 )
 
@@ -48,6 +47,7 @@ from tests.mutants import (
 from tests.sim_helpers import (
     assert_matches_reference,
     busy_lane_cell,
+    isolated_task_cell,
     make_runner,
     preset_configs,
     python_calls,
@@ -68,21 +68,6 @@ def _reachable(root):
             ):
                 seen.add(id(ref))
                 stack.append(ref)
-
-
-def isolated_task_cell():
-    """Compute >> comm with a tiny spread: every round of a real-gradient
-    run commits in closed form, so the replay reads the collapse's logs."""
-    return dict(
-        cluster=cpu_cluster(6, n_servers=2),
-        max_iter=5,
-        sync=ssp(3),
-        task=blobs_task(6, n_train=240, n_test=60, seed=4),
-        workload=alexnet_cifar_workload(),
-        compute_model=LogNormalCompute(sigma=0.01),
-        base_compute_time=1e5,
-        seed=3,
-    )
 
 
 def lockstep_eval_cell():
@@ -270,13 +255,21 @@ class TestPresetDifferential:
     @pytest.mark.parametrize("cell", [real_gradient_cell(), isolated_task_cell],
                              ids=["soft", "isolated"])
     def test_observed_replay_streams_identical(self, cell):
-        """An observed, non-causal task run: each shard's instant stream —
-        every reply's ``snap`` tag included (S016) — is the reference's.
-        Its timing run keeps the event path (a block carries no tags)."""
+        """An observed, non-causal task run takes its raw twin's path, and
+        each shard's instant stream is the reference's (``snap`` aside: a
+        timing-only shard copies nothing).  The reference's own stream,
+        whose live shards tag every reply's copy, passes S016."""
         make_obs = lambda: Observability(MetricsRegistry("replay"), causal=False)  # noqa: E731
-        runner, _result, _ref = assert_matches_reference(cell, make_obs=make_obs)
-        assert runner.collapse_fallback == {"reason": "snap_tags"}
+        runner, _result, ref = assert_matches_reference(cell, make_obs=make_obs)
+        raw = FluentPSSimRunner(SimConfig(**cell(), obs=NULL_OBS))
+        raw.run()
+        assert runner.collapse_fallback == raw.collapse_fallback
+        assert runner.engine.rounds_collapsed == raw.engine.rounds_collapsed
         assert sanitize_observability(runner.obs).ok
+        ref_obs = ref.servers[0].obs
+        answers = [i for i in ref_obs.last_run.instants if i.name == "pull_answer"]
+        assert answers and all(i.args["snap"] is not None for i in answers)
+        assert sanitize_observability(ref_obs).ok
 
 
 class TestScheduleLogMutants:

@@ -81,8 +81,6 @@ class TestConfig:
             ("snapshot_interval_s", 0.0),
             ("server_op_overhead_s", -20e-6),
             ("dpr_overhead_s", -1e-3),
-            ("header_bytes", -1),
-            ("request_bytes", -1),
             ("eval_every", -1),
             ("server_op_overhead_s", float("nan")),
             # Negative compute times: the run died of a corrupted event heap.
@@ -90,12 +88,9 @@ class TestConfig:
             ("batch_per_worker", 0),
             # Three rounds on the collapse path, TypeError on the event path.
             ("max_iter", 2.5),
-            # Accepted, then meant something else: one iteration; fractional
-            # bytes on the wire; evaluation at the last iteration only; an
-            # infinite run duration.
+            # Accepted, then meant something else: one iteration; evaluation
+            # at the last iteration only; an infinite run duration.
             ("max_iter", True),
-            ("header_bytes", 1.5),
-            ("request_bytes", 1.5),
             ("eval_every", 1.5),
             ("batch_per_worker", 1.5),
             ("base_compute_time", float("inf")),

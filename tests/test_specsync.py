@@ -31,10 +31,11 @@ def make_config(n=4, iters=40, threshold=3, sync=None, compute=None, task=True,
 class TestConfig:
     def test_validation(self):
         cfg = make_config()
-        with pytest.raises(ValueError):
-            SpecSyncConfig(sim=cfg.sim, abort_threshold=0)
-        with pytest.raises(ValueError):
-            SpecSyncConfig(sim=cfg.sim, abort_check_slices=0)
+        # Zero, and what ran unrefused: NaN, a fraction, ``True`` as 1.
+        for field in ("abort_threshold", "abort_check_slices"):
+            for value in (0, float("nan"), 2.5, True):
+                with pytest.raises(ValueError, match=field):
+                    SpecSyncConfig(sim=cfg.sim, **{field: value})
 
     def test_model_list_rejected(self):
         cfg = make_config()
