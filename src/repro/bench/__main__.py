@@ -143,8 +143,11 @@ def main(argv=None) -> int:
               f"{obs_dir}/ — inspect with `python -m repro.obs {obs_dir}`]")
 
     obs = None
-    if args.trace_out or args.metrics_out or args.sanitize:
-        obs = Observability(MetricsRegistry("bench"))
+    artifacts = bool(args.trace_out or args.metrics_out)
+    if artifacts or args.sanitize:
+        # The causal DAG only for artifacts: it would keep every inline arm
+        # off the round collapse, the path a sanitized sweep must check.
+        obs = Observability(MetricsRegistry("bench"), causal=artifacts)
 
     cache = None
     if not args.no_cache:

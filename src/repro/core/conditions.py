@@ -29,6 +29,17 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from repro.core.pssp import ProbabilityModel, SignificanceView
+from repro.utils.checks import check_number
+
+
+def declared_together(obj: object, *names: str) -> bool:
+    """Whether the class that defines each of ``names`` for ``obj`` is one
+    and the same, and ``obj`` sets none of them on itself: a capability
+    holds only for the behaviour its class declares it with, so a subclass
+    that overrides the behaviour alone does not inherit the capability."""
+    owners = {next((c for c in type(obj).__mro__ if name in vars(c)), None) for name in names}
+    on_instance = getattr(obj, "__dict__", {}).keys() & set(names)
+    return len(owners) == 1 and None not in owners and not on_instance
 
 
 class SyncView:
@@ -107,6 +118,11 @@ class PullCondition(abc.ABC):
     #: replay up to the shard's current version (:mod:`repro.core.replay`).
     reads_values: bool = False
 
+    #: Over-threshold coin flips so far: a condition that decides a pull by
+    #: a coin (PSSP) counts each one, and the server marks what it decided
+    #: as probabilistic.
+    coin_flips: int = 0
+
     @abc.abstractmethod
     def __call__(self, view: SyncView) -> bool: ...
 
@@ -114,6 +130,25 @@ class PullCondition(abc.ABC):
         """Current nominal staleness threshold (∞ for ASP); used to index
         soft-barrier DPR buffers and for reporting."""
         return 0.0
+
+    def quiet_bound(self) -> Optional[float]:
+        """The ``s`` such that a pull is answered at once, with no side
+        effect and no coin, iff ``progress < v_train + s``, and such that
+        at ``s = 0`` every other pull is buffered until the frontier
+        advances; None when no such ``s`` exists.  The round collapse
+        commits rounds in closed form on it (:meth:`committed_bound`)."""
+        return None
+
+    def committed_bound(self) -> Optional[float]:
+        """:meth:`quiet_bound`, when the class that defines ``__call__``
+        declares it too (:func:`declared_together`); else None."""
+        return self.quiet_bound() if declared_together(self, "__call__", "quiet_bound") else None
+
+    def pssp_c(self) -> Optional[float]:
+        """The constant PSSP pause probability c, or None: carried in the
+        server's ``server_config`` event so trace consumers can derive the
+        effective bound s' = s + 1/c − 1 (paper §III-E1)."""
+        return None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -133,6 +168,12 @@ class PushCondition(abc.ABC):
         None when the rule is not a simple count (custom predicates) — the
         sanitizer then skips its frontier-overrun check."""
         return None
+
+    def committed_quorum(self, n_workers: int) -> Optional[int]:
+        """:meth:`quorum`, when the class that defines ``__call__`` declares
+        it too (:func:`declared_together`) — the round collapse relies on
+        it; else None."""
+        return self.quorum(n_workers) if declared_together(self, "__call__", "quorum") else None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -157,6 +198,9 @@ class SSPPull(PullCondition):
         return view.progress < view.v_train + self.s
 
     def staleness(self) -> float:
+        return self.s
+
+    def quiet_bound(self) -> Optional[float]:
         return self.s
 
     def describe(self) -> str:
@@ -193,7 +237,6 @@ class PSSPPull(PullCondition):
             raise ValueError(f"staleness threshold must be >= 0, got {s}")
         self.s = s
         self.prob = prob
-        self.coin_flips = 0
         self.paused = 0
 
     def __call__(self, view: SyncView) -> bool:
@@ -214,6 +257,13 @@ class PSSPPull(PullCondition):
 
     def staleness(self) -> float:
         return self.s
+
+    def quiet_bound(self) -> Optional[float]:
+        # At s = 0 every pull flips a coin.
+        return self.s if self.s > 0 else None
+
+    def pssp_c(self) -> Optional[float]:
+        return self.prob.constant_c()
 
     def describe(self) -> str:
         return f"PSSP (s={self.s}, P={self.prob.describe()})"
@@ -240,10 +290,11 @@ class DSPSPull(PullCondition):
         hi_rate: float = 0.25,
         lo_rate: float = 0.05,
     ):
+        for name, value in (("s0", s0), ("s_min", s_min), ("s_max", s_max)):
+            check_number(name, value, integer=True)
         if not s_min <= s0 <= s_max:
             raise ValueError(f"need s_min <= s0 <= s_max, got {s_min},{s0},{s_max}")
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        check_number("window", window, 1, integer=True)
         if not 0 <= lo_rate <= hi_rate <= 1:
             raise ValueError("need 0 <= lo_rate <= hi_rate <= 1")
         self.s = s0
@@ -308,9 +359,7 @@ class QuorumPush(PushCondition):
     [19], 'Revisiting distributed synchronous SGD')."""
 
     def __init__(self, n_t: int):
-        if n_t < 1:
-            raise ValueError(f"quorum must be >= 1, got {n_t}")
-        self.n_t = n_t
+        self.n_t = check_number("quorum", n_t, 1, integer=True)
 
     def __call__(self, view: SyncView) -> bool:
         return view.pushed(view.v_train) >= self.n_t

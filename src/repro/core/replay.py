@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.api import ParameterServerSystem
+from repro.core.conditions import declared_together
 from repro.core.pssp import gradient_significance
 from repro.core.server import ApplyInfo, ShardServer
 from repro.core.step import StepContext
@@ -143,17 +144,6 @@ def cohorts(workers: Sequence[int], reads: np.ndarray, pushed: np.ndarray,
     return bounds
 
 
-def _stacks(task) -> bool:
-    """Whether ``task``'s steps may run a cohort at a time: its ``step_fn``
-    is the one-row case of its ``steps`` (both defined by one class), not
-    replaced on the instance."""
-    def owner(name):
-        return next((c for c in type(task).__mro__ if name in vars(c)), None)
-
-    return (owner("steps") is not None and owner("step_fn") is owner("steps")
-            and "step_fn" not in getattr(task, "__dict__", {}))
-
-
 class Replay:
     """``log``'s math with ``task`` on ``system``'s shards, whose arrays it
     takes at once (``defer_values``) and hands back at :meth:`finish`,
@@ -185,7 +175,7 @@ class Replay:
         #: A worker's last ``(params, update)`` while its next step may read its own writes.
         self.mine: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.factors: Dict[int, float] = {}  #: step -> its filtered push's wire factor
-        self.stacks = _stacks(task)
+        self.stacks = declared_together(task, "steps", "step_fn")
         self.block = self.updates = None
 
     def significance(self, m: int) -> float:

@@ -59,35 +59,6 @@ class ProtocolError(RuntimeError):
 _SERVER_UIDS = itertools.count()
 
 
-def pull_condition_kind(con: PullCondition) -> str:
-    """Classify a pull condition for the protocol event stream.
-
-    The sanitizer (:mod:`repro.analysis`) keys its staleness-bound checks
-    on this: ``ssp`` enforces a hard bound, ``pssp`` exempts coin-passed
-    answers, ``dsps`` uses the per-event threshold, ``custom`` skips
-    bound checks entirely.  Conditions self-classify via their ``kind``
-    attribute (:class:`~repro.core.conditions.PullCondition`).
-    """
-    return getattr(con, "kind", "custom")
-
-
-def push_condition_quorum(con: PushCondition, n_workers: int) -> Optional[int]:
-    """How many frontier-iteration pushes a frontier advance needs, or
-    ``None`` when the push condition is custom (no mechanical bound)."""
-    quorum = getattr(con, "quorum", None)
-    return quorum(n_workers) if callable(quorum) else None
-
-
-def pull_condition_pssp_c(con: PullCondition) -> Optional[float]:
-    """The constant PSSP pause probability c, when the pull condition is a
-    PSSP one driven by a constant-probability model; ``None`` otherwise.
-    Carried in ``server_config`` so trace consumers can derive the
-    effective bound s' = s + 1/c − 1 (paper §III-E1)."""
-    prob = getattr(con, "prob", None)
-    constant_c = getattr(prob, "constant_c", None)
-    return constant_c() if callable(constant_c) else None
-
-
 def _staleness_arg(s: float) -> Optional[float]:
     """JSON-safe staleness: ``None`` encodes ASP's unbounded threshold."""
     return None if math.isinf(s) else float(s)
@@ -256,8 +227,6 @@ class ShardServer:
         # and never retained (the class contract is "read-only state a
         # condition may inspect"), so rebuilding a fresh instance per
         # request — two per pull at incast rates — is pure allocator churn.
-        self._coin_con: Optional[object] = None  # _eval_pull probe cache
-        self._coin_on = False
         self._view_scratch = SyncView(
             progress=0,
             worker=-1,
@@ -308,10 +277,10 @@ class ShardServer:
             "server_config", self.clock(), actor=self.actor,
             uid=self.uid, shard=self.shard_id, n_workers=self.n_workers,
             model=self.model.name, execution=self.execution.value,
-            pull_kind=pull_condition_kind(self.pull_con),
+            pull_kind=self.pull_con.kind,
             s=_staleness_arg(self.pull_con.staleness()),
-            quorum=push_condition_quorum(self.push_con, self.n_workers),
-            pssp_c=pull_condition_pssp_c(self.pull_con),
+            quorum=self.push_con.quorum(self.n_workers),
+            pssp_c=self.pull_con.pssp_c(),
             v_train=self.v_train,
             worker_progress=list(self.worker_progress),
             count={str(k): int(v) for k, v in self.count.items()},
@@ -322,7 +291,7 @@ class ShardServer:
         constant arguments its ``record_protocol`` sites pass per event."""
         return ShardConstants(
             actor=self.actor, uid=self.uid, shard=self.shard_id,
-            kind=pull_condition_kind(self.pull_con),
+            kind=self.pull_con.kind,
             s=_staleness_arg(self.pull_con.staleness()),
         )
 
@@ -529,18 +498,9 @@ class ShardServer:
         bound, and a coin-paused pull marks its DPR as probabilistic.
         """
         con = self.pull_con
-        # Cache the has-coin probe per condition object: getattr with a
-        # default walks the exception path for every coinless pull.
-        if con is not self._coin_con:
-            self._coin_con = con
-            self._coin_on = hasattr(con, "coin_flips")
-        if self._coin_on:
-            flips_before = con.coin_flips
-            ok = con(view)
-            flipped = con.coin_flips > flips_before
-        else:
-            ok = con(view)
-            flipped = False
+        flips_before = con.coin_flips
+        ok = con(view)
+        flipped = con.coin_flips > flips_before
         if flipped:
             self.metrics.record_probabilistic(passed=ok)
             if self._obs_on:
@@ -598,7 +558,7 @@ class ShardServer:
             self.obs.instants.record_protocol(
                 "pull_answer", self.clock(), self.actor,
                 self.uid, self.shard_id, worker, progress, self.v_train,
-                missing, released, coin, pull_condition_kind(self.pull_con),
+                missing, released, coin, self.pull_con.kind,
                 _staleness_arg(s_at_eval), waited, self.version,
                 # ``snap``: storage tag of the shared COW copy this reply
                 # carries (None for a timing-only shard) — lets the
@@ -675,13 +635,6 @@ class ShardServer:
         self.version += n
         self.count[progress] += n
         self.v_train = progress + 1
-        # The event path probes the pull condition for a coin attribute on
-        # its first evaluation; keep that one-off cache warm so a later
-        # de-vectorized round behaves identically.
-        con = self.pull_con
-        if con is not self._coin_con:
-            self._coin_con = con
-            self._coin_on = hasattr(con, "coin_flips")
         self.metrics.record_quiet_round(n, early_pulls, progress, dpr_waits, two_behind)
         if self._obs_on:
             self._c_pushes.inc(n)

@@ -271,11 +271,19 @@ class Network:
         the transfers it should see are sent."""
         self._delivery_hooks.append(hook)
 
-    def _watched(self) -> bool:
-        """Whether a hook or a causal trace observes the wire in real time."""
-        return bool(self._delivery_hooks) or not (
-            self.delay_hook is None and self.causal is None and self.engine._choice_hook is None
-        )
+    def watcher(self) -> Optional[str]:
+        """What observes the wire in real time — ``causal_obs``,
+        ``choice_hook``, ``delay_hook`` or ``delivery_hook``, the first
+        that does — or None: a watched wire fuses nothing."""
+        if self.causal is not None:
+            return "causal_obs"
+        if self.engine._choice_hook is not None:
+            return "choice_hook"
+        if self.delay_hook is not None:
+            return "delay_hook"
+        if self._delivery_hooks:
+            return "delivery_hook"
+        return None
 
     def gather(self, dst, count: int, exclusive: bool = False) -> Gather:
         """Open a :class:`Gather` of ``count`` transfers into ``dst`` (Endpoint
@@ -284,7 +292,7 @@ class Network:
             raise ValueError(f"a gather needs at least one transfer, got {count}")
         dst_ep = self.endpoint(dst) if dst.__class__ is str else dst
         self._check_private(dst_ep, self.engine.now)
-        opened = Gather(dst_ep, count, [] if exclusive and not self._watched() else None)
+        opened = Gather(dst_ep, count, [] if exclusive and self.watcher() is None else None)
         dst_ep.gather = opened if exclusive else None
         return opened
 
@@ -359,7 +367,7 @@ class Network:
             now = at
         # A Message only for a transfer something watches (a signal fires
         # with it); manual slot fills mirror Message.__init__ (keep in sync).
-        watched = (done is not None and done.__class__ is not Gather) or self._watched()
+        watched = (done is not None and done.__class__ is not Gather) or self.watcher() is not None
         latency = self.latency_s
         tx_done = self._tx_done_cb
         heap = engine._heap

@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.api import ParameterServerSystem
-from repro.core.conditions import DSPSPull, PSSPPull, SSPPull
 from repro.core.filters import PushFilter
 from repro.core.keyspace import ModelSpec, Slicer
 from repro.core.metrics import SyncMetrics
@@ -978,14 +977,15 @@ class FluentPSSimRunner:
 
         The closed form models exactly one behavior: timing-only workers
         that push then pull every shard each iteration over analytic
-        drain lanes, with every shard's sync condition provably quiet
-        (every pull immediate — or, at s = 0, buffered until the shard's
-        one frontier advance per round — and no PSSP coin flips).
-        Anything outside that — a push filter whose wire sizes follow the
-        values, quorums below n, PSSP at s = 0, DSPS's self-mutating
-        staleness, DPOR choice/delay hooks, delivery hooks, causal
-        tracing — keeps the per-event path, which stays bit-identical by
-        construction.  The reason lands in :attr:`collapse_fallback`.
+        drain lanes, every shard's conditions committing a quiet bound
+        (``committed_bound``: every pull immediate — or, at s = 0,
+        buffered until the shard's one frontier advance per round) and a
+        quorum of n (``committed_quorum``).  Anything outside that — a
+        push filter whose wire sizes follow the values, a condition that
+        declares no bound or a smaller quorum, a wire something watches
+        (``Network.watcher``) — keeps the per-event path, which stays
+        bit-identical by construction.  The reason lands in
+        :attr:`collapse_fallback`.
         """
         cfg = self.cfg
         if type(self) is not FluentPSSimRunner:
@@ -995,26 +995,14 @@ class FluentPSSimRunner:
             return "subclass"
         if self._replay is not None and self._replay.filters:
             return "push_filter"
-        if self.causal is not None:
-            return "causal_obs"
-        if self.engine._choice_hook is not None:
-            return "choice_hook"
-        if self.net.delay_hook is not None:
-            return "delay_hook"
-        if self.net._delivery_hooks:
-            # A hook observes every message as a real ``Message``.
-            return "delivery_hook"
+        watcher = self.net.watcher()
+        if watcher is not None:
+            return watcher
         n = cfg.cluster.n_workers
         for s in self.servers:
-            pc = s.pull_con
-            # DSPS adapts ``s`` inside ``__call__`` — never provably quiet.
-            if type(pc) is DSPSPull or not isinstance(pc, (SSPPull, PSSPPull)):
+            if s.pull_con.committed_bound() is None:
                 return "pull_condition"
-            if not pc.s > 0 and isinstance(pc, PSSPPull):
-                # s = 0: a committed round releases BSP's DPRs, but PSSP
-                # flips a coin on every pull.
-                return "bsp"
-            if s.push_con.quorum(n) != n:
+            if s.push_con.committed_quorum(n) != n:
                 return "quorum"
             if s.callbacks or s.v_train != 0:
                 return "pending_state"
@@ -1059,7 +1047,7 @@ class FluentPSSimRunner:
             stx_busy=[ep.tx_busy_s for ep in seps],
             srx_busy=[ep.rx_busy_s for ep in seps],
             serve_busy=list(self._srv_busy),
-            barrier=[not s.pull_con.s > 0 for s in self.servers],
+            barrier=[not s.pull_con.committed_bound() > 0 for s in self.servers],
             dpr_cost=cfg.server_op_overhead_s + cfg.dpr_overhead_s,
         )
 
@@ -1173,7 +1161,7 @@ class FluentPSSimRunner:
             # event per worker, cancelling the round-0 saving.
             eng.credit_collapsed_round(saved_per_round + (n if r + 1 == cfg.max_iter else 0))
 
-        stale = [s.pull_con.s for s in self.servers]
+        stale = [s.pull_con.committed_bound() for s in self.servers]
         r = 0  # rounds committed; ``lanes`` is the state after them
         c = np.zeros(n)
         rank = np.arange(n)

@@ -1,7 +1,7 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 28 mutants is a named function that takes pytest's
+Each of the 29 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
 :mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
@@ -11,7 +11,9 @@ sanitizer's vector proof, one where the runner takes over a system to
 continue, three in the schedule log a real-gradient run's math is
 replayed from, two in the replay's cohort rule, two in the replay's
 answer to a significance read, three in the instant
-blocks of an observed collapsed round) for the length of a test — test
+blocks of an observed collapsed round, one in the ownership rule that
+decides which condition capabilities the collapse relies on) for the
+length of a test — test
 code only, nothing under ``src/`` imports this module.
 All but three rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
@@ -29,7 +31,7 @@ import textwrap
 import numpy as np
 
 from repro.analysis.sanitizer import ShardChecker
-from repro.core import replay
+from repro.core import conditions, replay
 from repro.core.pssp import gradient_significance
 from repro.core.server import ShardServer
 from repro.sim import runner
@@ -184,6 +186,19 @@ def resume_ignores_restored_progress(monkeypatch) -> None:
         "__init__",
         "self._first = [p + 1 for p in self.servers[0].worker_progress]",
         "self._first = [0] * n",
+    )
+
+
+def capability_by_inheritance(monkeypatch) -> None:
+    """The ownership rule trusts an inherited capability: a condition that
+    overrides ``__call__`` alone is committed on the ``quiet_bound`` or
+    ``quorum`` its parent declared.  Killer:
+    ``test_round_collapse.py::TestDeclaredCapabilities::test_capability_by_inheritance_dies_by_the_hazard_rows``
+    (the rows of ``test_first_failing_reason_is_reported`` that name ``_HAZARDS``)."""
+    _rewrite(
+        monkeypatch, conditions, "declared_together",
+        "return len(owners) == 1 and None not in owners and not on_instance",
+        "return None not in owners and not on_instance",
     )
 
 

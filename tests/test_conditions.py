@@ -148,12 +148,18 @@ class TestDSPSPull:
         assert cond.s == 2
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            DSPSPull(s0=0, s_min=1, s_max=4)
-        with pytest.raises(ValueError):
-            DSPSPull(window=0)
-        with pytest.raises(ValueError):
-            DSPSPull(hi_rate=0.1, lo_rate=0.5)
+        for config in (
+            dict(s0=0, s_min=1, s_max=4),
+            dict(window=0),
+            dict(hi_rate=0.1, lo_rate=0.5),
+            dict(s0=2.5),
+            dict(s0=True),
+            dict(window=2.5),
+            dict(window=True),
+            dict(s_min=0.5),
+        ):
+            with pytest.raises(ValueError):
+                DSPSPull(**config)
 
 
 class TestPushConditions:
@@ -174,8 +180,9 @@ class TestPushConditions:
         assert cond(view(v_train=0, n=8, count={0: 7}))
 
     def test_quorum_invalid(self):
-        with pytest.raises(ValueError):
-            QuorumPush(0)
+        for n_t in (0, float("nan"), 2.5, True):
+            with pytest.raises(ValueError):
+                QuorumPush(n_t)
 
     def test_fraction_push(self):
         cond = FractionPush(0.75, 8)

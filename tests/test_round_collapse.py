@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conditions import QuorumPush, SSPPull
+from repro.core.conditions import AllPushedPush, BSPPull, PullCondition, QuorumPush, SSPPull
 from repro.core.models import SyncModel, bsp, dsps, pssp, ssp
 from repro.core.server import ExecutionMode
 from repro.bench.workloads import blobs_task
@@ -30,6 +30,7 @@ from repro.analysis import (
     sanitize_events,
     sanitize_run,
 )
+from repro.analysis.explore import _weaken_staleness
 from repro.obs import NULL_OBS, Instant, MetricsRegistry, Observability
 from repro.obs.export import InstantBlock
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
@@ -44,6 +45,7 @@ from repro.sim.trace import SpanKind
 
 from tests.mutants import (
     block_drops_dpr_released,
+    capability_by_inheritance,
     block_intruder_pull_missing_one,
     block_rows_in_worker_order,
     depth_two_mixing_accepted,
@@ -551,6 +553,47 @@ class TestBlockMutants:
         assert "S009" in codes()
 
 
+class _AdvanceOneEarly(AllPushedPush):
+    """Advertises a quorum of n but advances at n - 1: the rule is
+    overridden, the advertised quorum inherited."""
+
+    def __call__(self, view):
+        return view.pushed(view.v_train) >= view.n_workers - 1
+
+
+#: Conditions whose class overrides ``__call__`` and inherits the
+#: capability the collapse relies on: each must take the event path.
+_HAZARDS = {
+    "weak-staleness": lambda: _weaken_staleness(ssp(0)),
+    "early-advance": lambda: SyncModel("bsp+early-advance", BSPPull, _AdvanceOneEarly),
+}
+
+
+def _hazard_cell(sync):
+    """Mild jitter at s = 0: a hazard's rule and the stock one part ways."""
+    return dict(
+        cluster=cpu_cluster(16, n_servers=2), max_iter=6, sync=sync,
+        execution=ExecutionMode.LAZY, workload=alexnet_cifar_workload(),
+        compute_model=LogNormalCompute(0.05), seed=3,
+    )
+
+
+class _OwnSSP2(PullCondition):
+    """A model written outside ``repro``: SSP(2)'s rule, with the bound the
+    round collapse relies on declared beside it."""
+
+    kind = "ssp"
+
+    def __call__(self, view):
+        return view.progress < view.v_train + 2
+
+    def staleness(self):
+        return 2.0
+
+    def quiet_bound(self):
+        return 2
+
+
 class TestEligibilityGates:
     def test_causal_observability_gates_collapse_off(self):
         # The ambient pytest fixture installs an Observability whose
@@ -583,8 +626,7 @@ class TestEligibilityGates:
     def test_observed_bsp_commits(self):
         """Observed BSP commits every round as unobserved BSP does: each
         barrier shard's blocks carry its DPRs' buffered, released and
-        answer rows, which the row replay checks.  PSSP at s = 0 flips a
-        coin per pull: the event path, reason ``bsp``."""
+        answer rows, which the row replay checks."""
         kwargs = _cell("cpu", "bsp", "det")
         kwargs["base_compute_time"] = 5.0
         ra, rb = _assert_differential(kwargs, obs_factory=_columnar_obs)
@@ -596,9 +638,6 @@ class TestEligibilityGates:
         for report in (sanitize_run(ra.obs.last_run), _row_oracle(ra.obs.last_run)):
             assert report.ok, report.violations
             assert report.n_events == events
-        runner = FluentPSSimRunner(SimConfig(**{**kwargs, "sync": pssp(0, 0.5)}, obs=NULL_OBS))
-        runner.run()
-        assert runner.collapse_fallback == {"reason": "bsp"}
 
     def test_span_capture_without_obs_commits(self):
         """A bare ``span_capture=True`` run keeps every span and still
@@ -640,6 +679,11 @@ class TestEligibilityGates:
                 ),
             ),
             ("pull_condition", dict(sync=dsps())),
+            # A subclass that overrides the rule alone commits no bound.
+            ("pull_condition", dict(sync=_HAZARDS["weak-staleness"]())),
+            ("quorum", dict(sync=_HAZARDS["early-advance"]())),
+            # PSSP at s = 0 flips a coin on every pull.
+            ("pull_condition", dict(sync=pssp(0, 0.5))),
         ],
     )
     def test_first_failing_reason_is_reported(self, reason, change):
@@ -658,3 +702,36 @@ class TestEligibilityGates:
         assert runner.engine.rounds_collapsed == 3
         assert runner.collapse_fallback == {}
         assert "collapse_fallback_total" not in obs.registry.names()
+
+
+class TestDeclaredCapabilities:
+    """The collapse commits what a condition's class declares with its
+    rule (``committed_bound``/``committed_quorum``), and nothing else."""
+
+    @pytest.mark.parametrize("hazard", sorted(_HAZARDS))
+    def test_a_hazard_runs_as_the_reference(self, hazard):
+        runner, _result, _ref = assert_matches_reference(_hazard_cell(_HAZARDS[hazard]()))
+        assert runner.engine.rounds_collapsed == 0
+
+    def test_a_sanitized_weak_staleness_run_reports_s004(self):
+        obs = _columnar_obs()
+        runner = FluentPSSimRunner(SimConfig(**_hazard_cell(_HAZARDS["weak-staleness"]()), obs=obs))
+        runner.run()
+        assert runner.collapse_fallback == {"reason": "pull_condition"}
+        assert "S004" in {v.code for v in sanitize_run(obs.last_run).violations}
+
+    def test_a_model_that_declares_its_bound_commits_every_round(self):
+        kwargs = _cell("cpu", "ssp3", "det")
+        kwargs.update(base_compute_time=5.0, sync=SyncModel("own-ssp2", _OwnSSP2, AllPushedPush))
+        runner, _result, _ref = assert_matches_reference(kwargs, make_obs=_columnar_obs)
+        assert runner.engine.rounds_collapsed == 4 and runner.collapse_fallback == {}
+        report = sanitize_run(runner.obs.last_run)
+        assert report.ok and report.n_events > 0, report.violations
+
+    def test_capability_by_inheritance_dies_by_the_hazard_rows(self, monkeypatch):
+        capability_by_inheritance(monkeypatch)
+        for hazard in _HAZARDS.values():
+            kwargs = {**_cell("cpu", "ssp3", "det", iters=2), "sync": hazard()}
+            runner = FluentPSSimRunner(SimConfig(**kwargs, obs=NULL_OBS))
+            runner.run()
+            assert runner.engine.rounds_collapsed > 0 and runner.collapse_fallback == {}
