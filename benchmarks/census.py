@@ -1,7 +1,9 @@
 """Which functions under ``src/`` does any run of the program call?
 
 A census under cProfile.  Each surface runs in a process of its own,
-profiled to a file in a temporary directory:
+profiled to a file in a temporary directory by :func:`child`, which gives
+every ``threading.Thread`` its own profile and merges them with the main
+thread's:
 
 - ``sweep``: the QUICK sweep, ``python -m repro.bench --scale quick
   --jobs 1 --no-cache`` (every experiment; ~5 min on two cores);
@@ -21,9 +23,9 @@ line count of each, and the totals.
 A function a test calls and no run does is listed: test callers do not
 count.  Blind spots, where a listed function may in fact run:
 
-- threads: cProfile sees the main thread only, so code that runs only on
-  another thread (``repro.parallel``'s worker threads, the threaded
-  smoke runs) reads as never called;
+- threads that override ``Thread.run`` instead of passing a ``target``
+  (none under ``src/`` does), or that are still running when the process
+  exits, are not counted;
 - pool workers: a sweep with ``--jobs`` > 1 runs arms in worker processes
   nobody profiles, which is why the sweep here runs inline;
 - the CLIs and modes it does not drive: ``repro.analysis --lint``,
@@ -38,12 +40,15 @@ from __future__ import annotations
 
 import argparse
 import ast
+import cProfile
 import json
 import os
 import pstats
+import runpy
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -59,8 +64,14 @@ SURFACES = ("sweep", "examples", "e2e", "smoke")
 Key = Tuple[str, int, str]
 
 
+#: How :func:`profile` starts :func:`child` in a fresh interpreter:
+#: ``python -c CHILD census.py OUT ARGV...``.
+CHILD = "import runpy, sys; runpy.run_path(sys.argv[1])['child'](sys.argv[2], sys.argv[3:])"
+
+
 def commands(surface: str, scratch: Path) -> List[Tuple[str, List[str]]]:
-    """``(label, argv after "python -m cProfile -o FILE")`` per process."""
+    """``(label, argv)`` per process: a script and its arguments, or
+    ``-m module`` and its arguments."""
     if surface == "sweep":
         return [("sweep", ["-m", "repro.bench", "--scale", "quick", "--jobs", "1",
                            "--no-cache", "--save-dir", str(scratch / "sweep")])]
@@ -74,8 +85,51 @@ def commands(surface: str, scratch: Path) -> List[Tuple[str, List[str]]]:
     raise ValueError(f"unknown surface {surface!r}")
 
 
+def child(out: str, argv: List[str]) -> None:
+    """Run ``argv`` as ``__main__`` (like ``python -m cProfile -o out``),
+    profiling each thread that finishes on a ``cProfile.Profile`` of its
+    own, and write the merged profile to ``out``."""
+    done: List[cProfile.Profile] = []
+    lock = threading.Lock()
+    run = threading.Thread.run
+
+    def profiled_run(self) -> None:
+        prof = cProfile.Profile()
+        try:
+            prof.enable()
+        except ValueError:  # Python 3.12+: the main profile sees every thread
+            return run(self)
+        try:
+            run(self)
+        finally:
+            prof.disable()
+            with lock:
+                done.append(prof)
+
+    threading.Thread.run = profiled_run
+    sys.argv[:] = argv[1:] if argv[0] == "-m" else argv
+    main = cProfile.Profile()
+    main.enable()
+    try:
+        if argv[0] == "-m":
+            runpy.run_module(argv[1], run_name="__main__", alter_sys=True)
+        else:
+            sys.path.insert(0, os.path.dirname(argv[0]))
+            runpy.run_path(argv[0], run_name="__main__")
+    except SystemExit as exc:
+        if exc.code not in (None, 0):
+            raise
+    finally:
+        main.disable()
+    stats = pstats.Stats(main)
+    with lock:
+        for prof in done:
+            stats.add(prof)
+    stats.dump_stats(out)
+
+
 def profile(surfaces: Sequence[str], scratch: Path) -> Set[Tuple[str, int, str]]:
-    """Run every surface's processes under cProfile; the union of the
+    """Run every surface's processes under :func:`child`; the union of the
     ``(file, first line, name)`` of every function they called."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -84,7 +138,7 @@ def profile(surfaces: Sequence[str], scratch: Path) -> Set[Tuple[str, int, str]]
         for i, (label, argv) in enumerate(commands(surface, scratch)):
             out = scratch / f"{surface}-{i}.prof"
             print(f"census: {label}", file=sys.stderr, flush=True)
-            subprocess.run([sys.executable, "-m", "cProfile", "-o", str(out), *argv],
+            subprocess.run([sys.executable, "-c", CHILD, __file__, str(out), *argv],
                            cwd=scratch, env=env, check=True, stdout=subprocess.DEVNULL)
             called.update(pstats.Stats(str(out)).stats)
     return called

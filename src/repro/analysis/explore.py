@@ -1,6 +1,6 @@
 """DPOR-style schedule exploration for the co-simulated FluentPS protocol.
 
-The sanitizer certifies the paper's invariants (S001-S016, CS01-CS04) on
+The sanitizer certifies the paper's invariants (S001-S015, CS01-CS04) on
 exactly one seeded schedule per run.  This module turns that into bounded
 *stateless model checking*: it drives the engine's commutation points —
 the same-timestamp tie-break hook (:meth:`repro.sim.engine.Engine.set_choice_hook`)

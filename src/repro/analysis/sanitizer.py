@@ -17,11 +17,7 @@ mechanically checkable from the protocol event stream a
   the threshold (no spurious blocks);
 - every buffered DPR is eventually answered (no starvation) and every
   pull request gets exactly one answer (no lost wakeups — the threaded
-  runner's per-pull Events depend on the releasing push firing them);
-- copy-on-write snapshot discipline: replies answered at the same
-  ``version`` share one parameter copy (same storage tag), and a reply
-  after a push never reuses a stale copy — ``version`` and storage tag
-  stay in bijection between restores (S016).
+  runner's per-pull Events depend on the releasing push firing them).
 
 The checker keeps one :class:`VectorClock` of per-worker push progress
 per server incarnation and replays events in stream order, which is the
@@ -151,9 +147,6 @@ class ShardChecker:
         self.outstanding: Dict[Tuple[int, int], int] = {}
         self.buffered: Dict[Tuple[int, int], int] = {}
         self.pssp_passes: Dict[Tuple[int, int], int] = {}
-        # COW snapshot discipline (S016): version <-> storage-tag bijection.
-        self.snap_by_version: Dict[int, int] = {}
-        self.version_by_snap: Dict[int, int] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -332,43 +325,6 @@ class ShardChecker:
                 ev,
             )
         self._check_staleness_bound(ev, missing)
-        self._check_snapshot_sharing(ev)
-
-    def _check_snapshot_sharing(self, ev: ProtocolEvent) -> None:
-        """S016: COW snapshot discipline.
-
-        ``snap`` tags the parameter copy a reply carries (absent/None for
-        param-less, timing-only shards — nothing to check).  Same ``version`` must mean same copy (the whole
-        point of COW: 128 same-version pulls share 1 copy), and the same
-        copy must never span versions (a post-push answer reusing a stale
-        snapshot would hand workers pre-push parameters labelled with the
-        new version).
-        """
-        snap, version = ev.iarg("snap"), ev.iarg("version")
-        if snap is None or version is None:
-            return
-        prior_snap = self.snap_by_version.get(version)
-        if prior_snap is not None and prior_snap != snap:
-            self._flag(
-                "S016",
-                f"snapshot not shared: version {version} answered from copy "
-                f"{snap} after copy {prior_snap} (same-version replies must "
-                "share storage)",
-                ev,
-            )
-        else:
-            self.snap_by_version[version] = snap
-        prior_version = self.version_by_snap.get(snap)
-        if prior_version is not None and prior_version != version:
-            self._flag(
-                "S016",
-                f"stale snapshot reuse: copy {snap} served version "
-                f"{prior_version} and then version {version} (pushes must "
-                "invalidate the cached copy)",
-                ev,
-            )
-        else:
-            self.version_by_snap[snap] = version
 
     def _check_staleness_bound(self, ev: ProtocolEvent, missing: Optional[int]) -> None:
         if missing is None:
@@ -414,11 +370,6 @@ class ShardChecker:
         self.pull_clock = VectorClock()
         self.outstanding.clear()
         self.buffered.clear()
-        # A restore may reinstate an already-seen version number backed by
-        # a fresh copy — the bijection starts over (matching the server's
-        # cache invalidation on restore).
-        self.snap_by_version.clear()
-        self.version_by_snap.clear()
 
     # -- columnar blocks ----------------------------------------------------
 
@@ -497,8 +448,8 @@ class ShardChecker:
         m_ans = missing[at_ans]
         if not np.array_equal(m_ans, np.maximum(0, p_pull + 1 - frontier)):
             return None
-        # S004: missing <= s (proven answers are never coin passes or releases,
-        # and carry no snapshot tag: S005/S015/S016 have nothing to check).
+        # S004: missing <= s (proven answers are never coin passes or releases:
+        # S005/S015 have nothing to check).
         s_bound = sc.s
         if sc.kind != "custom" and s_bound is not None and not math.isinf(s_bound):
             if (m_ans >= s_bound + 1).any():

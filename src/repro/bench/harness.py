@@ -146,12 +146,6 @@ class ExperimentResult:
                 return rec
         raise KeyError(f"no record {name!r} in {self.experiment}")
 
-    def find_series(self, name: str) -> SeriesRecord:
-        for s in self.series:
-            if s.name == name:
-                return s
-        raise KeyError(f"no series {name!r} in {self.experiment}")
-
     def render(self) -> str:
         out = [format_table(self.headers, self.rows, title=f"== {self.experiment} ==")]
         for note in self.notes:

@@ -8,7 +8,8 @@ assignment, and exposes the paper's worker-side operations:
   push to every server (Algorithm 1's sPush);
 - ``s_pull(worker, progress, on_complete)`` — pull every shard; the
   callback fires with the assembled flat parameters once all M servers
-  have responded (sPull + wait);
+  have responded (sPull + wait), each shard's part as it was when that
+  shard answered;
 - ``set_cond_pull`` / ``set_cond_push`` — the SetcondPull/SetcondPush
   interfaces for installing per-server (per-shard) conditions at runtime,
   which is how FluentPS "can adjust synchronization models at runtime" and
@@ -44,7 +45,7 @@ class PullResult:
 
     worker: int
     progress: int
-    params: np.ndarray
+    params: Optional[np.ndarray]  # None: timing-only shards
     max_missing: int = 0
     total_waited: float = 0.0
     replies: List[PullReply] = field(default_factory=list)
@@ -68,8 +69,9 @@ class ParameterServerSystem:
         shard_factory: Callable[..., ShardServer] = ShardServer,
     ):
         """``init_params=None`` builds timing-only shards: no parameters,
-        no gradients, no snapshot copies.  ``shard_factory`` is called with
-        :class:`ShardServer`'s keyword arguments, once per shard."""
+        no gradients, and pulls complete with ``params=None``.
+        ``shard_factory`` is called with :class:`ShardServer`'s keyword
+        arguments, once per shard."""
         n_workers = check_number("n_workers", n_workers, 1, integer=True)
         n_servers = check_number("n_servers", n_servers, 1, integer=True)
         if init_params is not None and init_params.shape != (model.total_elements,):
@@ -182,12 +184,14 @@ class ParameterServerSystem:
 
         With overlap synchronization each shard answers independently —
         a fast shard's reply does not wait for slow shards; the callback
-        fires only when the full parameter vector is assembled.
+        fires only when the full parameter vector is assembled.  A pull
+        a shard refuses leaves nothing in flight.
         """
         pending = _PendingPull(self, worker, progress, on_complete)
-        self._pending_pulls[id(pending)] = pending
         for m, server in enumerate(self.servers):
             server.handle_pull(worker, progress, pending.make_responder(m))
+        if pending.remaining:
+            self._pending_pulls[id(pending)] = pending
 
     # -- elastic resharding ------------------------------------------------------
 
@@ -305,17 +309,23 @@ class _PendingPull:
         self.worker = worker
         self.progress = progress
         self.on_complete = on_complete
-        self.flat = np.empty(system.model.total_elements, dtype=np.float64)
+        self.flat = (
+            None if system.servers[0].params is None
+            else np.empty(system.model.total_elements, dtype=np.float64)
+        )
         self.replies: List[Optional[PullReply]] = [None] * system.n_servers
         self.remaining = system.n_servers
 
     def make_responder(self, server_idx: int) -> Callable[[PullReply], None]:
+        shard = self.system.servers[server_idx]
+
         def respond(reply: PullReply) -> None:
             if self.replies[server_idx] is not None:
                 raise RuntimeError(f"server {server_idx} responded twice to one pull")
             self.replies[server_idx] = reply
-            if reply.params is not None:
-                self.system.layout.gather_into(self.flat, server_idx, reply.params)
+            if self.flat is not None:
+                # The shard is answering: its live values are the reply's ``version``.
+                self.system.layout.gather_into(self.flat, server_idx, shard.params)
             self.remaining -= 1
             if self.remaining == 0:
                 self.system._pending_pulls.pop(id(self), None)

@@ -120,9 +120,6 @@ class Assignment:
     def bytes_per_server(self) -> List[int]:
         return [sum(p.nbytes for p in self.pieces[m]) for m in range(self.n_servers)]
 
-    def elements_per_server(self) -> List[int]:
-        return [sum(p.elements for p in self.pieces[m]) for m in range(self.n_servers)]
-
     def imbalance(self) -> float:
         """max/mean byte load; 1.0 is perfectly balanced."""
         loads = self.bytes_per_server()
@@ -130,14 +127,6 @@ class Assignment:
         if mean == 0:
             return 1.0
         return max(loads) / mean
-
-    def server_of(self, tensor: str, element: int) -> int:
-        """Which server owns ``tensor[element]``."""
-        for m in range(self.n_servers):
-            for p in self.pieces[m]:
-                if p.tensor == tensor and p.start <= element < p.stop:
-                    return m
-        raise KeyError(f"element {element} of tensor {tensor!r} is unassigned")
 
     def validate_partition(self, model: ModelSpec) -> None:
         """Assert the assignment is an exact, non-overlapping cover of the model."""

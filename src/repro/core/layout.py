@@ -119,14 +119,3 @@ class ShardLayout:
     def shard_bytes(self, server: int, dtype_size: int = 4) -> int:
         """Wire size of one shard's parameters/gradients."""
         return self.shard_elements[server] * dtype_size
-
-    def tensor_offset(self, name: str) -> int:
-        return self._tensor_offsets[name]
-
-    def unflatten(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
-        """View the flat vector as named tensors (for the ML layer)."""
-        out = {}
-        for t in self.model.tensors:
-            off = self._tensor_offsets[t.name]
-            out[t.name] = flat[off : off + t.elements].reshape(t.shape)
-        return out

@@ -86,9 +86,8 @@ class PullReply:
     progress: int
     version: int  # server-side update counter at response time
     v_train: int  # frontier at response time
-    missing: int  # slow-worker gradient iterations absent from params
+    missing: int  # slow-worker gradient iterations absent from the shard
     waited: float  # sim-seconds the request spent buffered (0 if immediate)
-    params: Optional[np.ndarray] = None  # shard snapshot (co-simulation)
     shard: int = -1  # the answering shard's id
 
 
@@ -189,16 +188,6 @@ class ShardServer:
 
         self.v_train = 0
         self.version = 0
-        # Copy-on-write snapshot cache: the first pull answered at a given
-        # ``version`` materializes one immutable copy; every later reply at
-        # the same version shares it.  ``handle_push``/``handle_restore``
-        # invalidate.  ``_snap_id`` tags each materialized copy so the
-        # sanitizer can check the version<->storage bijection (S016).
-        self._snap_cache: Optional[np.ndarray] = None
-        self._snap_version = -1
-        self._snap_id = 0
-        self.snapshot_copies = 0  # params.copy() calls actually made
-        self.snapshot_copies_avoided = 0  # replies served from the cache
         self.count: Dict[int, int] = defaultdict(int)
         self.callbacks: Dict[int, List[_BufferedPull]] = defaultdict(list)
         self.worker_progress: List[int] = [-1] * n_workers  # last pushed iteration
@@ -360,7 +349,6 @@ class ShardServer:
         if significance is not None:
             self.last_significance = float(significance)
         self.version += 1
-        self._snap_cache = None  # COW invalidation: state changed
         self.count[progress] += 1
         self.metrics.record_push()
         if self._obs_on:
@@ -534,14 +522,15 @@ class ShardServer:
         entry).  ``s_at_eval`` is the staleness threshold the granting
         pull-condition evaluation used (DSPS adjusts it as a side effect of
         evaluating, so reading it afterwards could be off by one); ``coin``
-        marks answers granted by a PSSP over-threshold coin pass."""
+        marks answers granted by a PSSP over-threshold coin pass.
+
+        The reply carries no parameters: a reader that needs values reads
+        :attr:`params` inside ``respond``, which is the state at the
+        reply's ``version``."""
         # Positional calls and no ``max``: this runs once per answered pull.
         v_train = self.v_train
         missing = progress + 1 - v_train if progress >= v_train else 0
-        params = None if self.params is None else self._snapshot()
-        reply = PullReply(
-            worker, progress, self.version, v_train, missing, waited, params, self.shard_id
-        )
+        reply = PullReply(worker, progress, self.version, v_train, missing, waited, self.shard_id)
         self.metrics.record_response(missing, waited)
         if self._obs_on:
             self._h_wait.observe(waited)
@@ -560,34 +549,8 @@ class ShardServer:
                 self.uid, self.shard_id, worker, progress, self.v_train,
                 missing, released, coin, self.pull_con.kind,
                 _staleness_arg(s_at_eval), waited, self.version,
-                # ``snap``: storage tag of the shared COW copy this reply
-                # carries (None for a timing-only shard) — lets the
-                # sanitizer assert same-version replies share storage and
-                # post-push replies do not (S016).
-                None if params is None else self._snap_id,
             )
         respond(reply)
-
-    def _snapshot(self) -> np.ndarray:
-        """Parameters for a pull reply: one immutable copy per version.
-
-        The first reply at a given ``version`` copies ``self.params`` once
-        and marks the copy read-only; later same-version replies share that
-        storage (128 workers pulling one version cost 1 copy, not 128).
-        Pushes keep mutating ``self.params`` freely — the reply copy is
-        detached — and every version change drops the cache (a timing-only
-        shard has no snapshot: its caller asks for none).
-        """
-        if self._snap_version != self.version:
-            snap = self.params.copy()
-            snap.flags.writeable = False
-            self._snap_cache = snap
-            self._snap_version = self.version
-            self._snap_id += 1
-            self.snapshot_copies += 1
-        else:
-            self.snapshot_copies_avoided += 1
-        return self._snap_cache
 
     # -- Closed-form quiet-round commit (round collapse fast path) ----------
 
@@ -708,11 +671,6 @@ class ShardServer:
             self.params[...] = params
         self.v_train = int(shard_state["v_train"])
         self.version = int(shard_state["version"])
-        # COW invalidation: a restore can reinstate the *same* version
-        # number with different parameter values, so a version-equality
-        # check alone would serve a stale snapshot — drop the cache.
-        self._snap_cache = None
-        self._snap_version = -1
         self.count.clear()
         self.count.update(
             {int(k): int(v) for k, v in dict(shard_state["count"]).items()}

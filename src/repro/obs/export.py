@@ -65,7 +65,7 @@ PROTOCOL_INSTANT_ARGS: Dict[str, Tuple[str, ...]] = {
     "pull_request": ("uid", "shard", "worker", "progress", "v_train"),
     "pull_answer": (
         "uid", "shard", "worker", "progress", "v_train", "missing",
-        "released", "coin", "kind", "s", "waited", "version", "snap",
+        "released", "coin", "kind", "s", "waited", "version",
     ),
     "dpr_buffered": ("uid", "worker", "progress", "key", "shard", "v_train", "s"),
     "dpr_released": ("uid", "worker", "progress", "waited", "missing", "shard", "released_by"),
@@ -153,11 +153,10 @@ class InstantBlock:
                 values = (sc.uid, v_train, sc.shard)
             elif code == PULL_ANSWER:
                 # A quiet-round answer is immediate (waited exactly 0.0)
-                # or a released DPR, never a coin pass, from a timing-only
-                # shard (no parameter copy to tag).
+                # or a released DPR, never a coin pass.
                 values = (
                     sc.uid, sc.shard, worker, progress, v_train, missing,
-                    by >= 0, False, sc.kind, sc.s, waited, version, None,
+                    by >= 0, False, sc.kind, sc.s, waited, version,
                 )
             elif code == DPR_BUFFERED:
                 values = (sc.uid, worker, progress, progress, sc.shard, v_train, sc.s)

@@ -280,11 +280,6 @@ class Histogram(_Metric):
         state = self._states.get(_label_key(labels))
         return state.sum / state.count if state and state.count else 0.0
 
-    def bucket_counts(self, **labels: object) -> List[int]:
-        """Per-bucket counts (last entry is the overflow bucket)."""
-        state = self._states.get(_label_key(labels))
-        return list(state.counts) if state else [0] * (len(self.buckets) + 1)
-
     def quantile(self, q: float, **labels: object) -> float:
         """Estimate of the ``q`` quantile, interpolated within buckets.
 
@@ -557,9 +552,6 @@ class _NullMetric:
 
     def mean(self, **labels: object) -> float:
         return 0.0
-
-    def bucket_counts(self, **labels: object) -> List[int]:
-        return []
 
     def quantile(self, q: float, **labels: object) -> float:
         return 0.0

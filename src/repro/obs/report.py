@@ -9,7 +9,7 @@ compute/communication breakdown.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.obs.registry import (
     Counter,
@@ -114,7 +114,3 @@ def _trace_section(trace) -> List[str]:
         f"trace: {len(trace.spans)} spans kept, end_time={trace.end_time:.4g}s"
     )
     return lines
-
-
-def print_report(registry: MetricsRegistry, trace=None, title: Optional[str] = None) -> None:
-    print(render_report(registry, trace, title or "observability report"))

@@ -625,20 +625,3 @@ class Network:
                     seq += 1
                     _heappush(heap, (now, seq, cb, msg))
                 engine._seq = seq
-
-    def transfer_time_estimate(self, src: str, dst: str, size_bytes: int) -> float:
-        """Uncontended end-to-end transfer time (analytic, for sizing).
-
-        Contract: this is the *uncontended* bound — it assumes the TX and
-        RX lanes are idle.  It equals the delivered latency exactly for
-        a lone transfer on an idle network (asserted by
-        ``tests/test_network.py``) and is a lower bound whenever a lane
-        is contended; it never models queueing delay.
-        """
-        src_ep = self.endpoint(src)
-        dst_ep = self.endpoint(dst)
-        return (
-            src_ep.serialize_time(size_bytes)
-            + self.latency_s
-            + dst_ep.serialize_time(size_bytes)
-        )

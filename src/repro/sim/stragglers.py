@@ -11,7 +11,6 @@ dedicated named RNG stream so runs are reproducible.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
@@ -205,25 +204,3 @@ def cpu_cluster_compute(n_workers: int) -> ComputeModel:
     return HeterogeneousCompute(
         n_workers, spread=0.3, jitter_sigma=0.02, p_slow=0.005, tail_scale=2.0
     )
-
-
-def make_compute_model(name: str, n_workers: Optional[int] = None, **kwargs) -> ComputeModel:
-    """Factory keyed by name — used by benches to sweep straggler regimes."""
-    name = name.lower()
-    if name in ("deterministic", "none"):
-        return DeterministicCompute(**kwargs)
-    if name in ("lognormal", "jitter"):
-        return LogNormalCompute(**kwargs)
-    if name in ("exponential", "exp-tail"):
-        return ExponentialTailCompute(**kwargs)
-    if name in ("pareto", "heavy-tail"):
-        return ParetoTailCompute(**kwargs)
-    if name in ("transient", "rotating"):
-        if n_workers is None:
-            raise ValueError("transient straggler model needs n_workers")
-        return TransientStragglerCompute(n_workers=n_workers, **kwargs)
-    if name in ("heterogeneous", "hetero"):
-        if n_workers is None:
-            raise ValueError("heterogeneous compute model needs n_workers")
-        return HeterogeneousCompute(n_workers=n_workers, **kwargs)
-    raise ValueError(f"unknown compute model {name!r}")

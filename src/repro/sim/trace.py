@@ -1,4 +1,4 @@
-"""Timeline tracing: spans, counters and the Fig 3/5-style summaries.
+"""Timeline tracing: spans and the Fig 3/5-style summaries.
 
 Each actor (worker/server) records spans — compute, push wait, pull wait,
 blocked-in-barrier — from which the benches derive exactly the quantities
@@ -51,7 +51,7 @@ class Span:
 
 
 class TraceRecorder:
-    """Accumulates spans and named counters for one simulated run."""
+    """Accumulates spans for one simulated run."""
 
     #: Tolerated clock jitter: a span whose end precedes its start by at
     #: most ``NEGATIVE_EPS * max(1, |t0|)`` seconds is clipped to zero
@@ -63,7 +63,6 @@ class TraceRecorder:
     def __init__(self, keep_spans: bool = True):
         self.keep_spans = keep_spans
         self.spans: List[Span] = []
-        self.counters: Dict[str, float] = defaultdict(float)
         self._totals: Dict[Tuple[str, SpanKind], float] = defaultdict(float)
         self._span_counts: Dict[Tuple[str, SpanKind], int] = defaultdict(int)
         self.end_time: float = 0.0
@@ -136,10 +135,6 @@ class TraceRecorder:
             t1 = np.where(inverted, t0, t1)  # clock jitter: clip to empty spans
         return t0, t1
 
-    def incr(self, counter: str, by: float = 1.0) -> None:
-        """Increment a named counter."""
-        self.counters[counter] += by
-
     # -- aggregation ----------------------------------------------------
 
     def actors(self) -> List[str]:
@@ -172,17 +167,6 @@ class TraceRecorder:
     def breakdown(self, actor: str) -> Dict[str, float]:
         """Seconds per span kind for one actor."""
         return {k.value: self.total(actor, k) for k in SpanKind}
-
-    def mean_breakdown(self, actors: Iterable[str]) -> Dict[str, float]:
-        """Per-kind seconds averaged over ``actors``."""
-        actors = list(actors)
-        if not actors:
-            raise ValueError("need at least one actor")
-        out: Dict[str, float] = {k.value: 0.0 for k in SpanKind}
-        for a in actors:
-            for k in SpanKind:
-                out[k.value] += self.total(a, k)
-        return {k: v / len(actors) for k, v in out.items()}
 
     # -- rendering (examples / figure 3&5 demos) -------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 #: Sentinel distinguishing "no default given" from an explicit ``None``.
 _UNSET = object()
@@ -83,17 +83,6 @@ class SeriesRecord:
             raise ValueError(f"series {self.name!r} is empty")
         return max(self.y)
 
-    def at_x(self, x: float) -> float:
-        """Last y value observed at or before ``x`` (step interpolation)."""
-        if not self.x:
-            raise ValueError(f"series {self.name!r} is empty")
-        out = self.y[0]
-        for xi, yi in zip(self.x, self.y):
-            if xi > x:
-                break
-            out = yi
-        return out
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -119,8 +108,3 @@ class SeriesRecord:
     @classmethod
     def from_json(cls, text: str) -> "SeriesRecord":
         return cls.from_dict(json.loads(text))
-
-
-def merge_metrics(records: Sequence[RunRecord], key: str) -> List[float]:
-    """Collect one metric across records, in order."""
-    return [r.metrics[key] for r in records]

@@ -10,7 +10,7 @@ discrete-event co-simulation reproducible and the benchmarks comparable.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, List, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -37,11 +37,3 @@ def derive_rng(seed: int, *streams: StreamKey) -> np.random.Generator:
 def spawn_rngs(seed: int, prefix: StreamKey, n: int) -> List[np.random.Generator]:
     """Return ``n`` independent generators named ``(prefix, 0..n-1)``."""
     return [derive_rng(seed, prefix, i) for i in range(n)]
-
-
-def stable_choice(rng: np.random.Generator, items: Iterable) -> object:
-    """Uniformly choose one item from a finite iterable (ordering-stable)."""
-    seq = list(items)
-    if not seq:
-        raise ValueError("cannot choose from an empty iterable")
-    return seq[int(rng.integers(0, len(seq)))]

@@ -47,10 +47,3 @@ def format_table(
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_ratio(new: float, old: float) -> str:
-    """Human-readable speedup string, e.g. '4.26x'."""
-    if new <= 0:
-        return "inf"
-    return f"{old / new:.2f}x"

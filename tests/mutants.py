@@ -1,12 +1,13 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 29 mutants is a named function that takes pytest's
+Each of the 31 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
 :mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
-delivery fusing, one in the event path's serve lane, one in
-:class:`repro.core.server.ShardServer`'s push apply, one in the protocol
+delivery fusing, one in the event path's serve lane, two in
+:class:`repro.core.server.ShardServer` — its push apply and its lazy
+buffer key —, one in the API's assembly of a pull's reply, one in the protocol
 sanitizer's vector proof, one where the runner takes over a system to
 continue, three in the schedule log a real-gradient run's math is
 replayed from, two in the replay's cohort rule, two in the replay's
@@ -32,6 +33,7 @@ import numpy as np
 
 from repro.analysis.sanitizer import ShardChecker
 from repro.core import conditions, replay
+from repro.core.api import _PendingPull
 from repro.core.pssp import gradient_significance
 from repro.core.server import ShardServer
 from repro.sim import runner
@@ -174,6 +176,26 @@ def significance_before_apply(monkeypatch) -> None:
         handle_push(self, worker, progress, grad, significance)
 
     monkeypatch.setattr(ShardServer, "handle_push", mutant)
+
+
+def lazy_released_with_missing(monkeypatch) -> None:
+    """Lazy execution buffers a DPR at the current frontier, not at its
+    progress: the next advance answers it with iterations still missing
+    (Figure 3b's guarantee broken).  Killer:
+    ``test_server.py::TestLazyExecution::test_lazy_waits_for_full_catchup``."""
+    _rewrite(monkeypatch, ShardServer, "_buffer_key", "return progress", "return self.v_train")
+
+
+def pull_assembles_at_completion(monkeypatch) -> None:
+    """An sPull reads every shard when its last shard answers, not each
+    shard when that shard answers: a shard that answered early is read
+    after later pushes, past the ``version`` its reply reports.  Killer:
+    ``test_api.py::TestPushPull::test_each_shard_is_read_when_it_answers``."""
+    _rewrite(
+        monkeypatch, _PendingPull, "make_responder",
+        "self.system.layout.gather_into(self.flat, server_idx, shard.params)",
+        "if self.remaining == 1: self.flat[...] = self.system.current_params()",
+    )
 
 
 def resume_ignores_restored_progress(monkeypatch) -> None:

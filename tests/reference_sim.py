@@ -307,9 +307,12 @@ class ReferenceSim:
                 yield cost
 
     def _reply(self, j: int, reply: PullReply) -> None:
-        """Server ``j`` answers a pull, now or when a push releases it."""
+        """Server ``j`` answers a pull, now or when a push releases it: the
+        reply carries a copy of the shard as it is at the answer."""
         src, dst = self.server_ids[j], self.worker_ids[reply.worker]
-        self.wire.send(src, dst, self._payload_bytes(j), "reply", (j, reply.params))
+        params = self.servers[j].params
+        snapshot = None if params is None else params.copy()
+        self.wire.send(src, dst, self._payload_bytes(j), "reply", (j, snapshot))
 
     def _reply_landed(self, w: int, payload) -> None:
         j, snapshot = payload

@@ -107,14 +107,12 @@ def instant_stream(instants):
     """A protocol instant stream as JSON bytes, comparable across runs.
 
     ``uid`` is a process-global server incarnation counter — it differs
-    between any two runner constructions in one process by design — and
-    ``snap`` tags a live shard's reply copies, which a simulated run's
-    timing-only shards do not make (the reference's shards are live), so
-    both are stripped before comparing streams."""
+    between any two runner constructions in one process by design — so it
+    is stripped before comparing streams."""
     return json.dumps(
         [
             [i.name, i.t, i.actor,
-             {k: v for k, v in sorted(i.args.items()) if k not in ("uid", "snap")}]
+             {k: v for k, v in sorted(i.args.items()) if k != "uid"}]
             for i in instants
         ],
         default=str,

@@ -56,13 +56,13 @@ class StreamBuilder:
         return self.add("pull_request", worker=worker, progress=progress)
 
     def answer(self, worker, progress, v_train, missing=None, released=False,
-               coin=False, kind="ssp", s=None, version=None, snap=None):
+               coin=False, kind="ssp", s=None, version=None):
         if missing is None:
             missing = max(0, progress + 1 - v_train)
         return self.add(
             "pull_answer", worker=worker, progress=progress, v_train=v_train,
             missing=missing, released=released, coin=coin, kind=kind,
-            s=self.s if s is None else s, version=version, snap=snap,
+            s=self.s if s is None else s, version=version,
         )
 
     def pssp_pass(self, worker, progress, v_train=0):
@@ -241,60 +241,6 @@ class TestSeededViolations:
         b.pull_request(0, 0)
         b.answer(0, 0, v_train=2)
         assert "S014" in b.codes(complete=False)
-
-
-class TestSnapshotSharing:
-    """S016: the COW snapshot's version <-> storage-tag bijection."""
-
-    def _two_answers(self, snap1, snap2, version1=3, version2=3):
-        b = StreamBuilder()
-        for w in range(3):
-            b.push(w, 0)
-        b.advance(1)
-        b.pull_request(0, 0).answer(0, 0, v_train=1, version=version1, snap=snap1)
-        b.pull_request(1, 0).answer(1, 0, v_train=1, version=version2, snap=snap2)
-        return b
-
-    def test_shared_same_version_clean(self):
-        assert self._two_answers(snap1=1, snap2=1).codes(complete=False) == []
-
-    def test_unshared_same_version_flagged(self):
-        # Two replies at version 3 carried two different copies: the cache
-        # failed to share (the 128-pulls-1-copy property is broken).
-        codes = self._two_answers(snap1=1, snap2=2).codes(complete=False)
-        assert "S016" in codes
-
-    def test_stale_snapshot_reuse_flagged(self):
-        # Same copy served two different versions: a push advanced the
-        # version but the cached snapshot was not invalidated.
-        codes = self._two_answers(
-            snap1=1, snap2=1, version1=3, version2=4
-        ).codes(complete=False)
-        assert "S016" in codes
-
-    def test_snapshotting_disabled_skips_check(self):
-        # snap=None (snapshot_params=False or param-less shard): no claim
-        # about storage is made, so nothing to verify.
-        codes = self._two_answers(
-            snap1=None, snap2=None, version1=3, version2=4
-        ).codes(complete=False)
-        assert "S016" not in codes
-
-    def test_restore_resets_bijection(self):
-        # A restore may reinstate version 3 backed by a fresh copy; the
-        # pre-restore pairing must not count against it.
-        b = StreamBuilder()
-        for w in range(3):
-            b.push(w, 0)
-        b.advance(1)
-        b.pull_request(0, 0).answer(0, 0, v_train=1, version=3, snap=1)
-        b.add(
-            "server_restore", v_train=1, worker_progress=[0, 0, 0],
-            count={"0": 3},
-        )
-        b.push(0, 1, v_train=1)
-        b.pull_request(0, 1).answer(0, 1, v_train=1, version=3, snap=2)
-        assert "S016" not in b.codes(complete=False)
 
 
 class TestReporting:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.api import ParameterServerSystem
 from repro.core.models import asp, bsp, ssp
-from repro.core.server import ExecutionMode
+from repro.core.server import ExecutionMode, ProtocolError
+
+from tests.mutants import pull_assembles_at_completion
 
 
 def make_system(tiny_spec, n_workers=2, n_servers=2, sync=None, init=None, **kw):
@@ -61,10 +63,13 @@ class TestConstruction:
         replies = []
         system.s_push(0, 0, np.zeros(tiny_spec.total_elements))
         system.s_pull(0, 0, replies.append)
-        assert all(s.params is None and s.snapshot_copies == 0 for s in system.servers)
+        assert all(s.params is None for s in system.servers)
+        # No shard holds values, so the pull has none to give (not an
+        # unwritten buffer).
+        assert len(replies) == 1 and replies[0].params is None
 
     def test_removed_snapshot_params_option_raises(self, tiny_spec):
-        """Replies always carry the shard's copy-on-write snapshot."""
+        """Replies carry no parameters, so there is no copy mode to choose."""
         with pytest.raises(TypeError, match="snapshot_params"):
             make_system(tiny_spec, snapshot_params=False)
 
@@ -103,6 +108,43 @@ class TestPushPull:
         system.s_push(1, 1, np.zeros(tiny_spec.total_elements))
         assert len(results) == 2
         assert results[1].replies[0].missing == 0
+
+    @staticmethod
+    def _answered_apart(tiny_spec):
+        """Worker 0 pulls: shard 0 (ASP) answers at once, shard 1 (BSP)
+        buffers until worker 1's push, which changes shard 0 too."""
+        d = tiny_spec.total_elements
+        system = make_system(tiny_spec, n_workers=2, sync=[asp(), bsp()])
+        results = []
+        system.s_push(0, 0, np.full(d, 2.0))  # w += 2/2 on both shards
+        system.s_pull(0, 0, results.append)
+        assert not results and system.total_buffered() == 1
+        system.s_push(1, 0, np.full(d, 4.0))  # w += 4/2, releases shard 1
+        assert len(results) == 1
+        return system, results[0]
+
+    def test_each_shard_is_read_when_it_answers(self, tiny_spec):
+        """A pull's vector holds each shard at the ``version`` its reply
+        reports: shard 0 as it was before worker 1's push, shard 1 after."""
+        system, result = self._answered_apart(tiny_spec)
+        assert [r.version for r in result.replies] == [1, 2]
+        shards = system.layout.scatter(result.params)
+        np.testing.assert_array_equal(shards[0], np.full_like(shards[0], 1.0))
+        np.testing.assert_array_equal(shards[1], np.full_like(shards[1], 3.0))
+
+    def test_pull_assembles_at_completion_dies_here(self, tiny_spec, monkeypatch):
+        pull_assembles_at_completion(monkeypatch)
+        with pytest.raises(AssertionError):
+            self.test_each_shard_is_read_when_it_answers(tiny_spec)
+
+    def test_refused_pull_leaves_nothing_in_flight(self, tiny_spec):
+        """A pull the shards refuse (no push for its iteration yet) leaves
+        the system quiescent: it can still checkpoint and resize."""
+        system = make_system(tiny_spec)
+        with pytest.raises(ProtocolError, match="before its push"):
+            system.s_pull(0, 0, lambda r: None)
+        system.checkpoint()
+        system.resize(3)
 
     def test_buffered_count(self, tiny_spec):
         system = make_system(tiny_spec, n_workers=2, sync=ssp(1))

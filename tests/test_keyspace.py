@@ -98,15 +98,6 @@ class TestAssignment:
         with pytest.raises(ValueError, match="unknown tensor"):
             a.validate_partition(m)
 
-    def test_server_of(self):
-        a = Assignment(n_servers=2)
-        a.add(0, ShardPiece("t0", 0, 5))
-        a.add(1, ShardPiece("t0", 5, 10))
-        assert a.server_of("t0", 0) == 0
-        assert a.server_of("t0", 7) == 1
-        with pytest.raises(KeyError):
-            a.server_of("t0", 10)
-
     def test_imbalance_balanced(self):
         a = Assignment(n_servers=2)
         a.add(0, ShardPiece("t0", 0, 5))
@@ -219,7 +210,7 @@ class TestSlicerProperties:
         m = spec_of(sizes)
         a = ElasticSlicer(chunk_elements=chunk).slice(m, n_servers)
         a.validate_partition(m)
-        assert sum(a.elements_per_server()) == m.total_elements
+        assert sum(p.elements for ps in a.pieces.values() for p in ps) == m.total_elements
 
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=12),

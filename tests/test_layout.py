@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.keyspace import DefaultSlicer, ElasticSlicer, ModelSpec, TensorSpec
+from repro.core.keyspace import ElasticSlicer, ModelSpec, TensorSpec
 from repro.core.layout import ShardLayout
 
 
@@ -54,25 +54,6 @@ class TestScatterGather:
     def test_shard_bytes(self):
         spec, layout = make_layout([100], 2, chunk=50)
         assert layout.shard_bytes(0) + layout.shard_bytes(1) == 400
-
-    def test_unflatten_views_tensors(self, rng):
-        spec = ModelSpec.from_tensors(
-            "m", [TensorSpec("a", (2, 3)), TensorSpec("b", (4,))]
-        )
-        layout = ShardLayout(spec, DefaultSlicer().slice(spec, 2))
-        flat = rng.normal(size=10)
-        tensors = layout.unflatten(flat)
-        assert tensors["a"].shape == (2, 3)
-        assert tensors["b"].shape == (4,)
-        np.testing.assert_array_equal(tensors["a"].ravel(), flat[:6])
-
-    def test_tensor_offsets(self):
-        spec = ModelSpec.from_tensors(
-            "m", [TensorSpec("a", (6,)), TensorSpec("b", (4,))]
-        )
-        layout = ShardLayout(spec, DefaultSlicer().slice(spec, 1))
-        assert layout.tensor_offset("a") == 0
-        assert layout.tensor_offset("b") == 6
 
 
 class TestProperties:

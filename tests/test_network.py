@@ -57,14 +57,6 @@ class TestTransfer:
         # 2s tx serialize + 1s latency + 2s rx serialize
         assert done == [pytest.approx(5.0)]
 
-    def test_estimate_matches_uncontended(self):
-        eng, net = make_net(latency=1.0, bw=100.0)
-        est = net.transfer_time_estimate("a", "b", 200)
-        done = []
-        net.send("a", "b", 200).subscribe(lambda m: done.append(eng.now))
-        eng.run()
-        assert done[0] == pytest.approx(est)
-
     def test_tx_lane_serializes_sends(self):
         eng, net = make_net(bw=100.0)
         done = []

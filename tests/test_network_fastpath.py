@@ -183,8 +183,18 @@ class TestPathSelection:
         assert net.total_messages == net.fast_path_transfers == 3
 
 
+def uncontended_time(net, src, dst, size_bytes):
+    """A transfer's end-to-end time on idle lanes: TX serialize, latency,
+    RX serialize."""
+    return (
+        net.endpoint(src).serialize_time(size_bytes)
+        + net.latency_s
+        + net.endpoint(dst).serialize_time(size_bytes)
+    )
+
+
 class TestTransferTimeEstimate:
-    """Satellite: the documented uncontended contract."""
+    """A lone transfer takes the uncontended time; contention only adds."""
 
     def test_exact_for_lone_transfer_both_paths(self):
         """Exact on the production wire and on the reference wire."""
@@ -196,7 +206,7 @@ class TestTransferTimeEstimate:
         net = Network(eng, latency_s=75e-6)
         for node, nic in nics.items():
             net.add_node(node, nic)
-        est = net.transfer_time_estimate("a", "b", 4096)
+        est = uncontended_time(net, "a", "b", 4096)
         done = net.send("a", "b", 4096)
         eng.run()
         assert done.payload.deliver_time == est
@@ -210,7 +220,7 @@ class TestTransferTimeEstimate:
         net.add_node("sink", nic)
         for i in range(4):
             net.add_node(f"w{i}", nic)
-        est = net.transfer_time_estimate("w0", "sink", 64 * 1024)
+        est = uncontended_time(net, "w0", "sink", 64 * 1024)
         signals = [net.send(f"w{i}", "sink", 64 * 1024) for i in range(4)]
         eng.run()
         delivers = sorted(s.payload.deliver_time for s in signals)

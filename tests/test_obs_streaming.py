@@ -179,7 +179,7 @@ class TestBlockSpill:
         assert list(rows[2].args.items()) == [
             ("uid", 40), ("shard", 0), ("worker", 0), ("progress", 0), ("v_train", 0),
             ("missing", 1), ("released", False), ("coin", False), ("kind", "ssp"),
-            ("s", 3.0), ("waited", 0.0), ("version", 1), ("snap", None),
+            ("s", 3.0), ("waited", 0.0), ("version", 1),
         ]
         assert rows[3].actor == "server1" and rows[3].args["uid"] == 41
         assert all(type(v) in (int, float, bool, str, type(None))
@@ -209,7 +209,7 @@ class TestBlockSpill:
         assert list(rows[5].args.items()) == [
             ("uid", 40), ("shard", 0), ("worker", 0), ("progress", 0), ("v_train", 1),
             ("missing", 0), ("released", True), ("coin", False), ("kind", "ssp"),
-            ("s", 3.0), ("waited", 0.5), ("version", 2), ("snap", None),
+            ("s", 3.0), ("waited", 0.5), ("version", 2),
         ]
 
     @pytest.mark.parametrize("cap", [1, 2, 4, 6, 9])

@@ -13,7 +13,7 @@ from repro.core.server import (
 )
 from repro.core.pssp import gradient_significance
 
-from tests.mutants import significance_before_apply
+from tests.mutants import lazy_released_with_missing, significance_before_apply
 
 
 def make_server(model=None, execution=ExecutionMode.LAZY, n=3, params=None, **kw):
@@ -179,84 +179,13 @@ class TestPullSemantics:
         assert r.worker == 0 and r.progress == 0
         assert r.v_train == 1  # single worker: frontier advanced
         assert r.missing == 0
-        np.testing.assert_array_equal(r.params, np.arange(3.0))
-
-    def test_snapshot_isolated_from_mutation(self):
-        srv = make_server(model=asp(), n=2, params=np.zeros(2))
-        replies = []
-        srv.handle_push(0, 0, grad=np.zeros(2))
-        srv.handle_pull(0, 0, replies.append)
-        srv.handle_push(1, 0, grad=np.full(2, 2.0))
-        np.testing.assert_array_equal(replies[0].params, np.zeros(2))
+        assert r.version == 1 and r.shard == 0
+        assert not hasattr(r, "params")  # a reader reads the live shard
 
     def test_removed_snapshot_params_option_raises(self):
-        """Replies always carry the shard's copy-on-write snapshot: the
-        live-array mode had no caller left."""
+        """Replies carry no parameters, so there is no copy mode to choose."""
         with pytest.raises(TypeError, match="snapshot_params"):
             make_server(model=asp(), n=1, params=np.zeros(2), snapshot_params=False)
-
-
-class TestCopyOnWriteSnapshots:
-    """One immutable parameter copy per version, shared across replies."""
-
-    def test_same_version_replies_share_storage(self):
-        srv = make_server(model=asp(), n=3, params=np.arange(4.0))
-        replies = []
-        for w in range(3):
-            srv.handle_push(w, 0)  # grad=None: version bumps, params don't
-        for w in range(3):
-            srv.handle_pull(w, 0, replies.append)
-        assert replies[0].params is replies[1].params is replies[2].params
-        assert srv.snapshot_copies == 1
-        assert srv.snapshot_copies_avoided == 2
-
-    def test_snapshot_is_read_only(self):
-        srv = make_server(model=asp(), n=1, params=np.zeros(3))
-        replies = []
-        srv.handle_push(0, 0)
-        srv.handle_pull(0, 0, replies.append)
-        assert replies[0].params.flags.writeable is False
-        with pytest.raises(ValueError):
-            replies[0].params[0] = 1.0
-        # The server's live array stays writable — pushes keep applying.
-        srv.handle_push(0, 1, grad=np.ones(3))
-
-    def test_push_invalidates_shared_copy(self):
-        srv = make_server(model=asp(), n=2, params=np.zeros(2))
-        replies = []
-        srv.handle_push(0, 0, grad=np.zeros(2))
-        srv.handle_pull(0, 0, replies.append)
-        srv.handle_push(1, 0, grad=np.full(2, 2.0))  # w += g / N with N=2
-        srv.handle_pull(1, 0, replies.append)
-        assert replies[0].params is not replies[1].params
-        np.testing.assert_array_equal(replies[0].params, np.zeros(2))
-        np.testing.assert_array_equal(replies[1].params, np.full(2, 1.0))
-        assert srv.snapshot_copies == 2
-        assert srv.snapshot_copies_avoided == 0
-
-    def test_restore_invalidates_even_at_same_version(self):
-        # A restore can reinstate the same version *number* with different
-        # parameter values; a version-equality check alone would hand out
-        # the stale cached copy.
-        srv = make_server(model=asp(), n=1, params=np.zeros(2))
-        replies = []
-        srv.handle_push(0, 0)
-        srv.handle_pull(0, 0, replies.append)
-        version = srv.version
-        srv.handle_restore(
-            {
-                "v_train": srv.v_train,
-                "version": version,
-                "worker_progress": [0],
-                "count": {0: 1},
-                "last_significance": 0.0,
-            },
-            params=np.full(2, 7.0),
-        )
-        srv.handle_pull(0, 0, replies.append)
-        assert srv.version == version
-        assert replies[1].params is not replies[0].params
-        np.testing.assert_array_equal(replies[1].params, np.full(2, 7.0))
 
     def test_pull_regression_rejected(self):
         srv = make_server(model=ssp(5), n=2)
@@ -295,7 +224,7 @@ class TestLazyExecution:
             srv.handle_push(w, 3)
         return replies
 
-    def test_lazy_waits_for_full_catchup(self):
+    def _lazy_catchup(self):
         srv = make_server(model=ssp(3), execution=ExecutionMode.LAZY, n=3)
         self._race_ahead(srv)
         replies = []
@@ -308,6 +237,14 @@ class TestLazyExecution:
         srv.handle_push(2, 3)
         assert len(replies) == 1
         assert replies[0].missing == 0  # fully updated parameters
+
+    def test_lazy_waits_for_full_catchup(self):
+        self._lazy_catchup()
+
+    def test_lazy_released_with_missing_dies_here(self, monkeypatch):
+        lazy_released_with_missing(monkeypatch)
+        with pytest.raises(AssertionError):
+            self._lazy_catchup()
 
     def test_soft_releases_at_first_advance(self):
         srv = make_server(model=ssp(3), execution=ExecutionMode.SOFT_BARRIER, n=3)

@@ -14,7 +14,6 @@ from repro.sim.stragglers import (
     TransientStragglerCompute,
     cpu_cluster_compute,
     gpu_cluster_compute,
-    make_compute_model,
 )
 
 ALL_MODELS = [
@@ -129,24 +128,6 @@ class TestHeterogeneous:
 
 
 class TestFactoryAndPresets:
-    @pytest.mark.parametrize(
-        "name", ["deterministic", "lognormal", "exp-tail", "pareto"]
-    )
-    def test_factory_simple(self, name):
-        assert make_compute_model(name) is not None
-
-    def test_factory_needs_workers(self):
-        with pytest.raises(ValueError):
-            make_compute_model("transient")
-        with pytest.raises(ValueError):
-            make_compute_model("heterogeneous")
-        assert make_compute_model("transient", n_workers=4) is not None
-        assert make_compute_model("heterogeneous", n_workers=4) is not None
-
-    def test_factory_unknown(self):
-        with pytest.raises(ValueError):
-            make_compute_model("quantum")
-
     def test_cluster_presets(self, rng):
         g = gpu_cluster_compute()
         c = cpu_cluster_compute(8)

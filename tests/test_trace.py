@@ -61,21 +61,6 @@ class TestSpans:
         assert b["compute"] == pytest.approx(1.0)
         assert b["pull"] == 0.0
 
-    def test_mean_breakdown(self):
-        tr = TraceRecorder()
-        tr.record_span("w0", SpanKind.COMPUTE, 0, 2)
-        tr.record_span("w1", SpanKind.COMPUTE, 0, 4)
-        mb = tr.mean_breakdown(["w0", "w1"])
-        assert mb["compute"] == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            tr.mean_breakdown([])
-
-    def test_counters(self):
-        tr = TraceRecorder()
-        tr.incr("dprs")
-        tr.incr("dprs", 2)
-        assert tr.counters["dprs"] == 3
-
     def test_span_duration(self):
         assert Span("w", SpanKind.PULL, 1.0, 3.5).duration == pytest.approx(2.5)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.utils.checks import check_number, check_seed
-from repro.utils.records import RunRecord, SeriesRecord, merge_metrics
-from repro.utils.rng import derive_rng, spawn_rngs, stable_choice
-from repro.utils.tables import format_ratio, format_table
+from repro.utils.records import RunRecord, SeriesRecord
+from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.tables import format_table
 
 
 class TestChecks:
@@ -62,12 +62,6 @@ class TestRng:
         values = [r.random() for r in rngs]
         assert len(set(values)) == 4
 
-    def test_stable_choice(self):
-        rng = derive_rng(0, "choice")
-        assert stable_choice(rng, [1, 2, 3]) in (1, 2, 3)
-        with pytest.raises(ValueError):
-            stable_choice(rng, [])
-
 
 class TestRecords:
     def test_run_record_roundtrip(self):
@@ -90,27 +84,17 @@ class TestRecords:
         assert s.final() == 0.8
         assert s.best() == 0.8
 
-    def test_series_at_x_step_interpolation(self):
-        s = SeriesRecord("s", x=[10, 20, 30], y=[0.1, 0.2, 0.3])
-        assert s.at_x(25) == 0.2
-        assert s.at_x(5) == 0.1
-        assert s.at_x(100) == 0.3
-
     def test_series_empty_errors(self):
         s = SeriesRecord("s")
         with pytest.raises(ValueError):
             s.final()
         with pytest.raises(ValueError):
-            s.at_x(1)
+            s.best()
 
     def test_series_roundtrip(self):
         s = SeriesRecord("s", x=[1], y=[2], x_label="t", y_label="acc")
         s2 = SeriesRecord.from_dict(s.to_dict())
         assert s2.x == [1.0] and s2.y_label == "acc"
-
-    def test_merge_metrics(self):
-        rs = [RunRecord("a", metrics={"x": 1.0}), RunRecord("b", metrics={"x": 2.0})]
-        assert merge_metrics(rs, "x") == [1.0, 2.0]
 
 
 class TestAsciiPlot:
@@ -166,10 +150,6 @@ class TestTables:
     def test_large_and_small_floats(self):
         out = format_table(["v"], [[1e9], [1e-9], [0.0]])
         assert "e+" in out and "e-" in out and "0" in out
-
-    def test_format_ratio(self):
-        assert format_ratio(new=2.0, old=4.0) == "2.00x"
-        assert format_ratio(new=0.0, old=1.0) == "inf"
 
 
 class TestMetricLookup:
