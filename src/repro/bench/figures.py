@@ -27,7 +27,7 @@ from repro.bench.pool import RunTask, SweepExecutor, derive_task_seed, run_sweep
 from repro.bench.workloads import blobs_task, no_network_config, null_task_spec, workload_for
 from repro.core.api import ParameterServerSystem
 from repro.core.keyspace import DefaultSlicer, ElasticSlicer
-from repro.core.models import SyncModel, asp, bsp, make_model, pssp, ssp
+from repro.core.models import SyncModel, bsp, make_model, pssp, ssp
 from repro.core.pssp import equivalent_ssp_threshold
 from repro.core.server import ExecutionMode, PullReply
 from repro.obs import NULL_OBS

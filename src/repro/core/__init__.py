@@ -64,7 +64,6 @@ from repro.core.pssp import (
     effective_staleness_pmf,
     equivalent_ssp_threshold,
     gradient_significance,
-    matched_constant,
     significance_alpha,
 )
 from repro.core.scheduler import Scheduler
@@ -125,7 +124,6 @@ __all__ = [
     "effective_staleness_pmf",
     "equivalent_ssp_threshold",
     "gradient_significance",
-    "matched_constant",
     "significance_alpha",
     "Scheduler",
     "ApplyInfo",

@@ -9,8 +9,8 @@ Under PSSP a worker whose progress gap has reached the staleness threshold
 
 Theorem 1 shows constant PSSP-SGD(s, c) shares its regret upper bound with
 SSP-SGD(s') at ``s' = s + 1/c − 1``; the closed forms live in
-:mod:`repro.theory.regret`, the matched-pair helpers live here because the
-benches use them to construct Figure 9's A/B...G/H groups.
+:mod:`repro.theory.regret`; :func:`equivalent_ssp_threshold` lives here
+because the benches use it to construct Figure 9's A/B...G/H groups.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def significance_alpha(scale: float = 10.0, floor: float = 0.05, ceil: float = 1
     return alpha
 
 
-# -- matched-regret helpers (Theorem 1 / Figure 9 pairs) -----------------
+# -- matched-regret helper (Theorem 1 / Figure 9 pairs) ------------------
 
 
 def equivalent_ssp_threshold(s: float, c: float) -> float:
@@ -156,14 +156,6 @@ def equivalent_ssp_threshold(s: float, c: float) -> float:
     if c <= 0 or c > 1:
         raise ValueError(f"c must be in (0, 1], got {c}")
     return s + 1.0 / c - 1.0
-
-
-def matched_constant(s: float, s_prime: float) -> float:
-    """Inverse of :func:`equivalent_ssp_threshold`: the c for which
-    PSSP(s, c) matches SSP(s')."""
-    if s_prime < s:
-        raise ValueError(f"need s' >= s, got s'={s_prime} < s={s}")
-    return 1.0 / (s_prime - s + 1.0)
 
 
 def effective_staleness_pmf(s: int, c: float, k: int) -> float:

@@ -45,7 +45,7 @@ from repro.core.conditions import PullCondition, PushCondition, SyncView
 from repro.core.metrics import SyncMetrics
 from repro.core.models import SyncModel
 from repro.core.pssp import gradient_significance
-from repro.obs import NULL_OBS, Observability, exponential_buckets
+from repro.obs import NULL_OBS, Observability
 from repro.obs.export import ShardConstants
 
 
@@ -143,38 +143,15 @@ class ShardServer:
         self.clock = clock or (lambda: 0.0)
         self.rng = rng or np.random.default_rng(0)
         self.metrics = metrics or SyncMetrics()
-        # Observability: bound (label-resolved) handles, and every
-        # emission — including bound-handle updates — gated on one cached
-        # bool, so the disabled hot path pays a single attribute load and
-        # branch per event.  ``enabled`` is a class constant on the
-        # bundle, so caching it at construction is safe.
+        # Observability: every emission gated on one cached bool, so the
+        # disabled hot path pays a single attribute load and branch per
+        # event.  ``enabled`` is a class constant on the bundle, so
+        # caching it at construction is safe.  What the shard did is
+        # ``metrics``; the registry holds only the wait distribution.
         self.obs = obs or NULL_OBS
         self._obs_on = self.obs.enabled
         reg = self.obs.registry
         self.actor = f"server{shard_id}"
-        self._c_pushes = reg.counter("ps_pushes_total", "gradient pushes applied").labels(
-            shard=shard_id
-        )
-        self._c_pulls = reg.counter("ps_pulls_total", "sPull requests handled").labels(
-            shard=shard_id
-        )
-        self._c_dprs = reg.counter(
-            "ps_dprs_total", "pulls buffered as delayed pull requests"
-        ).labels(shard=shard_id)
-        self._c_advances = reg.counter(
-            "ps_frontier_advances_total", "V_train increments"
-        ).labels(shard=shard_id)
-        self._g_frontier = reg.gauge("ps_frontier", "V_train frontier per shard").labels(
-            shard=shard_id
-        )
-        self._h_wait = reg.histogram(
-            "ps_dpr_wait_seconds", "time answered pulls spent buffered"
-        ).labels(shard=shard_id)
-        self._h_staleness = reg.histogram(
-            "ps_staleness_iters",
-            "missing iterations in answered pulls",
-            buckets=exponential_buckets(1.0, 2.0, 10),
-        ).labels(shard=shard_id)
         self._q_wait = reg.sketch(
             "ps_dpr_wait_quantiles",
             "DPR buffer wait seconds (mergeable quantile sketch)",
@@ -351,8 +328,6 @@ class ShardServer:
         self.version += 1
         self.count[progress] += 1
         self.metrics.record_push()
-        if self._obs_on:
-            self._c_pushes.inc()
         self._releasing_worker = worker
         try:
             self._try_advance()
@@ -377,8 +352,6 @@ class ShardServer:
             self.v_train += 1
             self.metrics.record_frontier_advance()
             if self._obs_on:
-                self._c_advances.inc()
-                self._g_frontier.set(self.v_train)
                 self.obs.instants.record_protocol(
                     "frontier_advance", self.clock(), self.actor,
                     self.uid, self.v_train, self.shard_id,
@@ -403,8 +376,6 @@ class ShardServer:
                     self.callbacks[self.v_train].append(req)
                     self.metrics.record_pull(immediate=False, iteration=req.progress)
                     if self._obs_on:
-                        self._c_dprs.inc()
-                        self._c_pulls.inc()
                         self.obs.instants.record(
                             "dpr_rebuffered", self.clock(), actor=self.actor,
                             uid=self.uid, worker=req.worker, progress=req.progress,
@@ -449,8 +420,6 @@ class ShardServer:
         ok, flipped = self._eval_pull(self._view(progress, worker))
         if ok:
             self.metrics.record_pull(True, progress)
-            if self._obs_on:
-                self._c_pulls.inc()
             # Immediate: no buffer entry, waited 0.0, not a release.
             self._respond(worker, progress, respond, 0.0, False, s_now, flipped)
             return True
@@ -468,8 +437,6 @@ class ShardServer:
         )
         self.metrics.record_pull(immediate=False, iteration=progress)
         if self._obs_on:
-            self._c_pulls.inc()
-            self._c_dprs.inc()
             self.obs.instants.record_protocol(
                 "dpr_buffered", self.clock(), self.actor,
                 self.uid, worker, progress, key, self.shard_id, self.v_train,
@@ -533,9 +500,7 @@ class ShardServer:
         reply = PullReply(worker, progress, self.version, v_train, missing, waited, self.shard_id)
         self.metrics.record_response(missing, waited)
         if self._obs_on:
-            self._h_wait.observe(waited)
             self._q_wait.observe(waited)
-            self._h_staleness.observe(missing)
             if s_at_eval is None:
                 s_at_eval = self.pull_con.staleness()
             if released:
@@ -575,8 +540,8 @@ class ShardServer:
         pulls were served before the *previous* round's frontier advance
         (the rounds overlapped): two missing iterations each.  Only legal
         for timing-only shards (no parameters, no gradients) with no
-        buffered DPRs.  With observability on, the metrics the
-        per-request handlers would have updated are updated here in bulk,
+        buffered DPRs.  With observability on, the wait sketch gets
+        the observations the per-request handlers would have made,
         exactly; the round's protocol instants are the caller's to emit
         (columnar blocks, in this shard's handle order).
         """
@@ -600,26 +565,13 @@ class ShardServer:
         self.v_train = progress + 1
         self.metrics.record_quiet_round(n, early_pulls, progress, dpr_waits, two_behind)
         if self._obs_on:
-            self._c_pushes.inc(n)
-            self._c_pulls.inc(n)
-            self._c_advances.inc()
-            self._g_frontier.set(self.v_train)
-            stale, immediate = early_pulls, n
+            immediate = n
             if dpr_waits is not None:
-                stale, immediate = 0, n - early_pulls
-                self._c_dprs.inc(early_pulls)
+                immediate = n - early_pulls
                 for waited in dpr_waits.tolist():
-                    self._h_wait.observe(waited)
                     self._q_wait.observe(waited)
             # An immediate pull waited exactly 0.0.
-            self._h_wait.observe(0.0, immediate)
             self._q_wait.observe(0.0, immediate)
-            if two_behind:
-                self._h_staleness.observe(2, two_behind)
-            if stale - two_behind:
-                self._h_staleness.observe(1, stale - two_behind)
-            if n - stale:
-                self._h_staleness.observe(0, n - stale)
 
     # -- Schedule, then math (repro.core.replay) ----------------------------
 

@@ -3,7 +3,7 @@
 One :class:`Observability` bundle carries everything a run records:
 
 - a label-aware :class:`~repro.obs.registry.MetricsRegistry` (counters,
-  gauges with time series, exponential-bucket histograms);
+  gauges with time series, mergeable quantile sketches);
 - per-run captures — the run's ``TraceRecorder``, an
   :class:`~repro.obs.export.InstantLog` of protocol point events (DPR
   buffered/released, PSSP pass/pause, frontier advances), and a
@@ -38,11 +38,9 @@ from repro.obs.quantiles import QuantileSketch
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
     Sketch,
-    exponential_buckets,
     global_registry,
     null_registry,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "CausalTrace",
     "Counter",
     "Gauge",
-    "Histogram",
     "Instant",
     "InstantLog",
     "MetricsRegistry",
@@ -68,7 +65,6 @@ __all__ = [
     "default_metrics_path",
     "dump_metrics",
     "dump_trace",
-    "exponential_buckets",
     "global_registry",
     "null_registry",
     "observed",

@@ -478,7 +478,7 @@ def dump_trace(
 
 
 def dump_metrics(path: Union[str, Path], registry) -> Path:
-    """Write a registry (counters, gauge series, histograms) as JSON."""
+    """Write a registry (counters, gauge series, sketches) as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(registry.to_dict(), indent=2))

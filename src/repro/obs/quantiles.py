@@ -61,9 +61,9 @@ class QuantileSketch:
     # -- ingest -----------------------------------------------------------
 
     def add(self, value: float, count: int = 1) -> None:
-        """Record ``count`` observations of ``value`` (must be >= 0)."""
+        """Record ``count`` observations of ``value`` (finite, >= 0)."""
         value = float(value)
-        if value < 0.0 or value != value:  # rejects negatives and NaN
+        if not 0.0 <= value < math.inf:  # rejects negatives, NaN and inf
             raise ValueError(f"sketch values must be finite and >= 0, got {value}")
         if count < 1:
             raise ValueError(f"sketch observation count must be >= 1, got {count}")

@@ -1,18 +1,17 @@
-"""Label-aware metrics registry: counters, gauges, histograms.
+"""Label-aware metrics registry: counters, gauges, sketches.
 
 The observability substrate every runner reports into.  Three metric
 kinds cover the quantities the paper's evaluation is made of:
 
-- :class:`Counter` — monotonically increasing totals (pulls, DPRs,
-  frontier advances);
+- :class:`Counter` — monotonically increasing totals (collapse
+  fallbacks, sweep task outcomes);
 - :class:`Gauge` — last-value-wins levels that optionally keep a time
   series (per-shard DPR queue depth, frontier value, NIC utilization),
   timestamped by the registry's clock (simulated or wall seconds);
-- :class:`Histogram` — exponential-bucket distributions (DPR wait time,
-  per-iteration latency, lock wait);
 - :class:`Sketch` — mergeable log-bucket quantile sketches
-  (:mod:`repro.obs.quantiles`) whose per-worker/per-shard states combine
-  exactly across pool processes for fleet-wide p50/p95/p99.
+  (:mod:`repro.obs.quantiles`) for distributions (DPR wait time,
+  per-iteration latency, lock wait), whose per-worker/per-shard states
+  combine exactly across pool processes for fleet-wide p50/p95/p99.
 
 Every metric is label-aware: ``counter.inc(shard=3)`` and
 ``counter.inc(shard=4)`` maintain independent children.  Hot paths
@@ -29,12 +28,9 @@ nothing when observability is off.
 
 from __future__ import annotations
 
-import bisect
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs.quantiles import QuantileSketch, merge_all
 
@@ -47,17 +43,6 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
 
 def _label_str(key: LabelKey) -> str:
     return ",".join(f"{k}={v}" for k, v in key)
-
-
-def exponential_buckets(start: float, factor: float, count: int) -> List[float]:
-    """``count`` upper bounds growing geometrically from ``start``."""
-    if start <= 0:
-        raise ValueError(f"start must be positive, got {start}")
-    if factor <= 1:
-        raise ValueError(f"factor must be > 1, got {factor}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [start * factor**i for i in range(count)]
 
 
 class _Metric:
@@ -210,122 +195,6 @@ class Gauge(_Metric):
         return out
 
 
-class _HistState:
-    __slots__ = ("counts", "count", "sum", "max")
-
-    def __init__(self, n_buckets: int):
-        self.counts = [0] * (n_buckets + 1)  # +1 overflow bucket
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-
-class Histogram(_Metric):
-    """Bucketed distribution (upper-bound buckets, plus overflow)."""
-
-    kind = "histogram"
-
-    #: Default exponential bucketing: 100 µs .. ~419 s.
-    DEFAULT_BUCKETS = tuple(exponential_buckets(1e-4, 4.0, 12))
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        lock: threading.Lock,
-        buckets: Optional[Sequence[float]] = None,
-    ):
-        super().__init__(name, help, lock)
-        bounds = list(buckets if buckets is not None else self.DEFAULT_BUCKETS)
-        if not bounds or sorted(bounds) != bounds or len(set(bounds)) != len(bounds):
-            raise ValueError(f"histogram {name!r} buckets must be strictly increasing")
-        self.buckets = bounds
-        self._states: Dict[LabelKey, _HistState] = {}
-
-    def observe(self, value: float, count: int = 1, **labels: object) -> None:
-        """Record ``value`` ``count`` times — exactly: ``sum`` is the same
-        float ``count`` scalar calls would leave behind."""
-        self._observe(_label_key(labels), value, count)
-
-    def _observe(self, key: LabelKey, value: float, count: int = 1) -> None:
-        if count < 1:
-            raise ValueError(f"histogram {self.name!r} observe count must be >= 1, got {count}")
-        value = float(value)
-        idx = bisect.bisect_left(self.buckets, value)
-        with self._lock:
-            state = self._states.get(key)
-            if state is None:
-                state = self._states[key] = _HistState(len(self.buckets))
-            state.counts[idx] += count
-            state.count += count
-            if count == 1:
-                state.sum += value
-            else:
-                # accumulate is strictly sequential: the float sequence
-                # of ``count`` scalar ``+=``, seeded with the running sum.
-                seeded = np.full(count + 1, value)
-                seeded[0] = state.sum
-                state.sum = float(np.add.accumulate(seeded)[-1])
-            state.max = max(state.max, value)
-
-    def count(self, **labels: object) -> int:
-        state = self._states.get(_label_key(labels))
-        return state.count if state else 0
-
-    def sum(self, **labels: object) -> float:
-        state = self._states.get(_label_key(labels))
-        return state.sum if state else 0.0
-
-    def mean(self, **labels: object) -> float:
-        state = self._states.get(_label_key(labels))
-        return state.sum / state.count if state and state.count else 0.0
-
-    def quantile(self, q: float, **labels: object) -> float:
-        """Estimate of the ``q`` quantile, interpolated within buckets.
-
-        Linear interpolation between a bucket's bounds (the first bucket
-        interpolates up from 0, the overflow bucket up to the observed
-        max); the result is clamped to the observed max.
-        """
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        state = self._states.get(_label_key(labels))
-        if state is None or state.count == 0:
-            return 0.0
-        target = q * state.count
-        cum = 0
-        lower = 0.0
-        for i, c in enumerate(state.counts):
-            upper = self.buckets[i] if i < len(self.buckets) else state.max
-            if c:
-                if cum + c >= target:
-                    frac = (target - cum) / c
-                    value = lower + frac * (upper - lower) if upper > lower else upper
-                    return min(value, state.max)
-                cum += c
-            lower = upper if i < len(self.buckets) else lower
-        return state.max
-
-    def label_sets(self) -> List[LabelKey]:
-        return sorted(self._states)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "buckets": list(self.buckets),
-            "series": {
-                _label_str(k): {
-                    "counts": list(s.counts),
-                    "count": s.count,
-                    "sum": s.sum,
-                    "max": s.max,
-                }
-                for k, s in sorted(self._states.items())
-            },
-        }
-
-
 class Sketch(_Metric):
     """Mergeable quantile sketch per label set (exact cross-process merge).
 
@@ -460,13 +329,6 @@ class MetricsRegistry:
             ),
         )
 
-    def histogram(
-        self, name: str, help: str = "", buckets: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        return self._get_or_create(
-            name, Histogram, lambda: Histogram(name, help, self._lock, buckets)
-        )
-
     def sketch(
         self, name: str, help: str = "", relative_accuracy: Optional[float] = None
     ) -> Sketch:
@@ -515,13 +377,12 @@ _NULL_BOUND = _NullBound()
 
 
 class _NullMetric:
-    """No-op counter/gauge/histogram all in one."""
+    """No-op counter/gauge/sketch all in one."""
 
     __slots__ = ()
     kind = "null"
     name = "null"
     help = ""
-    buckets: List[float] = []
 
     def labels(self, **labels: object) -> _NullBound:
         return _NULL_BOUND
@@ -546,12 +407,6 @@ class _NullMetric:
 
     def count(self, **labels: object) -> int:
         return 0
-
-    def sum(self, **labels: object) -> float:
-        return 0.0
-
-    def mean(self, **labels: object) -> float:
-        return 0.0
 
     def quantile(self, q: float, **labels: object) -> float:
         return 0.0
@@ -585,11 +440,6 @@ class NullRegistry(MetricsRegistry):
         return _NULL_METRIC
 
     def gauge(self, name: str, help: str = "") -> _NullMetric:  # type: ignore[override]
-        return _NULL_METRIC
-
-    def histogram(  # type: ignore[override]
-        self, name: str, help: str = "", buckets: Optional[Sequence[float]] = None
-    ) -> _NullMetric:
         return _NULL_METRIC
 
     def sketch(  # type: ignore[override]

@@ -2,23 +2,16 @@
 
 :func:`render_report` turns a metrics registry (and optionally the last
 run's trace) into a compact text report: counter totals, gauge last
-values with series lengths (flagging ring-buffer evictions), histogram
-and sketch percentile rows (p50/p95/p99), and a per-actor
-compute/communication breakdown.
+values with series lengths (flagging ring-buffer evictions), sketch
+percentile rows (p50/p95/p99), and a per-actor compute/communication
+breakdown.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Sketch,
-    _label_str,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry, Sketch, _label_str
 
 
 def _fmt(v: float) -> str:
@@ -39,7 +32,6 @@ def render_report(
         lines.append("(no metrics recorded — observability disabled?)")
     counters = [registry.get(n) for n in names if isinstance(registry.get(n), Counter)]
     gauges = [registry.get(n) for n in names if isinstance(registry.get(n), Gauge)]
-    hists = [registry.get(n) for n in names if isinstance(registry.get(n), Histogram)]
     sketches = [registry.get(n) for n in names if isinstance(registry.get(n), Sketch)]
 
     if counters:
@@ -62,19 +54,6 @@ def render_report(
                 lines.append(
                     f"{g.name}{{{_label_str(key)}}}: {_fmt(last)} "
                     f"({len(ts)} points{note})"
-                )
-    if hists:
-        lines.append("-- histograms (count / mean / p50 / p95 / p99 / max) --")
-        for h in hists:
-            for key in h.label_sets():
-                labels = dict(key)
-                lines.append(
-                    f"{h.name}{{{_label_str(key)}}}: "
-                    f"n={h.count(**labels)} mean={h.mean(**labels):.6g} "
-                    f"p50={h.quantile(0.5, **labels):.6g} "
-                    f"p95={h.quantile(0.95, **labels):.6g} "
-                    f"p99={h.quantile(0.99, **labels):.6g} "
-                    f"max={h._states[key].max:.6g}"
                 )
     if sketches:
         lines.append("-- sketches (count / p50 / p95 / p99) --")

@@ -11,7 +11,9 @@ This runner demonstrates liveness and linearizability of the server under
 real interleavings — the co-simulation demonstrates timing.  When an
 :class:`~repro.obs.Observability` sink is active it also measures those
 interleavings in wall-clock time: per-worker iteration latency, lock
-acquisition wait, and time blocked in the pull.
+acquisition wait, and time blocked in the pull; at the end it publishes
+the run's merged :class:`~repro.core.metrics.SyncMetrics` as the
+``sync_*`` gauges, as the simulated runner does.
 
 An optional :class:`~repro.analysis.races.RaceTracker` observes the
 run's synchronization operations (lock, per-pull Event, fork/join) and
@@ -35,12 +37,9 @@ if TYPE_CHECKING:  # instrumentation is duck-typed; no runtime import
 from repro.core.api import ParameterServerSystem, PullResult
 from repro.core.metrics import SyncMetrics
 from repro.core.step import StepContext
-from repro.obs import Observability, current_observability, exponential_buckets
+from repro.obs import Observability, current_observability
 from repro.utils.checks import check_number, check_seed
 from repro.utils.rng import derive_rng
-
-#: Wall-clock histogram buckets: 10us .. ~40s.
-_WALL_BUCKETS = exponential_buckets(1e-5, 4.0, 12)
 
 
 @dataclass
@@ -95,27 +94,15 @@ class ThreadedRunner:
         self._progress: List[int] = [-1] * system.n_workers
         system.set_clock(self._wall)
         reg = self.obs.registry
-        self._h_iter = reg.histogram(
-            "threaded_iter_seconds",
-            "Wall-clock seconds per completed worker iteration",
-            buckets=_WALL_BUCKETS,
-        )
-        self._h_lock = reg.histogram(
-            "threaded_lock_wait_seconds",
-            "Wall-clock seconds waiting to acquire the server lock",
-            buckets=_WALL_BUCKETS,
-        )
-        self._h_pull = reg.histogram(
-            "threaded_pull_block_seconds",
-            "Wall-clock seconds blocked waiting for the pull to complete",
-            buckets=_WALL_BUCKETS,
-        )
-        # Mergeable counterparts of the wall-clock histograms: sketches
-        # from concurrent runs (or pool processes) combine exactly for
-        # cross-run p50/p95/p99.
+        # Per-worker wall-clock sketches: states from concurrent runs (or
+        # pool processes) merge exactly for cross-run p50/p95/p99.
         self._q_iter = reg.sketch(
             "threaded_iter_quantiles",
             "wall seconds per completed iteration (mergeable sketch)",
+        )
+        self._q_lock = reg.sketch(
+            "threaded_lock_wait_quantiles",
+            "wall seconds waiting to acquire the server lock (mergeable sketch)",
         )
         self._q_pull = reg.sketch(
             "threaded_pull_block_quantiles",
@@ -131,10 +118,8 @@ class ThreadedRunner:
         errors: List[BaseException],
         race_token: Optional[dict] = None,
     ) -> None:
-        h_iter = self._h_iter.labels(worker=worker)
-        h_lock = self._h_lock.labels(worker=worker)
-        h_pull = self._h_pull.labels(worker=worker)
         q_iter = self._q_iter.labels(worker=worker)
+        q_lock = self._q_lock.labels(worker=worker)
         q_pull = self._q_pull.labels(worker=worker)
         tracker = self.race_tracker
         shard_locs = [
@@ -173,7 +158,7 @@ class ThreadedRunner:
 
                 t_lock = time.monotonic()
                 with self._lock:
-                    h_lock.observe(time.monotonic() - t_lock)
+                    q_lock.observe(time.monotonic() - t_lock)
                     if tracker is not None:
                         tracker.lock_acquired(id(self._lock))
                         for loc in shard_locs:
@@ -199,12 +184,10 @@ class ThreadedRunner:
                 if tracker is not None:
                     tracker.event_waited(id(done))
                 pull_block = time.monotonic() - t_pull
-                h_pull.observe(pull_block)
                 q_pull.observe(pull_block)
                 params = box["result"].params
                 self._progress[worker] = i
                 iter_wall = time.monotonic() - t_iter
-                h_iter.observe(iter_wall)
                 q_iter.observe(iter_wall)
         except BaseException as exc:  # propagate to the caller thread
             errors.append(exc)
@@ -276,11 +259,14 @@ class ThreadedRunner:
                 tracker.access(f"shard{m}.params", write=False, where="run.final")
         if capture is not None and not errors:
             capture.complete = True
+        metrics = self.system.merged_metrics()
+        if self.obs.enabled:
+            metrics.publish(self.obs.registry)
         return ThreadedResult(
             wall_time=wall,
             iterations=self.max_iter,
             n_workers=self.system.n_workers,
-            metrics=self.system.merged_metrics(),
+            metrics=metrics,
             final_params=self.system.current_params(),
             worker_errors=errors,
         )

@@ -6,7 +6,6 @@ from repro.theory.regret import (
     constant_pssp_regret_series,
     dynamic_pssp_regret_bound,
     empirical_regret,
-    matched_pair,
     ssp_regret_bound,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "constant_pssp_regret_series",
     "dynamic_pssp_regret_bound",
     "empirical_regret",
-    "matched_pair",
     "ssp_regret_bound",
 ]

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
-from repro.core.pssp import effective_staleness_pmf, equivalent_ssp_threshold
+from repro.core.pssp import effective_staleness_pmf
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,6 @@ def dynamic_pssp_regret_bound(
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     return constant_pssp_regret_bound(s, alpha / 2.0, N, T, cond)
-
-
-def matched_pair(s: int, c: float) -> Tuple[float, float]:
-    """(s', shared bound factor sqrt(s + 1/c)) for the Figure-9 pairs:
-    PSSP(s, c) and SSP(s') share their regret upper bound."""
-    s_prime = equivalent_ssp_threshold(s, c)
-    return s_prime, math.sqrt(s + 1.0 / c)
 
 
 def empirical_regret(

@@ -10,7 +10,7 @@ discrete-event co-simulation reproducible and the benchmarks comparable.
 from __future__ import annotations
 
 import zlib
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,7 +33,3 @@ def derive_rng(seed: int, *streams: StreamKey) -> np.random.Generator:
     entropy = [int(seed) & 0xFFFFFFFF] + [_key_to_int(k) for k in streams]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
-
-def spawn_rngs(seed: int, prefix: StreamKey, n: int) -> List[np.random.Generator]:
-    """Return ``n`` independent generators named ``(prefix, 0..n-1)``."""
-    return [derive_rng(seed, prefix, i) for i in range(n)]

@@ -8,7 +8,6 @@ from repro.obs import (
     NullRegistry,
     Observability,
     current_observability,
-    exponential_buckets,
     null_registry,
     observed,
     set_current_observability,
@@ -19,18 +18,6 @@ from repro.sim.trace import SpanKind, TraceRecorder
 # These tests assert the ambient-observability machinery itself (NULL_OBS
 # defaults, swap/restore); the sanitizer fixture would shadow it.
 pytestmark = pytest.mark.no_sanitize
-
-
-class TestExponentialBuckets:
-    def test_values(self):
-        assert exponential_buckets(1.0, 2.0, 4) == [1.0, 2.0, 4.0, 8.0]
-
-    @pytest.mark.parametrize(
-        "start,factor,count", [(0.0, 2.0, 3), (-1.0, 2.0, 3), (1.0, 1.0, 3), (1.0, 2.0, 0)]
-    )
-    def test_invalid_rejected(self, start, factor, count):
-        with pytest.raises(ValueError):
-            exponential_buckets(start, factor, count)
 
 
 class TestCounter:
@@ -114,61 +101,6 @@ class TestGauge:
         assert reg.series_max_points == MetricsRegistry.DEFAULT_SERIES_MAX_POINTS
 
 
-class TestHistogram:
-    def test_bucket_counts_known_samples(self):
-        reg = MetricsRegistry("t")
-        h = reg.histogram("lat", buckets=[1.0, 10.0, 100.0])
-        # <=1 | <=10 | <=100 | overflow
-        for v in [0.5, 1.0, 2.0, 50.0, 1000.0]:
-            h.observe(v)
-        [series] = h.to_dict()["series"].values()
-        assert series["counts"] == [2, 1, 1, 1]
-        assert h.count() == 5
-        assert h.sum() == pytest.approx(1053.5)
-        assert h.mean() == pytest.approx(1053.5 / 5)
-
-    def test_quantile_interpolates_within_bucket(self):
-        h = MetricsRegistry("t").histogram("lat", buckets=[1.0, 10.0, 100.0])
-        for v in [0.5] * 9 + [50.0]:
-            h.observe(v)
-        # target rank 5 of 9 observations in the [0, 1] bucket.
-        assert h.quantile(0.5) == pytest.approx(5 / 9)
-        # the overflow estimate is clamped to the observed max.
-        assert h.quantile(1.0) == 50.0
-
-    def test_quantile_empty_and_invalid(self):
-        h = MetricsRegistry("t").histogram("lat")
-        assert h.quantile(0.5) == 0.0
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    @pytest.mark.parametrize("value", [0.0, 1.0, 0.1, 1e-4 / 3, 7.3e5])
-    @pytest.mark.parametrize("count", [1, 2, 1000])
-    def test_count_weighted_observe_equals_scalar_calls(self, value, count):
-        """Bit-equal, not approx: 0.1 added 1000 times is not 100.0."""
-        one_by_one = MetricsRegistry("a").histogram("lat")
-        weighted = MetricsRegistry("b").histogram("lat")
-        for h in (one_by_one, weighted):
-            h.labels(shard=0).observe(0.3)  # a non-trivial running sum to seed
-        for _ in range(count):
-            one_by_one.labels(shard=0).observe(value)
-        weighted.labels(shard=0).observe(value, count)
-        assert weighted.to_dict() == one_by_one.to_dict()
-        assert weighted.sum(shard=0) == one_by_one.sum(shard=0)
-
-    def test_count_weighted_observe_rejects_empty_batches(self):
-        h = MetricsRegistry("t").histogram("lat")
-        with pytest.raises(ValueError):
-            h.observe(1.0, 0)
-
-    def test_non_increasing_buckets_rejected(self):
-        reg = MetricsRegistry("t")
-        with pytest.raises(ValueError):
-            reg.histogram("bad", buckets=[1.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            reg.histogram("bad2", buckets=[2.0, 1.0])
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_instance(self):
         reg = MetricsRegistry("t")
@@ -203,13 +135,14 @@ class TestNullBackend:
         c.labels(shard=1).inc(5)
         g = reg.gauge("depth")
         g.set(3.0, shard=0)
-        h = reg.histogram("lat", buckets=[1.0])
-        h.observe(2.0)
+        q = reg.sketch("lat")
+        q.observe(2.0)
+        q.labels(worker=1).observe(3.0, 4)
         assert reg.names() == []
         assert reg.to_dict() == {"name": "null", "metrics": {}}
         assert c.total() == 0.0
         assert g.series(shard=0) == ([], [])
-        assert h.count() == 0
+        assert q.count() == 0 and q.merged() is None
 
     def test_shared_singleton(self):
         assert null_registry() is null_registry()
@@ -269,13 +202,13 @@ class TestReport:
         reg = MetricsRegistry("t")
         reg.counter("c").inc(shard=0)
         reg.gauge("g").set(1.5, shard=0)
-        reg.histogram("h", buckets=[1.0, 10.0]).observe(0.5, worker=2)
+        reg.sketch("q").observe(0.5, worker=2)
         tr = TraceRecorder()
         tr.record_span("worker0", SpanKind.COMPUTE, 0.0, 2.0)
         out = render_report(reg, trace=tr)
         assert "-- counters --" in out
         assert "g{shard=0}: 1.5" in out
-        assert "h{worker=2}" in out
+        assert "q{worker=2}: n=1" in out
         assert "worker0: compute=2" in out
 
     def test_empty_registry_notes_disabled(self):

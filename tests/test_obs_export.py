@@ -149,9 +149,13 @@ class TestEndToEndSim:
         obs = Observability(MetricsRegistry("e2e"))
         res = run_fluentps(quick_sim_config(bsp(), obs=obs))
         assert res.iterations == 8
-        # per-shard counters from the servers
-        pulls = obs.registry.get("ps_pulls_total")
-        assert pulls.value(shard=0) > 0 and pulls.value(shard=1) > 0
+        # per-shard snapshot gauges: every shard applied pushes, and the
+        # straggler under BSP made each buffer DPRs
+        for name in ("ps_version", "ps_dprs"):
+            gauge = obs.registry.get(name)
+            assert gauge.value(shard=0) > 0 and gauge.value(shard=1) > 0, name
+        # run-level SyncMetrics gauges
+        assert obs.registry.get("sync_pulls").value() == res.metrics.pulls > 0
         # snapshot gauge series exist per shard
         depth = obs.registry.get("ps_dpr_queue_depth")
         for shard in (0, 1):
@@ -185,7 +189,7 @@ class TestEndToEndSim:
         with observed(obs):
             run_fluentps(quick_sim_config(ssp(2)))
         assert obs.runs, "runner did not pick up the ambient bundle"
-        assert obs.registry.get("ps_pulls_total").total() > 0
+        assert obs.registry.get("sync_pulls").value() > 0
 
     def test_disabled_obs_records_nothing(self):
         res = run_fluentps(quick_sim_config(bsp()))

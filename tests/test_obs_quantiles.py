@@ -54,6 +54,15 @@ class TestSketchAccuracy:
         with pytest.raises(ValueError):
             sk.add(float("nan"))
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_rejected_value_leaves_sketch_unchanged(self, bad):
+        sk = QuantileSketch()
+        sk.add(0.5, 3)
+        before = sk.to_dict()
+        with pytest.raises(ValueError):
+            sk.add(bad)
+        assert sk.to_dict() == before
+
     def test_empty_sketch(self):
         sk = QuantileSketch()
         assert sk.quantile(0.5) == 0.0

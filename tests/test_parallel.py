@@ -89,7 +89,7 @@ def test_invalid_numbers_fail_at_construction(quadratic_problem, field, value):
 
 
 class TestInstrumentation:
-    def test_wall_clock_histograms_per_worker(self, quadratic_problem):
+    def test_wall_clock_sketches_per_worker(self, quadratic_problem):
         from repro.obs import MetricsRegistry, Observability
 
         spec, target, make_step = quadratic_problem
@@ -103,14 +103,28 @@ class TestInstrumentation:
         res = runner.run()
         assert res.ok, res.worker_errors
         for name in (
-            "threaded_iter_seconds",
-            "threaded_lock_wait_seconds",
-            "threaded_pull_block_seconds",
+            "threaded_iter_quantiles",
+            "threaded_lock_wait_quantiles",
+            "threaded_pull_block_quantiles",
         ):
-            h = obs.registry.get(name)
-            assert h.count(worker=0) == 10, name
-            assert h.count(worker=1) == 10, name
-        assert obs.registry.get("threaded_iter_seconds").sum(worker=0) >= 0.0
+            q = obs.registry.get(name)
+            assert q.kind == "sketch", name
+            assert q.count(worker=0) == 10, name
+            assert q.count(worker=1) == 10, name
+            assert q.quantile(0.99, worker=0) >= 0.0, name
+
+    def test_run_publishes_sync_metrics(self, quadratic_problem):
+        from repro.obs import MetricsRegistry, Observability
+
+        spec, target, make_step = quadratic_problem
+        obs = Observability(MetricsRegistry("threads"))
+        system = ParameterServerSystem(spec, np.zeros(spec.total_elements), 3, 2, bsp())
+        res = ThreadedRunner(system, make_step(), max_iter=8, timeout_s=60.0, obs=obs).run()
+        assert res.ok, res.worker_errors
+        summary = system.merged_metrics().summary()
+        assert summary["pushes"] == summary["pulls"] == 8 * 3 * 2
+        for key, value in summary.items():
+            assert obs.registry.get(f"sync_{key}").value() == value, key
 
 
 class _ImmediateSystem:

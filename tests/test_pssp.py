@@ -13,7 +13,6 @@ from repro.core.pssp import (
     equivalent_ssp_threshold,
     expected_effective_staleness,
     gradient_significance,
-    matched_constant,
     sample_effective_staleness,
     significance_alpha,
 )
@@ -104,24 +103,9 @@ class TestMatchedPairs:
         assert equivalent_ssp_threshold(3, 0.5) == pytest.approx(4.0)
         assert equivalent_ssp_threshold(3, 0.1) == pytest.approx(12.0)
 
-    def test_matched_constant_inverse(self):
-        for c in (0.1, 0.25, 0.5, 1.0):
-            s_prime = equivalent_ssp_threshold(3, c)
-            assert matched_constant(3, s_prime) == pytest.approx(c)
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             equivalent_ssp_threshold(3, 0.0)
-        with pytest.raises(ValueError):
-            matched_constant(5, 3)
-
-    @given(
-        s=st.integers(min_value=0, max_value=20),
-        c=st.floats(min_value=0.01, max_value=1.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip(self, s, c):
-        assert matched_constant(s, equivalent_ssp_threshold(s, c)) == pytest.approx(c)
 
 
 class TestEffectiveStaleness:

@@ -14,7 +14,6 @@ from repro.theory.regret import (
     constant_pssp_regret_series,
     dynamic_pssp_regret_bound,
     empirical_regret,
-    matched_pair,
     sgd_regret_experiment,
     ssp_regret_bound,
 )
@@ -67,11 +66,6 @@ class TestClosedForms:
             dynamic_pssp_regret_bound(3, 1.5, 16, 1000)
         with pytest.raises(ValueError):
             RegretConditions(F=0.0)
-
-    def test_matched_pair(self):
-        s_prime, factor = matched_pair(3, 0.5)
-        assert s_prime == pytest.approx(4.0)
-        assert factor == pytest.approx(math.sqrt(5.0))
 
 
 class TestSeriesVsBound:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.utils.checks import check_number, check_seed
 from repro.utils.records import RunRecord, SeriesRecord
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import derive_rng
 from repro.utils.tables import format_table
 
 
@@ -56,11 +56,6 @@ class TestRng:
         a = derive_rng(1, "compute", 0).random()
         b = derive_rng(1, "step", 0).random()
         assert a != b
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(3, "w", 4)
-        values = [r.random() for r in rngs]
-        assert len(set(values)) == 4
 
 
 class TestRecords:
