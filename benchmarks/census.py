@@ -10,13 +10,20 @@ thread's:
 - ``examples``: every script under ``examples/``;
 - ``e2e``: the six ``benchmarks/e2e`` workloads at quick size, one run each
   (``benchmarks/e2e/worker.py --quick``);
-- ``smoke``: ``python -m repro.analysis --smoke``.
+- ``smoke``: ``python -m repro.analysis --smoke``;
+- ``ci``: the commands CI runs besides those and the tests:
+  ``repro.analysis --lint src``, ``--explore --explore-budget 150
+  --explore-target 100`` and ``--race --race-iters 30``, a fig5
+  ``--trace-out`` run and ``--check-trace`` of its trace, a fig7
+  ``--trace-out`` run and ``python -m repro.obs --blame`` of its trace,
+  the scale grid at ``--no-cache --sanitize --jobs 1`` and
+  ``python -m repro.bench.perf --quick``.
 
 It then lists every ``def`` under ``src/`` (functions, methods, nested
 functions) whose code none of those processes ran, by file, with the
 line count of each, and the totals.
 
-    python3 benchmarks/census.py                        # all four surfaces
+    python3 benchmarks/census.py                        # all five surfaces
     python3 benchmarks/census.py --only examples smoke  # a subset
     python3 benchmarks/census.py --json census.json     # also write the list
 
@@ -28,10 +35,12 @@ count.  Blind spots, where a listed function may in fact run:
   exits, are not counted;
 - pool workers: a sweep with ``--jobs`` > 1 runs arms in worker processes
   nobody profiles, which is why the sweep here runs inline;
-- the CLIs and modes it does not drive: ``repro.analysis --lint``,
-  ``--explore``, ``--race``, ``--check-trace`` and ``--replay``,
-  ``repro.bench --trace-out``/``--sanitize``/``--scale paper``,
-  ``repro.bench.perf`` and the ``repro.obs`` command line;
+- the CLIs and modes it does not drive: ``repro.analysis --replay``,
+  ``repro.bench --scale paper``, ``repro.bench.perf``'s ``--baseline``
+  gate (its verdict depends on the box) and the ``repro.obs`` command
+  line besides ``--blame``;
+- paths that run only when a check fails: violations, the explorer's
+  counterexample minimization and its saved trace;
 - code outside a ``def`` (module bodies, class bodies, lambdas and
   comprehensions) is not counted either way.
 """
@@ -58,7 +67,7 @@ E2E_WORKLOADS = (
     "ssp_isolated_5k", "ssp_straggler_4500", "pssp_softbarrier_400",
     "bsp_800", "cosim_task_32w", "checked_isolated_800",
 )
-SURFACES = ("sweep", "examples", "e2e", "smoke")
+SURFACES = ("sweep", "examples", "e2e", "smoke", "ci")
 
 #: A ``def`` as ``(file, first line, name)``: cProfile's key for its code.
 Key = Tuple[str, int, str]
@@ -82,6 +91,26 @@ def commands(surface: str, scratch: Path) -> List[Tuple[str, List[str]]]:
         return [(f"e2e:{w}", [worker, "--workload", w, "--quick"]) for w in E2E_WORKLOADS]
     if surface == "smoke":
         return [("smoke", ["-m", "repro.analysis", "--smoke"])]
+    if surface == "ci":
+        quick = ["-m", "repro.bench", "--scale", "quick", "--only"]
+        return [
+            ("ci:lint", ["-m", "repro.analysis", "--lint", str(SRC)]),
+            ("ci:explore", ["-m", "repro.analysis", "--explore", "--explore-budget", "150",
+                            "--explore-target", "100"]),
+            ("ci:race", ["-m", "repro.analysis", "--race", "--race-iters", "30"]),
+            ("ci:trace-fig5", [*quick, "fig5", "--trace-out", str(scratch / "fig5.trace.json"),
+                               "--save-dir", str(scratch / "fig5")]),
+            ("ci:check-trace", ["-m", "repro.analysis", "--check-trace",
+                                str(scratch / "fig5.trace.json")]),
+            ("ci:trace-fig7", [*quick, "fig7", "--trace-out", str(scratch / "fig7.trace.json"),
+                               "--save-dir", str(scratch / "fig7")]),
+            ("ci:blame", ["-m", "repro.obs", "--blame", str(scratch / "fig7.trace.json")]),
+            ("ci:scale-grid", ["-m", "repro.bench", "--only", "scale-grid", "--no-cache",
+                               "--sanitize", "--jobs", "1", "--save-dir",
+                               str(scratch / "grid")]),
+            ("ci:perf", ["-m", "repro.bench.perf", "--quick", "--out",
+                         str(scratch / "BENCH_perf.json")]),
+        ]
     raise ValueError(f"unknown surface {surface!r}")
 
 

@@ -30,14 +30,12 @@ from repro.analysis.events import (
     EventBlock,
     ProtocolEvent,
     events_from_instants,
-    events_from_run,
     events_from_trace_doc,
     events_from_trace_file,
     iter_event_stream,
     iter_events_from_instants,
 )
 from repro.analysis.explore import (
-    MUTATIONS,
     PRESETS,
     ChoiceTrace,
     ExploreConfig,
@@ -60,7 +58,6 @@ from repro.analysis.sanitizer import (
 from repro.analysis.spans import check_causal_spans, check_trace_spans
 
 __all__ = [
-    "MUTATIONS",
     "PRESETS",
     "PROTOCOL_EVENT_NAMES",
     "ChoiceTrace",
@@ -78,7 +75,6 @@ __all__ = [
     "check_causal_spans",
     "check_trace_spans",
     "events_from_instants",
-    "events_from_run",
     "events_from_trace_doc",
     "events_from_trace_file",
     "explore",

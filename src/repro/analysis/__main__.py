@@ -233,7 +233,6 @@ def run_explore(
     budget: int,
     iters: int,
     target: Optional[int],
-    mutation: Optional[str],
     spread: float,
     trace_out: Optional[str],
 ) -> SectionResult:
@@ -248,7 +247,6 @@ def run_explore(
                 max_iter=iters,
                 max_schedules=budget,
                 target_inequivalent=target,
-                mutation=mutation,
                 spread=spread,
             )
         )
@@ -363,10 +361,6 @@ def main(argv=None) -> int:
         help="stop a preset once this many inequivalent schedules were seen",
     )
     parser.add_argument(
-        "--mutation", choices=["weak-staleness"], default=None,
-        help="seed a known invariant bug (explorer self-test)",
-    )
-    parser.add_argument(
         "--spread", type=float, default=0.0,
         help="per-worker slowdown spread for exploration (default 0: symmetric)",
     )
@@ -398,7 +392,7 @@ def main(argv=None) -> int:
         sections.append(
             run_explore(
                 args.explore, args.explore_budget, args.explore_iters,
-                args.explore_target, args.mutation, args.spread, args.trace_out,
+                args.explore_target, args.spread, args.trace_out,
             )
         )
     if args.replay:

@@ -157,11 +157,6 @@ def events_from_instants(instants: Iterable) -> List[ProtocolEvent]:
     return list(iter_events_from_instants(instants))
 
 
-def events_from_run(capture) -> List[ProtocolEvent]:
-    """Normalize one :class:`~repro.obs.RunCapture`'s instants."""
-    return events_from_instants(capture.instants)
-
-
 def events_from_trace_doc(doc: Dict[str, object]) -> List[ProtocolEvent]:
     """Normalize a loaded Chrome/Perfetto trace document.
 

@@ -50,10 +50,9 @@ same violation class reproduces) and serialized as a replayable
 choice-trace: ``python -m repro.analysis --replay trace.json`` re-runs
 the exact schedule and must reproduce the violation deterministically.
 
-Seeded mutations (``ExploreConfig.mutation``) intentionally break an
-invariant — ``weak-staleness`` answers pulls one iteration beyond the
-advertised SSP bound — so the pipeline's find → minimize → replay path
-stays honest.
+The tests keep the find → minimize → replay path honest with a seeded
+bug: ``tests/mutants.py::weak_staleness`` swaps the ``ssp`` preset for one
+that answers pulls one iteration beyond its advertised bound (S004).
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.sanitizer import SanitizerReport, Violation, sanitize_observability
-from repro.core.conditions import SSPPull, SyncView
 from repro.core.models import SyncModel, pssp, ssp
 from repro.core.server import ExecutionMode
 from repro.obs import MetricsRegistry, Observability, observed
@@ -80,36 +78,6 @@ PRESETS: Dict[str, Tuple[str, Callable[[], SyncModel], ExecutionMode]] = {
     # ssp(0) makes every pull that beats its peer's push a DPR, so lazy
     # buffering/flush and the 0-missing guarantee are on the hot path.
     "lazy": ("ssp(0), lazy execution (DPR-heavy)", lambda: ssp(0), ExecutionMode.LAZY),
-}
-
-
-class _LeakySSPPull(SSPPull):
-    """Seeded bug: advertises bound ``s`` but answers one iteration staler.
-
-    ``staleness()`` still reports ``s`` (what the server_config event
-    advertises to the sanitizer), while the condition admits pulls up to
-    ``s + 1`` missing iterations — exactly the off-by-one a refactor of
-    the DPR threshold could introduce.  S004 must catch it.
-    """
-
-    def __call__(self, view: SyncView) -> bool:
-        return view.progress < view.v_train + self.s + 1
-
-
-def _weaken_staleness(model: SyncModel) -> SyncModel:
-    s = int(model.staleness)
-    return SyncModel(
-        f"{model.name}+weak-staleness",
-        lambda: _LeakySSPPull(s),
-        model.make_push,
-        staleness=s,
-        params=dict(model.params),
-    )
-
-
-#: Named invariant mutations for self-testing the explorer pipeline.
-MUTATIONS: Dict[str, Callable[[SyncModel], SyncModel]] = {
-    "weak-staleness": _weaken_staleness,
 }
 
 
@@ -131,8 +99,6 @@ class ExploreConfig:
     #: per-worker slowdown spread (grows real progress gaps, the regime
     #: where staleness bugs manifest).
     spread: float = 0.0
-    #: Optional seeded invariant mutation (see :data:`MUTATIONS`).
-    mutation: Optional[str] = None
     #: Bounded delivery perturbation: extra RX-hold seconds per message id.
     delays: Dict[int, float] = field(default_factory=dict)
     #: Search budget: maximum schedules (runs) to execute.
@@ -145,8 +111,6 @@ class ExploreConfig:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; have {sorted(PRESETS)}")
-        if self.mutation is not None and self.mutation not in MUTATIONS:
-            raise ValueError(f"unknown mutation {self.mutation!r}; have {sorted(MUTATIONS)}")
 
     def run_params(self) -> Dict[str, Any]:
         """The JSON-safe run-shape subset that a choice trace pins down."""
@@ -157,7 +121,6 @@ class ExploreConfig:
             "max_iter": self.max_iter,
             "seed": self.seed,
             "spread": self.spread,
-            "mutation": self.mutation,
             "delays": {str(k): v for k, v in self.delays.items()},
         }
 
@@ -170,7 +133,6 @@ class ExploreConfig:
             max_iter=int(doc["max_iter"]),
             seed=int(doc["seed"]),
             spread=float(doc.get("spread", 0.0)),
-            mutation=doc.get("mutation"),
             delays={int(k): float(v) for k, v in doc.get("delays", {}).items()},
         )
 
@@ -347,8 +309,6 @@ def _sim_config(cfg: ExploreConfig):
 
     _desc, make_model, execution = PRESETS[cfg.preset]
     model = make_model()
-    if cfg.mutation is not None:
-        model = MUTATIONS[cfg.mutation](model)
     # Tiny real-gradient task: final parameters are a byte-comparable
     # function of the update application order each schedule induces.
     task = blobs_task(

@@ -9,7 +9,7 @@
 """
 
 from repro.baselines.pslite import PSLiteSimRunner, run_pslite
-from repro.baselines.specsync import SpecSyncConfig, SpecSyncRunner, run_specsync
+from repro.baselines.specsync import SpecSyncConfig, SpecSyncRunner
 from repro.baselines.sspable import SSPTableConfig, SSPTableRunner, run_ssptable
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "run_pslite",
     "SpecSyncConfig",
     "SpecSyncRunner",
-    "run_specsync",
     "SSPTableConfig",
     "SSPTableRunner",
     "run_ssptable",

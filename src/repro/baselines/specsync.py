@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.models import SyncModel, asp
 from repro.sim.network import NicSpec
-from repro.sim.runner import REQUEST_BYTES, FluentPSSimRunner, SimConfig, SimRunResult
+from repro.sim.runner import REQUEST_BYTES, FluentPSSimRunner, SimConfig
 from repro.sim.trace import SpanKind
 from repro.utils.checks import check_number
 
@@ -159,8 +159,3 @@ class SpecSyncRunner(FluentPSSimRunner):
         is fresh again."""
         self._fresh_counts[w] = 0
         self._abort_flags[w] = False
-
-
-def run_specsync(config: SpecSyncConfig) -> SimRunResult:
-    """One-call convenience wrapper."""
-    return SpecSyncRunner(config).run()

@@ -117,8 +117,8 @@ def _json_scalar(value: object) -> object:
 class ExperimentResult:
     """Printable + serializable outcome of one figure/table experiment.
 
-    Round-trippable: ``ExperimentResult.from_dict(x.to_dict()) == x`` and
-    ``from_json(x.to_json()) == x`` as long as row values are JSON-native
+    Round-trippable: ``ExperimentResult.from_dict(x.to_dict()) == x``, also
+    through ``json.dumps``/``json.loads``, as long as row values are JSON-native
     scalars (``add_row`` coerces them on the way in).  The run cache and
     the sweep executor's worker processes both transport results this
     way, so the guarantee is what makes ``--jobs N`` and warm-cache runs
@@ -182,13 +182,6 @@ class ExperimentResult:
             series=[SeriesRecord.from_dict(s) for s in d.get("series", [])],
             notes=[str(n) for n in d.get("notes", [])],
         )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        return cls.from_dict(json.loads(text))
 
     def save(self, directory: Optional[str] = None) -> Path:
         directory = directory or os.environ.get("REPRO_RESULTS_DIR", "results")

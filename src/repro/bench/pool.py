@@ -20,9 +20,9 @@ disk, without changing a single output byte:
 - :class:`SweepExecutor` — maps tasks across a reusable process pool
   (``jobs=1`` runs inline and preserves the serial code path exactly),
   transports worker tracebacks back to the parent as
-  :class:`WorkerFailure`, enforces a per-task timeout, and can replay
-  each arm's protocol events through the :mod:`repro.analysis`
-  sanitizer *inside* the worker process.
+  :class:`WorkerFailure`, and can replay each arm's protocol events
+  through the :mod:`repro.analysis` sanitizer *inside* the worker
+  process.
 
 Wall-clock timing stays inside ``repro.bench`` (the ANA001 lint
 boundary): nothing here leaks real time into ``repro.sim``/``repro.core``.
@@ -114,7 +114,6 @@ class RunTask:
     fn: Callable[..., ExperimentResult]
     kwargs: Dict[str, object] = field(default_factory=dict)
     key: str = ""
-    timeout: Optional[float] = None
 
     def fn_ref(self) -> str:
         return f"{self.fn.__module__}:{self.fn.__qualname__}"
@@ -217,7 +216,7 @@ class RunCache:
 
 
 class WorkerFailure(RuntimeError):
-    """A sweep arm failed (exception, violation, or timeout) in a worker.
+    """A sweep arm failed (exception, violation, or a dead worker).
 
     Carries the remote traceback text so the parent can print exactly
     what went wrong without unpickling exotic exception types.  One
@@ -391,9 +390,7 @@ class SweepExecutor:
     ``sanitize=True`` replays every arm's protocol events through the
     :mod:`repro.analysis` checker inside the worker (see
     :func:`_sanitized_call`); a violation fails that arm like any other
-    worker exception.  ``task_timeout`` bounds how long the parent waits
-    for any single arm (the stuck worker process is abandoned, not
-    killed — the pool is replaced on the next map call).
+    worker exception.
 
     ``obs_dir`` makes pooled workers dump per-arm observability
     artifacts (trace + metrics JSON) into that directory.  Obs options
@@ -408,7 +405,6 @@ class SweepExecutor:
         jobs: int = 1,
         cache: Optional[RunCache] = None,
         sanitize: bool = False,
-        task_timeout: Optional[float] = None,
         start_method: Optional[str] = None,
         obs_dir: Optional[str] = None,
     ):
@@ -417,7 +413,6 @@ class SweepExecutor:
         self.jobs = jobs
         self.cache = cache
         self.sanitize = sanitize
-        self.task_timeout = task_timeout
         self.start_method = start_method
         self.obs_dir = obs_dir
         self.stats = PoolStats()
@@ -522,18 +517,10 @@ class SweepExecutor:
             for i in pending
         }
         executed = []
-        timed_out = False
         for i, fut in futures.items():
             task = tasks[i]
-            timeout = task.timeout if task.timeout is not None else self.task_timeout
             try:
-                payload = fut.result(timeout=timeout)
-            except concurrent.futures.TimeoutError:
-                timed_out = True
-                executed.append(
-                    (i, WorkerFailure(task.key, f"timed out after {timeout}s"))
-                )
-                continue
+                payload = fut.result()
             except concurrent.futures.process.BrokenProcessPool as exc:
                 self.close()
                 executed.append((i, WorkerFailure(task.key, f"worker died: {exc}")))
@@ -552,9 +539,6 @@ class SweepExecutor:
                         ),
                     )
                 )
-        if timed_out:
-            # The stuck worker still occupies a pool slot; start fresh.
-            self.close()
         return executed
 
     def _report_to_obs(self) -> None:

@@ -41,7 +41,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
     Sketch,
-    global_registry,
     null_registry,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "default_metrics_path",
     "dump_metrics",
     "dump_trace",
-    "global_registry",
     "null_registry",
     "observed",
     "set_current_observability",

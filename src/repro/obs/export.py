@@ -489,26 +489,3 @@ def default_metrics_path(trace_path: Union[str, Path]) -> Path:
     """The metrics JSON written alongside ``--trace-out FILE``."""
     p = Path(trace_path)
     return p.with_name(p.stem + ".metrics.json")
-
-
-def load_trace(path: Union[str, Path]) -> Dict[str, object]:
-    """Round-trip helper (tests, notebooks): parse a dumped trace file."""
-    return json.loads(Path(path).read_text())
-
-
-def actor_tracks(doc: Dict[str, object]) -> Dict[str, int]:
-    """Map actor name -> tid from a loaded trace document."""
-    out: Dict[str, int] = {}
-    for ev in doc.get("traceEvents", []):
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            out[ev["args"]["name"]] = ev["tid"]
-    return out
-
-
-def events_of_phase(doc: Dict[str, object], ph: str, name: Optional[str] = None):
-    """All events of one phase letter (optionally filtered by name)."""
-    return [
-        ev
-        for ev in doc.get("traceEvents", [])
-        if ev.get("ph") == ph and (name is None or ev.get("name") == name)
-    ]

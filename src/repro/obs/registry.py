@@ -18,12 +18,10 @@ Every metric is label-aware: ``counter.inc(shard=3)`` and
 pre-bind labels once via ``metric.labels(shard=3)`` and then pay only a
 method call per event.
 
-Two registries matter in practice: the **process-global** registry
-(:func:`global_registry`) for process-wide totals, and a **per-run**
-registry owned by an :class:`~repro.obs.Observability` bundle.  The
-**null backend** (:func:`null_registry`) implements the same interface
-with no-ops and never stores a key, so instrumented code costs next to
-nothing when observability is off.
+A registry is owned by an :class:`~repro.obs.Observability` bundle, one
+per run or per invocation.  The **null backend** (:func:`null_registry`)
+implements the same interface with no-ops and never stores a key, so
+instrumented code costs next to nothing when observability is off.
 """
 
 from __future__ import annotations
@@ -457,13 +455,7 @@ class NullRegistry(MetricsRegistry):
         return {"name": "null", "metrics": {}}
 
 
-_GLOBAL = MetricsRegistry("global")
 _NULL = NullRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide registry (lives for the interpreter's lifetime)."""
-    return _GLOBAL
 
 
 def null_registry() -> NullRegistry:

@@ -13,7 +13,8 @@ real interleavings — the co-simulation demonstrates timing.  When an
 interleavings in wall-clock time: per-worker iteration latency, lock
 acquisition wait, and time blocked in the pull; at the end it publishes
 the run's merged :class:`~repro.core.metrics.SyncMetrics` as the
-``sync_*`` gauges, as the simulated runner does.
+``sync_*`` gauges labelled by its capture (``run=``), as the simulated
+runner does.
 
 An optional :class:`~repro.analysis.races.RaceTracker` observes the
 run's synchronization operations (lock, per-pull Event, fork/join) and
@@ -261,7 +262,7 @@ class ThreadedRunner:
             capture.complete = True
         metrics = self.system.merged_metrics()
         if self.obs.enabled:
-            metrics.publish(self.obs.registry)
+            metrics.publish(self.obs.registry, run=capture.label)
         return ThreadedResult(
             wall_time=wall,
             iterations=self.max_iter,

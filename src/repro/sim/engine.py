@@ -399,22 +399,6 @@ class Engine:
         cb, arg = self._pack(fn, args)
         self._schedule(when, cb, arg)
 
-    def post(self, when: float, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Schedule ``fn(arg)`` at absolute time ``when`` on the internal
-        one-argument callback protocol.
-
-        This is the public spelling of the hot path that :meth:`call_at`
-        wraps: no adapter tuple is allocated, so per-event cost stays at
-        one heap push.  ``fn`` *must* accept exactly one positional
-        argument (pack multiple values into a tuple).  The network's
-        analytic lane scheduler posts its per-message events on this
-        protocol (inlining ``_schedule``, this method minus the
-        past-check — only safe when the timestamp is provably ``>= now``).
-        """
-        if when < self.now:
-            raise SimulationError(f"cannot schedule into the past: {when} < {self.now}")
-        self._schedule(when, fn, arg)
-
     def call_every(self, interval: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` every ``interval`` seconds as a *daemon*: the tick
         reschedules itself only while non-daemon events remain pending, so
@@ -453,10 +437,6 @@ class Engine:
         proc = Process(self, gen, name=name)
         proc._start(start_at)
         return proc
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A waitable that resumes after ``delay`` seconds."""
-        return Timeout(delay, value)
 
     def signal(self, name: str = "") -> Signal:
         """A fresh one-shot signal bound to this engine."""

@@ -1389,7 +1389,7 @@ class FluentPSSimRunner:
         total_wall = sum(self._finish_times)
         metrics = self.system.merged_metrics()
         if self.obs.enabled:
-            metrics.publish(self.obs.registry)
+            metrics.publish(self.obs.registry, run=self._capture.label)
         return SimRunResult(
             duration=max(self._finish_times),
             iterations=self.cfg.max_iter,

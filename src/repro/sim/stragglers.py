@@ -30,10 +30,6 @@ class ComputeModel(abc.ABC):
     ) -> float:
         """Return the duration (seconds) of ``iteration`` on ``worker``."""
 
-    def mean_factor(self) -> float:
-        """Approximate expected slowdown multiplier (for analytic sizing)."""
-        return 1.0
-
 
 class DeterministicCompute(ComputeModel):
     """No variance: every iteration takes ``factor * base_time``."""
@@ -44,9 +40,6 @@ class DeterministicCompute(ComputeModel):
 
     def sample(self, worker, iteration, base_time, rng):
         return self.factor * base_time
-
-    def mean_factor(self) -> float:
-        return self.factor
 
 
 class LogNormalCompute(ComputeModel):
@@ -62,9 +55,6 @@ class LogNormalCompute(ComputeModel):
 
     def sample(self, worker, iteration, base_time, rng):
         return base_time * float(np.exp(rng.normal(0.0, self.sigma)))
-
-    def mean_factor(self) -> float:
-        return float(np.exp(self.sigma**2 / 2))
 
 
 class ExponentialTailCompute(ComputeModel):
@@ -89,9 +79,6 @@ class ExponentialTailCompute(ComputeModel):
             t += float(rng.exponential(self.tail_scale * base_time))
         return t
 
-    def mean_factor(self) -> float:
-        return self.jitter.mean_factor() + self.p_slow * self.tail_scale
-
 
 class ParetoTailCompute(ComputeModel):
     """Heavy (Pareto) tail — stress case beyond the paper's clusters."""
@@ -104,9 +91,6 @@ class ParetoTailCompute(ComputeModel):
 
     def sample(self, worker, iteration, base_time, rng):
         return base_time * (1.0 + self.scale * float(rng.pareto(self.alpha)))
-
-    def mean_factor(self) -> float:
-        return 1.0 + self.scale / (self.alpha - 1)
 
 
 class TransientStragglerCompute(ComputeModel):
@@ -152,10 +136,6 @@ class TransientStragglerCompute(ComputeModel):
             t *= self.slow_factor
         return t
 
-    def mean_factor(self) -> float:
-        frac = self.duration / (self.period * self.n_workers)
-        return self.jitter.mean_factor() * (1 + frac * (self.slow_factor - 1))
-
 
 class HeterogeneousCompute(ComputeModel):
     """Persistent per-worker speed differences plus mild jitter.
@@ -186,9 +166,6 @@ class HeterogeneousCompute(ComputeModel):
 
     def sample(self, worker, iteration, base_time, rng):
         return self.rate_factor(worker) * self.tail.sample(worker, iteration, base_time, rng)
-
-    def mean_factor(self) -> float:
-        return (1.0 + self.spread / 2.0) * self.tail.mean_factor()
 
 
 def gpu_cluster_compute() -> ComputeModel:

@@ -8,12 +8,8 @@ to plain dicts so benches can dump JSON next to their printed tables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-#: Sentinel distinguishing "no default given" from an explicit ``None``.
-_UNSET = object()
+from typing import Dict, List
 
 
 @dataclass
@@ -24,22 +20,6 @@ class RunRecord:
     params: Dict[str, object] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
 
-    def metric(self, key: str, default: object = _UNSET) -> Optional[float]:
-        """Look up one metric.
-
-        Returns ``default`` (including an explicit ``None``) when the key
-        is absent and a default was given; otherwise a missing key raises
-        a :class:`KeyError` naming the record and the available keys.
-        """
-        if key in self.metrics:
-            return self.metrics[key]
-        if default is not _UNSET:
-            return default  # type: ignore[return-value]
-        raise KeyError(
-            f"record {self.name!r} has no metric {key!r}; "
-            f"available: {sorted(self.metrics)}"
-        )
-
     def to_dict(self) -> Dict[str, object]:
         return {"name": self.name, "params": dict(self.params), "metrics": dict(self.metrics)}
 
@@ -47,13 +27,6 @@ class RunRecord:
     def from_dict(cls, d: Dict[str, object]) -> "RunRecord":
         return cls(name=str(d["name"]), params=dict(d.get("params", {})),
                    metrics={k: float(v) for k, v in dict(d.get("metrics", {})).items()})
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -101,10 +74,3 @@ class SeriesRecord:
             x_label=str(d.get("x_label", "x")),
             y_label=str(d.get("y_label", "y")),
         )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeriesRecord":
-        return cls.from_dict(json.loads(text))

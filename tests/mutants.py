@@ -1,7 +1,7 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 31 mutants is a named function that takes pytest's
+Each of the 32 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
 :mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
@@ -13,15 +13,16 @@ continue, three in the schedule log a real-gradient run's math is
 replayed from, two in the replay's cohort rule, two in the replay's
 answer to a significance read, three in the instant
 blocks of an observed collapsed round, one in the ownership rule that
-decides which condition capabilities the collapse relies on) for the
-length of a test — test
+decides which condition capabilities the collapse relies on, one in the
+schedule explorer's ``ssp`` preset) for the length of a test — test
 code only, nothing under ``src/`` imports this module.
-All but three rewrite one line of a function's source (the site must
+All but four rewrite one line of a function's source (the site must
 occur exactly once, so an edit that moves it fails here, loudly, instead
 of leaving a mutant that mutates nothing); ``cascade_forgets_cursor``
 wraps ``_seq_cascade``, ``significance_before_apply`` wraps
-``handle_push`` and ``eval_read_one_event_late`` wraps the runner's
-``_end_iteration`` and its request sink ``_serve``.
+``handle_push``, ``eval_read_one_event_late`` wraps the runner's
+``_end_iteration`` and its request sink ``_serve``, and ``weak_staleness``
+swaps a preset's pull condition for :class:`LeakySSPPull`.
 ``tests/test_round_schedule.py`` pins which check kills which for the
 round's mutants; the others name their killer.
 """
@@ -31,8 +32,11 @@ import textwrap
 
 import numpy as np
 
+from repro.analysis.explore import PRESETS
 from repro.analysis.sanitizer import ShardChecker
 from repro.core import conditions, replay
+from repro.core.conditions import SSPPull
+from repro.core.models import SyncModel
 from repro.core.api import _PendingPull
 from repro.core.pssp import gradient_significance
 from repro.core.server import ShardServer
@@ -221,6 +225,45 @@ def capability_by_inheritance(monkeypatch) -> None:
         monkeypatch, conditions, "declared_together",
         "return len(owners) == 1 and None not in owners and not on_instance",
         "return None not in owners and not on_instance",
+    )
+
+
+class LeakySSPPull(SSPPull):
+    """Advertises bound ``s`` but answers one iteration staler.
+
+    ``staleness()`` still reports ``s`` (what the server_config event
+    advertises to the sanitizer), while the condition admits pulls up to
+    ``s + 1`` missing iterations — exactly the off-by-one a refactor of
+    the DPR threshold could introduce.  A subclass overriding ``__call__``
+    alone, so the round collapse must refuse it (``_HAZARDS`` in
+    ``test_round_collapse.py``)."""
+
+    def __call__(self, view) -> bool:
+        return view.progress < view.v_train + self.s + 1
+
+
+def weaken_staleness(model: SyncModel) -> SyncModel:
+    """``model`` with its pull condition swapped for :class:`LeakySSPPull`."""
+    s = int(model.staleness)
+    return SyncModel(
+        f"{model.name}+weak-staleness",
+        lambda: LeakySSPPull(s),
+        model.make_push,
+        staleness=s,
+        params=dict(model.params),
+    )
+
+
+def weak_staleness(monkeypatch) -> None:
+    """The schedule explorer's ``ssp`` preset answers pulls one iteration
+    beyond the bound it advertises, so the explorer must find S004,
+    minimize it and replay it.  Killers:
+    ``test_analysis_explore.py::TestMutationPipeline::test_seeded_bug_found_minimized_and_replayable``
+    and ``test_analysis_cli.py::TestExploreExit::test_mutated_exploration_exits_6_and_writes_trace``."""
+    desc, make_model, execution = PRESETS["ssp"]
+    monkeypatch.setitem(
+        PRESETS, "ssp",
+        (f"{desc} +weak-staleness", lambda: weaken_staleness(make_model()), execution),
     )
 
 

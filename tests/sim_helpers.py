@@ -55,9 +55,6 @@ class OneStraggler(ComputeModel):
     def sample(self, worker, iteration, base_time, rng):
         return base_time * (6.0 if (worker, iteration) == (3, 2) else 1.0)
 
-    def mean_factor(self) -> float:
-        return 1.0
-
 
 def python_calls(fn, skip=()):
     """How many Python-level function calls ``fn()`` makes (C calls are not

@@ -12,6 +12,8 @@ from repro.analysis.__main__ import (
     main,
 )
 
+from tests.mutants import weak_staleness
+
 pytestmark = pytest.mark.no_sanitize
 
 
@@ -78,14 +80,14 @@ class TestExploreExit:
         assert "explore[ssp]" in out
         assert "DPOR pruning" in out
 
-    def test_mutated_exploration_exits_6_and_writes_trace(self, tmp_path, capsys):
+    def test_mutated_exploration_exits_6_and_writes_trace(self, tmp_path, capsys, monkeypatch):
+        weak_staleness(monkeypatch)
         trace_path = tmp_path / "cex.json"
         rc = main(
             [
                 "--explore", "ssp",
                 "--explore-iters", "6",
                 "--spread", "1.0",
-                "--mutation", "weak-staleness",
                 "--explore-budget", "10",
                 "--trace-out", str(trace_path),
             ]
@@ -95,7 +97,6 @@ class TestExploreExit:
         assert out.splitlines()[0] == "S004"
         doc = json.loads(trace_path.read_text())
         assert doc["violations"] == ["S004"]
-        assert doc["config"]["mutation"] == "weak-staleness"
 
         # And the written trace replays to exit 0 (reproduced).
         rc2 = main(["--replay", str(trace_path)])

@@ -12,7 +12,7 @@ entire co-simulated training runs on every cluster preset.
 import numpy as np
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine
 from repro.sim.network import Network, NicSpec
 
 from tests.mutants import fused_overtakes_unfused
@@ -227,29 +227,3 @@ class TestTransferTimeEstimate:
         assert delivers[0] == est  # first one through is uncontended
         assert all(d >= est for d in delivers[1:])
         assert delivers[-1] > est  # the incast queue actually bit
-
-
-class TestEnginePost:
-    def test_post_runs_at_absolute_time(self):
-        eng = Engine()
-        seen = []
-        eng.post(0.5, seen.append)
-        eng.post(0.25, seen.append, "first")
-        eng.run()
-        assert seen == ["first", None]
-        assert eng.now == 0.5
-
-    def test_post_into_past_rejected(self):
-        eng = Engine()
-        eng.post(1.0, lambda _: None)
-        eng.run()
-        with pytest.raises(SimulationError):
-            eng.post(0.5, lambda _: None)
-
-    def test_post_fifo_at_ties(self):
-        eng = Engine()
-        seen = []
-        for i in range(5):
-            eng.post(1e-3, seen.append, i)
-        eng.run()
-        assert seen == list(range(5))

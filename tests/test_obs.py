@@ -190,11 +190,12 @@ class TestSyncMetricsPublish:
         m.record_pull(immediate=False, iteration=1)
         m.record_probabilistic(passed=True)
         m.record_probabilistic(passed=False)
-        m.publish(reg)
-        assert reg.get("sync_pulls").value() == 2.0
-        assert reg.get("sync_dprs").value() == 1.0
-        assert reg.get("sync_probabilistic_passes").value() == 1.0
-        assert reg.get("sync_probabilistic_pauses").value() == 1.0
+        m.publish(reg, run="r")
+        assert reg.get("sync_pulls").value(run="r") == 2.0
+        assert reg.get("sync_dprs").value(run="r") == 1.0
+        assert reg.get("sync_probabilistic_passes").value(run="r") == 1.0
+        assert reg.get("sync_probabilistic_pauses").value(run="r") == 1.0
+        assert reg.get("sync_pulls").value() == 0.0  # no unlabelled series
 
 
 class TestReport:

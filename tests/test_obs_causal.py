@@ -19,7 +19,7 @@ from repro.obs.causal import (
     render_blame_table,
     straggler_table,
 )
-from repro.obs.export import dump_trace, load_trace
+from repro.obs.export import dump_trace
 from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.trace import SpanKind
@@ -155,7 +155,7 @@ class TestExportRoundTrip:
         run = obs.last_run
         path = tmp_path / "run.trace.json"
         dump_trace(str(path), run.trace, run.instants, causal=run.causal)
-        doc = load_trace(path)
+        doc = json.loads(path.read_text())
         phases = {e.get("ph") for e in doc["traceEvents"]}
         assert {"s", "f"} <= phases, "flow-event arrows must be embedded"
         assert len(doc["causalSpans"]) == len(run.causal.spans)
@@ -243,7 +243,7 @@ class TestPooledArmArtifacts:
             "fig7_N2.metrics.json",
             "fig7_N4.metrics.json",
         ]
-        doc = load_trace(arms / "fig7_N2.trace.json")
+        doc = json.loads((arms / "fig7_N2.trace.json").read_text())
         assert doc["causalSpans"], "worker-side runs must carry causal spans"
         assert check_causal_spans(causal_from_trace_doc(doc)) == []
 

@@ -15,7 +15,7 @@ from repro.obs import (
     dump_trace,
     observed,
 )
-from repro.obs.export import actor_tracks, default_metrics_path, events_of_phase, load_trace
+from repro.obs.export import default_metrics_path
 from repro.obs.snapshot import ServerSnapshotter
 from repro.sim.cluster import cpu_cluster
 from repro.sim.engine import Engine
@@ -26,6 +26,23 @@ from repro.sim.trace import SpanKind, TraceRecorder
 # These tests assert ambient-observability defaults (disabled NULL_OBS);
 # the sanitizer fixture's ambient bundle would shadow that behaviour.
 pytestmark = pytest.mark.no_sanitize
+
+
+def actor_tracks(doc):
+    """Actor name -> tid, from a loaded trace's thread-name metadata."""
+    return {
+        ev["args"]["name"]: ev["tid"]
+        for ev in doc["traceEvents"]
+        if ev.get("ph") == "M" and ev.get("name") == "thread_name"
+    }
+
+
+def events_of_phase(doc, ph, name=None):
+    """A loaded trace's events of one phase letter, optionally one name."""
+    return [
+        ev for ev in doc["traceEvents"]
+        if ev.get("ph") == ph and (name is None or ev.get("name") == name)
+    ]
 
 
 def make_trace():
@@ -42,7 +59,7 @@ class TestTraceExport:
         instants.record("dpr_buffered", 1.2, actor="server0", worker=1)
         instants.record("global_note", 1.3)  # no actor -> process scope
         path = tmp_path / "trace.json"
-        dump_trace(path, make_trace(), instants, process_name="test-run")
+        assert dump_trace(path, make_trace(), instants, process_name="test-run") == path
         doc = json.load(open(path))
         assert doc["displayTimeUnit"] == "ms"
         tracks = actor_tracks(doc)
@@ -64,10 +81,6 @@ class TestTraceExport:
         assert scoped == {"dpr_buffered": "t", "global_note": "p"}
         proc = events_of_phase(doc, "M", "process_name")
         assert proc[0]["args"]["name"] == "test-run"
-
-    def test_load_trace_helper(self, tmp_path):
-        path = dump_trace(tmp_path / "t.json", make_trace())
-        assert load_trace(path)["traceEvents"]
 
     def test_spanless_trace_rejected(self, tmp_path):
         tr = TraceRecorder(keep_spans=False)
@@ -119,7 +132,7 @@ class TestSnapshotter:
         snap = ServerSnapshotter(reg, [])
 
         def work():
-            yield eng.timeout(10.0)
+            yield 10.0
 
         eng.spawn(work())
         snap.install(eng, 1.0)
@@ -155,7 +168,7 @@ class TestEndToEndSim:
             gauge = obs.registry.get(name)
             assert gauge.value(shard=0) > 0 and gauge.value(shard=1) > 0, name
         # run-level SyncMetrics gauges
-        assert obs.registry.get("sync_pulls").value() == res.metrics.pulls > 0
+        assert obs.registry.get("sync_pulls").value(run=obs.last_run.label) == res.metrics.pulls > 0
         # snapshot gauge series exist per shard
         depth = obs.registry.get("ps_dpr_queue_depth")
         for shard in (0, 1):
@@ -177,10 +190,10 @@ class TestEndToEndSim:
         events = obs.last_run.instants
         flips = len(events.by_name("pssp_pass")) + len(events.by_name("pssp_pause"))
         assert flips > 0
-        m = obs.registry
+        m, run = obs.registry, obs.last_run.label
         assert (
-            m.get("sync_probabilistic_passes").value()
-            + m.get("sync_probabilistic_pauses").value()
+            m.get("sync_probabilistic_passes").value(run=run)
+            + m.get("sync_probabilistic_pauses").value(run=run)
             == flips
         )
 
@@ -189,7 +202,18 @@ class TestEndToEndSim:
         with observed(obs):
             run_fluentps(quick_sim_config(ssp(2)))
         assert obs.runs, "runner did not pick up the ambient bundle"
-        assert obs.registry.get("sync_pulls").value() > 0
+        assert obs.registry.get("sync_pulls").value(run=obs.last_run.label) > 0
+
+    def test_each_run_publishes_its_own_sync_gauges(self):
+        # One bundle observing several runs (a multi-arm --trace-out) keeps
+        # every run's numbers, labelled by its capture.
+        obs = Observability(MetricsRegistry("two-runs"))
+        first = run_fluentps(quick_sim_config(bsp(), obs=obs))
+        second = run_fluentps(quick_sim_config(ssp(2), obs=obs, max_iter=12))
+        assert first.metrics.pulls != second.metrics.pulls
+        pulls = obs.registry.get("sync_pulls")
+        for run, res in zip(obs.runs, (first, second)):
+            assert pulls.value(run=run.label) == res.metrics.pulls, run.label
 
     def test_disabled_obs_records_nothing(self):
         res = run_fluentps(quick_sim_config(bsp()))

@@ -124,7 +124,7 @@ class TestInstrumentation:
         summary = system.merged_metrics().summary()
         assert summary["pushes"] == summary["pulls"] == 8 * 3 * 2
         for key, value in summary.items():
-            assert obs.registry.get(f"sync_{key}").value() == value, key
+            assert obs.registry.get(f"sync_{key}").value(run=obs.last_run.label) == value, key
 
 
 class _ImmediateSystem:

@@ -30,7 +30,6 @@ from repro.analysis import (
     sanitize_events,
     sanitize_run,
 )
-from repro.analysis.explore import _weaken_staleness
 from repro.obs import NULL_OBS, Instant, MetricsRegistry, Observability
 from repro.obs.export import InstantBlock
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
@@ -49,6 +48,7 @@ from tests.mutants import (
     block_intruder_pull_missing_one,
     block_rows_in_worker_order,
     depth_two_mixing_accepted,
+    weaken_staleness,
 )
 from tests.sim_helpers import (
     EventPathRunner,
@@ -76,9 +76,6 @@ class _InjectedStraggler(ComputeModel):
         if worker == self.worker and iteration == self.iteration:
             t *= self.slow_factor
         return t
-
-    def mean_factor(self) -> float:
-        return 1.0
 
 
 def _run(cfg_kwargs, collapse, obs=NULL_OBS):
@@ -564,7 +561,7 @@ class _AdvanceOneEarly(AllPushedPush):
 #: Conditions whose class overrides ``__call__`` and inherits the
 #: capability the collapse relies on: each must take the event path.
 _HAZARDS = {
-    "weak-staleness": lambda: _weaken_staleness(ssp(0)),
+    "weak-staleness": lambda: weaken_staleness(ssp(0)),
     "early-advance": lambda: SyncModel("bsp+early-advance", BSPPull, _AdvanceOneEarly),
 }
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.specsync import SpecSyncConfig, SpecSyncRunner, run_specsync
+from repro.baselines.specsync import SpecSyncConfig, SpecSyncRunner
 from repro.bench.workloads import blobs_task
 from repro.core.models import asp
 from repro.sim.cluster import cpu_cluster
@@ -48,7 +48,7 @@ class TestConfig:
 
 class TestExecution:
     def test_completes_and_trains(self):
-        r = run_specsync(make_config())
+        r = SpecSyncRunner(make_config()).run()
         assert r.iterations == 40
         assert np.isfinite(r.final_params).all()
 
@@ -74,11 +74,11 @@ class TestExecution:
         assert runner.aborts == 0
 
     def test_aborts_slow_the_run_down(self):
-        fast = run_specsync(make_config(n=6, iters=50, threshold=10**6, seed=3))
-        churn = run_specsync(make_config(n=6, iters=50, threshold=2, seed=3))
+        fast = SpecSyncRunner(make_config(n=6, iters=50, threshold=10**6, seed=3)).run()
+        churn = SpecSyncRunner(make_config(n=6, iters=50, threshold=2, seed=3)).run()
         assert churn.duration > fast.duration
 
     def test_timing_only_mode(self):
-        r = run_specsync(make_config(task=False, n=4, iters=20))
+        r = SpecSyncRunner(make_config(task=False, n=4, iters=20)).run()
         assert r.final_params is None
         assert r.duration > 0

@@ -65,12 +65,6 @@ class TestRecords:
         assert r2.name == "a"
         assert r2.metrics["acc"] == 0.9
 
-    def test_metric_default(self):
-        r = RunRecord("a", metrics={"x": 1.0})
-        assert r.metric("missing", default=5.0) == 5.0
-        with pytest.raises(KeyError):
-            r.metric("missing")
-
     def test_series_append_and_final(self):
         s = SeriesRecord("s")
         s.append(1, 0.5)
@@ -145,20 +139,3 @@ class TestTables:
     def test_large_and_small_floats(self):
         out = format_table(["v"], [[1e9], [1e-9], [0.0]])
         assert "e+" in out and "e-" in out and "0" in out
-
-
-class TestMetricLookup:
-    def test_explicit_none_default_honored(self):
-        r = RunRecord("a", metrics={"x": 1.0})
-        assert r.metric("missing", default=None) is None
-        assert r.metric("x", default=None) == 1.0
-
-    def test_missing_key_error_names_record_and_keys(self):
-        r = RunRecord("arm", metrics={"acc": 0.9, "time": 1.0})
-        with pytest.raises(KeyError, match="available"):
-            r.metric("speed")
-        try:
-            r.metric("speed")
-        except KeyError as exc:
-            msg = str(exc)
-            assert "arm" in msg and "acc" in msg and "time" in msg
