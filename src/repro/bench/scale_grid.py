@@ -107,10 +107,14 @@ def _grid_arm(preset: str, n: int, sync_name: str, seed: int) -> ExperimentResul
     key = f"scale-grid/{preset}/N{n}/{sync_name}"
     from repro.bench.perf import _peak_rss_mb
 
-    # Process-lifetime peak, so per cell an upper bound ("the cell fit in
-    # at most this much"): exact when cells run in their own pool workers.
+    # The events the run represents, processed or saved by the round
+    # collapse, as ``repro.bench.perf`` counts them: a collapsed cell
+    # processes none.  The peak is process-lifetime, so per cell an upper
+    # bound ("the cell fit in at most this much"): exact when cells run in
+    # their own pool workers.
+    represented = eng.events_processed + eng.round_events_saved
     print(
-        f"{key}: wall_s={wall:.3f} events_per_sec={eng.events_processed / max(wall, 1e-9):.0f} "
+        f"{key}: wall_s={wall:.3f} effective_events_per_sec={represented / max(wall, 1e-9):.0f} "
         f"peak_rss_mb={_peak_rss_mb():.1f}",
         flush=True,
     )

@@ -331,6 +331,14 @@ class _RoundSchedule:
     streams: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
 
 
+def lexsort2(key: np.ndarray, t: np.ndarray, hint: np.ndarray) -> np.ndarray:
+    """``np.lexsort((key, t))`` for distinct ``key`` and any permutation
+    ``hint``, which sets only the cost: numpy's stable sort (timsort) is
+    near linear on keys nearly in order."""
+    p = hint[np.argsort(key[hint], kind="stable")]
+    return p[np.argsort(t[p], kind="stable")]
+
+
 def _request_tx(lanes: _Lanes, ready: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each worker's M pushes then M pulls, sent at ``ready`` on its FIFO
     TX lane: the ``(n, 2M)`` TX completions, the lane cursors and busy sums."""
@@ -349,14 +357,15 @@ def _request_tx(lanes: _Lanes, ready: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 def quiet_round(
     lanes: _Lanes,
     ready: np.ndarray,
-    rank: np.ndarray,
+    order: np.ndarray,
     served: Optional[_ShardRows] = None,
     intruders: Optional[_ShardRows] = None,
 ) -> _RoundSchedule:
     """One stock protocol round in closed form (Algorithm 1 lines 4-6).
 
-    Worker ``w`` sends M pushes then M pulls at ``ready[w]`` (workers
-    ready at the same instant resume in ``rank`` order); a shard answers
+    Worker ``w`` sends M pushes then M pulls at ``ready[w]``, the
+    workers resuming in ``order`` (by ``ready``, ties in the previous
+    round's close order); a shard answers
     each pull at its handle — a barrier shard buffers the pulls it claims
     before its n-th push and releases them, in claim order, at that
     push's handle — and the round ends when each worker's M replies have
@@ -372,14 +381,16 @@ def quiet_round(
     ``(rx_end, handle, reply_tx_end)`` come back in ``lent``.  ``served``
     is the previous round's ``lent``: this round's requests it already
     served, the first of each shard's claim order; only the rest cascade,
-    from ``lanes`` as that round left them.  Pure: ``lanes`` is read,
-    the state after the round is a new object inside the schedule.
+    from ``lanes`` as that round left them.  Each claim order — a
+    shard's RX lane, the replies' sends, the gathers' closes — is a
+    :func:`lexsort2` hinted with an order the round already holds.
+    Pure: ``lanes`` is read, the state after the round is a new object
+    inside the schedule.
     """
     n, M = lanes.w_holds.shape[0], len(lanes.s_push_hold)
     K = 2 * M
     latency = lanes.latency
     arange_n = np.arange(n)
-    order = np.lexsort((rank, ready))
     wrank = np.empty(n, dtype=np.int64)
     wrank[order] = arange_n
     tx_end, wtx_free, wtx_busy = _request_tx(lanes, ready)
@@ -398,12 +409,13 @@ def quiet_round(
     bursts = []  # per barrier shard: its DPRs' workers and the releasing push
     column0 = np.concatenate((arange_n * K, arange_n * K + M))  # push | pull to shard 0
     key0 = np.concatenate((wrank * K, wrank * K + M))  # the same, by resume rank
+    pairs = np.stack((order, order + n), axis=1).ravel()  # each worker's push, then its pull
     inline = 0
     stx_free, srx_free, stx_busy, srx_busy, serve_busy = ([0.0] * M for _ in range(5))
     for m in range(M):
         t2 = np.concatenate((tx_end[:, m], tx_end[:, M + m]))
         k2 = key0 + m
-        o = np.lexsort((k2, t2))
+        o = lexsort2(k2, t2, pairs)
         is_pull = o >= n
         claims[m] = column0[o] + m
         applied[m] = pushes = np.cumsum(~is_pull)
@@ -477,10 +489,10 @@ def quiet_round(
     for m, burst, t, k in bursts:
         sent_t[burst, m] = t
         sent_k[burst, m] = k * n + np.arange(burst.shape[0])
-    # Stable two-pass row sort.
-    go = np.lexsort((sent_k.ravel(), sent_t.ravel()))
     send_seq = np.empty(n * M, dtype=np.int64)
-    send_seq[go] = np.arange(n * M)
+    hint = (order[:, None] * M + np.arange(M)).ravel()
+    send_seq[lexsort2(sent_k.ravel(), sent_t.ravel(), hint)] = np.arange(n * M)
+    del pairs, hint, sent_k, sent_t  # before the drain allocates: peak RSS
     send_seq = send_seq.reshape(n, M)
     o1 = np.argsort(send_seq, axis=1, kind="stable")
     o2 = np.argsort(np.take_along_axis(reply_tx_end, o1, axis=1), axis=1, kind="stable")
@@ -496,7 +508,8 @@ def quiet_round(
         wrx_busy = wrx_busy + hold_s[:, j]
     # A gather closes — and its waiter's resume seq, next round's rank, is
     # allocated — when its last reply is sent.
-    closes = np.lexsort((send_seq.max(axis=1), cur))
+    last = send_seq.max(axis=1)
+    closes = lexsort2(last, cur, np.argsort(last))
     next_rank = np.empty(n, dtype=np.int64)
     next_rank[closes] = arange_n
     after = replace(
@@ -511,11 +524,11 @@ def quiet_round(
 
 
 def _intruders(
-    sched: _RoundSchedule, ready: np.ndarray, rank: np.ndarray, floor: Optional[np.ndarray],
+    sched: _RoundSchedule, ready: np.ndarray, order: np.ndarray, floor: Optional[np.ndarray],
     stale: Sequence[float],
 ) -> Optional[Tuple[_ShardRows, List[int]]]:
-    """The next round's requests — sent at ``ready``, resuming in ``rank``
-    order — that claim a shard's RX lane before ``sched``'s last request
+    """The next round's requests — sent at ``ready``, resuming in
+    ``order`` — that claim a shard's RX lane before ``sched``'s last request
     there, as :func:`quiet_round`'s ``intruders``; and per shard how many
     of their pulls precede ``sched``'s n-th push (two iterations missing).
     ``None`` where no merge is the event path's: an exact TX-end tie
@@ -544,7 +557,7 @@ def _intruders(
             return None
         if wrank is None:
             wrank = np.empty(n, dtype=np.int64)
-            wrank[np.lexsort((rank, ready))] = np.arange(n)
+            wrank[order] = np.arange(n)
         key = wrank[w] * K + col
         p = np.lexsort((key, at))
         w, at, col, key = w[p], at[p], col[p], key[p]
@@ -1172,24 +1185,29 @@ class FluentPSSimRunner:
         #: first one's ``c`` and ``rank``.
         chain: List[tuple] = []
         work, served, behind, floor = lanes, None, [0] * M, None
+        ready = c + np.asarray(durs[0])
+        order = np.argsort(ready, kind="stable")  # ties resume in worker order
         while True:
             k = r + len(chain)  # the round scheduled now
-            ready = c + np.asarray(durs[k - r])
-            sched = quiet_round(work, ready, rank, served)
+            sched = quiet_round(work, ready, order, served)
             last_round = k + 1 >= cfg.max_iter
-            lend, mixed, quiet, dur_next = None, False, True, None
+            lend, mixed, quiet, ready_next = None, False, True, None
             if not last_round:
                 durs.append([sample(w, k + 1, base_l[w], rngs[w]) for w in range(n)])
                 dur_next = np.asarray(durs[-1])
                 # Guess the intruders from the round as if isolated, merge
                 # them, and commit only a fixed point: the merged round
                 # lets in the very rows, at the very TX ends.
-                lend = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
+                ready_next = sched.done + dur_next
+                order_next = lexsort2(sched.rank, ready_next, sched.closes)
+                lend = _intruders(sched, ready_next, order_next, floor, stale)
                 mixed = lend is not None and any(ids.shape[0] for ids, _t, _k in lend[0])
                 if mixed:
                     del sched  # the guess: its tables go before the merged round's come
-                    sched = quiet_round(work, ready, rank, served, lend[0])
-                    again = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)
+                    sched = quiet_round(work, ready, order, served, lend[0])
+                    ready_next = sched.done + dur_next
+                    order_next = lexsort2(sched.rank, ready_next, sched.closes)
+                    again = _intruders(sched, ready_next, order_next, floor, stale)
                     if again is None or not all(
                         np.array_equal(a, b)
                         for guess, proof in zip(lend[0], again[0])
@@ -1200,9 +1218,7 @@ class FluentPSSimRunner:
             if quiet and log is not None:
                 # A logged round commits isolated, its steps and evaluation
                 # in an order the log can state.
-                quiet = not mixed and self._round_logs_exactly(
-                    k, sched, None if last_round else sched.done + dur_next
-                )
+                quiet = not mixed and self._round_logs_exactly(k, sched, ready_next)
             if not quiet:
                 # Round k+1 would mix with round k at a shard beyond what a
                 # merge proves (or a logged round with what its log can
@@ -1240,6 +1256,7 @@ class FluentPSSimRunner:
                 self._finish_times = sched.done.tolist()
                 return True
             c, rank, work, served = sched.done, sched.rank, sched.lanes, sched.lent
+            ready, order = ready_next, order_next
             behind = lend[1] if mixed else [0] * M
             floor = sched.tx_end[:, M:].max(axis=0)
             del sched  # or two rounds' tables are alive while the next is computed

@@ -1,7 +1,7 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 32 mutants is a named function that takes pytest's
+Each of the 33 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
 :mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
@@ -79,7 +79,17 @@ def reply_rx_claimed_in_shard_order(monkeypatch) -> None:
 def claim_order_by_worker_index(monkeypatch) -> None:
     """A shard's RX lane is claimed pushes-then-pulls by worker index,
     whatever the requests' ``(tx_end, resume rank)``."""
-    _rewrite_quiet_round(monkeypatch, "o = np.lexsort((k2, t2))", "o = np.arange(2 * n)")
+    _rewrite_quiet_round(monkeypatch, "o = lexsort2(k2, t2, pairs)", "o = np.arange(2 * n)")
+
+
+def hint_trusted(monkeypatch) -> None:
+    """``lexsort2`` skips its key sort and trusts the hint to be in key
+    order.  Every hint ``quiet_round`` passes is in key order except inside
+    a barrier's burst, where it changes only the tie-break of two gathers
+    closing at the same float: no cell of the reference grid has one, so
+    the killer is the property.  Killer:
+    ``test_round_schedule.py::TestLexsort2::test_hint_trusted_dies_by_the_property``."""
+    _rewrite(monkeypatch, runner, "lexsort2", 'p = hint[np.argsort(key[hint], kind="stable")]', "p = hint")
 
 
 def bsp_release_at_pull_handle(monkeypatch) -> None:
@@ -285,7 +295,7 @@ def intruders_unverified(monkeypatch) -> None:
     ``test_round_schedule.py::test_intruders_unverified_dies_by_the_reference``."""
     _rewrite(
         monkeypatch, runner.FluentPSSimRunner, "_collapse_rounds",
-        "again = _intruders(sched, sched.done + dur_next, sched.rank, floor, stale)",
+        "again = _intruders(sched, ready_next, order_next, floor, stale)",
         "again = lend",
     )
 

@@ -40,6 +40,7 @@ from tests.mutants import (
     MUTANTS,
     cascade_trusts_guess,
     cross_round_tie_accepted,
+    hint_trusted,
     intruder_pull_missing_one,
     intruders_unverified,
     separation_checks_pushes_only,
@@ -175,11 +176,11 @@ def scheduled_rounds(runner):
     schedule = runner_mod.quiet_round  # the shipped function, or a mutant
     calls = []
 
-    def recording(lanes, ready, rank, *merge):
+    def recording(lanes, ready, order, *merge):
         if calls and calls[-1] is lanes:  # the same round again, merged
             made.pop()
         calls.append(lanes)
-        made.append(schedule(lanes, ready, rank, *merge))
+        made.append(schedule(lanes, ready, order, *merge))
         return made[-1]
 
     with mock.patch.object(runner_mod, "quiet_round", recording):
@@ -250,7 +251,8 @@ def check_round_from_busy_lanes():
     # Some workers become ready while their own TX lane still drains.
     ready = tx_hold * (0.5 + 0.6 * np.arange(n)[::-1])
     assert min(ready) < min(lanes.wtx_free) < max(ready) < min(lanes.srx_free + lanes.stx_free)
-    sched = runner_mod.quiet_round(lanes, ready, np.arange(n))  # shipped, or a mutant
+    order = np.argsort(ready, kind="stable")
+    sched = runner_mod.quiet_round(lanes, ready, order)  # shipped, or a mutant
 
     rows = wire_rows(runner, sched)
     nics = {name: ep.nic for name, ep in net.endpoints.items()}
@@ -343,12 +345,12 @@ def test_a_merged_round_is_pure():
 
 def test_no_intruders_is_the_isolated_round():
     """Empty ``served`` and ``intruders`` per shard: today's floats."""
-    (lanes, ready, rank, _served, _intruders), _made = _merging_call(_mixed_cell(0))
+    (lanes, ready, order, _served, _intruders), _made = _merging_call(_mixed_cell(0))
     M = len(lanes.s_push_hold)
     empty = (np.empty(0), np.empty(0), np.empty(0))
     none = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
-    isolated = runner_mod.quiet_round(lanes, ready, rank)
-    assert _same(isolated, runner_mod.quiet_round(lanes, ready, rank, [empty] * M, [none] * M))
+    isolated = runner_mod.quiet_round(lanes, ready, order)
+    assert _same(isolated, runner_mod.quiet_round(lanes, ready, order, [empty] * M, [none] * M))
 
 
 def _same(a, b):
@@ -371,16 +373,17 @@ def test_quiet_round_is_pure():
     runner = FluentPSSimRunner(SimConfig(**kwargs, obs=obs))
     lanes = runner._cohort_lanes()
     rng = np.random.default_rng(0)
-    ready, rank = 30.0 + rng.random(9), rng.permutation(9)
-    pristine = copy.deepcopy((lanes, ready, rank))
+    ready = 30.0 + rng.random(9)
+    order = np.lexsort((rng.permutation(9), ready))
+    pristine = copy.deepcopy((lanes, ready, order))
     metrics_before = obs.registry.to_dict()
     instants_before = len(obs.instants)
 
     quiet_round = runner_mod.quiet_round
-    first = quiet_round(lanes, ready, rank)
-    assert _same(first, quiet_round(lanes, ready, rank))
+    first = quiet_round(lanes, ready, order)
+    assert _same(first, quiet_round(lanes, ready, order))
     assert _same(first, quiet_round(*copy.deepcopy(pristine)))
-    assert _same([lanes, ready, rank], list(pristine))
+    assert _same([lanes, ready, order], list(pristine))
     assert first.lanes is not lanes and not _same(first.lanes, lanes)
 
     engine, net = runner.engine, runner.net
@@ -584,6 +587,70 @@ def test_cascade_trusts_guess_dies_by_the_pinned_near_tie(monkeypatch):
     cascade_trusts_guess(monkeypatch)
     with pytest.raises(AssertionError):
         check_near_tie_runs_the_rule()
+
+
+def check_lexsort2(key, t, hint):
+    """``lexsort2`` against ``np.lexsort``, index for index."""
+    want = np.lexsort((key, t))
+    got = runner_mod.lexsort2(key, t, hint)  # shipped, or a mutant
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def _hints(key, t, seed):
+    """The hints a caller may pass: none worth the name, any at all, the
+    key order (what a round's own order gives) and the answer itself."""
+    n = key.shape[0]
+    return [
+        np.arange(n), np.arange(n)[::-1], np.random.default_rng(seed).permutation(n),
+        np.argsort(key, kind="stable"), np.lexsort((key, t)),
+    ]
+
+
+#: TX ends with many exact ties: a few values, ``-0.0`` beside ``0.0``, and
+#: floats rounded to one decimal.
+_TIED = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(-1e3, 1e3).map(lambda x: round(x, 1))
+)
+
+
+class TestLexsort2:
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(-(2**40), 2**40), _TIED), max_size=300,
+            unique_by=lambda row: row[0],
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_is_lexsort_for_any_hint(self, rows, seed):
+        key = np.array([k for k, _t in rows], dtype=np.int64)
+        t = np.array([x for _k, x in rows], dtype=float)
+        for hint in _hints(key, t, seed):
+            check_lexsort2(key, t, hint)
+
+    def test_hint_trusted_dies_by_the_property(self, monkeypatch):
+        key, t = np.array([3, 0, 2, 1]), np.array([1.0, 0.0, 1.0, -0.0])
+        check_lexsort2(key, t, np.arange(4))
+        hint_trusted(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_lexsort2(key, t, np.arange(4))
+
+    def test_a_collapsed_run_sorts_without_lexsort(self, monkeypatch):
+        """The cost pin: every claim order of an isolated run — 1000 workers
+        x 8 shards x 3 rounds, the benchmark's ``ssp_isolated_5k`` regime —
+        is a hinted ``lexsort2``; ``np.lexsort`` sorts intruder rows only."""
+        def refused(keys):
+            raise AssertionError("np.lexsort in an isolated round")
+
+        runner = FluentPSSimRunner(SimConfig(
+            cluster=cpu_cluster(1000, n_servers=8), max_iter=3, sync=ssp(3),
+            workload=alexnet_cifar_workload(), compute_model=LogNormalCompute(sigma=0.01),
+            base_compute_time=1e5, seed=0, obs=NULL_OBS,
+        ))
+        monkeypatch.setattr(np, "lexsort", refused)
+        runner.run()
+        assert runner.collapse_fallback == {}
+        assert runner.engine.rounds_collapsed == 3
 
 
 def test_span_totals_in_worker_order_dies_by_the_event_path_key_order(monkeypatch):
