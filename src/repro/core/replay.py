@@ -23,7 +23,7 @@ from repro.core.conditions import declared_together
 from repro.core.pssp import gradient_significance
 from repro.core.server import ApplyInfo, ShardServer
 from repro.core.step import StepContext
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rngs
 
 
 @dataclass
@@ -163,7 +163,7 @@ class Replay:
         for m, server in enumerate(system.servers):
             params = server.defer_values(partial(self.significance, m))
             self.shards.append(_Shard(server, params, log.start[m], log.applies[m]))
-        self.rngs = [derive_rng(seed, "step", w) for w in range(system.n_workers)]
+        self.rngs = derive_rngs(seed, "step", system.n_workers)
         self.filters = filters if any(f.reads_values for f in filters) else ()
         self.first = np.array(log.first)
         #: The version step ``(w, i)``'s push makes at shard ``m`` (max: not yet).

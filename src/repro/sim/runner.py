@@ -53,7 +53,7 @@ from repro.sim.stragglers import ComputeModel, LogNormalCompute
 from repro.sim.trace import CohortSpans, SpanKind, TraceRecorder
 from repro.utils.checks import check_number, check_seed
 from repro.utils.records import SeriesRecord
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rngs
 
 
 #: Bytes every push and reply carries on top of its shard's payload.
@@ -718,7 +718,7 @@ class FluentPSSimRunner:
             )
         #: Each worker's latest sPull round's reply gather (one at a time).
         self._pending: Dict[int, Gather] = {}
-        self._compute_rngs = [derive_rng(config.seed, "compute", w) for w in range(n)]
+        self._compute_rngs = derive_rngs(config.seed, "compute", n)
         #: A task's run records its schedule for the replay :meth:`run` starts.
         self._log = None if config.task is None else ScheduleLog.begin(
             self.servers, self._first, config.max_iter
@@ -953,23 +953,26 @@ class FluentPSSimRunner:
         self,
         w: int,
         start_iter: Optional[int] = None,
-        presampled: Optional[Dict[int, float]] = None,
+        presampled: Sequence[float] = (),
     ):
         """One stock worker's event-path life: one generator frame, two
         waits per iteration.  ``start_iter``/``presampled`` re-materialize
         a worker mid-run after a partial round collapse: the process
         resumes at iteration ``start_iter`` (spawned with ``start_at=`` its
-        analytic clock) and uses the compute durations the collapse driver
-        already drew from its RNG stream, so the RNG state and every
+        analytic clock) and takes the compute durations of its first
+        ``len(presampled)`` iterations from there on, which the collapse
+        driver already drew from its RNG stream, so the RNG state and every
         downstream timestamp match the pure event path bit for bit."""
         engine = self.engine
         row = self._worker_row(w)
         first = self._first[w]
-        for i in range(first if start_iter is None else start_iter, first + self.cfg.max_iter):
+        start = first if start_iter is None else start_iter
+        for i in range(start, first + self.cfg.max_iter):
             row.i = i
-            pre = None if presampled is None else presampled.get(i)
+            k = i - start
             t0 = engine.now
-            yield self._draw(row) if pre is None else pre  # a bare delay: Timeout(dur)
+            # A bare delay: Timeout(dur).
+            yield float(presampled[k]) if k < len(presampled) else self._draw(row)
             self._book_compute(row, t0)
             self._local_step(row)
             t_sync = engine.now
@@ -1067,7 +1070,8 @@ class FluentPSSimRunner:
     def _collapse_rounds(self) -> bool:
         """Advance whole protocol rounds in closed form.
 
-        Per round: draw the cohort's compute durations, let
+        Per round: take the cohort's compute durations (each worker's
+        stream draws a window of rounds in one ``sample_many`` call), let
         :func:`quiet_round` schedule the round from the lane table, and
         commit it — spans, sketches, the shards' ``handle_quiet_round``,
         the instant blocks, the event census — once its schedule is proven
@@ -1101,7 +1105,7 @@ class FluentPSSimRunner:
         block_shards = [s.block_constants() for s in self.servers] if observed else []
         n = cfg.cluster.n_workers
         M = cfg.cluster.n_servers
-        sample = self.compute_model.sample
+        sample_many = self.compute_model.sample_many
         rngs = self._compute_rngs
         push_bytes = self._shard_bytes
         base_l = [cfg.resolved_base_compute(node.flops) for node in cfg.cluster.workers]
@@ -1178,14 +1182,27 @@ class FluentPSSimRunner:
         r = 0  # rounds committed; ``lanes`` is the state after them
         c = np.zeros(n)
         rank = np.arange(n)
-        #: Compute durations drawn for round ``r`` on, through the next one.
-        durs = [[sample(w, 0, base_l[w], rngs[w]) for w in range(n)]]
+        #: Compute durations drawn for rounds ``d0`` to ``d0 + drawn.shape[1]``,
+        #: a row per worker; ``d0 <= r``.
+        drawn, d0 = np.empty((n, 0)), 0
+
+        def durations(j: int) -> np.ndarray:
+            # Round ``j``'s durations (``j`` at most one past the drawn
+            # ones): past them, each worker's stream draws the next window
+            # of rounds in one call, at most 8 MiB for the cohort.
+            nonlocal drawn, d0
+            if j == d0 + drawn.shape[1]:
+                span = range(j, j + max(1, min(cfg.max_iter - j, 2**20 // n)))
+                fresh = np.array([sample_many(w, span, base_l[w], rngs[w]) for w in range(n)])
+                drawn, d0 = np.hstack((drawn[:, r - d0:], fresh)), r
+            return drawn[:, j - d0]
+
         #: Scheduled rounds after ``r``, each lending intruders to the next:
         #: ``(c, rank, what _commit reads, behind)``; a hand-over reads the
         #: first one's ``c`` and ``rank``.
         chain: List[tuple] = []
         work, served, behind, floor = lanes, None, [0] * M, None
-        ready = c + np.asarray(durs[0])
+        ready = c + durations(0)
         order = np.argsort(ready, kind="stable")  # ties resume in worker order
         while True:
             k = r + len(chain)  # the round scheduled now
@@ -1193,8 +1210,7 @@ class FluentPSSimRunner:
             last_round = k + 1 >= cfg.max_iter
             lend, mixed, quiet, ready_next = None, False, True, None
             if not last_round:
-                durs.append([sample(w, k + 1, base_l[w], rngs[w]) for w in range(n)])
-                dur_next = np.asarray(durs[-1])
+                dur_next = durations(k + 1)
                 # Guess the intruders from the round as if isolated, merge
                 # them, and commit only a fixed point: the merged round
                 # lets in the very rows, at the very TX ends.
@@ -1223,15 +1239,17 @@ class FluentPSSimRunner:
                 # Round k+1 would mix with round k at a shard beyond what a
                 # merge proves (or a logged round with what its log can
                 # state), so nothing from round r on is committed: the
-                # cohort de-vectorizes at round r, durations pre-drawn so
-                # the RNG streams stay aligned with the pure event path.
+                # cohort de-vectorizes at round r, each worker's drawn
+                # durations handed over so the RNG streams stay aligned
+                # with the pure event path.
                 c, rank = chain[0][:2] if chain else (c, rank)
                 _flush()
                 self._record_fallback("overlap", r)
                 clock = c.tolist()
+                rows = drawn[:, r - d0:]  # views into the table: no Python float per drawn round
                 for w in np.argsort(rank, kind="stable").tolist():
                     eng.spawn(
-                        self._worker_proc(w, r, {r + i: d[w] for i, d in enumerate(durs)}),
+                        self._worker_proc(w, r, rows[w]),
                         name=names[w],
                         start_at=clock[w],
                     )
@@ -1249,7 +1267,7 @@ class FluentPSSimRunner:
                 while chain:
                     _commit(*chain.pop(0))
                     r += 1
-                lanes, durs = sched.lanes, durs[-1:]
+                lanes = sched.lanes
             if last_round:
                 _flush()
                 eng.now = float(np.max(sched.done))

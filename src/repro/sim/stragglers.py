@@ -11,6 +11,7 @@ dedicated named RNG stream so runs are reproducible.
 from __future__ import annotations
 
 import abc
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,18 @@ class ComputeModel(abc.ABC):
         rng: np.random.Generator,
     ) -> float:
         """Return the duration (seconds) of ``iteration`` on ``worker``."""
+
+    def sample_many(
+        self,
+        worker: int,
+        iterations: range,
+        base_time: float,
+        rng: np.random.Generator,
+    ) -> Sequence[float]:
+        """The durations of ``iterations`` on ``worker``, in order: what
+        one :meth:`sample` per iteration returns, leaving ``rng`` where
+        those calls leave it.  A model whose draws batch overrides this."""
+        return [self.sample(worker, i, base_time, rng) for i in iterations]
 
 
 class DeterministicCompute(ComputeModel):
@@ -56,6 +69,10 @@ class LogNormalCompute(ComputeModel):
     def sample(self, worker, iteration, base_time, rng):
         return base_time * float(np.exp(rng.normal(0.0, self.sigma)))
 
+    def sample_many(self, worker, iterations, base_time, rng):
+        # One normal per iteration, as the scalar draws take them.
+        return base_time * np.exp(rng.normal(0.0, self.sigma, size=len(iterations)))
+
 
 class ExponentialTailCompute(ComputeModel):
     """Occasional exponential slowdowns: with probability ``p_slow`` an
@@ -66,7 +83,7 @@ class ExponentialTailCompute(ComputeModel):
     """
 
     def __init__(self, p_slow: float = 0.1, tail_scale: float = 2.0, jitter_sigma: float = 0.1):
-        if not 0 <= p_slow <= 1:
+        if isinstance(p_slow, (bool, np.bool_)) or not 0 <= p_slow <= 1:
             raise ValueError(f"p_slow must be in [0,1], got {p_slow}")
         check_number("tail_scale", tail_scale)
         self.p_slow = p_slow
@@ -109,15 +126,13 @@ class TransientStragglerCompute(ComputeModel):
         duration: int = 10,
         jitter_sigma: float = 0.05,
     ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        self.n_workers = check_number("n_workers", n_workers, 1, integer=True)
         check_number("slow_factor", slow_factor, 1)
-        if not 0 < duration <= period:
+        self.period = check_number("period", period, 1, integer=True)
+        self.duration = check_number("duration", duration, 1, integer=True)
+        if not duration <= period:
             raise ValueError("need 0 < duration <= period")
-        self.n_workers = n_workers
         self.slow_factor = slow_factor
-        self.period = period
-        self.duration = duration
         self.jitter = LogNormalCompute(jitter_sigma)
 
     def straggler_at(self, iteration: int) -> int:
@@ -151,10 +166,8 @@ class HeterogeneousCompute(ComputeModel):
 
     def __init__(self, n_workers: int, spread: float = 0.3, jitter_sigma: float = 0.02,
                  p_slow: float = 0.0, tail_scale: float = 2.0):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        self.n_workers = check_number("n_workers", n_workers, 1, integer=True)
         check_number("spread", spread)
-        self.n_workers = n_workers
         self.spread = spread
         self.tail = ExponentialTailCompute(p_slow, tail_scale, jitter_sigma)
 

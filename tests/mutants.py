@@ -1,9 +1,10 @@
 """Semantic mutants of the closed-form round and the event path (first
 rows of ROADMAP 7's kill matrix).
 
-Each of the 33 mutants is a named function that takes pytest's
+Each of the 35 mutants is a named function that takes pytest's
 ``monkeypatch`` and plants one protocol-level bug in
-:mod:`repro.sim.runner` (one in :mod:`repro.sim.trace`, where the
+:mod:`repro.sim.runner` (one in :mod:`repro.utils.rng`'s derivation of
+a cohort's streams, one in :mod:`repro.sim.trace`, where the
 collapse's span totals are recorded, one in :mod:`repro.sim.network`'s
 delivery fusing, one in the event path's serve lane, two in
 :class:`repro.core.server.ShardServer` — its push apply and its lazy
@@ -43,6 +44,7 @@ from repro.core.server import ShardServer
 from repro.sim import runner
 from repro.sim.network import Network
 from repro.sim.trace import CohortSpans
+from repro.utils import rng
 
 
 def _rewrite(monkeypatch, owner, name: str, site: str, bug: str) -> None:
@@ -328,6 +330,25 @@ def depth_two_mixing_accepted(monkeypatch) -> None:
         monkeypatch, runner, "_intruders",
         "if floor is not None and (first <= floor).any():", "if False:",
     )
+
+
+def handover_redraws(monkeypatch) -> None:
+    """A hand-over spawns each worker without the durations the collapse
+    already drew from its stream: the event path re-draws them from where
+    the window left the stream.  Killer:
+    ``test_round_collapse.py::TestDevectorization::test_a_random_draw_hands_over_its_drawn_row``."""
+    _rewrite(
+        monkeypatch, runner.FluentPSSimRunner, "_collapse_rounds",
+        "self._worker_proc(w, r, rows[w])", "self._worker_proc(w, r)",
+    )
+
+
+def stream_pool_unmixed(monkeypatch) -> None:
+    """``derive_rngs`` skips the last cross-mix pass of ``SeedSequence``'s
+    pool hash: every stream is well-formed and none is the one
+    ``derive_rng`` derives.  Killer:
+    ``test_utils.py::TestDeriveRngs::test_stream_pool_unmixed_dies_by_the_property``."""
+    _rewrite(monkeypatch, rng, "derive_rngs", "for src in range(_POOL):", "for src in range(_POOL - 1):")
 
 
 def apply_log_out_of_order(monkeypatch) -> None:

@@ -14,12 +14,13 @@ pins the path it guards, so a cell cannot drift off it:
 - the round collapse's own oracles: 1000 x 8 x 3 schedule rows against
   the reference trace (:func:`tests.test_round_schedule.check_collapsed_wire`),
   the lane cascade against the scalar recurrence at 200 000 requests a
-  stream, and a 10k-worker collapse against the event path (event census,
-  span totals, per-kind key order);
+  stream, a 10k-worker collapse against the event path (event census,
+  span totals, per-kind key order), and the e2e benchmark's 5000-worker
+  log-normal isolated run against the event path;
 - one full 100k-worker scale-grid cell (the paper axis's end point), which
   proves the box holds the population and prints its cost.
 
-~30 s on two cores.  Every cell runs; the exit status is 1 if any failed::
+~35 s on two cores.  Every cell runs; the exit status is 1 if any failed::
 
     PYTHONPATH=src python -m tests.scale_cells
 """
@@ -40,7 +41,7 @@ from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
-from repro.sim.stragglers import DeterministicCompute, cpu_cluster_compute
+from repro.sim.stragglers import DeterministicCompute, LogNormalCompute, cpu_cluster_compute
 
 from tests.sim_helpers import EventPathRunner, assert_matches_reference, isolated_task_cell
 from tests.test_round_collapse import _fingerprint
@@ -186,6 +187,26 @@ def collapse_vs_event_path_10k():
             f"events_saved={fast.engine.round_events_saved}")
 
 
+def isolated_lognormal_5k():
+    # The e2e benchmark's ssp_isolated_5k configuration, built here: every
+    # round commits in closed form, each worker's 12 durations drawn in one
+    # window, and the event path draws them one iteration at a time.
+    def run(runner_cls):
+        runner = runner_cls(SimConfig(
+            cluster=cpu_cluster(5000, n_servers=8), max_iter=12, sync=ssp(3),
+            workload=alexnet_cifar_workload(), compute_model=LogNormalCompute(sigma=0.01),
+            base_compute_time=1e5, seed=0, obs=NULL_OBS,
+        ))
+        return runner, runner.run()
+
+    fast, fres = run(FluentPSSimRunner)
+    slow, sres = run(EventPathRunner)
+    assert fast.engine.rounds_collapsed == 12, fast.collapse_fallback
+    assert fast._finish_times == slow._finish_times
+    assert _fingerprint(fast, fres) == _fingerprint(slow, sres)
+    return f"rounds_collapsed=12 duration={fres.duration:.6f} sim-s"
+
+
 def grid_cell_100k():
     t0 = time.perf_counter()
     frag = _grid_arm(
@@ -215,6 +236,7 @@ CELLS = (
     ("reference 1000x8x4 ssp(3) merged collapse", merged_ssp3_1000x8x4),
     ("lane cascades at 200k requests", cascades_200k),
     ("10k collapse vs event path", collapse_vs_event_path_10k),
+    ("5k ssp(3) log-normal isolated collapse vs event path", isolated_lognormal_5k),
     ("100k scale-grid cell cpu/pssp", grid_cell_100k),
 )
 

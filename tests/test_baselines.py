@@ -208,8 +208,8 @@ class TestOneWorkerProgram:
         """Under ``repro/sim`` + ``repro/baselines`` + the replay
         (``repro/core/replay.py``): one ``StepContext(`` and one
         ``.eval_fn(``, both the replay's, and one event-path compute draw
-        (``_draw``); the collapse driver's cohort draws are the one named
-        exception."""
+        (``_draw``'s scalar ``sample``); the collapse driver's window
+        draws (``sample_many``) are the one named exception."""
         calls, draws = Counter(), Counter()
         paths = sorted((SRC / "sim").glob("*.py")) + sorted((SRC / "baselines").glob("*.py"))
         for path in paths + [SRC / "core" / "replay.py"]:
@@ -225,13 +225,13 @@ class TestOneWorkerProgram:
                             calls[".eval_fn("] += 1
                     if (
                         isinstance(node, ast.Attribute)
-                        and node.attr == "sample"
+                        and node.attr in ("sample", "sample_many")
                         and isinstance(node.value, ast.Attribute)
                         and node.value.attr == "compute_model"
                     ):
-                        draws[fn.name] += 1
+                        draws[fn.name, node.attr] += 1
         assert calls == {"StepContext(": 1, ".eval_fn(": 1}
-        assert draws == {"_draw": 1, "_collapse_rounds": 1}
+        assert draws == {("_draw", "sample"): 1, ("_collapse_rounds", "sample_many"): 1}
 
     @pytest.mark.parametrize("kind", ["stock"] + BASELINES)
     def test_a_worker_is_one_generator_frame(self, kind):

@@ -37,6 +37,7 @@ from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import (
     ComputeModel,
     DeterministicCompute,
+    ExponentialTailCompute,
     LogNormalCompute,
     cpu_cluster_compute,
 )
@@ -48,6 +49,7 @@ from tests.mutants import (
     block_intruder_pull_missing_one,
     block_rows_in_worker_order,
     depth_two_mixing_accepted,
+    handover_redraws,
     weaken_staleness,
 )
 from tests.sim_helpers import (
@@ -279,6 +281,27 @@ class TestDevectorization:
         with pytest.raises(AssertionError):
             assert_matches_reference(kwargs)
 
+    @pytest.mark.parametrize(
+        "compute",
+        [LogNormalCompute(0.4), ExponentialTailCompute(0.05, 4.0, 0.01)],
+        ids=["lognormal", "exp-tail"],
+    )
+    def test_a_random_draw_hands_over_its_drawn_row(self, compute, monkeypatch):
+        """A random draw mixes round 3 into round 2 beyond what a merge
+        proves: the cohort hands over with each worker's drawn but
+        uncommitted durations, and the event path draws on from where the
+        collapse's window left each stream.  A hand-over that re-draws
+        them is a mutant."""
+        kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=6, seed=6)
+        kwargs["base_compute_time"] = 5.0
+        kwargs["compute_model"] = compute
+        ra, _rb = _assert_differential(kwargs)
+        assert ra.collapse_fallback == {"reason": "overlap", "round": 2}
+        assert ra.engine.rounds_collapsed == 2 and ra.engine.events_processed > 0
+        handover_redraws(monkeypatch)
+        with pytest.raises(AssertionError):
+            assert_matches_reference(kwargs)
+
     def test_straggler_in_round_zero_collapses_nothing(self):
         kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=3)
         kwargs["base_compute_time"] = 5.0
@@ -287,12 +310,13 @@ class TestDevectorization:
         assert ra.engine.rounds_collapsed == 0
 
 
-def test_a_committed_round_pays_python_per_worker_only_for_the_draw():
+def test_a_committed_round_pays_no_python_per_worker():
     """Python-level calls per *additional* committed round (runs of 2 and
-    of 5 rounds, so set-up and the flush cancel) grow from 500 to 2000
-    workers by the 1500 extra ``sample`` draws and nothing else — a span,
-    a progress entry or a lane segment per worker would each add 1500 or
-    more.  The slack is a cascade's length classes varying with the draw."""
+    of 5 rounds, so set-up and the flush cancel) do not grow from 500 to
+    2000 workers: each worker's stream draws all its rounds in one
+    ``sample_many`` call, and a span, a progress entry, a lane segment or
+    a draw per worker per round would each add 1500 or more.  The slack is
+    a cascade's length classes varying with the draw."""
 
     def per_round(n):
         def calls(iters):
@@ -307,7 +331,23 @@ def test_a_committed_round_pays_python_per_worker_only_for_the_draw():
         return (calls(5) - calls(2)) / 3
 
     small, big = per_round(500), per_round(2000)
-    assert 0 < big - small <= (2000 - 500) + 20, (small, big)
+    assert abs(big - small) <= 20, (small, big)
+
+
+def test_a_collapsed_lognormal_run_draws_no_scalar_sample(monkeypatch):
+    """Every round of a fully collapsed log-normal run commits with the
+    scalar draw refused: the collapse draws through ``sample_many`` only."""
+
+    def refused(*_args):
+        raise AssertionError("a scalar draw in a collapsed run")
+
+    monkeypatch.setattr(LogNormalCompute, "sample", refused)
+    kwargs = _cell("cpu", "ssp3", "det", n=200, m=4, iters=5)
+    kwargs["compute_model"] = LogNormalCompute(0.01)
+    kwargs["base_compute_time"] = 1e5
+    runner = FluentPSSimRunner(SimConfig(**kwargs, obs=NULL_OBS))
+    runner.run()
+    assert runner.engine.rounds_collapsed == 5 and runner.collapse_fallback == {}
 
 
 def _columnar_obs():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import stragglers
 from repro.sim.stragglers import (
+    ComputeModel,
     DeterministicCompute,
     ExponentialTailCompute,
     HeterogeneousCompute,
@@ -169,6 +171,91 @@ class TestProperties:
         m = HeterogeneousCompute(n, spread=spread, jitter_sigma=0.0)
         for w in range(n):
             assert 1.0 <= m.rate_factor(w) <= 1.0 + spread + 1e-12
+
+
+class _ScalarOnly(ComputeModel):
+    """A model that overrides only ``sample``: its ``sample_many`` is the
+    default scalar loop."""
+
+    def sample(self, worker, iteration, base_time, rng):
+        return base_time * (1.0 + iteration * rng.random())
+
+
+#: Every model of :mod:`repro.sim.stragglers`, some at sigma = 0, and one
+#: that batches nothing.
+MANY_MODELS = ALL_MODELS + [
+    LogNormalCompute(0.0),
+    ExponentialTailCompute(0.3, 2.0, jitter_sigma=0.0),
+    TransientStragglerCompute(3, period=4, duration=2, jitter_sigma=0.0),
+    gpu_cluster_compute(),
+    cpu_cluster_compute(6),
+    _ScalarOnly(),
+]
+
+
+class TestSampleMany:
+    """A collapsed run draws a window of iterations in one ``sample_many``
+    call where the event path draws one ``sample`` per iteration: the
+    durations and the stream's next draw must be the same bit for bit."""
+
+    def test_every_model_is_covered(self):
+        models = {
+            cls for cls in vars(stragglers).values()
+            if isinstance(cls, type) and issubclass(cls, ComputeModel) and cls is not ComputeModel
+        }
+        assert models <= {type(m) for m in MANY_MODELS}
+
+    @given(
+        model=st.sampled_from(MANY_MODELS),
+        worker=st.integers(min_value=0, max_value=3),
+        start=st.integers(min_value=0, max_value=100),
+        k=st.integers(min_value=1, max_value=64),
+        base=st.floats(min_value=1e-6, max_value=1e5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_draws_on_a_twin_stream(self, model, worker, start, k, base, seed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        iterations = range(start, start + k)
+        many = model.sample_many(worker, iterations, base, rng)
+        scalar = [model.sample(worker, i, base, twin) for i in iterations]
+        assert [float(t) for t in many] == scalar
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TransientStragglerCompute(4, period=2.5, duration=1),
+        lambda: TransientStragglerCompute(4, period=10, duration=2.0),
+        lambda: TransientStragglerCompute(4.0),
+        lambda: TransientStragglerCompute(True),
+        lambda: TransientStragglerCompute(4, period=10, duration=0),
+        lambda: HeterogeneousCompute(4.0),
+        lambda: HeterogeneousCompute(0),
+        lambda: ExponentialTailCompute(p_slow=True),
+        lambda: ExponentialTailCompute(p_slow=np.bool_(False)),
+        lambda: HeterogeneousCompute(4, p_slow=True),
+    ],
+    ids=[
+        "transient-period", "transient-duration", "transient-n-float", "transient-n-bool",
+        "transient-duration-zero", "heterogeneous-n-float", "heterogeneous-n-zero",
+        "exp-tail-p-bool", "exp-tail-p-numpy-bool", "heterogeneous-p-bool",
+    ],
+)
+def test_sizes_are_ints_and_p_slow_a_probability(build):
+    """A fractional period put slow windows at fractional boundaries (worker
+    1 was slow at iteration 3), ``HeterogeneousCompute(4.0)`` passed the
+    config's size check as ``4.0 == 4``, and ``p_slow=True`` stalled every
+    iteration (``rng.random() < True``)."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_numpy_integer_sizes_are_ints():
+    m = TransientStragglerCompute(np.int64(4), period=np.int64(10), duration=np.int32(3))
+    assert (type(m.n_workers), type(m.period), type(m.duration)) == (int, int, int)
+    assert type(HeterogeneousCompute(np.int64(4)).n_workers) is int
 
 
 NAN = float("nan")

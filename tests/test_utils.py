@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.checks import check_number, check_seed
 from repro.utils.records import RunRecord, SeriesRecord
+from repro.utils import rng as rng_module
 from repro.utils.rng import derive_rng
 from repro.utils.tables import format_table
+
+from tests.mutants import stream_pool_unmixed
 
 
 class TestChecks:
@@ -56,6 +61,38 @@ class TestRng:
         a = derive_rng(1, "compute", 0).random()
         b = derive_rng(1, "step", 0).random()
         assert a != b
+
+
+def assert_streams_derived(seed, stream, n):
+    """``derive_rngs(seed, stream, n)[w]`` is ``derive_rng(seed, stream, w)``,
+    state for state, for every ``w < n``."""
+    streams = rng_module.derive_rngs(seed, stream, n)
+    assert len(streams) == n
+    for w, rng in enumerate(streams):
+        assert rng.bit_generator.state == derive_rng(seed, stream, w).bit_generator.state, w
+
+
+class TestDeriveRngs:
+    """The runner's compute streams and the replay's step streams are
+    derived all at once; each must be the scalar derivation's stream."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        stream=st.one_of(st.text(max_size=12), st.integers(min_value=0, max_value=2**32 - 1)),
+        n=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_stream_is_the_scalar_derivation(self, seed, stream, n):
+        assert_streams_derived(seed, stream, n)
+
+    def test_a_benchmark_sized_cohort(self):
+        assert_streams_derived(0, "compute", 5000)
+
+    def test_stream_pool_unmixed_dies_by_the_property(self, monkeypatch):
+        assert_streams_derived(0, "compute", 1)
+        stream_pool_unmixed(monkeypatch)
+        with pytest.raises(AssertionError):
+            assert_streams_derived(0, "compute", 1)
 
 
 class TestRecords:
